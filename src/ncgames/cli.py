@@ -24,7 +24,7 @@ from .errors import NcgError
 from .form import player_strategies
 from .game import compose, find_isomorphism, is_isomorphism, nash_equilibria, subgame_at
 from .labels import Atom, label_key, render_label, render_token, token_key
-from .preform import grand_strategies, play_of
+from .preform import count_grand_strategies, grand_strategies, play_of
 from .transforms import canonicalize, to_choice_sequence, to_choice_set
 from .tree import play_sort_key
 
@@ -78,11 +78,10 @@ def _parse_node_argument(text: str):
 
 def _cmd_validate(args) -> int:
     game = load_game(args.file)
-    strategies = grand_strategies(game.preform, cap=args.strategy_cap)
     print(
         f"ok: {len(game.players)} players, {len(game.tree.nodes)} nodes, "
         f"{len(game.preform.choices)} choices, {len(game.plays)} plays, "
-        f"{len(strategies)} grand strategies"
+        f"{count_grand_strategies(game.preform)} grand strategies"
     )
     return 0
 
@@ -306,10 +305,7 @@ def cli_dispatch(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except NcgError as exc:
-        print(f"error: {exc}")
-        return 1
-    except FileNotFoundError as exc:
+    except (NcgError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}")
         return 1
 

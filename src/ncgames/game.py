@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional
 
-from .errors import (
-    GameError,
-    InternalInvariantError,
-    MorphismError,
-    SearchBudgetExceeded,
-)
+from .errors import GameError, MorphismError, SearchBudgetExceeded
 from .form import (
     Form,
     FormMorphism,
@@ -49,9 +44,7 @@ from .tree import (
     Play,
     Tree,
     TreeMorphism,
-    compose_tree_morphisms,
     end_preserved_plays,
-    image_play,
     strict_predecessors,
     subtree_at,
 )
@@ -126,9 +119,11 @@ class Game:
 
     def play_with_members(self, members: Iterable[NodeLabel]) -> Optional[Play]:
         members = frozenset(members)
-        for play in self.plays:
-            if play.members == members:
-                return play
+        # a play holds exactly one terminal node, its end
+        for t in members:
+            if t not in self.tree.decision_nodes:
+                play = self.tree.play_by_end.get(t)
+                return play if play is not None and play.members == members else None
         return None
 
 
@@ -315,15 +310,14 @@ def validate_game_morphism(
                 )
         norm_beta[i] = bmap
 
-    target_by_members = {p.members: p for p in target.plays}
+    # the image of an end-preserved play is the target play ending at
+    # the image of its end
+    images = [
+        (z, target.tree.play_by_end[theta.tau[z.end]])
+        for z in sorted(end_preserved, key=lambda p: label_key(p.end))
+    ]
     for i in sorted(source.players, key=token_key):
-        for z in sorted(end_preserved, key=lambda p: label_key(p.end)):
-            members = image_play(theta, z)
-            image = target_by_members.get(members)
-            if image is None:  # pragma: no cover - end-preserved images are plays
-                raise InternalInvariantError(
-                    "image of an end-preserved play is not a target play"
-                )
+        for z, image in images:
             expected = target.utilities[form_morphism.iota[i]][image]
             if norm_beta[i][source.utilities[i][z]] != expected:
                 raise MorphismError(
@@ -375,8 +369,9 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
     tau = {t: second.tau[first.tau[t]] for t in first.source.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}
-    theta = compose_tree_morphisms(second.theta, first.theta)
-    end_preserved = end_preserved_plays(theta)
+    end_preserved = end_preserved_plays(
+        TreeMorphism(first.source.tree, second.target.tree, tau)
+    )
     beta: Dict[Token, Dict[Fraction, Fraction]] = {}
     for i in first.source.players:
         b1 = first.beta[i]
@@ -397,34 +392,20 @@ def _is_bijection(mapping: Mapping, domain: frozenset, codomain: frozenset) -> b
 def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:
     """An explicit inverse when every component bijects, else ``None``.
 
-    Two equivalent characterizations are evaluated, all-components
-    bijective and strict monotonicity of the utility maps over
-    bijective structure maps, and must agree; the inverse is then built
-    component-wise and re-validated, and both composites are checked to
-    be identities.
+    The inverse is built component-wise and validated once.  The paper's
+    equivalent characterization (bijective structure maps with strictly
+    increasing utility maps) and the identity composites are consequences
+    checked by the test suite, not here.
     """
-    structure_bijective = (
+    if not (
         _is_bijection(m.iota, m.source.players, m.target.players)
         and _is_bijection(m.tau, m.source.tree.nodes, m.target.tree.nodes)
         and _is_bijection(m.delta, m.source.preform.choices, m.target.preform.choices)
-    )
-    all_bijective = structure_bijective and all(
-        _is_bijection(m.beta[i], frozenset(m.beta[i]), m.target.ranges[m.iota[i]])
-        for i in m.source.players
-    )
-
-    def strictly_increasing(bmap: Mapping[Fraction, Fraction]) -> bool:
-        ordered = sorted(bmap)
-        return all(bmap[u1] < bmap[u2] for u1, u2 in zip(ordered, ordered[1:]))
-
-    strict_characterization = structure_bijective and all(
-        strictly_increasing(m.beta[i]) for i in m.source.players
-    )
-    if all_bijective != strict_characterization:
-        raise InternalInvariantError(
-            "the two isomorphism characterizations disagree on this morphism"
+        and all(
+            _is_bijection(m.beta[i], frozenset(m.beta[i]), m.target.ranges[m.iota[i]])
+            for i in m.source.players
         )
-    if not all_bijective:
+    ):
         return None
 
     iota_inv = {v: k for k, v in m.iota.items()}
@@ -437,11 +418,6 @@ def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:
     inverse = validate_game_morphism(
         m.target, m.source, iota_inv, tau_inv, delta_inv, beta_inv
     )
-    if (
-        compose(inverse, m) != identity_morphism(m.source)
-        or compose(m, inverse) != identity_morphism(m.target)
-    ):  # pragma: no cover - bijective components always invert
-        raise InternalInvariantError("inverse composites are not identities")
     return IsoWitness(m, inverse)
 
 
@@ -491,20 +467,12 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
     preform = build_preform(sub_nodes, kept_choices, triples)
     assignment = {i: g.form.assignment[i] & kept_choices for i in g.players}
     form = build_form(preform, g.players, assignment)
-    prefix = strict_predecessors(g.tree, t_star)
-    utilities = {}
-    for i in g.players:
-        row = {}
-        for z in preform.tree.plays:
-            extended = g.play_with_members(prefix | z.members)
-            if extended is None:  # pragma: no cover - extensions are always plays
-                raise InternalInvariantError("extended subgame play is not a play")
-            row[z] = g.utilities[i][extended]
-        utilities[i] = row
-    sub = build_game(form, utilities)
-    if not is_subgame(sub, g):  # pragma: no cover - construction satisfies the test
-        raise InternalInvariantError("constructed subgame fails the subgame test")
-    return sub
+    # a subgame play extends to the outer play with the same end
+    utilities = {
+        i: {z: g.utilities[i][g.tree.play_by_end[z.end]] for z in preform.tree.plays}
+        for i in g.players
+    }
+    return build_game(form, utilities)
 
 
 def _zeta(g: Game, s: frozenset) -> Play:
@@ -531,9 +499,8 @@ def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> boo
 def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     """All pure-strategy equilibria, by exhaustive deviation checking.
 
-    Each strategy is screened against proper deviations only; the
-    variant that also re-checks the strategy's own components must
-    agree, and a disagreement would indicate a bug.
+    Each strategy is screened against proper deviations only; the test
+    suite compares the result with a direct deviation scan.
     """
     per_player = {i: player_strategies(g.form, i, cap=cap) for i in g.players}
     equilibria = []
@@ -551,10 +518,6 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
                     break
             if not stable:
                 break
-        if stable != is_nash(g, s, cap=cap):  # pragma: no cover - the two agree
-            raise InternalInvariantError(
-                "deviation screening disagrees with the direct equilibrium test"
-            )
         if stable:
             equilibria.append(s)
     return frozenset(equilibria)
@@ -683,10 +646,9 @@ def find_isomorphism(
             for i in g1.players:
                 bmap: Dict[Fraction, Fraction] = {}
                 for z in g1.plays:
-                    image = g2.play_with_members(mapping[t] for t in z.members)
-                    if image is None:
-                        consistent = False
-                        break
+                    # the node map keeps edges and branching, so it sends
+                    # each play to the target play ending at its end's image
+                    image = g2.tree.play_by_end[mapping[z.end]]
                     u = g1.utilities[i][z]
                     v = g2.utilities[full_iota[i]][image]
                     if bmap.setdefault(u, v) != v:

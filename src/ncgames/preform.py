@@ -19,7 +19,6 @@ from math import prod
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
-    InternalInvariantError,
     MorphismError,
     PreformError,
     StrategySpaceTooLarge,
@@ -31,7 +30,6 @@ from .tree import (
     Tree,
     TreeMorphism,
     build_tree,
-    validate_tree_morphism,
 )
 
 __all__ = [
@@ -170,46 +168,31 @@ def build_preform(
         ) from exc
 
     feas: dict = {}
-    for (t, c), _t_next in op.items():
+    ftop: dict = {}
+    for t, c in op:
         feas.setdefault(t, set()).add(c)
-    feas = {t: frozenset(cs) for t, cs in feas.items()}
-    if set(feas) != set(tree.decision_nodes):  # pragma: no cover - true by derivation
-        raise InternalInvariantError("decision nodes differ from nodes with feasible choices")
+        ftop.setdefault(c, set()).add(t)
+    orphans = choice_set - ftop.keys()
+    if orphans:
+        raise PreformError(
+            "OrphanChoice",
+            f"choice {render_token(min(orphans, key=token_key))} is feasible at no node",
+            axiom="[P3]",
+        )
 
-    ftop = {
-        c: frozenset(t for (t, cc) in op if cc == c)
-        for c in choice_set
-    }
-    for c in sorted(choice_set, key=token_key):
-        if not ftop[c]:
+    info_set_of = {c: frozenset(ts) for c, ts in ftop.items()}
+    for t, cs in feas.items():
+        if len({info_set_of[c] for c in cs}) > 1:
             raise PreformError(
-                "OrphanChoice",
-                f"choice {render_token(c)} is feasible at no node",
+                "InfoSetOverlap",
+                f"node {render_label(t)} lies in two distinct information sets",
                 axiom="[P3]",
             )
-
-    info_set_of = dict(ftop)
-    info_sets = frozenset(ftop.values())
-    claimed: dict = {}
-    for h in info_sets:
-        for t in h:
-            if t in claimed and claimed[t] != h:
-                raise PreformError(
-                    "InfoSetOverlap",
-                    f"node {render_label(t)} lies in two distinct information sets",
-                    axiom="[P3]",
-                )
-            claimed[t] = h
-
-    info_choices = {}
-    for h in info_sets:
-        shared = frozenset(c for c in choice_set if ftop[c] == h)
-        for t in h:
-            if feas[t] != shared:  # pragma: no cover - implied by the partition
-                raise InternalInvariantError(
-                    "feasible choices at a node differ from its information set's choices"
-                )
-        info_choices[h] = shared
+    feas = {t: frozenset(cs) for t, cs in feas.items()}
+    # the sets partition the decision nodes, so a set's choices are the
+    # choices feasible at any of its nodes
+    info_choices = {h: feas[next(iter(h))] for h in info_set_of.values()}
+    info_sets = frozenset(info_choices)
 
     prev_choice = {t_next: c for (t, c), t_next in op.items()}
 
@@ -355,8 +338,11 @@ def validate_preform_morphism(
                 choice=c,
                 successor=t_next,
             )
-    tree_morphism = validate_tree_morphism(source.tree, target.tree, tau)
-    return PreformMorphism(source, target, dict(tau), dict(delta), tree_morphism)
+    # [p1] makes the node map total and [p2] carries every predecessor
+    # pair, since each is an operator triple: the tree axioms hold
+    tau = dict(tau)
+    tree_morphism = TreeMorphism(source.tree, target.tree, tau)
+    return PreformMorphism(source, target, tau, dict(delta), tree_morphism)
 
 
 def identity_preform_morphism(pf: Preform) -> PreformMorphism:

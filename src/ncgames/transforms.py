@@ -16,7 +16,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import InternalInvariantError, TransformError
 from .form import build_form
-from .game import Game, IsoWitness, build_game, compose, is_isomorphism, validate_game_morphism
+from .game import Game, IsoWitness, build_game, is_isomorphism, validate_game_morphism
 from .labels import NodeLabel, Seq, SetLabel, Token, render_token, token_key
 from .preform import build_preform
 
@@ -94,38 +94,13 @@ def style_report(g: Game) -> StyleReport:
     )
 
 
-def _transport(g: Game, tau: Mapping[NodeLabel, NodeLabel]) -> Game:
-    """The game on relabeled nodes, with utilities carried along the images."""
-    triples = [
-        (tau[t], c, tau[t_next]) for (t, c), t_next in g.preform.op.items()
-    ]
-    preform = build_preform(
-        {tau[t] for t in g.tree.nodes}, g.preform.choices, triples
-    )
-    form = build_form(preform, g.players, g.form.assignment)
-    utilities = {}
-    for i in g.players:
-        row = {}
-        for z in g.plays:
-            image = frozenset(tau[t] for t in z.members)
-            row[image] = g.utilities[i][z]
-        utilities[i] = row
-    return build_game(form, utilities)
-
-
-def _identity_witness(g: Game, converted: Game, tau: Mapping) -> IsoWitness:
-    morphism = validate_game_morphism(
-        g,
-        converted,
-        {i: i for i in g.players},
-        dict(tau),
-        {c: c for c in g.preform.choices},
-        {i: {u: u for u in g.ranges[i]} for i in g.players},
-    )
-    witness = is_isomorphism(morphism)
-    if witness is None:  # pragma: no cover - relabelings always biject
-        raise InternalInvariantError("style conversion did not produce an isomorphism")
-    return witness
+def _histories(g: Game) -> Dict[NodeLabel, tuple]:
+    """Each node's sequence of choices from the root."""
+    tree, prev = g.tree, g.preform.prev_choice
+    histories = {tree.root: ()}
+    for t in sorted(tree.nodes - {tree.root}, key=tree.stage.__getitem__):
+        histories[t] = histories[tree.pred[t]] + (prev[t],)
+    return histories
 
 
 def to_choice_sequence(g: Game) -> Tuple[Game, IsoWitness]:
@@ -134,23 +109,15 @@ def to_choice_sequence(g: Game) -> Tuple[Game, IsoWitness]:
     Total on valid games, absentminded ones included; the root becomes
     the empty sequence.
     """
-    tree = g.tree
-    tau = {
-        t: Seq(tuple(g.preform.prev_choice[u] for u in tree.path_from_root(t)[1:]))
-        for t in tree.nodes
-    }
-    if len(set(tau.values())) != len(tau):  # pragma: no cover - histories are unique
-        raise InternalInvariantError("two nodes share their choice history")
-    converted = _transport(g, tau)
-    return converted, _identity_witness(g, converted, tau)
+    return relabel_game(g, node_map={t: Seq(h) for t, h in _histories(g).items()})
 
 
 def to_choice_set(g: Game) -> Tuple[Game, IsoWitness]:
     """Collapse sequence labels to their sets of members.
 
     Defined on choice-sequence games without absentmindedness; on those
-    the collapse is injective, which is re-verified at runtime rather
-    than trusted.
+    the collapse is injective, and :func:`relabel_game` rejects the
+    node map with ``NotInjective`` if it ever is not.
     """
     report = style_report(g)
     if not report.uses_choice_sequences:
@@ -164,31 +131,25 @@ def to_choice_set(g: Game) -> Tuple[Game, IsoWitness]:
             "an information set contains two comparable nodes, so distinct "
             "histories would collapse to one set",
         )
-    tau = {t: SetLabel(frozenset(t.choices)) for t in g.tree.nodes}
-    if len(set(tau.values())) != len(tau):
-        raise InternalInvariantError(
-            "collapsing histories to sets identified two distinct nodes"
-        )
-    converted = _transport(g, tau)
-    return converted, _identity_witness(g, converted, tau)
+    return relabel_game(
+        g, node_map={t: SetLabel(frozenset(t.choices)) for t in g.tree.nodes}
+    )
 
 
 def canonicalize(g: Game) -> CanonicalForm:
     """Convert to the choice-set style when possible, else to choice sequences.
 
-    The returned witness composes the stage witnesses, and the ``style``
-    field reports which style was reached instead of failing on
-    absentminded inputs.
+    One relabeling maps each node straight to its choice history, as a
+    set unless the game is absentminded (an isomorphism invariant, so
+    the input decides it); the ``style`` field reports which style was
+    reached instead of failing on absentminded inputs.
     """
-    seq_game, seq_witness = to_choice_sequence(g)
-    if not style_report(seq_game).no_absentmindedness:
-        return CanonicalForm(seq_game, seq_witness, "choice-sequence")
-    set_game, set_witness = to_choice_set(seq_game)
-    combined = compose(set_witness.morphism, seq_witness.morphism)
-    witness = is_isomorphism(combined)
-    if witness is None:  # pragma: no cover - composites of isomorphisms are isomorphisms
-        raise InternalInvariantError("composite conversion witness is not an isomorphism")
-    return CanonicalForm(set_game, witness, "choice-set")
+    histories = _histories(g)
+    if style_report(g).no_absentmindedness:
+        node_map = {t: SetLabel(frozenset(h)) for t, h in histories.items()}
+        return CanonicalForm(*relabel_game(g, node_map=node_map), "choice-set")
+    node_map = {t: Seq(h) for t, h in histories.items()}
+    return CanonicalForm(*relabel_game(g, node_map=node_map), "choice-sequence")
 
 
 def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
@@ -275,11 +236,10 @@ def relabel_game(
         iota[i]: frozenset(delta[c] for c in g.form.assignment[i]) for i in g.players
     }
     form = build_form(preform, set(iota.values()), assignment)
+    # each play carries over to the converted play ending at its end's image
+    image = {z: preform.tree.play_by_end[tau[z.end]] for z in g.plays}
     utilities = {
-        iota[i]: {
-            frozenset(tau[t] for t in z.members): g.utilities[i][z] for z in g.plays
-        }
-        for i in g.players
+        iota[i]: {image[z]: g.utilities[i][z] for z in g.plays} for i in g.players
     }
     converted = build_game(form, utilities)
     morphism = validate_game_morphism(
@@ -290,7 +250,4 @@ def relabel_game(
         delta,
         {i: {u: u for u in g.ranges[i]} for i in g.players},
     )
-    witness = is_isomorphism(morphism)
-    if witness is None:  # pragma: no cover - injective renamings always biject
-        raise InternalInvariantError("relabeling did not produce an isomorphism")
-    return converted, witness
+    return converted, is_isomorphism(morphism)

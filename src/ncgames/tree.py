@@ -56,7 +56,11 @@ def play_sort_key(play: Play) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """A validated functioned tree together with its derived structure."""
+    """A validated functioned tree together with its derived structure.
+
+    ``play_by_end`` indexes the plays by their terminal node; a play is
+    determined by its end.
+    """
 
     nodes: frozenset
     pred: Mapping[NodeLabel, NodeLabel]
@@ -65,6 +69,7 @@ class Tree:
     stage: Mapping[NodeLabel, int]
     plays: frozenset
     children_map: Mapping[NodeLabel, Tuple[NodeLabel, ...]]
+    play_by_end: Mapping[NodeLabel, Play] = field(repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
@@ -198,13 +203,13 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         parent: tuple(sorted(kids, key=label_key)) for parent, kids in children.items()
     }
 
-    play_set = set()
+    play_by_end = {}
     for t in node_set - decision_nodes:
         chain = [t]
         while chain[-1] != root:
             chain.append(pred[chain[-1]])
         chain.reverse()
-        play_set.add(Play(frozenset(chain), t, tuple(chain)))
+        play_by_end[t] = Play(frozenset(chain), t, tuple(chain))
 
     return Tree(
         nodes=node_set,
@@ -212,8 +217,9 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         root=root,
         decision_nodes=decision_nodes,
         stage=stage,
-        plays=frozenset(play_set),
+        plays=frozenset(play_by_end.values()),
         children_map=children_map,
+        play_by_end=play_by_end,
     )
 
 

@@ -16,6 +16,7 @@ from ncgames import (
     grand_to_profile,
     identity_morphism,
     image_play,
+    is_isomorphism,
     is_nash,
     play_of,
     player_strategies,
@@ -117,10 +118,53 @@ def check_associativity(third, second, first):
     )
 
 
+def _bijects(mapping, domain, codomain):
+    values = set(mapping.values())
+    return len(values) == len(domain) and values == set(codomain)
+
+
+def iso_characterizations(m):
+    """The paper's two characterizations of a game isomorphism: every
+    component bijective, and bijective structure maps with strictly
+    increasing utility maps."""
+    structure = (
+        _bijects(m.iota, m.source.players, m.target.players)
+        and _bijects(m.tau, m.source.tree.nodes, m.target.tree.nodes)
+        and _bijects(m.delta, m.source.preform.choices, m.target.preform.choices)
+    )
+    all_components = structure and all(
+        _bijects(m.beta[i], frozenset(m.beta[i]), m.target.ranges[m.iota[i]])
+        for i in m.source.players
+    )
+    strict = structure and all(
+        _strictly_increasing(m.beta[i]) for i in m.source.players
+    )
+    return all_components, strict
+
+
+def _strictly_increasing(bmap):
+    ordered = sorted(bmap)
+    return all(bmap[u] < bmap[v] for u, v in zip(ordered, ordered[1:]))
+
+
+def check_iso_characterizations(m):
+    all_components, strict = iso_characterizations(m)
+    assert all_components == strict
+    assert (is_isomorphism(m) is not None) == all_components
+
+
 def check_iso_witness(witness):
     """The full battery of isomorphism consequences."""
     m = witness.morphism
     g, h = m.source, m.target
+
+    # both characterizations hold, in both directions
+    assert iso_characterizations(m) == (True, True)
+    assert iso_characterizations(witness.inverse) == (True, True)
+
+    # the inverse undoes the morphism on both sides
+    assert compose(witness.inverse, m) == identity_morphism(g)
+    assert compose(m, witness.inverse) == identity_morphism(h)
 
     # plays biject under the node map
     images = {frozenset(m.tau[t] for t in z.members) for z in g.plays}

@@ -45,6 +45,46 @@ class TestValidate:
         assert code == 1
         assert out.startswith("error:")
 
+    def test_directory_exits_1(self, workdir, capsys):
+        code, out = run(capsys, "validate", workdir)
+        assert code == 1
+        assert out.startswith("error:")
+
+    def test_non_utf8_file_exits_1(self, workdir, capsys):
+        bad = workdir / "latin1.game"
+        bad.write_bytes((workdir / "classroom.game").read_bytes() + b"\xff\xfe")
+        code, out = run(capsys, "validate", bad)
+        assert code == 1
+        assert out.startswith("error:")
+
+    def test_counts_strategies_beyond_the_cap(self, workdir, capsys):
+        # perfect-information binary tree of depth 5: 31 singleton
+        # information sets with two choices each, 2**31 grand strategies
+        edges = [
+            [{"atom": str(k)}, f"c{child}", {"atom": str(child)}]
+            for k in range(1, 32)
+            for child in (2 * k, 2 * k + 1)
+        ]
+        doc = {
+            "format_version": "ncg/1",
+            "players": ["P1"],
+            "nodes": [{"atom": str(k)} for k in range(1, 64)],
+            "edges": edges,
+            "ownership": {"P1": [c for _t, c, _n in edges]},
+            "utilities": [
+                {
+                    "play": [{"atom": str(leaf >> s)} for s in range(5, -1, -1)],
+                    "values": {"P1": str(leaf % 3)},
+                }
+                for leaf in range(32, 64)
+            ],
+        }
+        big = workdir / "big.game"
+        big.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", big)
+        assert code == 0
+        assert out == "ok: 1 players, 63 nodes, 62 choices, 32 plays, 2147483648 grand strategies\n"
+
     def test_usage_error_exits_2(self, workdir):
         with pytest.raises(SystemExit) as err:
             cli_dispatch(["frobnicate"])

@@ -29,6 +29,7 @@ from ncgames import (
 )
 from ncgames.transforms import apply_utility_transform, relabel_game
 
+import property_checks
 from conftest import CLASSROOM_UTILITIES, a, nodes_of
 from oracles import nash_by_deviation_scan
 
@@ -319,6 +320,7 @@ class TestIsIsomorphism:
         }
         m = validate_game_morphism(classroom_game, target, iota, tau, delta, beta)
         assert is_isomorphism(m) is None
+        property_checks.check_iso_characterizations(m)
 
 
 class TestNonStrictTransformRejected:

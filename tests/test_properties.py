@@ -2,6 +2,7 @@
 hypothesis."""
 
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +15,18 @@ from ncgames import (
     is_isomorphism,
     parse_game,
     serialize_game,
+    serialize_witness,
     subtree_at,
     validate_tree_morphism,
 )
 from ncgames.labels import Atom
 from ncgames.transforms import (
     apply_utility_transform,
+    canonicalize,
     relabel_game,
+    style_report,
     to_choice_sequence,
+    to_choice_set,
 )
 
 import property_checks
@@ -202,6 +207,32 @@ def test_canonicalize_reaches_choice_sets_exactly_when_not_absentminded():
         else:
             assert result.style == "choice-sequence"
             assert style_report(result.game).uses_choice_sequences
+
+
+def canonicalize_by_stages(game):
+    """The staged route to the canonical style: choice sequences, then,
+    without absentmindedness, choice sets and the composite witness."""
+    seq_game, seq_witness = to_choice_sequence(game)
+    if not style_report(seq_game).no_absentmindedness:
+        return seq_game, seq_witness
+    set_game, set_witness = to_choice_set(seq_game)
+    return set_game, is_isomorphism(compose(set_witness.morphism, seq_witness.morphism))
+
+
+def test_canonicalize_matches_the_staged_conversions():
+    fixtures = Path(__file__).parent / "fixtures"
+    games = [parse_game(path.read_text()) for path in sorted(fixtures.glob("*.game"))]
+    rng = random.Random(61)
+    games += [random_game(rng) for _ in range(40)]
+    styles = set()
+    for game in games:
+        result = canonicalize(game)
+        staged_game, staged_witness = canonicalize_by_stages(game)
+        assert serialize_game(result.game) == serialize_game(staged_game)
+        assert serialize_witness(result.witness) == serialize_witness(staged_witness)
+        property_checks.check_iso_witness(result.witness)
+        styles.add(result.style)
+    assert styles == {"choice-set", "choice-sequence"}
 
 
 def test_extracted_subgames_are_subgames_with_matching_nash():

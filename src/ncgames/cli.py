@@ -16,9 +16,9 @@ from .documents import (
     load_game,
     parse_morphism,
     parse_witness,
-    serialize_game,
-    serialize_morphism,
-    serialize_witness,
+    write_game,
+    write_morphism,
+    write_witness,
 )
 from .errors import NcgError
 from .form import player_strategies
@@ -162,8 +162,8 @@ def _cmd_convert(args) -> int:
         if args.witness_output
         else Path(f"{stem}.{args.to}.witness")
     )
-    out.write_text(serialize_game(converted))
-    wout.write_text(serialize_witness(witness))
+    write_game(converted, out)
+    write_witness(witness, wout)
     print(f"style: {style}")
     print(f"wrote: {out}")
     print(f"wrote: {wout}")
@@ -182,7 +182,7 @@ def _cmd_iso(args) -> int:
         if args.witness_output
         else Path(f"{Path(args.file1).with_suffix('')}__{Path(args.file2).stem}.witness")
     )
-    wout.write_text(serialize_witness(witness))
+    write_witness(witness, wout)
     print("isomorphic")
     print(f"wrote: {wout}")
     return 0
@@ -195,7 +195,9 @@ def _cmd_iso_check(args) -> int:
         doc = json.loads(text)
     except json.JSONDecodeError:
         doc = None
-    if isinstance(doc, dict) and "morphism" in doc:
+    is_witness = isinstance(doc, dict) and "morphism" in doc
+    del doc  # the parse below decodes the text again; keep one copy alive
+    if is_witness:
         parse_witness(text, base_dir=base_dir)
         print("valid isomorphism witness")
         return 0
@@ -216,7 +218,7 @@ def _cmd_subgame(args) -> int:
         if args.output
         else Path(f"{Path(args.file).with_suffix('')}.subgame.game")
     )
-    out.write_text(serialize_game(sub))
+    write_game(sub, out)
     print(f"wrote: {out}")
     return 0
 
@@ -234,7 +236,7 @@ def _cmd_compose(args) -> int:
         if args.output
         else Path(f"{Path(args.first).with_suffix('')}__{Path(args.second).stem}.morphism")
     )
-    out.write_text(serialize_morphism(composite))
+    write_morphism(composite, out)
     print(f"wrote: {out}")
     return 0
 

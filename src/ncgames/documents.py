@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 from typing import Dict
 
@@ -34,7 +35,6 @@ from .game import (
 from .form import build_form
 from .labels import Atom, NodeLabel, Seq, SetLabel, label_key
 from .preform import build_preform
-from .tree import play_sort_key
 
 __all__ = [
     "FORMAT_VERSION",
@@ -47,6 +47,9 @@ __all__ = [
     "parse_witness",
     "serialize_witness",
     "witness_to_document",
+    "write_game",
+    "write_morphism",
+    "write_witness",
     "load_game",
 ]
 
@@ -176,22 +179,23 @@ def load_game(path) -> Game:
     return parse_game(Path(path).read_text())
 
 
-def game_to_document(g: Game) -> dict:
-    """The canonical document for a game."""
+def _game_parts(g: Game) -> tuple:
+    """The canonical document for a game, with the node specs it shares
+    and each node's sort key."""
     specs = {t: _node_to_spec(t) for t in g.tree.nodes}
     if len({json.dumps(spec, sort_keys=True) for spec in specs.values()}) != len(specs):
         raise DocumentError(
             "AtomCollision",
             "two distinct node labels serialize to the same text",
         )
-    node_order = sorted(g.tree.nodes, key=label_key)
+    keys = {t: label_key(t) for t in g.tree.nodes}
     edges = sorted(
-        ((t, c, t_next) for (t, c), t_next in g.preform.op.items()),
-        key=lambda e: (label_key(e[0]), str(e[1]), label_key(e[2])),
+        g.preform.op.items(),
+        key=lambda e: (keys[e[0][0]], str(e[0][1]), keys[e[1]]),
     )
     players = sorted(g.players, key=str)
     utilities = []
-    for play in sorted(g.plays, key=play_sort_key):
+    for play in sorted(g.plays, key=lambda z: tuple(keys[t] for t in z.path)):
         utilities.append(
             {
                 "play": [specs[t] for t in play.path],
@@ -200,20 +204,151 @@ def game_to_document(g: Game) -> dict:
                 },
             }
         )
-    return {
+    doc = {
         "format_version": FORMAT_VERSION,
         "players": [str(i) for i in players],
-        "nodes": [specs[t] for t in node_order],
-        "edges": [[specs[t], str(c), specs[t_next]] for t, c, t_next in edges],
+        "nodes": [specs[t] for t in sorted(g.tree.nodes, key=keys.__getitem__)],
+        "edges": [[specs[t], str(c), specs[t_next]] for (t, c), t_next in edges],
         "ownership": {
             str(i): sorted(str(c) for c in g.form.assignment[i]) for i in players
         },
         "utilities": utilities,
     }
+    return doc, specs, keys
+
+
+def game_to_document(g: Game) -> dict:
+    """The canonical document for a game."""
+    return _game_parts(g)[0]
+
+
+#: The writer hands text to its output in pieces of about this many
+#: characters, so no text as long as a whole document is ever built.
+_PIECE = 1 << 15
+
+
+def _shared_containers(doc) -> set:
+    """The ids of the lists and dicts that occur more than once in ``doc``."""
+    seen, shared = set(), set()
+    stack = [doc] if isinstance(doc, (dict, list, tuple)) else []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            shared.add(id(o))
+            continue
+        seen.add(id(o))
+        children = o.values() if isinstance(o, dict) else o
+        stack.extend(c for c in children if isinstance(c, (dict, list, tuple)))
+    return shared
+
+
+class _JsonWriter:
+    """Writes ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``,
+    byte for byte, to ``emit`` in pieces of at most ``_PIECE``
+    characters, unless one string, or one list or dict of strings
+    (never split), is longer.
+
+    A list or dict that occurs more than once in the document is
+    encoded once per indent level and its text reused.  Keys must be
+    strings; ``encode_basestring`` raises ``TypeError`` on any other.
+    """
+
+    def __init__(self, emit):
+        self.emit = emit
+        self.buf = []
+        self.size = 0
+
+    def write(self, doc) -> None:
+        self.shared = _shared_containers(doc)
+        self.memo = {}  # (id, level) -> pieces of text
+        self.value(doc, 0, "")
+        self.add("\n")
+        self.flush()
+
+    def add(self, text: str) -> None:
+        if self.size + len(text) > _PIECE:
+            self.flush()
+        self.buf.append(text)
+        self.size += len(text)
+
+    def flush(self) -> None:
+        if self.buf:
+            self.emit("".join(self.buf))
+            self.buf = []
+            self.size = 0
+
+    def value(self, o, level: int, prefix: str) -> None:
+        """Write ``prefix``, then ``o`` at indent ``level``."""
+        if isinstance(o, str):
+            self.add(prefix + _encode_str(o))
+        elif not isinstance(o, (dict, list, tuple)):
+            self.add(prefix + json.dumps(o))
+        elif id(o) not in self.shared:
+            self.container(o, level, prefix)
+        else:
+            pieces = self.memo.get((id(o), level))
+            if pieces is None:
+                pieces = self.memo[id(o), level] = self.capture(o, level)
+            self.add(prefix)
+            for piece in pieces:
+                self.add(piece)
+
+    def capture(self, o, level: int) -> list:
+        """The text of one container, written into its own pieces."""
+        outer = self.emit, self.buf, self.size
+        pieces = []
+        self.emit, self.buf, self.size = pieces.append, [], 0
+        self.container(o, level, "")
+        self.flush()
+        self.emit, self.buf, self.size = outer
+        return pieces
+
+    def container(self, o, level: int, prefix: str) -> None:
+        is_dict = isinstance(o, dict)
+        if not o:
+            self.add(prefix + ("{}" if is_dict else "[]"))
+            return
+        inner = "\n" + "  " * (level + 1)
+        opening, separator = prefix + ("{" if is_dict else "[") + inner, "," + inner
+        closing = "\n" + "  " * level + ("}" if is_dict else "]")
+        items = o.items() if is_dict else o
+        # flat containers of text, such as node specs, in one piece
+        if all(isinstance(v, str) for v in (o.values() if is_dict else o)):
+            texts = (
+                (_encode_str(k) + ": " + _encode_str(v) for k, v in items)
+                if is_dict
+                else map(_encode_str, o)
+            )
+            self.add(opening + separator.join(texts) + closing)
+            return
+        prefix = opening
+        for item in items:
+            if is_dict:
+                key, item = item
+                prefix += _encode_str(key) + ": "
+            self.value(item, level + 1, prefix)
+            prefix = separator
+        self.add(closing)
+
+
+def _text(doc) -> str:
+    pieces = []
+    _JsonWriter(pieces.append).write(doc)
+    return "".join(pieces)
+
+
+def _write(doc, path) -> None:
+    with Path(path).open("w") as out:
+        _JsonWriter(out.write).write(doc)
 
 
 def serialize_game(g: Game) -> str:
-    return json.dumps(game_to_document(g), indent=2, ensure_ascii=False) + "\n"
+    return _text(game_to_document(g))
+
+
+def write_game(g: Game, path) -> None:
+    """Write ``serialize_game(g)`` to ``path`` without building the text."""
+    _write(game_to_document(g), path)
 
 
 def _pairs_to_map(entries, parse_left, parse_right, what) -> dict:
@@ -236,18 +371,31 @@ def _token(value):
     return value
 
 
-def _game_from_ref(ref, base_dir) -> Game:
+def _game_from_ref(ref, base_dir, built: list) -> Game:
+    """The game a path or inline document names; ``built`` lists the
+    (reference, game) pairs read so far, and an equal reference reuses
+    its game."""
+    for seen, game in built:
+        if seen == ref:
+            return game
     if isinstance(ref, str):
-        return parse_game((Path(base_dir) / ref).read_text())
-    if isinstance(ref, dict):
-        return _game_from_document(ref)
-    raise DocumentSyntaxError("game reference must be a path or an inline document")
+        game = parse_game((Path(base_dir) / ref).read_text())
+    elif isinstance(ref, dict):
+        game = _game_from_document(ref)
+    else:
+        raise DocumentSyntaxError("game reference must be a path or an inline document")
+    built.append((ref, game))
+    return game
 
 
-def _morphism_from_document(doc, base_dir) -> GameMorphism:
+def _morphism_from_document(doc, base_dir, built: list) -> GameMorphism:
     _check_version(doc, "morphism document")
-    source = _game_from_ref(_require(doc, "source", (str, dict), "morphism document"), base_dir)
-    target = _game_from_ref(_require(doc, "target", (str, dict), "morphism document"), base_dir)
+    source = _game_from_ref(
+        _require(doc, "source", (str, dict), "morphism document"), base_dir, built
+    )
+    target = _game_from_ref(
+        _require(doc, "target", (str, dict), "morphism document"), base_dir, built
+    )
     iota = _pairs_to_map(doc.get("iota", []), _token, _token, "iota")
     tau = _pairs_to_map(
         doc.get("tau", []), _node_from_spec, _node_from_spec, "tau"
@@ -269,20 +417,27 @@ def parse_morphism(text: str, base_dir=".") -> GameMorphism:
 
     Game references given as paths are resolved against ``base_dir``.
     """
-    return _morphism_from_document(_loads(text), base_dir)
+    return _morphism_from_document(_loads(text), base_dir, [])
 
 
-def morphism_to_document(m: GameMorphism) -> dict:
+def _morphism_document(m: GameMorphism, built: dict) -> dict:
+    """The morphism's document; ``built`` maps ``id(game)`` to the parts
+    of each game's document, so each is built once per call."""
+    for g in (m.source, m.target):
+        if id(g) not in built:
+            built[id(g)] = _game_parts(g)
+    source, source_specs, source_keys = built[id(m.source)]
+    target, target_specs, _ = built[id(m.target)]
     return {
         "format_version": FORMAT_VERSION,
-        "source": game_to_document(m.source),
-        "target": game_to_document(m.target),
+        "source": source,
+        "target": target,
         "iota": [
             [str(i), str(m.iota[i])] for i in sorted(m.iota, key=str)
         ],
         "tau": [
-            [_node_to_spec(t), _node_to_spec(m.tau[t])]
-            for t in sorted(m.tau, key=label_key)
+            [source_specs[t], target_specs[m.tau[t]]]
+            for t in sorted(m.tau, key=source_keys.__getitem__)
         ],
         "delta": [
             [str(c), str(m.delta[c])] for c in sorted(m.delta, key=str)
@@ -297,20 +452,35 @@ def morphism_to_document(m: GameMorphism) -> dict:
     }
 
 
+def morphism_to_document(m: GameMorphism) -> dict:
+    return _morphism_document(m, {})
+
+
 def serialize_morphism(m: GameMorphism) -> str:
-    return json.dumps(morphism_to_document(m), indent=2, ensure_ascii=False) + "\n"
+    return _text(morphism_to_document(m))
+
+
+def write_morphism(m: GameMorphism, path) -> None:
+    """Write ``serialize_morphism(m)`` to ``path`` without building the text."""
+    _write(morphism_to_document(m), path)
 
 
 def witness_to_document(w: IsoWitness) -> dict:
+    built: dict = {}
     return {
         "format_version": FORMAT_VERSION,
-        "morphism": morphism_to_document(w.morphism),
-        "inverse": morphism_to_document(w.inverse),
+        "morphism": _morphism_document(w.morphism, built),
+        "inverse": _morphism_document(w.inverse, built),
     }
 
 
 def serialize_witness(w: IsoWitness) -> str:
-    return json.dumps(witness_to_document(w), indent=2, ensure_ascii=False) + "\n"
+    return _text(witness_to_document(w))
+
+
+def write_witness(w: IsoWitness, path) -> None:
+    """Write ``serialize_witness(w)`` to ``path`` without building the text."""
+    _write(witness_to_document(w), path)
 
 
 def parse_witness(text: str, base_dir=".") -> IsoWitness:
@@ -321,11 +491,12 @@ def parse_witness(text: str, base_dir=".") -> IsoWitness:
     """
     doc = _loads(text)
     _check_version(doc, "witness document")
+    built: list = []  # each game the two morphisms share is built once
     morphism = _morphism_from_document(
-        _require(doc, "morphism", dict, "witness document"), base_dir
+        _require(doc, "morphism", dict, "witness document"), base_dir, built
     )
     claimed_inverse = _morphism_from_document(
-        _require(doc, "inverse", dict, "witness document"), base_dir
+        _require(doc, "inverse", dict, "witness document"), base_dir, built
     )
     witness = is_isomorphism(morphism)
     if witness is None:

@@ -549,14 +549,11 @@ def forget_morphism_to_tree(m: GameMorphism) -> TreeMorphism:
 
 def _signatures(tree: Tree) -> Dict[NodeLabel, tuple]:
     sizes: Dict[NodeLabel, int] = {}
-
-    def size(t: NodeLabel) -> int:
-        if t not in sizes:
-            sizes[t] = 1 + sum(size(child) for child in tree.children(t))
-        return sizes[t]
-
+    # deepest nodes first, so every child's subtree size is known
+    for t in sorted(tree.nodes, key=tree.stage.__getitem__, reverse=True):
+        sizes[t] = 1 + sum(sizes[child] for child in tree.children(t))
     return {
-        t: (tree.stage[t], len(tree.children(t)), size(t)) for t in tree.nodes
+        t: (tree.stage[t], len(tree.children(t)), sizes[t]) for t in tree.nodes
     }
 
 
@@ -676,20 +673,28 @@ def find_isomorphism(
                 return witness
         return None
 
-    def backtrack(index: int, mapping: Dict) -> Optional[IsoWitness]:
-        nonlocal expansions
-        if index == len(order):
-            return complete(mapping)
+    # depth-first over ``order`` with an explicit stack of candidate
+    # iterators, one per mapped node, so deep trees do not recurse
+    mapping: Dict = {}
+    stack = [iter(candidates(order[0], mapping))]
+    while stack:
+        index = len(stack) - 1
         t = order[index]
-        for u in candidates(t, mapping):
-            expansions += 1
-            if expansions > budget:
-                raise SearchBudgetExceeded(budget)
-            mapping[t] = u
-            witness = backtrack(index + 1, mapping)
-            if witness is not None:
-                return witness
-            del mapping[t]
-        return None
-
-    return backtrack(0, {})
+        u = next(stack[-1], None)
+        if u is None:
+            stack.pop()
+            if stack:
+                del mapping[order[index - 1]]
+            continue
+        expansions += 1
+        if expansions > budget:
+            raise SearchBudgetExceeded(budget)
+        mapping[t] = u
+        if index + 1 < len(order):
+            stack.append(iter(candidates(order[index + 1], mapping)))
+            continue
+        witness = complete(mapping)
+        if witness is not None:
+            return witness
+        del mapping[t]
+    return None

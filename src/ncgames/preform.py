@@ -180,9 +180,15 @@ def build_preform(
             axiom="[P3]",
         )
 
-    info_set_of = {c: frozenset(ts) for c, ts in ftop.items()}
+    # one object per information set, so the partition check below
+    # compares identities instead of equal sets element by element
+    one_of: dict = {}
+    info_set_of = {}
+    for c, ts in ftop.items():
+        h = frozenset(ts)
+        info_set_of[c] = one_of.setdefault(h, h)
     for t, cs in feas.items():
-        if len({info_set_of[c] for c in cs}) > 1:
+        if len({id(info_set_of[c]) for c in cs}) > 1:
             raise PreformError(
                 "InfoSetOverlap",
                 f"node {render_label(t)} lies in two distinct information sets",

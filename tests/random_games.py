@@ -104,3 +104,38 @@ def random_strict_map(rng: random.Random, values):
         level += Fraction(rng.randint(1, 4), rng.randint(1, 3))
         out[u] = level
     return out
+
+
+def centipede_document(rng: random.Random, stages: int, prefix: str = "") -> dict:
+    """The ``ncg/1`` document of a two-player centipede with ``stages``
+    take-or-pass nodes and seeded utilities.
+
+    Every token starts with ``prefix``, so two documents drawn from
+    equally seeded generators under different prefixes are relabellings
+    of one game.
+    """
+    players = [f"{prefix}P1", f"{prefix}P2"]
+    ownership = {i: [] for i in players}
+    edges, plays, path = [], [], [{"atom": f"{prefix}d0"}]
+    for k in range(stages):
+        ownership[players[k % 2]] += [f"{prefix}x{k}", f"{prefix}g{k}"]
+        leaf = {"atom": f"{prefix}e{k}"}
+        nxt = {"atom": f"{prefix}d{k + 1}" if k + 1 < stages else f"{prefix}end"}
+        edges += [[path[-1], f"{prefix}x{k}", leaf], [path[-1], f"{prefix}g{k}", nxt]]
+        plays.append(path + [leaf])
+        path = path + [nxt]
+    plays.append(path)
+    return {
+        "format_version": "ncg/1",
+        "players": players,
+        "nodes": [edges[0][0]] + [edge[2] for edge in edges],
+        "edges": edges,
+        "ownership": ownership,
+        "utilities": [
+            {
+                "play": play,
+                "values": {i: str(rng.randint(0, stages // 2)) for i in players},
+            }
+            for play in plays
+        ],
+    }

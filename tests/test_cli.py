@@ -1,6 +1,7 @@
 """Command-line behavior: reports, determinism, exit codes, file outputs."""
 
 import json
+import random
 import shutil
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 from ncgames import parse_game, parse_witness, serialize_game
 from ncgames.cli import cli_dispatch
+
+from random_games import centipede_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -270,6 +273,19 @@ class TestIso:
         code, out = run(capsys, "iso-check", witness_path)
         assert code == 1
         assert out.startswith("error:")
+
+    def test_deep_centipedes(self, tmp_path, capsys):
+        # 1,201 nodes: deeper than the interpreter's recursion limit
+        for prefix in ("a", "b"):
+            doc = centipede_document(random.Random(600), 600, prefix)
+            (tmp_path / f"{prefix}.game").write_text(json.dumps(doc))
+        witness_path = tmp_path / "ab.witness"
+        code, out = run(
+            capsys, "iso", tmp_path / "a.game", tmp_path / "b.game", "-w", witness_path
+        )
+        assert (code, out.splitlines()[0]) == (0, "isomorphic")
+        code, out = run(capsys, "iso-check", witness_path)
+        assert (code, out) == (0, "valid isomorphism witness\n")
 
 
 class TestSubgame:

@@ -13,9 +13,11 @@ import sys
 from pathlib import Path
 
 from .documents import (
+    _loads,
+    _morphism_from_document,
+    _witness_from_document,
     load_game,
     parse_morphism,
-    parse_witness,
     write_game,
     write_morphism,
     write_witness,
@@ -189,19 +191,13 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_iso_check(args) -> int:
-    text = Path(args.file).read_text()
+    doc = _loads(Path(args.file).read_text())
     base_dir = Path(args.file).parent
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    is_witness = isinstance(doc, dict) and "morphism" in doc
-    del doc  # the parse below decodes the text again; keep one copy alive
-    if is_witness:
-        parse_witness(text, base_dir=base_dir)
+    if isinstance(doc, dict) and "morphism" in doc:
+        _witness_from_document(doc, base_dir)
         print("valid isomorphism witness")
         return 0
-    morphism = parse_morphism(text, base_dir=base_dir)
+    morphism = _morphism_from_document(doc, base_dir, [])
     if is_isomorphism(morphism) is None:
         print("not an isomorphism")
         return 1

@@ -55,7 +55,7 @@ __all__ = [
 
 FORMAT_VERSION = "ncg/1"
 
-_RATIONAL = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
+_RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")
 
 
 def _parse_rational(value) -> Fraction:
@@ -63,7 +63,7 @@ def _parse_rational(value) -> Fraction:
         raise DocumentSyntaxError(f"utility {value!r} is not rational text")
     if isinstance(value, int):
         return Fraction(value)
-    if not _RATIONAL.match(value):
+    if not _RATIONAL.fullmatch(value):
         raise DocumentSyntaxError(f"utility {value!r} is not rational text")
     return Fraction(value)
 
@@ -489,7 +489,10 @@ def parse_witness(text: str, base_dir=".") -> IsoWitness:
     The embedded morphism must be an isomorphism and the embedded
     inverse must equal its component-wise inverse.
     """
-    doc = _loads(text)
+    return _witness_from_document(_loads(text), base_dir)
+
+
+def _witness_from_document(doc, base_dir) -> IsoWitness:
     _check_version(doc, "witness document")
     built: list = []  # each game the two morphisms share is built once
     morphism = _morphism_from_document(

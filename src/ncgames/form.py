@@ -25,6 +25,7 @@ from .preform import (
     render_strategy,
     validate_preform_morphism,
 )
+from .tree import Structural, check_composable, check_map
 
 __all__ = [
     "Form",
@@ -41,33 +42,15 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Form:
+class Form(Structural):
     """A validated form with per-player derived structure."""
 
     preform: Preform
     players: frozenset
     assignment: Mapping[Token, frozenset]
-    owner: Mapping[Token, Token]
-    player_nodes: Mapping[Token, frozenset]
-    player_info_sets: Mapping[Token, frozenset]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (
-            self.preform == other.preform
-            and self.players == other.players
-            and self.assignment == other.assignment
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.preform,
-                self.players,
-                frozenset((i, cs) for i, cs in self.assignment.items()),
-            )
-        )
+    owner: Mapping[Token, Token] = field(compare=False)
+    player_nodes: Mapping[Token, frozenset] = field(compare=False)
+    player_info_sets: Mapping[Token, frozenset] = field(compare=False)
 
     def __repr__(self) -> str:
         return f"Form({len(self.players)} players over {self.preform!r})"
@@ -205,7 +188,7 @@ def profile_to_grand(form: Form, profile: Mapping) -> frozenset:
 
 
 @dataclass(frozen=True, eq=False)
-class FormMorphism:
+class FormMorphism(Structural):
     """Player, node, and choice maps preserving structure and ownership."""
 
     source: Form
@@ -213,54 +196,13 @@ class FormMorphism:
     iota: Mapping[Token, Token]
     tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
-    preform_morphism: PreformMorphism = field(repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.iota == other.iota
-            and self.tau == other.tau
-            and self.delta == other.delta
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.source,
-                self.target,
-                frozenset(self.iota.items()),
-                frozenset(self.tau.items()),
-                frozenset(self.delta.items()),
-            )
-        )
+    preform_morphism: PreformMorphism = field(compare=False, repr=False)
 
 
 def validate_form_morphism(
     source: Form, target: Form, iota: Mapping, tau: Mapping, delta: Mapping
 ) -> FormMorphism:
-    for i in iota:
-        if i not in source.players:
-            raise MorphismError(
-                "UnknownPlayer",
-                f"map defined on {render_token(i)}, which is not a source player",
-            )
-    for i in source.players:
-        if i not in iota:
-            raise MorphismError(
-                "NotTotal",
-                f"map undefined on source player {render_token(i)}",
-                axiom="[f1]",
-            )
-        if iota[i] not in target.players:
-            raise MorphismError(
-                "NotTotal",
-                f"map sends {render_token(i)} to {render_token(iota[i])}, "
-                "which is not a target player",
-                axiom="[f1]",
-            )
+    check_map(iota, source.players, target.players, "player", render_token, "[f1]")
     preform_morphism = validate_preform_morphism(
         source.preform, target.preform, tau, delta
     )
@@ -290,11 +232,7 @@ def identity_form_morphism(form: Form) -> FormMorphism:
 
 
 def compose_form_morphisms(second: FormMorphism, first: FormMorphism) -> FormMorphism:
-    if first.target != second.source:
-        raise MorphismError(
-            "TargetSourceMismatch",
-            "first morphism's target differs from second morphism's source",
-        )
+    check_composable(second, first)
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
     tau = {t: second.tau[first.tau[t]] for t in first.source.preform.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}

@@ -42,8 +42,10 @@ from .preform import (
 )
 from .tree import (
     Play,
+    Structural,
     Tree,
     TreeMorphism,
+    check_composable,
     end_preserved_plays,
     strict_predecessors,
     subtree_at,
@@ -73,27 +75,12 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Game:
+class Game(Structural):
     """A validated game: form plus per-player utility tables over plays."""
 
     form: Form
     utilities: Mapping[Token, Mapping[Play, Fraction]]
-    ranges: Mapping[Token, frozenset]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Game):
-            return NotImplemented
-        return self.form == other.form and self.utilities == other.utilities
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.form,
-                frozenset(
-                    (i, frozenset(row.items())) for i, row in self.utilities.items()
-                ),
-            )
-        )
+    ranges: Mapping[Token, frozenset] = field(compare=False)
 
     def __repr__(self) -> str:
         return f"Game({self.form!r})"
@@ -113,9 +100,6 @@ class Game:
     @property
     def plays(self) -> frozenset:
         return self.tree.plays
-
-    def utility(self, i: Token, play: Play) -> Fraction:
-        return self.utilities[i][play]
 
     def play_with_members(self, members: Iterable[NodeLabel]) -> Optional[Play]:
         members = frozenset(members)
@@ -190,7 +174,7 @@ def build_game(form: Form, utilities: Mapping) -> Game:
 
 
 @dataclass(frozen=True, eq=False)
-class GameMorphism:
+class GameMorphism(Structural):
     """A validated game morphism.
 
     ``theta`` and ``end_preserved`` are derived from the node map and
@@ -204,33 +188,9 @@ class GameMorphism:
     tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
     beta: Mapping[Token, Mapping[Fraction, Fraction]]
-    form_morphism: FormMorphism = field(repr=False)
-    theta: TreeMorphism = field(repr=False)
-    end_preserved: frozenset = field(repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GameMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.iota == other.iota
-            and self.tau == other.tau
-            and self.delta == other.delta
-            and self.beta == other.beta
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.source,
-                self.target,
-                frozenset(self.iota.items()),
-                frozenset(self.tau.items()),
-                frozenset(self.delta.items()),
-                frozenset((i, frozenset(b.items())) for i, b in self.beta.items()),
-            )
-        )
+    form_morphism: FormMorphism = field(compare=False, repr=False)
+    theta: TreeMorphism = field(compare=False, repr=False)
+    end_preserved: frozenset = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -361,11 +321,7 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
     and is then cut down to the utilities realized by the plays that
     are end-preserved by the composite node map.
     """
-    if first.target != second.source:
-        raise MorphismError(
-            "TargetSourceMismatch",
-            "first morphism's target differs from second morphism's source",
-        )
+    check_composable(second, first)
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
     tau = {t: second.tau[first.tau[t]] for t in first.source.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}

@@ -27,9 +27,12 @@ from .errors import (
 from .labels import NodeLabel, Token, label_key, render_label, render_token, token_key
 from .tree import (
     Play,
+    Structural,
     Tree,
     TreeMorphism,
     build_tree,
+    check_composable,
+    check_map,
 )
 
 __all__ = [
@@ -57,7 +60,7 @@ def render_strategy(s: FrozenSet[Token]) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class Preform:
+class Preform(Structural):
     """A validated preform with its derived structure.
 
     ``op`` maps ``(node, choice)`` to the successor node, ``feas`` gives
@@ -70,33 +73,17 @@ class Preform:
     tree: Tree
     choices: frozenset
     op: Mapping[Tuple[NodeLabel, Token], NodeLabel]
-    feas: Mapping[NodeLabel, frozenset]
-    info_sets: frozenset
-    info_choices: Mapping[frozenset, frozenset]
-    info_set_of: Mapping[Token, frozenset]
-    prev_choice: Mapping[NodeLabel, Token]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Preform):
-            return NotImplemented
-        return (
-            self.tree == other.tree
-            and self.choices == other.choices
-            and self.op == other.op
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.tree, self.choices, frozenset(self.op.items())))
+    feas: Mapping[NodeLabel, frozenset] = field(compare=False)
+    info_sets: frozenset = field(compare=False)
+    info_choices: Mapping[frozenset, frozenset] = field(compare=False)
+    info_set_of: Mapping[Token, frozenset] = field(compare=False)
+    prev_choice: Mapping[NodeLabel, Token] = field(compare=False)
 
     def __repr__(self) -> str:
         return (
             f"Preform({len(self.tree.nodes)} nodes, {len(self.choices)} choices, "
             f"{len(self.info_sets)} information sets)"
         )
-
-    @property
-    def triples(self) -> frozenset:
-        return frozenset((t, c, t_next) for (t, c), t_next in self.op.items())
 
     def feasible(self, t: NodeLabel) -> frozenset:
         return self.feas.get(t, frozenset())
@@ -260,79 +247,21 @@ def play_of(pf: Preform, s: Iterable[Token]) -> Play:
 
 
 @dataclass(frozen=True, eq=False)
-class PreformMorphism:
+class PreformMorphism(Structural):
     """A node map and a choice map preserving the operator graph."""
 
     source: Preform
     target: Preform
     tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
-    tree_morphism: TreeMorphism = field(repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PreformMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.tau == other.tau
-            and self.delta == other.delta
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.source,
-                self.target,
-                frozenset(self.tau.items()),
-                frozenset(self.delta.items()),
-            )
-        )
+    tree_morphism: TreeMorphism = field(compare=False, repr=False)
 
 
 def validate_preform_morphism(
     source: Preform, target: Preform, tau: Mapping, delta: Mapping
 ) -> PreformMorphism:
-    for c in delta:
-        if c not in source.choices:
-            raise MorphismError(
-                "UnknownChoice",
-                f"map defined on {render_token(c)}, which is not a source choice",
-            )
-    for c in source.choices:
-        if c not in delta:
-            raise MorphismError(
-                "NotTotal",
-                f"map undefined on source choice {render_token(c)}",
-                axiom="[p1]",
-            )
-        if delta[c] not in target.choices:
-            raise MorphismError(
-                "NotTotal",
-                f"map sends {render_token(c)} to {render_token(delta[c])}, "
-                "which is not a target choice",
-                axiom="[p1]",
-            )
-    for t in tau:
-        if t not in source.tree.nodes:
-            raise MorphismError(
-                "UnknownNode",
-                f"map defined on {render_label(t)}, which is not a source node",
-            )
-    for t in source.tree.nodes:
-        if t not in tau:
-            raise MorphismError(
-                "NotTotal",
-                f"map undefined on source node {render_label(t)}",
-                axiom="[p1]",
-            )
-        if tau[t] not in target.tree.nodes:
-            raise MorphismError(
-                "NotTotal",
-                f"map sends {render_label(t)} to {render_label(tau[t])}, "
-                "which is not a target node",
-                axiom="[p1]",
-            )
+    check_map(delta, source.choices, target.choices, "choice", render_token, "[p1]")
+    check_map(tau, source.tree.nodes, target.tree.nodes, "node", render_label, "[p1]")
     for (t, c), t_next in source.op.items():
         if target.op.get((tau[t], delta[c])) != tau[t_next]:
             raise MorphismError(
@@ -360,11 +289,7 @@ def identity_preform_morphism(pf: Preform) -> PreformMorphism:
 def compose_preform_morphisms(
     second: PreformMorphism, first: PreformMorphism
 ) -> PreformMorphism:
-    if first.target != second.source:
-        raise MorphismError(
-            "TargetSourceMismatch",
-            "first morphism's target differs from second morphism's source",
-        )
+    check_composable(second, first)
     tau = {t: second.tau[first.tau[t]] for t in first.source.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.choices}
     return validate_preform_morphism(first.source, second.target, tau, delta)

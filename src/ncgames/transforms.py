@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
-from .errors import InternalInvariantError, TransformError
+from .errors import TransformError
 from .form import build_form
 from .game import Game, IsoWitness, build_game, is_isomorphism, validate_game_morphism
 from .labels import NodeLabel, Seq, SetLabel, Token, render_token, token_key
@@ -80,11 +80,6 @@ def style_report(g: Game) -> StyleReport:
             t_next.choices == t.choices | {c}
             for (t, c), t_next in g.preform.op.items()
         )
-
-    if perfect and not no_absent:  # pragma: no cover - singletons have no pairs
-        raise InternalInvariantError("perfect information without no-absentmindedness")
-    if uses_set and not no_absent:  # pragma: no cover - set labels forbid pooling along a path
-        raise InternalInvariantError("choice-set style without no-absentmindedness")
 
     return StyleReport(
         no_absentmindedness=no_absent,
@@ -203,10 +198,7 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
         {c: c for c in g.preform.choices},
         beta,
     )
-    witness = is_isomorphism(morphism)
-    if witness is None:  # pragma: no cover - strict maps always biject onto the new range
-        raise InternalInvariantError("utility transform did not produce an isomorphism")
-    return converted, witness
+    return converted, is_isomorphism(morphism)
 
 
 def relabel_game(

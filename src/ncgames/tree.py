@@ -12,10 +12,11 @@ collection of infinite plays is always empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from functools import cache
+from typing import Callable, Iterable, Mapping, Optional, Tuple
 
-from .errors import InternalInvariantError, MorphismError, TreeError
+from .errors import MorphismError, TreeError
 from .labels import NodeLabel, label_key, render_label
 
 __all__ = [
@@ -34,6 +35,76 @@ __all__ = [
     "image_play",
     "play_sort_key",
 ]
+
+
+@cache
+def _defining_fields(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.compare)
+
+
+def _hashable(value):
+    if isinstance(value, Mapping):
+        return frozenset((k, _hashable(v)) for k, v in value.items())
+    return value
+
+
+class Structural:
+    """Equality and hashing from a dataclass's defining fields.
+
+    Subclasses are ``eq=False`` dataclasses that mark each derived field
+    ``compare=False``; the remaining fields identify a value.  Mappings
+    hash as the frozenset of their items, nested mappings included.
+    """
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in _defining_fields(type(self))
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            tuple(_hashable(getattr(self, name)) for name in _defining_fields(type(self)))
+        )
+
+
+def check_map(
+    mapping: Mapping,
+    domain: frozenset,
+    codomain: frozenset,
+    kind: str,
+    render: Callable,
+    axiom: str,
+) -> None:
+    """Reject a component map that is not a total function into ``codomain``."""
+    for x in mapping:
+        if x not in domain:
+            raise MorphismError(
+                f"Unknown{kind.capitalize()}",
+                f"map defined on {render(x)}, which is not a source {kind}",
+            )
+    for x in domain:
+        if x not in mapping:
+            raise MorphismError(
+                "NotTotal", f"map undefined on source {kind} {render(x)}", axiom=axiom
+            )
+        if mapping[x] not in codomain:
+            raise MorphismError(
+                "NotTotal",
+                f"map sends {render(x)} to {render(mapping[x])}, "
+                f"which is not a target {kind}",
+                axiom=axiom,
+            )
+
+
+def check_composable(second, first) -> None:
+    if first.target != second.source:
+        raise MorphismError(
+            "TargetSourceMismatch",
+            "first morphism's target differs from second morphism's source",
+        )
 
 
 @dataclass(frozen=True)
@@ -55,7 +126,7 @@ def play_sort_key(play: Play) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class Tree:
+class Tree(Structural):
     """A validated functioned tree together with its derived structure.
 
     ``play_by_end`` indexes the plays by their terminal node; a play is
@@ -64,26 +135,15 @@ class Tree:
 
     nodes: frozenset
     pred: Mapping[NodeLabel, NodeLabel]
-    root: NodeLabel
-    decision_nodes: frozenset
-    stage: Mapping[NodeLabel, int]
-    plays: frozenset
-    children_map: Mapping[NodeLabel, Tuple[NodeLabel, ...]]
-    play_by_end: Mapping[NodeLabel, Play] = field(repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self.nodes == other.nodes and self.pred == other.pred
-
-    def __hash__(self) -> int:
-        return hash((self.nodes, frozenset(self.pred.items())))
+    root: NodeLabel = field(compare=False)
+    decision_nodes: frozenset = field(compare=False)
+    stage: Mapping[NodeLabel, int] = field(compare=False)
+    plays: frozenset = field(compare=False)
+    children_map: Mapping[NodeLabel, Tuple[NodeLabel, ...]] = field(compare=False)
+    play_by_end: Mapping[NodeLabel, Play] = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"Tree({len(self.nodes)} nodes, root {render_label(self.root)})"
-
-    def parent(self, t: NodeLabel) -> Optional[NodeLabel]:
-        return self.pred.get(t)
 
     def children(self, t: NodeLabel) -> Tuple[NodeLabel, ...]:
         return self.children_map.get(t, ())
@@ -254,48 +314,17 @@ def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:
 
 
 @dataclass(frozen=True, eq=False)
-class TreeMorphism:
+class TreeMorphism(Structural):
     """A node map that sends predecessor pairs to predecessor pairs."""
 
     source: Tree
     target: Tree
     tau: Mapping[NodeLabel, NodeLabel]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TreeMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.tau == other.tau
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, frozenset(self.tau.items())))
-
 
 def validate_tree_morphism(source: Tree, target: Tree, tau: Mapping) -> TreeMorphism:
     """Check totality and edge preservation of a candidate node map."""
-    for t in tau:
-        if t not in source.nodes:
-            raise MorphismError(
-                "UnknownNode",
-                f"map defined on {render_label(t)}, which is not a source node",
-            )
-    for t in source.nodes:
-        if t not in tau:
-            raise MorphismError(
-                "NotTotal",
-                f"map undefined on source node {render_label(t)}",
-                axiom="[t1]",
-            )
-        if tau[t] not in target.nodes:
-            raise MorphismError(
-                "NotTotal",
-                f"map sends {render_label(t)} to {render_label(tau[t])}, "
-                "which is not a target node",
-                axiom="[t1]",
-            )
+    check_map(tau, source.nodes, target.nodes, "node", render_label, "[t1]")
     for child, parent in source.pred.items():
         if target.pred.get(tau[child]) != tau[parent]:
             raise MorphismError(
@@ -316,11 +345,7 @@ def identity_tree_morphism(tree: Tree) -> TreeMorphism:
 
 def compose_tree_morphisms(second: TreeMorphism, first: TreeMorphism) -> TreeMorphism:
     """The morphism applying ``first`` and then ``second``."""
-    if first.target != second.source:
-        raise MorphismError(
-            "TargetSourceMismatch",
-            "first morphism's target differs from second morphism's source",
-        )
+    check_composable(second, first)
     tau = {t: second.tau[first.tau[t]] for t in first.source.nodes}
     return validate_tree_morphism(first.source, second.target, tau)
 
@@ -331,12 +356,7 @@ def is_tree_isomorphism(m: TreeMorphism) -> Optional[TreeMorphism]:
     if len(values) != len(m.source.nodes) or values != set(m.target.nodes):
         return None
     inverse = {v: k for k, v in m.tau.items()}
-    try:
-        return validate_tree_morphism(m.target, m.source, inverse)
-    except MorphismError as exc:  # pragma: no cover - bijective maps always invert
-        raise InternalInvariantError(
-            f"inverse of a bijective tree morphism failed validation: {exc}"
-        ) from exc
+    return validate_tree_morphism(m.target, m.source, inverse)
 
 
 def end_preserved_plays(m: TreeMorphism) -> frozenset:

@@ -11,13 +11,16 @@ import itertools
 
 from ncgames import (
     compose,
+    compose_tree_morphisms,
     end_preserved_plays,
     grand_strategies,
     grand_to_profile,
     identity_morphism,
+    identity_tree_morphism,
     image_play,
     is_isomorphism,
     is_nash,
+    is_tree_isomorphism,
     play_of,
     player_strategies,
     plays,
@@ -153,10 +156,19 @@ def check_iso_characterizations(m):
     assert (is_isomorphism(m) is not None) == all_components
 
 
+def check_tree_iso_inverse(m):
+    """A bijective tree morphism has a valid inverse that undoes it."""
+    inverse = is_tree_isomorphism(m)
+    assert inverse is not None
+    assert compose_tree_morphisms(inverse, m) == identity_tree_morphism(m.source)
+    assert compose_tree_morphisms(m, inverse) == identity_tree_morphism(m.target)
+
+
 def check_iso_witness(witness):
     """The full battery of isomorphism consequences."""
     m = witness.morphism
     g, h = m.source, m.target
+    check_tree_iso_inverse(m.theta)
 
     # both characterizations hold, in both directions
     assert iso_characterizations(m) == (True, True)
@@ -225,6 +237,19 @@ def check_nash_preservation(witness):
     source_nash = {s for s in mapped if is_nash(g, s)}
     target_nash = {s for s in grand_strategies(h.preform) if is_nash(h, s)}
     assert {mapped[s] for s in source_nash} == target_nash
+
+
+def check_style_implications(g):
+    """Perfect information and the choice-set style each rule out
+    absentmindedness: a one-node information set has no two comparable
+    nodes, and in choice-set style a choice made between two comparable
+    nodes of one information set would be feasible again at the later
+    node and leave its set label unchanged."""
+    report = style_report(g)
+    if report.perfect_information:
+        assert report.no_absentmindedness
+    if report.uses_choice_sets:
+        assert report.no_absentmindedness
 
 
 def check_predicate_invariance(witness):

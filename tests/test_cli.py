@@ -274,6 +274,45 @@ class TestIso:
         assert code == 1
         assert out.startswith("error:")
 
+    def test_iso_check_decodes_the_text_once(self, workdir, capsys, monkeypatch):
+        from ncgames import identity_morphism, load_game, serialize_morphism
+
+        witness_path = workdir / "self.witness"
+        run(capsys, "iso", workdir / "classroom.game", workdir / "classroom.game",
+            "-w", witness_path)
+        morphism_path = workdir / "id.morphism"
+        morphism_path.write_text(
+            serialize_morphism(identity_morphism(load_game(workdir / "classroom.game")))
+        )
+        decodes = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: decodes.append(1) or loads(*a, **k))
+        for path, expected in (
+            (witness_path, "valid isomorphism witness\n"),
+            (morphism_path, "valid isomorphism\n"),
+        ):
+            decodes.clear()
+            assert run(capsys, "iso-check", path) == (0, expected)
+            assert len(decodes) == 1, path
+
+    def test_iso_check_malformed_text(self, workdir, capsys):
+        path = workdir / "bad.witness"
+        path.write_text('{"morphism": \n  [1,, 2]}')
+        assert run(capsys, "iso-check", path) == (
+            1,
+            "error: SyntaxError: Expecting value (line 2, column 6)\n",
+        )
+
+    @pytest.mark.parametrize("text", ["[]", '[{"morphism": {}}]\n'])
+    def test_iso_check_top_level_array(self, workdir, capsys, text):
+        path = workdir / "array.witness"
+        path.write_text(text)
+        assert run(capsys, "iso-check", path) == (
+            1,
+            "error: SyntaxError: morphism document is missing the "
+            "'format_version' field\n",
+        )
+
     def test_deep_centipedes(self, tmp_path, capsys):
         # 1,201 nodes: deeper than the interpreter's recursion limit
         for prefix in ("a", "b"):

@@ -68,6 +68,22 @@ class TestParseGame:
         with pytest.raises(DocumentSyntaxError):
             parse_game(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", ["3\n", "-1/2\n", "3 ", " 3", "+3\n\n"])
+    def test_utility_text_must_be_exactly_a_rational(self, text):
+        doc = {
+            "format_version": "ncg/1",
+            "players": ["solo"],
+            "nodes": [{"atom": "r"}, {"atom": "x"}],
+            "edges": [[{"atom": "r"}, "c", {"atom": "x"}]],
+            "ownership": {"solo": ["c"]},
+            "utilities": [
+                {"play": [{"atom": "r"}, {"atom": "x"}], "values": {"solo": text}}
+            ],
+        }
+        with pytest.raises(DocumentSyntaxError) as err:
+            parse_game(json.dumps(doc))
+        assert str(err.value) == f"SyntaxError: utility {text!r} is not rational text"
+
     def test_malformed_json_reports_position(self):
         with pytest.raises(DocumentSyntaxError) as err:
             parse_game("{ not json")

@@ -1,0 +1,271 @@
+"""Identity and totality contracts shared by all four layers.
+
+Each structure and each morphism is identified by its defining data:
+the fields that equality and hashing consult.  Derived fields are never
+consulted.  Every morphism validator rejects a component map that is
+not a total function into the target with the same codes, axiom tags
+and messages, and every composition rejects morphisms that do not
+meet.
+"""
+
+import dataclasses
+from types import SimpleNamespace
+
+import pytest
+
+from ncgames import (
+    Form,
+    FormMorphism,
+    Game,
+    GameMorphism,
+    MorphismError,
+    Preform,
+    PreformMorphism,
+    Tree,
+    TreeMorphism,
+    compose,
+    compose_form_morphisms,
+    compose_preform_morphisms,
+    compose_tree_morphisms,
+    identity_form_morphism,
+    identity_morphism,
+    identity_preform_morphism,
+    identity_tree_morphism,
+    validate_form_morphism,
+    validate_preform_morphism,
+    validate_tree_morphism,
+)
+from ncgames.labels import Atom
+
+from conftest import a, make_absentminded_game, make_classroom_game
+
+# the fields equality and hashing consult, and the fields derived from them
+DEFINING = {
+    Tree: ("nodes", "pred"),
+    TreeMorphism: ("source", "target", "tau"),
+    Preform: ("tree", "choices", "op"),
+    PreformMorphism: ("source", "target", "tau", "delta"),
+    Form: ("preform", "players", "assignment"),
+    FormMorphism: ("source", "target", "iota", "tau", "delta"),
+    Game: ("form", "utilities"),
+    GameMorphism: ("source", "target", "iota", "tau", "delta", "beta"),
+}
+DERIVED = {
+    Tree: ("root", "decision_nodes", "stage", "plays", "children_map", "play_by_end"),
+    TreeMorphism: (),
+    Preform: ("feas", "info_sets", "info_choices", "info_set_of", "prev_choice"),
+    PreformMorphism: ("tree_morphism",),
+    Form: ("owner", "player_nodes", "player_info_sets"),
+    FormMorphism: ("preform_morphism",),
+    Game: ("ranges",),
+    GameMorphism: ("form_morphism", "theta", "end_preserved"),
+}
+
+
+def build(cls):
+    """A fresh classroom value of ``cls``, sharing nothing with earlier calls."""
+    g = make_classroom_game()
+    return {
+        Tree: lambda: g.tree,
+        Preform: lambda: g.preform,
+        Form: lambda: g.form,
+        Game: lambda: g,
+        TreeMorphism: lambda: identity_tree_morphism(g.tree),
+        PreformMorphism: lambda: identity_preform_morphism(g.preform),
+        FormMorphism: lambda: identity_form_morphism(g.form),
+        GameMorphism: lambda: identity_morphism(g),
+    }[cls]()
+
+
+def altered(value):
+    """A value of the same shape that differs from ``value``."""
+    if type(value) in DEFINING:
+        name = DEFINING[type(value)][0]
+        return dataclasses.replace(value, **{name: altered(getattr(value, name))})
+    if isinstance(value, frozenset):
+        return value | {Atom("extra")}
+    dropped = next(iter(value))
+    return {k: v for k, v in value.items() if k != dropped}
+
+
+CLASSES = list(DEFINING)
+
+
+class TestEqualityAndHash:
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    def test_fields_are_defining_or_derived(self, cls):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert names == set(DEFINING[cls] + DERIVED[cls])
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    def test_independent_builds_are_equal_with_equal_hashes(self, cls):
+        first, second = build(cls), build(cls)
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(cls, name) for cls in CLASSES for name in DEFINING[cls]],
+        ids=lambda x: getattr(x, "__name__", x),
+    )
+    def test_changing_a_defining_field_breaks_equality(self, cls, name):
+        value = build(cls)
+        changed = dataclasses.replace(value, **{name: altered(getattr(value, name))})
+        assert value != changed and changed != value
+        assert not value == changed
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(cls, name) for cls in CLASSES for name in DERIVED[cls]],
+        ids=lambda x: getattr(x, "__name__", x),
+    )
+    def test_derived_field_is_never_consulted(self, cls, name):
+        value = build(cls)
+        blanked = dataclasses.replace(value, **{name: object()})
+        assert value == blanked and blanked == value
+        assert hash(blanked) == hash(value)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    def test_other_classes_compare_unequal(self, cls):
+        value = build(cls)
+        lookalike = SimpleNamespace(
+            **{f.name: getattr(value, f.name) for f in dataclasses.fields(cls)}
+        )
+        others = [build(other) for other in CLASSES if other is not cls]
+        for other in others + [lookalike, None, "x"]:
+            assert not value == other and value != other
+            assert not other == value and other != value
+
+
+def _fresh():
+    g = make_classroom_game()
+    return g, {t: t for t in g.tree.nodes}, {c: c for c in g.preform.choices}
+
+
+def _validate_tree(edit):
+    g, tau, _ = _fresh()
+    edit(tau)
+    validate_tree_morphism(g.tree, g.tree, tau)
+
+
+def _validate_preform_choices(edit):
+    g, tau, delta = _fresh()
+    edit(delta)
+    validate_preform_morphism(g.preform, g.preform, tau, delta)
+
+
+def _validate_preform_nodes(edit):
+    g, tau, delta = _fresh()
+    edit(tau)
+    validate_preform_morphism(g.preform, g.preform, tau, delta)
+
+
+def _validate_form_players(edit):
+    g, tau, delta = _fresh()
+    iota = {i: i for i in g.players}
+    edit(iota)
+    validate_form_morphism(g.form, g.form, iota, tau, delta)
+
+
+def _set(key, value):
+    return lambda m: m.__setitem__(key, value)
+
+
+def _drop(key):
+    return lambda m: m.__delitem__(key)
+
+
+TOTALITY_PATHS = [
+    # (validator, edit, code, axiom, message)
+    (_validate_tree, _set(a(9), a(0)), "UnknownNode", None,
+     "UnknownNode: map defined on 9, which is not a source node"),
+    (_validate_tree, _drop(a(5)), "NotTotal", "[t1]",
+     "NotTotal [[t1]]: map undefined on source node 5"),
+    (_validate_tree, _set(a(5), a(9)), "NotTotal", "[t1]",
+     "NotTotal [[t1]]: map sends 5 to 9, which is not a target node"),
+    (_validate_preform_choices, _set("z", "a"), "UnknownChoice", None,
+     "UnknownChoice: map defined on z, which is not a source choice"),
+    (_validate_preform_choices, _drop("e"), "NotTotal", "[p1]",
+     "NotTotal [[p1]]: map undefined on source choice e"),
+    (_validate_preform_choices, _set("e", "z"), "NotTotal", "[p1]",
+     "NotTotal [[p1]]: map sends e to z, which is not a target choice"),
+    (_validate_preform_nodes, _set(a(9), a(0)), "UnknownNode", None,
+     "UnknownNode: map defined on 9, which is not a source node"),
+    (_validate_preform_nodes, _drop(a(5)), "NotTotal", "[p1]",
+     "NotTotal [[p1]]: map undefined on source node 5"),
+    (_validate_preform_nodes, _set(a(5), a(9)), "NotTotal", "[p1]",
+     "NotTotal [[p1]]: map sends 5 to 9, which is not a target node"),
+    (_validate_form_players, _set("P4", "P1"), "UnknownPlayer", None,
+     "UnknownPlayer: map defined on P4, which is not a source player"),
+    (_validate_form_players, _drop("P3"), "NotTotal", "[f1]",
+     "NotTotal [[f1]]: map undefined on source player P3"),
+    (_validate_form_players, _set("P3", "P4"), "NotTotal", "[f1]",
+     "NotTotal [[f1]]: map sends P3 to P4, which is not a target player"),
+]
+
+
+class TestTotality:
+    @pytest.mark.parametrize(
+        "validate, edit, code, axiom, message",
+        TOTALITY_PATHS,
+        ids=[f"{p[0].__name__[10:]}-{p[2]}-{p[4].split(': ')[1][:8]}" for p in TOTALITY_PATHS],
+    )
+    def test_rejection(self, validate, edit, code, axiom, message):
+        with pytest.raises(MorphismError) as err:
+            validate(edit)
+        assert (err.value.code, err.value.axiom, str(err.value)) == (code, axiom, message)
+
+    def test_unknown_key_is_reported_before_a_missing_one(self):
+        def edit(tau):
+            del tau[a(5)]
+            tau[a(9)] = a(0)
+
+        with pytest.raises(MorphismError) as err:
+            _validate_tree(edit)
+        assert err.value.code == "UnknownNode"
+
+    def test_missing_keys_are_reported_in_domain_order(self):
+        g, tau, _ = _fresh()
+        dropped = {a(2), a(5), a(7), a(8)}
+        for t in dropped:
+            del tau[t]
+        first = next(t for t in g.tree.nodes if t in dropped)
+        with pytest.raises(MorphismError) as err:
+            validate_tree_morphism(g.tree, g.tree, tau)
+        assert str(err.value) == f"NotTotal [[t1]]: map undefined on source node {first.token}"
+
+    def test_layers_are_checked_players_then_choices_then_nodes(self):
+        g, tau, _ = _fresh()
+        del tau[a(5)]
+        with pytest.raises(MorphismError) as err:
+            validate_form_morphism(g.form, g.form, {"P1": "P1"}, tau, {})
+        assert err.value.axiom == "[f1]" and "player" in str(err.value)
+        with pytest.raises(MorphismError) as err:
+            validate_preform_morphism(g.preform, g.preform, tau, {})
+        assert err.value.axiom == "[p1]" and "choice" in str(err.value)
+
+
+COMPOSITIONS = [
+    (compose_tree_morphisms, lambda g: identity_tree_morphism(g.tree)),
+    (compose_preform_morphisms, lambda g: identity_preform_morphism(g.preform)),
+    (compose_form_morphisms, lambda g: identity_form_morphism(g.form)),
+    (compose, identity_morphism),
+]
+
+
+@pytest.mark.parametrize(
+    "compose_at, identity_at", COMPOSITIONS, ids=lambda x: getattr(x, "__name__", "")
+)
+def test_composing_morphisms_that_do_not_meet(compose_at, identity_at):
+    classroom = identity_at(make_classroom_game())
+    absentminded = identity_at(make_absentminded_game())
+    with pytest.raises(MorphismError) as err:
+        compose_at(classroom, absentminded)
+    assert (err.value.code, err.value.axiom, str(err.value)) == (
+        "TargetSourceMismatch",
+        None,
+        "TargetSourceMismatch: first morphism's target differs from "
+        "second morphism's source",
+    )

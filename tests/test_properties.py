@@ -209,6 +209,36 @@ def test_canonicalize_reaches_choice_sets_exactly_when_not_absentminded():
             assert style_report(result.game).uses_choice_sequences
 
 
+def test_style_implications_on_fixtures_random_games_and_conversions():
+    fixtures = Path(__file__).parent / "fixtures"
+    games = [parse_game(path.read_text()) for path in sorted(fixtures.glob("*.game"))]
+    rng = random.Random(67)
+    games += [random_game(rng) for _ in range(60)]
+    seen_perfect = seen_sets = False
+    for game in games:
+        for g in (game, canonicalize(game).game):
+            property_checks.check_style_implications(g)
+            report = style_report(g)
+            seen_perfect |= report.perfect_information
+            seen_sets |= report.uses_choice_sets
+    assert seen_perfect and seen_sets
+
+
+def test_utility_transform_witnesses_on_fixtures_and_random_games():
+    fixtures = Path(__file__).parent / "fixtures"
+    games = [parse_game(path.read_text()) for path in sorted(fixtures.glob("*.game"))]
+    rng = random.Random(71)
+    games += [random_game(rng) for _ in range(25)]
+    for game in games:
+        maps = {
+            i: random_strict_map(rng, game.ranges[i])
+            for i in sorted(game.players)
+            if rng.random() < 0.7
+        }
+        _transformed, witness = apply_utility_transform(game, maps)
+        property_checks.check_iso_witness(witness)
+
+
 def canonicalize_by_stages(game):
     """The staged route to the canonical style: choice sequences, then,
     without absentmindedness, choice sets and the composite witness."""

@@ -26,34 +26,20 @@ from .errors import NcgError
 from .form import player_strategies
 from .game import compose, find_isomorphism, is_isomorphism, nash_equilibria, subgame_at
 from .labels import Atom, label_key, render_label, render_token, token_key
-from .preform import count_grand_strategies, grand_strategies, play_of
+from .preform import count_grand_strategies, grand_strategies, info_set_order, play_of
 from .transforms import canonicalize, to_choice_sequence, to_choice_set
 from .tree import play_sort_key
 
 __all__ = ["main", "cli_dispatch"]
 
 
-def _info_set_order(preform):
-    return sorted(
-        preform.info_sets, key=lambda h: sorted(label_key(t) for t in h)
-    )
+def _strategy_tuple(ordered, s):
+    """The strategy's choices listed in ``info_set_order``."""
+    return tuple(c for _h, choices in ordered for c in choices if c in s)
 
 
-def _strategy_tuple(preform, ordered_info_sets, s):
-    """The strategy's choices listed information set by information set."""
-    out = []
-    for h in ordered_info_sets:
-        chosen = s & preform.info_choices[h]
-        out.extend(sorted(chosen, key=token_key))
-    return tuple(out)
-
-
-def _render_strategy(preform, ordered_info_sets, s) -> str:
-    return (
-        "{"
-        + ",".join(render_token(c) for c in _strategy_tuple(preform, ordered_info_sets, s))
-        + "}"
-    )
+def _render_strategy(choices) -> str:
+    return "{" + ",".join(render_token(c) for c in choices) + "}"
 
 
 def _render_play(play) -> str:
@@ -69,7 +55,7 @@ def _render_info_set(h) -> str:
 def _parse_node_argument(text: str):
     try:
         spec = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, or hostile JSON
         return Atom(text)
     if isinstance(spec, dict):
         from .documents import _node_from_spec
@@ -90,6 +76,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_derive(args) -> int:
     game = load_game(args.file)
+    # enumerated first, so a game over the cap is refused before any
+    # output; no player has more strategies than the game
+    grand = grand_strategies(game.preform, cap=args.strategy_cap)
     print("players: " + ",".join(sorted(render_token(i) for i in game.players)))
     print(
         "nodes: "
@@ -105,44 +94,31 @@ def _cmd_derive(args) -> int:
     print("plays:")
     for play in sorted(game.plays, key=play_sort_key):
         print(_render_play(play))
-    ordered = _info_set_order(game.preform)
+    ordered = info_set_order(game.preform, game.preform.info_sets)
     print("information-sets:")
-    for h in ordered:
-        owner = game.form.owner[next(iter(game.preform.info_choices[h]))]
-        choices = ",".join(
-            sorted((render_token(c) for c in game.preform.info_choices[h]))
-        )
-        print(f"{_render_info_set(h)}: {render_token(owner)} {{{choices}}}")
+    for h, choices in ordered:
+        owner = game.form.owner[choices[0]]
+        listing = ",".join(render_token(c) for c in choices)
+        print(f"{_render_info_set(h)}: {render_token(owner)} {{{listing}}}")
     print("strategies:")
     for i in sorted(game.players, key=token_key):
         options = sorted(
-            player_strategies(game.form, i, cap=args.strategy_cap),
-            key=lambda s: _strategy_tuple(game.preform, ordered, s),
+            _strategy_tuple(ordered, s)
+            for s in player_strategies(game.form, i, cap=args.strategy_cap)
         )
-        print(
-            f"{render_token(i)}: "
-            + " ".join(_render_strategy(game.preform, ordered, s) for s in options)
-        )
+        print(f"{render_token(i)}: " + " ".join(map(_render_strategy, options)))
     print("zeta:")
-    for s in sorted(
-        grand_strategies(game.preform, cap=args.strategy_cap),
-        key=lambda s: _strategy_tuple(game.preform, ordered, s),
-    ):
-        print(
-            f"{_render_strategy(game.preform, ordered, s)} -> "
-            f"{_render_play(play_of(game.preform, s))}"
-        )
+    for s in sorted(_strategy_tuple(ordered, s) for s in grand):
+        print(f"{_render_strategy(s)} -> {_render_play(play_of(game.preform, s))}")
     return 0
 
 
 def _cmd_nash(args) -> int:
     game = load_game(args.file)
-    ordered = _info_set_order(game.preform)
-    for s in sorted(
-        nash_equilibria(game, cap=args.strategy_cap),
-        key=lambda s: _strategy_tuple(game.preform, ordered, s),
-    ):
-        print(_render_strategy(game.preform, ordered, s))
+    ordered = info_set_order(game.preform, game.preform.info_sets)
+    equilibria = nash_equilibria(game, cap=args.strategy_cap)
+    for s in sorted(_strategy_tuple(ordered, s) for s in equilibria):
+        print(_render_strategy(s))
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
@@ -65,7 +66,12 @@ def _parse_rational(value) -> Fraction:
         return Fraction(value)
     if not _RATIONAL.fullmatch(value):
         raise DocumentSyntaxError(f"utility {value!r} is not rational text")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError as exc:  # the interpreter's integer digit limit
+        raise DocumentSyntaxError(
+            f"utility has a number of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def _format_rational(value: Fraction) -> str:
@@ -111,6 +117,12 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # the interpreter's integer digit limit
+        raise DocumentSyntaxError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise DocumentSyntaxError("document nests too deeply") from exc
 
 
 def _check_version(doc, where):

@@ -9,12 +9,10 @@ hide typos.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import prod
 from typing import Iterable, Mapping
 
-from .errors import FormError, MorphismError, StrategySpaceTooLarge
+from .errors import FormError, MorphismError
 from .labels import NodeLabel, Token, label_key, render_label, render_token, token_key
 from .preform import (
     DEFAULT_STRATEGY_CAP,
@@ -23,6 +21,8 @@ from .preform import (
     is_grand_strategy,
     is_subpreform,
     render_strategy,
+    selects_one_each,
+    strategies_over,
     validate_preform_morphism,
 )
 from .tree import Structural, check_composable, check_map
@@ -137,14 +137,7 @@ def player_strategies(
     """
     if i not in form.players:
         raise FormError("UnknownPlayer", f"{render_token(i)} is not a player of this form")
-    hs = sorted(
-        form.player_info_sets[i], key=lambda h: sorted(label_key(t) for t in h)
-    )
-    count = prod(len(form.preform.info_choices[h]) for h in hs)
-    if count > cap:
-        raise StrategySpaceTooLarge(count, cap)
-    pools = [sorted(form.preform.info_choices[h], key=token_key) for h in hs]
-    return frozenset(frozenset(combo) for combo in itertools.product(*pools))
+    return strategies_over(form.preform, form.player_info_sets[i], cap)
 
 
 def grand_to_profile(form: Form, s: Iterable[Token]) -> dict:
@@ -174,9 +167,9 @@ def profile_to_grand(form: Form, profile: Mapping) -> frozenset:
                 f"profile assigns no strategy to player {render_token(i)}",
             )
         component = frozenset(profile[i])
-        if not component <= form.assignment[i] or any(
-            len(component & form.preform.info_choices[h]) != 1
-            for h in form.player_info_sets[i]
+        if not (
+            component <= form.assignment[i]
+            and selects_one_each(form.preform, component, form.player_info_sets[i])
         ):
             raise FormError(
                 "InvalidComponent",

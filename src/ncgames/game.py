@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Iterable, Mapping, Optional
 
 from .errors import GameError, MorphismError, SearchBudgetExceeded
@@ -36,6 +37,7 @@ from .preform import (
     Preform,
     build_preform,
     grand_strategies,
+    info_set_order,
     is_grand_strategy,
     play_of,
     render_strategy,
@@ -406,16 +408,16 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
     """
     subtree = subtree_at(g.tree, t_star)
     sub_nodes = subtree.nodes
-    for h in sorted(g.preform.info_sets, key=lambda h: sorted(label_key(t) for t in h)):
-        overlap = h & sub_nodes
-        if overlap and overlap != h:
-            listing = ",".join(sorted((render_label(t) for t in h)))
-            raise GameError(
-                "InformationSetCut",
-                f"information set {{{listing}}} straddles the up-set of "
-                f"{render_label(t_star)}",
-                information_set=h,
-            )
+    cut = [h for h in g.preform.info_sets if h & sub_nodes and not h <= sub_nodes]
+    if cut:
+        (h, _choices), *_ = info_set_order(g.preform, cut)
+        listing = ",".join(sorted((render_label(t) for t in h)))
+        raise GameError(
+            "InformationSetCut",
+            f"information set {{{listing}}} straddles the up-set of "
+            f"{render_label(t_star)}",
+            information_set=h,
+        )
     triples = [
         (t, c, t_next) for (t, c), t_next in g.preform.op.items() if t in sub_nodes
     ]
@@ -431,8 +433,13 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
     return build_game(form, utilities)
 
 
-def _zeta(g: Game, s: frozenset) -> Play:
-    return play_of(g.preform, s)
+def _gains(g: Game, s: frozenset, i: Token, deviations, zeta) -> bool:
+    """Whether player ``i`` does better by replacing their component of
+    ``s`` with one of ``deviations``; ``zeta`` gives each grand
+    strategy's play."""
+    on_path = g.utilities[i][zeta(s)]
+    rest = s - g.form.assignment[i]
+    return any(g.utilities[i][zeta(rest | d)] > on_path for d in deviations)
 
 
 def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> bool:
@@ -443,40 +450,26 @@ def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> boo
             "NotAStrategy",
             f"{render_strategy(s)} is not a grand strategy of this game",
         )
-    for i in g.players:
-        on_path = g.utilities[i][_zeta(g, s)]
-        rest = s - g.form.assignment[i]
-        for deviation in player_strategies(g.form, i, cap=cap):
-            if g.utilities[i][_zeta(g, rest | deviation)] > on_path:
-                return False
-    return True
+    zeta = partial(play_of, g.preform)
+    return not any(
+        _gains(g, s, i, player_strategies(g.form, i, cap=cap), zeta) for i in g.players
+    )
 
 
 def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     """All pure-strategy equilibria, by exhaustive deviation checking.
 
-    Each strategy is screened against proper deviations only; the test
-    suite compares the result with a direct deviation scan.
+    Each grand strategy's play is computed once and looked up for every
+    deviation; the test suite compares the result with a direct
+    deviation scan.
     """
     per_player = {i: player_strategies(g.form, i, cap=cap) for i in g.players}
-    equilibria = []
-    for s in grand_strategies(g.preform, cap=cap):
-        stable = True
-        for i in g.players:
-            own = s & g.form.assignment[i]
-            on_path = g.utilities[i][_zeta(g, s)]
-            rest = s - g.form.assignment[i]
-            for deviation in per_player[i]:
-                if deviation == own:
-                    continue
-                if g.utilities[i][_zeta(g, rest | deviation)] > on_path:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            equilibria.append(s)
-    return frozenset(equilibria)
+    outcome = {s: play_of(g.preform, s) for s in grand_strategies(g.preform, cap=cap)}
+    return frozenset(
+        s
+        for s in outcome
+        if not any(_gains(g, s, i, per_player[i], outcome.__getitem__) for i in g.players)
+    )
 
 
 def forget_to_form(g: Game) -> Form:

@@ -201,27 +201,46 @@ def build_preform(
     )
 
 
+def info_set_order(pf: Preform, info_sets: Iterable[frozenset]) -> list:
+    """Information sets of ``pf`` in the order strategies list them, each
+    paired with its choices sorted.
+
+    Enumeration, the ``ncg`` reports and the choice of which cut
+    information set a subgame refusal names all read this one order.
+    """
+    return [
+        (h, sorted(pf.info_choices[h], key=token_key))
+        for h in sorted(info_sets, key=lambda h: sorted(label_key(t) for t in h))
+    ]
+
+
+def strategies_over(pf: Preform, info_sets, cap: int) -> frozenset:
+    """All choice sets selecting one feasible choice per information set
+    in ``info_sets``; the empty selection when there are none."""
+    count = prod(len(pf.info_choices[h]) for h in info_sets)
+    if count > cap:
+        raise StrategySpaceTooLarge(count, cap)
+    pools = [choices for _h, choices in info_set_order(pf, info_sets)]
+    return frozenset(frozenset(combo) for combo in itertools.product(*pools))
+
+
+def selects_one_each(pf: Preform, s: frozenset, info_sets) -> bool:
+    """Whether ``s`` holds exactly one choice of every set in ``info_sets``."""
+    return all(len(s & pf.info_choices[h]) == 1 for h in info_sets)
+
+
 def count_grand_strategies(pf: Preform) -> int:
     return prod(len(pf.info_choices[h]) for h in pf.info_sets)
 
 
 def grand_strategies(pf: Preform, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     """All choice sets selecting exactly one feasible choice per information set."""
-    count = count_grand_strategies(pf)
-    if count > cap:
-        raise StrategySpaceTooLarge(count, cap)
-    pools = [
-        sorted(pf.info_choices[h], key=token_key)
-        for h in sorted(pf.info_sets, key=lambda h: sorted(label_key(t) for t in h))
-    ]
-    return frozenset(frozenset(combo) for combo in itertools.product(*pools))
+    return strategies_over(pf, pf.info_sets, cap)
 
 
 def is_grand_strategy(pf: Preform, s: Iterable[Token]) -> bool:
     s = frozenset(s)
-    if not s <= pf.choices:
-        return False
-    return all(len(s & pf.info_choices[h]) == 1 for h in pf.info_sets)
+    return s <= pf.choices and selects_one_each(pf, s, pf.info_sets)
 
 
 def play_of(pf: Preform, s: Iterable[Token]) -> Play:
@@ -238,12 +257,10 @@ def play_of(pf: Preform, s: Iterable[Token]) -> Play:
             "per information set",
         )
     t = pf.tree.root
-    path = [t]
     while t in pf.tree.decision_nodes:
         (c,) = s & pf.feas[t]
         t = pf.op[(t, c)]
-        path.append(t)
-    return Play(frozenset(path), t, tuple(path))
+    return pf.tree.play_by_end[t]
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,31 +65,58 @@ def zeta_by_scan(preform, strategy):
     return next(iter(matches))
 
 
+def info_sets_by_scan(preform):
+    """Information sets read off the raw operator: the set of nodes at
+    which each choice is feasible, mapped to the choices feasible there."""
+    where = {}
+    for t, c in preform.op:
+        where.setdefault(c, set()).add(t)
+    sets = {}
+    for c, nodes in where.items():
+        sets.setdefault(frozenset(nodes), set()).add(c)
+    return sets
+
+
+def strategies_by_scan(preform, owned=None):
+    """Every choice set taking one choice from each information set whose
+    choices all lie in ``owned`` (every information set when ``owned`` is
+    None)."""
+    pools = [
+        sorted(choices, key=repr)
+        for choices in info_sets_by_scan(preform).values()
+        if owned is None or choices <= owned
+    ]
+    return {frozenset(combo) for combo in itertools.product(*pools)}
+
+
 def profiles(form):
     """All strategy profiles, player by player."""
-    from ncgames import player_strategies
-
     players = sorted(form.players, key=repr)
-    pools = [sorted(player_strategies(form, i), key=sorted) for i in players]
+    pools = [
+        sorted(strategies_by_scan(form.preform, form.assignment[i]), key=sorted)
+        for i in players
+    ]
     for combo in itertools.product(*pools):
         yield dict(zip(players, combo))
 
 
 def nash_by_deviation_scan(game):
     """Equilibria via the definition: no player gains by swapping their
-    component for any of their strategies, with plays resolved by the
-    scan-based zeta above."""
-    from ncgames import grand_strategies, player_strategies
-
+    component for any of their strategies, with strategies enumerated
+    and plays resolved by the scans above."""
+    preform = game.preform
+    own = {
+        i: strategies_by_scan(preform, game.form.assignment[i]) for i in game.players
+    }
     out = set()
-    for s in grand_strategies(game.preform):
+    for s in strategies_by_scan(preform):
         good = True
         for i in game.players:
-            payoff = game.utilities[i][zeta_by_scan(game.preform, s)]
+            payoff = game.utilities[i][zeta_by_scan(preform, s)]
             others = s - game.form.assignment[i]
-            for alternative in player_strategies(game.form, i):
+            for alternative in own[i]:
                 swapped = others | alternative
-                if game.utilities[i][zeta_by_scan(game.preform, swapped)] > payoff:
+                if game.utilities[i][zeta_by_scan(preform, swapped)] > payoff:
                     good = False
                     break
             if not good:

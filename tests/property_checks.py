@@ -12,6 +12,7 @@ import itertools
 from ncgames import (
     compose,
     compose_tree_morphisms,
+    count_grand_strategies,
     end_preserved_plays,
     grand_strategies,
     grand_to_profile,
@@ -21,6 +22,7 @@ from ncgames import (
     is_isomorphism,
     is_nash,
     is_tree_isomorphism,
+    nash_equilibria,
     play_of,
     player_strategies,
     plays,
@@ -101,6 +103,23 @@ def check_composed_end_preservation(second, first, composed):
 def check_zeta_uniqueness(preform):
     for s in grand_strategies(preform):
         assert play_of(preform, s) == oracles.zeta_by_scan(preform, s)
+
+
+def check_strategy_space(game):
+    """The library's strategy sets equal the oracle's enumeration from
+    the raw operator, the count agrees with the enumeration, and both
+    equilibrium routes agree with each other and with the oracle."""
+    pf = game.preform
+    grand = grand_strategies(pf)
+    assert grand == oracles.strategies_by_scan(pf)
+    assert count_grand_strategies(pf) == len(grand)
+    for i in game.players:
+        owned = game.form.assignment[i]
+        assert player_strategies(game.form, i) == oracles.strategies_by_scan(pf, owned)
+    equilibria = nash_equilibria(game)
+    assert equilibria == oracles.nash_by_deviation_scan(game)
+    for s in grand:
+        assert is_nash(game, s) == (s in equilibria)
 
 
 def check_profile_bijection(form):

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from ncgames import parse_game, parse_witness, serialize_game
+from ncgames import (
+    DocumentSyntaxError,
+    parse_game,
+    parse_morphism,
+    parse_witness,
+    serialize_game,
+    serialize_witness,
+)
 from ncgames.cli import cli_dispatch
 
 from random_games import centipede_document
@@ -115,6 +122,22 @@ class TestDerive:
         assert "{3,4}: P3 {e,f}" in out
         assert "{a,d,e} -> {0,1,4,7}" in out
         assert "P3: {e} {f}" in out
+
+    def test_refuses_over_the_cap_before_printing(self, tmp_path, capsys):
+        # 2**20 strategies per player, 2**40 grand strategies
+        game = tmp_path / "centipede.game"
+        game.write_text(json.dumps(centipede_document(random.Random(40), 40)))
+        code, out = run(capsys, "--strategy-cap", "4096", "derive", game)
+        assert code == 1
+        assert out == (
+            "error: StrategySpaceTooLarge: 1099511627776 strategies exceed "
+            "the cap of 4096; raise the cap to proceed\n"
+        )
+
+    def test_derives_at_exactly_the_cap(self, workdir, capsys):
+        code, out = run(capsys, "--strategy-cap", "8", "derive", workdir / "classroom.game")
+        assert code == 0
+        assert out == run(capsys, "derive", workdir / "classroom.game")[1]
 
     def test_byte_stable_across_runs(self, workdir, capsys):
         outputs = {
@@ -379,3 +402,86 @@ class TestCompose:
         code, out = run(capsys, "compose", d_path, d_path)
         assert code == 1
         assert "TargetSourceMismatch" in out
+
+
+# Each hostile form replaces the string "HOSTILE" in a document's text:
+# 100,000 nested arrays, or a 5,000-digit integer as text or as a number.
+HOSTILE = {
+    "nesting": "[" * 100_000 + "]" * 100_000,
+    "digits as text": '"' + "1" * 5000 + '"',
+    "digits as a number": "1" * 5000,
+}
+
+
+def _hostile_text(doc, place, form):
+    place(doc)
+    return json.dumps(doc).replace('"HOSTILE"', HOSTILE[form])
+
+
+@pytest.fixture
+def hostile_documents(workdir):
+    """A function writing a game, a morphism and a witness document, each
+    with one utility made hostile, and returning their paths."""
+    from ncgames import identity_morphism, load_game, serialize_morphism
+    from ncgames.transforms import canonicalize
+
+    game = load_game(workdir / "classroom.game")
+    game_doc = json.loads((workdir / "classroom.game").read_text())
+    morphism_doc = json.loads(serialize_morphism(identity_morphism(game)))
+    witness_doc = json.loads(serialize_witness(canonicalize(game).witness))
+
+    def set_utility(doc):
+        doc["utilities"][0]["values"]["P1"] = "HOSTILE"
+
+    def set_beta(doc):
+        doc["beta"]["P1"][0][1] = "HOSTILE"
+
+    def set_witness_beta(doc):
+        set_beta(doc["morphism"])
+
+    def write(form):
+        paths = {}
+        for kind, doc, place in (
+            ("game", game_doc, set_utility),
+            ("morphism", morphism_doc, set_beta),
+            ("witness", witness_doc, set_witness_beta),
+        ):
+            paths[kind] = workdir / f"hostile.{kind}"
+            paths[kind].write_text(_hostile_text(json.loads(json.dumps(doc)), place, form))
+        return paths
+
+    return write
+
+
+@pytest.mark.parametrize("form", sorted(HOSTILE))
+class TestHostileDocuments:
+    """Documents past the JSON decoder's nesting depth or the interpreter's
+    integer digit limit are syntax errors: exit 1, never a traceback."""
+
+    def test_game(self, hostile_documents, capsys, form):
+        path = hostile_documents(form)["game"]
+        with pytest.raises(DocumentSyntaxError):
+            parse_game(path.read_text())
+        code, out = run(capsys, "validate", path)
+        assert code == 1
+        assert out.startswith("error: SyntaxError: ")
+
+    def test_morphism(self, hostile_documents, capsys, form):
+        path = hostile_documents(form)["morphism"]
+        with pytest.raises(DocumentSyntaxError):
+            parse_morphism(path.read_text())
+        code, out = run(capsys, "compose", path, path)
+        assert code == 1
+        assert out.startswith("error: SyntaxError: ")
+
+    def test_witness(self, hostile_documents, form):
+        path = hostile_documents(form)["witness"]
+        with pytest.raises(DocumentSyntaxError):
+            parse_witness(path.read_text())
+
+    def test_iso_check(self, hostile_documents, capsys, form):
+        paths = hostile_documents(form)
+        for kind in ("morphism", "witness"):
+            code, out = run(capsys, "iso-check", paths[kind])
+            assert code == 1
+            assert out.startswith("error: SyntaxError: ")

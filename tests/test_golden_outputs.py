@@ -95,8 +95,9 @@ def outputs(work: Path) -> dict:
 GOLDEN = {
     "--strategy-cap 4096 derive absentminded.game":
         "0 c74513428ab2161da5dc54f02b434d42a12de3d690bbc32103c7eb767175c256",
+    # re-recorded when derive began checking the cap before printing
     "--strategy-cap 4096 derive centipede.game":
-        "1 9692b472a64bbda517b235e1e112d8451d32759316eee5ff1cd07af8e54ecfca",
+        "1 0fad667f01b6d8bac9ec3c922205f3f47ec213cba835aecd1abc0398bd089e52",
     "--strategy-cap 4096 derive classroom.game":
         "0 ee84c138ab763a92cb3c790dbe909e0ee697642ddf19d9566cc1e3796535f874",
     "--strategy-cap 4096 nash absentminded.game":

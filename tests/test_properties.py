@@ -37,6 +37,8 @@ from random_games import (
     random_tree_morphism,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 @st.composite
 def tree_strategies(draw, max_nodes=9):
@@ -128,6 +130,18 @@ def test_zeta_uniqueness_on_random_preforms():
     for _ in range(60):
         game = random_game(rng)
         property_checks.check_zeta_uniqueness(game.preform)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_strategy_space_matches_the_oracle_on_random_games(seed):
+    property_checks.check_strategy_space(random_game(random.Random(seed)))
+
+
+def test_strategy_space_matches_the_oracle_on_the_fixtures():
+    for name in ("classroom.game", "absentminded.game"):
+        game = parse_game((FIXTURES / name).read_text())
+        property_checks.check_strategy_space(game)
 
 
 def test_profile_bijection_on_random_forms():

@@ -103,6 +103,53 @@ def _node_from_spec(spec) -> NodeLabel:
     raise DocumentSyntaxError(f"unknown node kind {kind!r}")
 
 
+def _label_reader():
+    """A reader of node specs that returns one label object per node.
+
+    The first occurrence of a spec goes through ``_node_from_spec``, so
+    a malformed spec is rejected with its own message; later ones reuse
+    its label, found by a key built only from a value of exactly the
+    type its kind requires.  Equal labels spelled otherwise (a set in
+    another order) share the first one's object too.
+    """
+    by_key: dict = {}
+    by_label: dict = {}
+
+    def read(spec) -> NodeLabel:
+        key = None
+        if type(spec) is dict and len(spec) == 1:
+            (kind, value), = spec.items()
+            if kind == "atom":
+                if type(value) is str:
+                    key = kind, value
+            elif type(value) is list:
+                key = kind, tuple(value)
+        try:
+            return by_key[key]
+        except (KeyError, TypeError):  # new, or holding an unhashable value
+            pass
+        label = _node_from_spec(spec)  # raises on every spec without a key
+        label = by_key[key] = by_label.setdefault(label, label)
+        return label
+
+    return read
+
+
+def _rational_reader():
+    """``_parse_rational`` with one ``Fraction`` per distinct text."""
+    by_text: dict = {}
+
+    def read(value) -> Fraction:
+        if type(value) is not str:  # ``True == 1``, so only text is shared
+            return _parse_rational(value)
+        number = by_text.get(value)
+        if number is None:
+            number = by_text[value] = _parse_rational(value)
+        return number
+
+    return read
+
+
 def _require(mapping, key, kind, where):
     if not isinstance(mapping, dict) or key not in mapping:
         raise DocumentSyntaxError(f"{where} is missing the {key!r} field")
@@ -133,7 +180,9 @@ def _check_version(doc, where):
         )
 
 
-def _game_from_document(doc) -> Game:
+def _game_from_document(doc) -> tuple:
+    """The game a document describes and the reader of node specs that
+    built it, which returns the game's own label for each of its nodes."""
     _check_version(doc, "game document")
     players = _require(doc, "players", list, "game document")
     if not all(isinstance(i, str) for i in players):
@@ -141,9 +190,8 @@ def _game_from_document(doc) -> Game:
     if len(set(players)) != len(players):
         raise DocumentSyntaxError("duplicate player entry")
 
-    nodes = []
-    for spec in _require(doc, "nodes", list, "game document"):
-        nodes.append(_node_from_spec(spec))
+    label = _label_reader()
+    nodes = [label(spec) for spec in _require(doc, "nodes", list, "game document")]
     if len(set(nodes)) != len(nodes):
         raise DocumentSyntaxError("duplicate node entry")
 
@@ -151,7 +199,7 @@ def _game_from_document(doc) -> Game:
     for entry in _require(doc, "edges", list, "game document"):
         if not isinstance(entry, list) or len(entry) != 3 or not isinstance(entry[1], str):
             raise DocumentSyntaxError(f"edge {entry!r} must be [node, choice, node]")
-        triples.append((_node_from_spec(entry[0]), entry[1], _node_from_spec(entry[2])))
+        triples.append((label(entry[0]), entry[1], label(entry[2])))
 
     ownership = _require(doc, "ownership", dict, "game document")
     assignment: Dict[str, frozenset] = {}
@@ -160,16 +208,17 @@ def _game_from_document(doc) -> Game:
             raise DocumentSyntaxError(f"ownership of {player!r} must list choice tokens")
         assignment[player] = frozenset(choices)
 
+    rational = _rational_reader()
     utilities: Dict[str, Dict[frozenset, Fraction]] = {i: {} for i in players}
     for entry in _require(doc, "utilities", list, "game document"):
         play_nodes = _require(entry, "play", list, "utility entry")
-        members = frozenset(_node_from_spec(spec) for spec in play_nodes)
+        members = frozenset(map(label, play_nodes))
         values = _require(entry, "values", dict, "utility entry")
         for player, value in values.items():
             row = utilities.setdefault(player, {})
             if members in row:
                 raise DocumentSyntaxError("duplicate utility entry for one play")
-            row[members] = _parse_rational(value)
+            row[members] = rational(value)
 
     choices = frozenset(c for _t, c, _n in triples) | frozenset(
         c for cs in assignment.values() for c in cs
@@ -177,14 +226,14 @@ def _game_from_document(doc) -> Game:
     try:
         preform = build_preform(nodes, choices, triples)
         form = build_form(preform, players, assignment)
-        return build_game(form, utilities)
+        return build_game(form, utilities), label
     except NcgError as exc:
         raise AxiomViolation(exc) from exc
 
 
 def parse_game(text: str) -> Game:
     """Read a game document, reporting the first violated rule by name."""
-    return _game_from_document(_loads(text))
+    return _game_from_document(_loads(text))[0]
 
 
 def load_game(path) -> Game:
@@ -383,35 +432,42 @@ def _token(value):
     return value
 
 
-def _game_from_ref(ref, base_dir, built: list) -> Game:
-    """The game a path or inline document names; ``built`` lists the
-    (reference, game) pairs read so far, and an equal reference reuses
-    its game."""
-    for seen, game in built:
+def _game_from_ref(ref, base_dir, built: list) -> tuple:
+    """The game a path or inline document names, with its reader of node
+    specs; ``built`` lists the (reference, game, reader) triples read so
+    far, and an equal reference reuses its game."""
+    for seen, game, label in built:
         if seen == ref:
-            return game
+            return game, label
     if isinstance(ref, str):
-        game = parse_game((Path(base_dir) / ref).read_text())
+        path = Path(base_dir) / ref
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DocumentError(
+                "UnreadableGame",
+                f"cannot read the game at {path} ({type(exc).__name__})",
+                path=str(path),
+            ) from exc
+        game, label = _game_from_document(_loads(text))
     elif isinstance(ref, dict):
-        game = _game_from_document(ref)
+        game, label = _game_from_document(ref)
     else:
         raise DocumentSyntaxError("game reference must be a path or an inline document")
-    built.append((ref, game))
-    return game
+    built.append((ref, game, label))
+    return game, label
 
 
 def _morphism_from_document(doc, base_dir, built: list) -> GameMorphism:
     _check_version(doc, "morphism document")
-    source = _game_from_ref(
+    source, source_label = _game_from_ref(
         _require(doc, "source", (str, dict), "morphism document"), base_dir, built
     )
-    target = _game_from_ref(
+    target, target_label = _game_from_ref(
         _require(doc, "target", (str, dict), "morphism document"), base_dir, built
     )
     iota = _pairs_to_map(doc.get("iota", []), _token, _token, "iota")
-    tau = _pairs_to_map(
-        doc.get("tau", []), _node_from_spec, _node_from_spec, "tau"
-    )
+    tau = _pairs_to_map(doc.get("tau", []), source_label, target_label, "tau")
     delta = _pairs_to_map(doc.get("delta", []), _token, _token, "delta")
     beta_doc = _require(doc, "beta", dict, "morphism document")
     beta = {

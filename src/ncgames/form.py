@@ -102,14 +102,14 @@ def build_form(
             axiom="[F1]",
         )
 
-    for t in sorted(preform.tree.decision_nodes, key=label_key):
-        owners = {owner[c] for c in preform.feas[t]}
-        if len(owners) > 1:
-            raise FormError(
-                "NodeSplitAcrossPlayers",
-                f"choices feasible at {render_label(t)} belong to several players",
-                axiom="[F3]",
-            )
+    split = [t for t, cs in preform.feas.items() if len({owner[c] for c in cs}) > 1]
+    if split:
+        raise FormError(
+            "NodeSplitAcrossPlayers",
+            f"choices feasible at {render_label(min(split, key=label_key))} "
+            "belong to several players",
+            axiom="[F3]",
+        )
 
     player_nodes = {}
     player_info_sets = {}

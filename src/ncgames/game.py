@@ -274,23 +274,25 @@ def validate_game_morphism(
 
     # the image of an end-preserved play is the target play ending at
     # the image of its end
-    images = [
-        (z, target.tree.play_by_end[theta.tau[z.end]])
-        for z in sorted(end_preserved, key=lambda p: label_key(p.end))
-    ]
+    images = [(z, target.tree.play_by_end[theta.tau[z.end]]) for z in end_preserved]
     for i in sorted(source.players, key=token_key):
-        for z, image in images:
-            expected = target.utilities[form_morphism.iota[i]][image]
-            if norm_beta[i][source.utilities[i][z]] != expected:
-                raise MorphismError(
-                    "UtilityEquationFails",
-                    f"player {render_token(i)}: utility map gives "
-                    f"{norm_beta[i][source.utilities[i][z]]} on the play ending at "
-                    f"{render_label(z.end)} but its image is priced {expected}",
-                    axiom="[g4]",
-                    player=i,
-                    play=z,
-                )
+        beta_i, source_row = norm_beta[i], source.utilities[i]
+        target_row = target.utilities[form_morphism.iota[i]]
+        failing = [
+            (z, image) for z, image in images if beta_i[source_row[z]] != target_row[image]
+        ]
+        if failing:
+            # the least by label, so every run names the same play
+            z, image = min(failing, key=lambda pair: label_key(pair[0].end))
+            raise MorphismError(
+                "UtilityEquationFails",
+                f"player {render_token(i)}: utility map gives "
+                f"{beta_i[source_row[z]]} on the play ending at "
+                f"{render_label(z.end)} but its image is priced {target_row[image]}",
+                axiom="[g4]",
+                player=i,
+                play=z,
+            )
 
     return GameMorphism(
         source=source,

@@ -236,41 +236,39 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         )
     (root,) = roots
 
-    stage: dict = {root: 0}
-    for start in node_set:
-        walk = []
-        seen = set()
-        t = start
-        while t not in stage:
-            if t in seen:
-                raise TreeError(
-                    "Cycle",
-                    f"predecessor chain from {render_label(start)} never reaches the root",
-                    axiom="[T2]",
-                )
-            seen.add(t)
-            walk.append(t)
-            t = pred[t]
-        base = stage[t]
-        for offset, u in enumerate(reversed(walk), start=1):
-            stage[u] = base + offset
-
-    decision_nodes = frozenset(pred.values())
     children: dict = {}
     for child, parent in pred.items():
         children.setdefault(parent, []).append(child)
+
+    # one walk down from the root; ``path`` holds the chain from the
+    # root to the node being visited, and each leaf ends one play
+    stage: dict = {}
+    play_by_end = {}
+    path: list = []
+    stack = [(root, 0)]
+    while stack:
+        t, depth = stack.pop()
+        del path[depth:]
+        path.append(t)
+        stage[t] = depth
+        kids = children.get(t)
+        if kids:
+            stack.extend((kid, depth + 1) for kid in kids)
+        else:
+            play_by_end[t] = Play(frozenset(path), t, tuple(path))
+    if len(stage) != len(node_set):
+        # the walk reaches exactly the nodes whose chain ends at the root
+        start = next(t for t in node_set if t not in stage)
+        raise TreeError(
+            "Cycle",
+            f"predecessor chain from {render_label(start)} never reaches the root",
+            axiom="[T2]",
+        )
+
+    decision_nodes = frozenset(pred.values())
     children_map = {
         parent: tuple(sorted(kids, key=label_key)) for parent, kids in children.items()
     }
-
-    play_by_end = {}
-    for t in node_set - decision_nodes:
-        chain = [t]
-        while chain[-1] != root:
-            chain.append(pred[chain[-1]])
-        chain.reverse()
-        play_by_end[t] = Play(frozenset(chain), t, tuple(chain))
-
     return Tree(
         nodes=node_set,
         pred=dict(pred),

@@ -18,6 +18,38 @@ def reachable_by_pred(pred, start):
     return out
 
 
+def tree_by_walk_up(nodes, pairs):
+    """A tree's stages and plays found by walking up its predecessor map.
+
+    Returns ``(stage, paths, cycle_from)``: each node's distance from the
+    root, each terminal node's root-to-end path, and ``None``; or, when
+    some node's chain never reaches the root, ``(None, None, start)``
+    with ``start`` the first such node in ``frozenset(nodes)`` order.
+    Each walk stops at the first node whose stage is known.
+    """
+    node_set = frozenset(nodes)
+    pred = dict(pairs)
+    (root,) = node_set - pred.keys()
+    stage = {root: 0}
+    for start in node_set:
+        walk, seen, t = [], set(), start
+        while t not in stage:
+            if t in seen:
+                return None, None, start
+            seen.add(t)
+            walk.append(t)
+            t = pred[t]
+        for offset, u in enumerate(reversed(walk), start=1):
+            stage[u] = stage[t] + offset
+    paths = {}
+    for end in node_set - set(pred.values()):
+        path = [end]
+        while path[-1] != root:
+            path.append(pred[path[-1]])
+        paths[end] = tuple(reversed(path))
+    return stage, paths, None
+
+
 def weakly_precedes(pred, a, b):
     return a in reachable_by_pred(pred, b)
 

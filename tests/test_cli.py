@@ -403,6 +403,21 @@ class TestCompose:
         assert code == 1
         assert "TargetSourceMismatch" in out
 
+    def test_morphism_naming_a_missing_game(self, workdir, capsys):
+        from ncgames import identity_morphism, load_game, serialize_morphism
+
+        game = load_game(workdir / "classroom.game")
+        doc = json.loads(serialize_morphism(identity_morphism(game)))
+        doc["target"] = "missing.game"
+        m_path = workdir / "dangling.morphism"
+        m_path.write_text(json.dumps(doc))
+        expected = (
+            f"error: UnreadableGame: cannot read the game at {workdir / 'missing.game'} "
+            "(FileNotFoundError)\n"
+        )
+        assert run(capsys, "compose", m_path, m_path) == (1, expected)
+        assert run(capsys, "iso-check", m_path) == (1, expected)
+
 
 # Each hostile form replaces the string "HOSTILE" in a document's text:
 # 100,000 nested arrays, or a 5,000-digit integer as text or as a number.

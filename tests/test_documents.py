@@ -20,8 +20,12 @@ from ncgames import (
     serialize_morphism,
     serialize_witness,
 )
-from ncgames.labels import Atom
-from ncgames.transforms import apply_utility_transform, to_choice_sequence
+from ncgames.labels import Atom, SetLabel
+from ncgames.transforms import (
+    apply_utility_transform,
+    canonicalize,
+    to_choice_sequence,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -212,3 +216,148 @@ class TestFixtures:
             frozenset({"b", "d", "f"}),
             frozenset({"b", "g", "f"}),
         }
+
+
+def _chain_doc(kind, values):
+    """A one-player document on a root with one child per entry of
+    ``values``, reached by the entry's choice; ``kind`` labels nodes as
+    ``atom``, ``seq`` or ``set`` specs of their choice histories."""
+
+    def spec(history):
+        return {"atom": "/".join(history) or "r"} if kind == "atom" else {kind: history}
+
+    root = spec([])
+    children = [(f"c{k}", spec([f"c{k}"])) for k in range(len(values))]
+    return {
+        "format_version": "ncg/1",
+        "players": ["solo"],
+        "nodes": [root] + [child for _c, child in children],
+        "edges": [[root, c, child] for c, child in children],
+        "ownership": {"solo": [c for c, _child in children]},
+        "utilities": [
+            {"play": [root, child], "values": {"solo": value}}
+            for (_c, child), value in zip(children, values)
+        ],
+    }
+
+
+def _assert_one_object_per_node(g):
+    """Every place a game holds a node holds the tree's own object."""
+    ids = {id(t) for t in g.tree.nodes}
+    held = [g.tree.root, *g.tree.pred, *g.tree.pred.values(), *g.tree.stage]
+    held += [*g.tree.decision_nodes, *g.tree.children_map, *g.tree.play_by_end]
+    held += [t for kids in g.tree.children_map.values() for t in kids]
+    for (t, _c), t_next in g.preform.op.items():
+        held += [t, t_next]
+    for z in g.plays:
+        held += [z.end, *z.members, *z.path]
+    held += [t for h in g.preform.info_sets for t in h]
+    assert all(id(t) in ids for t in held)
+    assert all(z in g.plays for row in g.utilities.values() for z in row)
+
+
+class TestOneLabelPerNode:
+    """A parsed game shares one label object per node, and a repeated
+    spec is judged exactly as its first occurrence would be."""
+
+    @pytest.mark.parametrize(
+        "kind, bad, message",
+        [
+            ("seq", {"seq": "c0"}, "seq node 'c0' must list choice tokens"),
+            ("set", {"set": "c0"}, "set node 'c0' must list choice tokens"),
+            ("atom", {"atom": ["c0"]}, "atom token ['c0'] must be text"),
+            ("seq", {"seq": [["c0"]]}, "seq node [['c0']] must list choice tokens"),
+            ("seq", {"seq": ["c0", 1]}, "seq node ['c0', 1] must list choice tokens"),
+            ("atom", {"atom": "c0", "seq": ["c0"]}, "node spec {'atom': 'c0', "
+             "'seq': ['c0']} must have exactly one key"),
+            ("seq", {"Seq": ["c0"]}, "unknown node kind 'Seq'"),
+        ],
+    )
+    def test_malformed_spec_after_its_valid_twin(self, kind, bad, message):
+        doc = _chain_doc(kind, ["1", "0"])
+        doc["utilities"][0]["play"][1] = bad
+        with pytest.raises(DocumentSyntaxError) as err:
+            parse_game(json.dumps(doc))
+        assert str(err.value) == f"SyntaxError: {message}"
+
+    @pytest.mark.parametrize("first", [1, "1"])
+    def test_true_utility_after_a_one(self, first):
+        doc = _chain_doc("atom", [first, True])
+        with pytest.raises(DocumentSyntaxError) as err:
+            parse_game(json.dumps(doc))
+        assert str(err.value) == "SyntaxError: utility True is not rational text"
+
+    def test_equal_utility_texts_share_one_value(self):
+        g = parse_game(json.dumps(_chain_doc("atom", ["-1/2", "-1/2", "3", 3])))
+        values = list(g.utilities["solo"].values())
+        assert sorted(values) == [Fraction(-1, 2), Fraction(-1, 2), 3, 3]
+        assert len({id(u) for u in values if u == Fraction(-1, 2)}) == 1
+
+    def test_set_spec_in_another_order(self):
+        doc = _chain_doc("set", ["1", "0"])
+        deep = {"set": ["c0", "x"]}
+        doc["nodes"].append(deep)
+        doc["edges"].append([{"set": ["c0"]}, "x", {"set": ["x", "c0"]}])
+        doc["ownership"]["solo"].append("x")
+        doc["utilities"][0]["play"].append({"set": ["x", "c0"]})
+        g = parse_game(json.dumps(doc))
+        ends = {z.end for z in g.plays}
+        assert SetLabel(frozenset({"c0", "x"})) in ends
+        _assert_one_object_per_node(g)
+        assert g == parse_game(serialize_game(g))
+
+    @pytest.mark.parametrize("style", ["atom", "choice sequence", "choice set"])
+    def test_one_object_per_node(self, classroom_text, style):
+        g = parse_game(classroom_text)
+        if style == "choice sequence":
+            g = parse_game(serialize_game(to_choice_sequence(g)[0]))
+        elif style == "choice set":
+            g = parse_game(serialize_game(canonicalize(g).game))
+        _assert_one_object_per_node(g)
+
+    def test_morphism_tau_holds_the_games_nodes(self, classroom_text):
+        witness = canonicalize(parse_game(classroom_text)).witness
+        parsed = parse_witness(serialize_witness(witness))
+        for m in (parsed.morphism, parsed.inverse):
+            _assert_one_object_per_node(m.source)
+            _assert_one_object_per_node(m.target)
+            source_ids = {id(t) for t in m.source.tree.nodes}
+            target_ids = {id(t) for t in m.target.tree.nodes}
+            assert all(id(t) in source_ids for t in m.tau)
+            assert all(id(t) in target_ids for t in m.tau.values())
+        m = parse_morphism(serialize_morphism(witness.morphism))
+        assert all(t in m.source.tree.nodes for t in m.tau)
+        source_ids = {id(t) for t in m.source.tree.nodes}
+        assert all(id(t) in source_ids for t in m.tau)
+
+
+class TestGameReferences:
+    def _morphism_naming(self, classroom_text, ref):
+        doc = json.loads(serialize_morphism(identity_morphism(parse_game(classroom_text))))
+        doc["source"] = ref
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("ref", ["missing.game", "subdir", "."])
+    def test_unreadable_game_is_a_document_error(self, classroom_text, tmp_path, ref):
+        (tmp_path / "subdir").mkdir()
+        with pytest.raises(DocumentError) as err:
+            parse_morphism(self._morphism_naming(classroom_text, ref), base_dir=tmp_path)
+        assert err.value.code == "UnreadableGame"
+        assert str(tmp_path / ref) in str(err.value)
+
+    def test_unreadable_game_in_a_witness(self, classroom_text, tmp_path):
+        witness = json.loads(
+            serialize_witness(canonicalize(parse_game(classroom_text)).witness)
+        )
+        witness["inverse"]["target"] = "missing.game"
+        with pytest.raises(DocumentError) as err:
+            parse_witness(json.dumps(witness), base_dir=tmp_path)
+        assert err.value.code == "UnreadableGame"
+
+    def test_non_utf8_game_is_a_document_error(self, classroom_text, tmp_path):
+        (tmp_path / "latin1.game").write_bytes(b"\xff\xfe")
+        with pytest.raises(DocumentError) as err:
+            parse_morphism(
+                self._morphism_naming(classroom_text, "latin1.game"), base_dir=tmp_path
+            )
+        assert err.value.code == "UnreadableGame"

@@ -52,6 +52,16 @@ class TestBuildForm:
             build_form(classroom_preform, {"P1", "P2", "P3"}, ownership)
         assert err.value.code == "NodeSplitAcrossPlayers"
 
+    def test_node_split_names_the_first_node(self, classroom_preform):
+        # every decision node (0, 1, 3 and 4) is split
+        ownership = {"P1": {"a", "g", "e"}, "P2": {"b", "d", "f"}, "P3": set()}
+        with pytest.raises(FormError) as err:
+            build_form(classroom_preform, {"P1", "P2", "P3"}, ownership)
+        assert str(err.value) == (
+            "NodeSplitAcrossPlayers [[F3]]: choices feasible at 0 belong to "
+            "several players"
+        )
+
     def test_player_must_be_assigned_explicitly(self, classroom_preform):
         ownership = dict(CLASSROOM_OWNERSHIP)
         with pytest.raises(FormError) as err:

@@ -106,12 +106,10 @@ def mutants(draw, kind):
 def _parses_or_refuses(kind, text, base_dir):
     try:
         PARSERS[kind](text) if kind == "game" else PARSERS[kind](text, base_dir=base_dir)
-    except NcgError:
-        pass
-    except OSError as exc:
-        # a mutant may name a game by a path; reading a file that is not
-        # there fails as ``load_game`` does, and only below ``base_dir``
-        assert kind != "game" and str(exc.filename).startswith(str(base_dir)), exc
+    except NcgError as exc:
+        # a mutant may name a game by a path, which is not there
+        if exc.code == "UnreadableGame":
+            assert kind != "game" and exc.details["path"].startswith(str(base_dir)), exc
 
 
 FUZZ = settings(

@@ -136,6 +136,24 @@ class TestValidateGameMorphism:
             validate_game_morphism(classroom_game, target, iota, tau, delta, beta)
         assert err.value.code == "UtilityEquationFails"
 
+    def test_utility_equation_failure_names_the_first_play(self, classroom_game):
+        target, _w = doubled_game(classroom_game)
+        iota, tau, delta, _ = identity_components(classroom_game)
+        beta = {
+            i: {u: 2 * u for u in classroom_game.ranges[i]}
+            for i in classroom_game.players
+        }
+        # P2 fails on the plays ending at 7 and 8, P3 on those at 2, 6, 7
+        beta["P2"] = {Fraction(0): Fraction(0), Fraction(1): Fraction(0)}
+        beta["P3"] = {Fraction(0): Fraction(0), Fraction(1): Fraction(0)}
+        with pytest.raises(MorphismError) as err:
+            validate_game_morphism(classroom_game, target, iota, tau, delta, beta)
+        assert str(err.value) == (
+            "UtilityEquationFails [[g4]]: player P2: utility map gives 0 on the "
+            "play ending at 7 but its image is priced 2"
+        )
+        assert err.value.details["play"].end == a(7)
+
     def test_embedding_with_partial_beta_domain(self, classroom_game):
         """A subgame-style inclusion prices only the end-preserved plays."""
         sub = subgame_at(classroom_game, a(0))

@@ -1,6 +1,8 @@
 """Tree construction, derived structure, plays, and tree morphisms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgames import (
     TreeError,
@@ -23,6 +25,8 @@ from conftest import (
     make_embedding_trees,
     nodes_of,
 )
+from ncgames.labels import render_label
+from oracles import tree_by_walk_up
 
 
 def members(play):
@@ -265,3 +269,73 @@ class TestComposeAndIso:
         inverse = is_tree_isomorphism(m)
         assert inverse is not None
         assert inverse.tau[a(105)] == a(5)
+
+
+@st.composite
+def parent_lists(draw, max_nodes=40):
+    """Node labels in a drawn order and ``(child, parent)`` pairs, also in
+    a drawn order, of a tree whose parents come from a drawn list."""
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    parents = [draw(st.integers(min_value=0, max_value=k - 1)) for k in range(1, n)]
+    labels = [a(k) for k in range(n)]
+    pairs = [(labels[k], labels[p]) for k, p in enumerate(parents, start=1)]
+    return draw(st.permutations(labels)), draw(st.permutations(pairs))
+
+
+class TestWalkUpOracle:
+    """``build_tree``'s walk down from the root against the walk-up
+    reference in ``tests/oracles.py``."""
+
+    @staticmethod
+    def check(nodes, pairs):
+        tree = build_tree(nodes, pairs)
+        stage, paths, cycle_from = tree_by_walk_up(nodes, pairs)
+        assert cycle_from is None
+        assert tree.stage == stage
+        assert {end: z.path for end, z in tree.play_by_end.items()} == paths
+        assert {z.members for z in tree.plays} == {frozenset(p) for p in paths.values()}
+        for end, z in tree.play_by_end.items():
+            assert z.end == end and z.members == frozenset(z.path)
+            assert z.path[0] == tree.root and len(z.path) == stage[end] + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(parent_lists())
+    def test_random_trees(self, tree_input):
+        self.check(*tree_input)
+
+    def test_classroom_tree(self):
+        self.check(CLASSROOM_NODES, CLASSROOM_PRED_PAIRS)
+
+    def test_deep_chain(self):
+        n = 20_000
+        nodes = [a(k) for k in range(n)]
+        pairs = [(nodes[k], nodes[k - 1]) for k in range(1, n)]
+        self.check(nodes, pairs)
+        # a broom: the long handle ends in many leaves
+        nodes += [a(n + k) for k in range(50)]
+        pairs += [(a(n + k), nodes[n - 2]) for k in range(50)]
+        self.check(nodes, pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(parent_lists(max_nodes=12), st.data())
+    def test_cycles_are_named_as_the_walk_up_names_them(self, tree_input, data):
+        nodes, pairs = tree_input
+        n = len(nodes)
+        size = data.draw(st.integers(min_value=1, max_value=4))
+        cycle = [a(n + k) for k in range(size)]
+        pairs = pairs + [(cycle[k], cycle[k - 1]) for k in range(size)]
+        tails = data.draw(st.integers(min_value=0, max_value=3))
+        hanging = cycle[:]
+        for k in range(tails):
+            tail = a(n + size + k)
+            pairs.append((tail, data.draw(st.sampled_from(hanging))))
+            hanging.append(tail)
+        nodes = data.draw(st.permutations(list(nodes) + hanging))
+        pairs = data.draw(st.permutations(pairs))
+        _stage, _paths, cycle_from = tree_by_walk_up(nodes, pairs)
+        with pytest.raises(TreeError) as err:
+            build_tree(nodes, pairs)
+        assert (err.value.code, err.value.axiom) == ("Cycle", "[T2]")
+        assert str(err.value).endswith(
+            f": predecessor chain from {render_label(cycle_from)} never reaches the root"
+        )

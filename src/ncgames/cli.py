@@ -25,10 +25,9 @@ from .documents import (
 from .errors import NcgError
 from .form import player_strategies
 from .game import compose, find_isomorphism, is_isomorphism, nash_equilibria, subgame_at
-from .labels import Atom, label_key, render_label, render_token, token_key
+from .labels import Atom, render_label, render_token, token_key
 from .preform import count_grand_strategies, grand_strategies, info_set_order, play_of
 from .transforms import canonicalize, to_choice_sequence, to_choice_set
-from .tree import play_sort_key
 
 __all__ = ["main", "cli_dispatch"]
 
@@ -44,12 +43,6 @@ def _render_strategy(choices) -> str:
 
 def _render_play(play) -> str:
     return "{" + ",".join(render_label(t) for t in play.path) + "}"
-
-
-def _render_info_set(h) -> str:
-    return "{" + ",".join(
-        render_label(t) for t in sorted(h, key=label_key)
-    ) + "}"
 
 
 def _parse_node_argument(text: str):
@@ -80,26 +73,23 @@ def _cmd_derive(args) -> int:
     # output; no player has more strategies than the game
     grand = grand_strategies(game.preform, cap=args.strategy_cap)
     print("players: " + ",".join(sorted(render_token(i) for i in game.players)))
-    print(
-        "nodes: "
-        + ",".join(render_label(t) for t in sorted(game.tree.nodes, key=label_key))
-    )
+    rank = game.tree.rank
+    print("nodes: " + ",".join(map(render_label, rank)))
     print("root: " + render_label(game.tree.root))
     print(
         "decision-nodes: "
-        + ",".join(
-            render_label(t) for t in sorted(game.tree.decision_nodes, key=label_key)
-        )
+        + ",".join(render_label(t) for t in rank if t in game.tree.decision_nodes)
     )
     print("plays:")
-    for play in sorted(game.plays, key=play_sort_key):
+    for play in game.tree.play_by_end.values():
         print(_render_play(play))
     ordered = info_set_order(game.preform, game.preform.info_sets)
     print("information-sets:")
     for h, choices in ordered:
         owner = game.form.owner[choices[0]]
         listing = ",".join(render_token(c) for c in choices)
-        print(f"{_render_info_set(h)}: {render_token(owner)} {{{listing}}}")
+        members = ",".join(render_label(t) for t in sorted(h, key=rank.__getitem__))
+        print(f"{{{members}}}: {render_token(owner)} {{{listing}}}")
     print("strategies:")
     for i in sorted(game.players, key=token_key):
         options = sorted(

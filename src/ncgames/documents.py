@@ -34,7 +34,7 @@ from .game import (
     validate_game_morphism,
 )
 from .form import build_form
-from .labels import Atom, NodeLabel, Seq, SetLabel, label_key
+from .labels import Atom, NodeLabel, Seq, SetLabel
 from .preform import build_preform
 
 __all__ = [
@@ -241,41 +241,40 @@ def load_game(path) -> Game:
 
 
 def _game_parts(g: Game) -> tuple:
-    """The canonical document for a game, with the node specs it shares
-    and each node's sort key."""
+    """The canonical document for a game, with the node specs it shares.
+
+    Nodes, edges and plays are listed in the tree's order (``Tree.rank``
+    and ``Tree.play_by_end``)."""
     specs = {t: _node_to_spec(t) for t in g.tree.nodes}
     if len({json.dumps(spec, sort_keys=True) for spec in specs.values()}) != len(specs):
         raise DocumentError(
             "AtomCollision",
             "two distinct node labels serialize to the same text",
         )
-    keys = {t: label_key(t) for t in g.tree.nodes}
+    rank = g.tree.rank
     edges = sorted(
         g.preform.op.items(),
-        key=lambda e: (keys[e[0][0]], str(e[0][1]), keys[e[1]]),
+        key=lambda e: (rank[e[0][0]], str(e[0][1]), rank[e[1]]),
     )
     players = sorted(g.players, key=str)
-    utilities = []
-    for play in sorted(g.plays, key=lambda z: tuple(keys[t] for t in z.path)):
-        utilities.append(
-            {
-                "play": [specs[t] for t in play.path],
-                "values": {
-                    str(i): _format_rational(g.utilities[i][play]) for i in players
-                },
-            }
-        )
+    utilities = [
+        {
+            "play": [specs[t] for t in play.path],
+            "values": {str(i): _format_rational(g.utilities[i][play]) for i in players},
+        }
+        for play in g.tree.play_by_end.values()
+    ]
     doc = {
         "format_version": FORMAT_VERSION,
         "players": [str(i) for i in players],
-        "nodes": [specs[t] for t in sorted(g.tree.nodes, key=keys.__getitem__)],
+        "nodes": [specs[t] for t in rank],
         "edges": [[specs[t], str(c), specs[t_next]] for (t, c), t_next in edges],
         "ownership": {
             str(i): sorted(str(c) for c in g.form.assignment[i]) for i in players
         },
         "utilities": utilities,
     }
-    return doc, specs, keys
+    return doc, specs
 
 
 def game_to_document(g: Game) -> dict:
@@ -494,8 +493,8 @@ def _morphism_document(m: GameMorphism, built: dict) -> dict:
     for g in (m.source, m.target):
         if id(g) not in built:
             built[id(g)] = _game_parts(g)
-    source, source_specs, source_keys = built[id(m.source)]
-    target, target_specs, _ = built[id(m.target)]
+    source, source_specs = built[id(m.source)]
+    target, target_specs = built[id(m.target)]
     return {
         "format_version": FORMAT_VERSION,
         "source": source,
@@ -505,7 +504,7 @@ def _morphism_document(m: GameMorphism, built: dict) -> dict:
         ],
         "tau": [
             [source_specs[t], target_specs[m.tau[t]]]
-            for t in sorted(m.tau, key=source_keys.__getitem__)
+            for t in sorted(m.tau, key=m.source.tree.rank.__getitem__)
         ],
         "delta": [
             [str(c), str(m.delta[c])] for c in sorted(m.delta, key=str)

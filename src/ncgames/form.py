@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import FormError, MorphismError
-from .labels import NodeLabel, Token, label_key, render_label, render_token, token_key
+from .labels import NodeLabel, Token, render_label, render_token, token_key
 from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
@@ -69,7 +69,7 @@ def build_form(
                 "UnknownPlayer",
                 f"assignment mentions undeclared player {render_token(i)}",
             )
-    for i in player_set:
+    for i in sorted(player_set, key=token_key):
         if i not in assignment:
             raise FormError(
                 "MissingPlayer",
@@ -104,9 +104,10 @@ def build_form(
 
     split = [t for t, cs in preform.feas.items() if len({owner[c] for c in cs}) > 1]
     if split:
+        first = min(split, key=preform.tree.rank.__getitem__)
         raise FormError(
             "NodeSplitAcrossPlayers",
-            f"choices feasible at {render_label(min(split, key=label_key))} "
+            f"choices feasible at {render_label(first)} "
             "belong to several players",
             axiom="[F3]",
         )
@@ -195,7 +196,7 @@ class FormMorphism(Structural):
 def validate_form_morphism(
     source: Form, target: Form, iota: Mapping, tau: Mapping, delta: Mapping
 ) -> FormMorphism:
-    check_map(iota, source.players, target.players, "player", render_token, "[f1]")
+    check_map(iota, source.players, target.players, "player", "[f1]")
     preform_morphism = validate_preform_morphism(
         source.preform, target.preform, tau, delta
     )

@@ -31,7 +31,7 @@ from .form import (
     player_strategies,
     validate_form_morphism,
 )
-from .labels import NodeLabel, Token, label_key, render_label, render_token, token_key
+from .labels import NodeLabel, Token, render_label, render_token, token_key
 from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
@@ -128,7 +128,8 @@ def _as_fraction(value) -> Fraction:
 
 def build_game(form: Form, utilities: Mapping) -> Game:
     """Validate a utility table: every play priced for every player."""
-    plays_by_members = {p.members: p for p in form.preform.tree.plays}
+    # in play order, so a missing price is reported for the first play
+    plays_by_members = {p.members: p for p in form.preform.tree.play_by_end.values()}
     for i in utilities:
         if i not in form.players:
             raise GameError(
@@ -282,8 +283,8 @@ def validate_game_morphism(
             (z, image) for z, image in images if beta_i[source_row[z]] != target_row[image]
         ]
         if failing:
-            # the least by label, so every run names the same play
-            z, image = min(failing, key=lambda pair: label_key(pair[0].end))
+            # the least by rank, so every run names the same play
+            z, image = min(failing, key=lambda pair: source.tree.rank[pair[0].end])
             raise MorphismError(
                 "UtilityEquationFails",
                 f"player {render_token(i)}: utility map gives "
@@ -540,26 +541,24 @@ def find_isomorphism(
     ) != sorted(sorted(len(h) for h in g2.preform.info_sets)):
         return None
 
-    order = sorted(g1.tree.nodes, key=lambda t: (g1.tree.stage[t], label_key(t)))
+    # by stage, and by rank within a stage
+    order = sorted(g1.tree.rank, key=g1.tree.stage.__getitem__)
+    edges = sorted(
+        g1.preform.op.items(), key=lambda kv: (g1.tree.rank[kv[0][0]], token_key(kv[0][1]))
+    )
     expansions = 0
 
     def candidates(t: NodeLabel, mapping: Dict) -> list:
         if t == g1.tree.root:
             pool = [g2.tree.root]
         else:
-            pool = list(g2.tree.children(mapping[g1.tree.pred[t]]))
+            pool = g2.tree.children(mapping[g1.tree.pred[t]])
         used = set(mapping.values())
-        return [
-            u
-            for u in sorted(pool, key=label_key)
-            if u not in used and sig2[u] == sig1[t]
-        ]
+        return [u for u in pool if u not in used and sig2[u] == sig1[t]]
 
     def complete(mapping: Dict) -> Optional[IsoWitness]:
         delta: Dict[Token, Token] = {}
-        for (t, c), t_next in sorted(
-            g1.preform.op.items(), key=lambda kv: (label_key(kv[0][0]), token_key(kv[0][1]))
-        ):
+        for (t, c), t_next in edges:
             c_target = g2.preform.prev_choice.get(mapping[t_next])
             if c_target is None:
                 return None

@@ -24,7 +24,7 @@ from .errors import (
     StrategySpaceTooLarge,
     TreeError,
 )
-from .labels import NodeLabel, Token, label_key, render_label, render_token, token_key
+from .labels import NodeLabel, Token, render_label, render_token, token_key
 from .tree import (
     Play,
     Structural,
@@ -208,9 +208,10 @@ def info_set_order(pf: Preform, info_sets: Iterable[frozenset]) -> list:
     Enumeration, the ``ncg`` reports and the choice of which cut
     information set a subgame refusal names all read this one order.
     """
+    rank = pf.tree.rank
     return [
         (h, sorted(pf.info_choices[h], key=token_key))
-        for h in sorted(info_sets, key=lambda h: sorted(label_key(t) for t in h))
+        for h in sorted(info_sets, key=lambda h: sorted(rank[t] for t in h))
     ]
 
 
@@ -277,8 +278,8 @@ class PreformMorphism(Structural):
 def validate_preform_morphism(
     source: Preform, target: Preform, tau: Mapping, delta: Mapping
 ) -> PreformMorphism:
-    check_map(delta, source.choices, target.choices, "choice", render_token, "[p1]")
-    check_map(tau, source.tree.nodes, target.tree.nodes, "node", render_label, "[p1]")
+    check_map(delta, source.choices, target.choices, "choice", "[p1]")
+    check_map(tau, source.tree.nodes, target.tree.nodes, "node", "[p1]", source.tree.rank)
     for (t, c), t_next in source.op.items():
         if target.op.get((tau[t], delta[c])) != tau[t_next]:
             raise MorphismError(

@@ -16,7 +16,9 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import TransformError
 from .form import build_form
-from .game import Game, IsoWitness, build_game, is_isomorphism, validate_game_morphism
+from .game import (
+    Game, IsoWitness, _as_fraction, build_game, is_isomorphism, validate_game_morphism
+)
 from .labels import NodeLabel, Seq, SetLabel, Token, render_token, token_key
 from .preform import build_preform
 
@@ -163,9 +165,7 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
     beta: Dict[Token, Dict[Fraction, Fraction]] = {}
     for i in sorted(g.players, key=token_key):
         supplied = {
-            Fraction(u) if not isinstance(u, Fraction) else u:
-            Fraction(v) if not isinstance(v, Fraction) else v
-            for u, v in maps.get(i, {}).items()
+            _as_fraction(u): _as_fraction(v) for u, v in maps.get(i, {}).items()
         }
         bmap = {}
         for u in g.ranges[i]:

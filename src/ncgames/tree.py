@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Callable, Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from .errors import MorphismError, TreeError
-from .labels import NodeLabel, label_key, render_label
+from .labels import NodeLabel, label_key, render_label, render_token, token_key
 
 __all__ = [
     "Play",
@@ -33,7 +33,6 @@ __all__ = [
     "is_tree_isomorphism",
     "end_preserved_plays",
     "image_play",
-    "play_sort_key",
 ]
 
 
@@ -75,28 +74,34 @@ def check_map(
     domain: frozenset,
     codomain: frozenset,
     kind: str,
-    render: Callable,
     axiom: str,
+    rank: Optional[Mapping] = None,
 ) -> None:
-    """Reject a component map that is not a total function into ``codomain``."""
+    """Reject a component map that is not a total function into ``codomain``.
+
+    Of the domain elements where it fails, the least is named: nodes,
+    whose ``rank`` is given, by rank, and tokens by ``token_key``.
+    """
+    render, key = (render_token, token_key) if rank is None else (render_label, rank.get)
     for x in mapping:
         if x not in domain:
             raise MorphismError(
                 f"Unknown{kind.capitalize()}",
                 f"map defined on {render(x)}, which is not a source {kind}",
             )
-    for x in domain:
+    failing = [x for x in domain if x not in mapping or mapping[x] not in codomain]
+    if failing:
+        x = min(failing, key=key)
         if x not in mapping:
             raise MorphismError(
                 "NotTotal", f"map undefined on source {kind} {render(x)}", axiom=axiom
             )
-        if mapping[x] not in codomain:
-            raise MorphismError(
-                "NotTotal",
-                f"map sends {render(x)} to {render(mapping[x])}, "
-                f"which is not a target {kind}",
-                axiom=axiom,
-            )
+        raise MorphismError(
+            "NotTotal",
+            f"map sends {render(x)} to {render(mapping[x])}, "
+            f"which is not a target {kind}",
+            axiom=axiom,
+        )
 
 
 def check_composable(second, first) -> None:
@@ -121,16 +126,18 @@ class Play:
     path: Tuple[NodeLabel, ...] = field(compare=False, repr=False)
 
 
-def play_sort_key(play: Play) -> tuple:
-    return tuple(label_key(t) for t in play.path)
-
-
 @dataclass(frozen=True, eq=False)
 class Tree(Structural):
     """A validated functioned tree together with its derived structure.
 
     ``play_by_end`` indexes the plays by their terminal node; a play is
     determined by its end.
+
+    Two orders are computed here once and read by every report and
+    document.  ``rank`` gives each node its position in ``label_key``
+    order and lists the nodes in that order; ``children_map`` lists
+    each node's children by rank, and ``play_by_end`` lists the plays
+    in lexicographic order of their paths by rank.
     """
 
     nodes: frozenset
@@ -141,6 +148,7 @@ class Tree(Structural):
     plays: frozenset = field(compare=False)
     children_map: Mapping[NodeLabel, Tuple[NodeLabel, ...]] = field(compare=False)
     play_by_end: Mapping[NodeLabel, Play] = field(compare=False, repr=False)
+    rank: Mapping[NodeLabel, int] = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"Tree({len(self.nodes)} nodes, root {render_label(self.root)})"
@@ -236,12 +244,15 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         )
     (root,) = roots
 
+    rank = {t: k for k, t in enumerate(sorted(node_set, key=label_key))}
     children: dict = {}
-    for child, parent in pred.items():
-        children.setdefault(parent, []).append(child)
+    for child in rank:  # by rank, so each list of children is in order
+        if child in pred:
+            children.setdefault(pred[child], []).append(child)
 
-    # one walk down from the root; ``path`` holds the chain from the
-    # root to the node being visited, and each leaf ends one play
+    # one walk down from the root, visiting children by rank; ``path``
+    # holds the chain from the root to the node being visited, and each
+    # leaf ends one play, so plays are found in path order
     stage: dict = {}
     play_by_end = {}
     path: list = []
@@ -253,31 +264,28 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         stage[t] = depth
         kids = children.get(t)
         if kids:
-            stack.extend((kid, depth + 1) for kid in kids)
+            stack.extend((kid, depth + 1) for kid in reversed(kids))
         else:
             play_by_end[t] = Play(frozenset(path), t, tuple(path))
     if len(stage) != len(node_set):
         # the walk reaches exactly the nodes whose chain ends at the root
-        start = next(t for t in node_set if t not in stage)
+        start = next(t for t in rank if t not in stage)
         raise TreeError(
             "Cycle",
             f"predecessor chain from {render_label(start)} never reaches the root",
             axiom="[T2]",
         )
 
-    decision_nodes = frozenset(pred.values())
-    children_map = {
-        parent: tuple(sorted(kids, key=label_key)) for parent, kids in children.items()
-    }
     return Tree(
         nodes=node_set,
         pred=dict(pred),
         root=root,
-        decision_nodes=decision_nodes,
+        decision_nodes=frozenset(pred.values()),
         stage=stage,
         plays=frozenset(play_by_end.values()),
-        children_map=children_map,
+        children_map={parent: tuple(kids) for parent, kids in children.items()},
         play_by_end=play_by_end,
+        rank=rank,
     )
 
 
@@ -322,7 +330,7 @@ class TreeMorphism(Structural):
 
 def validate_tree_morphism(source: Tree, target: Tree, tau: Mapping) -> TreeMorphism:
     """Check totality and edge preservation of a candidate node map."""
-    check_map(tau, source.nodes, target.nodes, "node", render_label, "[t1]")
+    check_map(tau, source.nodes, target.nodes, "node", "[t1]", source.rank)
     for child, parent in source.pred.items():
         if target.pred.get(tau[child]) != tau[parent]:
             raise MorphismError(

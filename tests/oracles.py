@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+from ncgames.labels import label_key
+
 
 def reachable_by_pred(pred, start):
     """All nodes reached by iterating the predecessor map from ``start``."""
@@ -24,14 +26,14 @@ def tree_by_walk_up(nodes, pairs):
     Returns ``(stage, paths, cycle_from)``: each node's distance from the
     root, each terminal node's root-to-end path, and ``None``; or, when
     some node's chain never reaches the root, ``(None, None, start)``
-    with ``start`` the first such node in ``frozenset(nodes)`` order.
-    Each walk stops at the first node whose stage is known.
+    with ``start`` the least such node by ``label_key``.  Each walk
+    stops at the first node whose stage is known.
     """
     node_set = frozenset(nodes)
     pred = dict(pairs)
     (root,) = node_set - pred.keys()
     stage = {root: 0}
-    for start in node_set:
+    for start in sorted(node_set, key=label_key):
         walk, seen, t = [], set(), start
         while t not in stage:
             if t in seen:
@@ -156,3 +158,22 @@ def nash_by_deviation_scan(game):
         if good:
             out.add(s)
     return out
+
+
+def nodes_by_label(tree):
+    """The tree's nodes sorted by ``label_key``."""
+    return sorted(tree.nodes, key=label_key)
+
+
+def plays_by_path(tree):
+    """The tree's plays sorted by their root-to-end paths, compared node
+    by node with ``label_key``."""
+    return sorted(tree.plays, key=lambda z: tuple(label_key(t) for t in z.path))
+
+
+def info_sets_by_label(preform):
+    """The information sets sorted by the sorted ``label_key``s of their
+    nodes."""
+    return sorted(
+        info_sets_by_scan(preform), key=lambda h: sorted(label_key(t) for t in h)
+    )

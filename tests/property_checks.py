@@ -29,6 +29,7 @@ from ncgames import (
     profile_to_grand,
     strict_predecessors,
 )
+from ncgames.preform import info_set_order
 from ncgames.transforms import style_report
 
 import oracles
@@ -50,6 +51,21 @@ def check_tree_invariants(tree):
     assert {z.members for z in plays(tree)} == oracles.maximal_chains(
         tree.nodes, tree.pred
     )
+
+
+def check_node_and_play_order(preform):
+    """The one node order and play order of the preform's tree, the
+    children lists and the information-set order against the
+    ``label_key`` references."""
+    tree = preform.tree
+    by_label = oracles.nodes_by_label(tree)
+    assert list(tree.rank) == by_label
+    assert list(tree.rank.values()) == list(range(len(by_label)))
+    assert list(tree.play_by_end.values()) == oracles.plays_by_path(tree)
+    for t in tree.nodes:
+        assert list(tree.children(t)) == [u for u in by_label if tree.pred.get(u) == t]
+    ordered = [h for h, _choices in info_set_order(preform, preform.info_sets)]
+    assert ordered == oracles.info_sets_by_label(preform)
 
 
 def _is_consecutive_chain(pred, subset):

@@ -146,35 +146,108 @@ class TestDerive:
         assert len(outputs) == 1
 
     def test_byte_stable_across_hash_seeds(self, workdir):
-        import os
-        import subprocess
-        import sys
+        results = run_under_hash_seeds(workdir, "derive", "classroom.game")
+        assert len(results) == 1
+        ((code, _out),) = results
+        assert code == 0
 
-        import ncgames
 
-        # The child imports the same ncgames as this process, whether it
-        # is installed or found through PYTHONPATH; nothing else of this
-        # environment is passed on.
-        package_root = str(Path(ncgames.__file__).resolve().parent.parent)
-        inherited = os.environ.get("PYTHONPATH")
-        pythonpath = package_root + (os.pathsep + inherited if inherited else "")
+def run_under_hash_seeds(workdir, *argv) -> set:
+    """The distinct (exit code, stdout) pairs of ``ncg *argv`` run in a
+    fresh interpreter under several hash seeds."""
+    import os
+    import subprocess
+    import sys
 
-        outputs = set()
-        for seed in ("0", "1", "2", "3", "424242"):
-            result = subprocess.run(
-                [sys.executable, "-m", "ncgames.cli", "derive", "classroom.game"],
-                cwd=workdir,
-                env={
-                    "PYTHONHASHSEED": seed,
-                    "PYTHONPATH": pythonpath,
-                    "PATH": "/usr/bin:/bin",
-                },
-                capture_output=True,
-                text=True,
+    import ncgames
+
+    # The child imports the same ncgames as this process, whether it
+    # is installed or found through PYTHONPATH; nothing else of this
+    # environment is passed on.
+    package_root = str(Path(ncgames.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = package_root + (os.pathsep + inherited if inherited else "")
+
+    results = set()
+    for seed in ("0", "1", "2", "3", "424242"):
+        result = subprocess.run(
+            [sys.executable, "-m", "ncgames.cli", *argv],
+            cwd=workdir,
+            env={
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": pythonpath,
+                "PATH": "/usr/bin:/bin",
+            },
+            capture_output=True,
+            text=True,
+        )
+        assert not result.stderr, result.stderr
+        results.add((result.returncode, result.stdout))
+    return results
+
+
+def _cut_utilities(doc):
+    doc["utilities"] = doc["utilities"][:1]
+
+
+def _cut_ownership(doc):
+    doc["ownership"] = {"P1": doc["ownership"]["P1"]}
+
+
+def _add_cycle(doc):
+    x, y = {"atom": "x"}, {"atom": "y"}
+    doc["nodes"] += [y, x]
+    doc["edges"] += [[x, "g", y], [y, "h", x]]
+    doc["ownership"]["P1"] += ["g", "h"]
+
+
+class TestRejectionsAcrossHashSeeds:
+    """A rejection names the first violator in node, play or token order,
+    whatever the hash seed."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                _cut_utilities,
+                "AxiomViolation [[G2]]: MissingUtility [[G2]]: player P1 "
+                "has no utility for the play ending at 7",
+            ),
+            (
+                _cut_ownership,
+                "AxiomViolation: MissingPlayer: player P2 has no choice "
+                "assignment; declare vacuous players with an empty set",
+            ),
+            (
+                _add_cycle,
+                "AxiomViolation [[P2]]: NodeUnreachable [[P2]]: derived predecessor "
+                "structure is not a tree (Cycle [[T2]]: predecessor chain from x "
+                "never reaches the root)",
+            ),
+        ],
+        ids=["unpriced-play", "unowned-player", "cycle"],
+    )
+    def test_validate(self, workdir, edit, message):
+        doc = json.loads((workdir / "classroom.game").read_text())
+        edit(doc)
+        (workdir / "bad.game").write_text(json.dumps(doc))
+        assert run_under_hash_seeds(workdir, "validate", "bad.game") == {
+            (1, f"error: {message}\n")
+        }
+
+    def test_first_unmapped_node(self, workdir, capsys):
+        run(capsys, "convert", "--to", "csq", workdir / "classroom.game")
+        witness = json.loads((workdir / "classroom.csq.witness").read_text())
+        morphism = witness["morphism"]
+        morphism["tau"] = morphism["tau"][3:]
+        (workdir / "cut.morphism").write_text(json.dumps(morphism))
+        assert run_under_hash_seeds(workdir, "iso-check", "cut.morphism") == {
+            (
+                1,
+                "error: AxiomViolation [[p1]]: NotTotal [[p1]]: "
+                "map undefined on source node 0\n",
             )
-            assert result.returncode == 0, result.stderr
-            outputs.add(result.stdout)
-        assert len(outputs) == 1
+        }
 
 
 class TestConvert:

@@ -244,7 +244,7 @@ def _chain_doc(kind, values):
 def _assert_one_object_per_node(g):
     """Every place a game holds a node holds the tree's own object."""
     ids = {id(t) for t in g.tree.nodes}
-    held = [g.tree.root, *g.tree.pred, *g.tree.pred.values(), *g.tree.stage]
+    held = [g.tree.root, *g.tree.pred, *g.tree.pred.values(), *g.tree.stage, *g.tree.rank]
     held += [*g.tree.decision_nodes, *g.tree.children_map, *g.tree.play_by_end]
     held += [t for kids in g.tree.children_map.values() for t in kids]
     for (t, _c), t_next in g.preform.op.items():

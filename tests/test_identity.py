@@ -51,7 +51,7 @@ DEFINING = {
     GameMorphism: ("source", "target", "iota", "tau", "delta", "beta"),
 }
 DERIVED = {
-    Tree: ("root", "decision_nodes", "stage", "plays", "children_map", "play_by_end"),
+    Tree: ("root", "decision_nodes", "stage", "plays", "children_map", "play_by_end", "rank"),
     TreeMorphism: (),
     Preform: ("feas", "info_sets", "info_choices", "info_set_of", "prev_choice"),
     PreformMorphism: ("tree_morphism",),
@@ -226,15 +226,30 @@ class TestTotality:
             _validate_tree(edit)
         assert err.value.code == "UnknownNode"
 
-    def test_missing_keys_are_reported_in_domain_order(self):
-        g, tau, _ = _fresh()
-        dropped = {a(2), a(5), a(7), a(8)}
-        for t in dropped:
-            del tau[t]
-        first = next(t for t in g.tree.nodes if t in dropped)
+    @pytest.mark.parametrize(
+        "validate, axiom",
+        [(_validate_tree, "[t1]"), (_validate_preform_nodes, "[p1]")],
+        ids=["tree", "preform"],
+    )
+    def test_failing_keys_are_reported_in_node_order(self, validate, axiom):
+        def edit(tau):
+            for t in (a(8), a(5), a(7)):
+                del tau[t]
+            tau[a(6)] = a(9)
+
         with pytest.raises(MorphismError) as err:
-            validate_tree_morphism(g.tree, g.tree, tau)
-        assert str(err.value) == f"NotTotal [[t1]]: map undefined on source node {first.token}"
+            validate(edit)
+        # 5 is the least by label of the nodes the map fails on
+        assert str(err.value) == f"NotTotal [{axiom}]: map undefined on source node 5"
+
+    def test_least_failing_key_may_be_one_mapped_outside(self):
+        def edit(tau):
+            del tau[a(8)]
+            tau[a(2)] = a(9)
+
+        with pytest.raises(MorphismError) as err:
+            _validate_tree(edit)
+        assert str(err.value) == "NotTotal [[t1]]: map sends 2 to 9, which is not a target node"
 
     def test_layers_are_checked_players_then_choices_then_nodes(self):
         g, tau, _ = _fresh()

@@ -19,7 +19,7 @@ from ncgames import (
     subtree_at,
     validate_tree_morphism,
 )
-from ncgames.labels import Atom
+from ncgames.labels import Atom, Seq, SetLabel
 from ncgames.transforms import (
     apply_utility_transform,
     canonicalize,
@@ -52,6 +52,31 @@ def tree_strategies(draw, max_nodes=9):
 @given(tree_strategies())
 def test_tree_invariants_hold_on_arbitrary_trees(tree):
     property_checks.check_tree_invariants(tree)
+
+
+def relabeled(game, kind):
+    """``game`` with its nodes renamed to labels of one kind, or a mix."""
+    if kind == "int atoms":
+        return game
+    if kind == "sequences":
+        return to_choice_sequence(game)[0]
+    if kind == "text atoms":
+        node_map = {t: Atom(f"n{t.token}") for t in game.tree.nodes}
+    else:
+        mixed = (Atom, lambda k: Seq((str(k),)), lambda k: SetLabel({str(k), "x"}))
+        node_map = {t: mixed[t.token % 3](t.token) for t in game.tree.nodes}
+    return relabel_game(game, node_map=node_map)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.sampled_from(["int atoms", "text atoms", "sequences", "mixed"]),
+)
+def test_node_and_play_orders_match_the_label_references(seed, kind):
+    game = relabeled(random_game(random.Random(seed), max_nodes=12), kind)
+    for g in (game, canonicalize(game).game):
+        property_checks.check_node_and_play_order(g.preform)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ncgames import (
+    GameError,
     TransformError,
     is_isomorphism,
     nash_equilibria,
@@ -177,6 +178,17 @@ class TestApplyUtilityTransform:
                 classroom_game, {"P1": {Fraction(0): Fraction(0), Fraction(1): Fraction(2)}}
             )
         assert err.value.code == "NotStrictlyIncreasing"
+
+    def test_floats_are_rejected(self, classroom_game):
+        maps = {"P1": {u: float(u) * 0.1 for u in classroom_game.ranges["P1"]}}
+        with pytest.raises(GameError) as err:
+            apply_utility_transform(classroom_game, maps)
+        assert err.value.code == "NotRational"
+
+    def test_rational_text_is_read_exactly(self, classroom_game):
+        maps = {"P1": {str(u): str(u / 10) for u in classroom_game.ranges["P1"]}}
+        converted, _ = apply_utility_transform(classroom_game, maps)
+        assert converted.ranges["P1"] == {u / 10 for u in classroom_game.ranges["P1"]}
 
 
 class TestRelabel:

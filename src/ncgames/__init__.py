@@ -65,6 +65,7 @@ from .form import (
     validate_form_morphism,
 )
 from .game import (
+    DEFAULT_SEARCH_BUDGET,
     Game,
     GameMorphism,
     IsoWitness,

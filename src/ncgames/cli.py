@@ -24,9 +24,14 @@ from .documents import (
 )
 from .errors import NcgError
 from .form import player_strategies
-from .game import compose, find_isomorphism, is_isomorphism, nash_equilibria, subgame_at
+from .game import (
+    DEFAULT_SEARCH_BUDGET, compose, find_isomorphism, is_isomorphism, nash_equilibria,
+    subgame_at,
+)
 from .labels import Atom, render_label, render_token, token_key
-from .preform import count_grand_strategies, grand_strategies, info_set_order, play_of
+from .preform import (
+    DEFAULT_STRATEGY_CAP, count_grand_strategies, grand_strategies, info_set_order, play_of
+)
 from .transforms import canonicalize, to_choice_sequence, to_choice_set
 
 __all__ = ["main", "cli_dispatch"]
@@ -211,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strategy-cap",
         type=int,
-        default=1 << 20,
+        default=DEFAULT_STRATEGY_CAP,
         help="refuse exhaustive enumeration beyond this many strategies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("-w", "--witness-output")
-    p.add_argument("--search-budget", type=int, default=200_000)
+    p.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(handler=_cmd_iso)
 
     p = sub.add_parser("iso-check", help="re-validate a morphism or witness document")

@@ -54,6 +54,7 @@ from .tree import (
 )
 
 __all__ = [
+    "DEFAULT_SEARCH_BUDGET",
     "Game",
     "GameMorphism",
     "IsoWitness",
@@ -74,6 +75,8 @@ __all__ = [
     "forget_morphism_to_preform",
     "forget_morphism_to_tree",
 ]
+
+DEFAULT_SEARCH_BUDGET = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,13 +395,12 @@ def is_subgame(inner: Game, outer: Game) -> bool:
     if not is_subform(inner.form, outer.form):
         return False
     prefix = strict_predecessors(outer.tree, inner.tree.root)
-    for i in inner.players:
-        for z in inner.plays:
-            extended = outer.play_with_members(prefix | z.members)
-            if extended is None:
-                return False
-            if inner.utilities[i][z] != outer.utilities[i][extended]:
-                return False
+    for z in inner.plays:
+        extended = outer.play_with_members(prefix | z.members)
+        if extended is None or any(
+            inner.utilities[i][z] != outer.utilities[i][extended] for i in inner.players
+        ):
+            return False
     return True
 
 
@@ -510,141 +512,119 @@ def _signatures(tree: Tree) -> Dict[NodeLabel, tuple]:
 
 
 def find_isomorphism(
-    g1: Game, g2: Game, budget: int = 200_000
+    g1: Game, g2: Game, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> Optional[IsoWitness]:
     """Search for an isomorphism between two games.
 
-    Candidate node maps are enumerated by backtracking over the trees,
-    pruned by the (stage, branching, subtree size) signature, which any
-    isomorphism preserves.  The choice map is then forced edge by edge
-    through the previous-choice structure, the player map through
-    ownership, and each utility map pointwise through the play images,
-    so the only search happens over the trees.  Candidates are visited
-    in a fixed lexicographic order, making the returned witness
-    deterministic.  Raises :class:`SearchBudgetExceeded` after
+    Nodes are mapped depth-first in a fixed order, by stage and by rank,
+    making the returned witness deterministic.  The choice map δ is fixed
+    along the way by the operator axiom τ(op(t, c)) = op(τ(t), δ(c)): a
+    node reached by a choice c with δ(c) fixed has one candidate, else
+    any child of its parent's image produced by a choice not yet in the
+    image of δ, and taking it fixes δ(c).  So δ and the node map are
+    injective by construction.  Candidates must also keep the (stage,
+    branching, subtree size) signature.  Each complete map forces the
+    player map through ownership and each utility map pointwise through
+    the play images.  Raises :class:`SearchBudgetExceeded` after
     ``budget`` node expansions.
     """
+    vacuous1 = sorted((i for i in g1.players if not g1.form.assignment[i]), key=token_key)
+    vacuous2 = sorted((i for i in g2.players if not g2.form.assignment[i]), key=token_key)
     if (
         len(g1.players) != len(g2.players)
-        or len(g1.tree.nodes) != len(g2.tree.nodes)
+        or len(vacuous1) != len(vacuous2)
         or len(g1.preform.choices) != len(g2.preform.choices)
-        or len(g1.plays) != len(g2.plays)
-        or len(g1.preform.info_sets) != len(g2.preform.info_sets)
     ):
         return None
     sig1 = _signatures(g1.tree)
     sig2 = _signatures(g2.tree)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
-    if sorted(
-        sorted(len(h) for h in g1.preform.info_sets)
-    ) != sorted(sorted(len(h) for h in g2.preform.info_sets)):
+    if sorted(map(len, g1.preform.info_sets)) != sorted(map(len, g2.preform.info_sets)):
         return None
 
+    prev1, prev2, op2 = g1.preform.prev_choice, g2.preform.prev_choice, g2.preform.op
     # by stage, and by rank within a stage
     order = sorted(g1.tree.rank, key=g1.tree.stage.__getitem__)
-    edges = sorted(
-        g1.preform.op.items(), key=lambda kv: (g1.tree.rank[kv[0][0]], token_key(kv[0][1]))
-    )
+    # a choice's image is fixed by the first node in ``order`` that the
+    # choice reaches (scanned in reverse, so the first one is kept)
+    fixes = {t: c for c, t in {prev1[t]: t for t in reversed(order[1:])}.items()}
+    owned1 = [(i, choices) for i, choices in g1.form.assignment.items() if choices]
+    mapping: Dict[NodeLabel, NodeLabel] = {}
+    delta: Dict[Token, Token] = {}
+    delta_image: set = set()
     expansions = 0
 
-    def candidates(t: NodeLabel, mapping: Dict) -> list:
-        if t == g1.tree.root:
-            pool = [g2.tree.root]
-        else:
+    def candidates(t: NodeLabel) -> list:
+        if t in fixes:
             pool = g2.tree.children(mapping[g1.tree.pred[t]])
-        used = set(mapping.values())
-        return [u for u in pool if u not in used and sig2[u] == sig1[t]]
+            pool = [u for u in pool if prev2[u] not in delta_image]
+        else:
+            pool = [op2.get((mapping[g1.tree.pred[t]], delta[prev1[t]]))]
+        return [u for u in pool if u is not None and sig2[u] == sig1[t]]
 
-    def complete(mapping: Dict) -> Optional[IsoWitness]:
-        delta: Dict[Token, Token] = {}
-        for (t, c), t_next in edges:
-            c_target = g2.preform.prev_choice.get(mapping[t_next])
-            if c_target is None:
-                return None
-            if delta.setdefault(c, c_target) != c_target:
-                return None
-        if len(set(delta.values())) != len(delta):
-            return None
-
+    def complete() -> Optional[IsoWitness]:
         iota: Dict[Token, Token] = {}
-        vacuous1 = sorted(
-            (i for i in g1.players if not g1.form.assignment[i]), key=token_key
-        )
-        vacuous2 = sorted(
-            (i for i in g2.players if not g2.form.assignment[i]), key=token_key
-        )
-        if len(vacuous1) != len(vacuous2):
-            return None
-        for i in sorted(g1.players, key=token_key):
-            owners = {g2.form.owner[delta[c]] for c in g1.form.assignment[i]}
+        for i, choices in owned1:
+            owners = {g2.form.owner[delta[c]] for c in choices}
             if len(owners) > 1:
                 return None
-            if owners:
-                iota[i] = owners.pop()
+            (iota[i],) = owners
         if len(set(iota.values())) != len(iota):
             return None
+        # the node map keeps edges and branching, so it sends each play
+        # to the target play ending at its end's image
+        images = [(z, g2.tree.play_by_end[mapping[z.end]]) for z in g1.plays]
 
+        def utility_map(i: Token, j: Token) -> Optional[Dict]:
+            """β_i read off the play images, if strictly increasing."""
+            bmap: Dict[Fraction, Fraction] = {}
+            for z, image in images:
+                u, v = g1.utilities[i][z], g2.utilities[j][image]
+                if bmap.setdefault(u, v) != v:
+                    return None
+            ordered = sorted(bmap)
+            strict = all(bmap[u1] < bmap[u2] for u1, u2 in zip(ordered, ordered[1:]))
+            return bmap if strict else None
+
+        beta = {i: utility_map(i, j) for i, j in iota.items()}
+        if None in beta.values():
+            return None
         for vacuous_map in itertools.permutations(vacuous2):
-            full_iota = dict(iota)
-            full_iota.update(zip(vacuous1, vacuous_map))
-            beta: Dict[Token, Dict[Fraction, Fraction]] = {}
-            consistent = True
-            for i in g1.players:
-                bmap: Dict[Fraction, Fraction] = {}
-                for z in g1.plays:
-                    # the node map keeps edges and branching, so it sends
-                    # each play to the target play ending at its end's image
-                    image = g2.tree.play_by_end[mapping[z.end]]
-                    u = g1.utilities[i][z]
-                    v = g2.utilities[full_iota[i]][image]
-                    if bmap.setdefault(u, v) != v:
-                        consistent = False
-                        break
-                if not consistent:
-                    break
-                ordered = sorted(bmap)
-                if any(
-                    bmap[u1] >= bmap[u2] for u1, u2 in zip(ordered, ordered[1:])
-                ):
-                    consistent = False
-                    break
-                beta[i] = bmap
-            if not consistent:
-                continue
-            try:
-                morphism = validate_game_morphism(
-                    g1, g2, full_iota, mapping, delta, beta
+            full_iota = {**iota, **dict(zip(vacuous1, vacuous_map))}
+            full_beta = {**beta, **{i: utility_map(i, full_iota[i]) for i in vacuous1}}
+            if None not in full_beta.values():
+                return is_isomorphism(
+                    validate_game_morphism(g1, g2, full_iota, mapping, delta, full_beta)
                 )
-            except MorphismError:
-                continue
-            witness = is_isomorphism(morphism)
-            if witness is not None:
-                return witness
         return None
 
     # depth-first over ``order`` with an explicit stack of candidate
-    # iterators, one per mapped node, so deep trees do not recurse
-    mapping: Dict = {}
-    stack = [iter(candidates(order[0], mapping))]
+    # iterators, one per node, so deep trees do not recurse; a node is
+    # in ``mapping`` while its frame holds a candidate.  The roots are
+    # the only nodes of stage 0, so their signatures agree.
+    stack = [iter([g2.tree.root])]
     while stack:
-        index = len(stack) - 1
-        t = order[index]
+        t = order[len(stack) - 1]
+        if t in mapping:  # withdraw the previous candidate
+            del mapping[t]
+            if t in fixes:
+                delta_image.discard(delta.pop(fixes[t]))
         u = next(stack[-1], None)
         if u is None:
             stack.pop()
-            if stack:
-                del mapping[order[index - 1]]
             continue
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(budget)
         mapping[t] = u
-        if index + 1 < len(order):
-            stack.append(iter(candidates(order[index + 1], mapping)))
+        if t in fixes:
+            delta[fixes[t]] = prev2[u]
+            delta_image.add(prev2[u])
+        if len(stack) < len(order):
+            stack.append(iter(candidates(order[len(stack)])))
             continue
-        witness = complete(mapping)
+        witness = complete()
         if witness is not None:
             return witness
-        del mapping[t]
     return None

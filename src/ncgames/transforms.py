@@ -53,18 +53,31 @@ class CanonicalForm:
     style: str
 
 
+def _absentminded(g: Game) -> bool:
+    """Whether some path from the root meets one information set twice,
+    by one walk down the tree that keeps the sets on the current path."""
+    tree, feas, info_set_of = g.tree, g.preform.feas, g.preform.info_set_of
+    on_path: set = set()
+    stack = [(tree.root, True)]
+    while stack:
+        t, entering = stack.pop()
+        if t in feas:  # a decision node
+            h = info_set_of[next(iter(feas[t]))]
+            if not entering:
+                on_path.remove(h)
+            elif h in on_path:
+                return True
+            else:
+                on_path.add(h)
+                stack.append((t, False))
+                stack.extend((child, True) for child in tree.children(t))
+    return False
+
+
 def style_report(g: Game) -> StyleReport:
     """Evaluate the four style predicates structurally."""
     tree = g.tree
-    no_absent = True
-    for h in g.preform.info_sets:
-        members = sorted(h, key=lambda t: tree.stage[t])
-        for idx, t_a in enumerate(members):
-            if any(tree.strictly_precedes(t_a, t_b) for t_b in members[idx + 1 :]):
-                no_absent = False
-                break
-        if not no_absent:
-            break
+    no_absent = not _absentminded(g)
     perfect = all(len(h) == 1 for h in g.preform.info_sets)
 
     uses_seq = all(isinstance(t, Seq) for t in tree.nodes) and Seq(()) in tree.nodes

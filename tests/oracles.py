@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+from ncgames import is_isomorphism, validate_game_morphism
+from ncgames.errors import MorphismError
 from ncgames.labels import label_key
 
 
@@ -52,12 +54,97 @@ def tree_by_walk_up(nodes, pairs):
     return stage, paths, None
 
 
+def node_map_by_operator(g1, g2, delta):
+    """The node map that the operator axiom τ(op(t, c)) = op(τ(t), δ(c))
+    forces from root to root, read off the raw operators; ``None`` when
+    some image step is undefined in ``g2``."""
+    out = {}
+    for (t, c), t_next in g1.preform.op.items():
+        out.setdefault(t, []).append((c, t_next))
+    (root1,) = g1.tree.nodes - set(g1.preform.op.values())
+    (root2,) = g2.tree.nodes - set(g2.preform.op.values())
+    tau, frontier = {root1: root2}, [root1]
+    while frontier:
+        t = frontier.pop()
+        for c, t_next in out.get(t, ()):
+            image = g2.preform.op.get((tau[t], delta[c]))
+            if image is None:
+                return None
+            tau[t_next] = image
+            frontier.append(t_next)
+    return tau
+
+
+def utility_maps_pointwise(g1, g2, iota, tau):
+    """Each player's utility map, sending the utility of every play to the
+    utility of the play with the image members; ``None`` when some image is
+    not a play or some map is not a function."""
+    by_members = {z.members: z for z in g2.tree.plays}
+    beta = {i: {} for i in g1.players}
+    for z in g1.tree.plays:
+        image = by_members.get(frozenset(tau[t] for t in z.members))
+        if image is None:
+            return None
+        for i in g1.players:
+            u, v = g1.utilities[i][z], g2.utilities[iota[i]][image]
+            if beta[i].setdefault(u, v) != v:
+                return None
+    return beta
+
+
+def isomorphic_by_choice_maps(g1, g2):
+    """An isomorphism witness found by trying every bijection of choices
+    and of players, or ``None`` when there is none.
+
+    The node map follows from the roots and δ by the operator axiom, each
+    utility map is read off pointwise, and a candidate counts when
+    ``validate_game_morphism`` and ``is_isomorphism`` accept it.  For
+    small games only: at most six choices.
+    """
+    choices1 = sorted(g1.preform.choices, key=repr)
+    choices2 = sorted(g2.preform.choices, key=repr)
+    players1 = sorted(g1.players, key=repr)
+    players2 = sorted(g2.players, key=repr)
+    assert len(choices1) <= 6, "the oracle enumerates every choice bijection"
+    if len(choices1) != len(choices2) or len(players1) != len(players2):
+        return None
+    for choice_images in itertools.permutations(choices2):
+        delta = dict(zip(choices1, choice_images))
+        tau = node_map_by_operator(g1, g2, delta)
+        if tau is None:
+            continue
+        for player_images in itertools.permutations(players2):
+            iota = dict(zip(players1, player_images))
+            beta = utility_maps_pointwise(g1, g2, iota, tau)
+            if beta is None:
+                continue
+            try:
+                morphism = validate_game_morphism(g1, g2, iota, tau, delta, beta)
+            except MorphismError:
+                continue
+            witness = is_isomorphism(morphism)
+            if witness is not None:
+                return witness
+    return None
+
+
 def weakly_precedes(pred, a, b):
     return a in reachable_by_pred(pred, b)
 
 
 def comparable(pred, a, b):
     return weakly_precedes(pred, a, b) or weakly_precedes(pred, b, a)
+
+
+def absentminded_by_pairs(preform):
+    """Whether some information set holds two comparable nodes, checked
+    pair by pair on the sets read off the raw operator."""
+    pred = preform.tree.pred
+    return any(
+        comparable(pred, x, y)
+        for nodes in info_sets_by_scan(preform)
+        for x, y in itertools.combinations(nodes, 2)
+    )
 
 
 def maximal_chains(nodes, pred):

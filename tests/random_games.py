@@ -139,3 +139,36 @@ def centipede_document(rng: random.Random, stages: int, prefix: str = "") -> dic
             for play in plays
         ],
     }
+
+
+def stage_pooled_document(rng: random.Random, depth: int, player_count: int) -> dict:
+    """The ``ncg/1`` document of a complete binary tree of ``depth``
+    stages whose stage ``k`` is one information set with the two choices
+    ``a<k>`` and ``b<k>``, owned by player ``k`` modulo ``player_count``,
+    with seeded utilities.
+    """
+    players = [f"P{k + 1}" for k in range(player_count)]
+    ownership = {i: [] for i in players}
+    edges, frontier, serial = [], [[{"atom": "r"}]], 0
+    for stage in range(depth):
+        pair = [f"a{stage}", f"b{stage}"]
+        ownership[players[stage % player_count]] += pair
+        grown = []
+        for path in frontier:
+            for choice in pair:
+                serial += 1
+                child = {"atom": f"t{serial}"}
+                edges.append([path[-1], choice, child])
+                grown.append(path + [child])
+        frontier = grown
+    return {
+        "format_version": "ncg/1",
+        "players": players,
+        "nodes": [edges[0][0]] + [edge[2] for edge in edges],
+        "edges": edges,
+        "ownership": ownership,
+        "utilities": [
+            {"play": path, "values": {i: str(rng.randint(-3, 3)) for i in players}}
+            for path in frontier
+        ],
+    }

@@ -1,22 +1,29 @@
 """Isomorphism search between whole games."""
 
+import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from ncgames import (
+    DEFAULT_SEARCH_BUDGET,
     SearchBudgetExceeded,
     build_form,
     build_game,
     build_preform,
     find_isomorphism,
     nash_equilibria,
+    parse_game,
     validate_game_morphism,
 )
+from ncgames.labels import Atom
 from ncgames.transforms import apply_utility_transform, relabel_game
 
+import property_checks
 from conftest import a, make_classroom_game, nodes_of
+from random_games import random_strict_map, stage_pooled_document
 
 
 def disguised_classroom():
@@ -34,6 +41,20 @@ def disguised_classroom():
         {i: {u: 3 * u for u in relabeled.ranges[i]} for i in relabeled.players},
     )
     return tripled
+
+
+def shuffled_copy(rng, g):
+    """``g`` with its nodes renamed in a seeded shuffled order, its
+    choices and players renamed, and its utilities strictly rescaled."""
+    names = rng.sample(range(10 * len(g.tree.nodes)), len(g.tree.nodes))
+    relabeled, _ = relabel_game(
+        g,
+        node_map={t: Atom(f"m{n}") for t, n in zip(g.tree.rank, names)},
+        choice_map={c: f"{c}'" for c in g.preform.choices},
+        player_map={i: f"{i}'" for i in g.players},
+    )
+    maps = {i: random_strict_map(rng, relabeled.ranges[i]) for i in relabeled.players}
+    return apply_utility_transform(relabeled, maps)[0]
 
 
 class TestFindIsomorphism:
@@ -123,3 +144,52 @@ class TestFindIsomorphism:
         witness = find_isomorphism(with_observer, with_observer)
         assert witness is not None
         assert witness.morphism.iota["observer"] == "observer"
+
+    def test_ownership_must_match(self):
+        # the same preform and utilities; P1 owns one of the two lower
+        # information sets in one game and neither in the other
+        preform = build_preform(
+            {a(k) for k in range(7)},
+            {"a", "b", "c", "d", "e", "f"},
+            [(a(0), "a", a(1)), (a(0), "b", a(2)), (a(1), "c", a(3)),
+             (a(1), "d", a(4)), (a(2), "e", a(5)), (a(2), "f", a(6))],
+        )
+
+        def owned(assignment):
+            form = build_form(preform, {"P1", "P2"}, assignment)
+            zeros = {z: 0 for z in preform.tree.plays}
+            return build_game(form, {i: zeros for i in form.players})
+
+        g1 = owned({"P1": {"a", "b", "c", "d"}, "P2": {"e", "f"}})
+        g2 = owned({"P1": {"a", "b"}, "P2": {"c", "d", "e", "f"}})
+        assert find_isomorphism(g1, g2) is None
+        assert find_isomorphism(g1, g1) is not None
+
+
+class TestStagePooled:
+    """Complete binary trees whose every stage is one information set:
+    every node of a stage looks alike to the signatures, so the search
+    relies on the operator axiom to fix the choice map as it goes."""
+
+    def pooled_pair(self, seed):
+        rng = random.Random(seed)
+        doc = stage_pooled_document(rng, depth=5, player_count=3)
+        game = parse_game(json.dumps(doc))
+        return game, shuffled_copy(rng, game)
+
+    def test_relabelled_pair_answered_within_the_default_budget(self):
+        game, copy = self.pooled_pair(7)
+        witness = find_isomorphism(game, copy, budget=DEFAULT_SEARCH_BUDGET)
+        assert witness is not None
+        property_checks.check_iso_witness(witness)
+
+    def test_perturbed_pair_refused_within_the_default_budget(self):
+        game, copy = self.pooled_pair(7)
+        # a utility shared by two plays moves outside the range, so the
+        # ranges differ in size and no isomorphism exists
+        i = sorted(copy.players)[0]
+        row = dict(copy.utilities[i])
+        shared = next(z for z in row if list(row.values()).count(row[z]) > 1)
+        row[shared] = max(row.values()) + 1
+        perturbed = build_game(copy.form, {**copy.utilities, i: row})
+        assert find_isomorphism(game, perturbed) is None

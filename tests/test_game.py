@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ncgames import (
+    Game,
     GameError,
     MorphismError,
     build_form,
@@ -396,6 +397,20 @@ class TestSubgame:
         table["P1"][bump] = table["P1"][bump] + 1
         perturbed = build_game(sub.form, table)
         assert not is_subgame(perturbed, split_information_game)
+
+    def test_one_outer_lookup_per_inner_play(self, split_information_game, monkeypatch):
+        sub = subgame_at(split_information_game, a(1))
+        lookups = []
+        original = Game.play_with_members
+
+        def counting(game, members):
+            lookups.append(game)
+            return original(game, members)
+
+        monkeypatch.setattr(Game, "play_with_members", counting)
+        assert is_subgame(sub, split_information_game)
+        assert len(sub.players) > 1
+        assert len(lookups) == len(sub.plays)
 
     def test_terminal_root_rejected(self, classroom_game):
         with pytest.raises(Exception) as err:

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgames import (
+    build_form,
+    build_game,
     build_tree,
     compose,
     compose_tree_morphisms,
     end_preserved_plays,
+    find_isomorphism,
     is_isomorphism,
     parse_game,
     serialize_game,
@@ -29,6 +32,7 @@ from ncgames.transforms import (
     to_choice_set,
 )
 
+import oracles
 import property_checks
 from random_games import (
     random_game,
@@ -202,6 +206,46 @@ def test_isomorphism_consequences_on_random_games():
         property_checks.check_predicate_invariance(witness)
 
 
+def utility_swapped(rng, game):
+    """``game`` with two plays' utilities exchanged for one player."""
+    i = rng.choice(sorted(game.players))
+    row = dict(game.utilities[i])
+    if len(row) > 1:
+        z1, z2 = rng.sample(sorted(row, key=lambda z: game.tree.rank[z.end]), 2)
+        row[z1], row[z2] = row[z2], row[z1]
+    return build_game(game.form, {**game.utilities, i: row})
+
+
+def reowned(rng, game):
+    """``game`` with every information set handed to a random owner among
+    the same players."""
+    players = sorted(game.players)
+    assignment = {i: set() for i in players}
+    for h in sorted(game.preform.info_sets, key=lambda h: min(map(game.tree.rank.get, h))):
+        assignment[rng.choice(players)] |= game.preform.info_choices[h]
+    return build_game(build_form(game.preform, players, assignment), game.utilities)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.sampled_from(["relabelled", "utility-swapped", "reowned"]),
+)
+def test_find_isomorphism_agrees_with_the_choice_map_oracle(seed, kind):
+    rng = random.Random(seed)
+    # at most six edges, so at most six choices for the oracle
+    game = random_game(rng, max_nodes=7)
+    other = random_iso_witness(rng, game).morphism.target
+    if kind == "utility-swapped":
+        other = utility_swapped(rng, other)
+    elif kind == "reowned":
+        other = reowned(rng, other)
+    witness = find_isomorphism(game, other)
+    assert (witness is None) == (oracles.isomorphic_by_choice_maps(game, other) is None)
+    if witness is not None:
+        property_checks.check_iso_witness(witness)
+
+
 def test_category_laws_on_random_games():
     rng = random.Random(43)
     for _ in range(25):
@@ -261,6 +305,19 @@ def test_style_implications_on_fixtures_random_games_and_conversions():
             seen_perfect |= report.perfect_information
             seen_sets |= report.uses_choice_sets
     assert seen_perfect and seen_sets
+
+
+def test_absentmindedness_matches_the_pairwise_oracle():
+    games = [parse_game(path.read_text()) for path in sorted(FIXTURES.glob("*.game"))]
+    rng = random.Random(73)
+    games += [random_game(rng, max_nodes=12) for _ in range(80)]
+    seen = set()
+    for game in games:
+        for g in (game, canonicalize(game).game):
+            absentminded = oracles.absentminded_by_pairs(g.preform)
+            assert style_report(g).no_absentmindedness is not absentminded
+            seen.add(absentminded)
+    assert seen == {True, False}
 
 
 def test_utility_transform_witnesses_on_fixtures_and_random_games():

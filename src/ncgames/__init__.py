@@ -13,7 +13,6 @@ from .errors import (
     DocumentSyntaxError,
     FormError,
     GameError,
-    InternalInvariantError,
     MorphismError,
     NcgError,
     PreformError,

@@ -22,7 +22,6 @@ __all__ = [
     "AxiomViolation",
     "StrategySpaceTooLarge",
     "SearchBudgetExceeded",
-    "InternalInvariantError",
 ]
 
 
@@ -82,13 +81,6 @@ class SearchBudgetExceeded(NcgError):
             f"isomorphism search exceeded {budget} node expansions",
             budget=budget,
         )
-
-
-class InternalInvariantError(NcgError):
-    """A property that should hold by construction failed; indicates a bug."""
-
-    def __init__(self, message: str, **details):
-        super().__init__("InternalInvariant", message, **details)
 
 
 class DocumentError(NcgError):

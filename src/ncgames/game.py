@@ -456,8 +456,10 @@ def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> boo
             f"{render_strategy(s)} is not a grand strategy of this game",
         )
     zeta = partial(play_of, g.preform)
+    # in token order, so the first player over the cap is the same in every run
     return not any(
-        _gains(g, s, i, player_strategies(g.form, i, cap=cap), zeta) for i in g.players
+        _gains(g, s, i, player_strategies(g.form, i, cap=cap), zeta)
+        for i in sorted(g.players, key=token_key)
     )
 
 
@@ -468,12 +470,15 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     deviation; the test suite compares the result with a direct
     deviation scan.
     """
-    per_player = {i: player_strategies(g.form, i, cap=cap) for i in g.players}
+    # in token order, so the first player over the cap is the same in every run
+    per_player = {
+        i: player_strategies(g.form, i, cap=cap) for i in sorted(g.players, key=token_key)
+    }
     outcome = {s: play_of(g.preform, s) for s in grand_strategies(g.preform, cap=cap)}
     return frozenset(
         s
         for s in outcome
-        if not any(_gains(g, s, i, per_player[i], outcome.__getitem__) for i in g.players)
+        if not any(_gains(g, s, i, per_player[i], outcome.__getitem__) for i in per_player)
     )
 
 
@@ -501,14 +506,26 @@ def forget_morphism_to_tree(m: GameMorphism) -> TreeMorphism:
     return m.theta
 
 
-def _signatures(tree: Tree) -> Dict[NodeLabel, tuple]:
-    sizes: Dict[NodeLabel, int] = {}
-    # deepest nodes first, so every child's subtree size is known
-    for t in sorted(tree.nodes, key=tree.stage.__getitem__, reverse=True):
-        sizes[t] = 1 + sum(sizes[child] for child in tree.children(t))
-    return {
-        t: (tree.stage[t], len(tree.children(t)), sizes[t]) for t in tree.nodes
-    }
+def _node_classes(g: Game, table: Dict[tuple, int]) -> Dict[NodeLabel, int]:
+    """Each node's class, numbered in ``table``, which both games share: a
+    leaf's is its players' sorted (utility rank, choices owned) pairs, a
+    decision node's its information set's size and its children's sorted
+    classes.  Isomorphisms keep classes; the numbers follow set iteration
+    order, so only their equality is meaningful.
+    """
+    tree, prev, info_set_of = g.tree, g.preform.prev_choice, g.preform.info_set_of
+    leaves: Dict[NodeLabel, list] = {t: [] for t in tree.play_by_end}
+    for i, row in g.utilities.items():
+        rank = {u: k for k, u in enumerate(sorted(g.ranges[i]))}
+        for z, u in row.items():
+            leaves[z.end].append((rank[u], len(g.form.assignment[i])))
+    classes = {t: table.setdefault(tuple(sorted(k)), len(table)) for t, k in leaves.items()}
+    # deepest first, so every child's class is known
+    for t in sorted(tree.decision_nodes, key=tree.stage.__getitem__, reverse=True):
+        kids = tree.children(t)
+        key = (len(info_set_of[prev[kids[0]]]), tuple(sorted(map(classes.get, kids))))
+        classes[t] = table.setdefault(key, len(table))
+    return classes
 
 
 def find_isomorphism(
@@ -522,27 +539,18 @@ def find_isomorphism(
     node reached by a choice c with δ(c) fixed has one candidate, else
     any child of its parent's image produced by a choice not yet in the
     image of δ, and taking it fixes δ(c).  So δ and the node map are
-    injective by construction.  Candidates must also keep the (stage,
-    branching, subtree size) signature.  Each complete map forces the
-    player map through ownership and each utility map pointwise through
-    the play images.  Raises :class:`SearchBudgetExceeded` after
-    ``budget`` node expansions.
+    injective by construction.  Candidates keep the node class, as every
+    isomorphism does, so games whose roots differ in class are refused
+    unsearched.  Each complete map forces the player map through
+    ownership and each utility map pointwise through the play images.
+    Raises :class:`SearchBudgetExceeded` after ``budget`` node expansions.
     """
+    table: Dict[tuple, int] = {}
+    class1, class2 = _node_classes(g1, table), _node_classes(g2, table)
+    if class1[g1.tree.root] != class2[g2.tree.root]:
+        return None
     vacuous1 = sorted((i for i in g1.players if not g1.form.assignment[i]), key=token_key)
     vacuous2 = sorted((i for i in g2.players if not g2.form.assignment[i]), key=token_key)
-    if (
-        len(g1.players) != len(g2.players)
-        or len(vacuous1) != len(vacuous2)
-        or len(g1.preform.choices) != len(g2.preform.choices)
-    ):
-        return None
-    sig1 = _signatures(g1.tree)
-    sig2 = _signatures(g2.tree)
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
-    if sorted(map(len, g1.preform.info_sets)) != sorted(map(len, g2.preform.info_sets)):
-        return None
-
     prev1, prev2, op2 = g1.preform.prev_choice, g2.preform.prev_choice, g2.preform.op
     # by stage, and by rank within a stage
     order = sorted(g1.tree.rank, key=g1.tree.stage.__getitem__)
@@ -561,7 +569,7 @@ def find_isomorphism(
             pool = [u for u in pool if prev2[u] not in delta_image]
         else:
             pool = [op2.get((mapping[g1.tree.pred[t]], delta[prev1[t]]))]
-        return [u for u in pool if u is not None and sig2[u] == sig1[t]]
+        return [u for u in pool if u is not None and class2[u] == class1[t]]
 
     def complete() -> Optional[IsoWitness]:
         iota: Dict[Token, Token] = {}
@@ -570,8 +578,6 @@ def find_isomorphism(
             if len(owners) > 1:
                 return None
             (iota[i],) = owners
-        if len(set(iota.values())) != len(iota):
-            return None
         # the node map keeps edges and branching, so it sends each play
         # to the target play ending at its end's image
         images = [(z, g2.tree.play_by_end[mapping[z.end]]) for z in g1.plays]
@@ -601,8 +607,7 @@ def find_isomorphism(
 
     # depth-first over ``order`` with an explicit stack of candidate
     # iterators, one per node, so deep trees do not recurse; a node is
-    # in ``mapping`` while its frame holds a candidate.  The roots are
-    # the only nodes of stage 0, so their signatures agree.
+    # in ``mapping`` while its frame holds a candidate
     stack = [iter([g2.tree.root])]
     while stack:
         t = order[len(stack) - 1]

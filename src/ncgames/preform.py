@@ -85,9 +85,6 @@ class Preform(Structural):
             f"{len(self.info_sets)} information sets)"
         )
 
-    def feasible(self, t: NodeLabel) -> frozenset:
-        return self.feas.get(t, frozenset())
-
 
 def build_preform(
     nodes: Iterable[NodeLabel],

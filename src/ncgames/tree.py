@@ -164,18 +164,6 @@ class Tree(Structural):
         chain.reverse()
         return tuple(chain)
 
-    def weakly_precedes(self, a: NodeLabel, b: NodeLabel) -> bool:
-        t = b
-        while True:
-            if t == a:
-                return True
-            if t == self.root:
-                return False
-            t = self.pred[t]
-
-    def strictly_precedes(self, a: NodeLabel, b: NodeLabel) -> bool:
-        return a != b and self.weakly_precedes(a, b)
-
     def descendants(self, t: NodeLabel) -> frozenset:
         """All nodes weakly below ``t``, i.e. the up-set of ``t``."""
         out = {t}

@@ -29,6 +29,7 @@ from ncgames import (
     profile_to_grand,
     strict_predecessors,
 )
+from ncgames.game import _node_classes
 from ncgames.preform import info_set_order
 from ncgames.transforms import style_report
 
@@ -259,6 +260,16 @@ def check_iso_witness(witness):
         for z in g.plays:
             image = h.play_with_members(frozenset(m.tau[t] for t in z.members))
             assert bmap[g.utilities[i][z]] == h.utilities[m.iota[i]][image]
+
+
+def check_class_invariance(witness):
+    """The node map keeps every node's class, numbered in one table for
+    both games, so the iso search's class filter drops no isomorphism."""
+    m = witness.morphism
+    table = {}
+    source = _node_classes(m.source, table)
+    target = _node_classes(m.target, table)
+    assert all(source[t] == target[m.tau[t]] for t in m.source.tree.nodes)
 
 
 def check_nash_preservation(witness):

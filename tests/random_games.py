@@ -141,6 +141,29 @@ def centipede_document(rng: random.Random, stages: int, prefix: str = "") -> dic
     }
 
 
+def wide_document(rng: random.Random, width: int) -> dict:
+    """The ``ncg/1`` document of a root at which P1 picks one of
+    ``width`` leaves, all priced alike except one seeded deciding leaf.
+    P2 owns no choice, so it is a vacuous player.
+    """
+    deciding = rng.randrange(width)
+    root, leaves = {"atom": "r"}, [{"atom": f"w{k}"} for k in range(width)]
+    return {
+        "format_version": "ncg/1",
+        "players": ["P1", "P2"],
+        "nodes": [root] + leaves,
+        "edges": [[root, f"c{k}", leaf] for k, leaf in enumerate(leaves)],
+        "ownership": {"P1": [f"c{k}" for k in range(width)], "P2": []},
+        "utilities": [
+            {
+                "play": [root, leaf],
+                "values": {"P1": str(int(k == deciding)), "P2": str(-int(k == deciding))},
+            }
+            for k, leaf in enumerate(leaves)
+        ],
+    }
+
+
 def stage_pooled_document(rng: random.Random, depth: int, player_count: int) -> dict:
     """The ``ncg/1`` document of a complete binary tree of ``depth``
     stages whose stage ``k`` is one information set with the two choices

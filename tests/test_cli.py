@@ -17,7 +17,7 @@ from ncgames import (
 )
 from ncgames.cli import cli_dispatch
 
-from random_games import centipede_document
+from random_games import centipede_document, stage_pooled_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -233,6 +233,20 @@ class TestRejectionsAcrossHashSeeds:
         (workdir / "bad.game").write_text(json.dumps(doc))
         assert run_under_hash_seeds(workdir, "validate", "bad.game") == {
             (1, f"error: {message}\n")
+        }
+
+    def test_first_player_over_the_strategy_cap(self, workdir):
+        # P1 and P2 own three information sets (8 strategies), P3 two (4);
+        # P1 is the first player in token order
+        doc = stage_pooled_document(random.Random(1), depth=8, player_count=3)
+        (workdir / "pooled.game").write_text(json.dumps(doc))
+        argv = ("--strategy-cap", "3", "nash", "pooled.game")
+        assert run_under_hash_seeds(workdir, *argv) == {
+            (
+                1,
+                "error: StrategySpaceTooLarge: 8 strategies exceed the cap of 3; "
+                "raise the cap to proceed\n",
+            )
         }
 
     def test_first_unmapped_node(self, workdir, capsys):

@@ -23,7 +23,7 @@ from ncgames.transforms import apply_utility_transform, relabel_game
 
 import property_checks
 from conftest import a, make_classroom_game, nodes_of
-from random_games import random_strict_map, stage_pooled_document
+from random_games import random_strict_map, stage_pooled_document, wide_document
 
 
 def disguised_classroom():
@@ -55,6 +55,16 @@ def shuffled_copy(rng, g):
     )
     maps = {i: random_strict_map(rng, relabeled.ranges[i]) for i in relabeled.players}
     return apply_utility_transform(relabeled, maps)[0]
+
+
+def perturbed(g):
+    """``g`` with a utility shared by two plays moved outside the range,
+    so the ranges differ in size and no isomorphism to ``g`` exists."""
+    i = sorted(g.players)[0]
+    row = dict(g.utilities[i])
+    shared = next(z for z in row if list(row.values()).count(row[z]) > 1)
+    row[shared] = max(row.values()) + 1
+    return build_game(g.form, {**g.utilities, i: row})
 
 
 class TestFindIsomorphism:
@@ -168,8 +178,8 @@ class TestFindIsomorphism:
 
 class TestStagePooled:
     """Complete binary trees whose every stage is one information set:
-    every node of a stage looks alike to the signatures, so the search
-    relies on the operator axiom to fix the choice map as it goes."""
+    the nodes of a stage have one shape and one information set, so the
+    search relies on the operator axiom to fix the choice map as it goes."""
 
     def pooled_pair(self, seed):
         rng = random.Random(seed)
@@ -185,11 +195,25 @@ class TestStagePooled:
 
     def test_perturbed_pair_refused_within_the_default_budget(self):
         game, copy = self.pooled_pair(7)
-        # a utility shared by two plays moves outside the range, so the
-        # ranges differ in size and no isomorphism exists
-        i = sorted(copy.players)[0]
-        row = dict(copy.utilities[i])
-        shared = next(z for z in row if list(row.values()).count(row[z]) > 1)
-        row[shared] = max(row.values()) + 1
-        perturbed = build_game(copy.form, {**copy.utilities, i: row})
-        assert find_isomorphism(game, perturbed) is None
+        assert find_isomorphism(game, perturbed(copy)) is None
+
+
+class TestWide:
+    """A root with eight leaves that only the deciding leaf tells apart:
+    the leaves' utility ranks keep the search from trying their
+    permutations."""
+
+    def wide_pair(self, seed):
+        rng = random.Random(seed)
+        game = parse_game(json.dumps(wide_document(rng, width=8)))
+        return game, shuffled_copy(rng, game)
+
+    def test_relabelled_pair_found_within_twenty_expansions(self):
+        game, copy = self.wide_pair(3)
+        witness = find_isomorphism(game, copy, budget=20)
+        assert witness is not None
+        property_checks.check_iso_witness(witness)
+
+    def test_perturbed_pair_refused_within_one_expansion(self):
+        game, copy = self.wide_pair(3)
+        assert find_isomorphism(game, perturbed(copy), budget=1) is None

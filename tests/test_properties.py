@@ -241,9 +241,11 @@ def test_find_isomorphism_agrees_with_the_choice_map_oracle(seed, kind):
     elif kind == "reowned":
         other = reowned(rng, other)
     witness = find_isomorphism(game, other)
-    assert (witness is None) == (oracles.isomorphic_by_choice_maps(game, other) is None)
+    expected = oracles.isomorphic_by_choice_maps(game, other)
+    assert (witness is None) == (expected is None)
     if witness is not None:
         property_checks.check_iso_witness(witness)
+        property_checks.check_class_invariance(expected)
 
 
 def test_category_laws_on_random_games():
@@ -333,6 +335,19 @@ def test_utility_transform_witnesses_on_fixtures_and_random_games():
         }
         _transformed, witness = apply_utility_transform(game, maps)
         property_checks.check_iso_witness(witness)
+
+
+def test_isomorphisms_keep_node_classes():
+    """Witnesses built without the iso search, by canonical conversion and
+    by a strictly increasing utility rescale, keep every node's class."""
+    fixtures = Path(__file__).parent / "fixtures"
+    games = [parse_game(path.read_text()) for path in sorted(fixtures.glob("*.game"))]
+    rng = random.Random(73)
+    games += [random_game(rng) for _ in range(40)]
+    for game in games:
+        property_checks.check_class_invariance(canonicalize(game).witness)
+        maps = {i: random_strict_map(rng, game.ranges[i]) for i in sorted(game.players)}
+        property_checks.check_class_invariance(apply_utility_transform(game, maps)[1])
 
 
 def canonicalize_by_stages(game):

@@ -8,6 +8,7 @@ a precondition fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 from .documents import (
     _loads,
     _morphism_from_document,
+    _read,
     _witness_from_document,
     load_game,
     parse_morphism,
@@ -162,7 +164,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_iso_check(args) -> int:
-    doc = _loads(Path(args.file).read_text())
+    doc = _loads(_read(args.file))
     base_dir = Path(args.file).parent
     if isinstance(doc, dict) and "morphism" in doc:
         _witness_from_document(doc, base_dir)
@@ -191,12 +193,8 @@ def _cmd_subgame(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    first = parse_morphism(
-        Path(args.first).read_text(), base_dir=Path(args.first).parent
-    )
-    second = parse_morphism(
-        Path(args.second).read_text(), base_dir=Path(args.second).parent
-    )
+    first = parse_morphism(_read(args.first), base_dir=Path(args.first).parent)
+    second = parse_morphism(_read(args.second), base_dir=Path(args.second).parent)
     composite = compose(second, first)
     out = (
         Path(args.output)
@@ -208,7 +206,9 @@ def _cmd_compose(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first dispatch and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="ncg",
         description="Validate, analyze, and convert node-and-choice game documents.",

@@ -41,13 +41,10 @@ __all__ = [
     "FORMAT_VERSION",
     "parse_game",
     "serialize_game",
-    "game_to_document",
     "parse_morphism",
     "serialize_morphism",
-    "morphism_to_document",
     "parse_witness",
     "serialize_witness",
-    "witness_to_document",
     "write_game",
     "write_morphism",
     "write_witness",
@@ -72,10 +69,6 @@ def _parse_rational(value) -> Fraction:
         raise DocumentSyntaxError(
             f"utility has a number of more than {sys.get_int_max_str_digits()} digits"
         ) from exc
-
-
-def _format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def _node_to_spec(label: NodeLabel) -> dict:
@@ -231,184 +224,147 @@ def _game_from_document(doc) -> tuple:
         raise AxiomViolation(exc) from exc
 
 
+def _open(path, mode: str = "r"):
+    """A document file, read or written as UTF-8 whatever the locale."""
+    return Path(path).open(mode, encoding="utf-8")
+
+
+def _read(path) -> str:
+    with _open(path) as file:
+        return file.read()
+
+
 def parse_game(text: str) -> Game:
     """Read a game document, reporting the first violated rule by name."""
     return _game_from_document(_loads(text))[0]
 
 
 def load_game(path) -> Game:
-    return parse_game(Path(path).read_text())
+    return parse_game(_read(path))
 
 
-def _game_parts(g: Game) -> tuple:
-    """The canonical document for a game, with the node specs it shares.
+def _items(texts, level: int):
+    """A list at indent ``level`` in the layout of ``json.dumps(...,
+    indent=2)``, one piece per item; ``texts`` are the items' texts,
+    already indented for ``level + 1``."""
+    inner = "\n" + "  " * (level + 1)
+    opening = prefix = "[" + inner
+    for text in texts:
+        yield prefix + text
+        prefix = "," + inner
+    yield "[]" if prefix is opening else "\n" + "  " * level + "]"
 
-    Nodes, edges and plays are listed in the tree's order (``Tree.rank``
-    and ``Tree.play_by_end``)."""
-    specs = {t: _node_to_spec(t) for t in g.tree.nodes}
-    if len({json.dumps(spec, sort_keys=True) for spec in specs.values()}) != len(specs):
+
+def _members(members, level: int):
+    """A dict at indent ``level`` in the same layout; ``members`` are
+    (key, pieces) pairs, each value's pieces already indented for it."""
+    inner = "\n" + "  " * (level + 1)
+    opening = prefix = "{" + inner
+    for key, pieces in members:
+        yield prefix + _encode_str(key) + ": "
+        yield from pieces
+        prefix = "," + inner
+    yield "{}" if prefix is opening else "\n" + "  " * level + "}"
+
+
+def _encode(value, level: int) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` at indent
+    ``level``, for text and lists and dicts of text."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, dict):
+        members = ((k, [_encode(v, level + 1)]) for k, v in value.items())
+        return "".join(_members(members, level))
+    return "".join(_items((_encode(v, level + 1) for v in value), level))
+
+
+def _indent(texts: dict, levels: int) -> dict:
+    """The texts moved ``levels`` indent levels deeper."""
+    pad = "\n" + "  " * levels
+    return {key: text.replace("\n", pad) for key, text in texts.items()}
+
+
+def _node_texts(g: Game, level: int) -> dict:
+    """Each node's spec text at indent ``level``, in ``Tree.rank`` order.
+
+    Two distinct labels with one text raise ``AtomCollision`` here,
+    before any piece of a document is produced."""
+    texts = _indent({t: _encode(_node_to_spec(t), 0) for t in g.tree.rank}, level)
+    if len(set(texts.values())) != len(texts):
         raise DocumentError(
             "AtomCollision",
             "two distinct node labels serialize to the same text",
         )
+    return texts
+
+
+def _game_pieces(g: Game, level: int, nodes: dict):
+    """The canonical text of a game's document at indent ``level``, one
+    piece per node, edge and play row; ``nodes`` is
+    ``_node_texts(g, level + 2)``, the texts of the node list.
+
+    Nodes, edges and plays are listed in the tree's order (``Tree.rank``
+    and ``Tree.play_by_end``)."""
+    players = sorted(g.players, key=str)
     rank = g.tree.rank
     edges = sorted(
         g.preform.op.items(),
         key=lambda e: (rank[e[0][0]], str(e[0][1]), rank[e[1]]),
     )
-    players = sorted(g.players, key=str)
-    utilities = [
-        {
-            "play": [specs[t] for t in play.path],
-            "values": {str(i): _format_rational(g.utilities[i][play]) for i in players},
-        }
-        for play in g.tree.play_by_end.values()
-    ]
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "players": [str(i) for i in players],
-        "nodes": [specs[t] for t in rank],
-        "edges": [[specs[t], str(c), specs[t_next]] for (t, c), t_next in edges],
-        "ownership": {
-            str(i): sorted(str(c) for c in g.form.assignment[i]) for i in players
-        },
-        "utilities": utilities,
-    }
-    return doc, specs
+    edge_specs, play_specs = _indent(nodes, 1), _indent(nodes, 2)
+    # each play row, {"play": [spec, ...], "values": {...}}, is one join
+    pad = "\n" + "  " * (level + 3)
+    opening, separator = "{" + pad + '"play": [' + pad + "  ", "," + pad + "  "
+    values, closing = pad + "]," + pad + '"values": ', "\n" + "  " * (level + 2) + "}"
+    ownership = {str(i): sorted(str(c) for c in g.form.assignment[i]) for i in players}
+    return _members((
+        ("format_version", [_encode_str(FORMAT_VERSION)]),
+        ("players", [_encode([str(i) for i in players], level + 1)]),
+        ("nodes", _items(nodes.values(), level + 1)),
+        ("edges", _items((
+            "".join(_items((edge_specs[t], _encode_str(str(c)), edge_specs[u]), level + 2))
+            for (t, c), u in edges
+        ), level + 1)),
+        ("ownership", [_encode(ownership, level + 1)]),
+        ("utilities", _items((
+            opening + separator.join([play_specs[t] for t in play.path]) + values
+            + _encode({str(i): str(g.utilities[i][play]) for i in players}, level + 3)
+            + closing
+            for play in g.tree.play_by_end.values()
+        ), level + 1)),
+    ), level)
 
 
-def game_to_document(g: Game) -> dict:
-    """The canonical document for a game."""
-    return _game_parts(g)[0]
-
-
-#: The writer hands text to its output in pieces of about this many
-#: characters, so no text as long as a whole document is ever built.
-_PIECE = 1 << 15
-
-
-def _shared_containers(doc) -> set:
-    """The ids of the lists and dicts that occur more than once in ``doc``."""
-    seen, shared = set(), set()
-    stack = [doc] if isinstance(doc, (dict, list, tuple)) else []
-    while stack:
-        o = stack.pop()
-        if id(o) in seen:
-            shared.add(id(o))
-            continue
-        seen.add(id(o))
-        children = o.values() if isinstance(o, dict) else o
-        stack.extend(c for c in children if isinstance(c, (dict, list, tuple)))
-    return shared
-
-
-class _JsonWriter:
-    """Writes ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``,
-    byte for byte, to ``emit`` in pieces of at most ``_PIECE``
-    characters, unless one string, or one list or dict of strings
-    (never split), is longer.
-
-    A list or dict that occurs more than once in the document is
-    encoded once per indent level and its text reused.  Keys must be
-    strings; ``encode_basestring`` raises ``TypeError`` on any other.
-    """
-
-    def __init__(self, emit):
-        self.emit = emit
-        self.buf = []
-        self.size = 0
-
-    def write(self, doc) -> None:
-        self.shared = _shared_containers(doc)
-        self.memo = {}  # (id, level) -> pieces of text
-        self.value(doc, 0, "")
-        self.add("\n")
-        self.flush()
-
-    def add(self, text: str) -> None:
-        if self.size + len(text) > _PIECE:
-            self.flush()
-        self.buf.append(text)
-        self.size += len(text)
-
-    def flush(self) -> None:
-        if self.buf:
-            self.emit("".join(self.buf))
-            self.buf = []
-            self.size = 0
-
-    def value(self, o, level: int, prefix: str) -> None:
-        """Write ``prefix``, then ``o`` at indent ``level``."""
-        if isinstance(o, str):
-            self.add(prefix + _encode_str(o))
-        elif not isinstance(o, (dict, list, tuple)):
-            self.add(prefix + json.dumps(o))
-        elif id(o) not in self.shared:
-            self.container(o, level, prefix)
+def _embedded(games, level: int) -> dict:
+    """Maps ``id(g)`` of each game embedded at indent ``level`` to its
+    node-list texts and its pieces.  A game embedded more than once is
+    rendered once, into a list that each embedding writes; any other is
+    rendered as it is written."""
+    built: dict = {}
+    for g in games:
+        if id(g) in built:
+            nodes, pieces = built[id(g)]
+            built[id(g)] = nodes, list(pieces)
         else:
-            pieces = self.memo.get((id(o), level))
-            if pieces is None:
-                pieces = self.memo[id(o), level] = self.capture(o, level)
-            self.add(prefix)
-            for piece in pieces:
-                self.add(piece)
-
-    def capture(self, o, level: int) -> list:
-        """The text of one container, written into its own pieces."""
-        outer = self.emit, self.buf, self.size
-        pieces = []
-        self.emit, self.buf, self.size = pieces.append, [], 0
-        self.container(o, level, "")
-        self.flush()
-        self.emit, self.buf, self.size = outer
-        return pieces
-
-    def container(self, o, level: int, prefix: str) -> None:
-        is_dict = isinstance(o, dict)
-        if not o:
-            self.add(prefix + ("{}" if is_dict else "[]"))
-            return
-        inner = "\n" + "  " * (level + 1)
-        opening, separator = prefix + ("{" if is_dict else "[") + inner, "," + inner
-        closing = "\n" + "  " * level + ("}" if is_dict else "]")
-        items = o.items() if is_dict else o
-        # flat containers of text, such as node specs, in one piece
-        if all(isinstance(v, str) for v in (o.values() if is_dict else o)):
-            texts = (
-                (_encode_str(k) + ": " + _encode_str(v) for k, v in items)
-                if is_dict
-                else map(_encode_str, o)
-            )
-            self.add(opening + separator.join(texts) + closing)
-            return
-        prefix = opening
-        for item in items:
-            if is_dict:
-                key, item = item
-                prefix += _encode_str(key) + ": "
-            self.value(item, level + 1, prefix)
-            prefix = separator
-        self.add(closing)
+            nodes = _node_texts(g, level + 2)
+            built[id(g)] = nodes, _game_pieces(g, level, nodes)
+    return built
 
 
-def _text(doc) -> str:
-    pieces = []
-    _JsonWriter(pieces.append).write(doc)
-    return "".join(pieces)
-
-
-def _write(doc, path) -> None:
-    with Path(path).open("w") as out:
-        _JsonWriter(out.write).write(doc)
+def _write(pieces, path) -> None:
+    """Write the document's pieces, then its final newline, to ``path``."""
+    with _open(path, "w") as out:
+        out.writelines(pieces)
+        out.write("\n")
 
 
 def serialize_game(g: Game) -> str:
-    return _text(game_to_document(g))
+    return "".join(_game_pieces(g, 0, _node_texts(g, 2))) + "\n"
 
 
 def write_game(g: Game, path) -> None:
     """Write ``serialize_game(g)`` to ``path`` without building the text."""
-    _write(game_to_document(g), path)
+    _write(_game_pieces(g, 0, _node_texts(g, 2)), path)
 
 
 def _pairs_to_map(entries, parse_left, parse_right, what) -> dict:
@@ -441,7 +397,7 @@ def _game_from_ref(ref, base_dir, built: list) -> tuple:
     if isinstance(ref, str):
         path = Path(base_dir) / ref
         try:
-            text = path.read_text()
+            text = _read(path)
         except (OSError, UnicodeDecodeError) as exc:
             raise DocumentError(
                 "UnreadableGame",
@@ -487,67 +443,61 @@ def parse_morphism(text: str, base_dir=".") -> GameMorphism:
     return _morphism_from_document(_loads(text), base_dir, [])
 
 
-def _morphism_document(m: GameMorphism, built: dict) -> dict:
-    """The morphism's document; ``built`` maps ``id(game)`` to the parts
-    of each game's document, so each is built once per call."""
-    for g in (m.source, m.target):
-        if id(g) not in built:
-            built[id(g)] = _game_parts(g)
-    source, source_specs = built[id(m.source)]
-    target, target_specs = built[id(m.target)]
-    return {
-        "format_version": FORMAT_VERSION,
-        "source": source,
-        "target": target,
-        "iota": [
-            [str(i), str(m.iota[i])] for i in sorted(m.iota, key=str)
-        ],
-        "tau": [
-            [source_specs[t], target_specs[m.tau[t]]]
-            for t in sorted(m.tau, key=m.source.tree.rank.__getitem__)
-        ],
-        "delta": [
-            [str(c), str(m.delta[c])] for c in sorted(m.delta, key=str)
-        ],
-        "beta": {
-            str(i): [
-                [_format_rational(u), _format_rational(v)]
-                for u, v in sorted(m.beta[i].items())
-            ]
-            for i in sorted(m.beta, key=str)
-        },
+def _morphism_pieces(m: GameMorphism, level: int, built: dict):
+    """The canonical text of a morphism's document at indent ``level``,
+    in pieces; ``built`` is ``_embedded`` of its source and target at
+    ``level + 1``, whose node-list texts are also those of ``tau``."""
+    source_nodes, source = built[id(m.source)]
+    target_nodes, target = built[id(m.target)]
+    iota = [[str(i), str(m.iota[i])] for i in sorted(m.iota, key=str)]
+    delta = [[str(c), str(m.delta[c])] for c in sorted(m.delta, key=str)]
+    beta = {
+        str(i): [[str(u), str(v)] for u, v in sorted(m.beta[i].items())]
+        for i in sorted(m.beta, key=str)
     }
-
-
-def morphism_to_document(m: GameMorphism) -> dict:
-    return _morphism_document(m, {})
+    return _members((
+        ("format_version", [_encode_str(FORMAT_VERSION)]),
+        ("source", source),
+        ("target", target),
+        ("iota", [_encode(iota, level + 1)]),
+        ("tau", _items((
+            "".join(_items((source_nodes[t], target_nodes[m.tau[t]]), level + 2))
+            for t in sorted(m.tau, key=m.source.tree.rank.__getitem__)
+        ), level + 1)),
+        ("delta", [_encode(delta, level + 1)]),
+        ("beta", [_encode(beta, level + 1)]),
+    ), level)
 
 
 def serialize_morphism(m: GameMorphism) -> str:
-    return _text(morphism_to_document(m))
+    return "".join(_morphism_pieces(m, 0, _embedded((m.source, m.target), 1))) + "\n"
 
 
 def write_morphism(m: GameMorphism, path) -> None:
     """Write ``serialize_morphism(m)`` to ``path`` without building the text."""
-    _write(morphism_to_document(m), path)
+    _write(_morphism_pieces(m, 0, _embedded((m.source, m.target), 1)), path)
 
 
-def witness_to_document(w: IsoWitness) -> dict:
-    built: dict = {}
-    return {
-        "format_version": FORMAT_VERSION,
-        "morphism": _morphism_document(w.morphism, built),
-        "inverse": _morphism_document(w.inverse, built),
-    }
+def _witness_pieces(w: IsoWitness):
+    """The canonical text of a witness's document, in pieces.  Each of
+    its games is rendered once, and its spec texts are checked before
+    the first piece."""
+    m, inverse = w.morphism, w.inverse
+    built = _embedded((m.source, m.target, inverse.source, inverse.target), 2)
+    return _members((
+        ("format_version", [_encode_str(FORMAT_VERSION)]),
+        ("morphism", _morphism_pieces(m, 1, built)),
+        ("inverse", _morphism_pieces(inverse, 1, built)),
+    ), 0)
 
 
 def serialize_witness(w: IsoWitness) -> str:
-    return _text(witness_to_document(w))
+    return "".join(_witness_pieces(w)) + "\n"
 
 
 def write_witness(w: IsoWitness, path) -> None:
     """Write ``serialize_witness(w)`` to ``path`` without building the text."""
-    _write(witness_to_document(w), path)
+    _write(_witness_pieces(w), path)
 
 
 def parse_witness(text: str, base_dir=".") -> IsoWitness:

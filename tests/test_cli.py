@@ -152,9 +152,9 @@ class TestDerive:
         assert code == 0
 
 
-def run_under_hash_seeds(workdir, *argv) -> set:
-    """The distinct (exit code, stdout) pairs of ``ncg *argv`` run in a
-    fresh interpreter under several hash seeds."""
+def fresh_process(workdir, argv, **env):
+    """``ncg *argv`` run in a fresh interpreter from ``workdir``, with
+    ``env`` added to a bare environment."""
     import os
     import subprocess
     import sys
@@ -167,23 +167,88 @@ def run_under_hash_seeds(workdir, *argv) -> set:
     package_root = str(Path(ncgames.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = package_root + (os.pathsep + inherited if inherited else "")
+    return subprocess.run(
+        [sys.executable, "-m", "ncgames.cli", *argv],
+        cwd=workdir,
+        env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", **env},
+        capture_output=True,
+        text=True,
+    )
 
+
+def run_under_hash_seeds(workdir, *argv) -> set:
+    """The distinct (exit code, stdout) pairs of ``ncg *argv`` run in a
+    fresh interpreter under several hash seeds."""
     results = set()
     for seed in ("0", "1", "2", "3", "424242"):
-        result = subprocess.run(
-            [sys.executable, "-m", "ncgames.cli", *argv],
-            cwd=workdir,
-            env={
-                "PYTHONHASHSEED": seed,
-                "PYTHONPATH": pythonpath,
-                "PATH": "/usr/bin:/bin",
-            },
-            capture_output=True,
-            text=True,
-        )
+        result = fresh_process(workdir, argv, PYTHONHASHSEED=seed)
         assert not result.stderr, result.stderr
         results.add((result.returncode, result.stdout))
     return results
+
+
+class TestOneProcess:
+    def test_dispatches_print_what_fresh_processes_print(self, workdir, capsys, monkeypatch):
+        sequence = [
+            ["validate", "classroom.game"],
+            ["frobnicate"],  # a usage error: exit 2
+            ["nash", "classroom.game"],
+            ["--strategy-cap", "2", "nash", "classroom.game"],  # an NcgError: exit 1
+            ["derive", "absentminded.game"],
+            ["validate", "classroom.game"],
+        ]
+        monkeypatch.chdir(workdir)
+        in_one = []
+        for argv in sequence:
+            try:
+                code = cli_dispatch(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_one.append((code, captured.out, captured.err))
+        fresh = [fresh_process(workdir, argv) for argv in sequence]
+        assert in_one == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+        assert [code for code, _out, _err in in_one] == [0, 2, 0, 1, 0, 0]
+
+
+def test_documents_are_utf8_under_any_locale(tmp_path):
+    """Every read and write of a document is UTF-8: under the C locale
+    with neither UTF-8 mode nor locale coercion, each command succeeds
+    and writes the bytes it writes in UTF-8 mode."""
+    game = (FIXTURES / "classroom.game").read_text(encoding="utf-8").replace('"P1"', '"Pé"')
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    outcomes = []
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("c", c_locale)):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "pe.game").write_bytes(game.encode("utf-8"))
+        results = [
+            fresh_process(work, argv, **env)
+            for argv in (["validate", "pe.game"], ["convert", "--to", "canonical", "pe.game"])
+        ]
+        # the witness's two morphisms, naming their games by path
+        witness = json.loads((work / "pe.canonical.witness").read_bytes())
+        for key, source, target in (
+            ("morphism", "pe.game", "pe.canonical.game"),
+            ("inverse", "pe.canonical.game", "pe.game"),
+        ):
+            doc = dict(witness[key], source=source, target=target)
+            (work / f"{key}.morphism").write_bytes(
+                json.dumps(doc, ensure_ascii=False).encode("utf-8")
+            )
+        results += [
+            fresh_process(work, argv, **env)
+            for argv in (
+                ["iso-check", "pe.canonical.witness"],
+                ["iso-check", "morphism.morphism"],
+                ["compose", "morphism.morphism", "inverse.morphism"],
+            )
+        ]
+        assert [r.returncode for r in results] == [0] * 5, [r.stdout for r in results]
+        outputs = [(r.stdout, r.stderr) for r in results]
+        outcomes.append((outputs, {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+    assert outcomes[0] == outcomes[1]
+    assert "Pé".encode("utf-8") in outcomes[1][1]["morphism__inverse.morphism"]
 
 
 def _cut_utilities(doc):

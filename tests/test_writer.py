@@ -1,10 +1,10 @@
-"""The document writer: the text of ``json.dumps(doc, indent=2,
-ensure_ascii=False) + "\\n"``, written in bounded pieces, with shared
-containers encoded once per indent level."""
+"""The document writer: canonical text in the layout of
+``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, written to
+files piece by piece."""
 
 import json
-import os
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,12 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgames import (
+    DocumentError,
+    build_form,
+    build_game,
+    build_preform,
     canonicalize,
     compose,
     find_isomorphism,
+    identity_morphism,
+    is_isomorphism,
     load_game,
     parse_game,
     parse_morphism,
+    parse_witness,
     serialize_game,
     serialize_morphism,
     serialize_witness,
@@ -25,108 +32,74 @@ from ncgames import (
 )
 from ncgames import documents
 from ncgames.cli import cli_dispatch
-from ncgames.documents import witness_to_document
+from ncgames.documents import write_game, write_witness
+from ncgames.labels import Atom, Seq, SetLabel
+from ncgames.transforms import relabel_game
 
-from random_games import centipede_document
+from random_games import random_game
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 AWKWARD = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", " ", "é", "日", "\U0001f600"]
 
-
-def reference(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def pieces_of(doc) -> list:
-    pieces = []
-    documents._JsonWriter(pieces.append).write(doc)
-    return pieces
-
-
-class Ref(int):
-    """A stand-in for the shared container of this index."""
-
-
-text = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters()), max_size=6)
-refs = st.integers(0, 3).map(Ref)
-values = st.recursive(
-    st.one_of(refs, text, refs, st.integers(), refs, st.booleans(), st.none()),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4),
-    max_leaves=12,
-)
-containers = st.lists(values, max_size=3) | st.dictionaries(text, values, max_size=3)
+tokens = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters()), max_size=4)
 
 
 @st.composite
-def shared_documents(draw):
-    """A JSON value in which some lists and dicts occur more than once,
-    at one indent level and at several; later shared containers may
-    hold earlier ones, as games hold node specs."""
-    pool = []
-
-    def resolve(value):
-        if isinstance(value, Ref):
-            return pool[value % len(pool)] if pool else int(value)
-        if isinstance(value, list):
-            return [resolve(item) for item in value]
-        if isinstance(value, dict):
-            return {key: resolve(item) for key, item in value.items()}
-        return value
-
-    for raw in draw(st.lists(containers, min_size=1, max_size=4)):
-        pool.append(resolve(raw))
-    again = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-    return {"doc": resolve(draw(containers)), "again": again, "deeper": [[again[0]]]}
-
-
-@settings(max_examples=200, deadline=None)
-@given(shared_documents(), st.sampled_from([1, 7, 64, documents._PIECE]))
-def test_matches_json_dumps(doc, piece):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(documents, "_PIECE", piece)
-        assert "".join(pieces_of(doc)) == reference(doc)
-
-
-def test_one_container_at_one_level_and_at_several():
-    spec = {"set": ["a", "b"]}
-    pair = [spec, spec]
-    doc = {"nodes": [spec, spec], "edges": [[spec, "c", spec], pair, pair], "deep": {"x": [[pair]]}}
-    assert "".join(pieces_of(doc)) == reference(doc)
-
-
-def test_empty_containers():
-    empty_list, empty_dict = [], {}
-    doc = [empty_list, empty_dict, {"a": empty_list, "b": [empty_dict, [empty_list]]}, [], {}]
-    assert "".join(pieces_of(doc)) == reference(doc)
-    for doc in ([], {}, "", 0):
-        assert "".join(pieces_of(doc)) == reference(doc)
-
-
-def test_awkward_text():
-    doc = {key: [key, {key: key * 3}] for key in AWKWARD}
-    doc["all"] = "".join(AWKWARD)
-    assert "".join(pieces_of(doc)) == reference(doc)
-
-
-def test_large_shared_containers_cross_every_boundary():
-    # a shared list whose own text spans many pieces, used twice at one
-    # level and once at another, next to a witness of a 40-stage game
-    big = [{"set": [f"tok{k}-{j} " for j in range(k % 9)]} for k in range(3000)]
-    game = parse_game(json.dumps(centipede_document(random.Random(40), 40)))
-    doc = {
-        "first": big,
-        "second": big,
-        "nested": [big],
-        "witness": witness_to_document(canonicalize(game).witness),
+def awkward_games(draw):
+    """A random game renamed to awkward players, choices and node
+    tokens, with atom, sequence and set labels (the empty sequence and
+    the empty set among them), and the witness of its canonical form."""
+    game = random_game(random.Random(draw(st.integers(0, 2**30))), max_nodes=7)
+    nodes, choices, players = (
+        sorted(game.tree.nodes, key=lambda t: t.token),
+        sorted(game.preform.choices),
+        sorted(game.players),
+    )
+    names = iter(draw(st.lists(
+        tokens, min_size=len(nodes) + len(choices) + len(players), unique=True
+    )))
+    kinds = {
+        "atom": Atom,
+        "seq": lambda name: Seq(tuple(name)),
+        "set": lambda name: SetLabel(frozenset([name] if name else [])),
     }
-    pieces = pieces_of(doc)
-    text, expected = "".join(pieces), reference(doc)
-    # no assertion diff of megabytes of text: name the first differing offset
-    same = text == expected
-    assert same, f"differs from offset {len(os.path.commonprefix([text, expected]))}"
-    assert len(pieces) > 20
-    assert max(len(piece) for piece in pieces) <= documents._PIECE
+    node_map = {t: kinds[draw(st.sampled_from(sorted(kinds)))](next(names)) for t in nodes}
+    choice_map = {c: next(names) for c in choices}
+    player_map = {i: next(names) for i in players}
+    renamed = relabel_game(game, node_map, choice_map, player_map)[0]
+    return renamed, canonicalize(renamed).witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(awkward_games())
+def test_text_is_json_dumps_of_itself_and_parses_back(renamed):
+    game, witness = renamed
+    for text, parse, value in (
+        (serialize_game(game), parse_game, game),
+        (serialize_morphism(witness.morphism), parse_morphism, witness.morphism),
+        (serialize_witness(witness), parse_witness, witness),
+    ):
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+        assert parse(text) == value
+
+
+def test_atom_collision_is_refused_before_a_file_is_opened(tmp_path):
+    # Atom(1) and Atom("1") are distinct labels with one spec text
+    one, text_one = Atom(1), Atom("1")
+    preform = build_preform({one, text_one}, {"c"}, [(one, "c", text_one)])
+    form = build_form(preform, {"P"}, {"P": {"c"}})
+    game = build_game(form, {"P": {frozenset({one, text_one}): Fraction(0)}})
+    witness = is_isomorphism(identity_morphism(game))
+    with pytest.raises(DocumentError) as refused:
+        serialize_game(game)
+    assert refused.value.code == "AtomCollision"
+    for write, value in ((write_game, game), (write_witness, witness)):
+        path = tmp_path / f"{write.__name__}.out"
+        with pytest.raises(DocumentError) as refused:
+            write(value, path)
+        assert refused.value.code == "AtomCollision"
+        assert not path.exists()
 
 
 def _run(*argv) -> int:

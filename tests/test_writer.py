@@ -102,6 +102,81 @@ def test_atom_collision_is_refused_before_a_file_is_opened(tmp_path):
         assert not path.exists()
 
 
+def reference(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_empty_containers(tmp_path):
+    # the empty sequence and the empty set as labels, and a player who
+    # owns no choice, against a document written out by hand
+    root, leaf = Seq(()), SetLabel(frozenset())
+    preform = build_preform({root, leaf}, {"c"}, [(root, "c", leaf)])
+    form = build_form(preform, {"P", "Q"}, {"P": {"c"}, "Q": set()})
+    play = frozenset({root, leaf})
+    game = build_game(form, {"P": {play: Fraction(0)}, "Q": {play: Fraction(-1, 2)}})
+    specs = [{"seq": []}, {"set": []}]
+    doc = {
+        "format_version": "ncg/1",
+        "players": ["P", "Q"],
+        "nodes": specs,
+        "edges": [[specs[0], "c", specs[1]]],
+        "ownership": {"P": ["c"], "Q": []},
+        "utilities": [{"play": specs, "values": {"P": "0", "Q": "-1/2"}}],
+    }
+    identity = {
+        "format_version": "ncg/1",
+        "source": doc,
+        "target": doc,
+        "iota": [["P", "P"], ["Q", "Q"]],
+        "tau": [[spec, spec] for spec in specs],
+        "delta": [["c", "c"]],
+        "beta": {"P": [["0", "0"]], "Q": [["-1/2", "-1/2"]]},
+    }
+    witness = is_isomorphism(identity_morphism(game))
+    assert serialize_game(game) == reference(doc)
+    assert serialize_morphism(witness.morphism) == reference(identity)
+    expected = reference({"format_version": "ncg/1", "morphism": identity, "inverse": identity})
+    assert serialize_witness(witness) == expected
+    write_game(game, tmp_path / "g.game")
+    write_witness(witness, tmp_path / "g.witness")
+    assert (tmp_path / "g.game").read_text(encoding="utf-8") == reference(doc)
+    assert (tmp_path / "g.witness").read_text(encoding="utf-8") == expected
+    assert parse_game(reference(doc)) == game
+
+
+def test_awkward_text():
+    # every awkward token as a player, a choice and an atom, and all of
+    # them joined as the root's atom
+    root = Atom("".join(AWKWARD))
+    leaves = {token: Atom(token) for token in AWKWARD}
+    preform = build_preform(
+        {root, *leaves.values()}, set(AWKWARD),
+        [(root, token, leaf) for token, leaf in leaves.items()],
+    )
+    players = {token: set() for token in AWKWARD}
+    players[AWKWARD[0]] = set(AWKWARD)
+    form = build_form(preform, set(AWKWARD), players)
+    utilities = {
+        i: {frozenset({root, leaf}): Fraction(k - j, j + 1) for k, leaf in enumerate(leaves.values())}
+        for j, i in enumerate(AWKWARD)
+    }
+    game = build_game(form, utilities)
+    witness = canonicalize(game).witness
+    for text, parse, value in (
+        (serialize_game(game), parse_game, game),
+        (serialize_witness(witness), parse_witness, witness),
+    ):
+        assert text == reference(json.loads(text))
+        assert parse(text) == value
+    doc = json.loads(serialize_game(game))
+    assert doc["players"] == sorted(AWKWARD)
+    assert doc["ownership"] == {i: sorted(players[i]) for i in AWKWARD}
+    assert sorted(spec["atom"] for spec in doc["nodes"]) == sorted([root.token, *AWKWARD])
+    assert sorted((t["atom"], c, u["atom"]) for t, c, u in doc["edges"]) == sorted(
+        (root.token, token, token) for token in AWKWARD
+    )
+
+
 def _run(*argv) -> int:
     return cli_dispatch([str(x) for x in argv])
 

@@ -280,6 +280,11 @@ def cli_dispatch(argv) -> int:
 
 
 def main(argv=None) -> int:
+    """The ``ncg`` command.  Reports are written as UTF-8 whatever the
+    locale, as documents are."""
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(encoding="utf-8")
     return cli_dispatch(sys.argv[1:] if argv is None else argv)
 
 

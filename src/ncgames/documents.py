@@ -36,6 +36,7 @@ from .game import (
 from .form import build_form
 from .labels import Atom, NodeLabel, Seq, SetLabel
 from .preform import build_preform
+from .tree import Play
 
 __all__ = [
     "FORMAT_VERSION",
@@ -173,9 +174,66 @@ def _check_version(doc, where):
         )
 
 
+def _rows_by_members(rows, players, label, rational) -> dict:
+    """The utility table of ``rows``, each row keyed by its set of nodes.
+
+    Every spec and field of every row is checked in document order, so
+    the first broken rule is the one reported."""
+    utilities: Dict[str, Dict[frozenset, Fraction]] = {i: {} for i in players}
+    for entry in rows:
+        play_nodes = _require(entry, "play", list, "utility entry")
+        members = frozenset(map(label, play_nodes))
+        values = _require(entry, "values", dict, "utility entry")
+        for player, value in values.items():
+            row = utilities.setdefault(player, {})
+            if members in row:
+                raise DocumentSyntaxError("duplicate utility entry for one play")
+            row[members] = rational(value)
+    return utilities
+
+
+def _rows_by_end(tree, spec_of, rows, players, label, rational):
+    """The utility table of ``rows`` keyed by the tree's own plays, or
+    ``None`` unless each row lists exactly the specs that ``spec_of``
+    gives the nodes of its play and ``_rows_by_members`` would accept it.
+
+    A play is fixed by its end, so a row is read by its last spec and
+    compared with that play's specs as one list."""
+    ends = {}
+    stack = [(tree.root, [])]
+    while stack:  # each node's specs are its parent's plus its own
+        t, above = stack.pop()
+        specs = above + [spec_of[t]]
+        kids = tree.children_map.get(t)
+        if kids:
+            stack.extend((kid, specs) for kid in kids)
+        else:
+            ends[t] = tree.play_by_end[t], specs
+    utilities: Dict[str, Dict[Play, Fraction]] = {i: {} for i in players}
+    try:
+        for entry in rows:
+            play_specs, values = entry["play"], entry["values"]
+            play, specs = ends[label(play_specs[-1])]
+            if play_specs != specs or type(values) is not dict:
+                return None
+            for player, value in values.items():
+                row = utilities.setdefault(player, {})
+                if play in row:
+                    return None
+                row[play] = rational(value)
+    except (NcgError, LookupError, TypeError):  # a row with a fault
+        return None
+    return utilities
+
+
 def _game_from_document(doc) -> tuple:
     """The game a document describes and the reader of node specs that
-    built it, which returns the game's own label for each of its nodes."""
+    built it, which returns the game's own label for each of its nodes.
+
+    Utility rows are read by their ends when they all spell their plays
+    as the node list does and the preform and form build; otherwise
+    they are read spec by spec, so a fault in a row is reported before
+    a fault of the tree."""
     _check_version(doc, "game document")
     players = _require(doc, "players", list, "game document")
     if not all(isinstance(i, str) for i in players):
@@ -184,7 +242,8 @@ def _game_from_document(doc) -> tuple:
         raise DocumentSyntaxError("duplicate player entry")
 
     label = _label_reader()
-    nodes = [label(spec) for spec in _require(doc, "nodes", list, "game document")]
+    node_specs = _require(doc, "nodes", list, "game document")
+    nodes = [label(spec) for spec in node_specs]
     if len(set(nodes)) != len(nodes):
         raise DocumentSyntaxError("duplicate node entry")
 
@@ -201,24 +260,23 @@ def _game_from_document(doc) -> tuple:
             raise DocumentSyntaxError(f"ownership of {player!r} must list choice tokens")
         assignment[player] = frozenset(choices)
 
-    rational = _rational_reader()
-    utilities: Dict[str, Dict[frozenset, Fraction]] = {i: {} for i in players}
-    for entry in _require(doc, "utilities", list, "game document"):
-        play_nodes = _require(entry, "play", list, "utility entry")
-        members = frozenset(map(label, play_nodes))
-        values = _require(entry, "values", dict, "utility entry")
-        for player, value in values.items():
-            row = utilities.setdefault(player, {})
-            if members in row:
-                raise DocumentSyntaxError("duplicate utility entry for one play")
-            row[members] = rational(value)
-
+    rows = _require(doc, "utilities", list, "game document")
     choices = frozenset(c for _t, c, _n in triples) | frozenset(
         c for cs in assignment.values() for c in cs
     )
+    rational = _rational_reader()
     try:
-        preform = build_preform(nodes, choices, triples)
-        form = build_form(preform, players, assignment)
+        form = build_form(build_preform(nodes, choices, triples), players, assignment)
+    except NcgError:
+        form = utilities = None
+    else:
+        spec_of = dict(zip(nodes, node_specs))
+        utilities = _rows_by_end(form.preform.tree, spec_of, rows, players, label, rational)
+    if utilities is None:
+        utilities = _rows_by_members(rows, players, label, rational)
+    try:
+        if form is None:
+            form = build_form(build_preform(nodes, choices, triples), players, assignment)
         return build_game(form, utilities), label
     except NcgError as exc:
         raise AxiomViolation(exc) from exc

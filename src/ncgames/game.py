@@ -130,9 +130,12 @@ def _as_fraction(value) -> Fraction:
 
 
 def build_game(form: Form, utilities: Mapping) -> Game:
-    """Validate a utility table: every play priced for every player."""
-    # in play order, so a missing price is reported for the first play
-    plays_by_members = {p.members: p for p in form.preform.tree.play_by_end.values()}
+    """Validate a utility table: every play priced for every player.
+
+    A table is keyed by plays, or by the sets of their nodes; a key that
+    is a play of this very tree is taken as it is."""
+    plays = form.preform.tree.play_by_end
+    plays_by_members = None  # built for the first key that needs it
     for i in utilities:
         if i not in form.players:
             raise GameError(
@@ -151,29 +154,34 @@ def build_game(form: Form, utilities: Mapping) -> Game:
             )
         row: Dict[Play, Fraction] = {}
         for key, value in utilities[i].items():
-            members = key.members if isinstance(key, Play) else frozenset(key)
-            play = plays_by_members.get(members)
-            if play is None:
-                listing = ",".join(
-                    sorted((render_label(t) for t in members))
-                )
-                raise GameError(
-                    "UnknownPlayInTable",
-                    f"utility row of {render_token(i)} prices {{{listing}}}, "
-                    "which is not a play",
-                    axiom="[G2]",
-                )
+            if isinstance(key, Play) and plays.get(key.end) is key:
+                play = key
+            else:
+                if plays_by_members is None:
+                    plays_by_members = {p.members: p for p in plays.values()}
+                members = key.members if isinstance(key, Play) else frozenset(key)
+                play = plays_by_members.get(members)
+                if play is None:
+                    listing = ",".join(sorted((render_label(t) for t in members)))
+                    raise GameError(
+                        "UnknownPlayInTable",
+                        f"utility row of {render_token(i)} prices {{{listing}}}, "
+                        "which is not a play",
+                        axiom="[G2]",
+                    )
             row[play] = _as_fraction(value)
-        for play in plays_by_members.values():
-            if play not in row:
-                raise GameError(
-                    "MissingUtility",
-                    f"player {render_token(i)} has no utility for the play ending at "
-                    f"{render_label(play.end)}",
-                    axiom="[G2]",
-                    player=i,
-                    play=play,
-                )
+        if len(row) != len(plays):
+            # every key is a play, so some play is unpriced; in play
+            # order, so the first one is reported
+            play = next(play for play in plays.values() if play not in row)
+            raise GameError(
+                "MissingUtility",
+                f"player {render_token(i)} has no utility for the play ending at "
+                f"{render_label(play.end)}",
+                axiom="[G2]",
+                player=i,
+                play=play,
+            )
         table[i] = row
         ranges[i] = frozenset(row.values())
     return Game(form=form, utilities=table, ranges=ranges)

@@ -4,7 +4,8 @@ A tree fixes everything later stages build on: the root, the decision
 nodes (nodes that precede something), each node's stage (distance from
 the root), the precedence order, and the plays (maximal chains, one per
 terminal node).  All of that is derived and cached at construction
-time; values are immutable afterwards and safe to share.
+time, except each play's member set, which is derived when first read;
+values are immutable afterwards and safe to share.
 
 Only finite trees are accepted, so every play is finite and the
 collection of infinite plays is always empty.
@@ -13,7 +14,7 @@ collection of infinite plays is always empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .errors import MorphismError, TreeError
@@ -114,16 +115,23 @@ def check_composable(second, first) -> None:
 
 @dataclass(frozen=True)
 class Play:
-    """A maximal chain of nodes.
+    """A maximal chain of nodes, fixed by its maximum ``end``.
 
-    ``members`` is the chain as a set, ``end`` its maximum.  ``path``
-    lists the same nodes from root to end and exists so that callers
-    never re-derive the order; it does not participate in equality.
+    ``path`` lists the chain from root to end.  Two plays are equal
+    when their ends and paths are, and a play hashes as its end, so the
+    plays of one tree hash apart.  ``members`` is the chain as a set,
+    derived from ``path`` when first read.
     """
 
-    members: frozenset
     end: NodeLabel
-    path: Tuple[NodeLabel, ...] = field(compare=False, repr=False)
+    path: Tuple[NodeLabel, ...] = field(repr=False)
+
+    def __hash__(self) -> int:
+        return hash(self.end)
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +262,7 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         if kids:
             stack.extend((kid, depth + 1) for kid in reversed(kids))
         else:
-            play_by_end[t] = Play(frozenset(path), t, tuple(path))
+            play_by_end[t] = Play(t, tuple(path))
     if len(stage) != len(node_set):
         # the walk reaches exactly the nodes whose chain ends at the root
         start = next(t for t in rank if t not in stage)

@@ -152,9 +152,10 @@ class TestDerive:
         assert code == 0
 
 
-def fresh_process(workdir, argv, **env):
+def fresh_process(workdir, argv, text=True, **env):
     """``ncg *argv`` run in a fresh interpreter from ``workdir``, with
-    ``env`` added to a bare environment."""
+    ``env`` added to a bare environment; its output is decoded unless
+    ``text`` is false."""
     import os
     import subprocess
     import sys
@@ -172,7 +173,7 @@ def fresh_process(workdir, argv, **env):
         cwd=workdir,
         env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", **env},
         capture_output=True,
-        text=True,
+        text=text,
     )
 
 
@@ -249,6 +250,23 @@ def test_documents_are_utf8_under_any_locale(tmp_path):
         outcomes.append((outputs, {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
     assert outcomes[0] == outcomes[1]
     assert "Pé".encode("utf-8") in outcomes[1][1]["morphism__inverse.morphism"]
+
+
+def test_reports_are_utf8_under_any_locale(tmp_path):
+    """Reports that print a non-ASCII token are UTF-8 bytes under the C
+    locale with neither UTF-8 mode nor locale coercion, as in UTF-8 mode."""
+    game = (FIXTURES / "classroom.game").read_text(encoding="utf-8").replace('"P1"', '"Pé"')
+    (tmp_path / "pe.game").write_bytes(game.encode("utf-8"))
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    printed = {}
+    for command in ("validate", "derive", "nash"):
+        utf8 = fresh_process(tmp_path, [command, "pe.game"], text=False, PYTHONUTF8="1")
+        c = fresh_process(tmp_path, [command, "pe.game"], text=False, **c_locale)
+        assert (c.returncode, c.stderr) == (0, b""), c.stderr
+        assert (utf8.returncode, utf8.stderr) == (0, b"")
+        assert c.stdout == utf8.stdout
+        printed[command] = c.stdout
+    assert "players: P2,P3,Pé\n".encode("utf-8") in printed["derive"]
 
 
 def _cut_utilities(doc):

@@ -331,6 +331,111 @@ class TestOneLabelPerNode:
         assert all(id(t) in source_ids for t in m.tau)
 
 
+def _classroom_rows_doc(classroom_text, mutate):
+    doc = json.loads(classroom_text)
+    mutate(doc["utilities"])
+    return json.dumps(doc)
+
+
+class TestPlayRows:
+    """A utility row names its play by the list of its node specs, root
+    first.  A row spelled as the node list spells that path is read by
+    its end; any other row is judged spec by spec, as every row was
+    before, so its verdict and message stay the same."""
+
+    def test_rows_key_the_trees_own_plays(self, classroom_text):
+        g = parse_game(classroom_text)
+        for row in g.utilities.values():
+            assert [z.end for z in row] == [z.end for z in g.tree.play_by_end.values()]
+            assert all(z is g.tree.play_by_end[z.end] for z in row)
+
+    def test_set_spec_in_another_order(self, classroom_text):
+        canonical = canonicalize(parse_game(classroom_text)).game
+        doc = json.loads(serialize_game(canonical))
+        play = next(e["play"] for e in doc["utilities"] if len(e["play"][-1]["set"]) > 1)
+        play[-1] = {"set": play[-1]["set"][::-1]}
+        g = parse_game(json.dumps(doc))
+        assert g == canonical
+        assert serialize_game(g) == serialize_game(canonical)
+        _assert_one_object_per_node(g)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # a set of nodes names its play in any order and multiplicity
+            lambda rows: rows[2]["play"].insert(0, rows[2]["play"].pop(1)),
+            lambda rows: rows[2]["play"].insert(1, {"atom": "1"}),
+            lambda rows: rows[2]["play"].append({"atom": "0"}),
+        ],
+        ids=["swapped", "duplicated", "root again at the end"],
+    )
+    def test_other_spellings_of_a_play(self, classroom_text, mutate):
+        g = parse_game(_classroom_rows_doc(classroom_text, mutate))
+        assert g == parse_game(classroom_text)
+        assert serialize_game(g) == classroom_text
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda rows: rows[2]["play"].pop(1),
+             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "prices {0,4,8}, which is not a play"),
+            (lambda rows: rows[2]["play"].__setitem__(-1, {"atom": "4"}),
+             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "prices {0,1,4}, which is not a play"),
+            (lambda rows: rows[2]["play"].pop(),
+             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "prices {0,1,4}, which is not a play"),
+            (lambda rows: rows[1]["play"].__setitem__(-1, {"atom": "9"}),
+             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "prices {0,1,4,9}, which is not a play"),
+            (lambda rows: rows[1].__setitem__("play", []),
+             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "prices {}, which is not a play"),
+            (lambda rows: rows.append(json.loads(json.dumps(rows[1]))),
+             "SyntaxError: duplicate utility entry for one play"),
+            (lambda rows: rows[1]["values"].__setitem__("Zed", "1"),
+             "AxiomViolation: UnknownPlayer: utility table mentions undeclared player Zed"),
+            (lambda rows: rows[1].__setitem__("play", {"atom": "2"}),
+             "SyntaxError: utility entry field 'play' has the wrong shape"),
+            (lambda rows: rows[1].__setitem__("play", "2"),
+             "SyntaxError: utility entry field 'play' has the wrong shape"),
+            (lambda rows: rows[1]["play"].__setitem__(1, {"seq": "a"}),
+             "SyntaxError: seq node 'a' must list choice tokens"),
+            (lambda rows: rows[1]["values"].__setitem__("P2", "x"),
+             "SyntaxError: utility 'x' is not rational text"),
+            (lambda rows: rows.pop(3),
+             "AxiomViolation [[G2]]: MissingUtility [[G2]]: player P1 has no utility "
+             "for the play ending at 5"),
+        ],
+        ids=["dropped", "decision end", "prefix", "unknown node", "empty",
+             "duplicated row", "unknown player", "dict play", "text play",
+             "malformed middle spec", "bad value", "missing row"],
+    )
+    def test_wrong_rows_keep_their_messages(self, classroom_text, mutate, message):
+        with pytest.raises((AxiomViolation, DocumentSyntaxError)) as err:
+            parse_game(_classroom_rows_doc(classroom_text, mutate))
+        assert str(err.value) == message
+
+    def test_row_fault_is_reported_before_a_cycle(self, classroom_text):
+        doc = json.loads(classroom_text)
+        doc["nodes"] += [{"atom": "x"}, {"atom": "y"}]
+        doc["edges"] += [[{"atom": "x"}, "xy", {"atom": "y"}],
+                         [{"atom": "y"}, "yx", {"atom": "x"}]]
+        doc["ownership"]["P1"] += ["xy", "yx"]
+        with pytest.raises(AxiomViolation) as err:
+            parse_game(json.dumps(doc))
+        assert str(err.value) == (
+            "AxiomViolation [[P2]]: NodeUnreachable [[P2]]: derived predecessor "
+            "structure is not a tree (Cycle [[T2]]: predecessor chain from x never "
+            "reaches the root)"
+        )
+        doc["utilities"][1]["play"][1] = {"seq": "a"}
+        with pytest.raises(DocumentSyntaxError) as err:
+            parse_game(json.dumps(doc))
+        assert str(err.value) == "SyntaxError: seq node 'a' must list choice tokens"
+
+
 class TestGameReferences:
     def _morphism_naming(self, classroom_text, ref):
         doc = json.loads(serialize_morphism(identity_morphism(parse_game(classroom_text))))

@@ -26,12 +26,15 @@ from ncgames import (
     is_subgame,
     nash_equilibria,
     subgame_at,
+    subtree_at,
     validate_game_morphism,
 )
 from ncgames.transforms import apply_utility_transform, relabel_game
 
 import property_checks
-from conftest import CLASSROOM_UTILITIES, a, nodes_of
+from conftest import (
+    CLASSROOM_UTILITIES, a, make_classroom_game, make_classroom_tree, nodes_of
+)
 from oracles import nash_by_deviation_scan
 
 
@@ -77,6 +80,24 @@ class TestBuildGame:
         with pytest.raises(GameError) as err:
             build_game(classroom_form, table)
         assert err.value.code == "UnknownPlayInTable"
+
+    def test_plays_of_an_equal_tree_become_this_trees(self, classroom_form):
+        other = make_classroom_game()
+        game = build_game(classroom_form, other.utilities)
+        own = classroom_form.preform.tree.play_by_end
+        assert game.utilities == other.utilities
+        for row in game.utilities.values():
+            assert all(z is own[z.end] for z in row)
+
+    def test_play_of_another_tree_is_unknown(self, classroom_form):
+        cut = subtree_at(make_classroom_tree(), a(1)).play_by_end[a(2)]
+        table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
+        table["P1"][cut] = 5
+        with pytest.raises(GameError) as err:
+            build_game(classroom_form, table)
+        assert str(err.value) == (
+            "UnknownPlayInTable [[G2]]: utility row of P1 prices {1,2}, which is not a play"
+        )
 
     def test_floats_rejected(self, classroom_form):
         table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}

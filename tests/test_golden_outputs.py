@@ -1,4 +1,5 @@
-"""Golden outputs: every subcommand's stdout and written files, byte for byte.
+"""Golden outputs: every subcommand's stdout and written files, byte for
+byte, and the reader's verdict on seeded mutants of game documents.
 
 The commands run on both fixtures and on one seeded 40-stage centipede,
 from a scratch directory with relative paths, so no output names a
@@ -11,6 +12,7 @@ change of output, run this file as a script from the repository root:
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -19,7 +21,9 @@ import random
 import shutil
 from pathlib import Path
 
+from ncgames import NcgError, parse_game, serialize_game
 from ncgames.cli import cli_dispatch
+from ncgames.transforms import canonicalize, to_choice_sequence
 
 from random_games import centipede_document
 
@@ -299,8 +303,219 @@ def test_outputs_match_the_recorded_digests(tmp_path):
     assert {k: v for k, v in got.items() if GOLDEN[k] != v} == {}
 
 
+# Row mutants: the reader's verdict on each of MUTANTS mutated game
+# documents, hashed in one digest.  Every rejection keeps its code and
+# text, and every accepted mutant its canonical document.
+
+
+def _mutant_bases() -> list:
+    """The fixtures and their choice-sequence and canonical documents."""
+    bases = []
+    for name in ("classroom.game", "absentminded.game"):
+        g = parse_game((FIXTURES / name).read_text())
+        for h in (g, to_choice_sequence(g)[0], canonicalize(g).game):
+            bases.append(json.loads(serialize_game(h)))
+    return bases
+
+
+def _play(rng, doc, at_least=1) -> list:
+    """The spec list of a row that an earlier mutation left readable,
+    preferring rows of ``at_least`` specs; empty when there is none."""
+    plays = [
+        e["play"] for e in doc["utilities"]
+        if isinstance(e, dict) and isinstance(e.get("play"), list) and e["play"]
+    ]
+    return rng.choice([p for p in plays if len(p) >= at_least] or plays or [[]])
+
+
+def _entry(rng, doc) -> dict:
+    """A row that still has a ``values`` dict, or a throwaway one."""
+    rows = [
+        e for e in doc["utilities"]
+        if isinstance(e, dict) and isinstance(e.get("values"), dict)
+    ]
+    return rng.choice(rows or [{"values": {}}])
+
+
+def _swap_middle(rng, doc):
+    play = _play(rng, doc, 3)
+    if len(play) >= 3:
+        i = rng.randrange(len(play) - 2)
+        play[i], play[i + 1] = play[i + 1], play[i]
+
+
+def _reorder_set(rng, doc):
+    spots = [
+        (play, i)
+        for play in (e.get("play") for e in doc["utilities"] if isinstance(e, dict))
+        if isinstance(play, list)
+        for i, spec in enumerate(play)
+        if isinstance(spec, dict) and len(spec.get("set", ())) > 1
+    ]
+    if spots:
+        play, i = rng.choice(spots)
+        play[i] = {"set": play[i]["set"][::-1]}
+
+
+def _drop_spec(rng, doc):
+    play = _play(rng, doc)
+    if play:
+        del play[rng.randrange(len(play))]
+
+
+def _duplicate_spec(rng, doc):
+    play = _play(rng, doc)
+    if play:
+        play.insert(rng.randrange(len(play) + 1), copy.deepcopy(rng.choice(play)))
+
+
+def _end_at_decision(rng, doc):
+    play = _play(rng, doc)
+    if play:
+        play[-1] = copy.deepcopy(rng.choice(doc["edges"])[0])
+
+
+def _prefix(rng, doc):
+    play = _play(rng, doc)
+    if play:
+        del play[rng.randrange(len(play)):]
+
+
+def _duplicate_row(rng, doc):
+    rows = doc["utilities"]
+    rows.insert(rng.randrange(len(rows) + 1), copy.deepcopy(rng.choice(rows)))
+
+
+def _drop_row(rng, doc):
+    rows = doc["utilities"]
+    del rows[rng.randrange(len(rows))]
+    if not rows:
+        rows.append({"play": [], "values": {}})
+
+
+def _unknown_player(rng, doc):
+    _entry(rng, doc)["values"]["Zed"] = "1"
+
+
+def _non_list_play(rng, doc):
+    row = rng.choice(doc["utilities"])
+    if isinstance(row, dict):
+        spec = (_play(rng, doc) or [None])[-1]
+        row["play"] = rng.choice([None, "0", 3, {"atom": "0"}, {"play": []}, spec])
+
+
+def _foreign_spec(rng, doc):
+    play = _play(rng, doc)
+    if play:
+        bad = [{"atom": ["x"]}, {"seq": "a"}, {"set": [1]}, {"Seq": []}, "a", {},
+               {"atom": "zz"}]
+        play[rng.randrange(len(play))] = rng.choice(bad)
+
+
+def _bad_values(rng, doc):
+    row = _entry(rng, doc)
+    if rng.random() < 0.3:
+        row["values"] = rng.choice([None, [], "1"])
+    else:
+        player = rng.choice(sorted(row["values"]) or ["P1"])
+        row["values"][player] = rng.choice(["x", True, "1/0", None, 1.5, "-7/3"])
+
+
+def _drop_field(rng, doc):
+    row = rng.choice(doc["utilities"])
+    if isinstance(row, dict):
+        row.pop(rng.choice(["play", "values"]), None)
+
+
+ROW_MUTATIONS = [
+    _swap_middle, _reorder_set, _drop_spec, _duplicate_spec, _end_at_decision,
+    _prefix, _duplicate_row, _drop_row, _unknown_player, _non_list_play,
+    _foreign_spec, _bad_values, _drop_field,
+]
+
+
+def _edge_to_root(rng, doc):
+    rng.choice(doc["edges"])[2] = copy.deepcopy(doc["edges"][0][0])
+
+
+def _cycle(rng, doc):
+    # two new nodes, each the other's parent, away from the root
+    x, y = {"atom": "x"}, {"atom": "y"}
+    doc["nodes"] += [x, y]
+    doc["edges"] += [[x, "xy", y], [y, "yx", x]]
+    doc["ownership"][doc["players"][0]] += ["xy", "yx"]
+    doc["ownership"][doc["players"][0]].append("zz")
+
+
+def _drop_edge(rng, doc):
+    del doc["edges"][rng.randrange(len(doc["edges"]))]
+
+
+def _drop_node(rng, doc):
+    del doc["nodes"][rng.randrange(len(doc["nodes"]))]
+
+
+def _duplicate_node(rng, doc):
+    doc["nodes"].append(copy.deepcopy(rng.choice(doc["nodes"])))
+
+
+def _isolated_node(rng, doc):
+    doc["nodes"].append({"atom": "lonely"})
+
+
+def _malformed_edge(rng, doc):
+    doc["edges"][rng.randrange(len(doc["edges"]))] = rng.choice([None, [], ["a", "b"]])
+
+
+def _disown_choice(rng, doc):
+    player = rng.choice(doc["players"])
+    if doc["ownership"][player]:
+        doc["ownership"][player].pop()
+
+
+TREE_MUTATIONS = [
+    _edge_to_root, _cycle, _drop_edge, _drop_node, _duplicate_node,
+    _isolated_node, _malformed_edge, _disown_choice,
+]
+
+MUTANTS = 3000
+
+
+def mutant_outcomes(seed: int = 12, count: int = MUTANTS):
+    """Each mutant's outcome: its canonical document when it parses,
+    else the error's code and text."""
+    rng = random.Random(seed)
+    bases = _mutant_bases()
+    for _ in range(count):
+        doc = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            rng.choice(ROW_MUTATIONS)(rng, doc)
+        if rng.random() < 0.3:
+            rng.choice(TREE_MUTATIONS)(rng, doc)
+        try:
+            yield serialize_game(parse_game(json.dumps(doc)))
+        except NcgError as err:
+            yield f"{err.code}\n{err}"
+
+
+def mutant_digest() -> str:
+    digest = hashlib.sha256()
+    for outcome in mutant_outcomes():
+        digest.update(outcome.encode() + b"\0")
+    return digest.hexdigest()
+
+
+# recorded before the reader began taking each play row by its end
+MUTANT_DIGEST = "f3e5ef84c9ed08e60f0b33f59ee713afedf7ce4f56b02eec97912146aead72c4"
+
+
+def test_row_mutants_keep_their_outcomes():
+    assert mutant_digest() == MUTANT_DIGEST
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
         print(json.dumps(outputs(Path(scratch)), indent=4, sort_keys=True))
+    print("MUTANT_DIGEST =", json.dumps(mutant_digest()))

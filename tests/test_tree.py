@@ -1,5 +1,8 @@
 """Tree construction, derived structure, plays, and tree morphisms."""
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +25,14 @@ from conftest import (
     CLASSROOM_NODES,
     CLASSROOM_PRED_PAIRS,
     a,
+    make_classroom_tree,
     make_embedding_trees,
     nodes_of,
 )
+from ncgames import parse_game, serialize_game
 from ncgames.labels import render_label
 from oracles import tree_by_walk_up
+from random_games import centipede_document
 
 
 def members(play):
@@ -136,6 +142,44 @@ class TestPlays:
             assert play.path[-1] == play.end
             assert frozenset(play.path) == play.members
             assert len(play.members) == classroom_tree.stage[play.end] + 1
+
+
+class TestPlayIdentity:
+    """A play is fixed by its end: it compares by end and path, hashes
+    by its end, and derives its member set when first asked."""
+
+    def test_members_are_the_path_of_the_trees_own_labels(self, classroom_tree):
+        ids = {id(t) for t in classroom_tree.nodes}
+        for play in plays(classroom_tree):
+            assert play.members == frozenset(play.path)
+            assert all(id(t) in ids for t in play.members)
+
+    def test_plays_of_equal_trees_are_equal(self):
+        first, second = make_classroom_tree(), make_classroom_tree()
+        assert first.play_by_end is not second.play_by_end
+        for end, play in first.play_by_end.items():
+            twin = second.play_by_end[end]
+            assert play is not twin
+            assert play == twin
+            assert hash(play) == hash(twin)
+        assert first.plays == second.plays
+
+    def test_plays_of_other_trees_differ(self, classroom_tree):
+        sub = subtree_at(classroom_tree, a(1))
+        for end, play in sub.play_by_end.items():
+            assert play.end == classroom_tree.play_by_end[end].end
+            assert play != classroom_tree.play_by_end[end]
+
+    def test_members_are_not_built_with_the_tree(self, classroom_tree):
+        for play in plays(classroom_tree):
+            assert "members" not in vars(play)
+
+    def test_deep_centipede_equals_itself_reparsed(self):
+        text = json.dumps(centipede_document(random.Random(300), 300))
+        g, again = parse_game(text), parse_game(text)
+        assert g == again
+        assert hash(g.tree) == hash(again.tree)
+        assert serialize_game(g) == serialize_game(again)
 
 
 class TestSubtree:

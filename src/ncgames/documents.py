@@ -265,18 +265,19 @@ def _game_from_document(doc) -> tuple:
         c for cs in assignment.values() for c in cs
     )
     rational = _rational_reader()
+    fault = utilities = None
     try:
         form = build_form(build_preform(nodes, choices, triples), players, assignment)
-    except NcgError:
-        form = utilities = None
+    except NcgError as exc:
+        fault = exc
     else:
         spec_of = dict(zip(nodes, node_specs))
         utilities = _rows_by_end(form.preform.tree, spec_of, rows, players, label, rational)
     if utilities is None:
         utilities = _rows_by_members(rows, players, label, rational)
     try:
-        if form is None:
-            form = build_form(build_preform(nodes, choices, triples), players, assignment)
+        if fault is not None:
+            raise fault
         return build_game(form, utilities), label
     except NcgError as exc:
         raise AxiomViolation(exc) from exc

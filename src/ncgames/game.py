@@ -47,9 +47,9 @@ from .tree import (
     Structural,
     Tree,
     TreeMorphism,
+    _is_bijection,
     check_composable,
     end_preserved_plays,
-    strict_predecessors,
     subtree_at,
 )
 
@@ -107,13 +107,17 @@ class Game(Structural):
         return self.tree.plays
 
     def play_with_members(self, members: Iterable[NodeLabel]) -> Optional[Play]:
-        members = frozenset(members)
-        # a play holds exactly one terminal node, its end
-        for t in members:
-            if t not in self.tree.decision_nodes:
-                play = self.tree.play_by_end.get(t)
-                return play if play is not None and play.members == members else None
+        return _play_with_nodes(self.tree, frozenset(members))
+
+
+def _play_with_nodes(tree: Tree, nodes: frozenset) -> Optional[Play]:
+    """The play of ``tree`` whose nodes are ``nodes``, if any, found
+    through its end: a play's one node that precedes nothing."""
+    end = next((t for t in nodes if t not in tree.decision_nodes), None)
+    play = tree.play_by_end.get(end)
+    if play is None or len(play.path) != len(nodes) or not nodes.issuperset(play.path):
         return None
+    return play
 
 
 def _as_fraction(value) -> Fraction:
@@ -135,7 +139,6 @@ def build_game(form: Form, utilities: Mapping) -> Game:
     A table is keyed by plays, or by the sets of their nodes; a key that
     is a play of this very tree is taken as it is."""
     plays = form.preform.tree.play_by_end
-    plays_by_members = None  # built for the first key that needs it
     for i in utilities:
         if i not in form.players:
             raise GameError(
@@ -157,12 +160,10 @@ def build_game(form: Form, utilities: Mapping) -> Game:
             if isinstance(key, Play) and plays.get(key.end) is key:
                 play = key
             else:
-                if plays_by_members is None:
-                    plays_by_members = {p.members: p for p in plays.values()}
-                members = key.members if isinstance(key, Play) else frozenset(key)
-                play = plays_by_members.get(members)
+                nodes = frozenset(key.path if isinstance(key, Play) else key)
+                play = _play_with_nodes(form.preform.tree, nodes)
                 if play is None:
-                    listing = ",".join(sorted((render_label(t) for t in members)))
+                    listing = ",".join(sorted((render_label(t) for t in nodes)))
                     raise GameError(
                         "UnknownPlayInTable",
                         f"utility row of {render_token(i)} prices {{{listing}}}, "
@@ -356,11 +357,6 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
     )
 
 
-def _is_bijection(mapping: Mapping, domain: frozenset, codomain: frozenset) -> bool:
-    values = set(mapping.values())
-    return len(values) == len(domain) and values == set(codomain)
-
-
 def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:
     """An explicit inverse when every component bijects, else ``None``.
 
@@ -402,14 +398,13 @@ def is_subgame(inner: Game, outer: Game) -> bool:
     """
     if not is_subform(inner.form, outer.form):
         return False
-    prefix = strict_predecessors(outer.tree, inner.tree.root)
-    for z in inner.plays:
-        extended = outer.play_with_members(prefix | z.members)
-        if extended is None or any(
-            inner.utilities[i][z] != outer.utilities[i][extended] for i in inner.players
-        ):
-            return False
-    return True
+    # the inner tree is the outer one's up-set of its root, so an inner
+    # play extends to the outer play with the same end
+    return all(
+        inner.utilities[i][z] == outer.utilities[i][outer.tree.play_by_end[z.end]]
+        for z in inner.plays
+        for i in inner.players
+    )
 
 
 def subgame_at(g: Game, t_star: NodeLabel) -> Game:

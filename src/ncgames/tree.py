@@ -3,9 +3,9 @@
 A tree fixes everything later stages build on: the root, the decision
 nodes (nodes that precede something), each node's stage (distance from
 the root), the precedence order, and the plays (maximal chains, one per
-terminal node).  All of that is derived and cached at construction
-time, except each play's member set, which is derived when first read;
-values are immutable afterwards and safe to share.
+terminal node, each held as its end and its path from the root).  All
+of that is derived and cached at construction time; values are
+immutable afterwards and safe to share.
 
 Only finite trees are accepted, so every play is finite and the
 collection of infinite plays is always empty.
@@ -14,7 +14,7 @@ collection of infinite plays is always empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .errors import MorphismError, TreeError
@@ -119,8 +119,7 @@ class Play:
 
     ``path`` lists the chain from root to end.  Two plays are equal
     when their ends and paths are, and a play hashes as its end, so the
-    plays of one tree hash apart.  ``members`` is the chain as a set,
-    derived from ``path`` when first read.
+    plays of one tree hash apart.
     """
 
     end: NodeLabel
@@ -128,10 +127,6 @@ class Play:
 
     def __hash__(self) -> int:
         return hash(self.end)
-
-    @cached_property
-    def members(self) -> frozenset:
-        return frozenset(self.path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,10 +347,14 @@ def compose_tree_morphisms(second: TreeMorphism, first: TreeMorphism) -> TreeMor
     return validate_tree_morphism(first.source, second.target, tau)
 
 
+def _is_bijection(mapping: Mapping, domain: frozenset, codomain: frozenset) -> bool:
+    values = set(mapping.values())
+    return len(values) == len(domain) and values == set(codomain)
+
+
 def is_tree_isomorphism(m: TreeMorphism) -> Optional[TreeMorphism]:
     """The inverse morphism when the node map bijects, else ``None``."""
-    values = set(m.tau.values())
-    if len(values) != len(m.source.nodes) or values != set(m.target.nodes):
+    if not _is_bijection(m.tau, m.source.nodes, m.target.nodes):
         return None
     inverse = {v: k for k, v in m.tau.items()}
     return validate_tree_morphism(m.target, m.source, inverse)
@@ -378,4 +377,4 @@ def image_play(m: TreeMorphism, z: Play) -> frozenset:
     if z not in m.source.plays:
         raise MorphismError("UnknownPlay", "argument is not a play of the source tree")
     prefix = strict_predecessors(m.target, m.tau[m.source.root])
-    return prefix | frozenset(m.tau[t] for t in z.members)
+    return prefix | frozenset(m.tau[t] for t in z.path)

@@ -79,10 +79,10 @@ def utility_maps_pointwise(g1, g2, iota, tau):
     """Each player's utility map, sending the utility of every play to the
     utility of the play with the image members; ``None`` when some image is
     not a play or some map is not a function."""
-    by_members = {z.members: z for z in g2.tree.plays}
+    by_members = {frozenset(z.path): z for z in g2.tree.plays}
     beta = {i: {} for i in g1.players}
     for z in g1.tree.plays:
-        image = by_members.get(frozenset(tau[t] for t in z.members))
+        image = by_members.get(frozenset(tau[t] for t in z.path))
         if image is None:
             return None
         for i in g1.players:
@@ -128,6 +128,41 @@ def isomorphic_by_choice_maps(g1, g2):
     return None
 
 
+def subform_by_restriction(inner, outer):
+    """Whether ``inner`` is ``outer`` restricted to the up-set of its root:
+    its nodes are that up-set, and its choices, operator triples,
+    information sets, players and choice ownership are among the outer
+    ones."""
+    root, pred = inner.tree.root, outer.tree.pred
+    up_set = {t for t in outer.tree.nodes if root in reachable_by_pred(pred, t)}
+    return (
+        inner.tree.nodes == up_set
+        and inner.preform.choices <= outer.preform.choices
+        and inner.preform.op.items() <= outer.preform.op.items()
+        and inner.preform.info_sets <= outer.preform.info_sets
+        and inner.players <= outer.players
+        and all(inner.form.assignment[i] <= outer.form.assignment[i] for i in inner.players)
+    )
+
+
+def subgame_by_members(inner, outer):
+    """Whether ``inner`` is a subgame of ``outer`` by the paper's
+    definition: a subform, each of whose plays is priced like the outer
+    play whose nodes are its own plus the outer strict predecessors of
+    the inner root."""
+    if not subform_by_restriction(inner, outer):
+        return False
+    prefix = frozenset(reachable_by_pred(outer.tree.pred, inner.tree.root)[1:])
+    by_members = {frozenset(z.path): z for z in outer.tree.plays}
+    for z in inner.tree.plays:
+        extended = by_members.get(prefix | frozenset(z.path))
+        if extended is None or any(
+            inner.utilities[i][z] != outer.utilities[i][extended] for i in inner.players
+        ):
+            return False
+    return True
+
+
 def weakly_precedes(pred, a, b):
     return a in reachable_by_pred(pred, b)
 
@@ -171,11 +206,10 @@ def maximal_chains(nodes, pred):
 
 def plays_matching_strategy(preform, strategy):
     """Plays all of whose non-root nodes were produced by the strategy."""
-    root = preform.tree.root
     return {
         z
         for z in preform.tree.plays
-        if all(preform.prev_choice[t] in strategy for t in z.members - {root})
+        if all(preform.prev_choice[t] in strategy for t in z.path[1:])
     }
 
 

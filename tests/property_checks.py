@@ -47,9 +47,9 @@ def check_tree_invariants(tree):
             assert oracles.comparable(tree.pred, x, y)
     for z in plays(tree):
         assert z.path[0] == tree.root
-        assert len(z.members) == tree.stage[z.end] + 1
-        assert _is_consecutive_chain(tree.pred, z.members)
-    assert {z.members for z in plays(tree)} == oracles.maximal_chains(
+        assert len(frozenset(z.path)) == tree.stage[z.end] + 1
+        assert _is_consecutive_chain(tree.pred, frozenset(z.path))
+    assert {frozenset(z.path) for z in plays(tree)} == oracles.maximal_chains(
         tree.nodes, tree.pred
     )
 
@@ -87,11 +87,11 @@ def _is_consecutive_chain(pred, subset):
 def check_play_images(m):
     """Images of plays are consecutive chains with a play-independent
     prefix, and end preservation matches image-is-a-play exactly."""
-    target_play_members = {z.members for z in plays(m.target)}
+    target_play_members = {frozenset(z.path) for z in plays(m.target)}
     prefix = strict_predecessors(m.target, m.tau[m.source.root])
     kept = end_preserved_plays(m)
     for z in plays(m.source):
-        image = frozenset(m.tau[t] for t in z.members)
+        image = frozenset(m.tau[t] for t in z.path)
         assert _is_consecutive_chain(m.target.pred, image)
         shallowest = min(image, key=lambda t: m.target.stage[t])
         assert strict_predecessors(m.target, shallowest) == prefix
@@ -110,7 +110,7 @@ def check_composed_end_preservation(second, first, composed):
     assert kept_composed <= kept_first
     if kept_second == plays(second.source):
         assert kept_composed == kept_first
-    second_members = {z.members: z for z in plays(second.source)}
+    second_members = {frozenset(z.path): z for z in plays(second.source)}
     for z in kept_composed:
         image = image_play(first, z)
         assert image in second_members
@@ -215,8 +215,8 @@ def check_iso_witness(witness):
     assert compose(m, witness.inverse) == identity_morphism(h)
 
     # plays biject under the node map
-    images = {frozenset(m.tau[t] for t in z.members) for z in g.plays}
-    assert images == {z.members for z in h.plays}
+    images = {frozenset(m.tau[t] for t in z.path) for z in g.plays}
+    assert images == {frozenset(z.path) for z in h.plays}
     assert len(images) == len(g.plays)
 
     # every play's end is preserved and the target root is the image root
@@ -245,10 +245,10 @@ def check_iso_witness(witness):
     # the strategy-to-play square commutes
     for s in grand_strategies(g.preform):
         image_play_members = frozenset(
-            m.tau[t] for t in play_of(g.preform, s).members
+            m.tau[t] for t in play_of(g.preform, s).path
         )
         mapped_strategy = frozenset(m.delta[c] for c in s)
-        assert image_play_members == play_of(h.preform, mapped_strategy).members
+        assert image_play_members == frozenset(play_of(h.preform, mapped_strategy).path)
 
     # utility maps are strictly increasing bijections matching the tables
     for i in g.players:
@@ -258,7 +258,7 @@ def check_iso_witness(witness):
         ordered = sorted(bmap)
         assert all(bmap[u] < bmap[v] for u, v in zip(ordered, ordered[1:]))
         for z in g.plays:
-            image = h.play_with_members(frozenset(m.tau[t] for t in z.members))
+            image = h.play_with_members(frozenset(m.tau[t] for t in z.path))
             assert bmap[g.utilities[i][z]] == h.utilities[m.iota[i]][image]
 
 

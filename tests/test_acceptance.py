@@ -67,7 +67,7 @@ def token_sets(collection):
 def test_criterion_1_worked_example_reproduction():
     game = make_classroom_game()
 
-    assert token_sets(p.members for p in plays(game.tree)) == [
+    assert token_sets(frozenset(p.path) for p in plays(game.tree)) == [
         [0, 1, 2],
         [0, 1, 4, 7],
         [0, 1, 4, 8],
@@ -105,7 +105,7 @@ def test_criterion_1_worked_example_reproduction():
     assert len(zeta_table) == 8
     for strategy, expected in zeta_table.items():
         play = play_of(game.preform, strategy)
-        assert {t.token for t in play.members} == expected
+        assert {t.token for t in play.path} == expected
 
     assert player_strategies(game.form, "P1") == {frozenset({"a"}), frozenset({"b"})}
     assert player_strategies(game.form, "P2") == {frozenset({"g"}), frozenset({"d"})}
@@ -129,16 +129,16 @@ def test_criterion_2_nash_reproduction():
 def test_criterion_3_end_preserved_plays():
     source, target, tau = make_embedding_trees()
     m = validate_tree_morphism(source, target, tau)
-    kept = {frozenset(t.token for t in z.members) for z in end_preserved_plays(m)}
+    kept = {frozenset(t.token for t in z.path) for z in end_preserved_plays(m)}
     assert kept == {frozenset({1, 2}), frozenset({1, 3})}
 
-    play12 = next(z for z in plays(source) if {t.token for t in z.members} == {1, 2})
-    play14 = next(z for z in plays(source) if {t.token for t in z.members} == {1, 4})
+    play12 = next(z for z in plays(source) if {t.token for t in z.path} == {1, 2})
+    play14 = next(z for z in plays(source) if {t.token for t in z.path} == {1, 4})
     image12 = image_play(m, play12)
     image14 = image_play(m, play14)
     assert {t.token for t in image12} == {10, 11, 12}
     assert {t.token for t in image14} == {10, 11, 14}
-    target_play_members = {z.members for z in plays(target)}
+    target_play_members = {frozenset(z.path) for z in plays(target)}
     assert image12 in target_play_members
     assert image14 not in target_play_members
     report(3, "PASS", "end-preserved plays and play images match the expected sets")

@@ -250,7 +250,7 @@ def _assert_one_object_per_node(g):
     for (t, _c), t_next in g.preform.op.items():
         held += [t, t_next]
     for z in g.plays:
-        held += [z.end, *z.members, *z.path]
+        held += [z.end, *z.path]
     held += [t for h in g.preform.info_sets for t in h]
     assert all(id(t) in ids for t in held)
     assert all(z in g.plays for row in g.utilities.values() for z in row)

@@ -129,7 +129,7 @@ class TestProfileBijection:
         )
         assert merged == frozenset({"a", "g", "e"})
         play = play_of(classroom_form.preform, merged)
-        assert {t.token for t in play.members} == {0, 1, 2}
+        assert {t.token for t in play.path} == {0, 1, 2}
 
     def test_round_trip_both_ways(self, classroom_form):
         for s in grand_strategies(classroom_form.preform):

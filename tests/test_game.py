@@ -8,6 +8,7 @@ from ncgames import (
     Game,
     GameError,
     MorphismError,
+    Play,
     build_form,
     build_game,
     build_preform,
@@ -53,7 +54,46 @@ def doubled_game(g):
     return apply_utility_transform(g, maps)
 
 
+# keys that are no play of the classroom tree, each with its listing in
+# the rejection
+NOT_PLAYS = {
+    "two terminal nodes": (nodes_of(0, 3, 5, 6), "0,3,5,6"),
+    "no terminal node": (nodes_of(0, 1), "0,1"),
+    "a play missing an interior node": (nodes_of(0, 4, 7), "0,4,7"),
+    "a play plus one node": (nodes_of(0, 1, 3, 5), "0,1,3,5"),
+    "a node of another tree": (nodes_of(0, 3, 9), "0,3,9"),
+    "a play of another tree": (
+        subtree_at(make_classroom_tree(), a(1)).play_by_end[a(2)], "1,2"
+    ),
+}
+
+
 class TestBuildGame:
+    @pytest.mark.parametrize("key, listing", NOT_PLAYS.values(), ids=NOT_PLAYS)
+    def test_key_that_is_no_play(self, classroom_form, key, listing):
+        table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
+        table["P1"][key] = 5
+        with pytest.raises(GameError) as err:
+            build_game(classroom_form, table)
+        assert str(err.value) == (
+            f"UnknownPlayInTable [[G2]]: utility row of P1 prices {{{listing}}}, "
+            "which is not a play"
+        )
+
+    @pytest.mark.parametrize("key, _listing", NOT_PLAYS.values(), ids=NOT_PLAYS)
+    def test_play_with_members_of_no_play(self, classroom_game, key, _listing):
+        nodes = key.path if isinstance(key, Play) else key
+        assert classroom_game.play_with_members(nodes) is None
+
+    def test_node_sets_give_the_trees_own_plays(self, classroom_game):
+        own = classroom_game.tree.play_by_end
+        twins = make_classroom_tree().play_by_end
+        for end, play in own.items():
+            assert classroom_game.play_with_members(frozenset(play.path)) is play
+            assert classroom_game.play_with_members(twins[end].path) is play
+        game = build_game(classroom_game.form, CLASSROOM_UTILITIES)
+        assert all(z is own[z.end] for row in game.utilities.values() for z in row)
+
     def test_worked_utilities(self, classroom_game):
         play = classroom_game.play_with_members(nodes_of(0, 3, 5))
         assert classroom_game.utilities["P1"][play] == Fraction(1)
@@ -74,13 +114,6 @@ class TestBuildGame:
             build_game(classroom_form, table)
         assert err.value.code == "MissingUtility"
 
-    def test_unknown_play_in_table(self, classroom_form):
-        table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
-        table["P1"][nodes_of(0, 1)] = 5
-        with pytest.raises(GameError) as err:
-            build_game(classroom_form, table)
-        assert err.value.code == "UnknownPlayInTable"
-
     def test_plays_of_an_equal_tree_become_this_trees(self, classroom_form):
         other = make_classroom_game()
         game = build_game(classroom_form, other.utilities)
@@ -88,16 +121,6 @@ class TestBuildGame:
         assert game.utilities == other.utilities
         for row in game.utilities.values():
             assert all(z is own[z.end] for z in row)
-
-    def test_play_of_another_tree_is_unknown(self, classroom_form):
-        cut = subtree_at(make_classroom_tree(), a(1)).play_by_end[a(2)]
-        table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
-        table["P1"][cut] = 5
-        with pytest.raises(GameError) as err:
-            build_game(classroom_form, table)
-        assert str(err.value) == (
-            "UnknownPlayInTable [[G2]]: utility row of P1 prices {1,2}, which is not a play"
-        )
 
     def test_floats_rejected(self, classroom_form):
         table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
@@ -397,7 +420,7 @@ class TestSubgame:
         sub = subgame_at(split_information_game, a(1))
         assert {t.token for t in sub.tree.nodes} == {1, 2, 4, 7, 8}
         got = sorted(
-            sorted(t.token for t in z.members) for z in sub.plays
+            sorted(t.token for t in z.path) for z in sub.plays
         )
         assert got == [[1, 2], [1, 4, 7], [1, 4, 8]]
         play147 = sub.play_with_members(nodes_of(1, 4, 7))
@@ -419,7 +442,7 @@ class TestSubgame:
         perturbed = build_game(sub.form, table)
         assert not is_subgame(perturbed, split_information_game)
 
-    def test_one_outer_lookup_per_inner_play(self, split_information_game, monkeypatch):
+    def test_no_member_set_lookup(self, split_information_game, monkeypatch):
         sub = subgame_at(split_information_game, a(1))
         lookups = []
         original = Game.play_with_members
@@ -430,8 +453,7 @@ class TestSubgame:
 
         monkeypatch.setattr(Game, "play_with_members", counting)
         assert is_subgame(sub, split_information_game)
-        assert len(sub.players) > 1
-        assert len(lookups) == len(sub.plays)
+        assert lookups == []
 
     def test_terminal_root_rejected(self, classroom_game):
         with pytest.raises(Exception) as err:

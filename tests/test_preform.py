@@ -125,7 +125,7 @@ class TestPlayOf:
         }
         for strategy, expected in table.items():
             play = play_of(classroom_preform, frozenset(strategy))
-            assert {t.token for t in play.members} == expected
+            assert {t.token for t in play.path} == expected
 
     def test_agrees_with_scan_oracle(self, classroom_preform):
         for s in grand_strategies(classroom_preform):
@@ -134,7 +134,7 @@ class TestPlayOf:
     def test_single_strategy_preform(self):
         pf = build_preform(nodes_of(0, 1), {"c"}, [(a(0), "c", a(1))])
         play = play_of(pf, {"c"})
-        assert {t.token for t in play.members} == {0, 1}
+        assert {t.token for t in play.path} == {0, 1}
 
     def test_rejects_non_strategy(self, classroom_preform):
         with pytest.raises(PreformError) as err:

@@ -133,8 +133,8 @@ def test_tree_isomorphisms_preserve_all_ends():
         from ncgames import strict_predecessors
 
         assert strict_predecessors(shifted, m.tau[tree.root]) == frozenset()
-        images = {frozenset(m.tau[t] for t in z.members) for z in tree.plays}
-        assert images == {z.members for z in shifted.plays}
+        images = {frozenset(m.tau[t] for t in z.path) for z in tree.plays}
+        assert images == {frozenset(z.path) for z in shifted.plays}
         assert len(images) == len(tree.plays)
 
 
@@ -394,3 +394,44 @@ def test_extracted_subgames_are_subgames_with_matching_nash():
             assert is_subgame(sub, game)
             assert nash_equilibria(sub) == nash_by_deviation_scan(sub)
     assert extracted >= 60
+
+
+def utility_bumped(rng, game):
+    """``game`` with one play's utility raised by one for one player."""
+    i = rng.choice(sorted(game.players))
+    row = dict(game.utilities[i])
+    z = rng.choice(sorted(row, key=lambda z: game.tree.rank[z.end]))
+    row[z] += 1
+    return build_game(game.form, {**game.utilities, i: row})
+
+
+def test_is_subgame_agrees_with_the_member_set_oracle():
+    from ncgames import GameError, is_subform, is_subgame, subgame_at
+
+    rng = random.Random(61)
+    verdicts = {"cut": [], "bumped": [], "not a subform": []}
+    for _ in range(40):
+        game, other = random_game(rng), random_game(rng)
+        for t_star in sorted(game.tree.decision_nodes, key=game.tree.rank.get):
+            try:
+                sub = subgame_at(game, t_star)
+            except GameError:
+                continue
+            pairs = [
+                ("cut", sub, game),
+                ("bumped", utility_bumped(rng, sub), game),
+                ("not a subform", sub, other),
+                ("not a subform", reowned(rng, sub), game),
+                ("not a subform", game, sub),
+            ]
+            for kind, inner, outer in pairs:
+                subform = oracles.subform_by_restriction(inner, outer)
+                assert is_subform(inner.form, outer.form) == subform
+                if kind == "not a subform" and subform:
+                    continue
+                expected = oracles.subgame_by_members(inner, outer)
+                assert is_subgame(inner, outer) == expected
+                verdicts[kind].append(expected)
+    assert len(verdicts["cut"]) >= 40 and all(verdicts["cut"])
+    assert not any(verdicts["bumped"])
+    assert len(verdicts["not a subform"]) >= 80

@@ -87,7 +87,7 @@ class TestToChoiceSequence:
         for i in classroom_game.players:
             for z in classroom_game.plays:
                 image = converted.play_with_members(
-                    frozenset(witness.morphism.tau[t] for t in z.members)
+                    frozenset(witness.morphism.tau[t] for t in z.path)
                 )
                 assert (
                     converted.utilities[i][image] == classroom_game.utilities[i][z]

@@ -36,7 +36,7 @@ from random_games import centipede_document
 
 
 def members(play):
-    return {t.token for t in play.members}
+    return {t.token for t in play.path}
 
 
 class TestBuildTree:
@@ -140,19 +140,17 @@ class TestPlays:
         for play in plays(classroom_tree):
             assert play.path[0] == classroom_tree.root
             assert play.path[-1] == play.end
-            assert frozenset(play.path) == play.members
-            assert len(play.members) == classroom_tree.stage[play.end] + 1
+            assert len(frozenset(play.path)) == classroom_tree.stage[play.end] + 1
 
 
 class TestPlayIdentity:
-    """A play is fixed by its end: it compares by end and path, hashes
-    by its end, and derives its member set when first asked."""
+    """A play is fixed by its end: it compares by end and path, and
+    hashes by its end."""
 
-    def test_members_are_the_path_of_the_trees_own_labels(self, classroom_tree):
+    def test_path_holds_the_trees_own_labels(self, classroom_tree):
         ids = {id(t) for t in classroom_tree.nodes}
         for play in plays(classroom_tree):
-            assert play.members == frozenset(play.path)
-            assert all(id(t) in ids for t in play.members)
+            assert all(id(t) in ids for t in play.path)
 
     def test_plays_of_equal_trees_are_equal(self):
         first, second = make_classroom_tree(), make_classroom_tree()
@@ -170,9 +168,9 @@ class TestPlayIdentity:
             assert play.end == classroom_tree.play_by_end[end].end
             assert play != classroom_tree.play_by_end[end]
 
-    def test_members_are_not_built_with_the_tree(self, classroom_tree):
+    def test_play_holds_only_its_end_and_path(self, classroom_tree):
         for play in plays(classroom_tree):
-            assert "members" not in vars(play)
+            assert vars(play).keys() == {"end", "path"}
 
     def test_deep_centipede_equals_itself_reparsed(self):
         text = json.dumps(centipede_document(random.Random(300), 300))
@@ -247,7 +245,7 @@ class TestImagePlay:
         play12 = next(p for p in plays(source) if members(p) == {1, 2})
         image = image_play(m, play12)
         assert {t.token for t in image} == {10, 11, 12}
-        assert image in {p.members for p in plays(target)}
+        assert image in {frozenset(p.path) for p in plays(target)}
 
     def test_dropped_play_image_is_not_target_play(self):
         source, target, tau = make_embedding_trees()
@@ -255,12 +253,12 @@ class TestImagePlay:
         play14 = next(p for p in plays(source) if members(p) == {1, 4})
         image = image_play(m, play14)
         assert {t.token for t in image} == {10, 11, 14}
-        assert image not in {p.members for p in plays(target)}
+        assert image not in {frozenset(p.path) for p in plays(target)}
 
     def test_identity_image_is_same_play(self, classroom_tree):
         m = identity_tree_morphism(classroom_tree)
         for play in plays(classroom_tree):
-            assert image_play(m, play) == play.members
+            assert image_play(m, play) == frozenset(play.path)
 
     def test_foreign_play_rejected(self, classroom_tree):
         source, target, tau = make_embedding_trees()
@@ -337,9 +335,11 @@ class TestWalkUpOracle:
         assert cycle_from is None
         assert tree.stage == stage
         assert {end: z.path for end, z in tree.play_by_end.items()} == paths
-        assert {z.members for z in tree.plays} == {frozenset(p) for p in paths.values()}
+        assert {frozenset(z.path) for z in tree.plays} == {
+            frozenset(p) for p in paths.values()
+        }
         for end, z in tree.play_by_end.items():
-            assert z.end == end and z.members == frozenset(z.path)
+            assert z.end == end
             assert z.path[0] == tree.root and len(z.path) == stage[end] + 1
 
     @settings(max_examples=200, deadline=None)

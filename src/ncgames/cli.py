@@ -16,6 +16,7 @@ from pathlib import Path
 from .documents import (
     _loads,
     _morphism_from_document,
+    _node_from_spec,
     _read,
     _witness_from_document,
     load_game,
@@ -58,8 +59,6 @@ def _parse_node_argument(text: str):
     except (ValueError, RecursionError):  # not JSON, or hostile JSON
         return Atom(text)
     if isinstance(spec, dict):
-        from .documents import _node_from_spec
-
         return _node_from_spec(spec)
     return Atom(text)
 

@@ -29,6 +29,7 @@ from .game import (
     Game,
     GameMorphism,
     IsoWitness,
+    _play_with_nodes,
     build_game,
     is_isomorphism,
     validate_game_morphism,
@@ -36,7 +37,6 @@ from .game import (
 from .form import build_form
 from .labels import Atom, NodeLabel, Seq, SetLabel
 from .preform import build_preform
-from .tree import Play
 
 __all__ = [
     "FORMAT_VERSION",
@@ -174,33 +174,18 @@ def _check_version(doc, where):
         )
 
 
-def _rows_by_members(rows, players, label, rational) -> dict:
-    """The utility table of ``rows``, each row keyed by its set of nodes.
+def _read_rows(rows, players, label, rational, tree, spec_of) -> dict:
+    """The utility table of ``rows``, each row read once, in document
+    order, so the first broken rule is the one reported.
 
-    Every spec and field of every row is checked in document order, so
-    the first broken rule is the one reported."""
-    utilities: Dict[str, Dict[frozenset, Fraction]] = {i: {} for i in players}
-    for entry in rows:
-        play_nodes = _require(entry, "play", list, "utility entry")
-        members = frozenset(map(label, play_nodes))
-        values = _require(entry, "values", dict, "utility entry")
-        for player, value in values.items():
-            row = utilities.setdefault(player, {})
-            if members in row:
-                raise DocumentSyntaxError("duplicate utility entry for one play")
-            row[members] = rational(value)
-    return utilities
-
-
-def _rows_by_end(tree, spec_of, rows, players, label, rational):
-    """The utility table of ``rows`` keyed by the tree's own plays, or
-    ``None`` unless each row lists exactly the specs that ``spec_of``
-    gives the nodes of its play and ``_rows_by_members`` would accept it.
-
-    A play is fixed by its end, so a row is read by its last spec and
-    compared with that play's specs as one list."""
+    A play is fixed by its end, so a row is looked up by its last spec
+    and keyed by that play when it lists exactly the specs ``spec_of``
+    gives the play's nodes.  Any other row, and every row when ``tree``
+    is ``None`` (the preform or form did not build), is read spec by
+    spec and keyed by the play with its set of nodes, or by that set
+    when it is no play."""
     ends = {}
-    stack = [(tree.root, [])]
+    stack = [(tree.root, [])] if tree is not None else []
     while stack:  # each node's specs are its parent's plus its own
         t, above = stack.pop()
         specs = above + [spec_of[t]]
@@ -209,20 +194,23 @@ def _rows_by_end(tree, spec_of, rows, players, label, rational):
             stack.extend((kid, specs) for kid in kids)
         else:
             ends[t] = tree.play_by_end[t], specs
-    utilities: Dict[str, Dict[Play, Fraction]] = {i: {} for i in players}
-    try:
-        for entry in rows:
-            play_specs, values = entry["play"], entry["values"]
-            play, specs = ends[label(play_specs[-1])]
-            if play_specs != specs or type(values) is not dict:
-                return None
-            for player, value in values.items():
-                row = utilities.setdefault(player, {})
-                if play in row:
-                    return None
-                row[play] = rational(value)
-    except (NcgError, LookupError, TypeError):  # a row with a fault
-        return None
+    utilities: Dict[str, dict] = {i: {} for i in players}
+    for entry in rows:
+        play_specs = _require(entry, "play", list, "utility entry")
+        try:
+            key, specs = ends[label(play_specs[-1])]
+        except (NcgError, LookupError):  # no spec, a malformed one, or no end
+            specs = None
+        if play_specs != specs:
+            key = frozenset(map(label, play_specs))
+            if tree is not None:
+                key = _play_with_nodes(tree, key) or key
+        values = _require(entry, "values", dict, "utility entry")
+        for player, value in values.items():
+            row = utilities.setdefault(player, {})
+            if key in row:
+                raise DocumentSyntaxError("duplicate utility entry for one play")
+            row[key] = rational(value)
     return utilities
 
 
@@ -230,10 +218,9 @@ def _game_from_document(doc) -> tuple:
     """The game a document describes and the reader of node specs that
     built it, which returns the game's own label for each of its nodes.
 
-    Utility rows are read by their ends when they all spell their plays
-    as the node list does and the preform and form build; otherwise
-    they are read spec by spec, so a fault in a row is reported before
-    a fault of the tree."""
+    Utility rows are read after the preform and form are built, so a
+    row can be read by its end; a fault in a row is still reported
+    before a fault of the tree."""
     _check_version(doc, "game document")
     players = _require(doc, "players", list, "game document")
     if not all(isinstance(i, str) for i in players):
@@ -264,17 +251,16 @@ def _game_from_document(doc) -> tuple:
     choices = frozenset(c for _t, c, _n in triples) | frozenset(
         c for cs in assignment.values() for c in cs
     )
-    rational = _rational_reader()
-    fault = utilities = None
+    fault = tree = None
     try:
         form = build_form(build_preform(nodes, choices, triples), players, assignment)
     except NcgError as exc:
         fault = exc
     else:
-        spec_of = dict(zip(nodes, node_specs))
-        utilities = _rows_by_end(form.preform.tree, spec_of, rows, players, label, rational)
-    if utilities is None:
-        utilities = _rows_by_members(rows, players, label, rational)
+        tree = form.preform.tree
+    utilities = _read_rows(
+        rows, players, label, _rational_reader(), tree, dict(zip(nodes, node_specs))
+    )
     try:
         if fault is not None:
             raise fault

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Dict, Iterable, Mapping, Optional
 
 from .errors import GameError, MorphismError, SearchBudgetExceeded
@@ -441,15 +440,6 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
     return build_game(form, utilities)
 
 
-def _gains(g: Game, s: frozenset, i: Token, deviations, zeta) -> bool:
-    """Whether player ``i`` does better by replacing their component of
-    ``s`` with one of ``deviations``; ``zeta`` gives each grand
-    strategy's play."""
-    on_path = g.utilities[i][zeta(s)]
-    rest = s - g.form.assignment[i]
-    return any(g.utilities[i][zeta(rest | d)] > on_path for d in deviations)
-
-
 def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> bool:
     """Whether no player gains by replacing their component of ``s``."""
     s = frozenset(s)
@@ -458,31 +448,42 @@ def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> boo
             "NotAStrategy",
             f"{render_strategy(s)} is not a grand strategy of this game",
         )
-    zeta = partial(play_of, g.preform)
+    on_path = play_of(g.preform, s)
     # in token order, so the first player over the cap is the same in every run
-    return not any(
-        _gains(g, s, i, player_strategies(g.form, i, cap=cap), zeta)
-        for i in sorted(g.players, key=token_key)
-    )
+    for i in sorted(g.players, key=token_key):
+        row, rest = g.utilities[i], s - g.form.assignment[i]
+        for d in player_strategies(g.form, i, cap=cap):
+            if row[play_of(g.preform, rest | d)] > row[on_path]:
+                return False
+    return True
 
 
 def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
-    """All pure-strategy equilibria, by exhaustive deviation checking.
+    """All pure-strategy equilibria: for each player, the grand
+    strategies that reach the best utility among those that share the
+    other players' components.
 
-    Each grand strategy's play is computed once and looked up for every
-    deviation; the test suite compares the result with a direct
-    deviation scan.
+    Each grand strategy's play is computed once; the test suite compares
+    the result with a direct deviation scan.
     """
-    # in token order, so the first player over the cap is the same in every run
-    per_player = {
-        i: player_strategies(g.form, i, cap=cap) for i in sorted(g.players, key=token_key)
-    }
+    # each player's count is checked first and in token order, so the
+    # first player over the cap is the same in every run
+    players = sorted(g.players, key=token_key)
+    for i in players:
+        player_strategies(g.form, i, cap=cap)
     outcome = {s: play_of(g.preform, s) for s in grand_strategies(g.preform, cap=cap)}
-    return frozenset(
-        s
-        for s in outcome
-        if not any(_gains(g, s, i, per_player[i], outcome.__getitem__) for i in per_player)
-    )
+    equilibria = set(outcome)
+    for i in players:
+        row, own = g.utilities[i], g.form.assignment[i]
+        # each player owns their choices, so a group holds one strategy
+        # per strategy of ``i``
+        groups: dict = {}
+        for s, play in outcome.items():
+            groups.setdefault(s - own, []).append((row[play], s))
+        for group in groups.values():
+            top = max(u for u, _s in group)
+            equilibria.difference_update(s for u, s in group if u < top)
+    return frozenset(equilibria)
 
 
 def forget_to_form(g: Game) -> Form:

@@ -20,6 +20,7 @@ from ncgames import (
     serialize_morphism,
     serialize_witness,
 )
+from ncgames import documents
 from ncgames.labels import Atom, SetLabel
 from ncgames.transforms import (
     apply_utility_transform,
@@ -337,6 +338,13 @@ def _classroom_rows_doc(classroom_text, mutate):
     return json.dumps(doc)
 
 
+def _respelled(row):
+    """A copy of ``row`` listing its play's first two specs swapped."""
+    copy = json.loads(json.dumps(row))
+    copy["play"].insert(0, copy["play"].pop(1))
+    return copy
+
+
 class TestPlayRows:
     """A utility row names its play by the list of its node specs, root
     first.  A row spelled as the node list spells that path is read by
@@ -407,15 +415,42 @@ class TestPlayRows:
             (lambda rows: rows.pop(3),
              "AxiomViolation [[G2]]: MissingUtility [[G2]]: player P1 has no utility "
              "for the play ending at 5"),
+            (lambda rows: rows.append(_respelled(rows[1])),
+             "SyntaxError: duplicate utility entry for one play"),
+            (lambda rows: rows.insert(0, _respelled(rows[1])),
+             "SyntaxError: duplicate utility entry for one play"),
         ],
         ids=["dropped", "decision end", "prefix", "unknown node", "empty",
              "duplicated row", "unknown player", "dict play", "text play",
-             "malformed middle spec", "bad value", "missing row"],
+             "malformed middle spec", "bad value", "missing row",
+             "respelled row after the exact one", "respelled row before the exact one"],
     )
     def test_wrong_rows_keep_their_messages(self, classroom_text, mutate, message):
         with pytest.raises((AxiomViolation, DocumentSyntaxError)) as err:
             parse_game(_classroom_rows_doc(classroom_text, mutate))
         assert str(err.value) == message
+
+    def test_each_row_is_read_once(self, classroom_text, monkeypatch):
+        reads = []
+        reader = documents._label_reader
+
+        def counting_reader():
+            read = reader()
+
+            def counted(spec):
+                reads.append(spec)
+                return read(spec)
+
+            return counted
+
+        monkeypatch.setattr(documents, "_label_reader", counting_reader)
+        text = _classroom_rows_doc(
+            classroom_text, lambda rows: rows[2]["play"].insert(0, rows[2]["play"].pop(1))
+        )
+        doc = json.loads(text)
+        parse_game(text)
+        # one read of each row's last spec, then the swapped row's 4 specs
+        assert len(reads) - len(doc["nodes"]) - 2 * len(doc["edges"]) == 5 + 4
 
     def test_row_fault_is_reported_before_a_cycle(self, classroom_text):
         doc = json.loads(classroom_text)

@@ -31,7 +31,7 @@ from .game import (
     DEFAULT_SEARCH_BUDGET, compose, find_isomorphism, is_isomorphism, nash_equilibria,
     subgame_at,
 )
-from .labels import Atom, render_label, render_token, token_key
+from .labels import Atom, render_label, render_token
 from .preform import (
     DEFAULT_STRATEGY_CAP, count_grand_strategies, grand_strategies, info_set_order, play_of
 )
@@ -78,7 +78,7 @@ def _cmd_derive(args) -> int:
     # enumerated first, so a game over the cap is refused before any
     # output; no player has more strategies than the game
     grand = grand_strategies(game.preform, cap=args.strategy_cap)
-    print("players: " + ",".join(sorted(render_token(i) for i in game.players)))
+    print("players: " + ",".join(map(render_token, game.form.player_rank)))
     rank = game.tree.rank
     print("nodes: " + ",".join(map(render_label, rank)))
     print("root: " + render_label(game.tree.root))
@@ -97,7 +97,7 @@ def _cmd_derive(args) -> int:
         members = ",".join(render_label(t) for t in sorted(h, key=rank.__getitem__))
         print(f"{{{members}}}: {render_token(owner)} {{{listing}}}")
     print("strategies:")
-    for i in sorted(game.players, key=token_key):
+    for i in game.form.player_rank:
         options = sorted(
             _strategy_tuple(ordered, s)
             for s in player_strategies(game.form, i, cap=args.strategy_cap)
@@ -130,12 +130,8 @@ def _cmd_convert(args) -> int:
     else:
         result = canonicalize(game)
         converted, witness, style = result.game, result.witness, result.style
-    out = Path(args.output) if args.output else Path(f"{stem}.{args.to}.game")
-    wout = (
-        Path(args.witness_output)
-        if args.witness_output
-        else Path(f"{stem}.{args.to}.witness")
-    )
+    out = Path(args.output or f"{stem}.{args.to}.game")
+    wout = Path(args.witness_output or f"{stem}.{args.to}.witness")
     write_game(converted, out)
     write_witness(witness, wout)
     print(f"style: {style}")
@@ -151,11 +147,8 @@ def _cmd_iso(args) -> int:
     if witness is None:
         print("not isomorphic")
         return 1
-    wout = (
-        Path(args.witness_output)
-        if args.witness_output
-        else Path(f"{Path(args.file1).with_suffix('')}__{Path(args.file2).stem}.witness")
-    )
+    pair = f"{Path(args.file1).with_suffix('')}__{Path(args.file2).stem}"
+    wout = Path(args.witness_output or f"{pair}.witness")
     write_witness(witness, wout)
     print("isomorphic")
     print(f"wrote: {wout}")
@@ -181,11 +174,7 @@ def _cmd_subgame(args) -> int:
     game = load_game(args.file)
     node = _parse_node_argument(args.at)
     sub = subgame_at(game, node)
-    out = (
-        Path(args.output)
-        if args.output
-        else Path(f"{Path(args.file).with_suffix('')}.subgame.game")
-    )
+    out = Path(args.output or f"{Path(args.file).with_suffix('')}.subgame.game")
     write_game(sub, out)
     print(f"wrote: {out}")
     return 0
@@ -195,11 +184,8 @@ def _cmd_compose(args) -> int:
     first = parse_morphism(_read(args.first), base_dir=Path(args.first).parent)
     second = parse_morphism(_read(args.second), base_dir=Path(args.second).parent)
     composite = compose(second, first)
-    out = (
-        Path(args.output)
-        if args.output
-        else Path(f"{Path(args.first).with_suffix('')}__{Path(args.second).stem}.morphism")
-    )
+    pair = f"{Path(args.first).with_suffix('')}__{Path(args.second).stem}"
+    out = Path(args.output or f"{pair}.morphism")
     write_morphism(composite, out)
     print(f"wrote: {out}")
     return 0

@@ -507,7 +507,7 @@ def _morphism_pieces(m: GameMorphism, level: int, built: dict):
         ("iota", [_encode(iota, level + 1)]),
         ("tau", _items((
             "".join(_items((source_nodes[t], target_nodes[m.tau[t]]), level + 2))
-            for t in sorted(m.tau, key=m.source.tree.rank.__getitem__)
+            for t in m.source.tree.rank
         ), level + 1)),
         ("delta", [_encode(delta, level + 1)]),
         ("beta", [_encode(beta, level + 1)]),

@@ -43,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Form(Structural):
-    """A validated form with per-player derived structure."""
+    """A validated form with per-player derived structure; ``player_rank``
+    lists the players in ``token_key`` order, each with its position."""
 
     preform: Preform
     players: frozenset
@@ -51,6 +52,7 @@ class Form(Structural):
     owner: Mapping[Token, Token] = field(compare=False)
     player_nodes: Mapping[Token, frozenset] = field(compare=False)
     player_info_sets: Mapping[Token, frozenset] = field(compare=False)
+    player_rank: Mapping[Token, int] = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"Form({len(self.players)} players over {self.preform!r})"
@@ -61,6 +63,7 @@ def build_form(
 ) -> Form:
     """Validate player ownership over an already validated preform."""
     player_set = frozenset(players)
+    player_rank = {i: k for k, i in enumerate(sorted(player_set, key=token_key))}
     assignment = {i: frozenset(cs) for i, cs in choice_assignment.items()}
 
     for i in assignment:
@@ -69,7 +72,7 @@ def build_form(
                 "UnknownPlayer",
                 f"assignment mentions undeclared player {render_token(i)}",
             )
-    for i in sorted(player_set, key=token_key):
+    for i in player_rank:
         if i not in assignment:
             raise FormError(
                 "MissingPlayer",
@@ -78,7 +81,7 @@ def build_form(
             )
 
     owner: dict = {}
-    for i in sorted(player_set, key=token_key):
+    for i in player_rank:
         for c in assignment[i]:
             if c not in preform.choices:
                 raise FormError(
@@ -112,12 +115,10 @@ def build_form(
             axiom="[F3]",
         )
 
-    player_nodes = {}
-    player_info_sets = {}
-    for i in player_set:
-        hs = frozenset(preform.info_set_of[c] for c in assignment[i])
-        player_info_sets[i] = hs
-        player_nodes[i] = frozenset(t for h in hs for t in h)
+    player_info_sets = {
+        i: frozenset(preform.info_set_of[c] for c in cs) for i, cs in assignment.items()
+    }
+    player_nodes = {i: frozenset().union(*hs) for i, hs in player_info_sets.items()}
 
     return Form(
         preform=preform,
@@ -126,6 +127,7 @@ def build_form(
         owner=owner,
         player_nodes=player_nodes,
         player_info_sets=player_info_sets,
+        player_rank=player_rank,
     )
 
 
@@ -161,7 +163,7 @@ def profile_to_grand(form: Form, profile: Mapping) -> frozenset:
                 f"profile mentions undeclared player {render_token(i)}",
             )
     union: set = set()
-    for i in sorted(form.players, key=token_key):
+    for i in form.player_rank:
         if i not in profile:
             raise FormError(
                 "MissingPlayer",
@@ -196,11 +198,11 @@ class FormMorphism(Structural):
 def validate_form_morphism(
     source: Form, target: Form, iota: Mapping, tau: Mapping, delta: Mapping
 ) -> FormMorphism:
-    check_map(iota, source.players, target.players, "player", "[f1]")
+    check_map(iota, source.players, target.players, "player", "[f1]", source.player_rank.get)
     preform_morphism = validate_preform_morphism(
         source.preform, target.preform, tau, delta
     )
-    for i in sorted(source.players, key=token_key):
+    for i in source.player_rank:
         image = {delta[c] for c in source.assignment[i]}
         if not image <= target.assignment[iota[i]]:
             raise MorphismError(

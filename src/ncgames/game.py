@@ -30,15 +30,15 @@ from .form import (
     player_strategies,
     validate_form_morphism,
 )
-from .labels import NodeLabel, Token, render_label, render_token, token_key
+from .labels import NodeLabel, Token, render_label, render_token
 from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
+    _walk,
     build_preform,
     grand_strategies,
     info_set_order,
     is_grand_strategy,
-    play_of,
     render_strategy,
 )
 from .tree import (
@@ -125,7 +125,12 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # also past the digit limit
+            raise GameError(
+                "NotRational", f"utility text {value[:40]!r} is not an exact rational"
+            ) from None
     raise GameError(
         "NotRational",
         f"utility {value!r} is not an exact rational; floats are rejected",
@@ -146,7 +151,7 @@ def build_game(form: Form, utilities: Mapping) -> Game:
             )
     table: Dict[Token, Dict[Play, Fraction]] = {}
     ranges: Dict[Token, frozenset] = {}
-    for i in sorted(form.players, key=token_key):
+    for i in form.player_rank:
         if i not in utilities:
             raise GameError(
                 "MissingUtility",
@@ -241,7 +246,7 @@ def validate_game_morphism(
                 "UnknownPlayer",
                 f"utility map given for {render_token(i)}, which is not a source player",
             )
-    for i in sorted(source.players, key=token_key):
+    for i in source.form.player_rank:
         if i not in beta:
             raise MorphismError(
                 "BetaDomainMismatch",
@@ -287,7 +292,7 @@ def validate_game_morphism(
     # the image of an end-preserved play is the target play ending at
     # the image of its end
     images = [(z, target.tree.play_by_end[theta.tau[z.end]]) for z in end_preserved]
-    for i in sorted(source.players, key=token_key):
+    for i in source.form.player_rank:
         beta_i, source_row = norm_beta[i], source.utilities[i]
         target_row = target.utilities[form_morphism.iota[i]]
         failing = [
@@ -448,12 +453,12 @@ def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> boo
             "NotAStrategy",
             f"{render_strategy(s)} is not a grand strategy of this game",
         )
-    on_path = play_of(g.preform, s)
+    on_path = _walk(g.preform, s)
     # in token order, so the first player over the cap is the same in every run
-    for i in sorted(g.players, key=token_key):
+    for i in g.form.player_rank:
         row, rest = g.utilities[i], s - g.form.assignment[i]
         for d in player_strategies(g.form, i, cap=cap):
-            if row[play_of(g.preform, rest | d)] > row[on_path]:
+            if row[_walk(g.preform, rest | d)] > row[on_path]:
                 return False
     return True
 
@@ -468,12 +473,11 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     """
     # each player's count is checked first and in token order, so the
     # first player over the cap is the same in every run
-    players = sorted(g.players, key=token_key)
-    for i in players:
+    for i in g.form.player_rank:
         player_strategies(g.form, i, cap=cap)
-    outcome = {s: play_of(g.preform, s) for s in grand_strategies(g.preform, cap=cap)}
+    outcome = {s: _walk(g.preform, s) for s in grand_strategies(g.preform, cap=cap)}
     equilibria = set(outcome)
-    for i in players:
+    for i in g.form.player_rank:
         row, own = g.utilities[i], g.form.assignment[i]
         # each player owns their choices, so a group holds one strategy
         # per strategy of ``i``
@@ -525,10 +529,11 @@ def _node_classes(g: Game, table: Dict[tuple, int]) -> Dict[NodeLabel, int]:
             leaves[z.end].append((rank[u], len(g.form.assignment[i])))
     classes = {t: table.setdefault(tuple(sorted(k)), len(table)) for t, k in leaves.items()}
     # deepest first, so every child's class is known
-    for t in sorted(tree.decision_nodes, key=tree.stage.__getitem__, reverse=True):
+    for t in reversed(tree.stage_order):
         kids = tree.children(t)
-        key = (len(info_set_of[prev[kids[0]]]), tuple(sorted(map(classes.get, kids))))
-        classes[t] = table.setdefault(key, len(table))
+        if kids:
+            key = (len(info_set_of[prev[kids[0]]]), tuple(sorted(map(classes.get, kids))))
+            classes[t] = table.setdefault(key, len(table))
     return classes
 
 
@@ -553,11 +558,11 @@ def find_isomorphism(
     class1, class2 = _node_classes(g1, table), _node_classes(g2, table)
     if class1[g1.tree.root] != class2[g2.tree.root]:
         return None
-    vacuous1 = sorted((i for i in g1.players if not g1.form.assignment[i]), key=token_key)
-    vacuous2 = sorted((i for i in g2.players if not g2.form.assignment[i]), key=token_key)
+    vacuous1 = [i for i in g1.form.player_rank if not g1.form.assignment[i]]
+    vacuous2 = [i for i in g2.form.player_rank if not g2.form.assignment[i]]
     prev1, prev2, op2 = g1.preform.prev_choice, g2.preform.prev_choice, g2.preform.op
     # by stage, and by rank within a stage
-    order = sorted(g1.tree.rank, key=g1.tree.stage.__getitem__)
+    order = g1.tree.stage_order
     # a choice's image is fixed by the first node in ``order`` that the
     # choice reaches (scanned in reverse, so the first one is kept)
     fixes = {t: c for c, t in {prev1[t]: t for t in reversed(order[1:])}.items()}

@@ -242,11 +242,8 @@ def is_grand_strategy(pf: Preform, s: Iterable[Token]) -> bool:
 
 
 def play_of(pf: Preform, s: Iterable[Token]) -> Play:
-    """The unique play whose every non-root node was produced by ``s``.
-
-    Computed by walking from the root, at each decision node following
-    the one choice the strategy selects there, until a terminal node.
-    """
+    """The unique play whose every non-root node was produced by ``s``,
+    found by :func:`_walk` once ``s`` is checked."""
     s = frozenset(s)
     if not is_grand_strategy(pf, s):
         raise PreformError(
@@ -254,6 +251,12 @@ def play_of(pf: Preform, s: Iterable[Token]) -> Play:
             f"{render_strategy(s)} does not select exactly one feasible choice "
             "per information set",
         )
+    return _walk(pf, s)
+
+
+def _walk(pf: Preform, s: frozenset) -> Play:
+    """The play of ``s``, known to be a grand strategy: the walk from the
+    root that follows the one choice ``s`` selects at each decision node."""
     t = pf.tree.root
     while t in pf.tree.decision_nodes:
         (c,) = s & pf.feas[t]
@@ -275,8 +278,8 @@ class PreformMorphism(Structural):
 def validate_preform_morphism(
     source: Preform, target: Preform, tau: Mapping, delta: Mapping
 ) -> PreformMorphism:
-    check_map(delta, source.choices, target.choices, "choice", "[p1]")
-    check_map(tau, source.tree.nodes, target.tree.nodes, "node", "[p1]", source.tree.rank)
+    check_map(delta, source.choices, target.choices, "choice", "[p1]", token_key)
+    check_map(tau, source.tree.nodes, target.tree.nodes, "node", "[p1]", source.tree.rank.get)
     for (t, c), t_next in source.op.items():
         if target.op.get((tau[t], delta[c])) != tau[t_next]:
             raise MorphismError(

@@ -19,7 +19,7 @@ from .form import build_form
 from .game import (
     Game, IsoWitness, _as_fraction, build_game, is_isomorphism, validate_game_morphism
 )
-from .labels import NodeLabel, Seq, SetLabel, Token, render_token, token_key
+from .labels import NodeLabel, Seq, SetLabel, Token, render_token
 from .preform import build_preform
 
 __all__ = [
@@ -108,7 +108,7 @@ def _histories(g: Game) -> Dict[NodeLabel, tuple]:
     """Each node's sequence of choices from the root."""
     tree, prev = g.tree, g.preform.prev_choice
     histories = {tree.root: ()}
-    for t in sorted(tree.nodes - {tree.root}, key=tree.stage.__getitem__):
+    for t in tree.stage_order[1:]:  # the root is the one node of stage 0
         histories[t] = histories[tree.pred[t]] + (prev[t],)
     return histories
 
@@ -176,7 +176,7 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
                 f"utility transform given for undeclared player {render_token(i)}",
             )
     beta: Dict[Token, Dict[Fraction, Fraction]] = {}
-    for i in sorted(g.players, key=token_key):
+    for i in g.form.player_rank:
         supplied = {
             _as_fraction(u): _as_fraction(v) for u, v in maps.get(i, {}).items()
         }

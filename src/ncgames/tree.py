@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import MorphismError, TreeError
-from .labels import NodeLabel, label_key, render_label, render_token, token_key
+from .labels import NodeLabel, label_key, render_label, render_token
 
 __all__ = [
     "Play",
@@ -76,14 +76,15 @@ def check_map(
     codomain: frozenset,
     kind: str,
     axiom: str,
-    rank: Optional[Mapping] = None,
+    key: Callable,
 ) -> None:
     """Reject a component map that is not a total function into ``codomain``.
 
-    Of the domain elements where it fails, the least is named: nodes,
-    whose ``rank`` is given, by rank, and tokens by ``token_key``.
+    Of the domain elements where it fails, the least by ``key``, the
+    domain's sort key, is named: nodes by ``Tree.rank``, players by
+    ``Form.player_rank``, choices by the preform layer's choice order.
     """
-    render, key = (render_token, token_key) if rank is None else (render_label, rank.get)
+    render = render_label if kind == "node" else render_token
     for x in mapping:
         if x not in domain:
             raise MorphismError(
@@ -140,7 +141,8 @@ class Tree(Structural):
     document.  ``rank`` gives each node its position in ``label_key``
     order and lists the nodes in that order; ``children_map`` lists
     each node's children by rank, and ``play_by_end`` lists the plays
-    in lexicographic order of their paths by rank.
+    in lexicographic order of their paths by rank.  ``stage_order``
+    lists the nodes by stage, and by rank within a stage.
     """
 
     nodes: frozenset
@@ -152,6 +154,7 @@ class Tree(Structural):
     children_map: Mapping[NodeLabel, Tuple[NodeLabel, ...]] = field(compare=False)
     play_by_end: Mapping[NodeLabel, Play] = field(compare=False, repr=False)
     rank: Mapping[NodeLabel, int] = field(compare=False, repr=False)
+    stage_order: Tuple[NodeLabel, ...] = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"Tree({len(self.nodes)} nodes, root {render_label(self.root)})"
@@ -277,6 +280,7 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         children_map={parent: tuple(kids) for parent, kids in children.items()},
         play_by_end=play_by_end,
         rank=rank,
+        stage_order=tuple(sorted(rank, key=stage.__getitem__)),
     )
 
 
@@ -321,7 +325,7 @@ class TreeMorphism(Structural):
 
 def validate_tree_morphism(source: Tree, target: Tree, tau: Mapping) -> TreeMorphism:
     """Check totality and edge preservation of a candidate node map."""
-    check_map(tau, source.nodes, target.nodes, "node", "[t1]", source.rank)
+    check_map(tau, source.nodes, target.nodes, "node", "[t1]", source.rank.get)
     for child, parent in source.pred.items():
         if target.pred.get(tau[child]) != tau[parent]:
             raise MorphismError(

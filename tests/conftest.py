@@ -54,6 +54,13 @@ CLASSROOM_TRIPLES = (
 
 CLASSROOM_OWNERSHIP = {"P1": {"a", "b"}, "P2": {"g", "d"}, "P3": {"e", "f"}}
 
+# utility texts that no exact rational is read from
+UNREADABLE = {
+    "not a rational": "abc",
+    "past the digit limit": "9" * 5000,
+    "a zero denominator": "1/0",
+}
+
 CLASSROOM_UTILITIES = {
     "P1": {
         nodes_of(0, 3, 5): Fraction(1),

@@ -1,13 +1,16 @@
 """Form validation, player strategies, and the profile bijection."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 from ncgames import (
     FormError,
     MorphismError,
+    NcgError,
     build_form,
+    build_game,
     build_preform,
     grand_strategies,
     grand_to_profile,
@@ -17,7 +20,9 @@ from ncgames import (
     player_strategies,
     profile_to_grand,
     validate_form_morphism,
+    validate_game_morphism,
 )
+from ncgames.labels import token_key
 
 from conftest import CLASSROOM_OWNERSHIP, a, nodes_of
 
@@ -206,3 +211,93 @@ class TestIsSubform:
         form = split_information_game.form
         inner = restriction_form(form, 1)
         assert is_subform(inner, form)
+
+
+# tokens whose ``str`` order (10 and "10" tie, then 2, then "b") differs
+# from their ``token_key`` order: 10, 2, "10", "b"
+MIXED = (2, 10, "10", "b")
+
+
+def order_facts() -> dict:
+    """The player order, the stage order, and the least missing player
+    that each of four validators names, on a game whose players, choices
+    and nodes are ``MIXED`` tokens; each fact as its ``repr``."""
+    root, x = a("r"), a(2)
+    preform = build_preform(
+        {root, x, a("b"), a(10), a("10")},
+        MIXED,
+        [(root, 2, x), (root, "b", a("b")), (x, 10, a(10)), (x, "10", a("10"))],
+    )
+    ownership = {"10": {2, "b"}, 2: {10, "10"}, 10: set(), "b": set()}
+    form = build_form(preform, MIXED, ownership)
+    rows = {i: {z: k for k, z in enumerate(preform.tree.play_by_end.values())} for i in MIXED}
+    g = build_game(form, rows)
+    tree = preform.tree
+    identities = [{t: t for t in tree.nodes}, {c: c for c in preform.choices}]
+    missing = []
+    for reject in (
+        lambda: build_form(preform, MIXED, {10: set()}),
+        lambda: build_game(form, {10: rows[10]}),
+        lambda: validate_form_morphism(form, form, {10: 10}, *identities),
+        lambda: validate_game_morphism(
+            g, g, {i: i for i in MIXED}, *identities, {10: {u: u for u in g.ranges[10]}}
+        ),
+    ):
+        with pytest.raises(NcgError) as err:
+            reject()
+        missing.append(str(err.value))
+    return {
+        "player_rank": repr(list(form.player_rank.items())),
+        "stage_order": repr(tree.stage_order),
+        "stage_order_by_sort": repr(tuple(sorted(tree.rank, key=tree.stage.__getitem__))),
+        "missing": missing,
+    }
+
+
+class TestOrders:
+    def test_players_in_token_order_and_nodes_by_stage(self):
+        facts = order_facts()
+        assert facts["player_rank"] == repr([(10, 0), (2, 1), ("10", 2), ("b", 3)])
+        assert facts["player_rank"] == repr(
+            [(i, k) for k, i in enumerate(sorted(MIXED, key=token_key))]
+        )
+        assert facts["stage_order"] == facts["stage_order_by_sort"] == repr(
+            (a("r"), a(2), a("b"), a(10), a("10"))
+        )
+
+    def test_validators_name_the_same_least_missing_player(self):
+        assert order_facts()["missing"] == [
+            "MissingPlayer: player 2 has no choice assignment; "
+            "declare vacuous players with an empty set",
+            "MissingUtility [[G2]]: no utility row for player 2",
+            "NotTotal [[f1]]: map undefined on source player 2",
+            "BetaDomainMismatch [[g2]]: no utility map for player 2",
+        ]
+
+    def test_orders_agree_under_hash_seeds(self):
+        """``order_facts`` in fresh interpreters under several hash
+        seeds gives what it gives here."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import ncgames
+
+        package_root = str(Path(ncgames.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        pythonpath = os.pathsep.join(
+            [package_root, str(Path(__file__).parent)] + ([inherited] if inherited else [])
+        )
+        script = "import json, test_form; print(json.dumps(test_form.order_facts()))"
+        results = set()
+        for seed in ("0", "1", "2", "3", "4"):
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+            )
+            assert not result.stderr, result.stderr
+            results.add(result.stdout)
+        assert results == {json.dumps(order_facts()) + "\n"}

@@ -34,7 +34,7 @@ from ncgames.transforms import apply_utility_transform, relabel_game
 
 import property_checks
 from conftest import (
-    CLASSROOM_UTILITIES, a, make_classroom_game, make_classroom_tree, nodes_of
+    CLASSROOM_UTILITIES, UNREADABLE, a, make_classroom_game, make_classroom_tree, nodes_of
 )
 from oracles import nash_by_deviation_scan
 
@@ -129,6 +129,15 @@ class TestBuildGame:
             build_game(classroom_form, table)
         assert err.value.code == "NotRational"
 
+    @pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE)
+    def test_unreadable_text_rejected(self, classroom_form, text):
+        table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
+        table["P1"][nodes_of(0, 3, 5)] = text
+        with pytest.raises(GameError) as err:
+            build_game(classroom_form, table)
+        assert err.value.code == "NotRational"
+        assert len(str(err.value)) < 100
+
 
 class TestValidateGameMorphism:
     def test_identity_components_validate(self, classroom_game):
@@ -167,6 +176,16 @@ class TestValidateGameMorphism:
                 classroom_game, classroom_game, iota, tau, delta, beta
             )
         assert err.value.code == "BetaDomainMismatch"
+
+    @pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE)
+    def test_unreadable_beta_text_rejected(self, classroom_game, text):
+        iota, tau, delta, beta = identity_components(classroom_game)
+        beta["P1"][Fraction(1)] = text
+        with pytest.raises(GameError) as err:
+            validate_game_morphism(
+                classroom_game, classroom_game, iota, tau, delta, beta
+            )
+        assert err.value.code == "NotRational"
 
     def test_utility_equation_failure(self, classroom_game):
         target, _w = doubled_game(classroom_game)

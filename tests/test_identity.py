@@ -51,11 +51,14 @@ DEFINING = {
     GameMorphism: ("source", "target", "iota", "tau", "delta", "beta"),
 }
 DERIVED = {
-    Tree: ("root", "decision_nodes", "stage", "plays", "children_map", "play_by_end", "rank"),
+    Tree: (
+        "root", "decision_nodes", "stage", "plays", "children_map", "play_by_end", "rank",
+        "stage_order",
+    ),
     TreeMorphism: (),
     Preform: ("feas", "info_sets", "info_choices", "info_set_of", "prev_choice"),
     PreformMorphism: ("tree_morphism",),
-    Form: ("owner", "player_nodes", "player_info_sets"),
+    Form: ("owner", "player_nodes", "player_info_sets", "player_rank"),
     FormMorphism: ("preform_morphism",),
     Game: ("ranges",),
     GameMorphism: ("form_morphism", "theta", "end_preserved"),

@@ -21,7 +21,7 @@ from ncgames.transforms import (
     to_choice_set,
 )
 
-from conftest import a, nodes_of
+from conftest import UNREADABLE, a, nodes_of
 
 
 class TestStyleReport:
@@ -181,6 +181,14 @@ class TestApplyUtilityTransform:
 
     def test_floats_are_rejected(self, classroom_game):
         maps = {"P1": {u: float(u) * 0.1 for u in classroom_game.ranges["P1"]}}
+        with pytest.raises(GameError) as err:
+            apply_utility_transform(classroom_game, maps)
+        assert err.value.code == "NotRational"
+
+    @pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE)
+    def test_unreadable_text_rejected(self, classroom_game, text):
+        maps = {"P1": {u: u for u in classroom_game.ranges["P1"]}}
+        maps["P1"][max(maps["P1"])] = text
         with pytest.raises(GameError) as err:
             apply_utility_transform(classroom_game, maps)
         assert err.value.code == "NotRational"

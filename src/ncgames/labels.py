@@ -6,12 +6,19 @@ The structured kinds let a game's nodes literally be the choice
 histories that lead to them; sequence labels keep the order, set labels
 keep only membership.  Equality is structural, and set labels ignore
 the order and multiplicity of the tokens they were built from.
+
+Labels key every map of every layer, so each label computes its hash
+once, at construction, and keeps it in a slot.  The value is the one a
+generated dataclass hash gives (the hash of the one-field tuple), so
+sets and dicts of labels iterate in the same order.  Copying and
+pickling rebuild a label through its constructor, so a loaded label
+hashes under the loading process's hash seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Union
+from typing import Any, Callable, Collection, Hashable, Iterable, Union
 
 __all__ = [
     "Atom",
@@ -23,6 +30,7 @@ __all__ = [
     "choice_set",
     "token_key",
     "label_key",
+    "ranked_label_key",
     "render_token",
     "render_label",
 ]
@@ -32,31 +40,60 @@ __all__ = [
 Token = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Atom:
     """An unconstrained node label."""
 
+    __slots__ = ("token", "_hash")
     token: Any
 
+    def __init__(self, token: Any):
+        object.__setattr__(self, "token", token)
+        object.__setattr__(self, "_hash", hash((token,)))
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.token,)
+
+
+@dataclass(frozen=True, init=False)
 class Seq:
     """A node label that is a sequence of choice tokens."""
 
-    choices: tuple = ()
+    __slots__ = ("choices", "_hash")
+    choices: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "choices", tuple(self.choices))
+    def __init__(self, choices: Iterable = ()):
+        choices = tuple(choices)
+        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "_hash", hash((choices,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Seq, (self.choices,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetLabel:
     """A node label that is a finite set of choice tokens."""
 
-    choices: frozenset = frozenset()
+    __slots__ = ("choices", "_hash")
+    choices: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "choices", frozenset(self.choices))
+    def __init__(self, choices: Iterable = frozenset()):
+        choices = frozenset(choices)
+        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "_hash", hash((choices,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return SetLabel, (self.choices,)
 
 
 NodeLabel = Union[Atom, Seq, SetLabel]
@@ -88,6 +125,54 @@ def label_key(label: NodeLabel) -> tuple:
     if isinstance(label, SetLabel):
         return (2, tuple(sorted(token_key(c) for c in label.choices)))
     raise TypeError(f"not a node label: {label!r}")
+
+
+def _equal_tokens_share_a_key(cls: type) -> bool:
+    """Whether two equal tokens, one of class ``cls``, always have the
+    same ``token_key``: true for exact text and integers (equal ones
+    have one class and one text) and for classes that compare by
+    identity; false for ``bool`` (``True == 1``), ``float``
+    (``0.0 == -0.0``) and any class with its own equality."""
+    return cls is str or cls is int or cls.__eq__ is object.__eq__
+
+
+def ranked_label_key(nodes: Collection[NodeLabel]) -> Callable[[NodeLabel], tuple]:
+    """A sort key that orders ``nodes`` exactly as ``label_key`` does, ties
+    included.
+
+    The distinct tokens are ranked once, densely in ``token_key`` order
+    (tokens with equal keys share a rank), and each label is keyed by
+    its kind and its tokens' ranks, sorted for a set label.  A tree of
+    choice histories then costs one ``token_key`` call per distinct
+    token, not one per token of every label.  Tokens are told apart by
+    equality here, so this holds only when equal tokens have equal
+    keys; for atoms alone, or when some token's class does not promise
+    that, the key is ``label_key`` itself.
+    """
+    structured = [t for t in nodes if not isinstance(t, Atom)]
+    if not structured:
+        return label_key
+    tokens = {t.token for t in nodes if isinstance(t, Atom)}
+    classes = set(map(type, tokens))
+    for t in structured:
+        if not isinstance(t, (Seq, SetLabel)):
+            raise TypeError(f"not a node label: {t!r}")
+        tokens.update(t.choices)
+        classes.update(map(type, t.choices))
+    if not all(map(_equal_tokens_share_a_key, classes)):
+        return label_key
+    keys = {c: token_key(c) for c in tokens}
+    dense = {k: r for r, k in enumerate(sorted(set(keys.values())))}
+    rank = {c: dense[k] for c, k in keys.items()}.__getitem__
+
+    def key(label: NodeLabel) -> tuple:
+        if isinstance(label, Seq):
+            return (1, tuple(map(rank, label.choices)))
+        if isinstance(label, SetLabel):
+            return (2, tuple(sorted(map(rank, label.choices))))
+        return (0, rank(label.token))
+
+    return key
 
 
 def render_token(token: Token) -> str:

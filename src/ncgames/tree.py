@@ -18,7 +18,7 @@ from functools import cache
 from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import MorphismError, TreeError
-from .labels import NodeLabel, label_key, render_label, render_token
+from .labels import NodeLabel, label_key, ranked_label_key, render_label, render_token
 
 __all__ = [
     "Play",
@@ -139,7 +139,8 @@ class Tree(Structural):
 
     Two orders are computed here once and read by every report and
     document.  ``rank`` gives each node its position in ``label_key``
-    order and lists the nodes in that order; ``children_map`` lists
+    order (sorted by ``ranked_label_key``, which ranks the tokens once
+    per tree) and lists the nodes in that order; ``children_map`` lists
     each node's children by rank, and ``play_by_end`` lists the plays
     in lexicographic order of their paths by rank.  ``stage_order``
     lists the nodes by stage, and by rank within a stage.
@@ -238,7 +239,7 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         )
     (root,) = roots
 
-    rank = {t: k for k, t in enumerate(sorted(node_set, key=label_key))}
+    rank = {t: k for k, t in enumerate(sorted(node_set, key=ranked_label_key(node_set)))}
     children: dict = {}
     for child in rank:  # by rank, so each list of children is in order
         if child in pred:

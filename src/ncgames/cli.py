@@ -32,16 +32,14 @@ from .game import (
     subgame_at,
 )
 from .labels import Atom, render_label, render_token
-from .preform import (
-    DEFAULT_STRATEGY_CAP, count_grand_strategies, grand_strategies, info_set_order, play_of
-)
+from .preform import DEFAULT_STRATEGY_CAP, count_grand_strategies, grand_strategies, play_of
 from .transforms import canonicalize, to_choice_sequence, to_choice_set
 
 __all__ = ["main", "cli_dispatch"]
 
 
 def _strategy_tuple(ordered, s):
-    """The strategy's choices listed in ``info_set_order``."""
+    """The strategy's choices listed in ``Preform.info_set_order``."""
     return tuple(c for _h, choices in ordered for c in choices if c in s)
 
 
@@ -89,7 +87,7 @@ def _cmd_derive(args) -> int:
     print("plays:")
     for play in game.tree.play_by_end.values():
         print(_render_play(play))
-    ordered = info_set_order(game.preform, game.preform.info_sets)
+    ordered = game.preform.info_set_order
     print("information-sets:")
     for h, choices in ordered:
         owner = game.form.owner[choices[0]]
@@ -111,7 +109,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_nash(args) -> int:
     game = load_game(args.file)
-    ordered = info_set_order(game.preform, game.preform.info_sets)
+    ordered = game.preform.info_set_order
     equilibria = nash_equilibria(game, cap=args.strategy_cap)
     for s in sorted(_strategy_tuple(ordered, s) for s in equilibria):
         print(_render_strategy(s))

@@ -184,24 +184,15 @@ def _read_rows(rows, players, label, rational, tree, spec_of) -> dict:
     is ``None`` (the preform or form did not build), is read spec by
     spec and keyed by the play with its set of nodes, or by that set
     when it is no play."""
-    ends = {}
-    stack = [(tree.root, [])] if tree is not None else []
-    while stack:  # each node's specs are its parent's plus its own
-        t, above = stack.pop()
-        specs = above + [spec_of[t]]
-        kids = tree.children_map.get(t)
-        if kids:
-            stack.extend((kid, specs) for kid in kids)
-        else:
-            ends[t] = tree.play_by_end[t], specs
+    plays = tree.play_by_end if tree is not None else {}
     utilities: Dict[str, dict] = {i: {} for i in players}
     for entry in rows:
         play_specs = _require(entry, "play", list, "utility entry")
         try:
-            key, specs = ends[label(play_specs[-1])]
+            key = plays[label(play_specs[-1])]
         except (NcgError, LookupError):  # no spec, a malformed one, or no end
-            specs = None
-        if play_specs != specs:
+            key = None
+        if key is None or play_specs != list(map(spec_of.__getitem__, key.path)):
             key = frozenset(map(label, play_specs))
             if tree is not None:
                 key = _play_with_nodes(tree, key) or key
@@ -470,8 +461,9 @@ def _morphism_from_document(doc, base_dir, built: list) -> GameMorphism:
     tau = _pairs_to_map(doc.get("tau", []), source_label, target_label, "tau")
     delta = _pairs_to_map(doc.get("delta", []), _token, _token, "delta")
     beta_doc = _require(doc, "beta", dict, "morphism document")
+    rational = _rational_reader()
     beta = {
-        player: _pairs_to_map(entries, _parse_rational, _parse_rational, "beta")
+        player: _pairs_to_map(entries, rational, rational, "beta")
         for player, entries in beta_doc.items()
     }
     try:

@@ -34,10 +34,10 @@ from .labels import NodeLabel, Token, render_label, render_token
 from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
+    _pools,
     _walk,
     build_preform,
     grand_strategies,
-    info_set_order,
     is_grand_strategy,
     render_strategy,
 )
@@ -122,7 +122,7 @@ def _play_with_nodes(tree: Tree, nodes: frozenset) -> Optional[Play]:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -420,9 +420,10 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
     """
     subtree = subtree_at(g.tree, t_star)
     sub_nodes = subtree.nodes
-    cut = [h for h in g.preform.info_sets if h & sub_nodes and not h <= sub_nodes]
+    order = g.preform.info_set_order
+    cut = [h for h, _choices in order if h & sub_nodes and not h <= sub_nodes]
     if cut:
-        (h, _choices), *_ = info_set_order(g.preform, cut)
+        h = cut[0]
         listing = ",".join(sorted((render_label(t) for t in h)))
         raise GameError(
             "InformationSetCut",
@@ -474,7 +475,7 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     # each player's count is checked first and in token order, so the
     # first player over the cap is the same in every run
     for i in g.form.player_rank:
-        player_strategies(g.form, i, cap=cap)
+        _pools(g.preform, g.form.player_info_sets[i], cap)
     outcome = {s: _walk(g.preform, s) for s in grand_strategies(g.preform, cap=cap)}
     equilibria = set(outcome)
     for i in g.form.player_rank:

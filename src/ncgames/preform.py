@@ -67,7 +67,9 @@ class Preform(Structural):
     the feasible choices at each decision node, ``info_sets`` collects
     the information sets, ``info_choices`` the choices shared by each
     information set, and ``prev_choice`` the choice that produced each
-    non-root node.
+    non-root node.  ``info_set_order`` pairs each information set with
+    its choices in ``token_key`` order, the sets sorted by their sorted
+    node ranks; strategies, reports and refusals all list sets in it.
     """
 
     tree: Tree
@@ -78,6 +80,7 @@ class Preform(Structural):
     info_choices: Mapping[frozenset, frozenset] = field(compare=False)
     info_set_of: Mapping[Token, frozenset] = field(compare=False)
     prev_choice: Mapping[NodeLabel, Token] = field(compare=False)
+    info_set_order: Tuple[Tuple[frozenset, Tuple[Token, ...]], ...] = field(compare=False)
 
     def __repr__(self) -> str:
         return (
@@ -185,6 +188,13 @@ def build_preform(
     info_sets = frozenset(info_choices)
 
     prev_choice = {t_next: c for (t, c), t_next in op.items()}
+    # the sets are disjoint, so their smallest ranks order them as their
+    # sorted ranks do
+    rank = tree.rank
+    info_set_order = tuple(
+        (h, tuple(sorted(info_choices[h], key=token_key)))
+        for h in sorted(info_sets, key=lambda h: min(map(rank.__getitem__, h)))
+    )
 
     return Preform(
         tree=tree,
@@ -195,31 +205,24 @@ def build_preform(
         info_choices=info_choices,
         info_set_of=info_set_of,
         prev_choice=prev_choice,
+        info_set_order=info_set_order,
     )
 
 
-def info_set_order(pf: Preform, info_sets: Iterable[frozenset]) -> list:
-    """Information sets of ``pf`` in the order strategies list them, each
-    paired with its choices sorted.
-
-    Enumeration, the ``ncg`` reports and the choice of which cut
-    information set a subgame refusal names all read this one order.
-    """
-    rank = pf.tree.rank
-    return [
-        (h, sorted(pf.info_choices[h], key=token_key))
-        for h in sorted(info_sets, key=lambda h: sorted(rank[t] for t in h))
-    ]
+def _pools(pf: Preform, info_sets, cap: int) -> list:
+    """The choices of each set in ``info_sets``, in ``pf.info_set_order``;
+    refused when more than ``cap`` strategies select one from each."""
+    pools = [choices for h, choices in pf.info_set_order if h in info_sets]
+    count = prod(map(len, pools))
+    if count > cap:
+        raise StrategySpaceTooLarge(count, cap)
+    return pools
 
 
 def strategies_over(pf: Preform, info_sets, cap: int) -> frozenset:
     """All choice sets selecting one feasible choice per information set
     in ``info_sets``; the empty selection when there are none."""
-    count = prod(len(pf.info_choices[h]) for h in info_sets)
-    if count > cap:
-        raise StrategySpaceTooLarge(count, cap)
-    pools = [choices for _h, choices in info_set_order(pf, info_sets)]
-    return frozenset(frozenset(combo) for combo in itertools.product(*pools))
+    return frozenset(map(frozenset, itertools.product(*_pools(pf, info_sets, cap))))
 
 
 def selects_one_each(pf: Preform, s: frozenset, info_sets) -> bool:
@@ -228,7 +231,7 @@ def selects_one_each(pf: Preform, s: frozenset, info_sets) -> bool:
 
 
 def count_grand_strategies(pf: Preform) -> int:
-    return prod(len(pf.info_choices[h]) for h in pf.info_sets)
+    return prod(len(choices) for _h, choices in pf.info_set_order)
 
 
 def grand_strategies(pf: Preform, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:

@@ -74,33 +74,27 @@ def _absentminded(g: Game) -> bool:
     return False
 
 
+def _uses_labels(g: Game, empty: NodeLabel, extend) -> bool:
+    """Whether every node is a label of ``empty``'s kind, ``empty`` among
+    them, and each successor's choices are ``extend(choices, c)`` of its
+    node's choices and the choice ``c`` leading to it."""
+    nodes, kind = g.tree.nodes, type(empty)
+    return (
+        all(isinstance(t, kind) for t in nodes)
+        and empty in nodes
+        and all(
+            t_next.choices == extend(t.choices, c) for (t, c), t_next in g.preform.op.items()
+        )
+    )
+
+
 def style_report(g: Game) -> StyleReport:
     """Evaluate the four style predicates structurally."""
-    tree = g.tree
-    no_absent = not _absentminded(g)
-    perfect = all(len(h) == 1 for h in g.preform.info_sets)
-
-    uses_seq = all(isinstance(t, Seq) for t in tree.nodes) and Seq(()) in tree.nodes
-    if uses_seq:
-        uses_seq = all(
-            t_next.choices == t.choices + (c,)
-            for (t, c), t_next in g.preform.op.items()
-        )
-    uses_set = (
-        all(isinstance(t, SetLabel) for t in tree.nodes)
-        and SetLabel(frozenset()) in tree.nodes
-    )
-    if uses_set:
-        uses_set = all(
-            t_next.choices == t.choices | {c}
-            for (t, c), t_next in g.preform.op.items()
-        )
-
     return StyleReport(
-        no_absentmindedness=no_absent,
-        perfect_information=perfect,
-        uses_choice_sequences=uses_seq,
-        uses_choice_sets=uses_set,
+        no_absentmindedness=not _absentminded(g),
+        perfect_information=all(len(h) == 1 for h in g.preform.info_sets),
+        uses_choice_sequences=_uses_labels(g, Seq(()), lambda cs, c: cs + (c,)),
+        uses_choice_sets=_uses_labels(g, SetLabel(frozenset()), lambda cs, c: cs | {c}),
     )
 
 

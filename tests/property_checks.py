@@ -8,6 +8,7 @@ exact.
 from __future__ import annotations
 
 import itertools
+import math
 
 from ncgames import (
     compose,
@@ -30,7 +31,7 @@ from ncgames import (
     strict_predecessors,
 )
 from ncgames.game import _node_classes
-from ncgames.preform import info_set_order
+from ncgames.labels import token_key
 from ncgames.transforms import style_report
 
 import oracles
@@ -57,7 +58,8 @@ def check_tree_invariants(tree):
 def check_node_and_play_order(preform):
     """The one node order and play order of the preform's tree, the
     children lists and the information-set order against the
-    ``label_key`` references."""
+    ``label_key`` references; each set's choices in ``token_key`` order,
+    and as many grand strategies as the product of their numbers."""
     tree = preform.tree
     by_label = oracles.nodes_by_label(tree)
     assert list(tree.rank) == by_label
@@ -65,8 +67,11 @@ def check_node_and_play_order(preform):
     assert list(tree.play_by_end.values()) == oracles.plays_by_path(tree)
     for t in tree.nodes:
         assert list(tree.children(t)) == [u for u in by_label if tree.pred.get(u) == t]
-    ordered = [h for h, _choices in info_set_order(preform, preform.info_sets)]
-    assert ordered == oracles.info_sets_by_label(preform)
+    order = preform.info_set_order
+    assert [h for h, _choices in order] == oracles.info_sets_by_label(preform)
+    for h, choices in order:
+        assert choices == tuple(sorted(preform.info_choices[h], key=token_key))
+    assert count_grand_strategies(preform) == math.prod(len(cs) for _h, cs in order)
 
 
 def _is_consecutive_chain(pred, subset):

@@ -129,6 +129,14 @@ class TestBuildGame:
             build_game(classroom_form, table)
         assert err.value.code == "NotRational"
 
+    def test_booleans_rejected(self, classroom_form):
+        # ``True == 1``, but a truth value is no utility
+        table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
+        table["P1"][nodes_of(0, 3, 5)] = True
+        with pytest.raises(GameError) as err:
+            build_game(classroom_form, table)
+        assert err.value.code == "NotRational"
+
     @pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE)
     def test_unreadable_text_rejected(self, classroom_form, text):
         table = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
@@ -181,6 +189,15 @@ class TestValidateGameMorphism:
     def test_unreadable_beta_text_rejected(self, classroom_game, text):
         iota, tau, delta, beta = identity_components(classroom_game)
         beta["P1"][Fraction(1)] = text
+        with pytest.raises(GameError) as err:
+            validate_game_morphism(
+                classroom_game, classroom_game, iota, tau, delta, beta
+            )
+        assert err.value.code == "NotRational"
+
+    def test_boolean_beta_rejected(self, classroom_game):
+        iota, tau, delta, beta = identity_components(classroom_game)
+        beta["P1"][Fraction(1)] = True
         with pytest.raises(GameError) as err:
             validate_game_morphism(
                 classroom_game, classroom_game, iota, tau, delta, beta

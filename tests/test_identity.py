@@ -56,7 +56,9 @@ DERIVED = {
         "stage_order",
     ),
     TreeMorphism: (),
-    Preform: ("feas", "info_sets", "info_choices", "info_set_of", "prev_choice"),
+    Preform: (
+        "feas", "info_sets", "info_choices", "info_set_of", "prev_choice", "info_set_order",
+    ),
     PreformMorphism: ("tree_morphism",),
     Form: ("owner", "player_nodes", "player_info_sets", "player_rank"),
     FormMorphism: ("preform_morphism",),

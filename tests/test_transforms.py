@@ -185,6 +185,13 @@ class TestApplyUtilityTransform:
             apply_utility_transform(classroom_game, maps)
         assert err.value.code == "NotRational"
 
+    def test_booleans_are_rejected(self, classroom_game):
+        maps = {"P1": {u: u for u in classroom_game.ranges["P1"]}}
+        maps["P1"][Fraction(1)] = True
+        with pytest.raises(GameError) as err:
+            apply_utility_transform(classroom_game, maps)
+        assert err.value.code == "NotRational"
+
     @pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE)
     def test_unreadable_text_rejected(self, classroom_game, text):
         maps = {"P1": {u: u for u in classroom_game.ranges["P1"]}}

@@ -15,9 +15,10 @@ from pathlib import Path
 
 from .documents import (
     _loads,
-    _morphism_from_document,
+    _morphism_parts,
     _node_from_spec,
     _read,
+    _validated,
     _witness_from_document,
     load_game,
     parse_morphism,
@@ -160,7 +161,7 @@ def _cmd_iso_check(args) -> int:
         _witness_from_document(doc, base_dir)
         print("valid isomorphism witness")
         return 0
-    morphism = _morphism_from_document(doc, base_dir, [])
+    morphism = _validated(_morphism_parts(doc, base_dir, []))
     if is_isomorphism(morphism) is None:
         print("not an isomorphism")
         return 1

@@ -34,6 +34,7 @@ from .labels import NodeLabel, Token, render_label, render_token
 from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
+    PreformMorphism,
     _pools,
     _walk,
     build_preform,
@@ -49,6 +50,7 @@ from .tree import (
     _is_bijection,
     check_composable,
     end_preserved_plays,
+    is_tree_isomorphism,
     subtree_at,
 )
 
@@ -174,6 +176,14 @@ def build_game(form: Form, utilities: Mapping) -> Game:
                         "which is not a play",
                         axiom="[G2]",
                     )
+            if play in row:
+                raise GameError(
+                    "DuplicateUtility",
+                    f"utility row of {render_token(i)} prices the play ending at "
+                    f"{render_label(play.end)} twice",
+                    axiom="[G2]",
+                    player=i,
+                )
             row[play] = _as_fraction(value)
         if len(row) != len(plays):
             # every key is a play, so some play is unpriced; in play
@@ -214,7 +224,7 @@ class GameMorphism(Structural):
 
 @dataclass(frozen=True)
 class IsoWitness:
-    """An isomorphism with its explicit inverse, both validated."""
+    """An isomorphism with its explicit inverse, built by inversion."""
 
     morphism: GameMorphism
     inverse: GameMorphism
@@ -364,14 +374,14 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
 def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:
     """An explicit inverse when every component bijects, else ``None``.
 
-    The inverse is built component-wise and validated once.  The paper's
-    equivalent characterization (bijective structure maps with strictly
-    increasing utility maps) and the identity composites are consequences
-    checked by the test suite, not here.
+    The inverse is built by inverting each component, unvalidated.  That
+    it is a morphism, the paper's equivalent characterization (bijective
+    structure maps with strictly increasing utility maps) and the
+    identity composites are theorems checked by the test suite, not here.
     """
-    if not (
+    theta = is_tree_isomorphism(m.theta)
+    if theta is None or not (
         _is_bijection(m.iota, m.source.players, m.target.players)
-        and _is_bijection(m.tau, m.source.tree.nodes, m.target.tree.nodes)
         and _is_bijection(m.delta, m.source.preform.choices, m.target.preform.choices)
         and all(
             _is_bijection(m.beta[i], frozenset(m.beta[i]), m.target.ranges[m.iota[i]])
@@ -380,17 +390,14 @@ def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:
     ):
         return None
 
-    iota_inv = {v: k for k, v in m.iota.items()}
-    tau_inv = {v: k for k, v in m.tau.items()}
-    delta_inv = {v: k for k, v in m.delta.items()}
-    beta_inv = {
-        i_target: {v: u for u, v in m.beta[iota_inv[i_target]].items()}
-        for i_target in m.target.players
-    }
-    inverse = validate_game_morphism(
-        m.target, m.source, iota_inv, tau_inv, delta_inv, beta_inv
-    )
-    return IsoWitness(m, inverse)
+    iota = {v: k for k, v in m.iota.items()}
+    delta = {v: k for k, v in m.delta.items()}
+    beta = {j: {v: u for u, v in m.beta[i].items()} for j, i in iota.items()}
+    preform = PreformMorphism(m.target.preform, m.source.preform, theta.tau, delta, theta)
+    form = FormMorphism(m.target.form, m.source.form, iota, theta.tau, delta, preform)
+    return IsoWitness(m, GameMorphism(
+        m.target, m.source, iota, theta.tau, delta, beta, form, theta, m.target.plays
+    ))
 
 
 def is_subgame(inner: Game, outer: Game) -> bool:

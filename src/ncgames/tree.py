@@ -358,11 +358,11 @@ def _is_bijection(mapping: Mapping, domain: frozenset, codomain: frozenset) -> b
 
 
 def is_tree_isomorphism(m: TreeMorphism) -> Optional[TreeMorphism]:
-    """The inverse morphism when the node map bijects, else ``None``."""
+    """The inverse morphism when the node map bijects, else ``None``;
+    a bijection that preserves edges has an inverse that does too."""
     if not _is_bijection(m.tau, m.source.nodes, m.target.nodes):
         return None
-    inverse = {v: k for k, v in m.tau.items()}
-    return validate_tree_morphism(m.target, m.source, inverse)
+    return TreeMorphism(m.target, m.source, {v: k for k, v in m.tau.items()})
 
 
 def end_preserved_plays(m: TreeMorphism) -> frozenset:

@@ -29,6 +29,8 @@ from ncgames import (
     plays,
     profile_to_grand,
     strict_predecessors,
+    validate_game_morphism,
+    validate_tree_morphism,
 )
 from ncgames.game import _node_classes
 from ncgames.labels import token_key
@@ -201,6 +203,8 @@ def check_tree_iso_inverse(m):
     """A bijective tree morphism has a valid inverse that undoes it."""
     inverse = is_tree_isomorphism(m)
     assert inverse is not None
+    # built by inversion, the inverse is validated here only
+    assert validate_tree_morphism(inverse.source, inverse.target, inverse.tau) == inverse
     assert compose_tree_morphisms(inverse, m) == identity_tree_morphism(m.source)
     assert compose_tree_morphisms(m, inverse) == identity_tree_morphism(m.target)
 
@@ -210,6 +214,18 @@ def check_iso_witness(witness):
     m = witness.morphism
     g, h = m.source, m.target
     check_tree_iso_inverse(m.theta)
+
+    # built by inversion, the inverse is validated here only, with the
+    # layers and end-preserved plays the validator derives
+    inv = witness.inverse
+    again = validate_game_morphism(
+        inv.source, inv.target, inv.iota, inv.tau, inv.delta, inv.beta
+    )
+    assert again == inv
+    assert again.form_morphism == inv.form_morphism
+    assert again.form_morphism.preform_morphism == inv.form_morphism.preform_morphism
+    assert again.theta == inv.theta == inv.form_morphism.preform_morphism.tree_morphism
+    assert again.end_preserved == inv.end_preserved
 
     # both characterizations hold, in both directions
     assert iso_characterizations(m) == (True, True)

@@ -10,6 +10,7 @@ from ncgames import (
     AxiomViolation,
     DocumentError,
     DocumentSyntaxError,
+    build_game,
     identity_morphism,
     is_isomorphism,
     nash_equilibria,
@@ -19,6 +20,7 @@ from ncgames import (
     serialize_game,
     serialize_morphism,
     serialize_witness,
+    validate_game_morphism,
 )
 from ncgames import documents
 from ncgames.labels import Atom, SetLabel
@@ -177,6 +179,88 @@ class TestMorphismDocuments:
         assert err.value.inner.code == "NotTotal"
 
 
+def _morphism_doc(m):
+    return json.loads(serialize_morphism(m))
+
+
+def _witness_doc(morphism, inverse):
+    return {"format_version": "ncg/1", "morphism": morphism, "inverse": inverse}
+
+
+def _collapsing_morphism(game):
+    """A valid morphism that sends P1's utilities -1 and 0 both to 0."""
+    collapse = {
+        Fraction(-1): Fraction(0), Fraction(0): Fraction(0), Fraction(1): Fraction(1)
+    }
+    table = {i: dict(row) for i, row in game.utilities.items()}
+    table["P1"] = {z: collapse[u] for z, u in table["P1"].items()}
+    target = build_game(game.form, table)
+    identity = identity_morphism(game)
+    return validate_game_morphism(
+        game, target, identity.iota, identity.tau, identity.delta,
+        {**identity.beta, "P1": collapse},
+    )
+
+
+def _swap_first_tau_images(doc):
+    """The morphism document with its first two node images swapped."""
+    tau = doc["tau"]
+    tau[0][1], tau[1][1] = tau[1][1], tau[0][1]
+    return doc
+
+
+def _canonical_witness_doc(game):
+    return json.loads(serialize_witness(canonicalize(game).witness))
+
+
+def _inverse_no_morphism(game):
+    doc = _canonical_witness_doc(game)
+    _swap_first_tau_images(doc["inverse"])
+    return doc
+
+
+def _inverse_of_another_morphism(game):
+    doc = _canonical_witness_doc(game)
+    doc["inverse"] = _morphism_doc(identity_morphism(canonicalize(game).game))
+    return doc
+
+
+def _not_bijective_valid_inverse(game):
+    return _witness_doc(
+        _morphism_doc(_collapsing_morphism(game)), _morphism_doc(identity_morphism(game))
+    )
+
+
+def _not_bijective_invalid_inverse(game):
+    return _witness_doc(
+        _morphism_doc(_collapsing_morphism(game)),
+        _swap_first_tau_images(_morphism_doc(identity_morphism(game))),
+    )
+
+
+# each tampering of a witness with its verdict: code, inner code, message
+WITNESS_VERDICTS = {
+    "inverse no morphism": (
+        _inverse_no_morphism, "AxiomViolation", "TripleNotPreserved",
+        "AxiomViolation [[p2]]: TripleNotPreserved [[p2]]: triple ({}, a, {a}) "
+        "does not map into the target operator graph",
+    ),
+    "inverse of another morphism": (
+        _inverse_of_another_morphism, "InverseMismatch", None,
+        "InverseMismatch: embedded inverse is not the inverse of the morphism",
+    ),
+    "not bijective, valid inverse": (
+        _not_bijective_valid_inverse, "NotAnIsomorphism", None,
+        "NotAnIsomorphism: embedded morphism does not biject",
+    ),
+    "not bijective, invalid inverse": (
+        _not_bijective_invalid_inverse, "AxiomViolation", "TripleNotPreserved",
+        "AxiomViolation [[p2]]: TripleNotPreserved [[p2]]: triple (0, a, 1) "
+        "does not map into the target operator graph",
+    ),
+}
+
+
 class TestWitnessDocuments:
     def test_witness_round_trip(self, classroom_text):
         game = parse_game(classroom_text)
@@ -196,6 +280,19 @@ class TestWitnessDocuments:
         with pytest.raises(DocumentError) as err:
             parse_witness(json.dumps(doc))
         assert err.value.code == "InverseMismatch"
+
+    @pytest.mark.parametrize(
+        "tampering, code, inner, message", WITNESS_VERDICTS.values(), ids=WITNESS_VERDICTS
+    )
+    def test_verdict_order(self, classroom_text, tampering, code, inner, message):
+        """An inverse that is no morphism is reported before the morphism
+        is found not to biject or the inverse not to match."""
+        game = parse_game(classroom_text)
+        with pytest.raises(DocumentError) as err:
+            parse_witness(json.dumps(tampering(game)))
+        assert err.value.code == code
+        assert (err.value.inner.code if code == "AxiomViolation" else None) == inner
+        assert str(err.value) == message
 
 
 class TestFixtures:

@@ -114,6 +114,20 @@ class TestBuildGame:
             build_game(classroom_form, table)
         assert err.value.code == "MissingUtility"
 
+    def test_play_priced_twice(self, classroom_game):
+        plays = list(classroom_game.tree.play_by_end.values())
+        table = {i: dict(row) for i, row in classroom_game.utilities.items()}
+        table["P2"][frozenset(plays[0].path)] = 7
+        assert len(table["P2"]) == len(plays) + 1
+        with pytest.raises(GameError) as err:
+            build_game(classroom_game.form, table)
+        assert err.value.code == "DuplicateUtility"
+        assert err.value.details == {"player": "P2"}
+        assert str(err.value) == (
+            "DuplicateUtility [[G2]]: utility row of P2 prices the play ending at "
+            f"{plays[0].end.token} twice"
+        )
+
     def test_plays_of_an_equal_tree_become_this_trees(self, classroom_form):
         other = make_classroom_game()
         game = build_game(classroom_form, other.utilities)

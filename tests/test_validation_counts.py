@@ -1,19 +1,25 @@
 """Each axiom is checked in one place: the number of morphism
-validations behind inversion, composition and conversion."""
+validations behind inversion, composition, conversion, search and
+reading a witness."""
 
 import pytest
 
+import ncgames.documents
 import ncgames.game
 import ncgames.preform
 import ncgames.transforms
 import ncgames.tree
 from ncgames import (
     compose,
+    find_isomorphism,
     identity_morphism,
     identity_tree_morphism,
     is_isomorphism,
+    parse_witness,
+    serialize_witness,
     validate_preform_morphism,
 )
+from ncgames.cli import cli_dispatch
 from ncgames.transforms import canonicalize
 
 
@@ -34,7 +40,9 @@ def count_calls(monkeypatch, modules, name):
 @pytest.fixture
 def game_validations(monkeypatch):
     return count_calls(
-        monkeypatch, [ncgames.game, ncgames.transforms], "validate_game_morphism"
+        monkeypatch,
+        [ncgames.game, ncgames.transforms, ncgames.documents],
+        "validate_game_morphism",
     )
 
 
@@ -45,11 +53,11 @@ def tree_validations(monkeypatch):
     )
 
 
-def test_is_isomorphism_validates_only_the_inverse(classroom_game, game_validations):
+def test_is_isomorphism_validates_nothing(classroom_game, game_validations):
     m = identity_morphism(classroom_game)
     game_validations.clear()
     assert is_isomorphism(m) is not None
-    assert len(game_validations) == 1
+    assert game_validations == []
 
 
 def test_compose_validates_the_composite_once(
@@ -62,10 +70,35 @@ def test_compose_validates_the_composite_once(
     assert tree_validations == []
 
 
-def test_canonicalize_validates_morphism_and_inverse(classroom_game, game_validations):
+def test_canonicalize_validates_the_morphism_once(classroom_game, game_validations):
     result = canonicalize(classroom_game)
     assert result.style == "choice-set"
-    assert len(game_validations) == 2
+    assert len(game_validations) == 1
+
+
+def test_find_isomorphism_validates_the_found_morphism_once(
+    classroom_game, game_validations
+):
+    assert find_isomorphism(classroom_game, classroom_game) is not None
+    assert len(game_validations) == 1
+
+
+def test_parse_witness_validates_the_morphism_once(classroom_game, game_validations):
+    text = serialize_witness(canonicalize(classroom_game).witness)
+    game_validations.clear()
+    assert serialize_witness(parse_witness(text)) == text
+    assert len(game_validations) == 1
+
+
+def test_iso_check_of_a_witness_validates_once(
+    classroom_game, game_validations, tmp_path, capsys
+):
+    path = tmp_path / "classroom.witness"
+    path.write_text(serialize_witness(canonicalize(classroom_game).witness))
+    game_validations.clear()
+    assert cli_dispatch(["iso-check", str(path)]) == 0
+    assert capsys.readouterr().out == "valid isomorphism witness\n"
+    assert len(game_validations) == 1
 
 
 def test_preform_validation_skips_the_tree_validator(classroom_game, tree_validations):

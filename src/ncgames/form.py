@@ -10,6 +10,7 @@ hide typos.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import FormError, MorphismError
@@ -185,25 +186,27 @@ def profile_to_grand(form: Form, profile: Mapping) -> frozenset:
 
 @dataclass(frozen=True, eq=False)
 class FormMorphism(Structural):
-    """Player, node, and choice maps preserving structure and ownership."""
+    """Player, node, and choice maps preserving structure and ownership;
+    its preform morphism is a view of the node and choice maps."""
 
     source: Form
     target: Form
     iota: Mapping[Token, Token]
     tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
-    preform_morphism: PreformMorphism = field(compare=False, repr=False)
+
+    @cached_property
+    def preform_morphism(self) -> PreformMorphism:
+        return PreformMorphism(self.source.preform, self.target.preform, self.tau, self.delta)
 
 
 def validate_form_morphism(
     source: Form, target: Form, iota: Mapping, tau: Mapping, delta: Mapping
 ) -> FormMorphism:
     check_map(iota, source.players, target.players, "player", "[f1]", source.player_rank.get)
-    preform_morphism = validate_preform_morphism(
-        source.preform, target.preform, tau, delta
-    )
+    preform_morphism = validate_preform_morphism(source.preform, target.preform, tau, delta)
     for i in source.player_rank:
-        image = {delta[c] for c in source.assignment[i]}
+        image = {preform_morphism.delta[c] for c in source.assignment[i]}
         if not image <= target.assignment[iota[i]]:
             raise MorphismError(
                 "PlayerOwnershipViolated",
@@ -213,12 +216,13 @@ def validate_form_morphism(
                 player=i,
             )
     return FormMorphism(
-        source, target, dict(iota), dict(tau), dict(delta), preform_morphism
+        source, target, dict(iota), preform_morphism.tau, preform_morphism.delta
     )
 
 
 def identity_form_morphism(form: Form) -> FormMorphism:
-    return validate_form_morphism(
+    """The identity on ``form``, built unvalidated: a morphism by theorem."""
+    return FormMorphism(
         form,
         form,
         {i: i for i in form.players},
@@ -228,11 +232,12 @@ def identity_form_morphism(form: Form) -> FormMorphism:
 
 
 def compose_form_morphisms(second: FormMorphism, first: FormMorphism) -> FormMorphism:
+    """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
     tau = {t: second.tau[first.tau[t]] for t in first.source.preform.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}
-    return validate_form_morphism(first.source, second.target, iota, tau, delta)
+    return FormMorphism(first.source, second.target, iota, tau, delta)
 
 
 def is_subform(inner: Form, outer: Form) -> bool:

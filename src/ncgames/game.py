@@ -8,7 +8,9 @@ so surjectivity holds by construction.
 
 A game morphism carries player, node, and choice maps plus one finite
 weakly increasing utility map per player, defined exactly on the
-utilities of the end-preserved plays.  Isomorphisms are the morphisms
+utilities of the end-preserved plays.  Only maps from outside the
+library are validated; identities, composites and inverses are
+morphisms by theorem, built directly.  Isomorphisms are the morphisms
 whose every component bijects; they come with an explicit inverse,
 packaged as an :class:`IsoWitness` so third parties can re-validate
 without searching.
@@ -16,9 +18,9 @@ without searching.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, Mapping, Optional
 
 from .errors import GameError, MorphismError, SearchBudgetExceeded
@@ -34,7 +36,6 @@ from .labels import NodeLabel, Token, render_label, render_token
 from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
-    PreformMorphism,
     _pools,
     _walk,
     build_preform,
@@ -204,12 +205,7 @@ def build_game(form: Form, utilities: Mapping) -> Game:
 
 @dataclass(frozen=True, eq=False)
 class GameMorphism(Structural):
-    """A validated game morphism.
-
-    ``theta`` and ``end_preserved`` are derived from the node map and
-    cached because every utility condition is phrased on the
-    end-preserved plays.
-    """
+    """A game morphism; its lower layers and end-preserved plays are views of its maps."""
 
     source: Game
     target: Game
@@ -217,9 +213,20 @@ class GameMorphism(Structural):
     tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
     beta: Mapping[Token, Mapping[Fraction, Fraction]]
-    form_morphism: FormMorphism = field(compare=False, repr=False)
-    theta: TreeMorphism = field(compare=False, repr=False)
-    end_preserved: frozenset = field(compare=False, repr=False)
+
+    @cached_property
+    def form_morphism(self) -> FormMorphism:
+        return FormMorphism(
+            self.source.form, self.target.form, self.iota, self.tau, self.delta
+        )
+
+    @cached_property
+    def theta(self) -> TreeMorphism:
+        return TreeMorphism(self.source.tree, self.target.tree, self.tau)
+
+    @cached_property
+    def end_preserved(self) -> frozenset:
+        return end_preserved_plays(self.theta)
 
 
 @dataclass(frozen=True)
@@ -246,8 +253,8 @@ def validate_game_morphism(
     end-preserved play's image.
     """
     form_morphism = validate_form_morphism(source.form, target.form, iota, tau, delta)
-    theta = form_morphism.preform_morphism.tree_morphism
-    end_preserved = end_preserved_plays(theta)
+    tau = form_morphism.tau
+    end_preserved = end_preserved_plays(TreeMorphism(source.tree, target.tree, tau))
 
     norm_beta: Dict[Token, Dict[Fraction, Fraction]] = {}
     for i in beta:
@@ -301,7 +308,7 @@ def validate_game_morphism(
 
     # the image of an end-preserved play is the target play ending at
     # the image of its end
-    images = [(z, target.tree.play_by_end[theta.tau[z.end]]) for z in end_preserved]
+    images = [(z, target.tree.play_by_end[tau[z.end]]) for z in end_preserved]
     for i in source.form.player_rank:
         beta_i, source_row = norm_beta[i], source.utilities[i]
         target_row = target.utilities[form_morphism.iota[i]]
@@ -322,20 +329,13 @@ def validate_game_morphism(
             )
 
     return GameMorphism(
-        source=source,
-        target=target,
-        iota=form_morphism.iota,
-        tau=form_morphism.tau,
-        delta=form_morphism.delta,
-        beta=norm_beta,
-        form_morphism=form_morphism,
-        theta=theta,
-        end_preserved=end_preserved,
+        source, target, form_morphism.iota, form_morphism.tau, form_morphism.delta, norm_beta
     )
 
 
 def identity_morphism(g: Game) -> GameMorphism:
-    return validate_game_morphism(
+    """The identity on ``g``, built unvalidated: a morphism by theorem."""
+    return GameMorphism(
         g,
         g,
         {i: i for i in g.players},
@@ -346,11 +346,11 @@ def identity_morphism(g: Game) -> GameMorphism:
 
 
 def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
-    """The morphism applying ``first`` and then ``second``.
+    """``first`` and then ``second``, unvalidated: a morphism by theorem.
 
-    The composite utility map chains the two maps where they compose
-    and is then cut down to the utilities realized by the plays that
-    are end-preserved by the composite node map.
+    The utility maps chain on the utilities of the plays end-preserved
+    by the composite node map, where both are defined: a morphism keeps
+    decision nodes, so ``first`` preserves such a play and ``second`` its image.
     """
     check_composable(second, first)
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
@@ -361,14 +361,10 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
     )
     beta: Dict[Token, Dict[Fraction, Fraction]] = {}
     for i in first.source.players:
-        b1 = first.beta[i]
-        b2 = second.beta[first.iota[i]]
-        chainable = {u for u in b1 if b1[u] in b2}
+        b1, b2 = first.beta[i], second.beta[first.iota[i]]
         realized = {first.source.utilities[i][z] for z in end_preserved}
-        beta[i] = {u: b2[b1[u]] for u in chainable if u in realized}
-    return validate_game_morphism(
-        first.source, second.target, iota, tau, delta, beta
-    )
+        beta[i] = {u: b2[b1[u]] for u in realized}
+    return GameMorphism(first.source, second.target, iota, tau, delta, beta)
 
 
 def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:
@@ -393,11 +389,7 @@ def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:
     iota = {v: k for k, v in m.iota.items()}
     delta = {v: k for k, v in m.delta.items()}
     beta = {j: {v: u for u, v in m.beta[i].items()} for j, i in iota.items()}
-    preform = PreformMorphism(m.target.preform, m.source.preform, theta.tau, delta, theta)
-    form = FormMorphism(m.target.form, m.source.form, iota, theta.tau, delta, preform)
-    return IsoWitness(m, GameMorphism(
-        m.target, m.source, iota, theta.tau, delta, beta, form, theta, m.target.plays
-    ))
+    return IsoWitness(m, GameMorphism(m.target, m.source, iota, theta.tau, delta, beta))
 
 
 def is_subgame(inner: Game, outer: Game) -> bool:
@@ -613,14 +605,19 @@ def find_isomorphism(
         beta = {i: utility_map(i, j) for i, j in iota.items()}
         if None in beta.values():
             return None
-        for vacuous_map in itertools.permutations(vacuous2):
-            full_iota = {**iota, **dict(zip(vacuous1, vacuous_map))}
-            full_beta = {**beta, **{i: utility_map(i, full_iota[i]) for i in vacuous1}}
-            if None not in full_beta.values():
-                return is_isomorphism(
-                    validate_game_morphism(g1, g2, full_iota, mapping, delta, full_beta)
-                )
-        return None
+        # vacuous players match when their utilities order the plays alike, an
+        # equivalence, so first free matches give the first matching permutation
+        free = list(vacuous2)
+        for i in vacuous1:
+            for j in free:
+                beta[i] = utility_map(i, j)
+                if beta[i] is not None:
+                    iota[i] = j
+                    free.remove(j)
+                    break
+            else:
+                return None
+        return is_isomorphism(validate_game_morphism(g1, g2, iota, mapping, delta, beta))
 
     # depth-first over ``order`` with an explicit stack of candidate
     # iterators, one per node, so deep trees do not recurse; a node is

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
@@ -269,13 +270,17 @@ def _walk(pf: Preform, s: frozenset) -> Play:
 
 @dataclass(frozen=True, eq=False)
 class PreformMorphism(Structural):
-    """A node map and a choice map preserving the operator graph."""
+    """A node map and a choice map preserving the operator graph; its
+    tree morphism is a view of the node map."""
 
     source: Preform
     target: Preform
     tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
-    tree_morphism: TreeMorphism = field(compare=False, repr=False)
+
+    @cached_property
+    def tree_morphism(self) -> TreeMorphism:
+        return TreeMorphism(self.source.tree, self.target.tree, self.tau)
 
 
 def validate_preform_morphism(
@@ -295,25 +300,23 @@ def validate_preform_morphism(
                 successor=t_next,
             )
     # [p1] makes the node map total and [p2] carries every predecessor
-    # pair, since each is an operator triple: the tree axioms hold
-    tau = dict(tau)
-    tree_morphism = TreeMorphism(source.tree, target.tree, tau)
-    return PreformMorphism(source, target, tau, dict(delta), tree_morphism)
+    # pair, each an operator triple: the tree morphism view needs no check
+    return PreformMorphism(source, target, dict(tau), dict(delta))
 
 
 def identity_preform_morphism(pf: Preform) -> PreformMorphism:
-    return validate_preform_morphism(
-        pf, pf, {t: t for t in pf.tree.nodes}, {c: c for c in pf.choices}
-    )
+    """The identity on ``pf``, built unvalidated: a morphism by theorem."""
+    return PreformMorphism(pf, pf, {t: t for t in pf.tree.nodes}, {c: c for c in pf.choices})
 
 
 def compose_preform_morphisms(
     second: PreformMorphism, first: PreformMorphism
 ) -> PreformMorphism:
+    """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
     tau = {t: second.tau[first.tau[t]] for t in first.source.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.choices}
-    return validate_preform_morphism(first.source, second.target, tau, delta)
+    return PreformMorphism(first.source, second.target, tau, delta)
 
 
 def is_subpreform(inner: Preform, outer: Preform) -> bool:

@@ -16,9 +16,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import TransformError
 from .form import build_form
-from .game import (
-    Game, IsoWitness, _as_fraction, build_game, is_isomorphism, validate_game_morphism
-)
+from .game import Game, GameMorphism, IsoWitness, _as_fraction, build_game, is_isomorphism
 from .labels import NodeLabel, Seq, SetLabel, Token, render_token
 from .preform import build_preform
 
@@ -197,7 +195,8 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
         i: {z: beta[i][g.utilities[i][z]] for z in g.plays} for i in g.players
     }
     converted = build_game(g.form, utilities)
-    morphism = validate_game_morphism(
+    # identity structure maps, strictly increasing utility maps: an isomorphism
+    morphism = GameMorphism(
         g,
         converted,
         {i: i for i in g.players},
@@ -241,12 +240,6 @@ def relabel_game(
         iota[i]: {image[z]: g.utilities[i][z] for z in g.plays} for i in g.players
     }
     converted = build_game(form, utilities)
-    morphism = validate_game_morphism(
-        g,
-        converted,
-        iota,
-        tau,
-        delta,
-        {i: {u: u for u in g.ranges[i]} for i in g.players},
-    )
-    return converted, is_isomorphism(morphism)
+    # a bijective relabelling of a valid game: a morphism by construction
+    beta = {i: {u: u for u in g.ranges[i]} for i in g.players}
+    return converted, is_isomorphism(GameMorphism(g, converted, iota, tau, delta, beta))

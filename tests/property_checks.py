@@ -7,17 +7,26 @@ exact.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 from ncgames import (
+    FormMorphism,
+    GameMorphism,
+    PreformMorphism,
+    TreeMorphism,
     compose,
+    compose_form_morphisms,
+    compose_preform_morphisms,
     compose_tree_morphisms,
     count_grand_strategies,
     end_preserved_plays,
     grand_strategies,
     grand_to_profile,
+    identity_form_morphism,
     identity_morphism,
+    identity_preform_morphism,
     identity_tree_morphism,
     image_play,
     is_isomorphism,
@@ -29,7 +38,9 @@ from ncgames import (
     plays,
     profile_to_grand,
     strict_predecessors,
+    validate_form_morphism,
     validate_game_morphism,
+    validate_preform_morphism,
     validate_tree_morphism,
 )
 from ncgames.game import _node_classes
@@ -153,15 +164,76 @@ def check_profile_bijection(form):
         assert grand_to_profile(form, profile_to_grand(form, profile)) == profile
 
 
+# each morphism class with its validator and its views, the lower
+# layers computed from its maps
+VALIDATORS = {
+    TreeMorphism: (validate_tree_morphism, ()),
+    PreformMorphism: (validate_preform_morphism, ("tree_morphism",)),
+    FormMorphism: (validate_form_morphism, ("preform_morphism",)),
+    GameMorphism: (validate_game_morphism, ("form_morphism", "theta", "end_preserved")),
+}
+
+
+def check_revalidates(m):
+    """The validator of the layer of ``m``, run on its maps, returns a
+    morphism equal to ``m`` whose views equal those of ``m``, and each
+    view that is a morphism revalidates in turn.  Identities, composites,
+    conversions and inverses are morphisms by theorem and are built
+    unvalidated; this is where those theorems are checked."""
+    validate, views = VALIDATORS[type(m)]
+    again = validate(*(getattr(m, f.name) for f in dataclasses.fields(m)))
+    assert again == m
+    for name in views:
+        view = getattr(m, name)
+        assert getattr(again, name) == view
+        if type(view) in VALIDATORS:
+            check_revalidates(view)
+
+
+def _check_unit_laws(compose_at, identity_at, m):
+    """Both identities around ``m`` and both composites with them
+    revalidate, and each composite is ``m``."""
+    before, after = identity_at(m.source), identity_at(m.target)
+    for composite in (compose_at(after, m), compose_at(m, before)):
+        assert composite == m
+        check_revalidates(composite)
+    check_revalidates(before)
+    check_revalidates(after)
+
+
+def check_form_unit_laws(m):
+    _check_unit_laws(compose_form_morphisms, identity_form_morphism, m)
+
+
+def check_preform_unit_laws(m):
+    _check_unit_laws(compose_preform_morphisms, identity_preform_morphism, m)
+
+
 def check_unit_laws(m):
-    assert compose(identity_morphism(m.target), m) == m
-    assert compose(m, identity_morphism(m.source)) == m
+    """The unit laws of a game morphism and of its form, preform and
+    tree morphisms."""
+    _check_unit_laws(compose, identity_morphism, m)
+    check_form_unit_laws(m.form_morphism)
+    check_preform_unit_laws(m.form_morphism.preform_morphism)
+    _check_unit_laws(compose_tree_morphisms, identity_tree_morphism, m.theta)
 
 
 def check_associativity(third, second, first):
-    assert compose(third, compose(second, first)) == compose(
-        compose(third, second), first
-    )
+    """Associativity of game morphisms and of their form, preform and
+    tree morphisms; every composite revalidates."""
+    layers = [
+        (compose, lambda m: m),
+        (compose_form_morphisms, lambda m: m.form_morphism),
+        (compose_preform_morphisms, lambda m: m.form_morphism.preform_morphism),
+        (compose_tree_morphisms, lambda m: m.theta),
+    ]
+    for compose_at, view in layers:
+        h, g, f = view(third), view(second), view(first)
+        inner = [compose_at(g, f), compose_at(h, g)]
+        outer = [compose_at(h, inner[0]), compose_at(inner[1], f)]
+        assert outer[0] == outer[1]
+        for composite in inner + outer:
+            check_revalidates(composite)
 
 
 def _bijects(mapping, domain, codomain):
@@ -203,10 +275,17 @@ def check_tree_iso_inverse(m):
     """A bijective tree morphism has a valid inverse that undoes it."""
     inverse = is_tree_isomorphism(m)
     assert inverse is not None
-    # built by inversion, the inverse is validated here only
-    assert validate_tree_morphism(inverse.source, inverse.target, inverse.tau) == inverse
-    assert compose_tree_morphisms(inverse, m) == identity_tree_morphism(m.source)
-    assert compose_tree_morphisms(m, inverse) == identity_tree_morphism(m.target)
+    # built by inversion, the inverse is validated here only, as are the
+    # identities and composites
+    check_revalidates(inverse)
+    for composite, tree in (
+        (compose_tree_morphisms(inverse, m), m.source),
+        (compose_tree_morphisms(m, inverse), m.target),
+    ):
+        unit = identity_tree_morphism(tree)
+        assert composite == unit
+        check_revalidates(composite)
+        check_revalidates(unit)
 
 
 def check_iso_witness(witness):
@@ -215,17 +294,9 @@ def check_iso_witness(witness):
     g, h = m.source, m.target
     check_tree_iso_inverse(m.theta)
 
-    # built by inversion, the inverse is validated here only, with the
-    # layers and end-preserved plays the validator derives
-    inv = witness.inverse
-    again = validate_game_morphism(
-        inv.source, inv.target, inv.iota, inv.tau, inv.delta, inv.beta
-    )
-    assert again == inv
-    assert again.form_morphism == inv.form_morphism
-    assert again.form_morphism.preform_morphism == inv.form_morphism.preform_morphism
-    assert again.theta == inv.theta == inv.form_morphism.preform_morphism.tree_morphism
-    assert again.end_preserved == inv.end_preserved
+    # built by inversion, the inverse is validated here only, with its
+    # views
+    check_revalidates(witness.inverse)
 
     # both characterizations hold, in both directions
     assert iso_characterizations(m) == (True, True)

@@ -21,6 +21,7 @@ from ncgames import (
 from ncgames.labels import Atom
 from ncgames.transforms import apply_utility_transform, relabel_game
 
+import oracles
 import property_checks
 from conftest import a, make_classroom_game, nodes_of
 from random_games import random_strict_map, stage_pooled_document, wide_document
@@ -174,6 +175,83 @@ class TestFindIsomorphism:
         g2 = owned({"P1": {"a", "b"}, "P2": {"c", "d", "e", "f"}})
         assert find_isomorphism(g1, g2) is None
         assert find_isomorphism(g1, g1) is not None
+
+
+def three_leaf_pair(rows1, rows2):
+    """Two games on one root with three leaves, priced by ``rows1`` and
+    ``rows2``: the first row prices ``P0``, who owns the root's choices,
+    and the rows after it the vacuous players ``V00``, ``V01``, ..."""
+    preform = build_preform(
+        {a(0), a(1), a(2), a(3)},
+        {"l", "m", "r"},
+        [(a(0), "l", a(1)), (a(0), "m", a(2)), (a(0), "r", a(3))],
+    )
+    vacuous = [f"V{k:02}" for k in range(len(rows1) - 1)]
+    form = build_form(
+        preform, {"P0", *vacuous}, {"P0": {"l", "m", "r"}, **{i: set() for i in vacuous}}
+    )
+    leaves = [preform.tree.play_by_end[a(t)] for t in (1, 2, 3)]
+
+    def game(rows):
+        return build_game(
+            form, {i: dict(zip(leaves, row)) for i, row in zip(["P0", *vacuous], rows)}
+        )
+
+    return game(rows1), game(rows2)
+
+
+def cyclic_pair(k, owner_row):
+    """``k`` vacuous players whose utilities rank the leaves cyclically in
+    the first game and anti-cyclically in the second, so none matches
+    under the identity on leaves, and every one matches under the swap
+    of the first two leaves when ``k`` is a multiple of three."""
+    rows1 = [owner_row] + [[(j + t) % 3 for t in range(3)] for j in range(k)]
+    rows2 = [owner_row] + [[(j - t) % 3 for t in range(3)] for j in range(k)]
+    return three_leaf_pair(rows1, rows2)
+
+
+class TestVacuousPlayers:
+    """Vacuous players own nothing, so only their utilities tell them
+    apart; each is matched to the first free one that orders the plays
+    alike, not by trying every permutation of them."""
+
+    def test_twelve_matched_at_once(self):
+        g1, g2 = cyclic_pair(12, (0, 0, 1))
+        start = time.monotonic()
+        witness = find_isomorphism(g1, g2, budget=10)
+        assert time.monotonic() - start < 1.0
+        assert witness is not None
+        property_checks.check_iso_witness(witness)
+        # under the swap, V<k> orders the plays as V<k'> with k' = k + 1
+        # modulo three, and the first free such player is taken
+        assert witness.morphism.iota == {
+            "P0": "P0", **{f"V{k:02}": f"V{k - k % 3 + (k + 1) % 3:02}" for k in range(12)}
+        }
+
+    def test_twelve_refused_at_once(self):
+        g1, g2 = cyclic_pair(12, (0, 1, 2))
+        start = time.monotonic()
+        assert find_isomorphism(g1, g2, budget=10) is None
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_the_choice_map_oracle(self, seed):
+        rng = random.Random(seed)
+        k = seed % 5
+        owner_row = [rng.randrange(2) for _ in range(3)]
+        vacuous_rows = [[rng.randrange(3) for _ in range(3)] for _ in range(k)]
+        # the same rows with the leaves and the vacuous players permuted,
+        # and every other pair with one vacuous row perturbed
+        order = rng.sample(range(3), 3)
+        rows2 = [[row[t] for t in order] for row in [owner_row, *rng.sample(vacuous_rows, k)]]
+        if k and seed % 2:
+            rows2[1][rng.randrange(3)] += 1
+        g1, g2 = three_leaf_pair([owner_row, *vacuous_rows], rows2)
+        witness = find_isomorphism(g1, g2)
+        expected = oracles.isomorphic_by_choice_maps(g1, g2)
+        assert (witness is None) == (expected is None)
+        if witness is not None:
+            property_checks.check_iso_witness(witness)
 
 
 class TestStagePooled:

@@ -2,10 +2,11 @@
 
 Each structure and each morphism is identified by its defining data:
 the fields that equality and hashing consult.  Derived fields are never
-consulted.  Every morphism validator rejects a component map that is
-not a total function into the target with the same codes, axiom tags
-and messages, and every composition rejects morphisms that do not
-meet.
+consulted, and neither are a morphism's lower layers, which are views
+computed from its maps.  Every morphism validator rejects a component
+map that is not a total function into the target with the same codes,
+axiom tags and messages, and every composition rejects morphisms that
+do not meet.
 """
 
 import dataclasses
@@ -59,12 +60,20 @@ DERIVED = {
     Preform: (
         "feas", "info_sets", "info_choices", "info_set_of", "prev_choice", "info_set_order",
     ),
-    PreformMorphism: ("tree_morphism",),
+    PreformMorphism: (),
     Form: ("owner", "player_nodes", "player_info_sets", "player_rank"),
-    FormMorphism: ("preform_morphism",),
+    FormMorphism: (),
     Game: ("ranges",),
-    GameMorphism: ("form_morphism", "theta", "end_preserved"),
+    GameMorphism: (),
 }
+# a morphism's lower layers, computed from its maps on first use
+VIEWS = [
+    (PreformMorphism, "tree_morphism"),
+    (FormMorphism, "preform_morphism"),
+    (GameMorphism, "form_morphism"),
+    (GameMorphism, "theta"),
+    (GameMorphism, "end_preserved"),
+]
 
 
 def build(cls):
@@ -131,6 +140,25 @@ class TestEqualityAndHash:
         blanked = dataclasses.replace(value, **{name: object()})
         assert value == blanked and blanked == value
         assert hash(blanked) == hash(value)
+
+    @pytest.mark.parametrize(
+        "cls, name", VIEWS, ids=lambda x: getattr(x, "__name__", x)
+    )
+    def test_cached_view_is_never_consulted(self, cls, name):
+        value, fresh = build(cls), build(cls)
+        getattr(value, name)
+        assert name in vars(value) and name not in vars(fresh)
+        assert value == fresh and fresh == value
+        assert hash(value) == hash(fresh)
+
+    def test_views_follow_a_replaced_map(self):
+        m = identity_morphism(make_classroom_game())
+        assert m.theta.tau == m.tau
+        tau = {t: a(0) for t in m.tau}
+        changed = dataclasses.replace(m, tau=tau)
+        assert changed.theta.tau is tau
+        assert changed.form_morphism.tau is tau
+        assert changed.form_morphism.preform_morphism.tree_morphism.tau is tau
 
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
     def test_other_classes_compare_unequal(self, cls):

@@ -21,7 +21,7 @@ from .errors import (
     TransformError,
     TreeError,
 )
-from .labels import Atom, NodeLabel, Seq, SetLabel, atom, choice_set, seq
+from .labels import Atom, NodeLabel, Seq, SetLabel
 from .tree import (
     Play,
     Tree,
@@ -71,12 +71,6 @@ from .game import (
     build_game,
     compose,
     find_isomorphism,
-    forget_morphism_to_form,
-    forget_morphism_to_preform,
-    forget_morphism_to_tree,
-    forget_to_form,
-    forget_to_preform,
-    forget_to_tree,
     identity_morphism,
     is_isomorphism,
     is_nash,

@@ -190,6 +190,17 @@ def _cmd_compose(args) -> int:
     return 0
 
 
+def _limit(text: str) -> int:
+    """A limit given on the command line: a whole number, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:  # reported as for a plain ``int`` option
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; a limit is 0 or more")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first dispatch and reused by later ones."""
@@ -199,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strategy-cap",
-        type=int,
+        type=_limit,
         default=DEFAULT_STRATEGY_CAP,
         help="refuse exhaustive enumeration beyond this many strategies",
     )
@@ -230,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("-w", "--witness-output")
-    p.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--search-budget", type=_limit, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(handler=_cmd_iso)
 
     p = sub.add_parser("iso-check", help="re-validate a morphism or witness document")

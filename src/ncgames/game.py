@@ -70,12 +70,6 @@ __all__ = [
     "subgame_at",
     "nash_equilibria",
     "is_nash",
-    "forget_to_form",
-    "forget_to_preform",
-    "forget_to_tree",
-    "forget_morphism_to_form",
-    "forget_morphism_to_preform",
-    "forget_morphism_to_tree",
 ]
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -253,8 +247,7 @@ def validate_game_morphism(
     end-preserved play's image.
     """
     form_morphism = validate_form_morphism(source.form, target.form, iota, tau, delta)
-    tau = form_morphism.tau
-    end_preserved = end_preserved_plays(TreeMorphism(source.tree, target.tree, tau))
+    images = TreeMorphism(source.tree, target.tree, form_morphism.tau).play_images
 
     norm_beta: Dict[Token, Dict[Fraction, Fraction]] = {}
     for i in beta:
@@ -272,9 +265,7 @@ def validate_game_morphism(
                 player=i,
             )
         bmap = {_as_fraction(u): _as_fraction(v) for u, v in beta[i].items()}
-        expected_domain = frozenset(
-            source.utilities[i][z] for z in end_preserved
-        )
+        expected_domain = frozenset(source.utilities[i][z] for z in images)
         if frozenset(bmap) != expected_domain:
             raise MorphismError(
                 "BetaDomainMismatch",
@@ -306,23 +297,20 @@ def validate_game_morphism(
                 )
         norm_beta[i] = bmap
 
-    # the image of an end-preserved play is the target play ending at
-    # the image of its end
-    images = [(z, target.tree.play_by_end[tau[z.end]]) for z in end_preserved]
     for i in source.form.player_rank:
         beta_i, source_row = norm_beta[i], source.utilities[i]
         target_row = target.utilities[form_morphism.iota[i]]
         failing = [
-            (z, image) for z, image in images if beta_i[source_row[z]] != target_row[image]
+            z for z, image in images.items() if beta_i[source_row[z]] != target_row[image]
         ]
         if failing:
             # the least by rank, so every run names the same play
-            z, image = min(failing, key=lambda pair: source.tree.rank[pair[0].end])
+            z = min(failing, key=lambda z: source.tree.rank[z.end])
             raise MorphismError(
                 "UtilityEquationFails",
                 f"player {render_token(i)}: utility map gives "
                 f"{beta_i[source_row[z]]} on the play ending at "
-                f"{render_label(z.end)} but its image is priced {target_row[image]}",
+                f"{render_label(z.end)} but its image is priced {target_row[images[z]]}",
                 axiom="[g4]",
                 player=i,
                 play=z,
@@ -356,13 +344,11 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
     tau = {t: second.tau[first.tau[t]] for t in first.source.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}
-    end_preserved = end_preserved_plays(
-        TreeMorphism(first.source.tree, second.target.tree, tau)
-    )
+    images = TreeMorphism(first.source.tree, second.target.tree, tau).play_images
     beta: Dict[Token, Dict[Fraction, Fraction]] = {}
     for i in first.source.players:
         b1, b2 = first.beta[i], second.beta[first.iota[i]]
-        realized = {first.source.utilities[i][z] for z in end_preserved}
+        realized = {first.source.utilities[i][z] for z in images}
         beta[i] = {u: b2[b1[u]] for u in realized}
     return GameMorphism(first.source, second.target, iota, tau, delta, beta)
 
@@ -490,30 +476,6 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     return frozenset(equilibria)
 
 
-def forget_to_form(g: Game) -> Form:
-    return g.form
-
-
-def forget_to_preform(g: Game) -> Preform:
-    return g.form.preform
-
-
-def forget_to_tree(g: Game) -> Tree:
-    return g.form.preform.tree
-
-
-def forget_morphism_to_form(m: GameMorphism) -> FormMorphism:
-    return m.form_morphism
-
-
-def forget_morphism_to_preform(m: GameMorphism):
-    return m.form_morphism.preform_morphism
-
-
-def forget_morphism_to_tree(m: GameMorphism) -> TreeMorphism:
-    return m.theta
-
-
 def _node_classes(g: Game, table: Dict[tuple, int]) -> Dict[NodeLabel, int]:
     """Each node's class, numbered in ``table``, which both games share: a
     leaf's is its players' sorted (utility rank, choices owned) pairs, a
@@ -587,9 +549,7 @@ def find_isomorphism(
             if len(owners) > 1:
                 return None
             (iota[i],) = owners
-        # the node map keeps edges and branching, so it sends each play
-        # to the target play ending at its end's image
-        images = [(z, g2.tree.play_by_end[mapping[z.end]]) for z in g1.plays]
+        images = TreeMorphism(g1.tree, g2.tree, mapping).play_images.items()
 
         def utility_map(i: Token, j: Token) -> Optional[Dict]:
             """β_i read off the play images, if strictly increasing."""

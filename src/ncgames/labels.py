@@ -25,9 +25,6 @@ __all__ = [
     "Seq",
     "SetLabel",
     "NodeLabel",
-    "atom",
-    "seq",
-    "choice_set",
     "token_key",
     "label_key",
     "ranked_label_key",
@@ -97,18 +94,6 @@ class SetLabel:
 
 
 NodeLabel = Union[Atom, Seq, SetLabel]
-
-
-def atom(token: Any) -> Atom:
-    return Atom(token)
-
-
-def seq(*choices: Token) -> Seq:
-    return Seq(tuple(choices))
-
-
-def choice_set(*choices: Token) -> SetLabel:
-    return SetLabel(frozenset(choices))
 
 
 def token_key(token: Token) -> tuple:

@@ -19,6 +19,7 @@ from .form import build_form
 from .game import Game, GameMorphism, IsoWitness, _as_fraction, build_game, is_isomorphism
 from .labels import NodeLabel, Seq, SetLabel, Token, render_token
 from .preform import build_preform
+from .tree import TreeMorphism
 
 __all__ = [
     "StyleReport",
@@ -147,7 +148,7 @@ def canonicalize(g: Game) -> CanonicalForm:
     reached instead of failing on absentminded inputs.
     """
     histories = _histories(g)
-    if style_report(g).no_absentmindedness:
+    if not _absentminded(g):
         node_map = {t: SetLabel(frozenset(h)) for t, h in histories.items()}
         return CanonicalForm(*relabel_game(g, node_map=node_map), "choice-set")
     node_map = {t: Seq(h) for t, h in histories.items()}
@@ -234,10 +235,9 @@ def relabel_game(
         iota[i]: frozenset(delta[c] for c in g.form.assignment[i]) for i in g.players
     }
     form = build_form(preform, set(iota.values()), assignment)
-    # each play carries over to the converted play ending at its end's image
-    image = {z: preform.tree.play_by_end[tau[z.end]] for z in g.plays}
+    images = TreeMorphism(g.tree, preform.tree, tau).play_images.items()
     utilities = {
-        iota[i]: {image[z]: g.utilities[i][z] for z in g.plays} for i in g.players
+        iota[i]: {image: g.utilities[i][z] for z, image in images} for i in g.players
     }
     converted = build_game(form, utilities)
     # a bijective relabelling of a valid game: a morphism by construction

@@ -4,8 +4,8 @@ A tree fixes everything later stages build on: the root, the decision
 nodes (nodes that precede something), each node's stage (distance from
 the root), the precedence order, and the plays (maximal chains, one per
 terminal node, each held as its end and its path from the root).  All
-of that is derived and cached at construction time; values are
-immutable afterwards and safe to share.
+of that is derived and cached at construction time; no attribute can be
+rebound afterwards, and the mappings are plain dicts not to be mutated.
 
 Only finite trees are accepted, so every play is finite and the
 collection of infinite plays is always empty.
@@ -14,7 +14,7 @@ collection of infinite plays is always empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import MorphismError, TreeError
@@ -323,6 +323,15 @@ class TreeMorphism(Structural):
     target: Tree
     tau: Mapping[NodeLabel, NodeLabel]
 
+    @cached_property
+    def play_images(self) -> Mapping[Play, Play]:
+        """Each end-preserved source play, in ``play_by_end`` order, mapped to
+        its image: the target play ending at the image of its end, since
+        the map keeps edges.  A view of the map, computed on first use."""
+        ends = self.target.play_by_end
+        pairs = ((z, ends.get(self.tau[end])) for end, z in self.source.play_by_end.items())
+        return {z: image for z, image in pairs if image is not None}
+
 
 def validate_tree_morphism(source: Tree, target: Tree, tau: Mapping) -> TreeMorphism:
     """Check totality and edge preservation of a candidate node map."""
@@ -373,9 +382,7 @@ def end_preserved_plays(m: TreeMorphism) -> frozenset:
     :func:`image_play`; on the rest the image falls short of a maximal
     chain.
     """
-    return frozenset(
-        z for z in m.source.plays if m.tau[z.end] not in m.target.decision_nodes
-    )
+    return frozenset(m.play_images)
 
 
 def image_play(m: TreeMorphism, z: Play) -> frozenset:

@@ -104,10 +104,13 @@ def _is_consecutive_chain(pred, subset):
 
 def check_play_images(m):
     """Images of plays are consecutive chains with a play-independent
-    prefix, and end preservation matches image-is-a-play exactly."""
+    prefix, and end preservation matches image-is-a-play exactly.  The
+    ``play_images`` view holds exactly the plays whose image is a play,
+    in source play order, each with the target play on its image."""
     target_play_members = {frozenset(z.path) for z in plays(m.target)}
     prefix = strict_predecessors(m.target, m.tau[m.source.root])
     kept = end_preserved_plays(m)
+    images = m.play_images
     for z in plays(m.source):
         image = frozenset(m.tau[t] for t in z.path)
         assert _is_consecutive_chain(m.target.pred, image)
@@ -115,7 +118,11 @@ def check_play_images(m):
         assert strict_predecessors(m.target, shallowest) == prefix
         full = image_play(m, z)
         assert full == prefix | image
-        assert (full in target_play_members) == (z in kept)
+        assert (full in target_play_members) == (z in kept) == (z in images)
+        if z in images:
+            assert images[z] in m.target.plays
+            assert frozenset(images[z].path) == full
+    assert list(images) == [z for z in m.source.play_by_end.values() if z in images]
 
 
 def check_composed_end_preservation(second, first, composed):

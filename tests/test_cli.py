@@ -100,6 +100,19 @@ class TestValidate:
             cli_dispatch(["frobnicate"])
         assert err.value.code == 2
 
+    def test_negative_strategy_cap_is_a_usage_error(self, workdir, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli_dispatch(["--strategy-cap", "-3", "nash", str(workdir / "classroom.game")])
+        assert err.value.code == 2
+        assert "--strategy-cap: -3 is negative" in capsys.readouterr().err
+
+    def test_negative_search_budget_is_a_usage_error(self, workdir, capsys):
+        game = str(workdir / "classroom.game")
+        with pytest.raises(SystemExit) as err:
+            cli_dispatch(["iso", "--search-budget", "-1", game, game])
+        assert err.value.code == 2
+        assert "--search-budget: -1 is negative" in capsys.readouterr().err
+
 
 class TestNash:
     def test_classroom_equilibria(self, workdir, capsys):

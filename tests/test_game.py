@@ -13,12 +13,6 @@ from ncgames import (
     build_game,
     build_preform,
     compose,
-    forget_morphism_to_form,
-    forget_morphism_to_preform,
-    forget_morphism_to_tree,
-    forget_to_form,
-    forget_to_preform,
-    forget_to_tree,
     grand_strategies,
     identity_form_morphism,
     identity_morphism,
@@ -559,12 +553,12 @@ class TestForgetful:
     def test_object_projections(self, classroom_game):
         from conftest import make_classroom_form, make_classroom_preform, make_classroom_tree
 
-        assert forget_to_form(classroom_game) == make_classroom_form()
-        assert forget_to_preform(classroom_game) == make_classroom_preform()
-        assert forget_to_tree(classroom_game) == make_classroom_tree()
+        assert classroom_game.form == make_classroom_form()
+        assert classroom_game.preform == make_classroom_preform()
+        assert classroom_game.tree == make_classroom_tree()
 
     def test_identity_projects_to_identity(self, classroom_game):
-        projected = forget_morphism_to_form(identity_morphism(classroom_game))
+        projected = identity_morphism(classroom_game).form_morphism
         assert projected == identity_form_morphism(classroom_game.form)
 
     def test_composition_projects_to_composition(self, classroom_game):
@@ -575,11 +569,11 @@ class TestForgetful:
             g1, {i: {u: u + 1 for u in g1.ranges[i]} for i in g1.players}
         )
         composed = compose(w2.morphism, w1.morphism)
-        assert forget_morphism_to_form(composed) == compose_form_morphisms(
-            forget_morphism_to_form(w2.morphism), forget_morphism_to_form(w1.morphism)
+        assert composed.form_morphism == compose_form_morphisms(
+            w2.morphism.form_morphism, w1.morphism.form_morphism
         )
 
     def test_morphism_projections_share_components(self, classroom_game):
         m = identity_morphism(classroom_game)
-        assert forget_morphism_to_preform(m).tau == m.tau
-        assert forget_morphism_to_tree(m).tau == m.tau
+        assert m.form_morphism.preform_morphism.tau == m.tau
+        assert m.theta.tau == m.tau

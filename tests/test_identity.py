@@ -68,6 +68,7 @@ DERIVED = {
 }
 # a morphism's lower layers, computed from its maps on first use
 VIEWS = [
+    (TreeMorphism, "play_images"),
     (PreformMorphism, "tree_morphism"),
     (FormMorphism, "preform_morphism"),
     (GameMorphism, "form_morphism"),
@@ -159,6 +160,10 @@ class TestEqualityAndHash:
         assert changed.theta.tau is tau
         assert changed.form_morphism.tau is tau
         assert changed.form_morphism.preform_morphism.tree_morphism.tau is tau
+        # every node goes to the root, so no play keeps its end
+        assert m.theta.play_images and m.end_preserved
+        assert not changed.theta.play_images and not changed.end_preserved
+        assert not dataclasses.replace(m.theta, tau=tau).play_images
 
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
     def test_other_classes_compare_unequal(self, cls):

@@ -1,7 +1,9 @@
 """Every name a library module imports is used there or re-exported in
-its ``__all__``, so no import outlives the code that needed it."""
+its ``__all__``, so no import outlives the code that needed it, and
+every name in an ``__all__`` is bound, so none outlives its definition."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,9 @@ def test_every_import_is_used_or_exported(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     kept = used | exported_names(tree)
     assert [name for name in imported_names(tree) if name not in kept] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_exported_name_is_bound(path):
+    module = importlib.import_module(f"ncgames.{path.stem}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -28,12 +28,8 @@ from .tree import (
     TreeMorphism,
     build_tree,
     compose_tree_morphisms,
-    end_preserved_plays,
     identity_tree_morphism,
-    image_play,
     is_tree_isomorphism,
-    plays,
-    strict_predecessors,
     subtree_at,
     validate_tree_morphism,
 )

@@ -49,10 +49,9 @@ from .tree import (
     Tree,
     TreeMorphism,
     _is_bijection,
+    _up_set,
     check_composable,
-    end_preserved_plays,
     is_tree_isomorphism,
-    subtree_at,
 )
 
 __all__ = [
@@ -220,7 +219,7 @@ class GameMorphism(Structural):
 
     @cached_property
     def end_preserved(self) -> frozenset:
-        return end_preserved_plays(self.theta)
+        return frozenset(self.theta.play_images)
 
 
 @dataclass(frozen=True)
@@ -403,8 +402,7 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
     structure is the restriction, with every player retained (possibly
     vacuous) and each play priced as its extension in ``g``.
     """
-    subtree = subtree_at(g.tree, t_star)
-    sub_nodes = subtree.nodes
+    sub_nodes = _up_set(g.tree, t_star)
     order = g.preform.info_set_order
     cut = [h for h, _choices in order if h & sub_nodes and not h <= sub_nodes]
     if cut:

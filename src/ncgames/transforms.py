@@ -10,13 +10,21 @@ comparable nodes, distinct histories would collapse to one set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import TransformError
 from .form import build_form
-from .game import Game, GameMorphism, IsoWitness, _as_fraction, build_game, is_isomorphism
+from .game import (
+    Game,
+    GameMorphism,
+    IsoWitness,
+    _as_fraction,
+    build_game,
+    identity_morphism,
+    is_isomorphism,
+)
 from .labels import NodeLabel, Seq, SetLabel, Token, render_token
 from .preform import build_preform
 from .tree import TreeMorphism
@@ -197,14 +205,7 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
     }
     converted = build_game(g.form, utilities)
     # identity structure maps, strictly increasing utility maps: an isomorphism
-    morphism = GameMorphism(
-        g,
-        converted,
-        {i: i for i in g.players},
-        {t: t for t in g.tree.nodes},
-        {c: c for c in g.preform.choices},
-        beta,
-    )
+    morphism = replace(identity_morphism(g), target=converted, beta=beta)
     return converted, is_isomorphism(morphism)
 
 

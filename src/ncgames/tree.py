@@ -25,15 +25,11 @@ __all__ = [
     "Tree",
     "TreeMorphism",
     "build_tree",
-    "strict_predecessors",
-    "plays",
     "subtree_at",
     "validate_tree_morphism",
     "identity_tree_morphism",
     "compose_tree_morphisms",
     "is_tree_isomorphism",
-    "end_preserved_plays",
-    "image_play",
 ]
 
 
@@ -163,14 +159,6 @@ class Tree(Structural):
     def children(self, t: NodeLabel) -> Tuple[NodeLabel, ...]:
         return self.children_map.get(t, ())
 
-    def path_from_root(self, t: NodeLabel) -> Tuple[NodeLabel, ...]:
-        """Nodes on the chain from the root to ``t``, inclusive."""
-        chain = [t]
-        while chain[-1] != self.root:
-            chain.append(self.pred[chain[-1]])
-        chain.reverse()
-        return tuple(chain)
-
     def descendants(self, t: NodeLabel) -> frozenset:
         """All nodes weakly below ``t``, i.e. the up-set of ``t``."""
         out = {t}
@@ -285,20 +273,8 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
     )
 
 
-def strict_predecessors(tree: Tree, t: NodeLabel) -> frozenset:
-    """All nodes strictly before ``t``; empty exactly at the root."""
-    if t not in tree.nodes:
-        raise TreeError("UnknownNode", f"{render_label(t)} is not a node of this tree")
-    return frozenset(tree.path_from_root(t)[:-1])
-
-
-def plays(tree: Tree) -> frozenset:
-    """The maximal chains, one per terminal node."""
-    return tree.plays
-
-
-def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:
-    """The tree on the up-set of ``t_star``, which becomes the new root."""
+def _up_set(tree: Tree, t_star: NodeLabel) -> frozenset:
+    """The up-set of ``t_star``, which must be a decision node of ``tree``."""
     if t_star not in tree.nodes:
         raise TreeError("UnknownNode", f"{render_label(t_star)} is not a node of this tree")
     if t_star not in tree.decision_nodes:
@@ -306,7 +282,12 @@ def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:
             "NotDecisionNode",
             f"{render_label(t_star)} has no successors, so its up-set is a single node",
         )
-    sub_nodes = tree.descendants(t_star)
+    return tree.descendants(t_star)
+
+
+def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:
+    """The tree on the up-set of ``t_star``, which becomes the new root."""
+    sub_nodes = _up_set(tree, t_star)
     sub_pairs = [
         (child, parent)
         for child, parent in tree.pred.items()
@@ -373,21 +354,3 @@ def is_tree_isomorphism(m: TreeMorphism) -> Optional[TreeMorphism]:
     if not _is_bijection(m.tau, m.source.nodes, m.target.nodes):
         return None
     return TreeMorphism(m.target, m.source, {v: k for k, v in m.tau.items()})
-
-
-def end_preserved_plays(m: TreeMorphism) -> frozenset:
-    """Source plays whose end maps to a node with no strict successor.
-
-    Exactly these plays are carried to target plays by
-    :func:`image_play`; on the rest the image falls short of a maximal
-    chain.
-    """
-    return frozenset(m.play_images)
-
-
-def image_play(m: TreeMorphism, z: Play) -> frozenset:
-    """The image chain of ``z`` extended down to the target root."""
-    if z not in m.source.plays:
-        raise MorphismError("UnknownPlay", "argument is not a play of the source tree")
-    prefix = strict_predecessors(m.target, m.tau[m.source.root])
-    return prefix | frozenset(m.tau[t] for t in z.path)

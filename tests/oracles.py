@@ -22,6 +22,19 @@ def reachable_by_pred(pred, start):
     return out
 
 
+def strict_predecessors(tree, t):
+    """All nodes strictly before ``t``, by walking up the predecessor map."""
+    return frozenset(reachable_by_pred(tree.pred, t)[1:])
+
+
+def image_play(m, z):
+    """The nodes of the play ``z`` under the node map, joined with the
+    strict predecessors of the image of the source root: the chain that
+    is a target play exactly when the morphism preserves the end of ``z``."""
+    prefix = strict_predecessors(m.target, m.tau[m.source.root])
+    return prefix | frozenset(m.tau[t] for t in z.path)
+
+
 def tree_by_walk_up(nodes, pairs):
     """A tree's stages and plays found by walking up its predecessor map.
 

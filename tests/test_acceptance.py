@@ -15,10 +15,8 @@ import pytest
 
 from ncgames import (
     GameError,
-    end_preserved_plays,
     find_isomorphism,
     grand_strategies,
-    image_play,
     is_isomorphism,
     is_nash,
     is_subgame,
@@ -26,7 +24,6 @@ from ncgames import (
     parse_game,
     play_of,
     player_strategies,
-    plays,
     serialize_game,
     subgame_at,
     validate_game_morphism,
@@ -67,7 +64,7 @@ def token_sets(collection):
 def test_criterion_1_worked_example_reproduction():
     game = make_classroom_game()
 
-    assert token_sets(frozenset(p.path) for p in plays(game.tree)) == [
+    assert token_sets(frozenset(p.path) for p in game.tree.plays) == [
         [0, 1, 2],
         [0, 1, 4, 7],
         [0, 1, 4, 8],
@@ -129,18 +126,20 @@ def test_criterion_2_nash_reproduction():
 def test_criterion_3_end_preserved_plays():
     source, target, tau = make_embedding_trees()
     m = validate_tree_morphism(source, target, tau)
-    kept = {frozenset(t.token for t in z.path) for z in end_preserved_plays(m)}
+    kept = {frozenset(t.token for t in z.path) for z in m.play_images}
     assert kept == {frozenset({1, 2}), frozenset({1, 3})}
 
-    play12 = next(z for z in plays(source) if {t.token for t in z.path} == {1, 2})
-    play14 = next(z for z in plays(source) if {t.token for t in z.path} == {1, 4})
-    image12 = image_play(m, play12)
-    image14 = image_play(m, play14)
+    play12 = next(z for z in source.plays if {t.token for t in z.path} == {1, 2})
+    play14 = next(z for z in source.plays if {t.token for t in z.path} == {1, 4})
+    image12 = oracles.image_play(m, play12)
+    image14 = oracles.image_play(m, play14)
     assert {t.token for t in image12} == {10, 11, 12}
     assert {t.token for t in image14} == {10, 11, 14}
-    target_play_members = {frozenset(z.path) for z in plays(target)}
+    target_play_members = {frozenset(z.path) for z in target.plays}
     assert image12 in target_play_members
     assert image14 not in target_play_members
+    assert frozenset(m.play_images[play12].path) == image12
+    assert play14 not in m.play_images
     report(3, "PASS", "end-preserved plays and play images match the expected sets")
 
 
@@ -228,7 +227,7 @@ def test_criterion_5_property_suite():
 
             sub = subtree_at(game.tree, t_star)
             inclusion = validate_tree_morphism(sub, game.tree, {t: t for t in sub.nodes})
-            assert end_preserved_plays(inclusion) == sub.plays
+            assert frozenset(inclusion.play_images) == sub.plays
             property_checks.check_play_images(inclusion)
 
     assert games_checked >= 200

@@ -1,6 +1,7 @@
 """Every name a library module imports is used there or re-exported in
 its ``__all__``, so no import outlives the code that needed it, and
-every name in an ``__all__`` is bound, so none outlives its definition."""
+every name in an ``__all__`` is bound, so none outlives its definition.
+The test oracles read none of the fast paths they are compared with."""
 
 import ast
 import importlib
@@ -10,6 +11,23 @@ import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "ncgames"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ORACLES = Path(__file__).parent / "oracles.py"
+# views, orders and helpers that the property checks compare with an oracle
+FAST_PATHS = {
+    "play_images",
+    "play_by_end",
+    "end_preserved",
+    "rank",
+    "stage_order",
+    "player_rank",
+    "info_set_order",
+    "children_map",
+    "children",
+    "descendants",
+    "_walk",
+    "_node_classes",
+    "_play_with_nodes",
+}
 
 
 def imported_names(tree):
@@ -42,3 +60,14 @@ def test_every_import_is_used_or_exported(path):
 def test_every_exported_name_is_bound(path):
     module = importlib.import_module(f"ncgames.{path.stem}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_oracles_read_no_fast_path():
+    tree = ast.parse(ORACLES.read_text())
+    read = set(imported_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    assert sorted(read & FAST_PATHS) == []

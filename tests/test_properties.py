@@ -13,7 +13,6 @@ from ncgames import (
     build_tree,
     compose,
     compose_tree_morphisms,
-    end_preserved_plays,
     find_isomorphism,
     is_isomorphism,
     parse_game,
@@ -111,7 +110,7 @@ def test_subtree_inclusions_preserve_all_ends():
             inclusion = validate_tree_morphism(
                 sub, tree, {t: t for t in sub.nodes}
             )
-            assert end_preserved_plays(inclusion) == sub.plays
+            assert frozenset(inclusion.play_images) == sub.plays
             property_checks.check_play_images(inclusion)
 
 
@@ -129,10 +128,8 @@ def test_tree_isomorphisms_preserve_all_ends():
         m = validate_tree_morphism(
             tree, shifted, {t: Atom(t.token + 100) for t in tree.nodes}
         )
-        assert end_preserved_plays(m) == tree.plays
-        from ncgames import strict_predecessors
-
-        assert strict_predecessors(shifted, m.tau[tree.root]) == frozenset()
+        assert frozenset(m.play_images) == tree.plays
+        assert oracles.strict_predecessors(shifted, m.tau[tree.root]) == frozenset()
         images = {frozenset(m.tau[t] for t in z.path) for z in tree.plays}
         assert images == {frozenset(z.path) for z in shifted.plays}
         assert len(images) == len(tree.plays)

@@ -2,7 +2,8 @@
 validations behind identities, inversion, composition, conversion,
 search and reading morphism and witness documents.  Only maps from
 outside the library are validated; identities, composites, conversions
-and inverses are morphisms by theorem and are built directly."""
+and inverses are morphisms by theorem and are built directly.  A
+subgame's tree is built once."""
 
 import pytest
 
@@ -20,10 +21,13 @@ from ncgames import (
     parse_witness,
     serialize_morphism,
     serialize_witness,
+    subgame_at,
     validate_preform_morphism,
 )
 from ncgames.cli import cli_dispatch
 from ncgames.transforms import apply_utility_transform, canonicalize
+
+from conftest import a
 
 
 def count_calls(monkeypatch, modules, name):
@@ -135,3 +139,10 @@ def test_preform_validation_skips_the_tree_validator(classroom_game, tree_valida
     )
     assert tree_validations == []
     assert m.tree_morphism == identity_tree_morphism(pf.tree)
+
+
+def test_subgame_at_builds_one_tree(split_information_game, monkeypatch):
+    builds = count_calls(monkeypatch, [ncgames.tree, ncgames.preform], "build_tree")
+    sub = subgame_at(split_information_game, a(1))
+    assert sub.tree.root == a(1)
+    assert len(builds) == 1

@@ -19,6 +19,7 @@ from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
     PreformMorphism,
+    identity_preform_morphism,
     is_grand_strategy,
     is_subpreform,
     render_strategy,
@@ -51,7 +52,6 @@ class Form(Structural):
     players: frozenset
     assignment: Mapping[Token, frozenset]
     owner: Mapping[Token, Token] = field(compare=False)
-    player_nodes: Mapping[Token, frozenset] = field(compare=False)
     player_info_sets: Mapping[Token, frozenset] = field(compare=False)
     player_rank: Mapping[Token, int] = field(compare=False, repr=False)
 
@@ -119,14 +119,12 @@ def build_form(
     player_info_sets = {
         i: frozenset(preform.info_set_of[c] for c in cs) for i, cs in assignment.items()
     }
-    player_nodes = {i: frozenset().union(*hs) for i, hs in player_info_sets.items()}
 
     return Form(
         preform=preform,
         players=player_set,
         assignment=assignment,
         owner=owner,
-        player_nodes=player_nodes,
         player_info_sets=player_info_sets,
         player_rank=player_rank,
     )
@@ -222,13 +220,8 @@ def validate_form_morphism(
 
 def identity_form_morphism(form: Form) -> FormMorphism:
     """The identity on ``form``, built unvalidated: a morphism by theorem."""
-    return FormMorphism(
-        form,
-        form,
-        {i: i for i in form.players},
-        {t: t for t in form.preform.tree.nodes},
-        {c: c for c in form.preform.choices},
-    )
+    below = identity_preform_morphism(form.preform)
+    return FormMorphism(form, form, {i: i for i in form.players}, below.tau, below.delta)
 
 
 def compose_form_morphisms(second: FormMorphism, first: FormMorphism) -> FormMorphism:

@@ -28,6 +28,7 @@ from .form import (
     Form,
     FormMorphism,
     build_form,
+    identity_form_morphism,
     is_subform,
     player_strategies,
     validate_form_morphism,
@@ -215,7 +216,7 @@ class GameMorphism(Structural):
 
     @cached_property
     def theta(self) -> TreeMorphism:
-        return TreeMorphism(self.source.tree, self.target.tree, self.tau)
+        return self.form_morphism.preform_morphism.tree_morphism
 
     @cached_property
     def end_preserved(self) -> frozenset:
@@ -264,6 +265,13 @@ def validate_game_morphism(
                 player=i,
             )
         bmap = {_as_fraction(u): _as_fraction(v) for u, v in beta[i].items()}
+        if len(bmap) != len(beta[i]):
+            raise MorphismError(
+                "DuplicateUtility",
+                f"utility map of {render_token(i)} names one utility twice",
+                axiom="[g2]",
+                player=i,
+            )
         expected_domain = frozenset(source.utilities[i][z] for z in images)
         if frozenset(bmap) != expected_domain:
             raise MorphismError(
@@ -322,14 +330,9 @@ def validate_game_morphism(
 
 def identity_morphism(g: Game) -> GameMorphism:
     """The identity on ``g``, built unvalidated: a morphism by theorem."""
-    return GameMorphism(
-        g,
-        g,
-        {i: i for i in g.players},
-        {t: t for t in g.tree.nodes},
-        {c: c for c in g.preform.choices},
-        {i: {u: u for u in g.ranges[i]} for i in g.players},
-    )
+    below = identity_form_morphism(g.form)
+    beta = {i: {u: u for u in g.ranges[i]} for i in g.players}
+    return GameMorphism(g, g, below.iota, below.tau, below.delta, beta)
 
 
 def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:

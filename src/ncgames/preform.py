@@ -34,6 +34,7 @@ from .tree import (
     build_tree,
     check_composable,
     check_map,
+    identity_tree_morphism,
 )
 
 __all__ = [
@@ -66,9 +67,9 @@ class Preform(Structural):
 
     ``op`` maps ``(node, choice)`` to the successor node, ``feas`` gives
     the feasible choices at each decision node, ``info_sets`` collects
-    the information sets, ``info_choices`` the choices shared by each
-    information set, and ``prev_choice`` the choice that produced each
-    non-root node.  ``info_set_order`` pairs each information set with
+    the information sets, ``info_set_of`` maps each choice to the set
+    where it is feasible, and ``prev_choice`` the choice that produced
+    each non-root node.  ``info_set_order`` pairs each information set with
     its choices in ``token_key`` order, the sets sorted by their sorted
     node ranks; strategies, reports and refusals all list sets in it.
     """
@@ -78,7 +79,6 @@ class Preform(Structural):
     op: Mapping[Tuple[NodeLabel, Token], NodeLabel]
     feas: Mapping[NodeLabel, frozenset] = field(compare=False)
     info_sets: frozenset = field(compare=False)
-    info_choices: Mapping[frozenset, frozenset] = field(compare=False)
     info_set_of: Mapping[Token, frozenset] = field(compare=False)
     prev_choice: Mapping[NodeLabel, Token] = field(compare=False)
     info_set_order: Tuple[Tuple[frozenset, Tuple[Token, ...]], ...] = field(compare=False)
@@ -183,17 +183,15 @@ def build_preform(
                 axiom="[P3]",
             )
     feas = {t: frozenset(cs) for t, cs in feas.items()}
-    # the sets partition the decision nodes, so a set's choices are the
-    # choices feasible at any of its nodes
-    info_choices = {h: feas[next(iter(h))] for h in info_set_of.values()}
-    info_sets = frozenset(info_choices)
+    info_sets = frozenset(info_set_of.values())
 
     prev_choice = {t_next: c for (t, c), t_next in op.items()}
     # the sets are disjoint, so their smallest ranks order them as their
-    # sorted ranks do
+    # sorted ranks do; they partition the decision nodes, so a set's
+    # choices are the choices feasible at any of its nodes
     rank = tree.rank
     info_set_order = tuple(
-        (h, tuple(sorted(info_choices[h], key=token_key)))
+        (h, tuple(sorted(feas[next(iter(h))], key=token_key)))
         for h in sorted(info_sets, key=lambda h: min(map(rank.__getitem__, h)))
     )
 
@@ -203,7 +201,6 @@ def build_preform(
         op=dict(op),
         feas=feas,
         info_sets=info_sets,
-        info_choices=info_choices,
         info_set_of=info_set_of,
         prev_choice=prev_choice,
         info_set_order=info_set_order,
@@ -227,8 +224,9 @@ def strategies_over(pf: Preform, info_sets, cap: int) -> frozenset:
 
 
 def selects_one_each(pf: Preform, s: frozenset, info_sets) -> bool:
-    """Whether ``s`` holds exactly one choice of every set in ``info_sets``."""
-    return all(len(s & pf.info_choices[h]) == 1 for h in info_sets)
+    """Whether ``s`` holds exactly one choice of every set in ``info_sets``,
+    whose choices are those feasible at any one of its nodes."""
+    return all(len(s & pf.feas[next(iter(h))]) == 1 for h in info_sets)
 
 
 def count_grand_strategies(pf: Preform) -> int:
@@ -306,7 +304,8 @@ def validate_preform_morphism(
 
 def identity_preform_morphism(pf: Preform) -> PreformMorphism:
     """The identity on ``pf``, built unvalidated: a morphism by theorem."""
-    return PreformMorphism(pf, pf, {t: t for t in pf.tree.nodes}, {c: c for c in pf.choices})
+    tau = identity_tree_morphism(pf.tree).tau
+    return PreformMorphism(pf, pf, tau, {c: c for c in pf.choices})
 
 
 def compose_preform_morphisms(

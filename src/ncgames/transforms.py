@@ -178,9 +178,14 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
             )
     beta: Dict[Token, Dict[Fraction, Fraction]] = {}
     for i in g.form.player_rank:
-        supplied = {
-            _as_fraction(u): _as_fraction(v) for u, v in maps.get(i, {}).items()
-        }
+        given = maps.get(i, {})
+        supplied = {_as_fraction(u): _as_fraction(v) for u, v in given.items()}
+        if len(supplied) != len(given):
+            raise TransformError(
+                "DuplicateUtility",
+                f"transform for {render_token(i)} names one utility twice",
+                player=i,
+            )
         bmap = {}
         for u in g.ranges[i]:
             if i in maps and u not in supplied:

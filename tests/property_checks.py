@@ -78,8 +78,9 @@ def check_node_and_play_order(preform):
         assert list(tree.children(t)) == [u for u in by_label if tree.pred.get(u) == t]
     order = preform.info_set_order
     assert [h for h, _choices in order] == oracles.info_sets_by_label(preform)
+    scanned = oracles.info_sets_by_scan(preform)
     for h, choices in order:
-        assert choices == tuple(sorted(preform.info_choices[h], key=token_key))
+        assert choices == tuple(sorted(scanned[h], key=token_key))
     assert count_grand_strategies(preform) == math.prod(len(cs) for _h, cs in order)
 
 
@@ -318,12 +319,13 @@ def check_iso_witness(witness):
     assert oracles.strict_predecessors(h.tree, m.tau[g.tree.root]) == frozenset()
 
     # choices biject information set by information set
-    for info in g.preform.info_sets:
+    source_sets, target_sets = (oracles.info_sets_by_scan(x.preform) for x in (g, h))
+    for info, choices in source_sets.items():
         image_info = frozenset(m.tau[t] for t in info)
         assert image_info in h.preform.info_sets
-        mapped = {m.delta[c] for c in g.preform.info_choices[info]}
-        assert mapped == h.preform.info_choices[image_info]
-        assert len(mapped) == len(g.preform.info_choices[info])
+        mapped = {m.delta[c] for c in choices}
+        assert mapped == target_sets[image_info]
+        assert len(mapped) == len(choices)
 
     # strategies biject per player and as grand strategies
     for i in g.players:

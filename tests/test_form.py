@@ -29,7 +29,6 @@ from conftest import CLASSROOM_OWNERSHIP, a, nodes_of
 
 class TestBuildForm:
     def test_classroom_derivations(self, classroom_form):
-        assert classroom_form.player_nodes["P3"] == nodes_of(3, 4)
         assert classroom_form.player_info_sets["P3"] == {nodes_of(3, 4)}
         assert classroom_form.owner["d"] == "P2"
 
@@ -37,7 +36,7 @@ class TestBuildForm:
         form = build_form(
             classroom_preform, {"solo"}, {"solo": classroom_preform.choices}
         )
-        assert form.player_nodes["solo"] == classroom_preform.tree.decision_nodes
+        assert form.player_info_sets["solo"] == classroom_preform.info_sets
 
     def test_choice_owned_twice(self, classroom_preform):
         ownership = {"P1": {"a", "b"}, "P2": {"g", "d", "e"}, "P3": {"e", "f"}}
@@ -162,9 +161,10 @@ class TestProfileBijection:
     def test_disjoint_union_per_player(self, classroom_form):
         # the per-player choice blocks partition each information set's
         # choices player by player
+        feas = classroom_form.preform.feas
         for i in classroom_form.players:
             blocks = [
-                classroom_form.preform.info_choices[h]
+                frozenset().union(*(feas[t] for t in h))
                 for h in classroom_form.player_info_sets[i]
             ]
             union = frozenset(c for block in blocks for c in block)

@@ -193,6 +193,18 @@ class TestValidateGameMorphism:
             )
         assert err.value.code == "BetaDomainMismatch"
 
+    def test_utility_named_twice_rejected(self, classroom_game):
+        # Fraction(-1) and "-1" name one utility; neither spelling may win
+        iota, tau, delta, beta = identity_components(classroom_game)
+        beta["P1"] = {Fraction(-1): 999, "-1": -1, "0": 0, "1": 1}
+        with pytest.raises(MorphismError) as err:
+            validate_game_morphism(
+                classroom_game, classroom_game, iota, tau, delta, beta
+            )
+        assert (err.value.code, err.value.axiom, err.value.details["player"]) == (
+            "DuplicateUtility", "[g2]", "P1"
+        )
+
     @pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE)
     def test_unreadable_beta_text_rejected(self, classroom_game, text):
         iota, tau, delta, beta = identity_components(classroom_game)

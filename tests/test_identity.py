@@ -3,10 +3,11 @@
 Each structure and each morphism is identified by its defining data:
 the fields that equality and hashing consult.  Derived fields are never
 consulted, and neither are a morphism's lower layers, which are views
-computed from its maps.  Every morphism validator rejects a component
-map that is not a total function into the target with the same codes,
-axiom tags and messages, and every composition rejects morphisms that
-do not meet.
+computed from its maps.  No field or computed view of a value can be
+rebound or deleted, while the mappings it exposes are plain dicts, as
+the README says.  Every morphism validator rejects a component map that
+is not a total function into the target with the same codes, axiom tags
+and messages, and every composition rejects morphisms that do not meet.
 """
 
 import dataclasses
@@ -19,7 +20,9 @@ from ncgames import (
     FormMorphism,
     Game,
     GameMorphism,
+    IsoWitness,
     MorphismError,
+    Play,
     Preform,
     PreformMorphism,
     Tree,
@@ -28,15 +31,18 @@ from ncgames import (
     compose_form_morphisms,
     compose_preform_morphisms,
     compose_tree_morphisms,
+    find_isomorphism,
     identity_form_morphism,
     identity_morphism,
     identity_preform_morphism,
     identity_tree_morphism,
     validate_form_morphism,
+    validate_game_morphism,
     validate_preform_morphism,
     validate_tree_morphism,
 )
 from ncgames.labels import Atom
+from ncgames.transforms import CanonicalForm, StyleReport, canonicalize, style_report
 
 from conftest import a, make_absentminded_game, make_classroom_game
 
@@ -58,10 +64,10 @@ DERIVED = {
     ),
     TreeMorphism: (),
     Preform: (
-        "feas", "info_sets", "info_choices", "info_set_of", "prev_choice", "info_set_order",
+        "feas", "info_sets", "info_set_of", "prev_choice", "info_set_order",
     ),
     PreformMorphism: (),
-    Form: ("owner", "player_nodes", "player_info_sets", "player_rank"),
+    Form: ("owner", "player_info_sets", "player_rank"),
     FormMorphism: (),
     Game: ("ranges",),
     GameMorphism: (),
@@ -165,6 +171,23 @@ class TestEqualityAndHash:
         assert not changed.theta.play_images and not changed.end_preserved
         assert not dataclasses.replace(m.theta, tau=tau).play_images
 
+    @pytest.mark.parametrize(
+        "route", ["validated", "identity", "composite", "search", "inverse"]
+    )
+    def test_theta_is_the_form_morphisms_tree_morphism(self, route):
+        g = make_classroom_game()
+        unit = identity_morphism(g)
+        m = {
+            "validated": lambda: validate_game_morphism(
+                g, g, unit.iota, unit.tau, unit.delta, unit.beta
+            ),
+            "identity": lambda: unit,
+            "composite": lambda: compose(unit, unit),
+            "search": lambda: find_isomorphism(g, g).morphism,
+            "inverse": lambda: find_isomorphism(g, g).inverse,
+        }[route]()
+        assert m.theta is m.form_morphism.preform_morphism.tree_morphism
+
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
     def test_other_classes_compare_unequal(self, cls):
         value = build(cls)
@@ -175,6 +198,35 @@ class TestEqualityAndHash:
         for other in others + [lookalike, None, "x"]:
             assert not value == other and value != other
             assert not other == value and other != value
+
+
+# every other value class the library returns, with a fresh classroom value
+OTHER_VALUES = {
+    Play: lambda g: g.tree.play_by_end[a(2)],
+    IsoWitness: lambda g: find_isomorphism(g, g),
+    StyleReport: style_report,
+    CanonicalForm: canonicalize,
+}
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("cls", CLASSES + list(OTHER_VALUES), ids=lambda c: c.__name__)
+    def test_no_field_or_view_can_be_set_or_deleted(self, cls):
+        value = build(cls) if cls in DEFINING else OTHER_VALUES[cls](make_classroom_game())
+        views = [name for owner, name in VIEWS if owner is cls]
+        for name in views:
+            getattr(value, name)
+        for name in [f.name for f in dataclasses.fields(cls)] + views:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+
+    def test_exposed_mappings_are_plain_dicts(self):
+        # read-only views would have to change this test and the README together
+        m = identity_morphism(make_classroom_game())
+        g = m.source
+        assert [type(x) for x in (g.tree.pred, g.preform.op, g.utilities, m.tau)] == [dict] * 4
 
 
 def _fresh():

@@ -1,7 +1,8 @@
 """Every name a library module imports is used there or re-exported in
 its ``__all__``, so no import outlives the code that needed it, and
 every name in an ``__all__`` is bound, so none outlives its definition.
-The test oracles read none of the fast paths they are compared with."""
+The test oracles read none of the fast paths they are compared with,
+and the library validates morphisms only where the README says it does."""
 
 import ast
 import importlib
@@ -71,3 +72,30 @@ def test_oracles_read_no_fast_path():
         elif isinstance(node, ast.Name):
             read.add(node.id)
     assert sorted(read & FAST_PATHS) == []
+
+
+# (module, top-level function) -> the morphism validators it calls: each
+# validator calls the one a layer below, and only reading a morphism
+# document and the isomorphism search validate a map from outside
+VALIDATOR_CALLERS = {
+    ("form", "validate_form_morphism"): ["validate_preform_morphism"],
+    ("game", "validate_game_morphism"): ["validate_form_morphism"],
+    ("documents", "_validated"): ["validate_game_morphism"],
+    ("game", "find_isomorphism"): ["validate_game_morphism"],
+}
+VALIDATORS = {f"validate_{layer}_morphism" for layer in ("tree", "preform", "form", "game")}
+
+
+def test_morphisms_are_validated_only_by_the_listed_callers():
+    calls = {}
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            caller = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in VALIDATORS
+                ):
+                    calls.setdefault(caller, []).append(node.func.id)
+    assert calls == VALIDATOR_CALLERS

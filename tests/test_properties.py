@@ -218,8 +218,8 @@ def reowned(rng, game):
     the same players."""
     players = sorted(game.players)
     assignment = {i: set() for i in players}
-    for h in sorted(game.preform.info_sets, key=lambda h: min(map(game.tree.rank.get, h))):
-        assignment[rng.choice(players)] |= game.preform.info_choices[h]
+    for _h, choices in game.preform.info_set_order:
+        assignment[rng.choice(players)].update(choices)
     return build_game(build_form(game.preform, players, assignment), game.utilities)
 
 

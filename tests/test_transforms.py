@@ -179,6 +179,13 @@ class TestApplyUtilityTransform:
             )
         assert err.value.code == "NotStrictlyIncreasing"
 
+    def test_utility_named_twice_rejected(self, classroom_game):
+        # Fraction(-1) and "-1" name one utility; neither spelling may win
+        maps = {"P1": {Fraction(-1): -1001, "-1": -1, "0": 0, "1": 1}}
+        with pytest.raises(TransformError) as err:
+            apply_utility_transform(classroom_game, maps)
+        assert (err.value.code, err.value.details["player"]) == ("DuplicateUtility", "P1")
+
     def test_floats_are_rejected(self, classroom_game):
         maps = {"P1": {u: float(u) * 0.1 for u in classroom_game.ranges["P1"]}}
         with pytest.raises(GameError) as err:

@@ -36,7 +36,8 @@ from .game import (
 )
 from .form import build_form
 from .labels import Atom, NodeLabel, Seq, SetLabel
-from .preform import build_preform
+from .preform import _preform_from_ids
+from .tree import _NodeIds
 
 __all__ = [
     "FORMAT_VERSION",
@@ -97,36 +98,40 @@ def _node_from_spec(spec) -> NodeLabel:
     raise DocumentSyntaxError(f"unknown node kind {kind!r}")
 
 
-def _label_reader():
-    """A reader of node specs that returns one label object per node.
+def _node_reader():
+    """A reader of node specs that returns each node's integer id, and
+    the list of labels it indexes.
 
     The first occurrence of a spec goes through ``_node_from_spec``, so
     a malformed spec is rejected with its own message; later ones reuse
-    its label, found by a key built only from a value of exactly the
-    type its kind requires.  Equal labels spelled otherwise (a set in
-    another order) share the first one's object too.
+    its id, found by a key built only from a value of exactly the type
+    its kind requires.  Equal labels spelled otherwise (a set in another
+    order) share the first one's id, and so its label object too.  Ids
+    are given in reading order, so the specs of a document's ``nodes``
+    list, read first, get their positions in it.
     """
+    ids = _NodeIds()
     by_key: dict = {}
-    by_label: dict = {}
 
-    def read(spec) -> NodeLabel:
+    def read(spec) -> int:
         key = None
         if type(spec) is dict and len(spec) == 1:
-            (kind, value), = spec.items()
-            if kind == "atom":
-                if type(value) is str:
-                    key = kind, value
-            elif type(value) is list:
-                key = kind, tuple(value)
+            # an atom's key is its text, which no sequence or set key equals
+            key = spec.get("atom")
+            if type(key) is not str:
+                (kind, value), = spec.items()
+                key = (kind, tuple(value)) if type(value) is list else None
         try:
-            return by_key[key]
-        except (KeyError, TypeError):  # new, or holding an unhashable value
-            pass
-        label = _node_from_spec(spec)  # raises on every spec without a key
-        label = by_key[key] = by_label.setdefault(label, label)
-        return label
+            k = by_key.get(key)
+        except TypeError:  # a token that is no text
+            k = None
+        if k is None:
+            # ``_node_from_spec`` raises on every spec without a key
+            label = Atom(key) if type(key) is str else _node_from_spec(spec)
+            k = by_key[key] = ids[label]
+        return k
 
-    return read
+    return read, ids.labels
 
 
 def _rational_reader():
@@ -174,26 +179,26 @@ def _check_version(doc, where):
         )
 
 
-def _read_rows(rows, players, label, rational, tree, spec_of) -> dict:
+def _read_rows(rows, players, read, labels, rational, tree, plays, node_specs) -> dict:
     """The utility table of ``rows``, each row read once, in document
     order, so the first broken rule is the one reported.
 
-    A play is fixed by its end, so a row is looked up by its last spec
-    and keyed by that play when it lists exactly the specs ``spec_of``
-    gives the play's nodes.  Any other row, and every row when ``tree``
-    is ``None`` (the preform or form did not build), is read spec by
-    spec and keyed by the play with its set of nodes, or by that set
-    when it is no play."""
-    plays = tree.play_by_end if tree is not None else {}
+    A play is fixed by its end, so a row is looked up by the id of its
+    last spec in ``plays`` (``_tree_from_ids``'s plays with their id
+    paths) and keyed by that play when it lists exactly the specs of
+    ``node_specs`` at its id path.  Any other row, and every row when
+    ``tree`` is ``None`` (the preform or form did not build), is read
+    spec by spec and keyed by the play with its set of nodes, or by that
+    set when it is no play."""
     utilities: Dict[str, dict] = {i: {} for i in players}
     for entry in rows:
         play_specs = _require(entry, "play", list, "utility entry")
         try:
-            key = plays[label(play_specs[-1])]
+            key, ids = plays[read(play_specs[-1])]
         except (NcgError, LookupError):  # no spec, a malformed one, or no end
-            key = None
-        if key is None or play_specs != list(map(spec_of.__getitem__, key.path)):
-            key = frozenset(map(label, play_specs))
+            ids = None
+        if ids is None or play_specs != list(map(node_specs.__getitem__, ids)):
+            key = frozenset(labels[read(spec)] for spec in play_specs)
             if tree is not None:
                 key = _play_with_nodes(tree, key) or key
         values = _require(entry, "values", dict, "utility entry")
@@ -206,12 +211,13 @@ def _read_rows(rows, players, label, rational, tree, spec_of) -> dict:
 
 
 def _game_from_document(doc) -> tuple:
-    """The game a document describes and the reader of node specs that
-    built it, which returns the game's own label for each of its nodes.
+    """The game a document describes and a reader of node specs that
+    returns the game's own label for each of its nodes.
 
-    Utility rows are read after the preform and form are built, so a
-    row can be read by its end; a fault in a row is still reported
-    before a fault of the tree."""
+    Nodes are read as their positions in the ``nodes`` list, and edges
+    as triples of them.  Utility rows are read after the preform and
+    form are built, so a row can be read by its end; a fault in a row
+    is still reported before a fault of the tree."""
     _check_version(doc, "game document")
     players = _require(doc, "players", list, "game document")
     if not all(isinstance(i, str) for i in players):
@@ -219,17 +225,19 @@ def _game_from_document(doc) -> tuple:
     if len(set(players)) != len(players):
         raise DocumentSyntaxError("duplicate player entry")
 
-    label = _label_reader()
+    read, labels = _node_reader()
     node_specs = _require(doc, "nodes", list, "game document")
-    nodes = [label(spec) for spec in node_specs]
-    if len(set(nodes)) != len(nodes):
+    for spec in node_specs:
+        read(spec)
+    if len(labels) != len(node_specs):
         raise DocumentSyntaxError("duplicate node entry")
+    nodes = frozenset(labels)
 
     triples = []
     for entry in _require(doc, "edges", list, "game document"):
         if not isinstance(entry, list) or len(entry) != 3 or not isinstance(entry[1], str):
             raise DocumentSyntaxError(f"edge {entry!r} must be [node, choice, node]")
-        triples.append((label(entry[0]), entry[1], label(entry[2])))
+        triples.append((read(entry[0]), entry[1], read(entry[2])))
 
     ownership = _require(doc, "ownership", dict, "game document")
     assignment: Dict[str, frozenset] = {}
@@ -243,19 +251,21 @@ def _game_from_document(doc) -> tuple:
         c for cs in assignment.values() for c in cs
     )
     fault = tree = None
+    plays: dict = {}
     try:
-        form = build_form(build_preform(nodes, choices, triples), players, assignment)
+        preform, found = _preform_from_ids(nodes, labels, choices, triples)
+        form = build_form(preform, players, assignment)
     except NcgError as exc:
         fault = exc
     else:
-        tree = form.preform.tree
+        tree, plays = preform.tree, found
     utilities = _read_rows(
-        rows, players, label, _rational_reader(), tree, dict(zip(nodes, node_specs))
+        rows, players, read, labels, _rational_reader(), tree, plays, node_specs
     )
     try:
         if fault is not None:
             raise fault
-        return build_game(form, utilities), label
+        return build_game(form, utilities), lambda spec: labels[read(spec)]
     except NcgError as exc:
         raise AxiomViolation(exc) from exc
 

@@ -18,9 +18,11 @@ without searching.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Dict, Iterable, Mapping, Optional
 
 from .errors import GameError, MorphismError, SearchBudgetExceeded
@@ -40,7 +42,6 @@ from .preform import (
     _pools,
     _walk,
     build_preform,
-    grand_strategies,
     is_grand_strategy,
     render_strategy,
 )
@@ -450,31 +451,116 @@ def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> boo
     return True
 
 
+def _offsets(positions, stride, radix) -> list:
+    """Every sum of one ``x * stride[k]``, ``x < radix[k]``, for each ``k``
+    in ``positions``: the strategy numbers that vary only there, from 0."""
+    out = [0]
+    for k in positions:
+        out = [o + x * stride[k] for x in range(radix[k]) for o in out]
+    return out
+
+
+def _outcome_table(pf: Preform, stride: list) -> list:
+    """The position in ``play_by_end`` of the play of each grand strategy,
+    by strategy number: mixed radix over the choices of each set of
+    ``info_set_order``, with ``stride[k]`` the weight of set ``k``.
+
+    One walk down the tree branches only at sets not yet assigned on its
+    path, so each leaf it reaches fills every completion of the sets
+    still free with one play.
+    """
+    tree, rank = pf.tree, pf.tree.rank
+    radix = [len(choices) for _h, choices in pf.info_set_order]
+    set_at = [-1] * len(rank)
+    succ: list = [None] * len(rank)
+    for k, (h, choices) in enumerate(pf.info_set_order):
+        for t in h:
+            set_at[rank[t]] = k
+            succ[rank[t]] = [rank[pf.op[t, c]] for c in choices]
+    play_at = [-1] * len(rank)
+    for p, end in enumerate(tree.play_by_end):
+        play_at[rank[end]] = p
+    branching = [k for k, r in enumerate(radix) if r > 1]
+
+    outcome = [0] * prod(radix)
+    chosen = [-1] * len(radix)  # each set's choice on the current path, or -1
+    trail: list = []  # the sets assigned on the current path, in order
+    # a frame is a node, its strategy number so far, the set whose choice
+    # led to it with that choice (set -1 at the root) and the trail length
+    stack = [(rank[tree.root], 0, -1, 0, 0)]
+    while stack:
+        t, base, k, x, mark = stack.pop()
+        while len(trail) > mark:
+            chosen[trail.pop()] = -1
+        if k >= 0:
+            chosen[k] = x
+            trail.append(k)
+        k = set_at[t]
+        while k >= 0 and chosen[k] >= 0:
+            t = succ[t][chosen[k]]
+            k = set_at[t]
+        if k < 0:
+            p, free = play_at[t], [k for k in branching if chosen[k] < 0]
+            for o in _offsets(free, stride, radix):
+                outcome[base + o] = p
+        else:
+            mark = len(trail)
+            stack.extend(
+                (u, base + x * stride[k], k, x, mark) for x, u in enumerate(succ[t])
+            )
+    return outcome
+
+
 def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     """All pure-strategy equilibria: for each player, the grand
     strategies that reach the best utility among those that share the
     other players' components.
 
-    Each grand strategy's play is computed once; the test suite compares
-    the result with a direct deviation scan.
+    Grand strategies are numbered in mixed radix over
+    ``Preform.info_set_order``, and one table holds each one's play.  A
+    player's utilities are compared by their rank in the player's range,
+    which orders them exactly, and the strategies that share the other
+    players' components are found by stride arithmetic over the player's
+    own sets.  The test suite compares the result with a direct
+    deviation scan.
     """
+    pf, form = g.preform, g.form
     # each player's count is checked first and in token order, so the
     # first player over the cap is the same in every run
-    for i in g.form.player_rank:
-        _pools(g.preform, g.form.player_info_sets[i], cap)
-    outcome = {s: _walk(g.preform, s) for s in grand_strategies(g.preform, cap=cap)}
-    equilibria = set(outcome)
-    for i in g.form.player_rank:
-        row, own = g.utilities[i], g.form.assignment[i]
-        # each player owns their choices, so a group holds one strategy
-        # per strategy of ``i``
-        groups: dict = {}
-        for s, play in outcome.items():
-            groups.setdefault(s - own, []).append((row[play], s))
-        for group in groups.values():
-            top = max(u for u, _s in group)
-            equilibria.difference_update(s for u, s in group if u < top)
-    return frozenset(equilibria)
+    for i in form.player_rank:
+        _pools(pf, form.player_info_sets[i], cap)
+    pools = _pools(pf, pf.info_sets, cap)
+    radix = list(map(len, pools))
+    stride = [1] * len(radix)
+    for k in reversed(range(len(radix) - 1)):
+        stride[k] = stride[k + 1] * radix[k + 1]
+    outcome = _outcome_table(pf, stride)
+
+    stable = bytearray(b"\1") * len(outcome)
+    owner_at = [form.owner[choices[0]] for choices in pools]
+    plays = g.tree.play_by_end.values()
+    for i in form.player_rank:
+        mine = [k for k, j in enumerate(owner_at) if j == i]
+        if not mine:  # a vacuous player has one strategy, so no deviation
+            continue
+        # keyed by lowest terms, which equal fractions share and which
+        # hash faster than a ``Fraction``
+        rank = {(u.numerator, u.denominator): r for r, u in enumerate(sorted(g.ranges[i]))}
+        row = g.utilities[i]
+        value = [rank[u.numerator, u.denominator] for u in map(row.__getitem__, plays)]
+        payoff = [value[p] for p in outcome]
+        own = _offsets(mine, stride, radix)
+        rest = [k for k, j in enumerate(owner_at) if j != i]
+        for base in _offsets(rest, stride, radix):
+            group = [payoff[base + o] for o in own]
+            top = max(group)
+            for o, u in zip(own, group):
+                if u < top:
+                    stable[base + o] = 0
+    return frozenset(
+        frozenset(choices[j // step % len(choices)] for choices, step in zip(pools, stride))
+        for j in itertools.compress(range(len(outcome)), stable)
+    )
 
 
 def _node_classes(g: Game, table: Dict[tuple, int]) -> Dict[NodeLabel, int]:

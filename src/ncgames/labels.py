@@ -18,6 +18,7 @@ hashes under the loading process's hash seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Collection, Hashable, Iterable, Union
 
 __all__ = [
@@ -131,11 +132,15 @@ def ranked_label_key(nodes: Collection[NodeLabel]) -> Callable[[NodeLabel], tupl
     choice histories then costs one ``token_key`` call per distinct
     token, not one per token of every label.  Tokens are told apart by
     equality here, so this holds only when equal tokens have equal
-    keys; for atoms alone, or when some token's class does not promise
-    that, the key is ``label_key`` itself.
+    keys.  For atoms alone the key is the token itself when every token
+    is exactly text, whose ``label_key`` is ``(0, ("str", token))``, and
+    otherwise ``label_key``, as it is when some token's class does not
+    promise equal keys for equal tokens.
     """
     structured = [t for t in nodes if not isinstance(t, Atom)]
     if not structured:
+        if all(type(t.token) is str for t in nodes):
+            return attrgetter("token")
         return label_key
     tokens = {t.token for t in nodes if isinstance(t, Atom)}
     classes = set(map(type, tokens))

@@ -31,7 +31,8 @@ from .tree import (
     Structural,
     Tree,
     TreeMorphism,
-    build_tree,
+    _NodeIds,
+    _tree_from_ids,
     check_composable,
     check_map,
     identity_tree_morphism,
@@ -97,55 +98,67 @@ def build_preform(
 ) -> Preform:
     """Validate operator triples and derive the tree and information sets."""
     node_set = frozenset(nodes)
-    choice_set = frozenset(choices)
+    ids = _NodeIds(node_set)
+    triples = ((ids[t], c, ids[t_next]) for t, c, t_next in op_triples)
+    return _preform_from_ids(node_set, ids.labels, frozenset(choices), triples)[0]
 
-    op: dict = {}
-    hit_by: dict = {}
-    for triple in op_triples:
-        t, c, t_next = triple
-        for node in (t, t_next):
-            if node not in node_set:
-                raise PreformError(
-                    "UnknownNode",
-                    f"operator triple mentions undeclared node {render_label(node)}",
-                )
+
+def _preform_from_ids(
+    nodes: frozenset, labels: list, choice_set: frozenset, triples: Iterable[tuple]
+) -> tuple:
+    """[P1]–[P3] over integer node ids, numbered as ``_tree_from_ids``
+    numbers them, with the tree derived there; ``triples`` are ``(node,
+    choice, successor)``, read lazily.  Returns the preform, with its
+    label-keyed fields built once at the end, and each play with its id
+    path keyed by its end's id."""
+    n = len(nodes)
+    op: dict = {}  # (node, choice) ids to the successor, in first-triple order
+    hit_by: list = [None] * n
+    for t, c, t_next in triples:
+        if t >= n or t_next >= n:
+            raise PreformError(
+                "UnknownNode",
+                "operator triple mentions undeclared node "
+                + render_label(labels[t if t >= n else t_next]),
+            )
         if c not in choice_set:
             raise PreformError(
                 "UnknownChoice",
                 f"operator triple mentions undeclared choice {render_token(c)}",
             )
         key = (t, c)
-        if key in op:
-            if op[key] == t_next:
+        known = op.get(key)
+        if known is not None:
+            if known == t_next:
                 continue
             raise PreformError(
                 "OperatorNotInjective",
-                f"({render_label(t)}, {render_token(c)}) maps to both "
-                f"{render_label(op[key])} and {render_label(t_next)}",
+                f"({render_label(labels[t])}, {render_token(c)}) maps to both "
+                f"{render_label(labels[known])} and {render_label(labels[t_next])}",
                 axiom="[P1]",
             )
-        if t_next in hit_by:
+        if hit_by[t_next] is not None:
             t0, c0 = hit_by[t_next]
             raise PreformError(
                 "OperatorNotInjective",
-                f"node {render_label(t_next)} is reached by both "
-                f"({render_label(t0)}, {render_token(c0)}) and "
-                f"({render_label(t)}, {render_token(c)})",
+                f"node {render_label(labels[t_next])} is reached by both "
+                f"({render_label(labels[t0])}, {render_token(c0)}) and "
+                f"({render_label(labels[t])}, {render_token(c)})",
                 axiom="[P1]",
             )
         op[key] = t_next
         hit_by[t_next] = key
 
-    if node_set and node_set <= set(hit_by):
+    if n and None not in hit_by:
         raise PreformError(
             "OperatorHitsRoot",
             "every declared node is reached by a choice, so the operator hits the root",
             axiom="[P1]",
         )
 
-    pairs = [(t_next, t) for (t, _c), t_next in op.items()]
+    pairs = ((t_next, t) for (t, _c), t_next in op.items())
     try:
-        tree = build_tree(node_set, pairs)
+        tree, rank, plays = _tree_from_ids(nodes, labels, pairs)
     except TreeError as exc:
         if exc.code == "TooSmall":
             raise
@@ -158,8 +171,8 @@ def build_preform(
     feas: dict = {}
     ftop: dict = {}
     for t, c in op:
-        feas.setdefault(t, set()).add(c)
-        ftop.setdefault(c, set()).add(t)
+        feas.setdefault(t, []).append(c)
+        ftop.setdefault(c, []).append(t)
     orphans = choice_set - ftop.keys()
     if orphans:
         raise PreformError(
@@ -171,40 +184,38 @@ def build_preform(
     # one object per information set, so the partition check below
     # compares identities instead of equal sets element by element
     one_of: dict = {}
-    info_set_of = {}
+    set_of = {}
     for c, ts in ftop.items():
         h = frozenset(ts)
-        info_set_of[c] = one_of.setdefault(h, h)
+        set_of[c] = one_of.setdefault(h, h)
     for t, cs in feas.items():
-        if len({id(info_set_of[c]) for c in cs}) > 1:
+        if len({id(set_of[c]) for c in cs}) > 1:
             raise PreformError(
                 "InfoSetOverlap",
-                f"node {render_label(t)} lies in two distinct information sets",
+                f"node {render_label(labels[t])} lies in two distinct information sets",
                 axiom="[P3]",
             )
-    feas = {t: frozenset(cs) for t, cs in feas.items()}
-    info_sets = frozenset(info_set_of.values())
 
-    prev_choice = {t_next: c for (t, c), t_next in op.items()}
+    node_sets = {id(h): frozenset(map(labels.__getitem__, h)) for h in one_of}
+    info_set_of = {c: node_sets[id(h)] for c, h in set_of.items()}
     # the sets are disjoint, so their smallest ranks order them as their
     # sorted ranks do; they partition the decision nodes, so a set's
     # choices are the choices feasible at any of its nodes
-    rank = tree.rank
     info_set_order = tuple(
-        (h, tuple(sorted(feas[next(iter(h))], key=token_key)))
-        for h in sorted(info_sets, key=lambda h: min(map(rank.__getitem__, h)))
+        (node_sets[id(h)], tuple(sorted(feas[next(iter(h))], key=token_key)))
+        for h in sorted(one_of, key=lambda h: min(map(rank.__getitem__, h)))
     )
-
-    return Preform(
+    preform = Preform(
         tree=tree,
         choices=choice_set,
-        op=dict(op),
-        feas=feas,
-        info_sets=info_sets,
+        op={(labels[t], c): labels[t_next] for (t, c), t_next in op.items()},
+        feas={labels[t]: frozenset(cs) for t, cs in feas.items()},
+        info_sets=frozenset(node_sets.values()),
         info_set_of=info_set_of,
-        prev_choice=prev_choice,
+        prev_choice={labels[t_next]: c for (_t, c), t_next in op.items()},
         info_set_order=info_set_order,
     )
+    return preform, plays
 
 
 def _pools(pf: Preform, info_sets, cap: int) -> list:

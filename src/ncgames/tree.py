@@ -171,6 +171,21 @@ class Tree(Structural):
         return frozenset(out)
 
 
+class _NodeIds(dict):
+    """Each label's id, its position in ``labels``, which starts as the
+    given distinct labels; a label looked up and not yet there is
+    appended, so it gets the next free id."""
+
+    def __init__(self, labels: Iterable[NodeLabel] = ()):
+        self.labels = list(labels)
+        super().__init__(zip(self.labels, range(len(self.labels))))
+
+    def __missing__(self, t: NodeLabel) -> int:
+        k = self[t] = len(self.labels)
+        self.labels.append(t)
+        return k
+
+
 def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
     """Validate ``(child, parent)`` pairs and derive the tree structure.
 
@@ -179,39 +194,59 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
     a child has two parents, or where fewer than two nodes are given.
     """
     node_set = frozenset(nodes)
-    if len(node_set) < 2:
+    ids = _NodeIds(node_set)
+    pairs = ((ids[child], ids[parent]) for child, parent in pred_pairs)
+    return _tree_from_ids(node_set, ids.labels, pairs)[0]
+
+
+def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> tuple:
+    """[T1]–[T2] over integer node ids, and the tree they derive.
+
+    ``labels[k]`` is the label of id ``k``: the first ``len(nodes)`` are
+    the nodes, and any later one is undeclared.  ``pairs`` are ``(child,
+    parent)`` ids, read lazily, so each pair is checked as it comes.
+    Parents, children by rank, stages and play paths are derived over
+    lists, and the label-keyed fields are built from them once, at the
+    end.  Returns the tree, each id's rank, and each play with its id
+    path keyed by its end's id.
+    """
+    n = len(nodes)
+    if n < 2:
         raise TreeError(
             "TooSmall",
-            f"a tree needs at least two nodes, got {len(node_set)}",
+            f"a tree needs at least two nodes, got {n}",
             axiom="[T1]",
         )
 
-    pred: dict = {}
-    for pair in pred_pairs:
-        child, parent = pair
-        for t in (child, parent):
-            if t not in node_set:
-                raise TreeError(
-                    "UnknownNode",
-                    f"predecessor pair mentions undeclared node {render_label(t)}",
-                )
-        if child in pred and pred[child] != parent:
+    parent = [-1] * n
+    edges: list = []  # each child once, in the order of its first pair
+    for child, up in pairs:
+        if child >= n or up >= n:
+            raise TreeError(
+                "UnknownNode",
+                "predecessor pair mentions undeclared node "
+                + render_label(labels[child if child >= n else up]),
+            )
+        known = parent[child]
+        if known < 0:
+            parent[child] = up
+            edges.append(child)
+        elif known != up:
             raise TreeError(
                 "DuplicatePredecessor",
-                f"node {render_label(child)} has two parents, "
-                f"{render_label(pred[child])} and {render_label(parent)}",
+                f"node {render_label(labels[child])} has two parents, "
+                f"{render_label(labels[known])} and {render_label(labels[up])}",
                 axiom="[T1]",
             )
-        pred[child] = parent
 
-    if not pred:
+    if not edges:
         raise TreeError(
             "NoRoot",
             "no predecessor pairs were given, so no root can be derived",
             axiom="[T1]",
         )
 
-    roots = node_set - pred.keys()
+    roots = [k for k in range(n) if parent[k] < 0]
     if not roots:
         raise TreeError(
             "Cycle",
@@ -219,7 +254,9 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
             axiom="[T2]",
         )
     if len(roots) > 1:
-        listing = ", ".join(render_label(t) for t in sorted(roots, key=label_key))
+        listing = ", ".join(
+            render_label(t) for t in sorted((labels[k] for k in roots), key=label_key)
+        )
         raise TreeError(
             "MultipleRoots",
             f"nodes without predecessors: {listing}",
@@ -227,50 +264,70 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
         )
     (root,) = roots
 
-    rank = {t: k for k, t in enumerate(sorted(node_set, key=ranked_label_key(node_set)))}
-    children: dict = {}
-    for child in rank:  # by rank, so each list of children is in order
-        if child in pred:
-            children.setdefault(pred[child], []).append(child)
+    keys = list(map(ranked_label_key(nodes), labels[:n]))
+    order = sorted(range(n), key=keys.__getitem__)
+    children: list = [[] for _ in range(n)]
+    parents: list = []  # decision nodes, by the rank of their first child
+    for k in order:  # by rank, so each list of children is in order
+        up = parent[k]
+        if up >= 0:
+            if not children[up]:
+                parents.append(up)
+            children[up].append(k)
 
     # one walk down from the root, visiting children by rank; ``path``
     # holds the chain from the root to the node being visited, and each
     # leaf ends one play, so plays are found in path order
-    stage: dict = {}
-    play_by_end = {}
+    stage = [-1] * n
+    stage[root] = 0
+    walk: list = []
+    ends: dict = {}
     path: list = []
-    stack = [(root, 0)]
+    stack = [root]
     while stack:
-        t, depth = stack.pop()
-        del path[depth:]
-        path.append(t)
-        stage[t] = depth
-        kids = children.get(t)
+        k = stack.pop()
+        del path[stage[k]:]
+        path.append(k)
+        walk.append(k)
+        kids = children[k]
         if kids:
-            stack.extend((kid, depth + 1) for kid in reversed(kids))
+            for kid in kids:
+                stage[kid] = len(path)
+            stack.extend(reversed(kids))
         else:
-            play_by_end[t] = Play(t, tuple(path))
-    if len(stage) != len(node_set):
+            ends[k] = tuple(path)
+    if len(walk) != n:
         # the walk reaches exactly the nodes whose chain ends at the root
-        start = next(t for t in rank if t not in stage)
+        start = next(k for k in order if stage[k] < 0)
         raise TreeError(
             "Cycle",
-            f"predecessor chain from {render_label(start)} never reaches the root",
+            f"predecessor chain from {render_label(labels[start])} never reaches the root",
             axiom="[T2]",
         )
 
-    return Tree(
-        nodes=node_set,
-        pred=dict(pred),
-        root=root,
-        decision_nodes=frozenset(pred.values()),
-        stage=stage,
+    rank = [0] * n
+    for r, k in enumerate(order):
+        rank[k] = r
+    plays = {
+        end: (Play(labels[end], tuple(map(labels.__getitem__, ids))), ids)
+        for end, ids in ends.items()
+    }
+    play_by_end = {play.end: play for play, _ids in plays.values()}
+    tree = Tree(
+        nodes=nodes,
+        pred={labels[k]: labels[parent[k]] for k in edges},
+        root=labels[root],
+        decision_nodes=frozenset(map(labels.__getitem__, parents)),
+        stage={labels[k]: stage[k] for k in walk},
         plays=frozenset(play_by_end.values()),
-        children_map={parent: tuple(kids) for parent, kids in children.items()},
+        children_map={
+            labels[up]: tuple(map(labels.__getitem__, children[up])) for up in parents
+        },
         play_by_end=play_by_end,
-        rank=rank,
-        stage_order=tuple(sorted(rank, key=stage.__getitem__)),
+        rank={labels[k]: r for r, k in enumerate(order)},
+        stage_order=tuple(labels[k] for k in sorted(order, key=stage.__getitem__)),
     )
+    return tree, rank, plays
 
 
 def _up_set(tree: Tree, t_star: NodeLabel) -> frozenset:

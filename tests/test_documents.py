@@ -529,18 +529,18 @@ class TestPlayRows:
 
     def test_each_row_is_read_once(self, classroom_text, monkeypatch):
         reads = []
-        reader = documents._label_reader
+        reader = documents._node_reader
 
         def counting_reader():
-            read = reader()
+            read, labels = reader()
 
             def counted(spec):
                 reads.append(spec)
                 return read(spec)
 
-            return counted
+            return counted, labels
 
-        monkeypatch.setattr(documents, "_label_reader", counting_reader)
+        monkeypatch.setattr(documents, "_node_reader", counting_reader)
         text = _classroom_rows_doc(
             classroom_text, lambda rows: rows[2]["play"].insert(0, rows[2]["play"].pop(1))
         )

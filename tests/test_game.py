@@ -1,5 +1,7 @@
 """Game validation, morphisms, composition, isomorphisms, subgames, Nash."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from ncgames import (
     is_nash,
     is_subgame,
     nash_equilibria,
+    parse_game,
     subgame_at,
     subtree_at,
     validate_game_morphism,
@@ -27,8 +30,15 @@ from ncgames import (
 from ncgames.transforms import apply_utility_transform, relabel_game
 
 import property_checks
+import random_games
 from conftest import (
-    CLASSROOM_UTILITIES, UNREADABLE, a, make_classroom_game, make_classroom_tree, nodes_of
+    CLASSROOM_UTILITIES,
+    UNREADABLE,
+    a,
+    make_absentminded_game,
+    make_classroom_game,
+    make_classroom_tree,
+    nodes_of,
 )
 from oracles import nash_by_deviation_scan
 
@@ -559,6 +569,46 @@ class TestNash:
         with pytest.raises(GameError) as err:
             is_nash(classroom_game, {"a", "b"})
         assert err.value.code == "NotAStrategy"
+
+
+def flat_document(doc: dict, player: str) -> dict:
+    """``doc`` with every utility of ``player`` set to 0."""
+    for row in doc["utilities"]:
+        row["values"][player] = "0"
+    return doc
+
+
+class TestNashOutcomeTable:
+    """The outcome table agrees with a deviation scan beyond the 9-node
+    random games: many sets and players, a vacuous player, a play that
+    passes one information set twice, and a player indifferent
+    between all plays."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_games.stage_pooled_document(random.Random(3), 3, 2),
+            lambda: random_games.stage_pooled_document(random.Random(4), 3, 3),
+            lambda: random_games.wide_document(random.Random(5), 5),
+            lambda: flat_document(
+                random_games.stage_pooled_document(random.Random(6), 3, 3), "P2"
+            ),
+        ],
+        ids=["pooled-3x2", "pooled-3x3", "wide", "one-player-flat"],
+    )
+    def test_documents_agree_with_the_oracle(self, make):
+        game = parse_game(json.dumps(make()))
+        assert nash_equilibria(game) == nash_by_deviation_scan(game)
+
+    def test_absentminded_game_agrees_with_the_oracle(self):
+        game = make_absentminded_game()
+        assert nash_equilibria(game) == nash_by_deviation_scan(game) == {frozenset({"a"})}
+
+    def test_flat_player_rules_out_nothing(self):
+        doc = random_games.stage_pooled_document(random.Random(6), 2, 1)
+        game = parse_game(json.dumps(flat_document(doc, "P1")))
+        assert nash_equilibria(game) == nash_by_deviation_scan(game)
+        assert len(nash_equilibria(game)) == 4
 
 
 class TestForgetful:

@@ -220,6 +220,33 @@ class TestRankOrder:
     def test_atoms_alone_keep_label_key(self):
         assert ranked_label_key({Atom(2), Atom("b")}) is label_key
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_atoms_of_text_sort_by_their_text_as_by_label_key(self, seed):
+        """Text atoms are keyed by their token, in ``label_key`` order:
+        empty, non-ASCII, emoji and digit texts included."""
+        rng = random.Random(seed)
+        pieces = ("", "a", "B", "é", "Ω", "日本", "😀", "👍🏽", "0", "9", "10", " ")
+        pieces += ("\u0301",)  # a combining accent
+        nodes = {Atom("")} | {
+            Atom("".join(rng.choice(pieces) for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 15))
+        }
+        key = ranked_label_key(nodes)
+        assert key is not label_key
+        assert sorted(nodes, key=key) == sorted(nodes, key=label_key)
+
+    class Text(str):
+        """Text of its own class, whose ``token_key`` names that class."""
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [(1, "a"), (True, "a"), (False, 0.5), (7,), (Text("b"), "a")],
+        ids=["int", "bool", "bool-float", "int-alone", "text-subclass"],
+    )
+    def test_atoms_not_all_of_exact_text_keep_label_key(self, tokens):
+        nodes = {Atom(t) for t in tokens}
+        assert ranked_label_key(nodes) is label_key
+
     def test_tokens_equal_under_other_keys_keep_label_key(self):
         """``True`` and ``1`` are one token by equality, so ranking by
         equality would give them one rank; ``label_key`` orders them

@@ -3,7 +3,11 @@ validations behind identities, inversion, composition, conversion,
 search and reading morphism and witness documents.  Only maps from
 outside the library are validated; identities, composites, conversions
 and inverses are morphisms by theorem and are built directly.  A
-subgame's tree is built once."""
+subgame's tree is built once, and parsing hashes labels a number of
+times that grows with the nodes, not with the length of their plays."""
+
+import json
+import random
 
 import pytest
 
@@ -13,11 +17,15 @@ import ncgames.preform
 import ncgames.transforms
 import ncgames.tree
 from ncgames import (
+    Atom,
+    Seq,
+    SetLabel,
     compose,
     find_isomorphism,
     identity_morphism,
     identity_tree_morphism,
     is_isomorphism,
+    parse_game,
     parse_witness,
     serialize_morphism,
     serialize_witness,
@@ -27,6 +35,7 @@ from ncgames import (
 from ncgames.cli import cli_dispatch
 from ncgames.transforms import apply_utility_transform, canonicalize
 
+import random_games
 from conftest import a
 
 
@@ -142,7 +151,35 @@ def test_preform_validation_skips_the_tree_validator(classroom_game, tree_valida
 
 
 def test_subgame_at_builds_one_tree(split_information_game, monkeypatch):
-    builds = count_calls(monkeypatch, [ncgames.tree, ncgames.preform], "build_tree")
+    builds = count_calls(monkeypatch, [ncgames.tree, ncgames.preform], "_tree_from_ids")
     sub = subgame_at(split_information_game, a(1))
     assert sub.tree.root == a(1)
     assert len(builds) == 1
+
+
+def label_hashes_while_parsing(monkeypatch, doc: dict) -> int:
+    """The label ``__hash__`` calls while ``parse_game`` reads ``doc``."""
+    text = json.dumps(doc)
+    calls = []
+    for cls in (Atom, Seq, SetLabel):
+
+        def counted(label, original=cls.__hash__):
+            calls.append(None)
+            return original(label)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    parse_game(text)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_parsing_hashes_labels_in_proportion_to_the_nodes(monkeypatch):
+    """A centipede's plays have lengths up to its stage count, so a
+    reader that hashed each row's path would grow with its square."""
+    short, long = (
+        label_hashes_while_parsing(
+            monkeypatch, random_games.centipede_document(random.Random(1), n)
+        )
+        for n in (80, 160)
+    )
+    assert 0 < long <= 2.1 * short

@@ -66,7 +66,7 @@ def _cmd_validate(args) -> int:
     game = load_game(args.file)
     print(
         f"ok: {len(game.players)} players, {len(game.tree.nodes)} nodes, "
-        f"{len(game.preform.choices)} choices, {len(game.plays)} plays, "
+        f"{len(game.preform.choices)} choices, {len(game.tree.play_by_end)} plays, "
         f"{count_grand_strategies(game.preform)} grand strategies"
     )
     return 0
@@ -86,8 +86,8 @@ def _cmd_derive(args) -> int:
         + ",".join(render_label(t) for t in rank if t in game.tree.decision_nodes)
     )
     print("plays:")
-    for play in game.tree.play_by_end.values():
-        print(_render_play(play))
+    texts = {play: _render_play(play) for play in game.tree.play_by_end.values()}
+    print(*texts.values(), sep="\n")
     ordered = game.preform.info_set_order
     print("information-sets:")
     for h, choices in ordered:
@@ -104,7 +104,7 @@ def _cmd_derive(args) -> int:
         print(f"{render_token(i)}: " + " ".join(map(_render_strategy, options)))
     print("zeta:")
     for s in sorted(_strategy_tuple(ordered, s) for s in grand):
-        print(f"{_render_strategy(s)} -> {_render_play(play_of(game.preform, s))}")
+        print(f"{_render_strategy(s)} -> {texts[play_of(game.preform, s)]}")
     return 0
 
 

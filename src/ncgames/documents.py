@@ -29,8 +29,7 @@ from .game import (
     Game,
     GameMorphism,
     IsoWitness,
-    _play_with_nodes,
-    build_game,
+    _priced,
     is_isomorphism,
     validate_game_morphism,
 )
@@ -179,34 +178,37 @@ def _check_version(doc, where):
         )
 
 
-def _read_rows(rows, players, read, labels, rational, tree, plays, node_specs) -> dict:
-    """The utility table of ``rows``, each row read once, in document
-    order, so the first broken rule is the one reported.
+def _read_rows(rows, players, read, labels, rational, plays, node_specs) -> dict:
+    """Each player's utility row, mapping each slot that ``_priced``
+    reads to its value; each row is read once, in document order, so the
+    first broken rule is the one reported.
 
     A play is fixed by its end, so a row is looked up by the id of its
-    last spec in ``plays`` (``_tree_from_ids``'s plays with their id
-    paths) and keyed by that play when it lists exactly the specs of
-    ``node_specs`` at its id path.  Any other row, and every row when
-    ``tree`` is ``None`` (the preform or form did not build), is read
-    spec by spec and keyed by the play with its set of nodes, or by that
-    set when it is no play."""
+    last spec in ``plays`` (a tree's plays by end id, each with its
+    position and id path) and priced at that position when it lists
+    exactly the specs of ``node_specs`` at its id path.  Any other row
+    is read spec by spec and priced at the position of the play with
+    its set of node ids, or keyed by its set of nodes when that is no
+    play, as every row is when ``plays`` is empty (the preform or form
+    did not build)."""
     utilities: Dict[str, dict] = {i: {} for i in players}
     for entry in rows:
         play_specs = _require(entry, "play", list, "utility entry")
         try:
-            key, ids = plays[read(play_specs[-1])]
+            slot, ids = plays[read(play_specs[-1])]
         except (NcgError, LookupError):  # no spec, a malformed one, or no end
             ids = None
         if ids is None or play_specs != list(map(node_specs.__getitem__, ids)):
-            key = frozenset(labels[read(spec)] for spec in play_specs)
-            if tree is not None:
-                key = _play_with_nodes(tree, key) or key
+            found = frozenset(map(read, play_specs))
+            slot, ids = plays.get(next((k for k in found if k in plays), None), (-1, ()))
+            if slot < 0 or len(ids) != len(found) or not found.issuperset(ids):
+                slot = frozenset(map(labels.__getitem__, found))
         values = _require(entry, "values", dict, "utility entry")
         for player, value in values.items():
             row = utilities.setdefault(player, {})
-            if key in row:
+            if slot in row:
                 raise DocumentSyntaxError("duplicate utility entry for one play")
-            row[key] = rational(value)
+            row[slot] = rational(value)
     return utilities
 
 
@@ -250,24 +252,25 @@ def _game_from_document(doc) -> tuple:
     choices = frozenset(c for _t, c, _n in triples) | frozenset(
         c for cs in assignment.values() for c in cs
     )
-    fault = tree = None
+    fault = None
     plays: dict = {}
     try:
-        preform, found = _preform_from_ids(nodes, labels, choices, triples)
+        preform = _preform_from_ids(nodes, labels, choices, triples)
         form = build_form(preform, players, assignment)
     except NcgError as exc:
         fault = exc
     else:
-        tree, plays = preform.tree, found
+        plays = preform.tree._ids.plays
     utilities = _read_rows(
-        rows, players, read, labels, _rational_reader(), tree, plays, node_specs
+        rows, players, read, labels, _rational_reader(), plays, node_specs
     )
     try:
         if fault is not None:
             raise fault
-        return build_game(form, utilities), lambda spec: labels[read(spec)]
+        game = _priced(form, {i: row.items() for i, row in utilities.items()})
     except NcgError as exc:
         raise AxiomViolation(exc) from exc
+    return game, lambda spec: labels[read(spec)]
 
 
 def _open(path, mode: str = "r"):

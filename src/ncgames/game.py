@@ -110,8 +110,7 @@ class Game(Structural):
 def _play_with_nodes(tree: Tree, nodes: frozenset) -> Optional[Play]:
     """The play of ``tree`` whose nodes are ``nodes``, if any, found
     through its end: a play's one node that precedes nothing."""
-    end = next((t for t in nodes if t not in tree.decision_nodes), None)
-    play = tree.play_by_end.get(end)
+    play = tree.play_by_end.get(next((t for t in nodes if t in tree.play_by_end), None))
     if play is None or len(play.path) != len(nodes) or not nodes.issuperset(play.path):
         return None
     return play
@@ -140,8 +139,33 @@ def build_game(form: Form, utilities: Mapping) -> Game:
 
     A table is keyed by plays, or by the sets of their nodes; a key that
     is a play of this very tree is taken as it is."""
-    plays = form.preform.tree.play_by_end
-    for i in utilities:
+    tree = form.preform.tree
+    position = {id(z): p for p, z in enumerate(tree.play_by_end.values())}
+
+    def slots(row):
+        for key, value in row.items():
+            p = position.get(id(key))
+            if p is None:
+                nodes = frozenset(key.path if isinstance(key, Play) else key)
+                play = _play_with_nodes(tree, nodes)
+                p = nodes if play is None else position[id(play)]
+            yield p, value
+
+    return _priced(form, {i: slots(row) for i, row in utilities.items()})
+
+
+def _priced(form: Form, rows: Mapping) -> Game:
+    """[G2] over utility rows whose keys are play positions.
+
+    ``rows`` maps each player to its ``(slot, value)`` pairs, in row
+    order; a slot is the position of the priced play in ``play_by_end``,
+    or the node set of a key that is no play.  Each pair is checked as
+    it comes, so the first broken rule is the one reported, and each
+    player's table is built once, in row order.  A range holds a row's
+    distinct value objects, so values that share one object (as a
+    document's equal texts do) are hashed once per row."""
+    plays = list(form.preform.tree.play_by_end.values())
+    for i in rows:
         if i not in form.players:
             raise GameError(
                 "UnknownPlayer",
@@ -150,7 +174,7 @@ def build_game(form: Form, utilities: Mapping) -> Game:
     table: Dict[Token, Dict[Play, Fraction]] = {}
     ranges: Dict[Token, frozenset] = {}
     for i in form.player_rank:
-        if i not in utilities:
+        if i not in rows:
             raise GameError(
                 "MissingUtility",
                 f"no utility row for player {render_token(i)}",
@@ -158,33 +182,29 @@ def build_game(form: Form, utilities: Mapping) -> Game:
                 player=i,
             )
         row: Dict[Play, Fraction] = {}
-        for key, value in utilities[i].items():
-            if isinstance(key, Play) and plays.get(key.end) is key:
-                play = key
-            else:
-                nodes = frozenset(key.path if isinstance(key, Play) else key)
-                play = _play_with_nodes(form.preform.tree, nodes)
-                if play is None:
-                    listing = ",".join(sorted((render_label(t) for t in nodes)))
-                    raise GameError(
-                        "UnknownPlayInTable",
-                        f"utility row of {render_token(i)} prices {{{listing}}}, "
-                        "which is not a play",
-                        axiom="[G2]",
-                    )
-            if play in row:
+        priced = bytearray(len(plays))
+        for p, value in rows[i]:
+            if not isinstance(p, int):
+                listing = ",".join(sorted((render_label(t) for t in p)))
+                raise GameError(
+                    "UnknownPlayInTable",
+                    f"utility row of {render_token(i)} prices {{{listing}}}, "
+                    "which is not a play",
+                    axiom="[G2]",
+                )
+            if priced[p]:
                 raise GameError(
                     "DuplicateUtility",
                     f"utility row of {render_token(i)} prices the play ending at "
-                    f"{render_label(play.end)} twice",
+                    f"{render_label(plays[p].end)} twice",
                     axiom="[G2]",
                     player=i,
                 )
-            row[play] = _as_fraction(value)
+            priced[p] = 1
+            row[plays[p]] = _as_fraction(value)
         if len(row) != len(plays):
-            # every key is a play, so some play is unpriced; in play
-            # order, so the first one is reported
-            play = next(play for play in plays.values() if play not in row)
+            # in play order, so the first unpriced play is reported
+            play = plays[priced.index(0)]
             raise GameError(
                 "MissingUtility",
                 f"player {render_token(i)} has no utility for the play ending at "
@@ -194,7 +214,7 @@ def build_game(form: Form, utilities: Mapping) -> Game:
                 play=play,
             )
         table[i] = row
-        ranges[i] = frozenset(row.values())
+        ranges[i] = frozenset({id(u): u for u in row.values()}.values())
     return Game(form=form, utilities=table, ranges=ranges)
 
 
@@ -465,21 +485,22 @@ def _outcome_table(pf: Preform, stride: list) -> list:
     by strategy number: mixed radix over the choices of each set of
     ``info_set_order``, with ``stride[k]`` the weight of set ``k``.
 
-    One walk down the tree branches only at sets not yet assigned on its
-    path, so each leaf it reaches fills every completion of the sets
-    still free with one play.
+    One walk down the tree's node ids branches only at sets not yet
+    assigned on its path, so each leaf it reaches fills every completion
+    of the sets still free with one play.
     """
-    tree, rank = pf.tree, pf.tree.rank
+    ids, op = pf.tree._ids, pf._ids.op
+    n = len(ids.order)
     radix = [len(choices) for _h, choices in pf.info_set_order]
-    set_at = [-1] * len(rank)
-    succ: list = [None] * len(rank)
-    for k, (h, choices) in enumerate(pf.info_set_order):
+    set_at = [-1] * n
+    succ: list = [None] * n
+    for k, (h, (_h, choices)) in enumerate(zip(pf._ids.sets, pf.info_set_order)):
         for t in h:
-            set_at[rank[t]] = k
-            succ[rank[t]] = [rank[pf.op[t, c]] for c in choices]
-    play_at = [-1] * len(rank)
-    for p, end in enumerate(tree.play_by_end):
-        play_at[rank[end]] = p
+            set_at[t] = k
+            succ[t] = [op[t, c] for c in choices]
+    play_at = [-1] * n
+    for end, (p, _path) in ids.plays.items():
+        play_at[end] = p
     branching = [k for k, r in enumerate(radix) if r > 1]
 
     outcome = [0] * prod(radix)
@@ -487,7 +508,7 @@ def _outcome_table(pf: Preform, stride: list) -> list:
     trail: list = []  # the sets assigned on the current path, in order
     # a frame is a node, its strategy number so far, the set whose choice
     # led to it with that choice (set -1 at the root) and the trail length
-    stack = [(rank[tree.root], 0, -1, 0, 0)]
+    stack = [(ids.walk[0], 0, -1, 0, 0)]  # the walk starts at the root
     while stack:
         t, base, k, x, mark = stack.pop()
         while len(trail) > mark:

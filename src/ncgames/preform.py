@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
+from types import SimpleNamespace
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
@@ -69,10 +70,13 @@ class Preform(Structural):
     ``op`` maps ``(node, choice)`` to the successor node, ``feas`` gives
     the feasible choices at each decision node, ``info_sets`` collects
     the information sets, ``info_set_of`` maps each choice to the set
-    where it is feasible, and ``prev_choice`` the choice that produced
-    each non-root node.  ``info_set_order`` pairs each information set with
-    its choices in ``token_key`` order, the sets sorted by their sorted
-    node ranks; strategies, reports and refusals all list sets in it.
+    where it is feasible, and ``prev_choice``, a view built on first
+    read, the choice that produced each non-root node.
+    ``info_set_order`` pairs each information set with its choices in
+    ``token_key`` order, the sets sorted by their sorted node ranks;
+    strategies, reports and refusals all list sets in it.  ``_ids``
+    keeps the operator over the integer node ids of the tree, ``op``,
+    and the information sets' ids in that order, ``sets``.
     """
 
     tree: Tree
@@ -81,14 +85,18 @@ class Preform(Structural):
     feas: Mapping[NodeLabel, frozenset] = field(compare=False)
     info_sets: frozenset = field(compare=False)
     info_set_of: Mapping[Token, frozenset] = field(compare=False)
-    prev_choice: Mapping[NodeLabel, Token] = field(compare=False)
     info_set_order: Tuple[Tuple[frozenset, Tuple[Token, ...]], ...] = field(compare=False)
+    _ids: SimpleNamespace = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return (
             f"Preform({len(self.tree.nodes)} nodes, {len(self.choices)} choices, "
             f"{len(self.info_sets)} information sets)"
         )
+
+    @cached_property
+    def prev_choice(self) -> Mapping[NodeLabel, Token]:
+        return {t_next: c for (_t, c), t_next in self.op.items()}
 
 
 def build_preform(
@@ -100,17 +108,17 @@ def build_preform(
     node_set = frozenset(nodes)
     ids = _NodeIds(node_set)
     triples = ((ids[t], c, ids[t_next]) for t, c, t_next in op_triples)
-    return _preform_from_ids(node_set, ids.labels, frozenset(choices), triples)[0]
+    return _preform_from_ids(node_set, ids.labels, frozenset(choices), triples)
 
 
 def _preform_from_ids(
     nodes: frozenset, labels: list, choice_set: frozenset, triples: Iterable[tuple]
-) -> tuple:
+) -> Preform:
     """[P1]–[P3] over integer node ids, numbered as ``_tree_from_ids``
     numbers them, with the tree derived there; ``triples`` are ``(node,
-    choice, successor)``, read lazily.  Returns the preform, with its
-    label-keyed fields built once at the end, and each play with its id
-    path keyed by its end's id."""
+    choice, successor)``, read lazily.  The preform keeps the operator
+    and information sets over ids, and its eager label-keyed fields are
+    built once, at the end."""
     n = len(nodes)
     op: dict = {}  # (node, choice) ids to the successor, in first-triple order
     hit_by: list = [None] * n
@@ -158,7 +166,7 @@ def _preform_from_ids(
 
     pairs = ((t_next, t) for (t, _c), t_next in op.items())
     try:
-        tree, rank, plays = _tree_from_ids(nodes, labels, pairs)
+        tree = _tree_from_ids(nodes, labels, pairs)
     except TreeError as exc:
         if exc.code == "TooSmall":
             raise
@@ -201,21 +209,21 @@ def _preform_from_ids(
     # the sets are disjoint, so their smallest ranks order them as their
     # sorted ranks do; they partition the decision nodes, so a set's
     # choices are the choices feasible at any of its nodes
-    info_set_order = tuple(
-        (node_sets[id(h)], tuple(sorted(feas[next(iter(h))], key=token_key)))
-        for h in sorted(one_of, key=lambda h: min(map(rank.__getitem__, h)))
-    )
-    preform = Preform(
+    rank = tree._ids.rank
+    sets = sorted(one_of, key=lambda h: min(map(rank.__getitem__, h)))
+    return Preform(
         tree=tree,
         choices=choice_set,
         op={(labels[t], c): labels[t_next] for (t, c), t_next in op.items()},
         feas={labels[t]: frozenset(cs) for t, cs in feas.items()},
         info_sets=frozenset(node_sets.values()),
         info_set_of=info_set_of,
-        prev_choice={labels[t_next]: c for (_t, c), t_next in op.items()},
-        info_set_order=info_set_order,
+        info_set_order=tuple(
+            (node_sets[id(h)], tuple(sorted(feas[next(iter(h))], key=token_key)))
+            for h in sets
+        ),
+        _ids=SimpleNamespace(op=op, sets=sets),
     )
-    return preform, plays
 
 
 def _pools(pf: Preform, info_sets, cap: int) -> list:
@@ -269,11 +277,13 @@ def play_of(pf: Preform, s: Iterable[Token]) -> Play:
 
 def _walk(pf: Preform, s: frozenset) -> Play:
     """The play of ``s``, known to be a grand strategy: the walk from the
-    root that follows the one choice ``s`` selects at each decision node."""
+    root that follows the one choice ``s`` selects at each decision node,
+    a node with feasible choices."""
+    feas, op = pf.feas, pf.op
     t = pf.tree.root
-    while t in pf.tree.decision_nodes:
-        (c,) = s & pf.feas[t]
-        t = pf.op[(t, c)]
+    while t in feas:
+        (c,) = s & feas[t]
+        t = op[t, c]
     return pf.tree.play_by_end[t]
 
 

@@ -3,9 +3,13 @@
 A tree fixes everything later stages build on: the root, the decision
 nodes (nodes that precede something), each node's stage (distance from
 the root), the precedence order, and the plays (maximal chains, one per
-terminal node, each held as its end and its path from the root).  All
-of that is derived and cached at construction time; no attribute can be
-rebound afterwards, and the mappings are plain dicts not to be mutated.
+terminal node, each held as its end and its path from the root).  The
+builder derives all of that over integer node ids and keeps those ids.
+The predecessor map, root, ranks and plays by end are built at
+construction; the decision nodes, stages, play set, children and stage
+order are views over the kept ids, built on first read and cached.  No
+attribute can be rebound afterwards, and the mappings are plain dicts
+not to be mutated.
 
 Only finite trees are accepted, so every play is finite and the
 collection of infinite plays is always empty.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import MorphismError, TreeError
@@ -140,21 +145,51 @@ class Tree(Structural):
     each node's children by rank, and ``play_by_end`` lists the plays
     in lexicographic order of their paths by rank.  ``stage_order``
     lists the nodes by stage, and by rank within a stage.
+    ``decision_nodes``, ``stage``, ``plays``, ``children_map`` and
+    ``stage_order`` are views over ``_ids``, the integer core the
+    builder derived them from, built on first read.
+
+    In ``_ids``, ``labels[k]`` is the label of id ``k``, ``order`` lists
+    the ids by rank and ``rank`` gives each id its rank.  ``children``
+    lists each id's children by rank, ``parents`` the decision nodes by
+    the rank of their first child, ``stage`` each id's stage and
+    ``walk`` the ids depth first from the root, children by rank.
+    ``plays`` maps each play's end to its position in ``play_by_end``
+    and its id path.
     """
 
     nodes: frozenset
     pred: Mapping[NodeLabel, NodeLabel]
     root: NodeLabel = field(compare=False)
-    decision_nodes: frozenset = field(compare=False)
-    stage: Mapping[NodeLabel, int] = field(compare=False)
-    plays: frozenset = field(compare=False)
-    children_map: Mapping[NodeLabel, Tuple[NodeLabel, ...]] = field(compare=False)
     play_by_end: Mapping[NodeLabel, Play] = field(compare=False, repr=False)
     rank: Mapping[NodeLabel, int] = field(compare=False, repr=False)
-    stage_order: Tuple[NodeLabel, ...] = field(compare=False, repr=False)
+    _ids: SimpleNamespace = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"Tree({len(self.nodes)} nodes, root {render_label(self.root)})"
+
+    @cached_property
+    def decision_nodes(self) -> frozenset:
+        return frozenset(map(self._ids.labels.__getitem__, self._ids.parents))
+
+    @cached_property
+    def stage(self) -> Mapping[NodeLabel, int]:
+        labels, stage = self._ids.labels, self._ids.stage
+        return {labels[k]: stage[k] for k in self._ids.walk}
+
+    @cached_property
+    def plays(self) -> frozenset:
+        return frozenset(self.play_by_end.values())
+
+    @cached_property
+    def children_map(self) -> Mapping[NodeLabel, Tuple[NodeLabel, ...]]:
+        label, children = self._ids.labels.__getitem__, self._ids.children
+        return {label(up): tuple(map(label, children[up])) for up in self._ids.parents}
+
+    @cached_property
+    def stage_order(self) -> Tuple[NodeLabel, ...]:
+        ids = self._ids
+        return tuple(ids.labels[k] for k in sorted(ids.order, key=ids.stage.__getitem__))
 
     def children(self, t: NodeLabel) -> Tuple[NodeLabel, ...]:
         return self.children_map.get(t, ())
@@ -196,19 +231,18 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
     node_set = frozenset(nodes)
     ids = _NodeIds(node_set)
     pairs = ((ids[child], ids[parent]) for child, parent in pred_pairs)
-    return _tree_from_ids(node_set, ids.labels, pairs)[0]
+    return _tree_from_ids(node_set, ids.labels, pairs)
 
 
-def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> tuple:
+def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tree:
     """[T1]–[T2] over integer node ids, and the tree they derive.
 
     ``labels[k]`` is the label of id ``k``: the first ``len(nodes)`` are
     the nodes, and any later one is undeclared.  ``pairs`` are ``(child,
     parent)`` ids, read lazily, so each pair is checked as it comes.
     Parents, children by rank, stages and play paths are derived over
-    lists, and the label-keyed fields are built from them once, at the
-    end.  Returns the tree, each id's rank, and each play with its id
-    path keyed by its end's id.
+    lists, which the tree keeps; its eager label-keyed fields are built
+    from them once, at the end.
     """
     n = len(nodes)
     if n < 2:
@@ -277,7 +311,7 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> tu
 
     # one walk down from the root, visiting children by rank; ``path``
     # holds the chain from the root to the node being visited, and each
-    # leaf ends one play, so plays are found in path order
+    # leaf ends one play, so plays are found, and numbered, in path order
     stage = [-1] * n
     stage[root] = 0
     walk: list = []
@@ -295,7 +329,7 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> tu
                 stage[kid] = len(path)
             stack.extend(reversed(kids))
         else:
-            ends[k] = tuple(path)
+            ends[k] = len(ends), tuple(path)
     if len(walk) != n:
         # the walk reaches exactly the nodes whose chain ends at the root
         start = next(k for k in order if stage[k] < 0)
@@ -308,26 +342,21 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> tu
     rank = [0] * n
     for r, k in enumerate(order):
         rank[k] = r
-    plays = {
-        end: (Play(labels[end], tuple(map(labels.__getitem__, ids))), ids)
-        for end, ids in ends.items()
+    play_by_end = {
+        labels[end]: Play(labels[end], tuple(map(labels.__getitem__, path)))
+        for end, (_p, path) in ends.items()
     }
-    play_by_end = {play.end: play for play, _ids in plays.values()}
-    tree = Tree(
+    return Tree(
         nodes=nodes,
         pred={labels[k]: labels[parent[k]] for k in edges},
         root=labels[root],
-        decision_nodes=frozenset(map(labels.__getitem__, parents)),
-        stage={labels[k]: stage[k] for k in walk},
-        plays=frozenset(play_by_end.values()),
-        children_map={
-            labels[up]: tuple(map(labels.__getitem__, children[up])) for up in parents
-        },
         play_by_end=play_by_end,
         rank={labels[k]: r for r, k in enumerate(order)},
-        stage_order=tuple(labels[k] for k in sorted(order, key=stage.__getitem__)),
+        _ids=SimpleNamespace(
+            labels=labels, order=order, rank=rank, children=children, parents=parents,
+            stage=stage, walk=walk, plays=ends,
+        ),
     )
-    return tree, rank, plays
 
 
 def _up_set(tree: Tree, t_star: NodeLabel) -> frozenset:

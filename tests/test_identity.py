@@ -2,12 +2,14 @@
 
 Each structure and each morphism is identified by its defining data:
 the fields that equality and hashing consult.  Derived fields are never
-consulted, and neither are a morphism's lower layers, which are views
-computed from its maps.  No field or computed view of a value can be
-rebound or deleted, while the mappings it exposes are plain dicts, as
-the README says.  Every morphism validator rejects a component map that
-is not a total function into the target with the same codes, axiom tags
-and messages, and every composition rejects morphisms that do not meet.
+consulted, and neither are views computed on first use: the parts of a
+tree and a preform that no builder reads, and a morphism's lower
+layers.  Reading and solving a document builds none of the former.  No
+field or computed view of a value can be rebound or deleted, while the
+mappings it exposes are plain dicts, as the README says.  Every
+morphism validator rejects a component map that is not a total
+function into the target with the same codes, axiom tags and messages,
+and every composition rejects morphisms that do not meet.
 """
 
 import dataclasses
@@ -36,6 +38,9 @@ from ncgames import (
     identity_morphism,
     identity_preform_morphism,
     identity_tree_morphism,
+    nash_equilibria,
+    parse_game,
+    serialize_game,
     validate_form_morphism,
     validate_game_morphism,
     validate_preform_morphism,
@@ -58,22 +63,24 @@ DEFINING = {
     GameMorphism: ("source", "target", "iota", "tau", "delta", "beta"),
 }
 DERIVED = {
-    Tree: (
-        "root", "decision_nodes", "stage", "plays", "children_map", "play_by_end", "rank",
-        "stage_order",
-    ),
+    Tree: ("root", "play_by_end", "rank", "_ids"),
     TreeMorphism: (),
-    Preform: (
-        "feas", "info_sets", "info_set_of", "prev_choice", "info_set_order",
-    ),
+    Preform: ("feas", "info_sets", "info_set_of", "info_set_order", "_ids"),
     PreformMorphism: (),
     Form: ("owner", "player_info_sets", "player_rank"),
     FormMorphism: (),
     Game: ("ranges",),
     GameMorphism: (),
 }
-# a morphism's lower layers, computed from its maps on first use
+# a tree's and a preform's structure that no builder reads, and a
+# morphism's lower layers, computed on first use
 VIEWS = [
+    (Tree, "decision_nodes"),
+    (Tree, "stage"),
+    (Tree, "plays"),
+    (Tree, "children_map"),
+    (Tree, "stage_order"),
+    (Preform, "prev_choice"),
     (TreeMorphism, "play_images"),
     (PreformMorphism, "tree_morphism"),
     (FormMorphism, "preform_morphism"),
@@ -157,6 +164,12 @@ class TestEqualityAndHash:
         assert name in vars(value) and name not in vars(fresh)
         assert value == fresh and fresh == value
         assert hash(value) == hash(fresh)
+
+    def test_reading_and_solving_a_document_builds_no_tree_or_preform_view(self):
+        g = parse_game(serialize_game(make_classroom_game()))
+        assert nash_equilibria(g)
+        unbuilt = {"children_map", "stage_order", "stage", "prev_choice"}
+        assert unbuilt.isdisjoint(vars(g.tree).keys() | vars(g.preform).keys())
 
     def test_views_follow_a_replaced_map(self):
         m = identity_morphism(make_classroom_game())

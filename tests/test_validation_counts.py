@@ -4,10 +4,18 @@ search and reading morphism and witness documents.  Only maps from
 outside the library are validated; identities, composites, conversions
 and inverses are morphisms by theorem and are built directly.  A
 subgame's tree is built once, and parsing hashes labels a number of
-times that grows with the nodes, not with the length of their plays."""
+times that grows with the nodes, not with the length of their plays.
+Parsing hashes each priced play and each distinct utility once, and
+solving hashes labels only to read each player's utility of each play;
+these counts do not depend on the hash seed."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +26,7 @@ import ncgames.transforms
 import ncgames.tree
 from ncgames import (
     Atom,
+    Play,
     Seq,
     SetLabel,
     compose,
@@ -25,6 +34,7 @@ from ncgames import (
     identity_morphism,
     identity_tree_morphism,
     is_isomorphism,
+    nash_equilibria,
     parse_game,
     parse_witness,
     serialize_morphism,
@@ -157,29 +167,106 @@ def test_subgame_at_builds_one_tree(split_information_game, monkeypatch):
     assert len(builds) == 1
 
 
-def label_hashes_while_parsing(monkeypatch, doc: dict) -> int:
-    """The label ``__hash__`` calls while ``parse_game`` reads ``doc``."""
+def hash_calls(action) -> dict:
+    """The ``__hash__`` calls of labels, plays and fractions while
+    ``action()`` runs; a play hashes as its end, so each play hash is
+    a label hash too."""
+    kinds = {
+        Atom: "label", Seq: "label", SetLabel: "label", Play: "play", Fraction: "fraction"
+    }
+    counts = dict.fromkeys(kinds.values(), 0)
+    originals = {cls: cls.__hash__ for cls in kinds}
+
+    def counted(kind, original):
+        def hash_(value):
+            counts[kind] += 1
+            return original(value)
+
+        return hash_
+
+    for cls, kind in kinds.items():
+        cls.__hash__ = counted(kind, cls.__hash__)
+    try:
+        action()
+    finally:
+        for cls, original in originals.items():
+            cls.__hash__ = original
+    return counts
+
+
+def parsing_hashes(doc: dict) -> dict:
+    """The hashes of ``parse_game`` reading ``doc``."""
     text = json.dumps(doc)
-    calls = []
-    for cls in (Atom, Seq, SetLabel):
-
-        def counted(label, original=cls.__hash__):
-            calls.append(None)
-            return original(label)
-
-        monkeypatch.setattr(cls, "__hash__", counted)
-    parse_game(text)
-    monkeypatch.undo()
-    return len(calls)
+    return hash_calls(lambda: parse_game(text))
 
 
-def test_parsing_hashes_labels_in_proportion_to_the_nodes(monkeypatch):
+def test_parsing_hashes_labels_in_proportion_to_the_nodes():
     """A centipede's plays have lengths up to its stage count, so a
     reader that hashed each row's path would grow with its square."""
     short, long = (
-        label_hashes_while_parsing(
-            monkeypatch, random_games.centipede_document(random.Random(1), n)
-        )
+        parsing_hashes(random_games.centipede_document(random.Random(1), n))["label"]
         for n in (80, 160)
     )
     assert 0 < long <= 2.1 * short
+
+
+def stage_pooled_counts(depth: int) -> dict:
+    """The hashes of parsing a three-player stage-pooled game of ``depth``
+    stages and of solving it, with the sizes they are bounded by."""
+    doc = random_games.stage_pooled_document(random.Random(1), depth, 3)
+    parsing = parsing_hashes(doc)
+    game = parse_game(json.dumps(doc))
+    solving = hash_calls(lambda: nash_equilibria(game))
+    rows = doc["utilities"]
+    return {
+        "nodes": len(doc["nodes"]),
+        "priced": len(doc["players"]) * len(rows),
+        "texts": sum(len({row["values"][i] for row in rows}) for i in doc["players"]),
+        "parsing": parsing,
+        "solving": solving,
+    }
+
+
+@pytest.mark.parametrize("depth", [8, 9])
+def test_parsing_hashes_each_priced_play_and_distinct_utility_once(depth):
+    """At depth 9 the former reader hashed 6,656 plays, 1,536 fractions
+    and 18,929 labels (18.5 per node)."""
+    counts = stage_pooled_counts(depth)
+    parsing = counts["parsing"]
+    assert 0 < parsing["play"] <= counts["priced"]
+    # once per distinct text of each player's row: a range is a set built
+    # by hashing its members, and sharing one hash between the players'
+    # ranges would change the order each set iterates in
+    assert 0 < parsing["fraction"] <= counts["texts"]
+    assert 0 < parsing["label"] <= 10 * counts["nodes"]
+
+
+@pytest.mark.parametrize("depth", [8, 9])
+def test_solving_hashes_labels_only_to_read_utilities(depth):
+    """At depth 9 the former solver hashed 5,115 labels, re-deriving node
+    ids from the label-keyed fields."""
+    counts = stage_pooled_counts(depth)
+    assert 0 < counts["solving"]["label"] <= counts["priced"]
+
+
+def test_hash_counts_do_not_depend_on_the_hash_seed():
+    package_root = str(Path(ncgames.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = os.pathsep.join(
+        [package_root, str(Path(__file__).parent)] + ([inherited] if inherited else [])
+    )
+    script = (
+        "import json, test_validation_counts as t; "
+        "print(json.dumps([t.stage_pooled_counts(d) for d in (8, 9)]))"
+    )
+    results = set()
+    for seed in ("0", "1", "2", "3", "4"):
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+        )
+        assert not result.stderr, result.stderr
+        results.add(result.stdout)
+    assert len(results) == 1

@@ -97,40 +97,48 @@ def _node_from_spec(spec) -> NodeLabel:
     raise DocumentSyntaxError(f"unknown node kind {kind!r}")
 
 
-def _node_reader():
-    """A reader of node specs that returns each node's integer id, and
-    the list of labels it indexes.
+def _spec_key(spec):
+    """An atom's text, which no other key equals, or a sequence's or a
+    set's kind and tokens as spelled; ``None`` for some malformed specs."""
+    if type(spec) is dict and len(spec) == 1:
+        key = spec.get("atom")
+        if type(key) is str:
+            return key
+        (kind, value), = spec.items()
+        if type(value) is list:
+            return kind, tuple(value)
+    return None
 
-    The first occurrence of a spec goes through ``_node_from_spec``, so
-    a malformed spec is rejected with its own message; later ones reuse
-    its id, found by a key built only from a value of exactly the type
-    its kind requires.  Equal labels spelled otherwise (a set in another
-    order) share the first one's id, and so its label object too.  Ids
-    are given in reading order, so the specs of a document's ``nodes``
-    list, read first, get their positions in it.
-    """
-    ids = _NodeIds()
-    by_key: dict = {}
+
+def _node_reader(node_specs: list):
+    """A reader of node specs that returns each node's integer id, with
+    the list of labels it indexes and the set of declared nodes.
+
+    Each spec of the ``nodes`` list goes through ``_node_from_spec``, in
+    order, and its ``_spec_key`` maps to its position there.  Only a spec
+    read later whose key misses (a set spelled in another order, or an
+    undeclared node, which gets the next free id) is looked up by label."""
+    labels = list(map(_node_from_spec, node_specs))
+    nodes = frozenset(labels)
+    if len(nodes) != len(labels):
+        raise DocumentSyntaxError("duplicate node entry")
+    by_key = {_spec_key(spec): k for k, spec in enumerate(node_specs)}
+    by_label = None  # built on the first key that misses
 
     def read(spec) -> int:
-        key = None
-        if type(spec) is dict and len(spec) == 1:
-            # an atom's key is its text, which no sequence or set key equals
-            key = spec.get("atom")
-            if type(key) is not str:
-                (kind, value), = spec.items()
-                key = (kind, tuple(value)) if type(value) is list else None
+        nonlocal by_label
         try:
+            key = _spec_key(spec)
             k = by_key.get(key)
         except TypeError:  # a token that is no text
-            k = None
+            key = k = None
         if k is None:
-            # ``_node_from_spec`` raises on every spec without a key
-            label = Atom(key) if type(key) is str else _node_from_spec(spec)
-            k = by_key[key] = ids[label]
+            if by_label is None:
+                by_label = _NodeIds(labels)
+            k = by_key[key] = by_label[_node_from_spec(spec)]
         return k
 
-    return read, ids.labels
+    return read, labels, nodes
 
 
 def _rational_reader():
@@ -227,13 +235,8 @@ def _game_from_document(doc) -> tuple:
     if len(set(players)) != len(players):
         raise DocumentSyntaxError("duplicate player entry")
 
-    read, labels = _node_reader()
     node_specs = _require(doc, "nodes", list, "game document")
-    for spec in node_specs:
-        read(spec)
-    if len(labels) != len(node_specs):
-        raise DocumentSyntaxError("duplicate node entry")
-    nodes = frozenset(labels)
+    read, labels, nodes = _node_reader(node_specs)
 
     triples = []
     for entry in _require(doc, "edges", list, "game document"):

@@ -106,7 +106,7 @@ def build_preform(
 ) -> Preform:
     """Validate operator triples and derive the tree and information sets."""
     node_set = frozenset(nodes)
-    ids = _NodeIds(node_set)
+    ids = _NodeIds(list(node_set))
     triples = ((ids[t], c, ids[t_next]) for t, c, t_next in op_triples)
     return _preform_from_ids(node_set, ids.labels, frozenset(choices), triples)
 

@@ -61,23 +61,15 @@ class CanonicalForm:
 
 
 def _absentminded(g: Game) -> bool:
-    """Whether some path from the root meets one information set twice,
-    by one walk down the tree that keeps the sets on the current path."""
-    tree, feas, info_set_of = g.tree, g.preform.feas, g.preform.info_set_of
-    on_path: set = set()
-    stack = [(tree.root, True)]
-    while stack:
-        t, entering = stack.pop()
-        if t in feas:  # a decision node
-            h = info_set_of[next(iter(feas[t]))]
-            if not entering:
-                on_path.remove(h)
-            elif h in on_path:
-                return True
-            else:
-                on_path.add(h)
-                stack.append((t, False))
-                stack.extend((child, True) for child in tree.children(t))
+    """Whether some path from the root meets one information set twice.
+    Subtrees are stretches of the walk, nested or disjoint, so then some
+    node of the set lies in the subtree of the one before it in the walk."""
+    ids = g.tree._ids
+    enter, leave = ids.enter, ids.leave
+    for h in g.preform._ids.sets:
+        ks = sorted(h, key=enter.__getitem__)
+        if any(enter[k] < leave[up] for up, k in zip(ks, ks[1:])):
+            return True
     return False
 
 

@@ -154,6 +154,8 @@ class Tree(Structural):
     lists each id's children by rank, ``parents`` the decision nodes by
     the rank of their first child, ``stage`` each id's stage and
     ``walk`` the ids depth first from the root, children by rank.
+    ``walk[enter[k]:leave[k]]`` is the subtree of ``k``: ``enter`` gives
+    each id its position in ``walk``, ``leave`` the one past its subtree.
     ``plays`` maps each play's end to its position in ``play_by_end``
     and its id path.
     """
@@ -195,25 +197,24 @@ class Tree(Structural):
         return self.children_map.get(t, ())
 
     def descendants(self, t: NodeLabel) -> frozenset:
-        """All nodes weakly below ``t``, i.e. the up-set of ``t``."""
-        out = {t}
-        frontier = [t]
-        while frontier:
-            u = frontier.pop()
-            for child in self.children_map.get(u, ()):
-                out.add(child)
-                frontier.append(child)
-        return frozenset(out)
+        """All nodes weakly below ``t``, i.e. the up-set of ``t``: its
+        stretch of the walk.  A non-node's up-set is itself alone."""
+        r = self.rank.get(t)
+        if r is None:
+            return frozenset({t})
+        ids = self._ids
+        k = ids.order[r]
+        return frozenset(map(ids.labels.__getitem__, ids.walk[ids.enter[k]:ids.leave[k]]))
 
 
 class _NodeIds(dict):
-    """Each label's id, its position in ``labels``, which starts as the
-    given distinct labels; a label looked up and not yet there is
-    appended, so it gets the next free id."""
+    """Each label's id, its position in ``labels``, the given list of
+    distinct labels; a label looked up and not yet there is appended to
+    it, so it gets the next free id."""
 
-    def __init__(self, labels: Iterable[NodeLabel] = ()):
-        self.labels = list(labels)
-        super().__init__(zip(self.labels, range(len(self.labels))))
+    def __init__(self, labels: list):
+        self.labels = labels
+        super().__init__(zip(labels, range(len(labels))))
 
     def __missing__(self, t: NodeLabel) -> int:
         k = self[t] = len(self.labels)
@@ -229,7 +230,7 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
     a child has two parents, or where fewer than two nodes are given.
     """
     node_set = frozenset(nodes)
-    ids = _NodeIds(node_set)
+    ids = _NodeIds(list(node_set))
     pairs = ((ids[child], ids[parent]) for child, parent in pred_pairs)
     return _tree_from_ids(node_set, ids.labels, pairs)
 
@@ -309,18 +310,21 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
                 parents.append(up)
             children[up].append(k)
 
-    # one walk down from the root, visiting children by rank; ``path``
-    # holds the chain from the root to the node being visited, and each
-    # leaf ends one play, so plays are found, and numbered, in path order
+    # one walk down from the root, visiting children by rank; ``path`` holds
+    # the chain from the root to the visited node, each leaving it with its
+    # subtree, and each leaf ends one play, so plays are numbered in path order
     stage = [-1] * n
     stage[root] = 0
     walk: list = []
+    enter, leave = [0] * n, [n] * n  # the nodes on the path at the end leave there
     ends: dict = {}
     path: list = []
     stack = [root]
     while stack:
         k = stack.pop()
-        del path[stage[k]:]
+        while len(path) > stage[k]:
+            leave[path.pop()] = len(walk)
+        enter[k] = len(walk)
         path.append(k)
         walk.append(k)
         kids = children[k]
@@ -354,7 +358,7 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
         rank={labels[k]: r for r, k in enumerate(order)},
         _ids=SimpleNamespace(
             labels=labels, order=order, rank=rank, children=children, parents=parents,
-            stage=stage, walk=walk, plays=ends,
+            stage=stage, walk=walk, enter=enter, leave=leave, plays=ends,
         ),
     )
 
@@ -363,12 +367,13 @@ def _up_set(tree: Tree, t_star: NodeLabel) -> frozenset:
     """The up-set of ``t_star``, which must be a decision node of ``tree``."""
     if t_star not in tree.nodes:
         raise TreeError("UnknownNode", f"{render_label(t_star)} is not a node of this tree")
-    if t_star not in tree.decision_nodes:
+    up_set = tree.descendants(t_star)
+    if len(up_set) == 1:
         raise TreeError(
             "NotDecisionNode",
             f"{render_label(t_star)} has no successors, so its up-set is a single node",
         )
-    return tree.descendants(t_star)
+    return up_set
 
 
 def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:

@@ -27,6 +27,38 @@ def strict_predecessors(tree, t):
     return frozenset(reachable_by_pred(tree.pred, t)[1:])
 
 
+def up_sets_by_pred(nodes, pred):
+    """Each node's up-set: the nodes whose predecessor chain meets it."""
+    up = {t: set() for t in nodes}
+    for u in nodes:
+        for t in reachable_by_pred(pred, u):
+            up[t].add(u)
+    return up
+
+
+def successors_by_label(nodes, pred):
+    """Each node that precedes something, with its immediate successors
+    in ``label_key`` order; the nodes listed in ``label_key`` order of
+    their least successor."""
+    below: dict = {}
+    for t in sorted(nodes, key=label_key):
+        if t in pred:
+            below.setdefault(pred[t], []).append(t)
+    return {t: tuple(kids) for t, kids in below.items()}
+
+
+def preorder_by_label(nodes, pred):
+    """The nodes depth first from the root, successors in ``label_key``
+    order."""
+    below = successors_by_label(nodes, pred)
+    (root,) = frozenset(nodes) - pred.keys()
+    out, stack = [], [root]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(reversed(below.get(out[-1], ())))
+    return out
+
+
 def image_play(m, z):
     """The nodes of the play ``z`` under the node map, joined with the
     strict predecessors of the image of the source root: the chain that

@@ -66,7 +66,8 @@ def check_tree_invariants(tree):
 
 def check_node_and_play_order(preform):
     """The one node order and play order of the preform's tree, the
-    children lists and the information-set order against the
+    children lists, the orders ``stage``, ``children_map`` and
+    ``stage_order`` iterate in and the information-set order against the
     ``label_key`` references; each set's choices in ``token_key`` order,
     and as many grand strategies as the product of their numbers."""
     tree = preform.tree
@@ -76,12 +77,24 @@ def check_node_and_play_order(preform):
     assert list(tree.play_by_end.values()) == oracles.plays_by_path(tree)
     for t in tree.nodes:
         assert list(tree.children(t)) == [u for u in by_label if tree.pred.get(u) == t]
+    check_view_orders(tree, {t: len(oracles.strict_predecessors(tree, t)) for t in by_label})
     order = preform.info_set_order
     assert [h for h, _choices in order] == oracles.info_sets_by_label(preform)
     scanned = oracles.info_sets_by_scan(preform)
     for h, choices in order:
         assert choices == tuple(sorted(scanned[h], key=token_key))
     assert count_grand_strategies(preform) == math.prod(len(cs) for _h, cs in order)
+
+
+def check_view_orders(tree, stage):
+    """``stage`` iterates in walk order, ``children_map`` lists the
+    decision nodes by their least child and ``stage_order`` the nodes by
+    ``stage``, the given stages, each against a ``label_key`` reference."""
+    assert list(tree.stage) == oracles.preorder_by_label(tree.nodes, tree.pred)
+    successors = oracles.successors_by_label(tree.nodes, tree.pred)
+    assert list(tree.children_map.items()) == list(successors.items())
+    by_label = oracles.nodes_by_label(tree)
+    assert tree.stage_order == tuple(sorted(by_label, key=stage.__getitem__))
 
 
 def _is_consecutive_chain(pred, subset):

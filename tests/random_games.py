@@ -95,6 +95,28 @@ def random_game(rng: random.Random, max_nodes: int = 9, max_players: int = 3):
     return build_game(form, utilities)
 
 
+def pooled_chain_game(stages: int, pooled):
+    """A one-player chain of ``stages`` stop-or-go nodes whose stop
+    choices each lead to a left-or-right node with two leaves.
+
+    The chain nodes at the depths in ``pooled`` form one information
+    set, so the game is absentminded exactly when there are two of them;
+    the left-or-right nodes form one set of pairwise incomparable nodes.
+    """
+    triples = []
+    for k in range(stages):
+        t, side = Atom(f"d{k}"), Atom(f"s{k}")
+        go, stop = ("go", "stop") if k in pooled else (f"go{k}", f"stop{k}")
+        after = Atom(f"d{k + 1}" if k + 1 < stages else "end")
+        triples += [(t, go, after), (t, stop, side)]
+        triples += [(side, "left", Atom(f"l{k}")), (side, "right", Atom(f"r{k}"))]
+    nodes = {u for t, _c, t_next in triples for u in (t, t_next)}
+    choices = {c for _t, c, _n in triples}
+    preform = build_preform(nodes, choices, triples)
+    form = build_form(preform, ["P1"], {"P1": choices})
+    return build_game(form, {"P1": {z: Fraction(0) for z in preform.tree.plays}})
+
+
 def random_strict_map(rng: random.Random, values):
     """A random strictly increasing map on the given finite set."""
     ordered = sorted(values)

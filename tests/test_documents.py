@@ -531,14 +531,14 @@ class TestPlayRows:
         reads = []
         reader = documents._node_reader
 
-        def counting_reader():
-            read, labels = reader()
+        def counting_reader(node_specs):
+            read, labels, nodes = reader(node_specs)
 
             def counted(spec):
                 reads.append(spec)
                 return read(spec)
 
-            return counted, labels
+            return counted, labels, nodes
 
         monkeypatch.setattr(documents, "_node_reader", counting_reader)
         text = _classroom_rows_doc(
@@ -546,8 +546,9 @@ class TestPlayRows:
         )
         doc = json.loads(text)
         parse_game(text)
-        # one read of each row's last spec, then the swapped row's 4 specs
-        assert len(reads) - len(doc["nodes"]) - 2 * len(doc["edges"]) == 5 + 4
+        # the node list is read into the reader, not through it: two reads
+        # per edge, one of each row's last spec, then the swapped row's 4 specs
+        assert len(reads) - 2 * len(doc["edges"]) == 5 + 4
 
     def test_row_fault_is_reported_before_a_cycle(self, classroom_text):
         doc = json.loads(classroom_text)

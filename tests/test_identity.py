@@ -41,6 +41,7 @@ from ncgames import (
     nash_equilibria,
     parse_game,
     serialize_game,
+    subgame_at,
     validate_form_morphism,
     validate_game_morphism,
     validate_preform_morphism,
@@ -49,7 +50,12 @@ from ncgames import (
 from ncgames.labels import Atom
 from ncgames.transforms import CanonicalForm, StyleReport, canonicalize, style_report
 
-from conftest import a, make_absentminded_game, make_classroom_game
+from conftest import (
+    a,
+    make_absentminded_game,
+    make_classroom_game,
+    make_split_information_game,
+)
 
 # the fields equality and hashing consult, and the fields derived from them
 DEFINING = {
@@ -168,8 +174,23 @@ class TestEqualityAndHash:
     def test_reading_and_solving_a_document_builds_no_tree_or_preform_view(self):
         g = parse_game(serialize_game(make_classroom_game()))
         assert nash_equilibria(g)
-        unbuilt = {"children_map", "stage_order", "stage", "prev_choice"}
+        unbuilt = {name for owner, name in VIEWS if owner in (Tree, Preform)}
         assert unbuilt.isdisjoint(vars(g.tree).keys() | vars(g.preform).keys())
+
+    @pytest.mark.parametrize(
+        "make, action",
+        [
+            (make_classroom_game, canonicalize),
+            (make_split_information_game, lambda g: subgame_at(g, a(1))),
+        ],
+        ids=["canonicalize", "subgame_at"],
+    )
+    def test_up_sets_and_absentmindedness_build_no_children_or_decision_nodes(
+        self, make, action
+    ):
+        g = make()
+        action(g)
+        assert {"children_map", "decision_nodes"}.isdisjoint(vars(g.tree))
 
     def test_views_follow_a_replaced_map(self):
         m = identity_morphism(make_classroom_game())

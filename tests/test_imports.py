@@ -28,6 +28,7 @@ FAST_PATHS = {
     "_walk",
     "_node_classes",
     "_play_with_nodes",
+    "_ids",
 }
 
 

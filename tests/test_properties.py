@@ -33,7 +33,9 @@ from ncgames.transforms import (
 
 import oracles
 import property_checks
+from conftest import make_absentminded_game
 from random_games import (
+    pooled_chain_game,
     random_game,
     random_strict_map,
     random_tree,
@@ -308,6 +310,7 @@ def test_style_implications_on_fixtures_random_games_and_conversions():
 
 def test_absentmindedness_matches_the_pairwise_oracle():
     games = [parse_game(path.read_text()) for path in sorted(FIXTURES.glob("*.game"))]
+    games.append(make_absentminded_game())
     rng = random.Random(73)
     games += [random_game(rng, max_nodes=12) for _ in range(80)]
     seen = set()
@@ -317,6 +320,16 @@ def test_absentmindedness_matches_the_pairwise_oracle():
             assert style_report(g).no_absentmindedness is not absentminded
             seen.add(absentminded)
     assert seen == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=8)), st.integers(min_value=1, max_value=3))
+def test_absentmindedness_at_several_depths_matches_the_pairwise_oracle(pooled, tail):
+    game = pooled_chain_game(max(pooled, default=0) + tail, pooled)
+    for g in (game, canonicalize(game).game):
+        absentminded = oracles.absentminded_by_pairs(g.preform)
+        assert style_report(g).no_absentmindedness is not absentminded
+    assert oracles.absentminded_by_pairs(game.preform) is (len(pooled) > 1)
 
 
 def test_utility_transform_witnesses_on_fixtures_and_random_games():

@@ -27,8 +27,9 @@ from conftest import (
 )
 from ncgames import parse_game, serialize_game
 from ncgames.labels import render_label
-from oracles import image_play, strict_predecessors, tree_by_walk_up
-from random_games import centipede_document
+from oracles import image_play, strict_predecessors, tree_by_walk_up, up_sets_by_pred
+from property_checks import check_view_orders
+from random_games import centipede_document, random_game
 
 
 def members(play):
@@ -181,9 +182,10 @@ class TestSubtree:
         assert subtree_at(classroom_tree, a(0)) == classroom_tree
 
     def test_subtree_at_terminal_rejected(self, classroom_tree):
-        with pytest.raises(TreeError) as err:
-            subtree_at(classroom_tree, a(5))
-        assert err.value.code == "NotDecisionNode"
+        for t in classroom_tree.nodes - classroom_tree.decision_nodes:
+            with pytest.raises(TreeError) as err:
+                subtree_at(classroom_tree, t)
+            assert err.value.code == "NotDecisionNode"
 
 
 class TestTreeMorphism:
@@ -310,8 +312,9 @@ def parent_lists(draw, max_nodes=40):
 
 
 class TestWalkUpOracle:
-    """``build_tree``'s walk down from the root against the walk-up
-    reference in ``tests/oracles.py``."""
+    """``build_tree``'s walk down from the root, and the orders of the
+    views built from it, against the walk-up reference in
+    ``tests/oracles.py``."""
 
     @staticmethod
     def check(nodes, pairs):
@@ -326,6 +329,7 @@ class TestWalkUpOracle:
         for end, z in tree.play_by_end.items():
             assert z.end == end
             assert z.path[0] == tree.root and len(z.path) == stage[end] + 1
+        check_view_orders(tree, stage)
 
     @settings(max_examples=200, deadline=None)
     @given(parent_lists())
@@ -368,3 +372,34 @@ class TestWalkUpOracle:
         assert str(err.value).endswith(
             f": predecessor chain from {render_label(cycle_from)} never reaches the root"
         )
+
+
+class TestUpSets:
+    """``Tree.descendants``, a stretch of the tree's walk, against the
+    up-sets read off the predecessor map."""
+
+    @staticmethod
+    def check(tree):
+        up_sets = up_sets_by_pred(tree.nodes, tree.pred)
+        for t in tree.nodes:
+            assert tree.descendants(t) == up_sets[t]
+        absent = a("not a node")
+        assert tree.descendants(absent) == frozenset({absent})
+
+    @settings(max_examples=100, deadline=None)
+    @given(parent_lists())
+    def test_random_trees(self, tree_input):
+        self.check(build_tree(*tree_input))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_games(self, seed):
+        self.check(random_game(random.Random(seed), max_nodes=14).tree)
+
+    def test_fixtures(self, classroom_game, absentminded_game, split_information_game):
+        for g in (classroom_game, absentminded_game, split_information_game):
+            self.check(g.tree)
+        for tree in make_embedding_trees()[:2]:
+            self.check(tree)
+
+    def test_deep_centipede(self):
+        self.check(parse_game(json.dumps(centipede_document(random.Random(3), 300))).tree)

@@ -4,7 +4,8 @@ search and reading morphism and witness documents.  Only maps from
 outside the library are validated; identities, composites, conversions
 and inverses are morphisms by theorem and are built directly.  A
 subgame's tree is built once, and parsing hashes labels a number of
-times that grows with the nodes, not with the length of their plays.
+times that grows with the nodes, not with the length of their plays:
+reading the node list and the edges hashes each declared label once.
 Parsing hashes each priced play and each distinct utility once, and
 solving hashes labels only to read each player's utility of each play;
 these counts do not depend on the hash seed."""
@@ -37,16 +38,17 @@ from ncgames import (
     nash_equilibria,
     parse_game,
     parse_witness,
+    serialize_game,
     serialize_morphism,
     serialize_witness,
     subgame_at,
     validate_preform_morphism,
 )
 from ncgames.cli import cli_dispatch
-from ncgames.transforms import apply_utility_transform, canonicalize
+from ncgames.transforms import apply_utility_transform, canonicalize, to_choice_sequence
 
 import random_games
-from conftest import a
+from conftest import a, make_absentminded_game, make_classroom_game
 
 
 def count_calls(monkeypatch, modules, name):
@@ -198,6 +200,40 @@ def parsing_hashes(doc: dict) -> dict:
     """The hashes of ``parse_game`` reading ``doc``."""
     text = json.dumps(doc)
     return hash_calls(lambda: parse_game(text))
+
+
+class Stopped(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        random_games.stage_pooled_document(random.Random(1), 9, 3),
+        random_games.centipede_document(random.Random(1), 80),
+        json.loads(serialize_game(canonicalize(make_classroom_game()).game)),
+        json.loads(serialize_game(to_choice_sequence(make_absentminded_game())[0])),
+    ],
+    ids=["stage-pooled", "centipede", "choice sets", "choice sequences"],
+)
+def test_reading_the_node_list_hashes_each_declared_label_once(doc, monkeypatch):
+    """Reading a document's nodes and edges, up to the building of its
+    preform, hashes each declared label once, into the set of nodes; an
+    edge spelling a node as the node list does finds it by its spec.  In all,
+    parsing the depth-9 stage-pooled game hashes 7,160 labels, and the
+    96 games of two seed-1 ``iso`` rounds 59,400; when the node list was
+    numbered through a label-keyed dict, each declared label was hashed
+    three times: 9,206 and 77,672."""
+
+    def stop(*_args):
+        raise Stopped
+
+    def read_nodes_and_edges():
+        with pytest.raises(Stopped):
+            parse_game(json.dumps(doc))
+
+    monkeypatch.setattr(ncgames.documents, "_preform_from_ids", stop)
+    assert hash_calls(read_nodes_and_edges)["label"] == len(doc["nodes"])
 
 
 def test_parsing_hashes_labels_in_proportion_to_the_nodes():

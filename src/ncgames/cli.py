@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -27,13 +28,12 @@ from .documents import (
     write_witness,
 )
 from .errors import NcgError
-from .form import player_strategies
 from .game import (
     DEFAULT_SEARCH_BUDGET, compose, find_isomorphism, is_isomorphism, nash_equilibria,
     subgame_at,
 )
 from .labels import Atom, render_label, render_token
-from .preform import DEFAULT_STRATEGY_CAP, count_grand_strategies, grand_strategies, play_of
+from .preform import DEFAULT_STRATEGY_CAP, _pools, count_grand_strategies, play_of
 from .transforms import canonicalize, to_choice_sequence, to_choice_set
 
 __all__ = ["main", "cli_dispatch"]
@@ -74,9 +74,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_derive(args) -> int:
     game = load_game(args.file)
-    # enumerated first, so a game over the cap is refused before any
-    # output; no player has more strategies than the game
-    grand = grand_strategies(game.preform, cap=args.strategy_cap)
+    pf = game.preform
+    # counted first, so a game over the cap is refused before any output;
+    # no player has more strategies than the game
+    pools = _pools(pf, pf.info_sets, args.strategy_cap)
     print("players: " + ",".join(map(render_token, game.form.player_rank)))
     rank = game.tree.rank
     print("nodes: " + ",".join(map(render_label, rank)))
@@ -88,23 +89,20 @@ def _cmd_derive(args) -> int:
     print("plays:")
     texts = {play: _render_play(play) for play in game.tree.play_by_end.values()}
     print(*texts.values(), sep="\n")
-    ordered = game.preform.info_set_order
     print("information-sets:")
-    for h, choices in ordered:
+    for h, choices in pf.info_set_order:
         owner = game.form.owner[choices[0]]
         listing = ",".join(render_token(c) for c in choices)
         members = ",".join(render_label(t) for t in sorted(h, key=rank.__getitem__))
         print(f"{{{members}}}: {render_token(owner)} {{{listing}}}")
+    # text choices, so products of pools in ``token_key`` order come sorted
     print("strategies:")
     for i in game.form.player_rank:
-        options = sorted(
-            _strategy_tuple(ordered, s)
-            for s in player_strategies(game.form, i, cap=args.strategy_cap)
-        )
-        print(f"{render_token(i)}: " + " ".join(map(_render_strategy, options)))
+        own = itertools.product(*_pools(pf, game.form.player_info_sets[i], args.strategy_cap))
+        print(f"{render_token(i)}: " + " ".join(map(_render_strategy, own)))
     print("zeta:")
-    for s in sorted(_strategy_tuple(ordered, s) for s in grand):
-        print(f"{_render_strategy(s)} -> {texts[play_of(game.preform, s)]}")
+    for s in itertools.product(*pools):
+        print(f"{_render_strategy(s)} -> {texts[play_of(pf, s)]}")
     return 0
 
 

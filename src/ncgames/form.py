@@ -106,15 +106,15 @@ def build_form(
             axiom="[F1]",
         )
 
-    split = [t for t, cs in preform.feas.items() if len({owner[c] for c in cs}) > 1]
-    if split:
-        first = min(split, key=preform.tree.rank.__getitem__)
-        raise FormError(
-            "NodeSplitAcrossPlayers",
-            f"choices feasible at {render_label(first)} "
-            "belong to several players",
-            axiom="[F3]",
-        )
+    # a node's choices are its set's, and sets go by their least-ranked node
+    for h, choices in preform.info_set_order:
+        if len({owner[c] for c in choices}) > 1:
+            raise FormError(
+                "NodeSplitAcrossPlayers",
+                f"choices feasible at {render_label(min(h, key=preform.tree.rank.get))} "
+                "belong to several players",
+                axiom="[F3]",
+            )
 
     player_info_sets = {
         i: frozenset(preform.info_set_of[c] for c in cs) for i, cs in assignment.items()

@@ -489,16 +489,11 @@ def _outcome_table(pf: Preform, stride: list) -> list:
     assigned on its path, so each leaf it reaches fills every completion
     of the sets still free with one play.
     """
-    ids, op = pf.tree._ids, pf._ids.op
-    n = len(ids.order)
-    radix = [len(choices) for _h, choices in pf.info_set_order]
-    set_at = [-1] * n
-    succ: list = [None] * n
-    for k, (h, (_h, choices)) in enumerate(zip(pf._ids.sets, pf.info_set_order)):
-        for t in h:
-            set_at[t] = k
-            succ[t] = [op[t, c] for c in choices]
-    play_at = [-1] * n
+    ids, op, set_at = pf.tree._ids, pf._ids.op, pf._ids.set_at
+    pools = [choices for _h, choices in pf.info_set_order]
+    radix = list(map(len, pools))
+    succ = [[op[t, c] for c in pools[k]] if k >= 0 else None for t, k in enumerate(set_at)]
+    play_at = [-1] * len(set_at)
     for end, (p, _path) in ids.plays.items():
         play_at[end] = p
     branching = [k for k, r in enumerate(radix) if r > 1]

@@ -67,22 +67,21 @@ def render_strategy(s: FrozenSet[Token]) -> str:
 class Preform(Structural):
     """A validated preform with its derived structure.
 
-    ``op`` maps ``(node, choice)`` to the successor node, ``feas`` gives
-    the feasible choices at each decision node, ``info_sets`` collects
-    the information sets, ``info_set_of`` maps each choice to the set
-    where it is feasible, and ``prev_choice``, a view built on first
-    read, the choice that produced each non-root node.
-    ``info_set_order`` pairs each information set with its choices in
-    ``token_key`` order, the sets sorted by their sorted node ranks;
-    strategies, reports and refusals all list sets in it.  ``_ids``
-    keeps the operator over the integer node ids of the tree, ``op``,
-    and the information sets' ids in that order, ``sets``.
+    ``op`` maps ``(node, choice)`` to the successor node, ``info_sets``
+    collects the information sets, and ``info_set_of`` maps each choice
+    to the set where it is feasible.  ``info_set_order`` pairs each
+    information set with its choices in ``token_key`` order, the sets
+    sorted by their sorted node ranks; strategies, reports and refusals
+    all list sets in it.  ``_ids`` keeps, over the tree's integer node
+    ids, the operator ``op``, the sets in that order, ``sets``, and each
+    node's set by its position there, -1 at a leaf, ``set_at``.  ``feas``,
+    each decision node's feasible choices, and ``prev_choice``, the choice
+    that produced each non-root node, are views built on first read.
     """
 
     tree: Tree
     choices: frozenset
     op: Mapping[Tuple[NodeLabel, Token], NodeLabel]
-    feas: Mapping[NodeLabel, frozenset] = field(compare=False)
     info_sets: frozenset = field(compare=False)
     info_set_of: Mapping[Token, frozenset] = field(compare=False)
     info_set_order: Tuple[Tuple[frozenset, Tuple[Token, ...]], ...] = field(compare=False)
@@ -93,6 +92,13 @@ class Preform(Structural):
             f"Preform({len(self.tree.nodes)} nodes, {len(self.choices)} choices, "
             f"{len(self.info_sets)} information sets)"
         )
+
+    @cached_property
+    def feas(self) -> Mapping[NodeLabel, frozenset]:
+        labels, feas = self.tree._ids.labels, {}
+        for t, c in self._ids.op:
+            feas.setdefault(labels[t], []).append(c)
+        return {t: frozenset(cs) for t, cs in feas.items()}
 
     @cached_property
     def prev_choice(self) -> Mapping[NodeLabel, Token]:
@@ -211,18 +217,19 @@ def _preform_from_ids(
     # choices are the choices feasible at any of its nodes
     rank = tree._ids.rank
     sets = sorted(one_of, key=lambda h: min(map(rank.__getitem__, h)))
+    at = {t: k for k, h in enumerate(sets) for t in h}
+    set_at = [at.get(t, -1) for t in range(n)]
     return Preform(
         tree=tree,
         choices=choice_set,
         op={(labels[t], c): labels[t_next] for (t, c), t_next in op.items()},
-        feas={labels[t]: frozenset(cs) for t, cs in feas.items()},
         info_sets=frozenset(node_sets.values()),
         info_set_of=info_set_of,
         info_set_order=tuple(
             (node_sets[id(h)], tuple(sorted(feas[next(iter(h))], key=token_key)))
             for h in sets
         ),
-        _ids=SimpleNamespace(op=op, sets=sets),
+        _ids=SimpleNamespace(op=op, sets=sets, set_at=set_at),
     )
 
 
@@ -243,9 +250,9 @@ def strategies_over(pf: Preform, info_sets, cap: int) -> frozenset:
 
 
 def selects_one_each(pf: Preform, s: frozenset, info_sets) -> bool:
-    """Whether ``s`` holds exactly one choice of every set in ``info_sets``,
-    whose choices are those feasible at any one of its nodes."""
-    return all(len(s & pf.feas[next(iter(h))]) == 1 for h in info_sets)
+    """Whether ``s``, holding only choices of sets in ``info_sets``, holds
+    one choice of each: as many choices as sets, each in a set of its own."""
+    return len(s) == len(info_sets) == len({pf.info_set_of[c] for c in s})
 
 
 def count_grand_strategies(pf: Preform) -> int:
@@ -276,15 +283,15 @@ def play_of(pf: Preform, s: Iterable[Token]) -> Play:
 
 
 def _walk(pf: Preform, s: frozenset) -> Play:
-    """The play of ``s``, known to be a grand strategy: the walk from the
-    root that follows the one choice ``s`` selects at each decision node,
-    a node with feasible choices."""
-    feas, op = pf.feas, pf.op
-    t = pf.tree.root
-    while t in feas:
-        (c,) = s & feas[t]
+    """The play of ``s``, known to be a grand strategy: the walk down the
+    node ids from the root that takes at each node the one choice of ``s``
+    in its set, the same one at each visit to a set."""
+    set_at, op, order = pf._ids.set_at, pf._ids.op, pf.info_set_order
+    t = pf.tree._ids.walk[0]
+    while set_at[t] >= 0:
+        (c,) = s.intersection(order[set_at[t]][1])
         t = op[t, c]
-    return pf.tree.play_by_end[t]
+    return pf.tree.play_by_end[pf.tree._ids.labels[t]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ from ncgames import (
     identity_morphism,
     identity_preform_morphism,
     identity_tree_morphism,
+    is_grand_strategy,
     is_isomorphism,
     is_nash,
     is_tree_isomorphism,
@@ -39,6 +40,7 @@ from ncgames import (
     validate_preform_morphism,
     validate_tree_morphism,
 )
+from ncgames.errors import FormError
 from ncgames.game import _node_classes
 from ncgames.labels import token_key
 from ncgames.transforms import style_report
@@ -171,6 +173,54 @@ def check_strategy_space(game):
     assert equilibria == oracles.nash_by_deviation_scan(game)
     for s in grand:
         assert is_nash(game, s) == (s in equilibria)
+
+
+def _near_misses(rng, choices, members, draws):
+    """Random subsets of ``choices``, and members of ``members`` with one
+    choice added, dropped or swapped for another, so that subsets that
+    miss a strategy by one choice are tried as often as strategies."""
+    choices, members = sorted(choices, key=repr), sorted(members, key=sorted)
+    for _ in range(draws):
+        if not members or rng.random() < 0.3:
+            yield frozenset(c for c in choices if rng.random() < 0.5)
+            continue
+        s = set(rng.choice(members))
+        edit = rng.randrange(4)
+        if s and edit in (1, 3):
+            s.discard(rng.choice(sorted(s)))
+        if choices and edit in (2, 3):
+            s.add(rng.choice(choices))
+        yield frozenset(s)
+
+
+def check_strategy_tests(game, rng, draws=40):
+    """``is_grand_strategy`` is membership in the oracle's enumeration,
+    and ``profile_to_grand`` merges exactly the profiles whose every
+    component the oracle lists for its player; otherwise it names the
+    first player, in ``player_rank`` order, whose component is not listed."""
+    pf, form = game.preform, game.form
+    grand = oracles.strategies_by_scan(pf)
+    for s in _near_misses(rng, pf.choices, grand, draws):
+        assert is_grand_strategy(pf, s) is (s in grand)
+    own = {i: oracles.strategies_by_scan(pf, form.assignment[i]) for i in form.players}
+    for _ in range(draws):
+        profile = {}
+        for i in form.player_rank:
+            # mostly from the player's own choices, sometimes from any
+            pool = form.assignment[i] if rng.random() < 0.8 else pf.choices
+            profile[i] = next(_near_misses(rng, pool, own[i], 1))
+        invalid = [i for i in form.player_rank if profile[i] not in own[i]]
+        if not invalid:
+            merged = profile_to_grand(form, profile)
+            assert merged == frozenset().union(*profile.values()) and merged in grand
+            continue
+        try:
+            profile_to_grand(form, profile)
+        except FormError as exc:
+            assert exc.code == "InvalidComponent"
+            assert exc.details == {"player": invalid[0]}
+        else:
+            raise AssertionError(f"accepted an invalid component of {invalid[0]}")
 
 
 def check_profile_bijection(form):

@@ -3,6 +3,7 @@
 import json
 import random
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from ncgames import (
     serialize_game,
     serialize_witness,
 )
-from ncgames.cli import cli_dispatch
+from ncgames.cli import cli_dispatch, main
 
 from random_games import centipede_document, stage_pooled_document
 
@@ -105,6 +106,12 @@ class TestValidate:
             cli_dispatch(["--strategy-cap", "-3", "nash", str(workdir / "classroom.game")])
         assert err.value.code == 2
         assert "--strategy-cap: -3 is negative" in capsys.readouterr().err
+
+    def test_strategy_cap_that_is_no_number_is_a_usage_error(self, workdir, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli_dispatch(["--strategy-cap", "abc", "nash", str(workdir / "classroom.game")])
+        assert err.value.code == 2
+        assert "argument --strategy-cap: invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_negative_search_budget_is_a_usage_error(self, workdir, capsys):
         game = str(workdir / "classroom.game")
@@ -202,6 +209,17 @@ def run_under_hash_seeds(workdir, *argv) -> set:
 
 
 class TestOneProcess:
+    @pytest.mark.parametrize("command", ["validate", "derive"])
+    def test_main_prints_what_dispatch_prints(self, workdir, capsys, monkeypatch, command):
+        argv = [command, str(workdir / "classroom.game")]
+        assert cli_dispatch(argv) == 0
+        expected = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr(sys, "argv", ["ncg"] + argv)  # as the installed script runs
+        assert main() == 0
+        assert capsys.readouterr().out == expected
+
     def test_dispatches_print_what_fresh_processes_print(self, workdir, capsys, monkeypatch):
         sequence = [
             ["validate", "classroom.game"],
@@ -462,6 +480,24 @@ class TestIso:
         code, out = run(capsys, "iso-check", witness_path)
         assert code == 0
         assert out == "valid isomorphism witness\n"
+
+    def test_iso_check_of_a_morphism_that_is_no_isomorphism(self, workdir, capsys):
+        # P1's utilities collapse to 0 in the target: a valid morphism whose
+        # utility map for P1 is not injective
+        from ncgames import build_game, load_game, serialize_morphism, validate_game_morphism
+
+        game = load_game(workdir / "classroom.game")
+        utilities = {**game.utilities, "P1": {z: 0 for z in game.plays}}
+        target = build_game(game.form, utilities)
+        beta = {i: {u: u for u in game.ranges[i]} for i in game.players}
+        beta["P1"] = {u: 0 for u in game.ranges["P1"]}
+        m = validate_game_morphism(
+            game, target, {i: i for i in game.players}, {t: t for t in game.tree.nodes},
+            {c: c for c in game.preform.choices}, beta,
+        )
+        path = workdir / "collapse.morphism"
+        path.write_text(serialize_morphism(m))
+        assert run(capsys, "iso-check", path) == (1, "not an isomorphism\n")
 
     def test_iso_check_rejects_tampered_witness(self, workdir, capsys):
         witness_path = workdir / "self.witness"

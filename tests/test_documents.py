@@ -47,6 +47,13 @@ class TestParseGame:
 
         assert len(grand_strategies(game.preform)) == 8
 
+    def test_duplicate_player_entry(self, classroom_text):
+        doc = json.loads(classroom_text)
+        doc["players"].append(doc["players"][0])
+        with pytest.raises(DocumentSyntaxError) as err:
+            parse_game(json.dumps(doc))
+        assert str(err.value) == "SyntaxError: duplicate player entry"
+
     def test_minimal_document(self):
         doc = {
             "format_version": "ncg/1",
@@ -599,3 +606,24 @@ class TestGameReferences:
                 self._morphism_naming(classroom_text, "latin1.game"), base_dir=tmp_path
             )
         assert err.value.code == "UnreadableGame"
+
+    def test_iota_of_another_shape(self, classroom_text):
+        doc = json.loads(self._morphism_naming(classroom_text, json.loads(classroom_text)))
+        doc["iota"] = {"P1": "P1"}
+        with pytest.raises(DocumentSyntaxError) as err:
+            parse_morphism(json.dumps(doc))
+        assert str(err.value) == "SyntaxError: iota must be a list of pairs"
+
+    def test_reference_of_another_shape(self, classroom_text):
+        # a document's reference of another shape is refused as a field, so
+        # the reader's own refusal is reached only by calling it directly
+        with pytest.raises(DocumentSyntaxError) as err:
+            parse_morphism(self._morphism_naming(classroom_text, 5))
+        assert str(err.value) == (
+            "SyntaxError: morphism document field 'source' has the wrong shape"
+        )
+        with pytest.raises(DocumentSyntaxError) as err:
+            documents._game_from_ref(5, ".", [])
+        assert str(err.value) == (
+            "SyntaxError: game reference must be a path or an inline document"
+        )

@@ -66,6 +66,35 @@ class TestBuildForm:
             "several players"
         )
 
+    def test_node_split_names_the_least_ranked_split_node(self):
+        # two split sets, {1, 3} and {2}; the edges list the set of 2
+        # first, and node 3 before node 1
+        edges = [
+            (2, "u", 6), (2, "v", 7), (3, "p", 8), (3, "q", 9),
+            (1, "p", 4), (1, "q", 5), (0, "x", 1), (0, "y", 2), (0, "z", 3),
+        ]
+        preform = build_preform(
+            nodes_of(*range(10)),
+            {c for _t, c, _n in edges},
+            [(a(t), c, a(n)) for t, c, n in edges],
+        )
+        assert [sorted(t.token for t in h) for h, _ in preform.info_set_order] == [
+            [0], [1, 3], [2]
+        ]
+        ownership = {"P1": {"x", "y", "z", "p", "u"}, "P2": {"q", "v"}}
+        with pytest.raises(FormError) as err:
+            build_form(preform, {"P1", "P2"}, ownership)
+        assert str(err.value) == (
+            "NodeSplitAcrossPlayers [[F3]]: choices feasible at 1 belong to "
+            "several players"
+        )
+
+    def test_player_owning_an_undeclared_choice(self, classroom_preform):
+        ownership = {**CLASSROOM_OWNERSHIP, "P1": CLASSROOM_OWNERSHIP["P1"] | {"zz"}}
+        with pytest.raises(FormError) as err:
+            build_form(classroom_preform, {"P1", "P2", "P3"}, ownership)
+        assert str(err.value) == "UnknownChoice: player P1 owns undeclared choice zz"
+
     def test_player_must_be_assigned_explicitly(self, classroom_preform):
         ownership = dict(CLASSROOM_OWNERSHIP)
         with pytest.raises(FormError) as err:

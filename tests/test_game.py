@@ -203,6 +203,28 @@ class TestValidateGameMorphism:
             )
         assert err.value.code == "BetaDomainMismatch"
 
+    def test_utility_map_for_a_non_player(self, classroom_game):
+        iota, tau, delta, beta = identity_components(classroom_game)
+        beta["Z"] = {}
+        with pytest.raises(MorphismError) as err:
+            validate_game_morphism(
+                classroom_game, classroom_game, iota, tau, delta, beta
+            )
+        assert str(err.value) == (
+            "UnknownPlayer: utility map given for Z, which is not a source player"
+        )
+
+    def test_utility_map_leaving_the_target_range(self, classroom_game):
+        iota, tau, delta, beta = identity_components(classroom_game)
+        beta["P1"] = {u: u if u < 1 else Fraction(101) for u in classroom_game.ranges["P1"]}
+        with pytest.raises(MorphismError) as err:
+            validate_game_morphism(
+                classroom_game, classroom_game, iota, tau, delta, beta
+            )
+        assert str(err.value) == (
+            "BetaDomainMismatch [[g2]]: utility map of P1 leaves the utility range of P1"
+        )
+
     def test_utility_named_twice_rejected(self, classroom_game):
         # Fraction(-1) and "-1" name one utility; neither spelling may win
         iota, tau, delta, beta = identity_components(classroom_game)

@@ -71,7 +71,7 @@ DEFINING = {
 DERIVED = {
     Tree: ("root", "play_by_end", "rank", "_ids"),
     TreeMorphism: (),
-    Preform: ("feas", "info_sets", "info_set_of", "info_set_order", "_ids"),
+    Preform: ("info_sets", "info_set_of", "info_set_order", "_ids"),
     PreformMorphism: (),
     Form: ("owner", "player_info_sets", "player_rank"),
     FormMorphism: (),
@@ -86,6 +86,7 @@ VIEWS = [
     (Tree, "plays"),
     (Tree, "children_map"),
     (Tree, "stage_order"),
+    (Preform, "feas"),
     (Preform, "prev_choice"),
     (TreeMorphism, "play_images"),
     (PreformMorphism, "tree_morphism"),

@@ -71,6 +71,14 @@ class TestBuildPreform:
             build_preform(nodes_of(0, 1, 2), {"c"}, triples)
         assert err.value.code == "NodeUnreachable"
 
+    def test_triple_with_an_undeclared_choice(self):
+        triples = CLASSROOM_TRIPLES + ((a(0), "zz", a(1)),)
+        with pytest.raises(PreformError) as err:
+            build_preform(CLASSROOM_NODES, CLASSROOM_CHOICES, triples)
+        assert str(err.value) == (
+            "UnknownChoice: operator triple mentions undeclared choice zz"
+        )
+
     def test_info_set_overlap(self):
         # c pools nodes 0 and 1, d is feasible at 1 only, so node 1 would
         # belong to two distinct information sets

@@ -1,6 +1,7 @@
 """Randomized structural properties, on seeded corpora and under
 hypothesis."""
 
+import json
 import random
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from random_games import (
     random_strict_map,
     random_tree,
     random_tree_morphism,
+    wide_document,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -170,6 +172,33 @@ def test_strategy_space_matches_the_oracle_on_the_fixtures():
     for name in ("classroom.game", "absentminded.game"):
         game = parse_game((FIXTURES / name).read_text())
         property_checks.check_strategy_space(game)
+
+
+def with_vacuous_player(game):
+    """``game`` with one more player, who owns no choice."""
+    players = game.players | {"V"}
+    form = build_form(game.preform, players, {**game.form.assignment, "V": set()})
+    zero = {z: 0 for z in game.plays}
+    return build_game(form, {**game.utilities, "V": zero})
+
+
+def test_strategy_tests_match_the_oracles_on_near_misses():
+    rng = random.Random(43)
+    games = [random_game(rng) for _ in range(40)]
+    games += [pooled_chain_game(n, pooled) for n, pooled in ((3, {0, 2}), (5, {0, 1, 4}))]
+    games += [with_vacuous_player(g) for g in games[::4]]
+    games.append(parse_game(json.dumps(wide_document(rng, 4))))
+    for game in games:
+        property_checks.check_strategy_tests(game, rng)
+    assert any(not choices for g in games for choices in g.form.assignment.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=5)), st.integers(min_value=1, max_value=2))
+def test_play_of_matches_the_scan_on_chains_pooled_at_several_depths(pooled, tail):
+    """A set visited twice on a play gets the same choice at each visit."""
+    game = pooled_chain_game(max(pooled, default=0) + tail, pooled)
+    property_checks.check_zeta_uniqueness(game.preform)
 
 
 def test_profile_bijection_on_random_forms():

@@ -186,6 +186,13 @@ class TestApplyUtilityTransform:
             apply_utility_transform(classroom_game, maps)
         assert (err.value.code, err.value.details["player"]) == ("DuplicateUtility", "P1")
 
+    def test_undeclared_player_rejected(self, classroom_game):
+        with pytest.raises(TransformError) as err:
+            apply_utility_transform(classroom_game, {"Z": {}})
+        assert str(err.value) == (
+            "UnknownPlayer: utility transform given for undeclared player Z"
+        )
+
     def test_floats_are_rejected(self, classroom_game):
         maps = {"P1": {u: float(u) * 0.1 for u in classroom_game.ranges["P1"]}}
         with pytest.raises(GameError) as err:

@@ -32,12 +32,16 @@ from ncgames import (
     SetLabel,
     compose,
     find_isomorphism,
+    grand_strategies,
     identity_morphism,
     identity_tree_morphism,
     is_isomorphism,
+    is_nash,
     nash_equilibria,
     parse_game,
     parse_witness,
+    play_of,
+    player_strategies,
     serialize_game,
     serialize_morphism,
     serialize_witness,
@@ -220,10 +224,11 @@ def test_reading_the_node_list_hashes_each_declared_label_once(doc, monkeypatch)
     """Reading a document's nodes and edges, up to the building of its
     preform, hashes each declared label once, into the set of nodes; an
     edge spelling a node as the node list does finds it by its spec.  In all,
-    parsing the depth-9 stage-pooled game hashes 7,160 labels, and the
-    96 games of two seed-1 ``iso`` rounds 59,400; when the node list was
+    parsing the depth-9 stage-pooled game hashes 6,649 labels, and the
+    96 games of two seed-1 ``iso`` rounds 54,976; when the node list was
     numbered through a label-keyed dict, each declared label was hashed
-    three times: 9,206 and 77,672."""
+    three times: 9,206 and 77,672, and when the preform built its
+    label-keyed ``feas`` at every parse, 7,160 and 59,400."""
 
     def stop(*_args):
         raise Stopped
@@ -248,11 +253,16 @@ def test_parsing_hashes_labels_in_proportion_to_the_nodes():
 
 def stage_pooled_counts(depth: int) -> dict:
     """The hashes of parsing a three-player stage-pooled game of ``depth``
-    stages and of solving it, with the sizes they are bounded by."""
+    stages, of solving it, of finding the play of every grand strategy
+    and of checking every equilibrium, with the sizes they are bounded by."""
     doc = random_games.stage_pooled_document(random.Random(1), depth, 3)
     parsing = parsing_hashes(doc)
     game = parse_game(json.dumps(doc))
     solving = hash_calls(lambda: nash_equilibria(game))
+    grand = grand_strategies(game.preform)
+    equilibria = nash_equilibria(game)
+    # each check walks the strategy and each deviation of each player
+    deviations = sum(len(player_strategies(game.form, i)) for i in game.players)
     rows = doc["utilities"]
     return {
         "nodes": len(doc["nodes"]),
@@ -260,6 +270,10 @@ def stage_pooled_counts(depth: int) -> dict:
         "texts": sum(len({row["values"][i] for row in rows}) for i in doc["players"]),
         "parsing": parsing,
         "solving": solving,
+        "strategies": len(grand),
+        "playing": hash_calls(lambda: [play_of(game.preform, s) for s in grand]),
+        "walks": len(equilibria) * (1 + deviations),
+        "checking": hash_calls(lambda: [is_nash(game, s) for s in equilibria]),
     }
 
 
@@ -283,6 +297,24 @@ def test_solving_hashes_labels_only_to_read_utilities(depth):
     ids from the label-keyed fields."""
     counts = stage_pooled_counts(depth)
     assert 0 < counts["solving"]["label"] <= counts["priced"]
+
+
+@pytest.mark.parametrize("depth", [8, 9])
+def test_play_of_hashes_one_label_per_call(depth):
+    """The one label hashed is the end of the play returned.  At depth 9,
+    walking the label-keyed ``feas`` and ``op`` hashed 38 per call."""
+    counts = stage_pooled_counts(depth)
+    assert counts["playing"]["label"] == counts["strategies"] > 0
+
+
+@pytest.mark.parametrize("depth", [8, 9])
+def test_is_nash_hashes_at_most_one_label_per_walk(depth):
+    """Besides the utility lookups, each a play hash.  At depth 9 the
+    label-keyed walks hashed 782 labels per call, of 25 walks and 48
+    lookups."""
+    counts = stage_pooled_counts(depth)
+    checking = counts["checking"]
+    assert 0 < checking["label"] - checking["play"] <= counts["walks"]
 
 
 def test_hash_counts_do_not_depend_on_the_hash_seed():

@@ -44,12 +44,8 @@ def _strategy_tuple(ordered, s):
     return tuple(c for _h, choices in ordered for c in choices if c in s)
 
 
-def _render_strategy(choices) -> str:
-    return "{" + ",".join(render_token(c) for c in choices) + "}"
-
-
-def _render_play(play) -> str:
-    return "{" + ",".join(render_label(t) for t in play.path) + "}"
+def _render_strategy(choices, render=render_token) -> str:
+    return "{" + ",".join(map(render, choices)) + "}"
 
 
 def _parse_node_argument(text: str):
@@ -66,7 +62,7 @@ def _cmd_validate(args) -> int:
     game = load_game(args.file)
     print(
         f"ok: {len(game.players)} players, {len(game.tree.nodes)} nodes, "
-        f"{len(game.preform.choices)} choices, {len(game.tree.play_by_end)} plays, "
+        f"{len(game.preform.choices)} choices, {len(game.tree._ids.plays)} plays, "
         f"{count_grand_strategies(game.preform)} grand strategies"
     )
     return 0
@@ -74,35 +70,37 @@ def _cmd_validate(args) -> int:
 
 def _cmd_derive(args) -> int:
     game = load_game(args.file)
-    pf = game.preform
+    pf, ids = game.preform, game.tree._ids
     # counted first, so a game over the cap is refused before any output;
     # no player has more strategies than the game
     pools = _pools(pf, pf.info_sets, args.strategy_cap)
+    # each node and each choice is rendered once, and every line joins those texts
+    node = list(map(render_label, ids.labels))
+    token = {c: render_token(c) for c in pf.choices}
+    listing = functools.partial(_render_strategy, render=token.__getitem__)
     print("players: " + ",".join(map(render_token, game.form.player_rank)))
-    rank = game.tree.rank
-    print("nodes: " + ",".join(map(render_label, rank)))
-    print("root: " + render_label(game.tree.root))
-    print(
-        "decision-nodes: "
-        + ",".join(render_label(t) for t in rank if t in game.tree.decision_nodes)
-    )
+    print("nodes: " + ",".join(map(node.__getitem__, ids.order)))
+    print("root: " + node[ids.walk[0]])
+    print("decision-nodes: " + ",".join(node[k] for k in ids.order if ids.children[k]))
     print("plays:")
-    texts = {play: _render_play(play) for play in game.tree.play_by_end.values()}
-    print(*texts.values(), sep="\n")
+    texts = [
+        "{" + ",".join(map(node.__getitem__, path)) + "}" for _p, path in ids.plays.values()
+    ]
+    print(*texts, sep="\n")
     print("information-sets:")
-    for h, choices in pf.info_set_order:
+    for (_h, choices), members in zip(pf.info_set_order, pf._ids.sets):
         owner = game.form.owner[choices[0]]
-        listing = ",".join(render_token(c) for c in choices)
-        members = ",".join(render_label(t) for t in sorted(h, key=rank.__getitem__))
-        print(f"{{{members}}}: {render_token(owner)} {{{listing}}}")
+        members = ",".join(map(node.__getitem__, sorted(members, key=ids.rank.__getitem__)))
+        print(f"{{{members}}}: {render_token(owner)} {listing(choices)}")
     # text choices, so products of pools in ``token_key`` order come sorted
     print("strategies:")
     for i in game.form.player_rank:
         own = itertools.product(*_pools(pf, game.form.player_info_sets[i], args.strategy_cap))
-        print(f"{render_token(i)}: " + " ".join(map(_render_strategy, own)))
+        print(f"{render_token(i)}: " + " ".join(map(listing, own)))
     print("zeta:")
+    text_of = dict(zip(game.tree.play_by_end.values(), texts))
     for s in itertools.product(*pools):
-        print(f"{_render_strategy(s)} -> {texts[play_of(pf, s)]}")
+        print(f"{listing(s)} -> {text_of[play_of(pf, s)]}")
     return 0
 
 

@@ -457,10 +457,8 @@ def _game_from_ref(ref, base_dir, built: list) -> tuple:
                 path=str(path),
             ) from exc
         game, label = _game_from_document(_loads(text))
-    elif isinstance(ref, dict):
-        game, label = _game_from_document(ref)
     else:
-        raise DocumentSyntaxError("game reference must be a path or an inline document")
+        game, label = _game_from_document(ref)
     built.append((ref, game, label))
     return game, label
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from types import SimpleNamespace
 from typing import Dict, Iterable, Mapping, Optional
 
 from .errors import GameError, MorphismError, SearchBudgetExceeded
@@ -78,14 +79,30 @@ DEFAULT_SEARCH_BUDGET = 200_000
 
 @dataclass(frozen=True, eq=False)
 class Game(Structural):
-    """A validated game: form plus per-player utility tables over plays."""
+    """A validated game: form plus per-player utility tables over plays.
+
+    ``_ids`` keeps each player's utilities by play position in
+    ``Tree.play_by_end``, ``values``, and the positions in the order the
+    player's row priced them, ``rows``.  ``utilities``, the tables in
+    that order, is a view over them built on first read, which equality
+    and hashing read with ``form``."""
 
     form: Form
-    utilities: Mapping[Token, Mapping[Play, Fraction]]
     ranges: Mapping[Token, frozenset] = field(compare=False)
+    _ids: SimpleNamespace = field(compare=False, repr=False)
+
+    _defining_views = ("utilities",)
 
     def __repr__(self) -> str:
         return f"Game({self.form!r})"
+
+    @cached_property
+    def utilities(self) -> Mapping[Token, Mapping[Play, Fraction]]:
+        plays = list(self.tree.play_by_end.values())
+        return {
+            i: {plays[p]: values[p] for p in self._ids.rows[i]}
+            for i, values in self._ids.values.items()
+        }
 
     @property
     def preform(self) -> Preform:
@@ -161,17 +178,19 @@ def _priced(form: Form, rows: Mapping) -> Game:
     order; a slot is the position of the priced play in ``play_by_end``,
     or the node set of a key that is no play.  Each pair is checked as
     it comes, so the first broken rule is the one reported, and each
-    player's table is built once, in row order.  A range holds a row's
-    distinct value objects, so values that share one object (as a
-    document's equal texts do) are hashed once per row."""
-    plays = list(form.preform.tree.play_by_end.values())
+    player's values are listed by position once, in row order.  A range
+    holds a row's distinct value objects, so values that share one
+    object (as a document's equal texts do) are hashed once per row."""
+    tree = form.preform.tree
+    labels, ends = tree._ids.labels, list(tree._ids.plays)
     for i in rows:
         if i not in form.players:
             raise GameError(
                 "UnknownPlayer",
                 f"utility table mentions undeclared player {render_token(i)}",
             )
-    table: Dict[Token, Dict[Play, Fraction]] = {}
+    values: Dict[Token, list] = {}
+    order: Dict[Token, list] = {}
     ranges: Dict[Token, frozenset] = {}
     for i in form.player_rank:
         if i not in rows:
@@ -181,8 +200,8 @@ def _priced(form: Form, rows: Mapping) -> Game:
                 axiom="[G2]",
                 player=i,
             )
-        row: Dict[Play, Fraction] = {}
-        priced = bytearray(len(plays))
+        by_play: list = [None] * len(ends)
+        priced: list = []
         for p, value in rows[i]:
             if not isinstance(p, int):
                 listing = ",".join(sorted((render_label(t) for t in p)))
@@ -192,30 +211,30 @@ def _priced(form: Form, rows: Mapping) -> Game:
                     "which is not a play",
                     axiom="[G2]",
                 )
-            if priced[p]:
+            if by_play[p] is not None:
                 raise GameError(
                     "DuplicateUtility",
                     f"utility row of {render_token(i)} prices the play ending at "
-                    f"{render_label(plays[p].end)} twice",
+                    f"{render_label(labels[ends[p]])} twice",
                     axiom="[G2]",
                     player=i,
                 )
-            priced[p] = 1
-            row[plays[p]] = _as_fraction(value)
-        if len(row) != len(plays):
+            priced.append(p)
+            by_play[p] = _as_fraction(value)
+        if len(priced) != len(ends):
             # in play order, so the first unpriced play is reported
-            play = plays[priced.index(0)]
+            end = labels[ends[by_play.index(None)]]
             raise GameError(
                 "MissingUtility",
                 f"player {render_token(i)} has no utility for the play ending at "
-                f"{render_label(play.end)}",
+                f"{render_label(end)}",
                 axiom="[G2]",
                 player=i,
-                play=play,
+                play=tree.play_by_end[end],
             )
-        table[i] = row
-        ranges[i] = frozenset({id(u): u for u in row.values()}.values())
-    return Game(form=form, utilities=table, ranges=ranges)
+        values[i], order[i] = by_play, priced
+        ranges[i] = frozenset({id(u): u for u in map(by_play.__getitem__, priced)}.values())
+    return Game(form=form, ranges=ranges, _ids=SimpleNamespace(values=values, rows=order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,12 +480,14 @@ def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> boo
             "NotAStrategy",
             f"{render_strategy(s)} is not a grand strategy of this game",
         )
-    on_path = _walk(g.preform, s)
+    plays = g.tree._ids.plays
+    on_path = plays[_walk(g.preform, s)][0]
     # in token order, so the first player over the cap is the same in every run
     for i in g.form.player_rank:
-        row, rest = g.utilities[i], s - g.form.assignment[i]
+        values, rest = g._ids.values[i], s - g.form.assignment[i]
+        best = values[on_path]
         for d in player_strategies(g.form, i, cap=cap):
-            if row[_walk(g.preform, rest | d)] > row[on_path]:
+            if values[plays[_walk(g.preform, rest | d)][0]] > best:
                 return False
     return True
 
@@ -554,7 +575,6 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
 
     stable = bytearray(b"\1") * len(outcome)
     owner_at = [form.owner[choices[0]] for choices in pools]
-    plays = g.tree.play_by_end.values()
     for i in form.player_rank:
         mine = [k for k, j in enumerate(owner_at) if j == i]
         if not mine:  # a vacuous player has one strategy, so no deviation
@@ -562,8 +582,7 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
         # keyed by lowest terms, which equal fractions share and which
         # hash faster than a ``Fraction``
         rank = {(u.numerator, u.denominator): r for r, u in enumerate(sorted(g.ranges[i]))}
-        row = g.utilities[i]
-        value = [rank[u.numerator, u.denominator] for u in map(row.__getitem__, plays)]
+        value = [rank[u.numerator, u.denominator] for u in g._ids.values[i]]
         payoff = [value[p] for p in outcome]
         own = _offsets(mine, stride, radix)
         rest = [k for k, j in enumerate(owner_at) if j != i]

@@ -67,31 +67,40 @@ def render_strategy(s: FrozenSet[Token]) -> str:
 class Preform(Structural):
     """A validated preform with its derived structure.
 
-    ``op`` maps ``(node, choice)`` to the successor node, ``info_sets``
-    collects the information sets, and ``info_set_of`` maps each choice
-    to the set where it is feasible.  ``info_set_order`` pairs each
-    information set with its choices in ``token_key`` order, the sets
-    sorted by their sorted node ranks; strategies, reports and refusals
-    all list sets in it.  ``_ids`` keeps, over the tree's integer node
-    ids, the operator ``op``, the sets in that order, ``sets``, and each
-    node's set by its position there, -1 at a leaf, ``set_at``.  ``feas``,
-    each decision node's feasible choices, and ``prev_choice``, the choice
-    that produced each non-root node, are views built on first read.
+    ``op`` maps ``(node, choice)`` to the successor node, in the order
+    of the first triple of each, ``info_sets`` collects the information
+    sets, and ``info_set_of`` maps each choice to the set where it is
+    feasible.  ``info_set_order`` pairs each information set with its
+    choices in ``token_key`` order, the sets sorted by their sorted node
+    ranks; strategies, reports and refusals all list sets in it.
+    ``_ids`` keeps, over the tree's integer node ids, the operator
+    ``op``, the sets in that order, ``sets``, and each node's set by its
+    position there, -1 at a leaf, ``set_at``.  ``op``, ``feas``, each
+    decision node's feasible choices, and ``prev_choice``, the choice
+    that produced each non-root node, are views over ``_ids`` built on
+    first read; equality and hashing read ``tree``, ``choices`` and
+    ``op``.
     """
 
     tree: Tree
     choices: frozenset
-    op: Mapping[Tuple[NodeLabel, Token], NodeLabel]
     info_sets: frozenset = field(compare=False)
     info_set_of: Mapping[Token, frozenset] = field(compare=False)
     info_set_order: Tuple[Tuple[frozenset, Tuple[Token, ...]], ...] = field(compare=False)
     _ids: SimpleNamespace = field(compare=False, repr=False)
+
+    _defining_views = ("op",)
 
     def __repr__(self) -> str:
         return (
             f"Preform({len(self.tree.nodes)} nodes, {len(self.choices)} choices, "
             f"{len(self.info_sets)} information sets)"
         )
+
+    @cached_property
+    def op(self) -> Mapping[Tuple[NodeLabel, Token], NodeLabel]:
+        labels = self.tree._ids.labels
+        return {(labels[t], c): labels[t_next] for (t, c), t_next in self._ids.op.items()}
 
     @cached_property
     def feas(self) -> Mapping[NodeLabel, frozenset]:
@@ -102,7 +111,8 @@ class Preform(Structural):
 
     @cached_property
     def prev_choice(self) -> Mapping[NodeLabel, Token]:
-        return {t_next: c for (_t, c), t_next in self.op.items()}
+        labels = self.tree._ids.labels
+        return {labels[t_next]: c for (_t, c), t_next in self._ids.op.items()}
 
 
 def build_preform(
@@ -123,8 +133,8 @@ def _preform_from_ids(
     """[P1]–[P3] over integer node ids, numbered as ``_tree_from_ids``
     numbers them, with the tree derived there; ``triples`` are ``(node,
     choice, successor)``, read lazily.  The preform keeps the operator
-    and information sets over ids, and its eager label-keyed fields are
-    built once, at the end."""
+    and information sets over ids, and its label-keyed information sets
+    are built once, at the end."""
     n = len(nodes)
     op: dict = {}  # (node, choice) ids to the successor, in first-triple order
     hit_by: list = [None] * n
@@ -222,7 +232,6 @@ def _preform_from_ids(
     return Preform(
         tree=tree,
         choices=choice_set,
-        op={(labels[t], c): labels[t_next] for (t, c), t_next in op.items()},
         info_sets=frozenset(node_sets.values()),
         info_set_of=info_set_of,
         info_set_order=tuple(
@@ -271,7 +280,7 @@ def is_grand_strategy(pf: Preform, s: Iterable[Token]) -> bool:
 
 def play_of(pf: Preform, s: Iterable[Token]) -> Play:
     """The unique play whose every non-root node was produced by ``s``,
-    found by :func:`_walk` once ``s`` is checked."""
+    the one ending where :func:`_walk` ends once ``s`` is checked."""
     s = frozenset(s)
     if not is_grand_strategy(pf, s):
         raise PreformError(
@@ -279,19 +288,19 @@ def play_of(pf: Preform, s: Iterable[Token]) -> Play:
             f"{render_strategy(s)} does not select exactly one feasible choice "
             "per information set",
         )
-    return _walk(pf, s)
+    return pf.tree.play_by_end[pf.tree._ids.labels[_walk(pf, s)]]
 
 
-def _walk(pf: Preform, s: frozenset) -> Play:
-    """The play of ``s``, known to be a grand strategy: the walk down the
-    node ids from the root that takes at each node the one choice of ``s``
-    in its set, the same one at each visit to a set."""
+def _walk(pf: Preform, s: frozenset) -> int:
+    """The end id of the play of ``s``, known to be a grand strategy: the
+    walk down the node ids from the root that takes at each node the one
+    choice of ``s`` in its set, the same one at each visit to a set."""
     set_at, op, order = pf._ids.set_at, pf._ids.op, pf.info_set_order
     t = pf.tree._ids.walk[0]
     while set_at[t] >= 0:
         (c,) = s.intersection(order[set_at[t]][1])
         t = op[t, c]
-    return pf.tree.play_by_end[pf.tree._ids.labels[t]]
+    return t
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,11 @@ A tree fixes everything later stages build on: the root, the decision
 nodes (nodes that precede something), each node's stage (distance from
 the root), the precedence order, and the plays (maximal chains, one per
 terminal node, each held as its end and its path from the root).  The
-builder derives all of that over integer node ids and keeps those ids.
-The predecessor map, root, ranks and plays by end are built at
-construction; the decision nodes, stages, play set, children and stage
-order are views over the kept ids, built on first read and cached.  No
-attribute can be rebound afterwards, and the mappings are plain dicts
-not to be mutated.
+builder derives all of that over integer node ids and keeps those ids
+and the root.  The predecessor map, ranks, plays by end, decision
+nodes, stages, play set, children and stage order are views over the
+kept ids, built on first read and cached.  No attribute can be rebound
+afterwards, and the mappings are plain dicts not to be mutated.
 
 Only finite trees are accepted, so every play is finite and the
 collection of infinite plays is always empty.
@@ -40,7 +39,7 @@ __all__ = [
 
 @cache
 def _defining_fields(cls) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.compare)
+    return tuple(f.name for f in fields(cls) if f.compare) + cls._defining_views
 
 
 def _hashable(value):
@@ -53,9 +52,12 @@ class Structural:
     """Equality and hashing from a dataclass's defining fields.
 
     Subclasses are ``eq=False`` dataclasses that mark each derived field
-    ``compare=False``; the remaining fields identify a value.  Mappings
-    hash as the frozenset of their items, nested mappings included.
+    ``compare=False``; the remaining fields, then the views named in
+    ``_defining_views``, identify a value.  Mappings hash as the
+    frozenset of their items, nested mappings included.
     """
+
+    _defining_views: Tuple[str, ...] = ()
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -144,16 +146,19 @@ class Tree(Structural):
     per tree) and lists the nodes in that order; ``children_map`` lists
     each node's children by rank, and ``play_by_end`` lists the plays
     in lexicographic order of their paths by rank.  ``stage_order``
-    lists the nodes by stage, and by rank within a stage.
-    ``decision_nodes``, ``stage``, ``plays``, ``children_map`` and
-    ``stage_order`` are views over ``_ids``, the integer core the
-    builder derived them from, built on first read.
+    lists the nodes by stage, and by rank within a stage.  ``pred``
+    lists each child with its parent in the order of the child's first
+    pair.  Every map and set here but ``nodes`` is a view over ``_ids``,
+    the integer core the builder derived them from, built on first
+    read; equality and hashing read ``nodes`` and ``pred``.
 
     In ``_ids``, ``labels[k]`` is the label of id ``k``, ``order`` lists
-    the ids by rank and ``rank`` gives each id its rank.  ``children``
-    lists each id's children by rank, ``parents`` the decision nodes by
-    the rank of their first child, ``stage`` each id's stage and
-    ``walk`` the ids depth first from the root, children by rank.
+    the ids by rank and ``rank`` gives each id its rank.  ``parent``
+    gives each id its parent's, -1 at the root, and ``edges`` lists the
+    children in the order of their first pair.  ``children`` lists each
+    id's children by rank, ``parents`` the decision nodes by the rank of
+    their first child, ``stage`` each id's stage and ``walk`` the ids
+    depth first from the root, children by rank.
     ``walk[enter[k]:leave[k]]`` is the subtree of ``k``: ``enter`` gives
     each id its position in ``walk``, ``leave`` the one past its subtree.
     ``plays`` maps each play's end to its position in ``play_by_end``
@@ -161,14 +166,31 @@ class Tree(Structural):
     """
 
     nodes: frozenset
-    pred: Mapping[NodeLabel, NodeLabel]
     root: NodeLabel = field(compare=False)
-    play_by_end: Mapping[NodeLabel, Play] = field(compare=False, repr=False)
-    rank: Mapping[NodeLabel, int] = field(compare=False, repr=False)
     _ids: SimpleNamespace = field(compare=False, repr=False)
+
+    _defining_views = ("pred",)
 
     def __repr__(self) -> str:
         return f"Tree({len(self.nodes)} nodes, root {render_label(self.root)})"
+
+    @cached_property
+    def pred(self) -> Mapping[NodeLabel, NodeLabel]:
+        labels, parent = self._ids.labels, self._ids.parent
+        return {labels[k]: labels[parent[k]] for k in self._ids.edges}
+
+    @cached_property
+    def rank(self) -> Mapping[NodeLabel, int]:
+        labels = self._ids.labels
+        return {labels[k]: r for r, k in enumerate(self._ids.order)}
+
+    @cached_property
+    def play_by_end(self) -> Mapping[NodeLabel, Play]:
+        labels = self._ids.labels
+        return {
+            labels[end]: Play(labels[end], tuple(map(labels.__getitem__, path)))
+            for end, (_p, path) in self._ids.plays.items()
+        }
 
     @cached_property
     def decision_nodes(self) -> frozenset:
@@ -242,8 +264,7 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
     the nodes, and any later one is undeclared.  ``pairs`` are ``(child,
     parent)`` ids, read lazily, so each pair is checked as it comes.
     Parents, children by rank, stages and play paths are derived over
-    lists, which the tree keeps; its eager label-keyed fields are built
-    from them once, at the end.
+    lists, which the tree keeps as the core of its label-keyed views.
     """
     n = len(nodes)
     if n < 2:
@@ -346,19 +367,13 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
     rank = [0] * n
     for r, k in enumerate(order):
         rank[k] = r
-    play_by_end = {
-        labels[end]: Play(labels[end], tuple(map(labels.__getitem__, path)))
-        for end, (_p, path) in ends.items()
-    }
     return Tree(
         nodes=nodes,
-        pred={labels[k]: labels[parent[k]] for k in edges},
         root=labels[root],
-        play_by_end=play_by_end,
-        rank={labels[k]: r for r, k in enumerate(order)},
         _ids=SimpleNamespace(
-            labels=labels, order=order, rank=rank, children=children, parents=parents,
-            stage=stage, walk=walk, enter=enter, leave=leave, plays=ends,
+            labels=labels, order=order, rank=rank, parent=parent, edges=edges,
+            children=children, parents=parents, stage=stage, walk=walk, enter=enter,
+            leave=leave, plays=ends,
         ),
     )
 

@@ -8,10 +8,11 @@ own derivation paths so the two sides can check each other.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from ncgames import is_isomorphism, validate_game_morphism
+from ncgames import Play, is_isomorphism, validate_game_morphism
 from ncgames.errors import MorphismError
-from ncgames.labels import label_key
+from ncgames.labels import Atom, Seq, SetLabel, label_key, token_key
 
 
 def reachable_by_pred(pred, start):
@@ -343,3 +344,52 @@ def info_sets_by_label(preform):
     return sorted(
         info_sets_by_scan(preform), key=lambda h: sorted(label_key(t) for t in h)
     )
+
+
+# The label-keyed maps as the builders once built them at every parse,
+# from the raw inputs, to compare the views over the kept ids with.
+
+
+def eager_tree_maps(nodes, pairs):
+    """A tree's predecessor map, ranks and plays by end: each child with
+    its parent, in the order of its first ``(child, parent)`` pair; the
+    nodes in ``label_key`` order, each with its position; and the plays
+    by their ends, in lexicographic order of their paths by that order."""
+    pred = {}
+    for child, parent in pairs:
+        pred.setdefault(child, parent)
+    position = {t: k for k, t in enumerate(sorted(nodes, key=label_key))}
+    _stage, paths, _start = tree_by_walk_up(nodes, pred.items())
+    ordered = sorted(paths.values(), key=lambda path: [position[t] for t in path])
+    return pred, position, {path[-1]: Play(path[-1], path) for path in ordered}
+
+
+def eager_op(triples):
+    """The operator: each ``(node, choice)`` with its successor, in the
+    order of its first triple."""
+    op = {}
+    for t, c, t_next in triples:
+        op.setdefault((t, c), t_next)
+    return op
+
+
+def eager_utilities(players, rows, plays):
+    """Each player's utility table and range, the players in ``token_key``
+    order: the row's keys, plays or node sets, replaced by the play among
+    ``plays`` with those nodes, in row order, and the range built from
+    the row's distinct value objects in row order."""
+    by_members = {frozenset(z.path): z for z in plays}
+    tables, ranges = {}, {}
+    for i in sorted(players, key=token_key):
+        table = tables[i] = {}
+        for key, value in rows[i].items():
+            z = by_members[frozenset(key.path if isinstance(key, Play) else key)]
+            table[z] = value if isinstance(value, Fraction) else Fraction(value)
+        ranges[i] = frozenset({id(u): u for u in table.values()}.values())
+    return tables, ranges
+
+
+def label_of_spec(spec):
+    """The node label a document's node spec names."""
+    (kind, value), = spec.items()
+    return {"atom": Atom, "seq": lambda v: Seq(tuple(v)), "set": SetLabel}[kind](value)

@@ -615,15 +615,9 @@ class TestGameReferences:
         assert str(err.value) == "SyntaxError: iota must be a list of pairs"
 
     def test_reference_of_another_shape(self, classroom_text):
-        # a document's reference of another shape is refused as a field, so
-        # the reader's own refusal is reached only by calling it directly
+        # a reference that is neither text nor a dict is refused as a field
         with pytest.raises(DocumentSyntaxError) as err:
             parse_morphism(self._morphism_naming(classroom_text, 5))
         assert str(err.value) == (
             "SyntaxError: morphism document field 'source' has the wrong shape"
-        )
-        with pytest.raises(DocumentSyntaxError) as err:
-            documents._game_from_ref(5, ".", [])
-        assert str(err.value) == (
-            "SyntaxError: game reference must be a path or an inline document"
         )

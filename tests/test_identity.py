@@ -1,12 +1,16 @@
 """Identity and totality contracts shared by all four layers.
 
 Each structure and each morphism is identified by its defining data:
-the fields that equality and hashing consult.  Derived fields are never
-consulted, and neither are views computed on first use: the parts of a
-tree and a preform that no builder reads, and a morphism's lower
-layers.  Reading and solving a document builds none of the former.  No
-field or computed view of a value can be rebound or deleted, while the
-mappings it exposes are plain dicts, as the README says.  Every
+the fields and views that equality and hashing consult.  A tree's
+predecessor map, a preform's operator and a game's utility tables are
+such views, computed on first use from the integer core the builder
+kept, which equality reads only through them.  Derived fields are never
+consulted, and neither are the other views computed on first use: the
+label-keyed structure of a tree and a preform, and a morphism's lower
+layers.  Reading a document and solving it, or running ``ncg nash`` or
+``ncg validate`` on it, builds no view of its tree, preform or game.  No field or computed view of a value can be rebound or
+deleted, while the mappings it exposes are plain dicts, as the README
+says.  Every
 morphism validator rejects a component map that is not a total
 function into the target with the same codes, axiom tags and messages,
 and every composition rejects morphisms that do not meet.
@@ -29,6 +33,9 @@ from ncgames import (
     PreformMorphism,
     Tree,
     TreeMorphism,
+    build_game,
+    build_preform,
+    build_tree,
     compose,
     compose_form_morphisms,
     compose_preform_morphisms,
@@ -38,6 +45,7 @@ from ncgames import (
     identity_morphism,
     identity_preform_morphism,
     identity_tree_morphism,
+    load_game,
     nash_equilibria,
     parse_game,
     serialize_game,
@@ -47,17 +55,27 @@ from ncgames import (
     validate_preform_morphism,
     validate_tree_morphism,
 )
+import ncgames.cli
+from ncgames.cli import cli_dispatch
 from ncgames.labels import Atom
 from ncgames.transforms import CanonicalForm, StyleReport, canonicalize, style_report
 
 from conftest import (
+    CLASSROOM_CHOICES,
+    CLASSROOM_NODES,
+    CLASSROOM_PRED_PAIRS,
+    CLASSROOM_TRIPLES,
+    CLASSROOM_UTILITIES,
     a,
     make_absentminded_game,
+    make_classroom_form,
     make_classroom_game,
+    make_classroom_tree,
     make_split_information_game,
 )
 
-# the fields equality and hashing consult, and the fields derived from them
+# the fields and views equality and hashing consult, and the fields
+# derived from them
 DEFINING = {
     Tree: ("nodes", "pred"),
     TreeMorphism: ("source", "target", "tau"),
@@ -69,25 +87,31 @@ DEFINING = {
     GameMorphism: ("source", "target", "iota", "tau", "delta", "beta"),
 }
 DERIVED = {
-    Tree: ("root", "play_by_end", "rank", "_ids"),
+    Tree: ("root", "_ids"),
     TreeMorphism: (),
     Preform: ("info_sets", "info_set_of", "info_set_order", "_ids"),
     PreformMorphism: (),
     Form: ("owner", "player_info_sets", "player_rank"),
     FormMorphism: (),
-    Game: ("ranges",),
+    Game: ("ranges", "_ids"),
     GameMorphism: (),
 }
-# a tree's and a preform's structure that no builder reads, and a
-# morphism's lower layers, computed on first use
+# the views computed on first use: a tree's, a preform's and a game's
+# label-keyed structure, over the core kept in ``_ids`` (equality reads
+# those named in ``DEFINING``), and a morphism's lower layers
 VIEWS = [
+    (Tree, "pred"),
+    (Tree, "rank"),
+    (Tree, "play_by_end"),
     (Tree, "decision_nodes"),
     (Tree, "stage"),
     (Tree, "plays"),
     (Tree, "children_map"),
     (Tree, "stage_order"),
+    (Preform, "op"),
     (Preform, "feas"),
     (Preform, "prev_choice"),
+    (Game, "utilities"),
     (TreeMorphism, "play_images"),
     (PreformMorphism, "tree_morphism"),
     (FormMorphism, "preform_morphism"),
@@ -98,10 +122,11 @@ VIEWS = [
 
 
 def build(cls):
-    """A fresh classroom value of ``cls``, sharing nothing with earlier calls."""
+    """A fresh classroom value of ``cls``, sharing nothing with earlier calls;
+    a tree is built alone, since pricing a game reads its plays by end."""
     g = make_classroom_game()
     return {
-        Tree: lambda: g.tree,
+        Tree: make_classroom_tree,
         Preform: lambda: g.preform,
         Form: lambda: g.form,
         Game: lambda: g,
@@ -110,6 +135,24 @@ def build(cls):
         FormMorphism: lambda: identity_form_morphism(g.form),
         GameMorphism: lambda: identity_morphism(g),
     }[cls]()
+
+
+def rebuilt(name):
+    """A classroom value built through the builders with its defining
+    view ``name`` changed and its other defining data kept: one
+    edge moved, the successors of one node's two choices swapped, or one
+    utility changed."""
+    if name == "pred":
+        pairs = CLASSROOM_PRED_PAIRS - {(a(2), a(1))} | {(a(2), a(0))}
+        return build_tree(CLASSROOM_NODES, pairs)
+    if name == "op":
+        swapped = {(a(1), "g", a(2)): (a(1), "g", a(4)), (a(1), "d", a(4)): (a(1), "d", a(2))}
+        triples = [swapped.get(triple, triple) for triple in CLASSROOM_TRIPLES]
+        return build_preform(CLASSROOM_NODES, CLASSROOM_CHOICES, triples)
+    utilities = {i: dict(row) for i, row in CLASSROOM_UTILITIES.items()}
+    key = next(iter(utilities["P1"]))
+    utilities["P1"][key] += 1
+    return build_game(make_classroom_form(), utilities)
 
 
 def altered(value):
@@ -124,13 +167,15 @@ def altered(value):
 
 
 CLASSES = list(DEFINING)
+UNCONSULTED_VIEWS = [(cls, name) for cls, name in VIEWS if name not in DEFINING[cls]]
 
 
 class TestEqualityAndHash:
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
     def test_fields_are_defining_or_derived(self, cls):
         names = {f.name for f in dataclasses.fields(cls)}
-        assert names == set(DEFINING[cls] + DERIVED[cls])
+        views = {name for owner, name in VIEWS if owner is cls}
+        assert names == set(DEFINING[cls] + DERIVED[cls]) - views
 
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
     def test_independent_builds_are_equal_with_equal_hashes(self, cls):
@@ -147,7 +192,12 @@ class TestEqualityAndHash:
     )
     def test_changing_a_defining_field_breaks_equality(self, cls, name):
         value = build(cls)
-        changed = dataclasses.replace(value, **{name: altered(getattr(value, name))})
+        if (cls, name) in VIEWS:
+            changed = rebuilt(name)
+            for other in DEFINING[cls]:
+                assert (getattr(changed, other) == getattr(value, other)) == (other != name)
+        else:
+            changed = dataclasses.replace(value, **{name: altered(getattr(value, name))})
         assert value != changed and changed != value
         assert not value == changed
 
@@ -159,11 +209,15 @@ class TestEqualityAndHash:
     def test_derived_field_is_never_consulted(self, cls, name):
         value = build(cls)
         blanked = dataclasses.replace(value, **{name: object()})
+        if name == "_ids":  # the core, read only through the views built from it
+            for view in DEFINING[cls]:
+                if (cls, view) in VIEWS:
+                    vars(blanked)[view] = getattr(value, view)
         assert value == blanked and blanked == value
         assert hash(blanked) == hash(value)
 
     @pytest.mark.parametrize(
-        "cls, name", VIEWS, ids=lambda x: getattr(x, "__name__", x)
+        "cls, name", UNCONSULTED_VIEWS, ids=lambda x: getattr(x, "__name__", x)
     )
     def test_cached_view_is_never_consulted(self, cls, name):
         value, fresh = build(cls), build(cls)
@@ -172,11 +226,26 @@ class TestEqualityAndHash:
         assert value == fresh and fresh == value
         assert hash(value) == hash(fresh)
 
-    def test_reading_and_solving_a_document_builds_no_tree_or_preform_view(self):
+    def test_reading_and_solving_a_document_builds_no_tree_or_preform_view(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def built_views(g) -> list:
+            parts = {Tree: g.tree, Preform: g.preform, Game: g}
+            return [name for cls, name in VIEWS if cls in parts and name in vars(parts[cls])]
+
         g = parse_game(serialize_game(make_classroom_game()))
         assert nash_equilibria(g)
-        unbuilt = {name for owner, name in VIEWS if owner in (Tree, Preform)}
-        assert unbuilt.isdisjoint(vars(g.tree).keys() | vars(g.preform).keys())
+        assert built_views(g) == []
+        path = tmp_path / "classroom.game"
+        path.write_text(serialize_game(make_classroom_game()), encoding="utf-8")
+        loaded = []
+        monkeypatch.setattr(
+            ncgames.cli, "load_game", lambda file: loaded.append(load_game(file)) or loaded[-1]
+        )
+        for command in ("nash", "validate"):
+            assert cli_dispatch([command, str(path)]) == 0
+            assert capsys.readouterr().out
+        assert len(loaded) == 2 and list(map(built_views, loaded)) == [[], []]
 
     @pytest.mark.parametrize(
         "make, action",

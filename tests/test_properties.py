@@ -3,14 +3,17 @@ hypothesis."""
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgames import (
     build_form,
     build_game,
+    build_preform,
     build_tree,
     compose,
     compose_tree_morphisms,
@@ -84,6 +87,74 @@ def test_node_and_play_orders_match_the_label_references(seed, kind):
     game = relabeled(random_game(random.Random(seed), max_nodes=12), kind)
     for g in (game, canonicalize(game).game):
         property_checks.check_node_and_play_order(g.preform)
+
+
+def check_views(game, nodes, triples, players, rows):
+    """The views of ``game``, built from these inputs, against the eager
+    definitions: values and iteration orders, and the hashes that
+    equality's definition gives over them."""
+    pred, ranks, by_end = oracles.eager_tree_maps(nodes, [(u, t) for t, _c, u in triples])
+    op = oracles.eager_op(triples)
+    tables, ranges = oracles.eager_utilities(players, rows, by_end.values())
+    tree, pf = game.tree, game.preform
+    assert list(tree.pred.items()) == list(pred.items())
+    assert list(tree.rank.items()) == list(ranks.items())
+    assert list(tree.play_by_end.items()) == list(by_end.items())
+    assert [z.path for z in tree.play_by_end.values()] == [z.path for z in by_end.values()]
+    assert list(pf.op.items()) == list(op.items())
+    assert [(i, list(row.items())) for i, row in game.utilities.items()] == [
+        (i, list(row.items())) for i, row in tables.items()
+    ]
+    assert [(i, list(r)) for i, r in game.ranges.items()] == [
+        (i, list(r)) for i, r in ranges.items()
+    ]
+    assert hash(tree) == hash((frozenset(nodes), frozenset(pred.items())))
+    assert hash(pf) == hash((tree, pf.choices, frozenset(op.items())))
+    utilities = frozenset((i, frozenset(row.items())) for i, row in tables.items())
+    assert hash(game) == hash((game.form, utilities))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_views_match_the_eager_definitions(seed):
+    """From shuffled inputs, through the builders and through a document
+    whose edges and utility rows are shuffled; each game is equal to the
+    one read or built from other orders."""
+    rng = random.Random(seed)
+    drawn = relabeled(random_game(rng), rng.choice(["int atoms", "sequences", "mixed"]))
+    nodes = list(drawn.tree.nodes)
+    rng.shuffle(nodes)
+    triples = [(t, c, u) for (t, c), u in drawn.preform.op.items()]
+    rng.shuffle(triples)
+    triples.append(triples[0])  # a repeated triple is read once
+    pf = build_preform(nodes, drawn.preform.choices, triples)
+    form = build_form(pf, drawn.players, drawn.form.assignment)
+    rows = {}
+    for i in drawn.players:
+        keyed = [(z if rng.random() < 0.5 else frozenset(z.path), u)
+                 for z, u in drawn.utilities[i].items()]
+        rng.shuffle(keyed)
+        rows[i] = dict(keyed)
+    built = build_game(form, rows)
+    check_views(built, nodes, triples, drawn.players, rows)
+    assert built == drawn and hash(built) == hash(drawn)
+
+    text = serialize_game(built)
+    doc = json.loads(text)
+    rng.shuffle(doc["edges"])
+    rng.shuffle(doc["utilities"])
+    read = parse_game(json.dumps(doc))
+    triples = [
+        (oracles.label_of_spec(t), c, oracles.label_of_spec(u)) for t, c, u in doc["edges"]
+    ]
+    rows = {i: {} for i in doc["players"]}
+    for entry in doc["utilities"]:
+        play = frozenset(map(oracles.label_of_spec, entry["play"]))
+        for i, value in entry["values"].items():
+            rows[i][play] = Fraction(value)
+    nodes = list(map(oracles.label_of_spec, doc["nodes"]))
+    check_views(read, nodes, triples, doc["players"], rows)
+    in_order = parse_game(text)
+    assert read == in_order and hash(read) == hash(in_order)
 
 
 @settings(max_examples=40, deadline=None)

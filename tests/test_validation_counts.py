@@ -6,9 +6,9 @@ and inverses are morphisms by theorem and are built directly.  A
 subgame's tree is built once, and parsing hashes labels a number of
 times that grows with the nodes, not with the length of their plays:
 reading the node list and the edges hashes each declared label once.
-Parsing hashes each priced play and each distinct utility once, and
-solving hashes labels only to read each player's utility of each play;
-these counts do not depend on the hash seed."""
+Parsing hashes no play and each distinct utility once, and solving and
+checking equilibria hash no label, since they read utilities by play
+position; these counts do not depend on the hash seed."""
 
 import json
 import os
@@ -224,11 +224,13 @@ def test_reading_the_node_list_hashes_each_declared_label_once(doc, monkeypatch)
     """Reading a document's nodes and edges, up to the building of its
     preform, hashes each declared label once, into the set of nodes; an
     edge spelling a node as the node list does finds it by its spec.  In all,
-    parsing the depth-9 stage-pooled game hashes 6,649 labels, and the
-    96 games of two seed-1 ``iso`` rounds 54,976; when the node list was
+    parsing the depth-9 stage-pooled game hashes 1,534 labels, and the
+    96 games of two seed-1 ``iso`` rounds 13,560; when the node list was
     numbered through a label-keyed dict, each declared label was hashed
-    three times: 9,206 and 77,672, and when the preform built its
-    label-keyed ``feas`` at every parse, 7,160 and 59,400."""
+    three times: 9,206 and 77,672, when the preform built its
+    label-keyed ``feas`` at every parse, 7,160 and 59,400, and when the
+    tree, preform and game built their label-keyed maps at every parse,
+    6,649 and 54,976."""
 
     def stop(*_args):
         raise Stopped
@@ -266,6 +268,7 @@ def stage_pooled_counts(depth: int) -> dict:
     rows = doc["utilities"]
     return {
         "nodes": len(doc["nodes"]),
+        "plays": len(rows),
         "priced": len(doc["players"]) * len(rows),
         "texts": sum(len({row["values"][i] for row in rows}) for i in doc["players"]),
         "parsing": parsing,
@@ -280,10 +283,11 @@ def stage_pooled_counts(depth: int) -> dict:
 @pytest.mark.parametrize("depth", [8, 9])
 def test_parsing_hashes_each_priced_play_and_distinct_utility_once(depth):
     """At depth 9 the former reader hashed 6,656 plays, 1,536 fractions
-    and 18,929 labels (18.5 per node)."""
+    and 18,929 labels (18.5 per node); one that built each player's table
+    keyed by plays hashed each priced play once (1,536)."""
     counts = stage_pooled_counts(depth)
     parsing = counts["parsing"]
-    assert 0 < parsing["play"] <= counts["priced"]
+    assert parsing["play"] == 0
     # once per distinct text of each player's row: a range is a set built
     # by hashing its members, and sharing one hash between the players'
     # ranges would change the order each set iterates in
@@ -293,28 +297,33 @@ def test_parsing_hashes_each_priced_play_and_distinct_utility_once(depth):
 
 @pytest.mark.parametrize("depth", [8, 9])
 def test_solving_hashes_labels_only_to_read_utilities(depth):
-    """At depth 9 the former solver hashed 5,115 labels, re-deriving node
-    ids from the label-keyed fields."""
+    """None: utilities are read by play position.  At depth 9 the former
+    solver hashed 5,115 labels, re-deriving node ids from the label-keyed
+    fields, and one that read utilities by play 1,536."""
     counts = stage_pooled_counts(depth)
-    assert 0 < counts["solving"]["label"] <= counts["priced"]
+    assert counts["priced"] > 0 and counts["solving"]["label"] == 0
 
 
 @pytest.mark.parametrize("depth", [8, 9])
 def test_play_of_hashes_one_label_per_call(depth):
-    """The one label hashed is the end of the play returned.  At depth 9,
-    walking the label-keyed ``feas`` and ``op`` hashed 38 per call."""
+    """The one label hashed is the end of the play returned; the first
+    call also builds ``Tree.play_by_end``, hashing each play's end once.
+    At depth 9, walking the label-keyed ``feas`` and ``op`` hashed 38 per
+    call."""
     counts = stage_pooled_counts(depth)
-    assert counts["playing"]["label"] == counts["strategies"] > 0
+    playing = counts["playing"]["label"]
+    assert playing == counts["strategies"] + counts["plays"] and counts["strategies"] > 0
 
 
 @pytest.mark.parametrize("depth", [8, 9])
 def test_is_nash_hashes_at_most_one_label_per_walk(depth):
-    """Besides the utility lookups, each a play hash.  At depth 9 the
-    label-keyed walks hashed 782 labels per call, of 25 walks and 48
-    lookups."""
+    """None: the walks return end ids and utilities are read by play
+    position.  At depth 9 the label-keyed walks hashed 782 labels per
+    call, of 25 walks and 48 lookups, and walks that each hashed the end
+    of their play, with a lookup by play for each, 73."""
     counts = stage_pooled_counts(depth)
     checking = counts["checking"]
-    assert 0 < checking["label"] - checking["play"] <= counts["walks"]
+    assert counts["walks"] > 0 and checking["play"] == checking["label"] == 0
 
 
 def test_hash_counts_do_not_depend_on_the_hash_seed():

@@ -15,7 +15,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.decoder import WHITESPACE
 from json.encoder import encode_basestring as _encode_str
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Dict
 
@@ -70,16 +72,6 @@ def _parse_rational(value) -> Fraction:
         raise DocumentSyntaxError(
             f"utility has a number of more than {sys.get_int_max_str_digits()} digits"
         ) from exc
-
-
-def _node_to_spec(label: NodeLabel) -> dict:
-    if isinstance(label, Atom):
-        return {"atom": str(label.token)}
-    if isinstance(label, Seq):
-        return {"seq": [str(c) for c in label.choices]}
-    if isinstance(label, SetLabel):
-        return {"set": sorted(str(c) for c in label.choices)}
-    raise DocumentError("UnknownLabel", f"cannot serialize node label {label!r}")
 
 
 def _node_from_spec(spec) -> NodeLabel:
@@ -165,7 +157,30 @@ def _require(mapping, key, kind, where):
     return value
 
 
+_scan = make_scanner(json.JSONDecoder())  # as ``json.loads`` scans
+_space = WHITESPACE.match  # the whitespace ``json.loads`` skips
+
+
 def _loads(text: str):
+    """``json.loads(text)``, an object value that repeats the text of an
+    object decoded earlier in the document decoded once and shared.
+
+    The top two object levels are walked here and each deeper value is
+    decoded in one scanner call, so a witness decodes each game once.
+    An object's text ends at its own closing brace and decoding is
+    deterministic, so a value whose text starts with an earlier
+    object's whole text decodes to that object.  Any failure falls back
+    to ``json.loads``, whose error is the one reported."""
+    try:
+        start = _space(text).end()
+        if not text.startswith("{", start):
+            raise ValueError("not an object")
+        doc, end = _object(text, start, 2, [])
+        if _space(text, end).end() != len(text):
+            raise ValueError("extra data")
+        return doc
+    except (ValueError, TypeError, IndexError, StopIteration, RecursionError):
+        pass
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -176,6 +191,62 @@ def _loads(text: str):
         ) from exc
     except RecursionError as exc:
         raise DocumentSyntaxError("document nests too deeply") from exc
+
+
+def _object(text: str, at: int, levels: int, decoded: list) -> tuple:
+    """The object whose text starts at ``at`` and the index past it.
+    Its members are read here; a member value that is an object is one
+    of ``decoded``, the (start, end, value) of each object decoded so
+    far, when its text repeats that one's, and is otherwise walked the
+    same way while ``levels`` remain, else decoded in one scanner call.
+    Raises on any text this walk does not read as ``json.loads`` does."""
+    doc = {}
+    at = _space(text, at + 1).end()
+    if text[at] == "}":
+        return doc, at + 1
+    while True:
+        if text[at] != '"':
+            raise ValueError("expected a key")
+        key, at = _scan(text, at)
+        at = _space(text, at).end()
+        if text[at] != ":":
+            raise ValueError("expected a colon")
+        at = _space(text, at + 1).end()
+        if text[at] != "{":
+            value, at = _scan(text, at)
+        else:
+            repeat = _repeated(text, at, decoded)
+            if repeat is not None:
+                value, at = repeat
+            else:
+                start = at
+                if levels > 1:
+                    value, at = _object(text, at, levels - 1, decoded)
+                else:
+                    value, at = _scan(text, at)
+                decoded.append((start, at, value))
+        doc[key] = value
+        at = _space(text, at).end()
+        if text[at] == "}":
+            return doc, at + 1
+        if text[at] != ",":
+            raise ValueError("expected a comma")
+        at = _space(text, at + 1).end()
+
+
+def _repeated(text: str, at: int, decoded: list):
+    """The value and end of the first object of ``decoded`` whose whole
+    text the text at ``at`` starts with, or ``None``; the last
+    characters are compared first, so that only a likely repeat is
+    compared whole."""
+    for first, last, value in decoded:
+        n = last - first
+        tail = min(n, 64)
+        if text.startswith(text[last - tail:last], at + n - tail) and text.startswith(
+            text[first:last], at
+        ):
+            return value, at + n
+    return None
 
 
 def _check_version(doc, where):
@@ -319,30 +390,60 @@ def _members(members, level: int):
     yield "{}" if prefix is opening else "\n" + "  " * level + "}"
 
 
+def _list(texts, level: int) -> str:
+    """``"".join(_items(texts, level))`` from one template: ``texts``
+    are the items' texts, none of them empty."""
+    inner = "\n" + "  " * (level + 1)
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + inner[:-2] + "]" if body else "[]"
+
+
 def _encode(value, level: int) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` at indent
-    ``level``, for text and lists and dicts of text."""
+    ``level``, for text, lists of text or of lists of text, and dicts of
+    those.  A list is formatted from templates, so only a dict's values
+    are encoded by a further call."""
     if isinstance(value, str):
         return _encode_str(value)
     if isinstance(value, dict):
         members = ((k, [_encode(v, level + 1)]) for k, v in value.items())
         return "".join(_members(members, level))
-    return "".join(_items((_encode(v, level + 1) for v in value), level))
+    return _list([
+        _encode_str(v) if isinstance(v, str) else _list(map(_encode_str, v), level + 1)
+        for v in value
+    ], level)
 
 
-def _indent(texts: dict, levels: int) -> dict:
+def _indent(texts: list, levels: int) -> list:
     """The texts moved ``levels`` indent levels deeper."""
     pad = "\n" + "  " * levels
-    return {key: text.replace("\n", pad) for key, text in texts.items()}
+    return [text.replace("\n", pad) for text in texts]
 
 
-def _node_texts(g: Game, level: int) -> dict:
-    """Each node's spec text at indent ``level``, in ``Tree.rank`` order.
+def _spec_text(label: NodeLabel, level: int) -> str:
+    """The text of ``label``'s node spec at indent ``level``: ``{"atom":
+    token}``, ``{"seq": [token, ...]}`` or ``{"set": [token, ...]}``,
+    the set's tokens sorted, each formatted from one template."""
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(label, Atom):
+        return "{" + inner + '"atom": ' + _encode_str(str(label.token)) + outer + "}"
+    if isinstance(label, Seq):
+        kind, tokens = '"seq": ', map(str, label.choices)
+    elif isinstance(label, SetLabel):
+        kind, tokens = '"set": ', sorted(map(str, label.choices))
+    else:
+        raise DocumentError("UnknownLabel", f"cannot serialize node label {label!r}")
+    return "{" + inner + kind + _list(map(_encode_str, tokens), level + 1) + outer + "}"
+
+
+def _node_texts(g: Game, level: int) -> list:
+    """Each node's spec text at indent ``level``, by node id.
 
     Two distinct labels with one text raise ``AtomCollision`` here,
     before any piece of a document is produced."""
-    texts = _indent({t: _encode(_node_to_spec(t), 0) for t in g.tree.rank}, level)
-    if len(set(texts.values())) != len(texts):
+    texts = [_spec_text(t, level) for t in g.tree._ids.labels]
+    if len(set(texts)) != len(texts):
         raise DocumentError(
             "AtomCollision",
             "two distinct node labels serialize to the same text",
@@ -350,46 +451,52 @@ def _node_texts(g: Game, level: int) -> dict:
     return texts
 
 
-def _game_pieces(g: Game, level: int, nodes: dict):
+def _game_pieces(g: Game, level: int, nodes: list):
     """The canonical text of a game's document at indent ``level``, one
     piece per node, edge and play row; ``nodes`` is
     ``_node_texts(g, level + 2)``, the texts of the node list.
 
     Nodes, edges and plays are listed in the tree's order (``Tree.rank``
-    and ``Tree.play_by_end``)."""
+    and ``Tree.play_by_end``), read from the id cores of the tree, the
+    preform and the game.  Each edge triple and play row is one join of
+    a template's pieces."""
     players = sorted(g.players, key=str)
-    rank = g.tree.rank
+    tree = g.tree._ids
+    rank = tree.rank
     edges = sorted(
-        g.preform.op.items(),
+        g.preform._ids.op.items(),
         key=lambda e: (rank[e[0][0]], str(e[0][1]), rank[e[1]]),
     )
     edge_specs, play_specs = _indent(nodes, 1), _indent(nodes, 2)
-    # each play row, {"play": [spec, ...], "values": {...}}, is one join
+    # each play row, {"play": [spec, ...], "values": {player: value, ...}}, is one join
     pad = "\n" + "  " * (level + 3)
     opening, separator = "{" + pad + '"play": [' + pad + "  ", "," + pad + "  "
     values, closing = pad + "]," + pad + '"values": ', "\n" + "  " * (level + 2) + "}"
+    keys = [pad + "  " + _encode_str(str(i)) + ": " for i in players]
+    tables = [g._ids.values[i] for i in players]
     ownership = {str(i): sorted(str(c) for c in g.form.assignment[i]) for i in players}
     return _members((
         ("format_version", [_encode_str(FORMAT_VERSION)]),
         ("players", [_encode([str(i) for i in players], level + 1)]),
-        ("nodes", _items(nodes.values(), level + 1)),
+        ("nodes", _items(map(nodes.__getitem__, tree.order), level + 1)),
         ("edges", _items((
-            "".join(_items((edge_specs[t], _encode_str(str(c)), edge_specs[u]), level + 2))
+            _list((edge_specs[t], _encode_str(str(c)), edge_specs[u]), level + 2)
             for (t, c), u in edges
         ), level + 1)),
         ("ownership", [_encode(ownership, level + 1)]),
         ("utilities", _items((
-            opening + separator.join([play_specs[t] for t in play.path]) + values
-            + _encode({str(i): str(g.utilities[i][play]) for i in players}, level + 3)
+            opening + separator.join(map(play_specs.__getitem__, path)) + values
+            + ("{" + ",".join([k + _encode_str(str(v[p])) for k, v in zip(keys, tables)])
+               + pad + "}" if players else "{}")
             + closing
-            for play in g.tree.play_by_end.values()
+            for p, path in tree.plays.values()
         ), level + 1)),
     ), level)
 
 
 def _embedded(games, level: int) -> dict:
     """Maps ``id(g)`` of each game embedded at indent ``level`` to its
-    node-list texts and its pieces.  A game embedded more than once is
+    node texts by id and its pieces.  A game embedded more than once is
     rendered once, into a list that each embedding writes; any other is
     rendered as it is written."""
     built: dict = {}
@@ -502,9 +609,11 @@ def parse_morphism(text: str, base_dir=".") -> GameMorphism:
 def _morphism_pieces(m: GameMorphism, level: int, built: dict):
     """The canonical text of a morphism's document at indent ``level``,
     in pieces; ``built`` is ``_embedded`` of its source and target at
-    ``level + 1``, whose node-list texts are also those of ``tau``."""
+    ``level + 1``, whose node texts are also those of ``tau``."""
     source_nodes, source = built[id(m.source)]
     target_nodes, target = built[id(m.target)]
+    ids = m.source.tree._ids
+    target_text = dict(zip(m.target.tree._ids.labels, target_nodes))
     iota = [[str(i), str(m.iota[i])] for i in sorted(m.iota, key=str)]
     delta = [[str(c), str(m.delta[c])] for c in sorted(m.delta, key=str)]
     beta = {
@@ -517,8 +626,8 @@ def _morphism_pieces(m: GameMorphism, level: int, built: dict):
         ("target", target),
         ("iota", [_encode(iota, level + 1)]),
         ("tau", _items((
-            "".join(_items((source_nodes[t], target_nodes[m.tau[t]]), level + 2))
-            for t in m.source.tree.rank
+            _list((source_nodes[k], target_text[m.tau[ids.labels[k]]]), level + 2)
+            for k in ids.order
         ), level + 1)),
         ("delta", [_encode(delta, level + 1)]),
         ("beta", [_encode(beta, level + 1)]),

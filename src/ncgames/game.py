@@ -443,13 +443,16 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
 
     Rejects roots whose up-set cuts an information set; the remaining
     structure is the restriction, with every player retained (possibly
-    vacuous) and each play priced as its extension in ``g``.
+    vacuous) and each play priced as its extension in ``g``.  The
+    up-set, the kept triples and the prices are read from the id cores
+    of ``g``, so no label-keyed view of it is built.
     """
-    sub_nodes = _up_set(g.tree, t_star)
-    order = g.preform.info_set_order
-    cut = [h for h, _choices in order if h & sub_nodes and not h <= sub_nodes]
+    ids, pf = g.tree._ids, g.preform
+    labels, up = ids.labels, _up_set(g.tree, t_star)
+    inside = frozenset(up)
+    cut = [k for k, h in enumerate(pf._ids.sets) if h & inside and not h <= inside]
     if cut:
-        h = cut[0]
+        h = pf.info_set_order[cut[0]][0]
         listing = ",".join(sorted((render_label(t) for t in h)))
         raise GameError(
             "InformationSetCut",
@@ -458,18 +461,19 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
             information_set=h,
         )
     triples = [
-        (t, c, t_next) for (t, c), t_next in g.preform.op.items() if t in sub_nodes
+        (labels[t], c, labels[t_next]) for (t, c), t_next in pf._ids.op.items() if t in inside
     ]
     kept_choices = frozenset(c for _t, c, _n in triples)
-    preform = build_preform(sub_nodes, kept_choices, triples)
+    preform = build_preform(map(labels.__getitem__, up), kept_choices, triples)
     assignment = {i: g.form.assignment[i] & kept_choices for i in g.players}
     form = build_form(preform, g.players, assignment)
     # a subgame play extends to the outer play with the same end
-    utilities = {
-        i: {z: g.utilities[i][g.tree.play_by_end[z.end]] for z in preform.tree.plays}
-        for i in g.players
-    }
-    return build_game(form, utilities)
+    outer = {labels[e]: ids.plays[e][0] for e in up if e in ids.plays}
+    sub = preform.tree._ids
+    slots = [(q, outer[sub.labels[e]]) for e, (q, _path) in sub.plays.items()]
+    return _priced(form, {
+        i: [(q, values[p]) for q, p in slots] for i, values in g._ids.values.items()
+    })
 
 
 def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> bool:

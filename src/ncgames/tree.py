@@ -378,22 +378,24 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
     )
 
 
-def _up_set(tree: Tree, t_star: NodeLabel) -> frozenset:
-    """The up-set of ``t_star``, which must be a decision node of ``tree``."""
+def _up_set(tree: Tree, t_star: NodeLabel) -> list:
+    """The ids of the up-set of ``t_star``, its stretch of the walk,
+    ``t_star`` first; ``t_star`` must be a decision node of ``tree``."""
     if t_star not in tree.nodes:
         raise TreeError("UnknownNode", f"{render_label(t_star)} is not a node of this tree")
-    up_set = tree.descendants(t_star)
-    if len(up_set) == 1:
+    ids = tree._ids
+    k = ids.labels.index(t_star)
+    if not ids.children[k]:
         raise TreeError(
             "NotDecisionNode",
             f"{render_label(t_star)} has no successors, so its up-set is a single node",
         )
-    return up_set
+    return ids.walk[ids.enter[k]:ids.leave[k]]
 
 
 def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:
     """The tree on the up-set of ``t_star``, which becomes the new root."""
-    sub_nodes = _up_set(tree, t_star)
+    sub_nodes = frozenset(map(tree._ids.labels.__getitem__, _up_set(tree, t_star)))
     sub_pairs = [
         (child, parent)
         for child, parent in tree.pred.items()

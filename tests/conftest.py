@@ -12,8 +12,24 @@ from fractions import Fraction
 
 import pytest
 
-from ncgames import build_form, build_game, build_preform, build_tree
+from ncgames import DocumentSyntaxError, build_form, build_game, build_preform, build_tree
+from ncgames.documents import _loads
 from ncgames.labels import Atom
+
+from oracles import loads_by_json
+
+
+def assert_reads_as_json_loads(text) -> None:
+    """The reader decodes ``text`` to what one ``json.loads`` call gives,
+    or refuses it with the same text."""
+    try:
+        expected = loads_by_json(text)
+    except DocumentSyntaxError as exc:
+        with pytest.raises(DocumentSyntaxError) as refused:
+            _loads(text)
+        assert str(refused.value) == str(exc)
+    else:
+        assert _loads(text) == expected
 
 
 def a(token):

@@ -8,10 +8,12 @@ own derivation paths so the two sides can check each other.
 from __future__ import annotations
 
 import itertools
+import json
+import sys
 from fractions import Fraction
 
 from ncgames import Play, is_isomorphism, validate_game_morphism
-from ncgames.errors import MorphismError
+from ncgames.errors import DocumentSyntaxError, MorphismError
 from ncgames.labels import Atom, Seq, SetLabel, label_key, token_key
 
 
@@ -393,3 +395,19 @@ def label_of_spec(spec):
     """The node label a document's node spec names."""
     (kind, value), = spec.items()
     return {"atom": Atom, "seq": lambda v: Seq(tuple(v)), "set": SetLabel}[kind](value)
+
+
+def loads_by_json(text):
+    """A document's text decoded by one ``json.loads`` call, each object
+    decoded on its own, or the ``DocumentSyntaxError`` the reader raises
+    when that call fails."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:
+        raise DocumentSyntaxError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise DocumentSyntaxError("document nests too deeply") from exc

@@ -189,7 +189,7 @@ def fresh_process(workdir, argv, text=True, **env):
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = package_root + (os.pathsep + inherited if inherited else "")
     return subprocess.run(
-        [sys.executable, "-m", "ncgames.cli", *argv],
+        [sys.executable, "-B", "-m", "ncgames.cli", *argv],  # writing no bytecode
         cwd=workdir,
         env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", **env},
         capture_output=True,
@@ -517,7 +517,7 @@ class TestIso:
         assert out.startswith("error:")
 
     def test_iso_check_decodes_the_text_once(self, workdir, capsys, monkeypatch):
-        from ncgames import identity_morphism, load_game, serialize_morphism
+        from ncgames import cli, documents, identity_morphism, load_game, serialize_morphism
 
         witness_path = workdir / "self.witness"
         run(capsys, "iso", workdir / "classroom.game", workdir / "classroom.game",
@@ -526,9 +526,16 @@ class TestIso:
         morphism_path.write_text(
             serialize_morphism(identity_morphism(load_game(workdir / "classroom.game")))
         )
-        decodes = []
-        loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda *a, **k: decodes.append(1) or loads(*a, **k))
+        # one decode per command, through ``documents._loads``; a valid
+        # document never reaches ``json.loads``
+        decodes, fallbacks = [], []
+        loads, json_loads = documents._loads, json.loads
+        counted = lambda text: decodes.append(1) or loads(text)  # noqa: E731
+        monkeypatch.setattr(documents, "_loads", counted)
+        monkeypatch.setattr(cli, "_loads", counted)
+        monkeypatch.setattr(
+            json, "loads", lambda *a, **k: fallbacks.append(1) or json_loads(*a, **k)
+        )
         for path, expected in (
             (witness_path, "valid isomorphism witness\n"),
             (morphism_path, "valid isomorphism\n"),
@@ -536,6 +543,7 @@ class TestIso:
             decodes.clear()
             assert run(capsys, "iso-check", path) == (0, expected)
             assert len(decodes) == 1, path
+        assert not fallbacks
 
     def test_iso_check_malformed_text(self, workdir, capsys):
         path = workdir / "bad.witness"

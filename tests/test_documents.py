@@ -1,5 +1,6 @@
 """Game and morphism documents: parsing, canonical serialization, errors."""
 
+import gc
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,9 @@ from ncgames.transforms import (
     canonicalize,
     to_choice_sequence,
 )
+
+import test_golden_outputs as golden
+from conftest import assert_reads_as_json_loads
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -621,3 +625,81 @@ class TestGameReferences:
         assert str(err.value) == (
             "SyntaxError: morphism document field 'source' has the wrong shape"
         )
+
+
+class TestLoads:
+    """The reader decodes what ``json.loads`` decodes, and an embedded
+    game whose text repeats an earlier one is decoded once and shared."""
+
+    def test_every_written_document_reads_as_json_loads(self, tmp_path):
+        golden.outputs(tmp_path)
+        paths = sorted(tmp_path.iterdir()) + sorted(FIXTURES.iterdir())
+        assert sum(path.suffix in (".game", ".morphism", ".witness") for path in paths) > 40
+        for path in paths:
+            assert_reads_as_json_loads(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("text", [
+        ' {"a": {"b": {"c": []}}, "d": {"b": {"c": []}}, "e": {"b": {"c": []} } } ',
+        '{"a": {"x": 1}, "b": {"x": 12}, "c": {"x": 1} , "d": {"x":1}}',
+        '{"a": 1, "a": {"b": 2}, "b": {}, "c": {}}',
+        '{"a": {"b": 1}} x', '\ufeff{}', "[]", "{}", "{", '{"a": 1', '{"a": {"b": 1',
+        '{"a": 1,}', '{"a" 1}', '{"a": 1 "b": 2}', '{"a": 1 x"b": 2}', "{1: 2}",
+        '{"a": NaN, "b": -Infinity}',
+        '{"a": {"b": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+        '{"a": {"b": ' + "1" * 5000 + "}}",
+    ])
+    def test_edge_texts_read_as_json_loads(self, text):
+        assert_reads_as_json_loads(text)
+
+    @staticmethod
+    def _canonical(classroom_text):
+        return canonicalize(parse_game(classroom_text))
+
+    def test_a_repeated_game_is_decoded_once(self, classroom_text):
+        text = serialize_witness(self._canonical(classroom_text).witness)
+        doc = documents._loads(text)
+        assert doc == json.loads(text)
+        assert doc["morphism"]["target"] is doc["inverse"]["source"]
+        assert doc["morphism"]["source"] is doc["inverse"]["target"]
+
+    def _witness(self, classroom_text, first: str, second: str) -> str:
+        """The canonical witness of the classroom game, its canonical game
+        written as ``first`` in the morphism and ``second`` in the inverse."""
+        doc = json.loads(serialize_witness(self._canonical(classroom_text).witness))
+        doc["morphism"]["target"], doc["inverse"]["source"] = "@first", "@second"
+        text = json.dumps(doc, indent=2)
+        return text.replace('"@first"', first).replace('"@second"', second)
+
+    def test_copies_that_differ_in_whitespace_are_equal_and_unshared(self, classroom_text):
+        game = json.loads(serialize_game(self._canonical(classroom_text).game))
+        text = self._witness(classroom_text, json.dumps(game, indent=2), json.dumps(game))
+        doc = documents._loads(text)
+        assert doc == json.loads(text)
+        target, source = doc["morphism"]["target"], doc["inverse"]["source"]
+        assert target == source and target is not source
+        assert doc["morphism"]["source"] is doc["inverse"]["target"]
+        assert serialize_witness(parse_witness(text)) == serialize_witness(
+            self._canonical(classroom_text).witness
+        )
+
+    @pytest.mark.parametrize("where", ["head", "tail"])
+    def test_copies_that_differ_in_one_token_are_not_shared(self, classroom_text, where):
+        game = json.dumps(json.loads(serialize_game(self._canonical(classroom_text).game)))
+        # one character of the first or of the last text token, changed
+        k = game.index('"ncg/1"') + 5 if where == "head" else game.rindex('"') - 1
+        other = game[:k] + ("8" if game[k] == "9" else "9") + game[k + 1:]
+        text = self._witness(classroom_text, game, other)
+        doc = documents._loads(text)
+        assert doc == json.loads(text)
+        assert doc["morphism"]["target"] != doc["inverse"]["source"]
+
+    def test_a_decoded_document_is_freed_by_reference_count(self, classroom_text):
+        # the decoder keeps no reference cycle, so a collection finds nothing
+        text = serialize_witness(self._canonical(classroom_text).witness)
+        gc.collect()
+        gc.disable()
+        try:
+            documents._loads(text)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -322,7 +322,7 @@ class TestOrders:
         results = set()
         for seed in ("0", "1", "2", "3", "4"):
             result = subprocess.run(
-                [sys.executable, "-c", script],
+                [sys.executable, "-B", "-c", script],  # writing no bytecode
                 env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
                 capture_output=True,
                 text=True,

@@ -1,5 +1,6 @@
 """Fuzzing the document readers: a mutated game, morphism or witness
-document either parses or raises an ``NcgError``, never anything else.
+document either parses or raises an ``NcgError``, never anything else,
+and its text decodes as one ``json.loads`` call decodes it.
 
 Mutations start from the fixture games and from a morphism and a
 witness written by the library, so most mutants get past the JSON
@@ -27,6 +28,8 @@ from ncgames import (
     serialize_witness,
 )
 from ncgames.transforms import canonicalize, to_choice_sequence
+
+from conftest import assert_reads_as_json_loads
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -104,6 +107,7 @@ def mutants(draw, kind):
 
 
 def _parses_or_refuses(kind, text, base_dir):
+    assert_reads_as_json_loads(text)
     try:
         PARSERS[kind](text) if kind == "game" else PARSERS[kind](text, base_dir=base_dir)
     except NcgError as exc:

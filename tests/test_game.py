@@ -520,6 +520,17 @@ class TestSubgame:
         )
         assert is_subgame(sub, split_information_game)
 
+    @pytest.mark.parametrize("root", [1, 3, 4])
+    def test_each_play_is_priced_as_its_extension(self, split_information_game, root):
+        # the plays below 3 or 4 are not the first plays of the game
+        g = split_information_game
+        sub = subgame_at(g, a(root))
+        for i in g.players:
+            assert {z.end: u for z, u in sub.utilities[i].items()} == {
+                end: g.utilities[i][g.tree.play_by_end[end]] for end in sub.tree.play_by_end
+            }
+        assert is_subgame(sub, g)
+
     def test_perturbed_utility_breaks_subgame(self, split_information_game):
         sub = subgame_at(split_information_game, a(1))
         table = {

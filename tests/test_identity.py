@@ -25,6 +25,7 @@ from ncgames import (
     Form,
     FormMorphism,
     Game,
+    GameError,
     GameMorphism,
     IsoWitness,
     MorphismError,
@@ -261,6 +262,25 @@ class TestEqualityAndHash:
         g = make()
         action(g)
         assert {"children_map", "decision_nodes"}.isdisjoint(vars(g.tree))
+
+    def test_subgame_reads_only_the_kept_ids(self):
+        # the up-set, the kept triples and the prices come from the id
+        # cores, so no label-keyed view of the outer game is built
+        def built_views(g) -> list:
+            views = [(g.tree, "rank"), (g.tree, "play_by_end"), (g.preform, "op"), (g, "utilities")]
+            return [name for value, name in views if name in vars(value)]
+
+        # a parsed game's atoms are text
+        classroom = parse_game(serialize_game(make_classroom_game()))
+        for t_star in ("1", "3"):  # each up-set cuts the set {3, 4}
+            with pytest.raises(GameError) as refused:
+                subgame_at(classroom, Atom(t_star))
+            assert refused.value.code == "InformationSetCut"
+        split = make_split_information_game()
+        g = parse_game(serialize_game(split))
+        text = serialize_game(subgame_at(g, Atom("1")))
+        assert built_views(classroom) == built_views(g) == []
+        assert text == serialize_game(subgame_at(split, a(1)))
 
     def test_views_follow_a_replaced_map(self):
         m = identity_morphism(make_classroom_game())

@@ -151,7 +151,7 @@ class TestCopyAndPickle:
         results = []
         for script, seed in ((dump, "1"), (load, "2")):
             result = subprocess.run(
-                [sys.executable, "-c", script, str(pickled)],
+                [sys.executable, "-B", "-c", script, str(pickled)],  # writing no bytecode
                 env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
                 capture_output=True,
                 text=True,

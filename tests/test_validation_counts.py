@@ -8,7 +8,9 @@ times that grows with the nodes, not with the length of their plays:
 reading the node list and the edges hashes each declared label once.
 Parsing hashes no play and each distinct utility once, and solving and
 checking equilibria hash no label, since they read utilities by play
-position; these counts do not depend on the hash seed."""
+position; these counts do not depend on the hash seed.  Reading a
+witness decodes each of its games once, and writing one calls the
+generic encoder as often at any size."""
 
 import json
 import os
@@ -155,6 +157,30 @@ def test_iso_check_of_a_witness_validates_once(
     assert cli_dispatch(["iso-check", str(path)]) == 0
     assert capsys.readouterr().out == "valid isomorphism witness\n"
     assert len(game_validations) == 1
+
+
+def canonical_centipede_witness(stages: int):
+    doc = random_games.centipede_document(random.Random(stages), stages)
+    return canonicalize(parse_game(json.dumps(doc))).witness
+
+
+def test_a_witness_decodes_each_of_its_games_once():
+    # each game of a witness is written twice, and read once
+    doc = ncgames.documents._loads(serialize_witness(canonical_centipede_witness(60)))
+    assert doc["morphism"]["target"] is doc["inverse"]["source"]
+    assert doc["morphism"]["source"] is doc["inverse"]["target"]
+
+
+def test_writing_a_witness_encodes_as_many_values_at_any_size(monkeypatch):
+    # specs, edges, rows and tau pairs come from templates; the encoder
+    # formats only the small maps, which have one entry per player
+    counts = []
+    for stages in (15, 30):
+        witness = canonical_centipede_witness(stages)
+        calls = count_calls(monkeypatch, [ncgames.documents], "_encode")
+        serialize_witness(witness)
+        counts.append(len(calls))
+    assert 0 < counts[1] <= counts[0]
 
 
 def test_preform_validation_skips_the_tree_validator(classroom_game, tree_validations):
@@ -339,7 +365,7 @@ def test_hash_counts_do_not_depend_on_the_hash_seed():
     results = set()
     for seed in ("0", "1", "2", "3", "4"):
         result = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-B", "-c", script],  # writing no bytecode
             env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
             capture_output=True,
             text=True,

@@ -38,7 +38,7 @@ from .game import (
 from .form import build_form
 from .labels import Atom, NodeLabel, Seq, SetLabel
 from .preform import _preform_from_ids
-from .tree import _NodeIds
+from .tree import _NodeIds, _play_with_ids
 
 __all__ = [
     "FORMAT_VERSION",
@@ -279,9 +279,8 @@ def _read_rows(rows, players, read, labels, rational, plays, node_specs) -> dict
             ids = None
         if ids is None or play_specs != list(map(node_specs.__getitem__, ids)):
             found = frozenset(map(read, play_specs))
-            slot, ids = plays.get(next((k for k in found if k in plays), None), (-1, ()))
-            if slot < 0 or len(ids) != len(found) or not found.issuperset(ids):
-                slot = frozenset(map(labels.__getitem__, found))
+            end = _play_with_ids(plays, found)
+            slot = frozenset(map(labels.__getitem__, found)) if end is None else plays[end][0]
         values = _require(entry, "values", dict, "utility entry")
         for player, value in values.items():
             row = utilities.setdefault(player, {})

@@ -41,8 +41,8 @@ from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
     _pools,
+    _preform_from_ids,
     _walk,
-    build_preform,
     is_grand_strategy,
     render_strategy,
 )
@@ -52,6 +52,7 @@ from .tree import (
     Tree,
     TreeMorphism,
     _is_bijection,
+    _play_with_ids,
     _up_set,
     check_composable,
     is_tree_isomorphism,
@@ -121,16 +122,15 @@ class Game(Structural):
         return self.tree.plays
 
     def play_with_members(self, members: Iterable[NodeLabel]) -> Optional[Play]:
-        return _play_with_nodes(self.tree, frozenset(members))
+        tree = self.tree
+        end = _play_with_ids(tree._ids.plays, _node_ids(tree, members))
+        return None if end is None else tree.play_by_end[tree._ids.labels[end]]
 
 
-def _play_with_nodes(tree: Tree, nodes: frozenset) -> Optional[Play]:
-    """The play of ``tree`` whose nodes are ``nodes``, if any, found
-    through its end: a play's one node that precedes nothing."""
-    play = tree.play_by_end.get(next((t for t in nodes if t in tree.play_by_end), None))
-    if play is None or len(play.path) != len(nodes) or not nodes.issuperset(play.path):
-        return None
-    return play
+def _node_ids(tree: Tree, members: Iterable[NodeLabel]) -> frozenset:
+    """The ids of ``members``, -1 standing for any that is no node."""
+    order, rank = tree._ids.order, tree.rank
+    return frozenset(order[rank[t]] if t in rank else -1 for t in members)
 
 
 def _as_fraction(value) -> Fraction:
@@ -154,19 +154,16 @@ def _as_fraction(value) -> Fraction:
 def build_game(form: Form, utilities: Mapping) -> Game:
     """Validate a utility table: every play priced for every player.
 
-    A table is keyed by plays, or by the sets of their nodes; a key that
-    is a play of this very tree is taken as it is."""
+    A table is keyed by plays, or by the sets of their nodes, each found
+    by the ids of its nodes."""
     tree = form.preform.tree
-    position = {id(z): p for p, z in enumerate(tree.play_by_end.values())}
+    plays = tree._ids.plays
 
     def slots(row):
         for key, value in row.items():
-            p = position.get(id(key))
-            if p is None:
-                nodes = frozenset(key.path if isinstance(key, Play) else key)
-                play = _play_with_nodes(tree, nodes)
-                p = nodes if play is None else position[id(play)]
-            yield p, value
+            nodes = key.path if isinstance(key, Play) else key
+            end = _play_with_ids(plays, _node_ids(tree, nodes))
+            yield (frozenset(nodes) if end is None else plays[end][0]), value
 
     return _priced(form, {i: slots(row) for i, row in utilities.items()})
 
@@ -445,12 +442,11 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
     structure is the restriction, with every player retained (possibly
     vacuous) and each play priced as its extension in ``g``.  The
     up-set, the kept triples and the prices are read from the id cores
-    of ``g``, so no label-keyed view of it is built.
+    of ``g``, so no label-keyed view of it is built, and the subgame's
+    node ids number the up-set in walk order.
     """
-    ids, pf = g.tree._ids, g.preform
-    labels, up = ids.labels, _up_set(g.tree, t_star)
-    inside = frozenset(up)
-    cut = [k for k, h in enumerate(pf._ids.sets) if h & inside and not h <= inside]
+    ids, pf, up = g.tree._ids, g.preform, _up_set(g.tree, t_star)
+    cut = [k for k, h in enumerate(pf._ids.sets) if 0 < sum(t in up for t in h) < len(h)]
     if cut:
         h = pf.info_set_order[cut[0]][0]
         listing = ",".join(sorted((render_label(t) for t in h)))
@@ -460,20 +456,16 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
             f"{render_label(t_star)}",
             information_set=h,
         )
-    triples = [
-        (labels[t], c, labels[t_next]) for (t, c), t_next in pf._ids.op.items() if t in inside
-    ]
+    triples = [(up[t], c, up[t_next]) for (t, c), t_next in pf._ids.op.items() if t in up]
     kept_choices = frozenset(c for _t, c, _n in triples)
-    preform = build_preform(map(labels.__getitem__, up), kept_choices, triples)
+    labels = list(map(ids.labels.__getitem__, up))
+    preform = _preform_from_ids(frozenset(labels), labels, kept_choices, triples)
     assignment = {i: g.form.assignment[i] & kept_choices for i in g.players}
     form = build_form(preform, g.players, assignment)
     # a subgame play extends to the outer play with the same end
-    outer = {labels[e]: ids.plays[e][0] for e in up if e in ids.plays}
-    sub = preform.tree._ids
-    slots = [(q, outer[sub.labels[e]]) for e, (q, _path) in sub.plays.items()]
-    return _priced(form, {
-        i: [(q, values[p]) for q, p in slots] for i, values in g._ids.values.items()
-    })
+    in_g, values = list(up), g._ids.values  # each subgame id's id in ``g``
+    outer = [ids.plays[in_g[e]][0] for e in preform.tree._ids.plays]  # by subgame play
+    return _priced(form, {i: enumerate(map(values[i].__getitem__, outer)) for i in values})
 
 
 def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> bool:
@@ -583,10 +575,7 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
         mine = [k for k, j in enumerate(owner_at) if j == i]
         if not mine:  # a vacuous player has one strategy, so no deviation
             continue
-        # keyed by lowest terms, which equal fractions share and which
-        # hash faster than a ``Fraction``
-        rank = {(u.numerator, u.denominator): r for r, u in enumerate(sorted(g.ranges[i]))}
-        value = [rank[u.numerator, u.denominator] for u in g._ids.values[i]]
+        value = _utility_ranks(g, i)
         payoff = [value[p] for p in outcome]
         own = _offsets(mine, stride, radix)
         rest = [k for k, j in enumerate(owner_at) if j != i]
@@ -602,27 +591,34 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     )
 
 
+def _utility_ranks(g: Game, i: Token) -> list:
+    """Player ``i``'s utility of each play, by play position, as its rank
+    in the player's range, which orders utilities exactly; keyed by lowest
+    terms, which equal fractions share and which hash faster than a ``Fraction``."""
+    rank = {(u.numerator, u.denominator): r for r, u in enumerate(sorted(g.ranges[i]))}
+    return [rank[u.numerator, u.denominator] for u in g._ids.values[i]]
+
+
 def _node_classes(g: Game, table: Dict[tuple, int]) -> Dict[NodeLabel, int]:
     """Each node's class, numbered in ``table``, which both games share: a
     leaf's is its players' sorted (utility rank, choices owned) pairs, a
     decision node's its information set's size and its children's sorted
-    classes.  Isomorphisms keep classes; the numbers follow set iteration
-    order, so only their equality is meaningful.
+    classes.  Isomorphisms keep classes; the numbers follow the order of
+    the node ids, so only their equality is meaningful.
     """
-    tree, prev, info_set_of = g.tree, g.preform.prev_choice, g.preform.info_set_of
-    leaves: Dict[NodeLabel, list] = {t: [] for t in tree.play_by_end}
-    for i, row in g.utilities.items():
-        rank = {u: k for k, u in enumerate(sorted(g.ranges[i]))}
-        for z, u in row.items():
-            leaves[z.end].append((rank[u], len(g.form.assignment[i])))
-    classes = {t: table.setdefault(tuple(sorted(k)), len(table)) for t, k in leaves.items()}
-    # deepest first, so every child's class is known
-    for t in reversed(tree.stage_order):
-        kids = tree.children(t)
+    ids, sets, set_at = g.tree._ids, g.preform._ids.sets, g.preform._ids.set_at
+    ranks = [_utility_ranks(g, i) for i in g.form.player_rank]
+    owned = [len(g.form.assignment[i]) for i in g.form.player_rank]
+    classes = [0] * len(set_at)
+    for k in reversed(ids.walk):  # each node after its children
+        kids = ids.children[k]
         if kids:
-            key = (len(info_set_of[prev[kids[0]]]), tuple(sorted(map(classes.get, kids))))
-            classes[t] = table.setdefault(key, len(table))
-    return classes
+            key = (len(sets[set_at[k]]), tuple(sorted(map(classes.__getitem__, kids))))
+        else:
+            p = ids.plays[k][0]
+            key = tuple(sorted((rank[p], n) for rank, n in zip(ranks, owned)))
+        classes[k] = table.setdefault(key, len(table))
+    return dict(zip(ids.labels, classes))
 
 
 def find_isomorphism(

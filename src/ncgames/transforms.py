@@ -21,13 +21,12 @@ from .game import (
     GameMorphism,
     IsoWitness,
     _as_fraction,
-    build_game,
+    _priced,
     identity_morphism,
     is_isomorphism,
 )
 from .labels import NodeLabel, Seq, SetLabel, Token, render_token
-from .preform import build_preform
-from .tree import TreeMorphism
+from .preform import _preform_from_ids
 
 __all__ = [
     "StyleReport",
@@ -73,16 +72,16 @@ def _absentminded(g: Game) -> bool:
     return False
 
 
-def _uses_labels(g: Game, empty: NodeLabel, extend) -> bool:
-    """Whether every node is a label of ``empty``'s kind, ``empty`` among
-    them, and each successor's choices are ``extend(choices, c)`` of its
-    node's choices and the choice ``c`` leading to it."""
-    nodes, kind = g.tree.nodes, type(empty)
+def _uses_labels(g: Game, kind: type) -> bool:
+    """Whether every node is a label of ``kind``, the empty one among
+    them, and each successor is the label of ``kind`` of its node's
+    choices followed by the choice leading to it."""
+    labels = g.tree._ids.labels
     return (
-        all(isinstance(t, kind) for t in nodes)
-        and empty in nodes
+        all(isinstance(t, kind) for t in labels)
+        and kind() in g.tree.nodes
         and all(
-            t_next.choices == extend(t.choices, c) for (t, c), t_next in g.preform.op.items()
+            labels[u] == kind((*labels[t].choices, c)) for (t, c), u in g.preform._ids.op.items()
         )
     )
 
@@ -92,18 +91,19 @@ def style_report(g: Game) -> StyleReport:
     return StyleReport(
         no_absentmindedness=not _absentminded(g),
         perfect_information=all(len(h) == 1 for h in g.preform.info_sets),
-        uses_choice_sequences=_uses_labels(g, Seq(()), lambda cs, c: cs + (c,)),
-        uses_choice_sets=_uses_labels(g, SetLabel(frozenset()), lambda cs, c: cs | {c}),
+        uses_choice_sequences=_uses_labels(g, Seq),
+        uses_choice_sets=_uses_labels(g, SetLabel),
     )
 
 
-def _histories(g: Game) -> Dict[NodeLabel, tuple]:
-    """Each node's sequence of choices from the root."""
-    tree, prev = g.tree, g.preform.prev_choice
-    histories = {tree.root: ()}
-    for t in tree.stage_order[1:]:  # the root is the one node of stage 0
-        histories[t] = histories[tree.pred[t]] + (prev[t],)
-    return histories
+def _histories(g: Game, kind: type) -> Dict[NodeLabel, NodeLabel]:
+    """Each node mapped to the label of ``kind`` of its choices from the root."""
+    ids = g.tree._ids
+    prev = {u: c for (_t, c), u in g.preform._ids.op.items()}
+    histories = [()] * len(ids.walk)
+    for k in ids.walk[1:]:  # each node after its parent, the root first
+        histories[k] = histories[ids.parent[k]] + (prev[k],)
+    return dict(zip(ids.labels, map(kind, histories)))
 
 
 def to_choice_sequence(g: Game) -> Tuple[Game, IsoWitness]:
@@ -112,7 +112,7 @@ def to_choice_sequence(g: Game) -> Tuple[Game, IsoWitness]:
     Total on valid games, absentminded ones included; the root becomes
     the empty sequence.
     """
-    return relabel_game(g, node_map={t: Seq(h) for t, h in _histories(g).items()})
+    return relabel_game(g, node_map=_histories(g, Seq))
 
 
 def to_choice_set(g: Game) -> Tuple[Game, IsoWitness]:
@@ -122,21 +122,18 @@ def to_choice_set(g: Game) -> Tuple[Game, IsoWitness]:
     the collapse is injective, and :func:`relabel_game` rejects the
     node map with ``NotInjective`` if it ever is not.
     """
-    report = style_report(g)
-    if not report.uses_choice_sequences:
+    if not _uses_labels(g, Seq):
         raise TransformError(
             "NotChoiceSequenceGame",
             "nodes must be choice sequences before collapsing them to sets",
         )
-    if not report.no_absentmindedness:
+    if _absentminded(g):
         raise TransformError(
             "Absentminded",
             "an information set contains two comparable nodes, so distinct "
             "histories would collapse to one set",
         )
-    return relabel_game(
-        g, node_map={t: SetLabel(frozenset(t.choices)) for t in g.tree.nodes}
-    )
+    return relabel_game(g, node_map={t: SetLabel(t.choices) for t in g.tree.nodes})
 
 
 def canonicalize(g: Game) -> CanonicalForm:
@@ -147,12 +144,9 @@ def canonicalize(g: Game) -> CanonicalForm:
     the input decides it); the ``style`` field reports which style was
     reached instead of failing on absentminded inputs.
     """
-    histories = _histories(g)
-    if not _absentminded(g):
-        node_map = {t: SetLabel(frozenset(h)) for t, h in histories.items()}
-        return CanonicalForm(*relabel_game(g, node_map=node_map), "choice-set")
-    node_map = {t: Seq(h) for t, h in histories.items()}
-    return CanonicalForm(*relabel_game(g, node_map=node_map), "choice-sequence")
+    if _absentminded(g):
+        return CanonicalForm(*to_choice_sequence(g), "choice-sequence")
+    return CanonicalForm(*relabel_game(g, node_map=_histories(g, SetLabel)), "choice-set")
 
 
 def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
@@ -197,10 +191,8 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
                     player=i,
                 )
         beta[i] = bmap
-    utilities = {
-        i: {z: beta[i][g.utilities[i][z]] for z in g.plays} for i in g.players
-    }
-    converted = build_game(g.form, utilities)
+    rows = {i: enumerate(map(beta[i].__getitem__, v)) for i, v in g._ids.values.items()}
+    converted = _priced(g.form, rows)
     # identity structure maps, strictly increasing utility maps: an isomorphism
     morphism = replace(identity_morphism(g), target=converted, beta=beta)
     return converted, is_isomorphism(morphism)
@@ -215,7 +207,8 @@ def relabel_game(
     """Rename nodes, choices, and players; the renaming is an isomorphism.
 
     Maps default to the identity and must be injective on their
-    domains.
+    domains.  The converted game keeps the node ids of ``g`` under their
+    new labels, and each play keeps its utilities.
     """
     tau = {t: (node_map or {}).get(t, t) for t in g.tree.nodes}
     delta = {c: (choice_map or {}).get(c, c) for c in g.preform.choices}
@@ -225,19 +218,19 @@ def relabel_game(
             raise TransformError(
                 "NotInjective", f"{name} relabeling identifies two distinct {name}s"
             )
-    triples = [
-        (tau[t], delta[c], tau[t_next]) for (t, c), t_next in g.preform.op.items()
-    ]
-    preform = build_preform(set(tau.values()), set(delta.values()), triples)
+    triples = ((t, delta[c], u) for (t, c), u in g.preform._ids.op.items())
+    labels = list(map(tau.__getitem__, g.tree._ids.labels))
+    # through sets, so nodes and choices iterate as ``build_preform``'s would
+    preform = _preform_from_ids(
+        frozenset(set(tau.values())), labels, frozenset(set(delta.values())), triples
+    )
     assignment = {
         iota[i]: frozenset(delta[c] for c in g.form.assignment[i]) for i in g.players
     }
     form = build_form(preform, set(iota.values()), assignment)
-    images = TreeMorphism(g.tree, preform.tree, tau).play_images.items()
-    utilities = {
-        iota[i]: {image: g.utilities[i][z] for z, image in images} for i in g.players
-    }
-    converted = build_game(form, utilities)
+    plays = preform.tree._ids.plays
+    moved = [plays[end][0] for end in g.tree._ids.plays]  # each play's position there
+    converted = _priced(form, {iota[i]: zip(moved, v) for i, v in g._ids.values.items()})
     # a bijective relabelling of a valid game: a morphism by construction
     beta = {i: {u: u for u in g.ranges[i]} for i in g.players}
     return converted, is_isomorphism(GameMorphism(g, converted, iota, tau, delta, beta))

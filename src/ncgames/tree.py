@@ -378,9 +378,19 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
     )
 
 
-def _up_set(tree: Tree, t_star: NodeLabel) -> list:
-    """The ids of the up-set of ``t_star``, its stretch of the walk,
-    ``t_star`` first; ``t_star`` must be a decision node of ``tree``."""
+def _play_with_ids(plays: Mapping, found: frozenset) -> Optional[int]:
+    """The end of the play whose node ids are ``found``, if any, found
+    through its end: a play's one node that precedes nothing.  ``plays``
+    is a tree's ``_ids.plays``."""
+    end = next((k for k in found if k in plays), None)
+    path = () if end is None else plays[end][1]
+    return end if len(path) == len(found) and found.issuperset(path) else None
+
+
+def _up_set(tree: Tree, t_star: NodeLabel) -> dict:
+    """The up-set of ``t_star``, its stretch of the walk, numbered in walk
+    order: each of its ids mapped to its position there, ``t_star`` at 0.
+    ``t_star`` must be a decision node of ``tree``."""
     if t_star not in tree.nodes:
         raise TreeError("UnknownNode", f"{render_label(t_star)} is not a node of this tree")
     ids = tree._ids
@@ -390,18 +400,18 @@ def _up_set(tree: Tree, t_star: NodeLabel) -> list:
             "NotDecisionNode",
             f"{render_label(t_star)} has no successors, so its up-set is a single node",
         )
-    return ids.walk[ids.enter[k]:ids.leave[k]]
+    up = ids.walk[ids.enter[k]:ids.leave[k]]
+    return dict(zip(up, range(len(up))))
 
 
 def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:
-    """The tree on the up-set of ``t_star``, which becomes the new root."""
-    sub_nodes = frozenset(map(tree._ids.labels.__getitem__, _up_set(tree, t_star)))
-    sub_pairs = [
-        (child, parent)
-        for child, parent in tree.pred.items()
-        if child in sub_nodes and child != t_star
-    ]
-    return build_tree(sub_nodes, sub_pairs)
+    """The tree on the up-set of ``t_star``, which becomes the new root;
+    its node ids number the up-set in walk order."""
+    ids, up = tree._ids, _up_set(tree, t_star)
+    labels = list(map(ids.labels.__getitem__, up))
+    # each node of the up-set but its root, at position 0, with its parent
+    pairs = ((up[k], up[ids.parent[k]]) for k in ids.edges if up.get(k, 0))
+    return _tree_from_ids(frozenset(labels), labels, pairs)
 
 
 @dataclass(frozen=True, eq=False)

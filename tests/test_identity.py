@@ -17,6 +17,8 @@ and every composition rejects morphisms that do not meet.
 """
 
 import dataclasses
+import json
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -51,6 +53,7 @@ from ncgames import (
     parse_game,
     serialize_game,
     subgame_at,
+    subtree_at,
     validate_form_morphism,
     validate_game_morphism,
     validate_preform_morphism,
@@ -59,7 +62,17 @@ from ncgames import (
 import ncgames.cli
 from ncgames.cli import cli_dispatch
 from ncgames.labels import Atom
-from ncgames.transforms import CanonicalForm, StyleReport, canonicalize, style_report
+from ncgames.transforms import (
+    CanonicalForm,
+    StyleReport,
+    apply_utility_transform,
+    canonicalize,
+    style_report,
+    to_choice_sequence,
+    to_choice_set,
+)
+
+import random_games
 
 from conftest import (
     CLASSROOM_CHOICES,
@@ -281,6 +294,38 @@ class TestEqualityAndHash:
         text = serialize_game(subgame_at(g, Atom("1")))
         assert built_views(classroom) == built_views(g) == []
         assert text == serialize_game(subgame_at(split, a(1)))
+
+    @pytest.mark.parametrize(
+        "sequences, action",
+        [
+            (False, canonicalize),
+            (False, to_choice_sequence),
+            (True, to_choice_set),
+            (False, style_report),
+            (True, style_report),
+            (False, lambda g: apply_utility_transform(
+                g, {i: {u: 2 * u for u in g.ranges[i]} for i in g.players}
+            )),
+            (False, lambda g: subgame_at(g, Atom("d20"))),
+            (False, lambda g: subtree_at(g.tree, Atom("d20"))),
+        ],
+        ids=[
+            "canonicalize", "to_choice_sequence", "to_choice_set", "style_report",
+            "style_report of choice sequences", "apply_utility_transform", "subgame_at",
+            "subtree_at",
+        ],
+    )
+    def test_derived_games_build_no_label_keyed_view_of_their_input(self, sequences, action):
+        # conversions and restrictions are built on the id core of their
+        # input; a parsed game has built none of its views
+        g = parse_game(json.dumps(random_games.centipede_document(random.Random(40), 40)))
+        if sequences:
+            g = parse_game(serialize_game(to_choice_sequence(g)[0]))
+        assert action(g)
+        views = ("pred", "rank", "play_by_end", "plays", "stage_order", "children_map",
+                 "op", "prev_choice", "feas", "utilities")
+        assert [name for part in (g.tree, g.preform, g) for name in views
+                if name in vars(part)] == []
 
     def test_views_follow_a_replaced_map(self):
         m = identity_morphism(make_classroom_game())

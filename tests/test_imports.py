@@ -2,7 +2,8 @@
 its ``__all__``, so no import outlives the code that needed it, and
 every name in an ``__all__`` is bound, so none outlives its definition.
 The test oracles read none of the fast paths they are compared with,
-and the library validates morphisms only where the README says it does."""
+the library validates morphisms only where the README says it does, and
+no library function builds from labels through the public builders."""
 
 import ast
 import importlib
@@ -27,7 +28,7 @@ FAST_PATHS = {
     "descendants",
     "_walk",
     "_node_classes",
-    "_play_with_nodes",
+    "_play_with_ids",
     "_ids",
 }
 
@@ -87,16 +88,25 @@ VALIDATOR_CALLERS = {
 VALIDATORS = {f"validate_{layer}_morphism" for layer in ("tree", "preform", "form", "game")}
 
 
-def test_morphisms_are_validated_only_by_the_listed_callers():
+def callers(names) -> dict:
+    """(module, top-level function) -> its calls of ``names``, in order."""
     calls = {}
     for path in MODULES:
         for top in ast.parse(path.read_text()).body:
             caller = (path.stem, getattr(top, "name", None))
             for node in ast.walk(top):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in VALIDATORS
-                ):
-                    calls.setdefault(caller, []).append(node.func.id)
-    assert calls == VALIDATOR_CALLERS
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in names:
+                        calls.setdefault(caller, []).append(name)
+    return calls
+
+
+def test_morphisms_are_validated_only_by_the_listed_callers():
+    assert callers(VALIDATORS) == VALIDATOR_CALLERS
+
+
+def test_no_library_function_calls_a_label_builder():
+    # labels enter through these builders and the document reader only;
+    # conversions and restrictions build on the id core of their input
+    assert callers({"build_tree", "build_preform", "build_game"}) == {}

@@ -8,7 +8,8 @@ times that grows with the nodes, not with the length of their plays:
 reading the node list and the edges hashes each declared label once.
 Parsing hashes no play and each distinct utility once, and solving and
 checking equilibria hash no label, since they read utilities by play
-position; these counts do not depend on the hash seed.  Reading a
+position; these counts do not depend on the hash seed.  Canonicalizing
+hashes no play, and the iso search's node classes no utility.  Reading a
 witness decodes each of its games once, and writing one calls the
 generic encoder as often at any size."""
 
@@ -51,6 +52,7 @@ from ncgames import (
     validate_preform_morphism,
 )
 from ncgames.cli import cli_dispatch
+from ncgames.game import _node_classes
 from ncgames.transforms import apply_utility_transform, canonicalize, to_choice_sequence
 
 import random_games
@@ -350,6 +352,38 @@ def test_is_nash_hashes_at_most_one_label_per_walk(depth):
     counts = stage_pooled_counts(depth)
     checking = counts["checking"]
     assert counts["walks"] > 0 and checking["play"] == checking["label"] == 0
+
+
+def parsed_centipede(stages: int):
+    return parse_game(json.dumps(random_games.centipede_document(random.Random(stages), stages)))
+
+
+def test_canonicalize_hashes_no_play_and_labels_in_proportion_to_the_nodes():
+    """The converted game is built on the input's node ids and priced by
+    play position: 688 labels at 40 stages, 1,368 at 80.  Relabelling
+    through the label-keyed builders hashed 2,020 labels and 287 plays at
+    40 stages, and 4,020 and 567 at 80."""
+    games = [parsed_centipede(stages) for stages in (40, 80)]
+    short, long = (hash_calls(lambda: canonicalize(g)) for g in games)
+    assert short["play"] == long["play"] == 0
+    assert 0 < long["label"] <= 2.1 * short["label"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        random_games.centipede_document(random.Random(40), 40),
+        random_games.stage_pooled_document(random.Random(1), 6, 3),
+    ],
+    ids=["centipede", "stage-pooled"],
+)
+def test_node_classes_hash_no_fraction(doc):
+    """Leaves are classed by utility ranks listed by play position, keyed
+    by lowest terms; keyed by ``Fraction``, the classes of the 40-stage
+    centipede hashed 119 fractions and 82 plays."""
+    g = parse_game(json.dumps(doc))
+    counts = hash_calls(lambda: _node_classes(g, {}))
+    assert counts["fraction"] == counts["play"] == 0
 
 
 def test_hash_counts_do_not_depend_on_the_hash_seed():

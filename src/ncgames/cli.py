@@ -83,9 +83,7 @@ def _cmd_derive(args) -> int:
     print("root: " + node[ids.walk[0]])
     print("decision-nodes: " + ",".join(node[k] for k in ids.order if ids.children[k]))
     print("plays:")
-    texts = [
-        "{" + ",".join(map(node.__getitem__, path)) + "}" for _p, path in ids.plays.values()
-    ]
+    texts = ["{" + ",".join(map(node.__getitem__, path)) + "}" for path in ids.paths]
     print(*texts, sep="\n")
     print("information-sets:")
     for (_h, choices), members in zip(pf.info_set_order, pf._ids.sets):

@@ -7,6 +7,12 @@ sorted, rationals in lowest terms with a positive denominator.  Parsing
 a document and serializing the result reproduces the canonical text,
 and any structural violation is reported through the name of the first
 broken rule.
+
+A game document is read without decoding most of its text: its utility
+rows, when they are its last member, are matched against the texts of
+the tree's plays (``_rows_by_text``), and only a row that matches none
+is decoded.  A document that route does not read is decoded whole and
+read as before, so every verdict and message is the same.
 """
 
 from __future__ import annotations
@@ -193,12 +199,14 @@ def _loads(text: str):
         raise DocumentSyntaxError("document nests too deeply") from exc
 
 
-def _object(text: str, at: int, levels: int, decoded: list) -> tuple:
+def _object(text: str, at: int, levels: int, decoded: list, stop=None) -> tuple:
     """The object whose text starts at ``at`` and the index past it.
     Its members are read here; a member value that is an object is one
     of ``decoded``, the (start, end, value) of each object decoded so
     far, when its text repeats that one's, and is otherwise walked the
     same way while ``levels`` remain, else decoded in one scanner call.
+    With ``stop``, the walk ends at the first member of that name, which
+    maps to the index of its value, undecoded.
     Raises on any text this walk does not read as ``json.loads`` does."""
     doc = {}
     at = _space(text, at + 1).end()
@@ -212,6 +220,9 @@ def _object(text: str, at: int, levels: int, decoded: list) -> tuple:
         if text[at] != ":":
             raise ValueError("expected a colon")
         at = _space(text, at + 1).end()
+        if key == stop:
+            doc[key] = at
+            return doc, at
         if text[at] != "{":
             value, at = _scan(text, at)
         else:
@@ -257,31 +268,36 @@ def _check_version(doc, where):
         )
 
 
-def _read_rows(rows, players, read, labels, rational, plays, node_specs) -> dict:
+def _read_rows(rows, players, read, labels, rational, plays, paths, node_specs) -> dict:
     """Each player's utility row, mapping each slot that ``_priced``
     reads to its value; each row is read once, in document order, so the
     first broken rule is the one reported.
 
-    A play is fixed by its end, so a row is looked up by the id of its
-    last spec in ``plays`` (a tree's plays by end id, each with its
-    position and id path) and priced at that position when it lists
-    exactly the specs of ``node_specs`` at its id path.  Any other row
-    is read spec by spec and priced at the position of the play with
-    its set of node ids, or keyed by its set of nodes when that is no
-    play, as every row is when ``plays`` is empty (the preform or form
-    did not build)."""
+    A row that ``_rows_by_text`` matched by its text comes as the
+    position of its play and its ``values``.  A decoded row is looked up
+    by the id of its last spec in ``plays`` (a tree's plays by end id)
+    and priced at that play's position when it lists exactly the specs
+    of ``node_specs`` at the play's id path in ``paths``.  Any other row
+    is read spec by spec and priced at the position of the play with its
+    set of node ids, or keyed by its set of nodes when that is no play,
+    as every row is when ``plays`` is empty (the preform or form did not
+    build)."""
     utilities: Dict[str, dict] = {i: {} for i in players}
     for entry in rows:
-        play_specs = _require(entry, "play", list, "utility entry")
-        try:
-            slot, ids = plays[read(play_specs[-1])]
-        except (NcgError, LookupError):  # no spec, a malformed one, or no end
-            ids = None
-        if ids is None or play_specs != list(map(node_specs.__getitem__, ids)):
-            found = frozenset(map(read, play_specs))
-            end = _play_with_ids(plays, found)
-            slot = frozenset(map(labels.__getitem__, found)) if end is None else plays[end][0]
-        values = _require(entry, "values", dict, "utility entry")
+        if type(entry) is tuple:
+            slot, values = entry
+        else:
+            play_specs = _require(entry, "play", list, "utility entry")
+            try:
+                slot = plays[read(play_specs[-1])]
+                ids = paths[slot]
+            except (NcgError, LookupError):  # no spec, a malformed one, or no end
+                ids = None
+            if ids is None or play_specs != list(map(node_specs.__getitem__, ids)):
+                found = frozenset(map(read, play_specs))
+                end = _play_with_ids(plays, paths, found)
+                slot = frozenset(map(labels.__getitem__, found)) if end is None else plays[end]
+            values = _require(entry, "values", dict, "utility entry")
         for player, value in values.items():
             row = utilities.setdefault(player, {})
             if slot in row:
@@ -290,14 +306,76 @@ def _read_rows(rows, players, read, labels, rational, plays, node_specs) -> dict
     return utilities
 
 
-def _game_from_document(doc) -> tuple:
+def _rows_by_text(text: str, at: int, paths: list, node_specs: list):
+    """The utility rows of the list whose text starts at ``at``, the last
+    member of the document ``text``, each as ``json.loads`` reads it.
+
+    Rows on one line as ``json.dumps`` writes them by default, or
+    indented as ``ncg`` writes them (``indent=2``), are matched by their
+    text when every node spec is an atom: a row whose ``play`` has
+    exactly the text of the node specs along one play's id path in
+    ``paths`` is yielded as that play's position and its decoded
+    ``values``, and none of its specs is decoded.  The plays' texts are
+    joined once, in the layout of the first row.  Every other row is
+    decoded whole by the C scanner.  Raises if the text does not close
+    the list and then the document."""
+    if text[at] != "[":
+        raise ValueError("the utilities are no list")
+    start, at = at, _space(text, at + 1).end()
+    lead = text[start + 1:at]  # none before a one-line row, else two indents
+    index: dict = {}
+    if lead in ("", "\n    ") and paths and all("atom" in spec for spec in node_specs):
+        pad = [lead[:1] + "  " * depth * bool(lead) for depth in range(6)]  # by depth
+        comma = "," if lead else ", "
+        head = "{" + pad[3] + '"play": [' + pad[4]
+        tail = pad[3] + "]" + comma + pad[3] + '"values": '
+        close, between = pad[2] + "}", comma + pad[2]
+        n_head, n_tail, n_close, n_between = map(len, (head, tail, close, between))
+        atom, closing = "{" + pad[5] + '"atom": ', pad[4] + "}"
+        spelled = [atom + _encode_str(spec["atom"]) + closing for spec in node_specs]
+        index = {
+            (comma + pad[4]).join(map(spelled.__getitem__, path)): p
+            for p, path in enumerate(paths)
+        }
+        # a row's play text is searched no further than the longest play's
+        reach = n_head + max(map(len, index)) + n_tail
+    while text[at] != "]":
+        row = None
+        if index and text.startswith(head, at):
+            end = text.find(tail, at + n_head, at + reach)
+            p = index.get(text[at + n_head:end]) if end >= 0 else None
+            if p is not None:
+                values, after = _scan(text, end + n_tail)
+                if text.startswith(close, after) and type(values) is dict:
+                    row, at = (p, values), after + n_close
+        if row is None:
+            row, at = _scan(text, at)
+        yield row
+        if index and text.startswith(between, at) and text.startswith("{", at + n_between):
+            at += n_between  # the next row, in the first row's layout
+            continue
+        at = _space(text, at).end()
+        if text[at] == ",":
+            at = _space(text, at + 1).end()
+            if text[at] == "]":
+                raise ValueError("expected a value")
+        elif text[at] != "]":
+            raise ValueError("expected a comma")
+    at = _space(text, at + 1).end()
+    if text[at] != "}" or _space(text, at + 1).end() != len(text):
+        raise ValueError("the utilities are not the document's last member")
+
+
+def _game_from_document(doc, rows_at=None) -> tuple:
     """The game a document describes and a reader of node specs that
     returns the game's own label for each of its nodes.
 
     Nodes are read as their positions in the ``nodes`` list, and edges
     as triples of them.  Utility rows are read after the preform and
     form are built, so a row can be read by its end; a fault in a row
-    is still reported before a fault of the tree."""
+    is still reported before a fault of the tree.  Given ``rows_at``, a
+    document's text and the index of its ``utilities`` list, which
+    ``doc`` lacks, the rows are read from that text by ``_rows_by_text``."""
     _check_version(doc, "game document")
     players = _require(doc, "players", list, "game document")
     if not all(isinstance(i, str) for i in players):
@@ -321,21 +399,25 @@ def _game_from_document(doc) -> tuple:
             raise DocumentSyntaxError(f"ownership of {player!r} must list choice tokens")
         assignment[player] = frozenset(choices)
 
-    rows = _require(doc, "utilities", list, "game document")
+    if rows_at is None:
+        rows = _require(doc, "utilities", list, "game document")
     choices = frozenset(c for _t, c, _n in triples) | frozenset(
         c for cs in assignment.values() for c in cs
     )
     fault = None
     plays: dict = {}
+    paths: list = []
     try:
         preform = _preform_from_ids(nodes, labels, choices, triples)
         form = build_form(preform, players, assignment)
     except NcgError as exc:
         fault = exc
     else:
-        plays = preform.tree._ids.plays
+        plays, paths = preform.tree._ids.plays, preform.tree._ids.paths
+    if rows_at is not None:
+        rows = _rows_by_text(*rows_at, paths, node_specs)
     utilities = _read_rows(
-        rows, players, read, labels, _rational_reader(), plays, node_specs
+        rows, players, read, labels, _rational_reader(), plays, paths, node_specs
     )
     try:
         if fault is not None:
@@ -356,9 +438,26 @@ def _read(path) -> str:
         return file.read()
 
 
+def _game_from_text(text: str) -> tuple:
+    """``_game_from_document(_loads(text))``.  When ``utilities`` is the
+    document's last member, the members before it are decoded and the
+    rows are read from the text once the preform is built; any failure
+    of that route that a text can cause (a broken rule, or text it does
+    not read) leaves the document to the strict one, so every error and
+    its message are the same."""
+    try:
+        start = _space(text).end()
+        if not text.startswith("{", start):
+            raise ValueError("not an object")
+        doc, _end = _object(text, start, 2, [], "utilities")
+        return _game_from_document(doc, (text, doc.pop("utilities")))
+    except (NcgError, ValueError, LookupError, TypeError, StopIteration, RuntimeError):
+        return _game_from_document(_loads(text))
+
+
 def parse_game(text: str) -> Game:
     """Read a game document, reporting the first violated rule by name."""
-    return _game_from_document(_loads(text))[0]
+    return _game_from_text(text)[0]
 
 
 def load_game(path) -> Game:
@@ -488,7 +587,7 @@ def _game_pieces(g: Game, level: int, nodes: list):
             + ("{" + ",".join([k + _encode_str(str(v[p])) for k, v in zip(keys, tables)])
                + pad + "}" if players else "{}")
             + closing
-            for p, path in tree.plays.values()
+            for p, path in enumerate(tree.paths)
         ), level + 1)),
     ), level)
 
@@ -562,7 +661,7 @@ def _game_from_ref(ref, base_dir, built: list) -> tuple:
                 f"cannot read the game at {path} ({type(exc).__name__})",
                 path=str(path),
             ) from exc
-        game, label = _game_from_document(_loads(text))
+        game, label = _game_from_text(text)
     else:
         game, label = _game_from_document(ref)
     built.append((ref, game, label))

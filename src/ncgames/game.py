@@ -83,10 +83,11 @@ class Game(Structural):
     """A validated game: form plus per-player utility tables over plays.
 
     ``_ids`` keeps each player's utilities by play position in
-    ``Tree.play_by_end``, ``values``, and the positions in the order the
-    player's row priced them, ``rows``.  ``utilities``, the tables in
-    that order, is a view over them built on first read, which equality
-    and hashing read with ``form``."""
+    ``Tree.play_by_end``, ``values``, the positions in the order the
+    player's row priced them, ``rows``, and each player's utility order,
+    once ``_utility_ranks`` has built it, ``ranks``.  ``utilities``, the
+    tables in that order, is a view over them built on first read, which
+    equality and hashing read with ``form``."""
 
     form: Form
     ranges: Mapping[Token, frozenset] = field(compare=False)
@@ -123,7 +124,7 @@ class Game(Structural):
 
     def play_with_members(self, members: Iterable[NodeLabel]) -> Optional[Play]:
         tree = self.tree
-        end = _play_with_ids(tree._ids.plays, _node_ids(tree, members))
+        end = _play_with_ids(tree._ids.plays, tree._ids.paths, _node_ids(tree, members))
         return None if end is None else tree.play_by_end[tree._ids.labels[end]]
 
 
@@ -157,13 +158,13 @@ def build_game(form: Form, utilities: Mapping) -> Game:
     A table is keyed by plays, or by the sets of their nodes, each found
     by the ids of its nodes."""
     tree = form.preform.tree
-    plays = tree._ids.plays
+    plays, paths = tree._ids.plays, tree._ids.paths
 
     def slots(row):
         for key, value in row.items():
             nodes = key.path if isinstance(key, Play) else key
-            end = _play_with_ids(plays, _node_ids(tree, nodes))
-            yield (frozenset(nodes) if end is None else plays[end][0]), value
+            end = _play_with_ids(plays, paths, _node_ids(tree, nodes))
+            yield (frozenset(nodes) if end is None else plays[end]), value
 
     return _priced(form, {i: slots(row) for i, row in utilities.items()})
 
@@ -231,7 +232,8 @@ def _priced(form: Form, rows: Mapping) -> Game:
             )
         values[i], order[i] = by_play, priced
         ranges[i] = frozenset({id(u): u for u in map(by_play.__getitem__, priced)}.values())
-    return Game(form=form, ranges=ranges, _ids=SimpleNamespace(values=values, rows=order))
+    ids = SimpleNamespace(values=values, rows=order, ranks={})
+    return Game(form=form, ranges=ranges, _ids=ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,7 +466,7 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
     form = build_form(preform, g.players, assignment)
     # a subgame play extends to the outer play with the same end
     in_g, values = list(up), g._ids.values  # each subgame id's id in ``g``
-    outer = [ids.plays[in_g[e]][0] for e in preform.tree._ids.plays]  # by subgame play
+    outer = [ids.plays[in_g[e]] for e in preform.tree._ids.plays]  # by subgame play
     return _priced(form, {i: enumerate(map(values[i].__getitem__, outer)) for i in values})
 
 
@@ -477,13 +479,13 @@ def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> boo
             f"{render_strategy(s)} is not a grand strategy of this game",
         )
     plays = g.tree._ids.plays
-    on_path = plays[_walk(g.preform, s)][0]
+    on_path = plays[_walk(g.preform, s)]
     # in token order, so the first player over the cap is the same in every run
     for i in g.form.player_rank:
         values, rest = g._ids.values[i], s - g.form.assignment[i]
         best = values[on_path]
         for d in player_strategies(g.form, i, cap=cap):
-            if values[plays[_walk(g.preform, rest | d)][0]] > best:
+            if values[plays[_walk(g.preform, rest | d)]] > best:
                 return False
     return True
 
@@ -511,7 +513,7 @@ def _outcome_table(pf: Preform, stride: list) -> list:
     radix = list(map(len, pools))
     succ = [[op[t, c] for c in pools[k]] if k >= 0 else None for t, k in enumerate(set_at)]
     play_at = [-1] * len(set_at)
-    for end, (p, _path) in ids.plays.items():
+    for end, p in ids.plays.items():
         play_at[end] = p
     branching = [k for k, r in enumerate(radix) if r > 1]
 
@@ -575,7 +577,7 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
         mine = [k for k, j in enumerate(owner_at) if j == i]
         if not mine:  # a vacuous player has one strategy, so no deviation
             continue
-        value = _utility_ranks(g, i)
+        value = _utility_ranks(g, i)[1]
         payoff = [value[p] for p in outcome]
         own = _offsets(mine, stride, radix)
         rest = [k for k, j in enumerate(owner_at) if j != i]
@@ -591,23 +593,30 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     )
 
 
-def _utility_ranks(g: Game, i: Token) -> list:
-    """Player ``i``'s utility of each play, by play position, as its rank
-    in the player's range, which orders utilities exactly; keyed by lowest
-    terms, which equal fractions share and which hash faster than a ``Fraction``."""
-    rank = {(u.numerator, u.denominator): r for r, u in enumerate(sorted(g.ranges[i]))}
-    return [rank[u.numerator, u.denominator] for u in g._ids.values[i]]
+def _utility_ranks(g: Game, i: Token) -> tuple:
+    """Player ``i``'s range in increasing order, and the rank there of
+    the player's utility of each play, by play position; sorted once per
+    game and player and kept in ``_ids.ranks``.  Values are found in the
+    range by lowest terms, which equal fractions share and which hash
+    faster than a ``Fraction``."""
+    ranked = g._ids.ranks.get(i)
+    if ranked is None:
+        ordered = sorted(g.ranges[i])
+        rank = {(u.numerator, u.denominator): r for r, u in enumerate(ordered)}
+        ranks = [rank[u.numerator, u.denominator] for u in g._ids.values[i]]
+        ranked = g._ids.ranks[i] = ordered, ranks
+    return ranked
 
 
-def _node_classes(g: Game, table: Dict[tuple, int]) -> Dict[NodeLabel, int]:
-    """Each node's class, numbered in ``table``, which both games share: a
-    leaf's is its players' sorted (utility rank, choices owned) pairs, a
-    decision node's its information set's size and its children's sorted
-    classes.  Isomorphisms keep classes; the numbers follow the order of
-    the node ids, so only their equality is meaningful.
+def _node_classes(g: Game, table: Dict[tuple, int]) -> list:
+    """Each node's class, by node id, numbered in ``table``, which both
+    games share: a leaf's is its players' sorted (utility rank, choices
+    owned) pairs, a decision node's its information set's size and its
+    children's sorted classes.  Isomorphisms keep classes; the numbers
+    follow the order of the node ids, so only their equality is meaningful.
     """
     ids, sets, set_at = g.tree._ids, g.preform._ids.sets, g.preform._ids.set_at
-    ranks = [_utility_ranks(g, i) for i in g.form.player_rank]
+    ranks = [_utility_ranks(g, i)[1] for i in g.form.player_rank]
     owned = [len(g.form.assignment[i]) for i in g.form.player_rank]
     classes = [0] * len(set_at)
     for k in reversed(ids.walk):  # each node after its children
@@ -615,10 +624,18 @@ def _node_classes(g: Game, table: Dict[tuple, int]) -> Dict[NodeLabel, int]:
         if kids:
             key = (len(sets[set_at[k]]), tuple(sorted(map(classes.__getitem__, kids))))
         else:
-            p = ids.plays[k][0]
+            p = ids.plays[k]
             key = tuple(sorted((rank[p], n) for rank, n in zip(ranks, owned)))
         classes[k] = table.setdefault(key, len(table))
-    return dict(zip(ids.labels, classes))
+    return classes
+
+
+def _prev_choices(pf: Preform) -> list:
+    """The choice that produced each node, by node id; ``None`` at the root."""
+    prev = [None] * len(pf._ids.set_at)
+    for (_t, c), t_next in pf._ids.op.items():
+        prev[t_next] = c
+    return prev
 
 
 def find_isomorphism(
@@ -635,33 +652,38 @@ def find_isomorphism(
     injective by construction.  Candidates keep the node class, as every
     isomorphism does, so games whose roots differ in class are refused
     unsearched.  Each complete map forces the player map through
-    ownership and each utility map pointwise through the play images.
+    ownership and each utility map pointwise through the play images,
+    rank to rank in ``_utility_ranks``.  The search maps node ids, read
+    from the tree's and the preform's id cores; the label map is built
+    once, for the validation of the morphism found.
     Raises :class:`SearchBudgetExceeded` after ``budget`` node expansions.
     """
     table: Dict[tuple, int] = {}
     class1, class2 = _node_classes(g1, table), _node_classes(g2, table)
-    if class1[g1.tree.root] != class2[g2.tree.root]:
+    ids1, ids2 = g1.tree._ids, g2.tree._ids
+    if class1[ids1.walk[0]] != class2[ids2.walk[0]]:  # the roots
         return None
     vacuous1 = [i for i in g1.form.player_rank if not g1.form.assignment[i]]
     vacuous2 = [i for i in g2.form.player_rank if not g2.form.assignment[i]]
-    prev1, prev2, op2 = g1.preform.prev_choice, g2.preform.prev_choice, g2.preform.op
-    # by stage, and by rank within a stage
-    order = g1.tree.stage_order
+    prev1, prev2 = _prev_choices(g1.preform), _prev_choices(g2.preform)
+    parent1, children2, op2 = ids1.parent, ids2.children, g2.preform._ids.op
+    # node ids by stage, and by rank within a stage
+    order = sorted(ids1.order, key=ids1.stage.__getitem__)
     # a choice's image is fixed by the first node in ``order`` that the
     # choice reaches (scanned in reverse, so the first one is kept)
     fixes = {t: c for c, t in {prev1[t]: t for t in reversed(order[1:])}.items()}
     owned1 = [(i, choices) for i, choices in g1.form.assignment.items() if choices]
-    mapping: Dict[NodeLabel, NodeLabel] = {}
+    mapping = [-1] * len(order)  # each node id's image id, -1 while unmapped
     delta: Dict[Token, Token] = {}
     delta_image: set = set()
     expansions = 0
 
-    def candidates(t: NodeLabel) -> list:
+    def candidates(t: int) -> list:
+        up = mapping[parent1[t]]
         if t in fixes:
-            pool = g2.tree.children(mapping[g1.tree.pred[t]])
-            pool = [u for u in pool if prev2[u] not in delta_image]
+            pool = [u for u in children2[up] if prev2[u] not in delta_image]
         else:
-            pool = [op2.get((mapping[g1.tree.pred[t]], delta[prev1[t]]))]
+            pool = [op2.get((up, delta[prev1[t]]))]
         return [u for u in pool if u is not None and class2[u] == class1[t]]
 
     def complete() -> Optional[IsoWitness]:
@@ -671,18 +693,25 @@ def find_isomorphism(
             if len(owners) > 1:
                 return None
             (iota[i],) = owners
-        images = TreeMorphism(g1.tree, g2.tree, mapping).play_images.items()
+        # each end-preserved play's position, in play order, with its image's
+        plays2 = ids2.plays
+        images = [
+            (p, plays2[mapping[end]]) for end, p in ids1.plays.items()
+            if mapping[end] in plays2
+        ]
 
         def utility_map(i: Token, j: Token) -> Optional[Dict]:
-            """β_i read off the play images, if strictly increasing."""
-            bmap: Dict[Fraction, Fraction] = {}
-            for z, image in images:
-                u, v = g1.utilities[i][z], g2.utilities[j][image]
-                if bmap.setdefault(u, v) != v:
+            """β_i read off the play images, if strictly increasing: rank
+            to rank, then the ranks' utilities."""
+            (range1, ranks1), (range2, ranks2) = _utility_ranks(g1, i), _utility_ranks(g2, j)
+            bmap: Dict[int, int] = {}
+            for p, q in images:
+                if bmap.setdefault(ranks1[p], ranks2[q]) != ranks2[q]:
                     return None
             ordered = sorted(bmap)
-            strict = all(bmap[u1] < bmap[u2] for u1, u2 in zip(ordered, ordered[1:]))
-            return bmap if strict else None
+            if any(bmap[r1] >= bmap[r2] for r1, r2 in zip(ordered, ordered[1:])):
+                return None
+            return {range1[r1]: range2[r2] for r1, r2 in bmap.items()}
 
         beta = {i: utility_map(i, j) for i, j in iota.items()}
         if None in beta.values():
@@ -699,16 +728,18 @@ def find_isomorphism(
                     break
             else:
                 return None
-        return is_isomorphism(validate_game_morphism(g1, g2, iota, mapping, delta, beta))
+        labels1, labels2 = ids1.labels, ids2.labels
+        tau = {labels1[t]: labels2[mapping[t]] for t in order}
+        return is_isomorphism(validate_game_morphism(g1, g2, iota, tau, delta, beta))
 
     # depth-first over ``order`` with an explicit stack of candidate
     # iterators, one per node, so deep trees do not recurse; a node is
-    # in ``mapping`` while its frame holds a candidate
-    stack = [iter([g2.tree.root])]
+    # mapped while its frame holds a candidate
+    stack = [iter([ids2.walk[0]])]
     while stack:
         t = order[len(stack) - 1]
-        if t in mapping:  # withdraw the previous candidate
-            del mapping[t]
+        if mapping[t] >= 0:  # withdraw the previous candidate
+            mapping[t] = -1
             if t in fixes:
                 delta_image.discard(delta.pop(fixes[t]))
         u = next(stack[-1], None)

@@ -229,7 +229,7 @@ def relabel_game(
     }
     form = build_form(preform, set(iota.values()), assignment)
     plays = preform.tree._ids.plays
-    moved = [plays[end][0] for end in g.tree._ids.plays]  # each play's position there
+    moved = [plays[end] for end in g.tree._ids.plays]  # each play's position there
     converted = _priced(form, {iota[i]: zip(moved, v) for i, v in g._ids.values.items()})
     # a bijective relabelling of a valid game: a morphism by construction
     beta = {i: {u: u for u in g.ranges[i]} for i in g.players}

@@ -161,8 +161,8 @@ class Tree(Structural):
     depth first from the root, children by rank.
     ``walk[enter[k]:leave[k]]`` is the subtree of ``k``: ``enter`` gives
     each id its position in ``walk``, ``leave`` the one past its subtree.
-    ``plays`` maps each play's end to its position in ``play_by_end``
-    and its id path.
+    ``plays`` maps each play's end to its position in ``play_by_end``,
+    and ``paths`` lists each play's id path by that position.
     """
 
     nodes: frozenset
@@ -189,7 +189,7 @@ class Tree(Structural):
         labels = self._ids.labels
         return {
             labels[end]: Play(labels[end], tuple(map(labels.__getitem__, path)))
-            for end, (_p, path) in self._ids.plays.items()
+            for end, path in zip(self._ids.plays, self._ids.paths)
         }
 
     @cached_property
@@ -339,6 +339,7 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
     walk: list = []
     enter, leave = [0] * n, [n] * n  # the nodes on the path at the end leave there
     ends: dict = {}
+    paths: list = []
     path: list = []
     stack = [root]
     while stack:
@@ -354,7 +355,8 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
                 stage[kid] = len(path)
             stack.extend(reversed(kids))
         else:
-            ends[k] = len(ends), tuple(path)
+            ends[k] = len(paths)
+            paths.append(tuple(path))
     if len(walk) != n:
         # the walk reaches exactly the nodes whose chain ends at the root
         start = next(k for k in order if stage[k] < 0)
@@ -373,17 +375,17 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
         _ids=SimpleNamespace(
             labels=labels, order=order, rank=rank, parent=parent, edges=edges,
             children=children, parents=parents, stage=stage, walk=walk, enter=enter,
-            leave=leave, plays=ends,
+            leave=leave, plays=ends, paths=paths,
         ),
     )
 
 
-def _play_with_ids(plays: Mapping, found: frozenset) -> Optional[int]:
+def _play_with_ids(plays: Mapping, paths: list, found: frozenset) -> Optional[int]:
     """The end of the play whose node ids are ``found``, if any, found
     through its end: a play's one node that precedes nothing.  ``plays``
-    is a tree's ``_ids.plays``."""
+    and ``paths`` are a tree's ``_ids.plays`` and ``_ids.paths``."""
     end = next((k for k in found if k in plays), None)
-    path = () if end is None else plays[end][1]
+    path = () if end is None else paths[plays[end]]
     return end if len(path) == len(found) and found.issuperset(path) else None
 
 

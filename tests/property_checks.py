@@ -426,9 +426,12 @@ def check_class_invariance(witness):
     both games, so the iso search's class filter drops no isomorphism."""
     m = witness.morphism
     table = {}
-    source = _node_classes(m.source, table)
+    source = _node_classes(m.source, table)  # by node id
     target = _node_classes(m.target, table)
-    assert all(source[t] == target[m.tau[t]] for t in m.source.tree.nodes)
+    target_id = dict(zip(m.target.tree._ids.labels, range(len(target))))
+    assert all(
+        c == target[target_id[m.tau[t]]] for t, c in zip(m.source.tree._ids.labels, source)
+    )
 
 
 def check_nash_preservation(witness):

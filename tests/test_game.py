@@ -672,3 +672,57 @@ class TestForgetful:
         m = identity_morphism(classroom_game)
         assert m.form_morphism.preform_morphism.tau == m.tau
         assert m.theta.tau == m.tau
+
+
+class TestUtilityOrder:
+    """Each player's utilities are sorted once per game, as fractions
+    compare, and plays are ranked in that order."""
+
+    @staticmethod
+    def values() -> list:
+        primes = [p for p in range(2, 1300) if all(p % d for d in range(2, int(p**0.5) + 1))]
+        rng = random.Random(7)
+        # 200 coprime denominators, negative numerators among them
+        values = [Fraction(rng.randint(-10**6, 10**6), p) for p in primes[:200]]
+        # equal values spelled apart, as distinct objects
+        values += [Fraction("2/4"), Fraction(1, 2), Fraction("-3/6"), Fraction(-1, 2)]
+        values += [Fraction(0), Fraction("0/7"), Fraction(-5), Fraction("-10/2")]
+        rng.shuffle(values)
+        return values
+
+    def test_ranking_many_coprime_denominators_stays_small(self):
+        import tracemalloc
+
+        from ncgames.game import _utility_ranks
+
+        width = 3000
+        primes = [p for p in range(2, 30000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+        doc = random_games.wide_document(random.Random(9), width)
+        for k, row in enumerate(doc["utilities"]):
+            row["values"]["P1"] = f"{k - width // 2}/{primes[k]}"
+        g = parse_game(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            ordered, ranks = _utility_ranks(g, "P1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ordered == sorted(g.ranges["P1"]) and len(ordered) == width
+        # a key over the common denominator of 3,000 primes holds about
+        # 5 KiB per value, 15 MiB in all; sorting the fractions needs none
+        assert peak < 2**20, peak
+
+    def test_ranks_order_each_players_range(self, classroom_game):
+        from ncgames.game import _utility_ranks
+
+        doc = random_games.stage_pooled_document(random.Random(8), 3, 2)
+        values = self.values()
+        for k, row in enumerate(doc["utilities"]):
+            row["values"] = {i: str(values[2 * k + n]) for n, i in enumerate(row["values"])}
+        doc["utilities"][1]["values"]["P1"] = "-20/4"  # -5, spelled apart
+        for g in (parse_game(json.dumps(doc)), classroom_game):
+            for i in g.players:
+                ordered, ranks = _utility_ranks(g, i)
+                assert ordered == sorted(g.ranges[i])
+                assert ranks == [ordered.index(u) for u in g._ids.values[i]]
+                assert _utility_ranks(g, i) is g._ids.ranks[i]  # built once

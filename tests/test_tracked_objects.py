@@ -8,8 +8,8 @@ A parsed game keeps its integer core and builds its label-keyed maps
 ``Game.utilities``) only when read.  When they were built at every
 parse, with one ``Play`` and its path of labels per play, the depth-9,
 3-player stage-pooled game kept 4,171 tracked objects (4.08 per node)
-and the 160-stage centipede 1,884 (5.87 per node); now 2,129 (2.08)
-and 1,245 (3.88)."""
+and the 160-stage centipede 1,884 (5.87 per node); now 2,130 (2.08)
+and 1,246 (3.88)."""
 
 import json
 import os

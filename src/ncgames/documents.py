@@ -62,22 +62,8 @@ __all__ = [
 
 FORMAT_VERSION = "ncg/1"
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")
-
-
-def _parse_rational(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DocumentSyntaxError(f"utility {value!r} is not rational text")
-    if isinstance(value, int):
-        return Fraction(value)
-    if not _RATIONAL.fullmatch(value):
-        raise DocumentSyntaxError(f"utility {value!r} is not rational text")
-    try:
-        return Fraction(value)
-    except ValueError as exc:  # the interpreter's integer digit limit
-        raise DocumentSyntaxError(
-            f"utility has a number of more than {sys.get_int_max_str_digits()} digits"
-        ) from exc
+# a utility's text: its numerator, then its denominator if it has one
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(0*[1-9]\d*))?")
 
 
 def _node_from_spec(spec) -> NodeLabel:
@@ -140,15 +126,27 @@ def _node_reader(node_specs: list):
 
 
 def _rational_reader():
-    """``_parse_rational`` with one ``Fraction`` per distinct text."""
+    """A reader of utilities, integers or text that ``_RATIONAL`` matches,
+    with one ``Fraction`` per distinct text.  Each text is parsed once,
+    by the match, and its parts are read as integers."""
     by_text: dict = {}
 
     def read(value) -> Fraction:
-        if type(value) is not str:  # ``True == 1``, so only text is shared
-            return _parse_rational(value)
-        number = by_text.get(value)
-        if number is None:
-            number = by_text[value] = _parse_rational(value)
+        if type(value) is str:  # ``True == 1``, so only text is shared
+            number = by_text.get(value)
+            if number is not None:
+                return number
+        elif isinstance(value, int) and not isinstance(value, bool):
+            return Fraction(value)
+        match = isinstance(value, str) and _RATIONAL.fullmatch(value)
+        if not match:
+            raise DocumentSyntaxError(f"utility {value!r} is not rational text")
+        try:
+            number = by_text[value] = Fraction(int(match[1]), int(match[2] or 1))
+        except ValueError as exc:  # the interpreter's integer digit limit
+            raise DocumentSyntaxError(
+                f"utility has a number of more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
         return number
 
     return read
@@ -438,6 +436,19 @@ def _read(path) -> str:
         return file.read()
 
 
+def _read_game(path) -> str:
+    """The text of the game document at ``path``; a file that cannot be
+    read as UTF-8 text is refused as ``UnreadableGame``."""
+    try:
+        return _read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(
+            "UnreadableGame",
+            f"cannot read the game at {path} ({type(exc).__name__})",
+            path=str(path),
+        ) from exc
+
+
 def _game_from_text(text: str) -> tuple:
     """``_game_from_document(_loads(text))``.  When ``utilities`` is the
     document's last member, the members before it are decoded and the
@@ -461,7 +472,7 @@ def parse_game(text: str) -> Game:
 
 
 def load_game(path) -> Game:
-    return parse_game(_read(path))
+    return parse_game(_read_game(path))
 
 
 def _items(texts, level: int):
@@ -652,16 +663,7 @@ def _game_from_ref(ref, base_dir, built: list) -> tuple:
         if seen == ref:
             return game, label
     if isinstance(ref, str):
-        path = Path(base_dir) / ref
-        try:
-            text = _read(path)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DocumentError(
-                "UnreadableGame",
-                f"cannot read the game at {path} ({type(exc).__name__})",
-                path=str(path),
-            ) from exc
-        game, label = _game_from_text(text)
+        game, label = _game_from_text(_read_game(Path(base_dir) / ref))
     else:
         game, label = _game_from_document(ref)
     built.append((ref, game, label))

@@ -2,9 +2,9 @@
 
 Every rejected input raises a subclass of :class:`NcgError` carrying a
 stable ``code`` naming the failed check, the structural rule the check
-enforces (``axiom``, when one applies), and the offending values
-(``details``).  Tests and the command line key on ``code`` rather than
-on message text.
+enforces (``axiom``, bracketed as in ``[G2]``, when one applies), and
+the offending values (``details``).  Tests and the command line key on
+``code`` rather than on message text.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class NcgError(Exception):
         self.code = code
         self.axiom = axiom
         self.details = details
-        tag = code if axiom is None else f"{code} [{axiom}]"
+        tag = code if axiom is None else f"{code} {axiom}"
         super().__init__(f"{tag}: {message}")
 
 

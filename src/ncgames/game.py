@@ -630,14 +630,6 @@ def _node_classes(g: Game, table: Dict[tuple, int]) -> list:
     return classes
 
 
-def _prev_choices(pf: Preform) -> list:
-    """The choice that produced each node, by node id; ``None`` at the root."""
-    prev = [None] * len(pf._ids.set_at)
-    for (_t, c), t_next in pf._ids.op.items():
-        prev[t_next] = c
-    return prev
-
-
 def find_isomorphism(
     g1: Game, g2: Game, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> Optional[IsoWitness]:
@@ -665,7 +657,7 @@ def find_isomorphism(
         return None
     vacuous1 = [i for i in g1.form.player_rank if not g1.form.assignment[i]]
     vacuous2 = [i for i in g2.form.player_rank if not g2.form.assignment[i]]
-    prev1, prev2 = _prev_choices(g1.preform), _prev_choices(g2.preform)
+    prev1, prev2 = g1.preform._ids.prev, g2.preform._ids.prev
     parent1, children2, op2 = ids1.parent, ids2.children, g2.preform._ids.op
     # node ids by stage, and by rank within a stage
     order = sorted(ids1.order, key=ids1.stage.__getitem__)

@@ -74,12 +74,12 @@ class Preform(Structural):
     choices in ``token_key`` order, the sets sorted by their sorted node
     ranks; strategies, reports and refusals all list sets in it.
     ``_ids`` keeps, over the tree's integer node ids, the operator
-    ``op``, the sets in that order, ``sets``, and each node's set by its
-    position there, -1 at a leaf, ``set_at``.  ``op``, ``feas``, each
-    decision node's feasible choices, and ``prev_choice``, the choice
-    that produced each non-root node, are views over ``_ids`` built on
-    first read; equality and hashing read ``tree``, ``choices`` and
-    ``op``.
+    ``op``, the sets in that order, ``sets``, each node's set by its
+    position there, -1 at a leaf, ``set_at``, and the choice that
+    produced each node, ``None`` at the root, ``prev``.  ``op``, ``feas``,
+    each decision node's feasible choices, and ``prev_choice``, ``prev``
+    by label, are views over ``_ids`` built on first read; equality and
+    hashing read ``tree``, ``choices`` and ``op``.
     """
 
     tree: Tree
@@ -111,8 +111,8 @@ class Preform(Structural):
 
     @cached_property
     def prev_choice(self) -> Mapping[NodeLabel, Token]:
-        labels = self.tree._ids.labels
-        return {labels[t_next]: c for (_t, c), t_next in self._ids.op.items()}
+        labels, prev = self.tree._ids.labels, self._ids.prev
+        return {labels[k]: prev[k] for k in self.tree._ids.edges}
 
 
 def build_preform(
@@ -229,6 +229,7 @@ def _preform_from_ids(
     sets = sorted(one_of, key=lambda h: min(map(rank.__getitem__, h)))
     at = {t: k for k, h in enumerate(sets) for t in h}
     set_at = [at.get(t, -1) for t in range(n)]
+    prev = [None if key is None else key[1] for key in hit_by]
     return Preform(
         tree=tree,
         choices=choice_set,
@@ -238,7 +239,7 @@ def _preform_from_ids(
             (node_sets[id(h)], tuple(sorted(feas[next(iter(h))], key=token_key)))
             for h in sets
         ),
-        _ids=SimpleNamespace(op=op, sets=sets, set_at=set_at),
+        _ids=SimpleNamespace(op=op, sets=sets, set_at=set_at, prev=prev),
     )
 
 

@@ -98,8 +98,7 @@ def style_report(g: Game) -> StyleReport:
 
 def _histories(g: Game, kind: type) -> Dict[NodeLabel, NodeLabel]:
     """Each node mapped to the label of ``kind`` of its choices from the root."""
-    ids = g.tree._ids
-    prev = {u: c for (_t, c), u in g.preform._ids.op.items()}
+    ids, prev = g.tree._ids, g.preform._ids.prev
     histories = [()] * len(ids.walk)
     for k in ids.walk[1:]:  # each node after its parent, the root first
         histories[k] = histories[ids.parent[k]] + (prev[k],)

@@ -324,7 +324,7 @@ class TestRejectionsAcrossHashSeeds:
         [
             (
                 _cut_utilities,
-                "AxiomViolation [[G2]]: MissingUtility [[G2]]: player P1 "
+                "AxiomViolation [G2]: MissingUtility [G2]: player P1 "
                 "has no utility for the play ending at 7",
             ),
             (
@@ -334,8 +334,8 @@ class TestRejectionsAcrossHashSeeds:
             ),
             (
                 _add_cycle,
-                "AxiomViolation [[P2]]: NodeUnreachable [[P2]]: derived predecessor "
-                "structure is not a tree (Cycle [[T2]]: predecessor chain from x "
+                "AxiomViolation [P2]: NodeUnreachable [P2]: derived predecessor "
+                "structure is not a tree (Cycle [T2]: predecessor chain from x "
                 "never reaches the root)",
             ),
         ],
@@ -372,7 +372,7 @@ class TestRejectionsAcrossHashSeeds:
         assert run_under_hash_seeds(workdir, "iso-check", "cut.morphism") == {
             (
                 1,
-                "error: AxiomViolation [[p1]]: NotTotal [[p1]]: "
+                "error: AxiomViolation [p1]: NotTotal [p1]: "
                 "map undefined on source node 0\n",
             )
         }

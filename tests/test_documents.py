@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from ncgames import (
     build_game,
     identity_morphism,
     is_isomorphism,
+    load_game,
     nash_equilibria,
     parse_game,
     parse_morphism,
@@ -253,7 +255,7 @@ def _not_bijective_invalid_inverse(game):
 WITNESS_VERDICTS = {
     "inverse no morphism": (
         _inverse_no_morphism, "AxiomViolation", "TripleNotPreserved",
-        "AxiomViolation [[p2]]: TripleNotPreserved [[p2]]: triple ({}, a, {a}) "
+        "AxiomViolation [p2]: TripleNotPreserved [p2]: triple ({}, a, {a}) "
         "does not map into the target operator graph",
     ),
     "inverse of another morphism": (
@@ -266,7 +268,7 @@ WITNESS_VERDICTS = {
     ),
     "not bijective, invalid inverse": (
         _not_bijective_invalid_inverse, "AxiomViolation", "TripleNotPreserved",
-        "AxiomViolation [[p2]]: TripleNotPreserved [[p2]]: triple (0, a, 1) "
+        "AxiomViolation [p2]: TripleNotPreserved [p2]: triple (0, a, 1) "
         "does not map into the target operator graph",
     ),
 }
@@ -363,6 +365,47 @@ def _assert_one_object_per_node(g):
     held += [t for h in g.preform.info_sets for t in h]
     assert all(id(t) in ids for t in held)
     assert all(z in g.plays for row in g.utilities.values() for z in row)
+
+
+DIGITS = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+class TestRationalReader:
+    """A utility is an integer or a text that ``_RATIONAL`` matches; each
+    distinct text is read once, into one shared ``Fraction``."""
+
+    @pytest.mark.parametrize("text", [
+        "0", "+0", "-0", "-0/7", "+3", "-3", "3/4", "+3/4", "-3/4", "6/4",
+        "007", "-007/3", "3/004", "000/0001", "123456789/987654321",
+        "-98765432109876543210/12345678901234567890",
+    ])
+    def test_text_reads_as_fraction_does(self, text):
+        read = documents._rational_reader()
+        number = read(text)
+        assert type(number) is Fraction
+        assert number == Fraction(text)
+        assert read("".join(list(text))) is number  # an equal text, another object
+
+    @pytest.mark.parametrize("value", [
+        "1.5", "1/0", "1/", "/2", "1e3", " 1", "1 ", "1/-2", "", "+", True, 1.0, None, [1],
+    ])
+    def test_refused_values_are_named(self, value):
+        with pytest.raises(DocumentSyntaxError) as err:
+            documents._rational_reader()(value)
+        assert str(err.value) == f"SyntaxError: utility {value!r} is not rational text"
+
+    @pytest.mark.parametrize("text", [DIGITS, "-" + DIGITS, "1/" + DIGITS, DIGITS + "/3"])
+    def test_numbers_past_the_digit_limit_are_refused(self, text):
+        expected = (
+            "SyntaxError: utility has a number of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        )
+        with pytest.raises(DocumentSyntaxError) as err:
+            documents._rational_reader()(text)
+        assert str(err.value) == expected
+        with pytest.raises(DocumentSyntaxError) as err:
+            parse_game(json.dumps(_chain_doc("atom", ["1", text])))
+        assert str(err.value) == expected
 
 
 class TestOneLabelPerNode:
@@ -494,19 +537,19 @@ class TestPlayRows:
         "mutate, message",
         [
             (lambda rows: rows[2]["play"].pop(1),
-             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "AxiomViolation [G2]: UnknownPlayInTable [G2]: utility row of P1 "
              "prices {0,4,8}, which is not a play"),
             (lambda rows: rows[2]["play"].__setitem__(-1, {"atom": "4"}),
-             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "AxiomViolation [G2]: UnknownPlayInTable [G2]: utility row of P1 "
              "prices {0,1,4}, which is not a play"),
             (lambda rows: rows[2]["play"].pop(),
-             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "AxiomViolation [G2]: UnknownPlayInTable [G2]: utility row of P1 "
              "prices {0,1,4}, which is not a play"),
             (lambda rows: rows[1]["play"].__setitem__(-1, {"atom": "9"}),
-             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "AxiomViolation [G2]: UnknownPlayInTable [G2]: utility row of P1 "
              "prices {0,1,4,9}, which is not a play"),
             (lambda rows: rows[1].__setitem__("play", []),
-             "AxiomViolation [[G2]]: UnknownPlayInTable [[G2]]: utility row of P1 "
+             "AxiomViolation [G2]: UnknownPlayInTable [G2]: utility row of P1 "
              "prices {}, which is not a play"),
             (lambda rows: rows.append(json.loads(json.dumps(rows[1]))),
              "SyntaxError: duplicate utility entry for one play"),
@@ -521,7 +564,7 @@ class TestPlayRows:
             (lambda rows: rows[1]["values"].__setitem__("P2", "x"),
              "SyntaxError: utility 'x' is not rational text"),
             (lambda rows: rows.pop(3),
-             "AxiomViolation [[G2]]: MissingUtility [[G2]]: player P1 has no utility "
+             "AxiomViolation [G2]: MissingUtility [G2]: player P1 has no utility "
              "for the play ending at 5"),
             (lambda rows: rows.append(_respelled(rows[1])),
              "SyntaxError: duplicate utility entry for one play"),
@@ -572,8 +615,8 @@ class TestPlayRows:
         with pytest.raises(AxiomViolation) as err:
             parse_game(json.dumps(doc))
         assert str(err.value) == (
-            "AxiomViolation [[P2]]: NodeUnreachable [[P2]]: derived predecessor "
-            "structure is not a tree (Cycle [[T2]]: predecessor chain from x never "
+            "AxiomViolation [P2]: NodeUnreachable [P2]: derived predecessor "
+            "structure is not a tree (Cycle [T2]: predecessor chain from x never "
             "reaches the root)"
         )
         doc["utilities"][1]["play"][1] = {"seq": "a"}
@@ -612,6 +655,22 @@ class TestGameReferences:
                 self._morphism_naming(classroom_text, "latin1.game"), base_dir=tmp_path
             )
         assert err.value.code == "UnreadableGame"
+
+    @pytest.mark.parametrize("name, error", [
+        ("missing.game", "FileNotFoundError"),
+        ("subdir", "IsADirectoryError"),
+        ("latin1.game", "UnicodeDecodeError"),
+    ])
+    def test_load_game_refuses_an_unreadable_file(self, tmp_path, name, error):
+        (tmp_path / "subdir").mkdir()
+        (tmp_path / "latin1.game").write_bytes(b"\xff\xfe")
+        with pytest.raises(DocumentError) as err:
+            load_game(tmp_path / name)
+        assert err.value.code == "UnreadableGame"
+        assert err.value.details == {"path": str(tmp_path / name)}
+        assert str(err.value) == (
+            f"UnreadableGame: cannot read the game at {tmp_path / name} ({error})"
+        )
 
     def test_iota_of_another_shape(self, classroom_text):
         doc = json.loads(self._morphism_naming(classroom_text, json.loads(classroom_text)))

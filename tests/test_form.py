@@ -62,7 +62,7 @@ class TestBuildForm:
         with pytest.raises(FormError) as err:
             build_form(classroom_preform, {"P1", "P2", "P3"}, ownership)
         assert str(err.value) == (
-            "NodeSplitAcrossPlayers [[F3]]: choices feasible at 0 belong to "
+            "NodeSplitAcrossPlayers [F3]: choices feasible at 0 belong to "
             "several players"
         )
 
@@ -85,7 +85,7 @@ class TestBuildForm:
         with pytest.raises(FormError) as err:
             build_form(preform, {"P1", "P2"}, ownership)
         assert str(err.value) == (
-            "NodeSplitAcrossPlayers [[F3]]: choices feasible at 1 belong to "
+            "NodeSplitAcrossPlayers [F3]: choices feasible at 1 belong to "
             "several players"
         )
 
@@ -298,9 +298,9 @@ class TestOrders:
         assert order_facts()["missing"] == [
             "MissingPlayer: player 2 has no choice assignment; "
             "declare vacuous players with an empty set",
-            "MissingUtility [[G2]]: no utility row for player 2",
-            "NotTotal [[f1]]: map undefined on source player 2",
-            "BetaDomainMismatch [[g2]]: no utility map for player 2",
+            "MissingUtility [G2]: no utility row for player 2",
+            "NotTotal [f1]: map undefined on source player 2",
+            "BetaDomainMismatch [g2]: no utility map for player 2",
         ]
 
     def test_orders_agree_under_hash_seeds(self):

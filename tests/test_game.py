@@ -80,7 +80,7 @@ class TestBuildGame:
         with pytest.raises(GameError) as err:
             build_game(classroom_form, table)
         assert str(err.value) == (
-            f"UnknownPlayInTable [[G2]]: utility row of P1 prices {{{listing}}}, "
+            f"UnknownPlayInTable [G2]: utility row of P1 prices {{{listing}}}, "
             "which is not a play"
         )
 
@@ -128,7 +128,7 @@ class TestBuildGame:
         assert err.value.code == "DuplicateUtility"
         assert err.value.details == {"player": "P2"}
         assert str(err.value) == (
-            "DuplicateUtility [[G2]]: utility row of P2 prices the play ending at "
+            "DuplicateUtility [G2]: utility row of P2 prices the play ending at "
             f"{plays[0].end.token} twice"
         )
 
@@ -222,7 +222,7 @@ class TestValidateGameMorphism:
                 classroom_game, classroom_game, iota, tau, delta, beta
             )
         assert str(err.value) == (
-            "BetaDomainMismatch [[g2]]: utility map of P1 leaves the utility range of P1"
+            "BetaDomainMismatch [g2]: utility map of P1 leaves the utility range of P1"
         )
 
     def test_utility_named_twice_rejected(self, classroom_game):
@@ -282,7 +282,7 @@ class TestValidateGameMorphism:
         with pytest.raises(MorphismError) as err:
             validate_game_morphism(classroom_game, target, iota, tau, delta, beta)
         assert str(err.value) == (
-            "UtilityEquationFails [[g4]]: player P2: utility map gives 0 on the "
+            "UtilityEquationFails [g4]: player P2: utility map gives 0 on the "
             "play ending at 7 but its image is priced 2"
         )
         assert err.value.details["play"].end == a(7)

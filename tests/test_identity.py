@@ -441,27 +441,27 @@ TOTALITY_PATHS = [
     (_validate_tree, _set(a(9), a(0)), "UnknownNode", None,
      "UnknownNode: map defined on 9, which is not a source node"),
     (_validate_tree, _drop(a(5)), "NotTotal", "[t1]",
-     "NotTotal [[t1]]: map undefined on source node 5"),
+     "NotTotal [t1]: map undefined on source node 5"),
     (_validate_tree, _set(a(5), a(9)), "NotTotal", "[t1]",
-     "NotTotal [[t1]]: map sends 5 to 9, which is not a target node"),
+     "NotTotal [t1]: map sends 5 to 9, which is not a target node"),
     (_validate_preform_choices, _set("z", "a"), "UnknownChoice", None,
      "UnknownChoice: map defined on z, which is not a source choice"),
     (_validate_preform_choices, _drop("e"), "NotTotal", "[p1]",
-     "NotTotal [[p1]]: map undefined on source choice e"),
+     "NotTotal [p1]: map undefined on source choice e"),
     (_validate_preform_choices, _set("e", "z"), "NotTotal", "[p1]",
-     "NotTotal [[p1]]: map sends e to z, which is not a target choice"),
+     "NotTotal [p1]: map sends e to z, which is not a target choice"),
     (_validate_preform_nodes, _set(a(9), a(0)), "UnknownNode", None,
      "UnknownNode: map defined on 9, which is not a source node"),
     (_validate_preform_nodes, _drop(a(5)), "NotTotal", "[p1]",
-     "NotTotal [[p1]]: map undefined on source node 5"),
+     "NotTotal [p1]: map undefined on source node 5"),
     (_validate_preform_nodes, _set(a(5), a(9)), "NotTotal", "[p1]",
-     "NotTotal [[p1]]: map sends 5 to 9, which is not a target node"),
+     "NotTotal [p1]: map sends 5 to 9, which is not a target node"),
     (_validate_form_players, _set("P4", "P1"), "UnknownPlayer", None,
      "UnknownPlayer: map defined on P4, which is not a source player"),
     (_validate_form_players, _drop("P3"), "NotTotal", "[f1]",
-     "NotTotal [[f1]]: map undefined on source player P3"),
+     "NotTotal [f1]: map undefined on source player P3"),
     (_validate_form_players, _set("P3", "P4"), "NotTotal", "[f1]",
-     "NotTotal [[f1]]: map sends P3 to P4, which is not a target player"),
+     "NotTotal [f1]: map sends P3 to P4, which is not a target player"),
 ]
 
 
@@ -499,7 +499,7 @@ class TestTotality:
         with pytest.raises(MorphismError) as err:
             validate(edit)
         # 5 is the least by label of the nodes the map fails on
-        assert str(err.value) == f"NotTotal [{axiom}]: map undefined on source node 5"
+        assert str(err.value) == f"NotTotal {axiom}: map undefined on source node 5"
 
     def test_least_failing_key_may_be_one_mapped_outside(self):
         def edit(tau):
@@ -508,7 +508,7 @@ class TestTotality:
 
         with pytest.raises(MorphismError) as err:
             _validate_tree(edit)
-        assert str(err.value) == "NotTotal [[t1]]: map sends 2 to 9, which is not a target node"
+        assert str(err.value) == "NotTotal [t1]: map sends 2 to 9, which is not a target node"
 
     def test_layers_are_checked_players_then_choices_then_nodes(self):
         g, tau, _ = _fresh()

@@ -1,9 +1,12 @@
 """Preform validation, grand strategies, the strategy-to-play map, and
 preform morphisms."""
 
+import random
+
 import pytest
 
 from ncgames import (
+    GameError,
     MorphismError,
     PreformError,
     StrategySpaceTooLarge,
@@ -15,8 +18,10 @@ from ncgames import (
     is_grand_strategy,
     is_subpreform,
     play_of,
+    subgame_at,
     validate_preform_morphism,
 )
+from ncgames.transforms import canonicalize, to_choice_sequence
 
 from conftest import (
     CLASSROOM_CHOICES,
@@ -26,6 +31,7 @@ from conftest import (
     nodes_of,
 )
 from oracles import zeta_by_scan
+from random_games import random_game
 
 
 def info_sets_as_tokens(pf):
@@ -95,6 +101,39 @@ class TestBuildPreform:
         for (t, c), t_next in classroom_preform.op.items():
             assert classroom_preform.prev_choice[t_next] == c
             assert classroom_preform.tree.pred[t_next] == t
+
+
+class TestProducingChoices:
+    """``_ids.prev`` keeps the choice that produced each node, by node id,
+    and ``prev_choice`` is its view by label."""
+
+    @staticmethod
+    def check(pf):
+        ids, prev = pf.tree._ids, pf._ids.prev
+        reaching = [[] for _ in ids.labels]
+        for (_t, c), t_next in pf._ids.op.items():
+            reaching[t_next].append(c)
+        assert len(prev) == len(ids.labels)
+        for k, choices in enumerate(reaching):
+            if k == ids.walk[0]:
+                assert choices == [] and prev[k] is None
+            else:
+                assert [prev[k]] == choices
+        assert list(pf.prev_choice.items()) == [
+            (t_next, c) for (_t, c), t_next in pf.op.items()
+        ]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_games_their_conversions_and_subgames(self, seed):
+        g = random_game(random.Random(seed), max_nodes=12)
+        games = [g, to_choice_sequence(g)[0], canonicalize(g).game]
+        for t in g.tree.decision_nodes:
+            try:
+                games.append(subgame_at(g, t))
+            except GameError:  # an up-set that cuts an information set
+                pass
+        for game in games:
+            self.check(game.preform)
 
 
 class TestGrandStrategies:

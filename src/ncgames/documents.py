@@ -38,13 +38,15 @@ from .game import (
     GameMorphism,
     IsoWitness,
     _priced,
+    _utility_ids,
+    _utility_ranks,
     is_isomorphism,
     validate_game_morphism,
 )
 from .form import build_form
 from .labels import Atom, NodeLabel, Seq, SetLabel
 from .preform import _preform_from_ids
-from .tree import _NodeIds, _play_with_ids
+from .tree import _IdMap, _NodeIds, _play_with_ids
 
 __all__ = [
     "FORMAT_VERSION",
@@ -366,7 +368,8 @@ def _rows_by_text(text: str, at: int, paths: list, node_specs: list):
 
 def _game_from_document(doc, rows_at=None) -> tuple:
     """The game a document describes and a reader of node specs that
-    returns the game's own label for each of its nodes.
+    returns the game's node id of each, numbering a spec of no node of
+    the game past its nodes.
 
     Nodes are read as their positions in the ``nodes`` list, and edges
     as triples of them.  Utility rows are read after the preform and
@@ -423,7 +426,7 @@ def _game_from_document(doc, rows_at=None) -> tuple:
         game = _priced(form, {i: row.items() for i, row in utilities.items()})
     except NcgError as exc:
         raise AxiomViolation(exc) from exc
-    return game, lambda spec: labels[read(spec)]
+    return game, read
 
 
 def _open(path, mode: str = "r"):
@@ -431,22 +434,21 @@ def _open(path, mode: str = "r"):
     return Path(path).open(mode, encoding="utf-8")
 
 
-def _read(path) -> str:
-    with _open(path) as file:
-        return file.read()
+def _read(path, code: str = "UnreadableDocument", kind: str = "document") -> str:
+    """The text of the document at ``path``, refused as ``code`` when it
+    cannot be read as UTF-8 text."""
+    try:
+        with _open(path) as file:
+            return file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(
+            code, f"cannot read the {kind} at {path} ({type(exc).__name__})", path=str(path)
+        ) from exc
 
 
 def _read_game(path) -> str:
-    """The text of the game document at ``path``; a file that cannot be
-    read as UTF-8 text is refused as ``UnreadableGame``."""
-    try:
-        return _read(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentError(
-            "UnreadableGame",
-            f"cannot read the game at {path} ({type(exc).__name__})",
-            path=str(path),
-        ) from exc
+    """The text of the game document at ``path``, refused as ``UnreadableGame``."""
+    return _read(path, "UnreadableGame", "game")
 
 
 def _game_from_text(text: str) -> tuple:
@@ -635,18 +637,22 @@ def write_game(g: Game, path) -> None:
     _write(_game_pieces(g, 0, _node_texts(g, 2)), path)
 
 
-def _pairs_to_map(entries, parse_left, parse_right, what) -> dict:
+def _pairs(entries, parse_left, parse_right, what, key=None) -> tuple:
+    """The left and the right values of a list of pairs, in order; a
+    left value is refused when ``key`` of it, or it, repeats."""
     if not isinstance(entries, list):
         raise DocumentSyntaxError(f"{what} must be a list of pairs")
-    mapping = {}
+    lefts, rights, seen = [], [], set()
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentSyntaxError(f"{what} entry {entry!r} must be a pair")
         left = parse_left(entry[0])
-        if left in mapping:
+        seen.add(left if key is None else key(left))
+        if len(seen) == len(lefts):
             raise DocumentSyntaxError(f"{what} maps {entry[0]!r} twice")
-        mapping[left] = parse_right(entry[1])
-    return mapping
+        lefts.append(left)
+        rights.append(parse_right(entry[1]))
+    return lefts, rights
 
 
 def _token(value):
@@ -659,35 +665,41 @@ def _game_from_ref(ref, base_dir, built: list) -> tuple:
     """The game a path or inline document names, with its reader of node
     specs; ``built`` lists the (reference, game, reader) triples read so
     far, and an equal reference reuses its game."""
-    for seen, game, label in built:
+    for seen, game, read in built:
         if seen == ref:
-            return game, label
+            return game, read
     if isinstance(ref, str):
-        game, label = _game_from_text(_read_game(Path(base_dir) / ref))
+        game, read = _game_from_text(_read_game(Path(base_dir) / ref))
     else:
-        game, label = _game_from_document(ref)
-    built.append((ref, game, label))
-    return game, label
+        game, read = _game_from_document(ref)
+    built.append((ref, game, read))
+    return game, read
 
 
 def _morphism_parts(doc, base_dir, built: list) -> tuple:
-    """The games and maps of a morphism document, not yet validated."""
+    """The games and maps of a morphism document, not yet validated.
+
+    ``tau`` is an ``_IdMap`` over the games' node ids, read by their
+    readers, and each utility map one over its pairs' rationals, in
+    document order, so the validator reads the first as ids and the
+    second as ranks, found by lowest terms."""
     _check_version(doc, "morphism document")
-    source, source_label = _game_from_ref(
+    source, source_read = _game_from_ref(
         _require(doc, "source", (str, dict), "morphism document"), base_dir, built
     )
-    target, target_label = _game_from_ref(
+    target, target_read = _game_from_ref(
         _require(doc, "target", (str, dict), "morphism document"), base_dir, built
     )
-    iota = _pairs_to_map(doc.get("iota", []), _token, _token, "iota")
-    tau = _pairs_to_map(doc.get("tau", []), source_label, target_label, "tau")
-    delta = _pairs_to_map(doc.get("delta", []), _token, _token, "delta")
+    iota = dict(zip(*_pairs(doc.get("iota", []), _token, _token, "iota")))
+    keys, values = _pairs(doc.get("tau", []), source_read, target_read, "tau")
+    tau = _IdMap(keys, values, source.tree._ids.labels, target.tree._ids.labels)
+    delta = dict(zip(*_pairs(doc.get("delta", []), _token, _token, "delta")))
     beta_doc = _require(doc, "beta", dict, "morphism document")
     rational = _rational_reader()
-    beta = {
-        player: _pairs_to_map(entries, rational, rational, "beta")
-        for player, entries in beta_doc.items()
-    }
+    beta = {}
+    for player, entries in beta_doc.items():
+        keys, values = _pairs(entries, rational, rational, "beta", lambda u: u.as_integer_ratio())
+        beta[player] = _IdMap(range(len(keys)), range(len(values)), keys, values)
     return source, target, iota, tau, delta, beta
 
 
@@ -709,25 +721,29 @@ def parse_morphism(text: str, base_dir=".") -> GameMorphism:
 def _morphism_pieces(m: GameMorphism, level: int, built: dict):
     """The canonical text of a morphism's document at indent ``level``,
     in pieces; ``built`` is ``_embedded`` of its source and target at
-    ``level + 1``, whose node texts are also those of ``tau``."""
+    ``level + 1``, whose node texts are also those of ``tau``.  Its maps
+    are read from its id core: ``tau`` by node id and each utility map
+    by rank, in the order of the source's ranks."""
     source_nodes, source = built[id(m.source)]
     target_nodes, target = built[id(m.target)]
-    ids = m.source.tree._ids
-    target_text = dict(zip(m.target.tree._ids.labels, target_nodes))
+    tau, pad = m._ids.tau, "\n" + "  " * (level + 3)
+    # each pair, ``[source spec, target spec]``, is one join of ``_list``'s layout
+    opening, separator, closing = "[" + pad, "," + pad, pad[:-2] + "]"
     iota = [[str(i), str(m.iota[i])] for i in sorted(m.iota, key=str)]
     delta = [[str(c), str(m.delta[c])] for c in sorted(m.delta, key=str)]
-    beta = {
-        str(i): [[str(u), str(v)] for u, v in sorted(m.beta[i].items())]
-        for i in sorted(m.beta, key=str)
-    }
+    beta = {}
+    for i in sorted(m._ids.beta, key=str):
+        range1, range2 = _utility_ranks(m.source, i)[0], _utility_ranks(m.target, m.iota[i])[0]
+        ranks = sorted(m._ids.beta[i].items())
+        beta[str(i)] = [[str(range1[r]), str(range2[s])] for r, s in ranks]
     return _members((
         ("format_version", [_encode_str(FORMAT_VERSION)]),
         ("source", source),
         ("target", target),
         ("iota", [_encode(iota, level + 1)]),
         ("tau", _items((
-            _list((source_nodes[k], target_text[m.tau[ids.labels[k]]]), level + 2)
-            for k in ids.order
+            opening + source_nodes[k] + separator + target_nodes[tau[k]] + closing
+            for k in m.source.tree._ids.order
         ), level + 1)),
         ("delta", [_encode(delta, level + 1)]),
         ("beta", [_encode(beta, level + 1)]),
@@ -774,6 +790,25 @@ def parse_witness(text: str, base_dir=".") -> IsoWitness:
     return _witness_from_document(_loads(text), base_dir)
 
 
+def _is_inverse(claimed: tuple, m: GameMorphism) -> bool:
+    """Whether the maps of ``claimed``, from ``_morphism_parts``, are those
+    of ``m``: compared as node ids and utility ranks when ``claimed`` is
+    over the games of ``m``, else as the maps by label."""
+    source, target, iota, tau, delta, beta = claimed
+    if source is not m.source or target is not m.target:
+        return claimed == (m.source, m.target, m.iota, m.tau, m.delta, m.beta)
+    return (
+        iota == m.iota
+        and delta == m.delta
+        and dict(zip(tau.domain, tau.image)) == dict(enumerate(m._ids.tau))
+        and beta.keys() == m._ids.beta.keys()
+        and all(
+            dict(zip(*_utility_ids(beta[i], source, i, target, m.iota[i]))) == ranks
+            for i, ranks in m._ids.beta.items()
+        )
+    )
+
+
 def _witness_from_document(doc, base_dir) -> IsoWitness:
     _check_version(doc, "witness document")
     built: list = []  # each game the two morphisms share is built once
@@ -784,8 +819,7 @@ def _witness_from_document(doc, base_dir) -> IsoWitness:
         _require(doc, "inverse", dict, "witness document"), base_dir, built
     )
     witness = is_isomorphism(morphism)
-    m = witness and witness.inverse
-    if m and claimed == (m.source, m.target, m.iota, m.tau, m.delta, m.beta):
+    if witness and _is_inverse(claimed, witness.inverse):
         return witness
     _validated(claimed)
     if witness is None:

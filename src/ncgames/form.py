@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 from .errors import FormError, MorphismError
@@ -27,7 +28,7 @@ from .preform import (
     strategies_over,
     validate_preform_morphism,
 )
-from .tree import Structural, check_composable, check_map
+from .tree import Structural, _then, check_composable, check_map
 
 __all__ = [
     "Form",
@@ -185,26 +186,34 @@ def profile_to_grand(form: Form, profile: Mapping) -> frozenset:
 @dataclass(frozen=True, eq=False)
 class FormMorphism(Structural):
     """Player, node, and choice maps preserving structure and ownership;
-    its preform morphism is a view of the node and choice maps."""
+    the node map is kept in ``_ids`` as a preform morphism keeps it, and
+    its preform morphism and ``tau`` are views of its maps."""
 
     source: Form
     target: Form
     iota: Mapping[Token, Token]
-    tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
+    _ids: SimpleNamespace = field(compare=False, repr=False)
+
+    _defining_views = ("tau",)
 
     @cached_property
     def preform_morphism(self) -> PreformMorphism:
-        return PreformMorphism(self.source.preform, self.target.preform, self.tau, self.delta)
+        source, target = self.source.preform, self.target.preform
+        return PreformMorphism(source, target, self.delta, self._ids)
+
+    @cached_property
+    def tau(self) -> Mapping[NodeLabel, NodeLabel]:
+        return self.preform_morphism.tau
 
 
 def validate_form_morphism(
     source: Form, target: Form, iota: Mapping, tau: Mapping, delta: Mapping
 ) -> FormMorphism:
     check_map(iota, source.players, target.players, "player", "[f1]", source.player_rank.get)
-    preform_morphism = validate_preform_morphism(source.preform, target.preform, tau, delta)
+    below = validate_preform_morphism(source.preform, target.preform, tau, delta)
     for i in source.player_rank:
-        image = {preform_morphism.delta[c] for c in source.assignment[i]}
+        image = {below.delta[c] for c in source.assignment[i]}
         if not image <= target.assignment[iota[i]]:
             raise MorphismError(
                 "PlayerOwnershipViolated",
@@ -213,24 +222,24 @@ def validate_form_morphism(
                 axiom="[f3]",
                 player=i,
             )
-    return FormMorphism(
-        source, target, dict(iota), preform_morphism.tau, preform_morphism.delta
-    )
+    return FormMorphism(source, target, dict(iota), below.delta, below._ids)
 
 
 def identity_form_morphism(form: Form) -> FormMorphism:
     """The identity on ``form``, built unvalidated: a morphism by theorem."""
     below = identity_preform_morphism(form.preform)
-    return FormMorphism(form, form, {i: i for i in form.players}, below.tau, below.delta)
+    return FormMorphism(form, form, {i: i for i in form.players}, below.delta, below._ids)
 
 
 def compose_form_morphisms(second: FormMorphism, first: FormMorphism) -> FormMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
-    tau = {t: second.tau[first.tau[t]] for t in first.source.preform.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}
-    return FormMorphism(first.source, second.target, iota, tau, delta)
+    tau = _then(
+        first._ids.tau, second._ids.tau, first.target.preform.tree, second.source.preform.tree
+    )
+    return FormMorphism(first.source, second.target, iota, delta, SimpleNamespace(tau=tau))
 
 
 def is_subform(inner: Form, outer: Form) -> bool:

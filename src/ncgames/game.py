@@ -51,11 +51,13 @@ from .tree import (
     Structural,
     Tree,
     TreeMorphism,
-    _is_bijection,
+    _IdMap,
+    _inverse,
+    _play_images,
     _play_with_ids,
+    _then,
     _up_set,
     check_composable,
-    is_tree_isomorphism,
 )
 
 __all__ = [
@@ -238,24 +240,41 @@ def _priced(form: Form, rows: Mapping) -> Game:
 
 @dataclass(frozen=True, eq=False)
 class GameMorphism(Structural):
-    """A game morphism; its lower layers and end-preserved plays are views of its maps."""
+    """A game morphism.  ``_ids`` keeps its node map as its tree morphism
+    keeps it, and ``beta``, each source player's utility map from the
+    ranks of its utilities in ``_utility_ranks`` to the ranks of its
+    image's.  ``tau`` by label, ``beta`` by ``Fraction``, the lower
+    layers and the end-preserved plays are views of its maps."""
 
     source: Game
     target: Game
     iota: Mapping[Token, Token]
-    tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
-    beta: Mapping[Token, Mapping[Fraction, Fraction]]
+    _ids: SimpleNamespace = field(compare=False, repr=False)
+
+    _defining_views = ("tau", "beta")
 
     @cached_property
     def form_morphism(self) -> FormMorphism:
-        return FormMorphism(
-            self.source.form, self.target.form, self.iota, self.tau, self.delta
-        )
+        source, target = self.source.form, self.target.form
+        return FormMorphism(source, target, self.iota, self.delta, self._ids)
 
     @cached_property
     def theta(self) -> TreeMorphism:
         return self.form_morphism.preform_morphism.tree_morphism
+
+    @cached_property
+    def tau(self) -> Mapping[NodeLabel, NodeLabel]:
+        return self.theta.tau
+
+    @cached_property
+    def beta(self) -> Mapping[Token, Mapping[Fraction, Fraction]]:
+        beta = {}
+        for i, ranks in self._ids.beta.items():
+            source = _utility_ranks(self.source, i)[0]
+            target = _utility_ranks(self.target, self.iota[i])[0]
+            beta[i] = {source[r]: target[s] for r, s in ranks.items()}
+        return beta
 
     @cached_property
     def end_preserved(self) -> frozenset:
@@ -268,6 +287,26 @@ class IsoWitness:
 
     morphism: GameMorphism
     inverse: GameMorphism
+
+
+def _utility_ids(bmap: Mapping, source: Game, i: Token, target: Game, j: Token) -> tuple:
+    """The keys and the values of the utility map ``bmap`` as ranks of
+    ``i``'s utilities in ``source`` and ``j``'s in ``target``, -1 outside
+    them: read as ranks from an ``_IdMap`` over those, else found by
+    lowest terms, so no ``Fraction`` is hashed."""
+    (range1, _, rank1), (range2, _, rank2) = _utility_ranks(source, i), _utility_ranks(target, j)
+    if type(bmap) is _IdMap and bmap.key_labels is range1 and bmap.value_labels is range2:
+        return bmap.domain, bmap.image
+    pairs = [(_as_fraction(u), _as_fraction(v)) for u, v in bmap.items()]
+    terms = [((u.numerator, u.denominator), (v.numerator, v.denominator)) for u, v in pairs]
+    if len({u for u, _v in terms}) != len(bmap):
+        raise MorphismError(
+            "DuplicateUtility",
+            f"utility map of {render_token(i)} names one utility twice",
+            axiom="[g2]",
+            player=i,
+        )
+    return [rank1.get(u, -1) for u, _v in terms], [rank2.get(v, -1) for _u, v in terms]
 
 
 def validate_game_morphism(
@@ -283,18 +322,17 @@ def validate_game_morphism(
     The utility maps must be defined exactly on the utilities of the
     end-preserved plays, land in the target player's utility range, be
     weakly increasing, and reproduce the target utility of every
-    end-preserved play's image.
+    end-preserved play's image; they are checked as maps of ranks.
     """
-    form_morphism = validate_form_morphism(source.form, target.form, iota, tau, delta)
-    images = TreeMorphism(source.tree, target.tree, form_morphism.tau).play_images
-
-    norm_beta: Dict[Token, Dict[Fraction, Fraction]] = {}
+    below = validate_form_morphism(source.form, target.form, iota, tau, delta)
+    images = _play_images(source.tree, target.tree, below._ids.tau)
     for i in beta:
         if i not in source.players:
             raise MorphismError(
                 "UnknownPlayer",
                 f"utility map given for {render_token(i)}, which is not a source player",
             )
+    ranked: Dict[Token, Dict[int, int]] = {}
     for i in source.form.player_rank:
         if i not in beta:
             raise MorphismError(
@@ -303,35 +341,31 @@ def validate_game_morphism(
                 axiom="[g2]",
                 player=i,
             )
-        bmap = {_as_fraction(u): _as_fraction(v) for u, v in beta[i].items()}
-        if len(bmap) != len(beta[i]):
-            raise MorphismError(
-                "DuplicateUtility",
-                f"utility map of {render_token(i)} names one utility twice",
-                axiom="[g2]",
-                player=i,
-            )
-        expected_domain = frozenset(source.utilities[i][z] for z in images)
-        if frozenset(bmap) != expected_domain:
+        j = below.iota[i]
+        keys, values = _utility_ids(beta[i], source, i, target, j)
+        range1, ranks1, _ = _utility_ranks(source, i)
+        realized = {ranks1[p] for p, _q in images}
+        if set(keys) != realized:  # -1, a utility outside the range, is never realized
             raise MorphismError(
                 "BetaDomainMismatch",
                 f"utility map of {render_token(i)} is defined on "
-                f"{sorted(bmap)} but the end-preserved plays realize "
-                f"{sorted(expected_domain)}",
+                f"{sorted(map(_as_fraction, beta[i]))} but the end-preserved plays "
+                f"realize {[range1[r] for r in sorted(realized)]}",
                 axiom="[g2]",
                 player=i,
             )
-        if not frozenset(bmap.values()) <= target.ranges[form_morphism.iota[i]]:
+        if -1 in values:
             raise MorphismError(
                 "BetaDomainMismatch",
                 f"utility map of {render_token(i)} leaves the utility range of "
-                f"{render_token(form_morphism.iota[i])}",
+                f"{render_token(j)}",
                 axiom="[g2]",
                 player=i,
             )
-        ordered = sorted(bmap)
-        for u1, u2 in zip(ordered, ordered[1:]):
-            if bmap[u1] > bmap[u2]:
+        pairs = sorted(zip(keys, values))
+        for (r1, s1), (r2, s2) in zip(pairs, pairs[1:]):
+            if s1 > s2:
+                u1, u2 = range1[r1], range1[r2]
                 raise MorphismError(
                     "BetaNotMonotone",
                     f"utility map of {render_token(i)} sends {u2} below {u1} "
@@ -341,37 +375,41 @@ def validate_game_morphism(
                     lower=u1,
                     upper=u2,
                 )
-        norm_beta[i] = bmap
+        ranked[i] = dict(pairs)
 
-    for i in source.form.player_rank:
-        beta_i, source_row = norm_beta[i], source.utilities[i]
-        target_row = target.utilities[form_morphism.iota[i]]
-        failing = [
-            z for z, image in images.items() if beta_i[source_row[z]] != target_row[image]
-        ]
+    ends, rank = list(source.tree._ids.plays), source.tree._ids.rank
+    for i, bmap in ranked.items():
+        ranks1 = _utility_ranks(source, i)[1]
+        range2, ranks2, _ = _utility_ranks(target, below.iota[i])
+        failing = [(p, q) for p, q in images if bmap[ranks1[p]] != ranks2[q]]
         if failing:
-            # the least by rank, so every run names the same play
-            z = min(failing, key=lambda z: source.tree.rank[z.end])
+            # the least by the rank of its end, so every run names the same play
+            p, q = min(failing, key=lambda pair: rank[ends[pair[0]]])
+            z = source.tree.play_by_end[source.tree._ids.labels[ends[p]]]
             raise MorphismError(
                 "UtilityEquationFails",
                 f"player {render_token(i)}: utility map gives "
-                f"{beta_i[source_row[z]]} on the play ending at "
-                f"{render_label(z.end)} but its image is priced {target_row[images[z]]}",
+                f"{range2[bmap[ranks1[p]]]} on the play ending at {render_label(z.end)} "
+                f"but its image is priced {range2[ranks2[q]]}",
                 axiom="[g4]",
                 player=i,
                 play=z,
             )
 
-    return GameMorphism(
-        source, target, form_morphism.iota, form_morphism.tau, form_morphism.delta, norm_beta
-    )
+    ids = SimpleNamespace(tau=below._ids.tau, beta=ranked)
+    return GameMorphism(source, target, below.iota, below.delta, ids)
+
+
+def _identity_ranks(g: Game) -> dict:
+    """Each player's identity utility map, over the ranks of its range."""
+    return {i: dict(zip(range(len(u)), range(len(u)))) for i, u in g.ranges.items()}
 
 
 def identity_morphism(g: Game) -> GameMorphism:
     """The identity on ``g``, built unvalidated: a morphism by theorem."""
     below = identity_form_morphism(g.form)
-    beta = {i: {u: u for u in g.ranges[i]} for i in g.players}
-    return GameMorphism(g, g, below.iota, below.tau, below.delta, beta)
+    ids = SimpleNamespace(tau=below._ids.tau, beta=_identity_ranks(g))
+    return GameMorphism(g, g, below.iota, below.delta, ids)
 
 
 def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
@@ -380,43 +418,49 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
     The utility maps chain on the utilities of the plays end-preserved
     by the composite node map, where both are defined: a morphism keeps
     decision nodes, so ``first`` preserves such a play and ``second`` its image.
+    Equal games order their utilities alike, so the ranks of ``first``'s
+    target are those of ``second``'s source.
     """
     check_composable(second, first)
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
-    tau = {t: second.tau[first.tau[t]] for t in first.source.tree.nodes}
     delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}
-    images = TreeMorphism(first.source.tree, second.target.tree, tau).play_images
-    beta: Dict[Token, Dict[Fraction, Fraction]] = {}
-    for i in first.source.players:
-        b1, b2 = first.beta[i], second.beta[first.iota[i]]
-        realized = {first.source.utilities[i][z] for z in images}
-        beta[i] = {u: b2[b1[u]] for u in realized}
-    return GameMorphism(first.source, second.target, iota, tau, delta, beta)
+    tau = _then(first._ids.tau, second._ids.tau, first.target.tree, second.source.tree)
+    images = _play_images(first.source.tree, second.target.tree, tau)
+    beta: Dict[Token, Dict[int, int]] = {}
+    for i in first.source.form.player_rank:
+        b1, b2 = first._ids.beta[i], second._ids.beta[first.iota[i]]
+        ranks = _utility_ranks(first.source, i)[1]
+        beta[i] = {r: b2[b1[r]] for r in sorted({ranks[p] for p, _q in images})}
+    ids = SimpleNamespace(tau=tau, beta=beta)
+    return GameMorphism(first.source, second.target, iota, delta, ids)
 
 
 def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:
     """An explicit inverse when every component bijects, else ``None``.
 
-    The inverse is built by inverting each component, unvalidated.  That
-    it is a morphism, the paper's equivalent characterization (bijective
-    structure maps with strictly increasing utility maps) and the
-    identity composites are theorems checked by the test suite, not here.
+    The inverse is built by inverting each component, unvalidated: the
+    node ids, and each utility map's ranks.  That it is a morphism, the
+    paper's equivalent characterization (bijective structure maps with
+    strictly increasing utility maps) and the identity composites are
+    theorems checked by the test suite, not here.
     """
-    theta = is_tree_isomorphism(m.theta)
-    if theta is None or not (
-        _is_bijection(m.iota, m.source.players, m.target.players)
-        and _is_bijection(m.delta, m.source.preform.choices, m.target.preform.choices)
+    # each map lands in the target, so it bijects when it has as many
+    # images as keys, and as the target has elements
+    tau = _inverse(m._ids.tau, len(m.target.tree.nodes))
+    iota = {v: k for k, v in m.iota.items()}
+    delta = {v: k for k, v in m.delta.items()}
+    if tau is None or not (
+        len(iota) == len(m.iota) == len(m.target.players)
+        and len(delta) == len(m.delta) == len(m.target.preform.choices)
         and all(
-            _is_bijection(m.beta[i], frozenset(m.beta[i]), m.target.ranges[m.iota[i]])
-            for i in m.source.players
+            len(set(ranks.values())) == len(ranks) == len(m.target.ranges[m.iota[i]])
+            for i, ranks in m._ids.beta.items()
         )
     ):
         return None
-
-    iota = {v: k for k, v in m.iota.items()}
-    delta = {v: k for k, v in m.delta.items()}
-    beta = {j: {v: u for u, v in m.beta[i].items()} for j, i in iota.items()}
-    return IsoWitness(m, GameMorphism(m.target, m.source, iota, theta.tau, delta, beta))
+    beta = {m.iota[i]: {s: r for r, s in ranks.items()} for i, ranks in m._ids.beta.items()}
+    inverse = GameMorphism(m.target, m.source, iota, delta, SimpleNamespace(tau=tau, beta=beta))
+    return IsoWitness(m, inverse)
 
 
 def is_subgame(inner: Game, outer: Game) -> bool:
@@ -594,17 +638,23 @@ def nash_equilibria(g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
 
 
 def _utility_ranks(g: Game, i: Token) -> tuple:
-    """Player ``i``'s range in increasing order, and the rank there of
-    the player's utility of each play, by play position; sorted once per
-    game and player and kept in ``_ids.ranks``.  Values are found in the
-    range by lowest terms, which equal fractions share and which hash
-    faster than a ``Fraction``."""
+    """Player ``i``'s range in increasing order, the rank there of the
+    player's utility of each play, by play position, and the rank of
+    each utility by its lowest terms; sorted once per game and player
+    and kept in ``_ids.ranks``.  Values are found in the range by lowest
+    terms, which equal fractions share and which hash faster than a
+    ``Fraction``.  The range is sorted by each value's nearest float,
+    which never orders two values wrongly, and by the value only where
+    two floats tie, so few comparisons run ``Fraction``'s Python code."""
     ranked = g._ids.ranks.get(i)
     if ranked is None:
-        ordered = sorted(g.ranges[i])
+        try:
+            ordered = [u for _f, u in sorted((float(u), u) for u in g.ranges[i])]
+        except OverflowError:  # a value past the floats
+            ordered = sorted(g.ranges[i])
         rank = {(u.numerator, u.denominator): r for r, u in enumerate(ordered)}
         ranks = [rank[u.numerator, u.denominator] for u in g._ids.values[i]]
-        ranked = g._ids.ranks[i] = ordered, ranks
+        ranked = g._ids.ranks[i] = ordered, ranks, rank
     return ranked
 
 
@@ -646,8 +696,8 @@ def find_isomorphism(
     unsearched.  Each complete map forces the player map through
     ownership and each utility map pointwise through the play images,
     rank to rank in ``_utility_ranks``.  The search maps node ids, read
-    from the tree's and the preform's id cores; the label map is built
-    once, for the validation of the morphism found.
+    from the tree's and the preform's id cores, and the morphism found
+    is validated over those ids and ranks, so no label is read.
     Raises :class:`SearchBudgetExceeded` after ``budget`` node expansions.
     """
     table: Dict[tuple, int] = {}
@@ -685,17 +735,11 @@ def find_isomorphism(
             if len(owners) > 1:
                 return None
             (iota[i],) = owners
-        # each end-preserved play's position, in play order, with its image's
-        plays2 = ids2.plays
-        images = [
-            (p, plays2[mapping[end]]) for end, p in ids1.plays.items()
-            if mapping[end] in plays2
-        ]
+        images = _play_images(g1.tree, g2.tree, mapping)
 
         def utility_map(i: Token, j: Token) -> Optional[Dict]:
-            """β_i read off the play images, if strictly increasing: rank
-            to rank, then the ranks' utilities."""
-            (range1, ranks1), (range2, ranks2) = _utility_ranks(g1, i), _utility_ranks(g2, j)
+            """β_i read off the play images rank to rank, if strictly increasing."""
+            ranks1, ranks2 = _utility_ranks(g1, i)[1], _utility_ranks(g2, j)[1]
             bmap: Dict[int, int] = {}
             for p, q in images:
                 if bmap.setdefault(ranks1[p], ranks2[q]) != ranks2[q]:
@@ -703,7 +747,7 @@ def find_isomorphism(
             ordered = sorted(bmap)
             if any(bmap[r1] >= bmap[r2] for r1, r2 in zip(ordered, ordered[1:])):
                 return None
-            return {range1[r1]: range2[r2] for r1, r2 in bmap.items()}
+            return bmap
 
         beta = {i: utility_map(i, j) for i, j in iota.items()}
         if None in beta.values():
@@ -720,8 +764,11 @@ def find_isomorphism(
                     break
             else:
                 return None
-        labels1, labels2 = ids1.labels, ids2.labels
-        tau = {labels1[t]: labels2[mapping[t]] for t in order}
+        # the maps go to the validator as ids, which it reads without labels
+        tau = _IdMap(range(len(mapping)), list(mapping), ids1.labels, ids2.labels)
+        for i, bmap in beta.items():
+            ranges = _utility_ranks(g1, i)[0], _utility_ranks(g2, iota[i])[0]
+            beta[i] = _IdMap(list(bmap), list(bmap.values()), *ranges)
         return is_isomorphism(validate_game_morphism(g1, g2, iota, tau, delta, beta))
 
     # depth-first over ``order`` with an explicit stack of candidate

@@ -33,6 +33,8 @@ from .tree import (
     Tree,
     TreeMorphism,
     _NodeIds,
+    _node_ids,
+    _then,
     _tree_from_ids,
     check_composable,
     check_map,
@@ -306,26 +308,34 @@ def _walk(pf: Preform, s: frozenset) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PreformMorphism(Structural):
-    """A node map and a choice map preserving the operator graph; its
-    tree morphism is a view of the node map."""
+    """A node map and a choice map preserving the operator graph; the
+    node map is kept in ``_ids`` as its tree morphism keeps it, and its
+    tree morphism and ``tau`` are views of it."""
 
     source: Preform
     target: Preform
-    tau: Mapping[NodeLabel, NodeLabel]
     delta: Mapping[Token, Token]
+    _ids: SimpleNamespace = field(compare=False, repr=False)
+
+    _defining_views = ("tau",)
 
     @cached_property
     def tree_morphism(self) -> TreeMorphism:
-        return TreeMorphism(self.source.tree, self.target.tree, self.tau)
+        return TreeMorphism(self.source.tree, self.target.tree, self._ids)
+
+    @cached_property
+    def tau(self) -> Mapping[NodeLabel, NodeLabel]:
+        return self.tree_morphism.tau
 
 
 def validate_preform_morphism(
     source: Preform, target: Preform, tau: Mapping, delta: Mapping
 ) -> PreformMorphism:
     check_map(delta, source.choices, target.choices, "choice", "[p1]", token_key)
-    check_map(tau, source.tree.nodes, target.tree.nodes, "node", "[p1]", source.tree.rank.get)
-    for (t, c), t_next in source.op.items():
-        if target.op.get((tau[t], delta[c])) != tau[t_next]:
+    ids = _node_ids(tau, source.tree, target.tree, "[p1]")
+    for (t, c), t_next in source._ids.op.items():
+        if target._ids.op.get((ids[t], delta[c])) != ids[t_next]:
+            t, t_next = source.tree._ids.labels[t], source.tree._ids.labels[t_next]
             raise MorphismError(
                 "TripleNotPreserved",
                 f"triple ({render_label(t)}, {render_token(c)}, {render_label(t_next)}) "
@@ -337,13 +347,13 @@ def validate_preform_morphism(
             )
     # [p1] makes the node map total and [p2] carries every predecessor
     # pair, each an operator triple: the tree morphism view needs no check
-    return PreformMorphism(source, target, dict(tau), dict(delta))
+    return PreformMorphism(source, target, dict(delta), SimpleNamespace(tau=ids))
 
 
 def identity_preform_morphism(pf: Preform) -> PreformMorphism:
     """The identity on ``pf``, built unvalidated: a morphism by theorem."""
-    tau = identity_tree_morphism(pf.tree).tau
-    return PreformMorphism(pf, pf, tau, {c: c for c in pf.choices})
+    ids = identity_tree_morphism(pf.tree)._ids
+    return PreformMorphism(pf, pf, {c: c for c in pf.choices}, ids)
 
 
 def compose_preform_morphisms(
@@ -351,9 +361,9 @@ def compose_preform_morphisms(
 ) -> PreformMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
-    tau = {t: second.tau[first.tau[t]] for t in first.source.tree.nodes}
+    tau = _then(first._ids.tau, second._ids.tau, first.target.tree, second.source.tree)
     delta = {c: second.delta[first.delta[c]] for c in first.source.choices}
-    return PreformMorphism(first.source, second.target, tau, delta)
+    return PreformMorphism(first.source, second.target, delta, SimpleNamespace(tau=tau))
 
 
 def is_subpreform(inner: Preform, outer: Preform) -> bool:

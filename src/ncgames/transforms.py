@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import TransformError
@@ -21,6 +22,7 @@ from .game import (
     GameMorphism,
     IsoWitness,
     _as_fraction,
+    _identity_ranks,
     _priced,
     identity_morphism,
     is_isomorphism,
@@ -192,9 +194,9 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
         beta[i] = bmap
     rows = {i: enumerate(map(beta[i].__getitem__, v)) for i, v in g._ids.values.items()}
     converted = _priced(g.form, rows)
-    # identity structure maps, strictly increasing utility maps: an isomorphism
-    morphism = replace(identity_morphism(g), target=converted, beta=beta)
-    return converted, is_isomorphism(morphism)
+    # identity structure maps, strictly increasing utility maps: an
+    # isomorphism, which keeps each utility's rank
+    return converted, is_isomorphism(replace(identity_morphism(g), target=converted))
 
 
 def relabel_game(
@@ -209,19 +211,18 @@ def relabel_game(
     domains.  The converted game keeps the node ids of ``g`` under their
     new labels, and each play keeps its utilities.
     """
-    tau = {t: (node_map or {}).get(t, t) for t in g.tree.nodes}
+    labels = [(node_map or {}).get(t, t) for t in g.tree._ids.labels]
     delta = {c: (choice_map or {}).get(c, c) for c in g.preform.choices}
     iota = {i: (player_map or {}).get(i, i) for i in g.players}
-    for name, mapping in (("node", tau), ("choice", delta), ("player", iota)):
-        if len(set(mapping.values())) != len(mapping):
+    for name, images in (("node", labels), ("choice", delta.values()), ("player", iota.values())):
+        if len(set(images)) != len(images):
             raise TransformError(
                 "NotInjective", f"{name} relabeling identifies two distinct {name}s"
             )
     triples = ((t, delta[c], u) for (t, c), u in g.preform._ids.op.items())
-    labels = list(map(tau.__getitem__, g.tree._ids.labels))
     # through sets, so nodes and choices iterate as ``build_preform``'s would
     preform = _preform_from_ids(
-        frozenset(set(tau.values())), labels, frozenset(set(delta.values())), triples
+        frozenset(set(labels)), labels, frozenset(set(delta.values())), triples
     )
     assignment = {
         iota[i]: frozenset(delta[c] for c in g.form.assignment[i]) for i in g.players
@@ -230,6 +231,7 @@ def relabel_game(
     plays = preform.tree._ids.plays
     moved = [plays[end] for end in g.tree._ids.plays]  # each play's position there
     converted = _priced(form, {iota[i]: zip(moved, v) for i, v in g._ids.values.items()})
-    # a bijective relabelling of a valid game: a morphism by construction
-    beta = {i: {u: u for u in g.ranges[i]} for i in g.players}
-    return converted, is_isomorphism(GameMorphism(g, converted, iota, tau, delta, beta))
+    # a bijective relabelling of a valid game, which keeps its node ids
+    # and utilities: a morphism by construction
+    ids = SimpleNamespace(tau=list(range(len(labels))), beta=_identity_ranks(g))
+    return converted, is_isomorphism(GameMorphism(g, converted, iota, delta, ids))

@@ -16,10 +16,11 @@ collection of infinite plays is always empty.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from .errors import MorphismError, TreeError
 from .labels import NodeLabel, label_key, ranked_label_key, render_label, render_token
@@ -81,36 +82,36 @@ def check_map(
     axiom: str,
     key: Callable,
 ) -> None:
-    """Reject a component map that is not a total function into ``codomain``.
+    """Reject a token map that is not a total function into ``codomain``.
 
     Of the domain elements where it fails, the least by ``key``, the
-    domain's sort key, is named: nodes by ``Tree.rank``, players by
-    ``Form.player_rank``, choices by the preform layer's choice order.
+    domain's sort key, is named: players by ``Form.player_rank``,
+    choices by the preform layer's choice order.  Node maps are checked
+    over node ids, by ``_node_ids``.
     """
-    render = render_label if kind == "node" else render_token
     for x in mapping:
         if x not in domain:
             raise MorphismError(
                 f"Unknown{kind.capitalize()}",
-                f"map defined on {render(x)}, which is not a source {kind}",
+                f"map defined on {render_token(x)}, which is not a source {kind}",
             )
     failing = [x for x in domain if x not in mapping or mapping[x] not in codomain]
     if failing:
         x = min(failing, key=key)
         if x not in mapping:
             raise MorphismError(
-                "NotTotal", f"map undefined on source {kind} {render(x)}", axiom=axiom
+                "NotTotal", f"map undefined on source {kind} {render_token(x)}", axiom=axiom
             )
         raise MorphismError(
             "NotTotal",
-            f"map sends {render(x)} to {render(mapping[x])}, "
+            f"map sends {render_token(x)} to {render_token(mapping[x])}, "
             f"which is not a target {kind}",
             axiom=axiom,
         )
 
 
 def check_composable(second, first) -> None:
-    if first.target != second.source:
+    if first.target is not second.source and first.target != second.source:
         raise MorphismError(
             "TargetSourceMismatch",
             "first morphism's target differs from second morphism's source",
@@ -416,61 +417,156 @@ def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:
     return _tree_from_ids(frozenset(labels), labels, pairs)
 
 
+class _IdMap(Mapping):
+    """A map of labels kept as ids: ``domain[n]`` maps to ``image[n]``,
+    standing for ``key_labels[domain[n]]`` and ``value_labels[image[n]]``,
+    no id twice in ``domain``.  Its keys and items are read by id, and a
+    lookup builds a dict once.  A validator reads the ids of one over its
+    own games' labels (a tree's ``_ids.labels``, a player's utilities in
+    rank order) without reading a label."""
+
+    def __init__(self, domain, image, key_labels, value_labels):
+        self.domain, self.image = domain, image
+        self.key_labels, self.value_labels = key_labels, value_labels
+
+    def __iter__(self):
+        return map(self.key_labels.__getitem__, self.domain)
+
+    def __len__(self) -> int:
+        return len(self.domain)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def items(self):  # read once, by the validators and by equality
+        return zip(self, map(self.value_labels.__getitem__, self.image))
+
+    @cached_property
+    def _dict(self) -> dict:
+        return dict(self.items())
+
+
+def _node_ids(tau: Mapping, source: Tree, target: Tree, axiom: str) -> list:
+    """[t1] (or [p1]) over node ids: ``tau`` as the list of each source
+    id's target id.  An ``_IdMap`` over the trees' labels is read as ids;
+    any other map is numbered through one label-to-id dict per tree, a
+    label that is no node past the nodes.  A key that is no node is named
+    first, in the map's order, then the least node by rank where the map
+    fails."""
+    n, m = len(source.nodes), len(target.nodes)
+    labels = source._ids.labels, target._ids.labels
+    if type(tau) is _IdMap and tau.key_labels is labels[0] and tau.value_labels is labels[1]:
+        pairs = zip(tau.domain, tau.image)
+    else:
+        to_id = _NodeIds(labels[0][:n]), _NodeIds(labels[1][:m])
+        pairs = ((to_id[0][t], to_id[1][u]) for t, u in tau.items())
+        labels = to_id[0].labels, to_id[1].labels
+    ids = [-1] * n
+    for k, v in pairs:
+        if k >= n:
+            raise MorphismError(
+                "UnknownNode",
+                f"map defined on {render_label(labels[0][k])}, which is not a source node",
+            )
+        ids[k] = v
+    if min(ids) < 0 or max(ids) >= m:
+        k = next(k for k in source._ids.order if not 0 <= ids[k] < m)
+        t = render_label(labels[0][k])
+        if ids[k] < 0:
+            raise MorphismError("NotTotal", f"map undefined on source node {t}", axiom=axiom)
+        raise MorphismError(
+            "NotTotal",
+            f"map sends {t} to {render_label(labels[1][ids[k]])}, which is not a target node",
+            axiom=axiom,
+        )
+    return ids
+
+
+def _play_images(source: Tree, target: Tree, tau: list) -> list:
+    """The position of each source play whose end ``tau`` keeps, in play
+    order, with the position of the target play ending at its image."""
+    plays = target._ids.plays
+    return [(p, plays[tau[end]]) for end, p in source._ids.plays.items() if tau[end] in plays]
+
+
+def _then(first: list, second: list, middle: Tree, same: Tree) -> list:
+    """The node ids ``first`` and then ``second``, meeting at the equal
+    trees ``middle`` and ``same``, renumbered when those number apart."""
+    labels = middle._ids.labels
+    if middle is not same and labels != same._ids.labels:
+        at = dict(zip(same._ids.labels, range(len(same.nodes))))
+        first = [at[labels[k]] for k in first]
+    return list(map(second.__getitem__, first))
+
+
+def _inverse(tau: list, n: int) -> Optional[list]:
+    """The inverse of the node ids ``tau`` if they biject onto ``n`` ids."""
+    inverse = [-1] * n
+    for k, v in enumerate(tau):
+        inverse[v] = k
+    return inverse if len(tau) == n and -1 not in inverse else None
+
+
 @dataclass(frozen=True, eq=False)
 class TreeMorphism(Structural):
-    """A node map that sends predecessor pairs to predecessor pairs."""
+    """A node map that sends predecessor pairs to predecessor pairs, kept
+    in ``_ids.tau`` as the target id of each source id; ``tau`` by label
+    and ``play_images`` are views of it.  The morphisms of the higher
+    layers share their ``_ids`` with the tree morphisms they view."""
 
     source: Tree
     target: Tree
-    tau: Mapping[NodeLabel, NodeLabel]
+    _ids: SimpleNamespace = field(compare=False, repr=False)
+
+    _defining_views = ("tau",)
+
+    @cached_property
+    def tau(self) -> Mapping[NodeLabel, NodeLabel]:
+        labels = self.target._ids.labels
+        return dict(zip(self.source._ids.labels, map(labels.__getitem__, self._ids.tau)))
 
     @cached_property
     def play_images(self) -> Mapping[Play, Play]:
-        """Each end-preserved source play, in ``play_by_end`` order, mapped to
-        its image: the target play ending at the image of its end, since
-        the map keeps edges.  A view of the map, computed on first use."""
-        ends = self.target.play_by_end
-        pairs = ((z, ends.get(self.tau[end])) for end, z in self.source.play_by_end.items())
-        return {z: image for z, image in pairs if image is not None}
+        """Each end-preserved source play, in ``play_by_end`` order, mapped to its image."""
+        plays, images = (list(tree.play_by_end.values()) for tree in (self.source, self.target))
+        pairs = _play_images(self.source, self.target, self._ids.tau)
+        return {plays[p]: images[q] for p, q in pairs}
 
 
 def validate_tree_morphism(source: Tree, target: Tree, tau: Mapping) -> TreeMorphism:
     """Check totality and edge preservation of a candidate node map."""
-    check_map(tau, source.nodes, target.nodes, "node", "[t1]", source.rank.get)
-    for child, parent in source.pred.items():
-        if target.pred.get(tau[child]) != tau[parent]:
+    ids = _node_ids(tau, source, target, "[t1]")
+    parent, above = source._ids.parent, target._ids.parent
+    for k in source._ids.edges:  # [t2], in ``pred`` order
+        if above[ids[k]] != ids[parent[k]]:
+            labels, images = source._ids.labels, target._ids.labels
+            child, up = labels[k], labels[parent[k]]
             raise MorphismError(
                 "EdgeNotPreserved",
-                f"edge ({render_label(child)}, {render_label(parent)}) maps to "
-                f"({render_label(tau[child])}, {render_label(tau[parent])}), "
+                f"edge ({render_label(child)}, {render_label(up)}) maps to "
+                f"({render_label(images[ids[k]])}, {render_label(images[ids[parent[k]]])}), "
                 "which is not a target edge",
                 axiom="[t2]",
                 child=child,
-                parent=parent,
+                parent=up,
             )
-    return TreeMorphism(source, target, dict(tau))
+    return TreeMorphism(source, target, SimpleNamespace(tau=ids))
 
 
 def identity_tree_morphism(tree: Tree) -> TreeMorphism:
     """The identity on ``tree``, built unvalidated: a morphism by theorem."""
-    return TreeMorphism(tree, tree, {t: t for t in tree.nodes})
+    return TreeMorphism(tree, tree, SimpleNamespace(tau=list(range(len(tree.nodes)))))
 
 
 def compose_tree_morphisms(second: TreeMorphism, first: TreeMorphism) -> TreeMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
-    tau = {t: second.tau[first.tau[t]] for t in first.source.nodes}
-    return TreeMorphism(first.source, second.target, tau)
-
-
-def _is_bijection(mapping: Mapping, domain: frozenset, codomain: frozenset) -> bool:
-    values = set(mapping.values())
-    return len(values) == len(domain) and values == set(codomain)
+    tau = _then(first._ids.tau, second._ids.tau, first.target, second.source)
+    return TreeMorphism(first.source, second.target, SimpleNamespace(tau=tau))
 
 
 def is_tree_isomorphism(m: TreeMorphism) -> Optional[TreeMorphism]:
     """The inverse morphism when the node map bijects, else ``None``;
     a bijection that preserves edges has an inverse that does too."""
-    if not _is_bijection(m.tau, m.source.nodes, m.target.nodes):
-        return None
-    return TreeMorphism(m.target, m.source, {v: k for k, v in m.tau.items()})
+    tau = _inverse(m._ids.tau, len(m.target.nodes))
+    return None if tau is None else TreeMorphism(m.target, m.source, SimpleNamespace(tau=tau))

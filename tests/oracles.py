@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from ncgames import Play, is_isomorphism, validate_game_morphism
-from ncgames.errors import DocumentSyntaxError, MorphismError
-from ncgames.labels import Atom, Seq, SetLabel, label_key, token_key
+from ncgames.errors import DocumentSyntaxError, GameError, MorphismError
+from ncgames.labels import Atom, Seq, SetLabel, label_key, render_label, render_token, token_key
 
 
 def reachable_by_pred(pred, start):
@@ -411,3 +411,192 @@ def loads_by_json(text):
         ) from exc
     except RecursionError as exc:
         raise DocumentSyntaxError("document nests too deeply") from exc
+
+
+# The morphism validators over label-keyed maps, as the library once ran
+# them: the second route, which the validators over node ids and utility
+# ranks must agree with, verdict and first error alike.  Nodes are
+# ordered by ``label_key``, players and choices by ``token_key``, and each
+# returns the validated maps by label.
+
+
+def check_map_by_labels(mapping, domain, codomain, kind, axiom, key):
+    """Reject a component map that is not a total function into
+    ``codomain``: a key outside ``domain`` first, in the map's order, then
+    the least element of ``domain`` by ``key`` where the map fails."""
+    render = render_label if kind == "node" else render_token
+    for x in mapping:
+        if x not in domain:
+            raise MorphismError(
+                f"Unknown{kind.capitalize()}",
+                f"map defined on {render(x)}, which is not a source {kind}",
+            )
+    failing = [x for x in domain if x not in mapping or mapping[x] not in codomain]
+    if failing:
+        x = min(failing, key=key)
+        if x not in mapping:
+            raise MorphismError(
+                "NotTotal", f"map undefined on source {kind} {render(x)}", axiom=axiom
+            )
+        raise MorphismError(
+            "NotTotal",
+            f"map sends {render(x)} to {render(mapping[x])}, "
+            f"which is not a target {kind}",
+            axiom=axiom,
+        )
+
+
+def validate_tree_morphism_by_labels(source, target, tau):
+    check_map_by_labels(tau, source.nodes, target.nodes, "node", "[t1]", label_key)
+    for child, parent in source.pred.items():
+        if target.pred.get(tau[child]) != tau[parent]:
+            raise MorphismError(
+                "EdgeNotPreserved",
+                f"edge ({render_label(child)}, {render_label(parent)}) maps to "
+                f"({render_label(tau[child])}, {render_label(tau[parent])}), "
+                "which is not a target edge",
+                axiom="[t2]",
+                child=child,
+                parent=parent,
+            )
+    return (dict(tau),)
+
+
+def validate_preform_morphism_by_labels(source, target, tau, delta):
+    check_map_by_labels(delta, source.choices, target.choices, "choice", "[p1]", token_key)
+    check_map_by_labels(tau, source.tree.nodes, target.tree.nodes, "node", "[p1]", label_key)
+    for (t, c), t_next in source.op.items():
+        if target.op.get((tau[t], delta[c])) != tau[t_next]:
+            raise MorphismError(
+                "TripleNotPreserved",
+                f"triple ({render_label(t)}, {render_token(c)}, {render_label(t_next)}) "
+                "does not map into the target operator graph",
+                axiom="[p2]",
+                node=t,
+                choice=c,
+                successor=t_next,
+            )
+    return dict(tau), dict(delta)
+
+
+def validate_form_morphism_by_labels(source, target, iota, tau, delta):
+    players = sorted(source.players, key=token_key)
+    check_map_by_labels(iota, source.players, target.players, "player", "[f1]", token_key)
+    tau, delta = validate_preform_morphism_by_labels(source.preform, target.preform, tau, delta)
+    for i in players:
+        image = {delta[c] for c in source.assignment[i]}
+        if not image <= target.assignment[iota[i]]:
+            raise MorphismError(
+                "PlayerOwnershipViolated",
+                f"choices of player {render_token(i)} do not all map to choices of "
+                f"{render_token(iota[i])}",
+                axiom="[f3]",
+                player=i,
+            )
+    return dict(iota), tau, delta
+
+
+def as_fraction(value):
+    """A utility as the library reads it: an exact rational, floats refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise GameError(
+                "NotRational", f"utility text {value[:40]!r} is not an exact rational"
+            ) from None
+    raise GameError(
+        "NotRational",
+        f"utility {value!r} is not an exact rational; floats are rejected",
+    )
+
+
+def validate_game_morphism_by_labels(source, target, iota, tau, delta, beta):
+    """The maps by label of the game morphism ``(iota, tau, delta, beta)``,
+    each utility map keyed by ``Fraction``, or the first broken rule.  The
+    end-preserved plays are the source plays whose end maps to a target
+    play's end, found by their ends."""
+    iota, tau, delta = validate_form_morphism_by_labels(
+        source.form, target.form, iota, tau, delta
+    )
+    by_end = {z.end: z for z in target.tree.plays}
+    images = {z: by_end[tau[z.end]] for z in source.tree.plays if tau[z.end] in by_end}
+    players = sorted(source.players, key=token_key)
+
+    norm_beta = {}
+    for i in beta:
+        if i not in source.players:
+            raise MorphismError(
+                "UnknownPlayer",
+                f"utility map given for {render_token(i)}, which is not a source player",
+            )
+    for i in players:
+        if i not in beta:
+            raise MorphismError(
+                "BetaDomainMismatch",
+                f"no utility map for player {render_token(i)}",
+                axiom="[g2]",
+                player=i,
+            )
+        bmap = {as_fraction(u): as_fraction(v) for u, v in beta[i].items()}
+        if len(bmap) != len(beta[i]):
+            raise MorphismError(
+                "DuplicateUtility",
+                f"utility map of {render_token(i)} names one utility twice",
+                axiom="[g2]",
+                player=i,
+            )
+        expected_domain = frozenset(source.utilities[i][z] for z in images)
+        if frozenset(bmap) != expected_domain:
+            raise MorphismError(
+                "BetaDomainMismatch",
+                f"utility map of {render_token(i)} is defined on "
+                f"{sorted(bmap)} but the end-preserved plays realize "
+                f"{sorted(expected_domain)}",
+                axiom="[g2]",
+                player=i,
+            )
+        if not frozenset(bmap.values()) <= target.ranges[iota[i]]:
+            raise MorphismError(
+                "BetaDomainMismatch",
+                f"utility map of {render_token(i)} leaves the utility range of "
+                f"{render_token(iota[i])}",
+                axiom="[g2]",
+                player=i,
+            )
+        ordered = sorted(bmap)
+        for u1, u2 in zip(ordered, ordered[1:]):
+            if bmap[u1] > bmap[u2]:
+                raise MorphismError(
+                    "BetaNotMonotone",
+                    f"utility map of {render_token(i)} sends {u2} below {u1} "
+                    f"although {u2} > {u1}",
+                    axiom="[g3]",
+                    player=i,
+                    lower=u1,
+                    upper=u2,
+                )
+        norm_beta[i] = bmap
+
+    for i in players:
+        beta_i, source_row = norm_beta[i], source.utilities[i]
+        target_row = target.utilities[iota[i]]
+        failing = [
+            z for z, image in images.items() if beta_i[source_row[z]] != target_row[image]
+        ]
+        if failing:
+            z = min(failing, key=lambda z: label_key(z.end))
+            raise MorphismError(
+                "UtilityEquationFails",
+                f"player {render_token(i)}: utility map gives "
+                f"{beta_i[source_row[z]]} on the play ending at "
+                f"{render_label(z.end)} but its image is priced {target_row[images[z]]}",
+                axiom="[g4]",
+                player=i,
+                play=z,
+            )
+    return iota, tau, delta, norm_beta

@@ -7,7 +7,6 @@ exact.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -40,7 +39,7 @@ from ncgames import (
     validate_preform_morphism,
     validate_tree_morphism,
 )
-from ncgames.errors import FormError
+from ncgames.errors import FormError, NcgError
 from ncgames.game import _node_classes
 from ncgames.labels import token_key
 from ncgames.transforms import style_report
@@ -230,30 +229,72 @@ def check_profile_bijection(form):
         assert grand_to_profile(form, profile_to_grand(form, profile)) == profile
 
 
-# each morphism class with its validator and its views, the lower
-# layers computed from its maps
+# each morphism class with its validator, the maps it takes after the
+# source and the target, and its views, the lower layers computed from
+# its maps
 VALIDATORS = {
-    TreeMorphism: (validate_tree_morphism, ()),
-    PreformMorphism: (validate_preform_morphism, ("tree_morphism",)),
-    FormMorphism: (validate_form_morphism, ("preform_morphism",)),
-    GameMorphism: (validate_game_morphism, ("form_morphism", "theta", "end_preserved")),
+    TreeMorphism: (validate_tree_morphism, ("tau",), ()),
+    PreformMorphism: (validate_preform_morphism, ("tau", "delta"), ("tree_morphism",)),
+    FormMorphism: (validate_form_morphism, ("iota", "tau", "delta"), ("preform_morphism",)),
+    GameMorphism: (
+        validate_game_morphism,
+        ("iota", "tau", "delta", "beta"),
+        ("form_morphism", "theta", "end_preserved"),
+    ),
 }
 
 
 def check_revalidates(m):
-    """The validator of the layer of ``m``, run on its maps, returns a
-    morphism equal to ``m`` whose views equal those of ``m``, and each
+    """The validator of the layer of ``m``, run on its maps by label, returns
+    a morphism equal to ``m`` whose views equal those of ``m``, and each
     view that is a morphism revalidates in turn.  Identities, composites,
     conversions and inverses are morphisms by theorem and are built
     unvalidated; this is where those theorems are checked."""
-    validate, views = VALIDATORS[type(m)]
-    again = validate(*(getattr(m, f.name) for f in dataclasses.fields(m)))
+    validate, maps, views = VALIDATORS[type(m)]
+    again = validate(m.source, m.target, *(getattr(m, name) for name in maps))
     assert again == m
     for name in views:
         view = getattr(m, name)
         assert getattr(again, name) == view
         if type(view) in VALIDATORS:
             check_revalidates(view)
+
+
+def _verdict(validate, args, names=None):
+    """What ``validate`` makes of ``args``: what it returns, or the maps
+    ``names`` of the morphism it returns, or else its error, with its
+    class, code, axiom, details and message."""
+    try:
+        result = validate(*args)
+    except NcgError as exc:
+        return "refused", type(exc), exc.code, exc.axiom, exc.details, str(exc)
+    return "accepted", result if names is None else tuple(getattr(result, n) for n in names)
+
+
+def check_validators_agree(source, target, iota, tau, delta, beta) -> str:
+    """The validator of each layer gives the verdict of the label-keyed
+    oracle of its layer, with the same first error, on the candidate game
+    morphism ``(iota, tau, delta, beta)`` from ``source`` to ``target``
+    as given (its node map and utility maps may be over node ids and
+    utility ranks) and by label.  Returns the game layer's verdict:
+    ``accepted``, or the axiom of the error, ``None`` for one with none."""
+    given = {"iota": iota, "tau": tau, "delta": delta, "beta": beta}
+    by_labels = {
+        **given, "tau": dict(tau.items()), "beta": {i: dict(b.items()) for i, b in beta.items()}
+    }
+    layers = [
+        (TreeMorphism, oracles.validate_tree_morphism_by_labels, (source.tree, target.tree)),
+        (PreformMorphism, oracles.validate_preform_morphism_by_labels,
+         (source.preform, target.preform)),
+        (FormMorphism, oracles.validate_form_morphism_by_labels, (source.form, target.form)),
+        (GameMorphism, oracles.validate_game_morphism_by_labels, (source, target)),
+    ]
+    for cls, oracle, games in layers:
+        validate, names, _views = VALIDATORS[cls]
+        expected = _verdict(oracle, (*games, *(by_labels[n] for n in names)))
+        for maps in (given, by_labels):
+            assert _verdict(validate, (*games, *(maps[n] for n in names)), names) == expected
+    return "accepted" if expected[0] == "accepted" else expected[3]
 
 
 def _check_unit_laws(compose_at, identity_at, m):

@@ -11,13 +11,18 @@ import random
 from fractions import Fraction
 
 from ncgames import (
+    GameError,
     build_form,
     build_game,
     build_preform,
     build_tree,
+    compose,
+    is_isomorphism,
+    subgame_at,
     validate_tree_morphism,
 )
-from ncgames.labels import Atom
+from ncgames.labels import Atom, label_key
+from ncgames.transforms import apply_utility_transform, relabel_game
 
 
 def random_tree(rng: random.Random, max_nodes: int = 9, min_nodes: int = 2):
@@ -126,6 +131,117 @@ def random_strict_map(rng: random.Random, values):
         level += Fraction(rng.randint(1, 4), rng.randint(1, 3))
         out[u] = level
     return out
+
+
+def random_iso_witness(rng: random.Random, game):
+    """A disguised copy: relabeled everything plus a random strictly
+    increasing utility rescale, composed into one witness."""
+    relabeled, w1 = relabel_game(
+        game,
+        node_map={t: Atom(f"x{t.token}") for t in game.tree.nodes},
+        choice_map={c: f"{c}'" for c in game.preform.choices},
+        player_map={i: f"{i}'" for i in game.players},
+    )
+    maps = {i: random_strict_map(rng, relabeled.ranges[i]) for i in relabeled.players}
+    _transformed, w2 = apply_utility_transform(relabeled, maps)
+    witness = is_isomorphism(compose(w2.morphism, w1.morphism))
+    assert witness is not None
+    return witness
+
+
+def subgame_inclusion(g, t_star):
+    """The maps by label of the inclusion of the subgame of ``g`` at
+    ``t_star`` into ``g``, a morphism that keeps every play's end, with
+    the subgame; ``None`` when the up-set of ``t_star`` cuts an
+    information set."""
+    try:
+        sub = subgame_at(g, t_star)
+    except GameError:
+        return None
+    maps = (
+        {i: i for i in sub.players},
+        {t: t for t in sub.tree.nodes},
+        {c: c for c in sub.preform.choices},
+        {i: {u: u for u in sub.ranges[i]} for i in sub.players},
+    )
+    return sub, maps
+
+
+# the edits ``perturbed_maps`` draws from, each (map, edit)
+EDITS = [
+    (name, edit)
+    for name in ("iota", "tau", "delta")
+    for edit in ("move", "swap", "drop", "stray key", "stray value")
+] + [("tau", "move")] * 3 + [
+    ("beta", edit)
+    for edit in ("shift", "shift", "move", "move", "drop", "add", "text", "float",
+                 "drop player", "stray player")
+]
+
+
+def perturbed_maps(rng: random.Random, source, target, maps, edits: int) -> tuple:
+    """``maps``, the (iota, tau, delta, beta) of a candidate morphism from
+    ``source`` to ``target`` by label, copied with ``edits`` random edits,
+    so that most break some rule of some layer: an image moved, two
+    images swapped, an entry dropped, a key or an image that is no
+    element, a utility map shifted one utility up its target's range, a
+    utility named twice, or one that is no exact rational."""
+    iota, tau, delta = (dict(m) for m in maps[:3])
+    beta = {i: dict(bmap) for i, bmap in maps[3].items()}
+    domains = {
+        "iota": sorted(source.players), "tau": sorted(source.tree.nodes, key=label_key),
+        "delta": sorted(source.preform.choices),
+    }
+    images = {
+        "iota": sorted(target.players), "tau": sorted(target.tree.nodes, key=label_key),
+        "delta": sorted(target.preform.choices),
+    }
+    strays = {"iota": "P9", "tau": Atom("stray"), "delta": "c99"}
+    for _ in range(edits):
+        name, edit = rng.choice(EDITS)
+        if name != "beta":
+            mapping, keys = {"iota": iota, "tau": tau, "delta": delta}[name], domains[name]
+            key = rng.choice(keys)
+            if edit == "move":
+                mapping[key] = rng.choice(images[name])
+            elif edit == "swap":
+                other = rng.choice(keys)
+                if key in mapping and other in mapping:
+                    mapping[key], mapping[other] = mapping[other], mapping[key]
+            elif edit == "drop":
+                mapping.pop(key, None)
+            elif edit == "stray key":
+                mapping[strays[name]] = rng.choice(images[name])
+            else:
+                mapping[key] = strays[name]
+            continue
+        players = sorted(beta)
+        if edit == "stray player" or not players:
+            beta["P9"] = {}
+            continue
+        i = rng.choice(players)
+        if edit == "drop player":
+            del beta[i]
+            continue
+        bmap, j = beta[i], iota.get(i)
+        ranged = sorted(target.ranges[j]) if j in target.players else [Fraction(0)]
+        keys = sorted(bmap, key=Fraction)
+        if edit == "shift":
+            up = {v: w for v, w in zip(ranged, ranged[1:] + ranged[-1:])}
+            beta[i] = {u: up.get(v, v) for u, v in bmap.items()}
+        elif edit == "move" and keys:
+            bmap[rng.choice(keys)] = rng.choice(ranged)
+        elif edit == "drop" and keys:
+            del bmap[rng.choice(keys)]
+        elif edit == "add":
+            bmap[Fraction(rng.randint(-3, 3), rng.randint(1, 3))] = rng.choice(ranged)
+        elif edit == "text" and keys:
+            u = rng.choice(keys)
+            bmap[str(u)] = bmap[u]  # the same utility, named twice
+        elif edit == "float" and keys:
+            u = rng.choice(keys)
+            bmap[u] = float(bmap[u])
+    return iota, tau, delta, beta
 
 
 def centipede_document(rng: random.Random, stages: int, prefix: str = "") -> dict:

@@ -646,6 +646,43 @@ class TestCompose:
         assert run(capsys, "iso-check", m_path) == (1, expected)
 
 
+UNREADABLE = {
+    # (how the path is made, the error reading it raises)
+    "missing": (lambda path: None, "FileNotFoundError"),
+    "directory": (lambda path: path.mkdir(), "IsADirectoryError"),
+    "not UTF-8": (lambda path: path.write_bytes(b'{"x": "\xff"}'), "UnicodeDecodeError"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+class TestUnreadableDocuments:
+    """A morphism or witness file that cannot be read as UTF-8 text is
+    refused with one error line, as a game file is."""
+
+    def expected(self, path, kind) -> tuple:
+        make, error = UNREADABLE[kind]
+        make(path)
+        return 1, f"error: UnreadableDocument: cannot read the document at {path} ({error})\n"
+
+    def test_iso_check(self, workdir, capsys, kind):
+        path = workdir / "unreadable.witness"
+        expected = self.expected(path, kind)
+        assert run(capsys, "iso-check", path) == expected
+
+    @pytest.mark.parametrize("place", ["first", "second"])
+    def test_compose(self, workdir, capsys, kind, place):
+        from ncgames import identity_morphism, load_game, serialize_morphism
+
+        readable = workdir / "id.morphism"
+        game = load_game(workdir / "classroom.game")
+        readable.write_text(serialize_morphism(identity_morphism(game)))
+        path = workdir / "unreadable.morphism"
+        expected = self.expected(path, kind)
+        paths = (path, readable) if place == "first" else (readable, path)
+        assert run(capsys, "compose", *paths, "-o", workdir / "out.morphism") == expected
+        assert not (workdir / "out.morphism").exists()
+
+
 # Each hostile form replaces the string "HOSTILE" in a document's text:
 # 100,000 nested arrays, or a 5,000-digit integer as text or as a number.
 HOSTILE = {

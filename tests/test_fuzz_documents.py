@@ -8,7 +8,10 @@ decoder and reach the structural checks.  A mutant is made by one to
 three edits of the decoded document (replace a value with random JSON
 or with another part of the same document, delete an entry, duplicate
 a list element) and, sometimes, one edit of its text (truncate, insert
-a character).
+a character).  Each morphism that a morphism or witness mutant
+describes, read into maps as ``parse_morphism`` reads them, gets the
+verdict and the first error of the label-keyed validators of
+``tests/oracles.py``.
 """
 
 import copy
@@ -27,8 +30,10 @@ from ncgames import (
     serialize_morphism,
     serialize_witness,
 )
+from ncgames.documents import _morphism_parts
 from ncgames.transforms import canonicalize, to_choice_sequence
 
+import property_checks
 from conftest import assert_reads_as_json_loads
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -114,6 +119,26 @@ def _parses_or_refuses(kind, text, base_dir):
         # a mutant may name a game by a path, which is not there
         if exc.code == "UnreadableGame":
             assert kind != "game" and exc.details["path"].startswith(str(base_dir)), exc
+    if kind != "game":
+        _validators_agree(kind, text, base_dir)
+
+
+def _validators_agree(kind, text, base_dir):
+    """Each morphism the mutant describes, read into maps, gets the same
+    verdict and first error from the validators and from their label-keyed
+    oracles."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return
+    if not isinstance(doc, dict):
+        return
+    for part in [doc] if kind == "morphism" else [doc.get("morphism"), doc.get("inverse")]:
+        try:
+            parts = _morphism_parts(part, base_dir, [])
+        except NcgError:
+            continue
+        property_checks.check_validators_agree(*parts)
 
 
 FUZZ = settings(

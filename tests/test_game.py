@@ -703,7 +703,7 @@ class TestUtilityOrder:
         g = parse_game(json.dumps(doc))
         tracemalloc.start()
         try:
-            ordered, ranks = _utility_ranks(g, "P1")
+            ordered, _ranks, _rank = _utility_ranks(g, "P1")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -711,6 +711,18 @@ class TestUtilityOrder:
         # a key over the common denominator of 3,000 primes holds about
         # 5 KiB per value, 15 MiB in all; sorting the fractions needs none
         assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("extra", [[], [Fraction(-(10**400), 3)]], ids=["floats", "huge"])
+    def test_values_whose_floats_tie_are_sorted_as_fractions(self, extra):
+        # values are sorted by their nearest floats, which tie here, unless
+        # one is past the floats
+        from ncgames.game import _utility_ranks
+
+        values = [1 + Fraction(k, 10**30) for k in (3, -2, 0, 1)] + [Fraction(-1, 3)] + extra
+        doc = random_games.wide_document(random.Random(1), len(values))
+        for row, u in zip(doc["utilities"], values):
+            row["values"]["P1"] = str(u)
+        assert _utility_ranks(parse_game(json.dumps(doc)), "P1")[0] == sorted(values)
 
     def test_ranks_order_each_players_range(self, classroom_game):
         from ncgames.game import _utility_ranks
@@ -722,7 +734,8 @@ class TestUtilityOrder:
         doc["utilities"][1]["values"]["P1"] = "-20/4"  # -5, spelled apart
         for g in (parse_game(json.dumps(doc)), classroom_game):
             for i in g.players:
-                ordered, ranks = _utility_ranks(g, i)
+                ordered, ranks, rank = _utility_ranks(g, i)
                 assert ordered == sorted(g.ranges[i])
                 assert ranks == [ordered.index(u) for u in g._ids.values[i]]
+                assert rank == {(u.numerator, u.denominator): r for r, u in enumerate(ordered)}
                 assert _utility_ranks(g, i) is g._ids.ranks[i]  # built once

@@ -102,17 +102,18 @@ DEFINING = {
 }
 DERIVED = {
     Tree: ("root", "_ids"),
-    TreeMorphism: (),
+    TreeMorphism: ("_ids",),
     Preform: ("info_sets", "info_set_of", "info_set_order", "_ids"),
-    PreformMorphism: (),
+    PreformMorphism: ("_ids",),
     Form: ("owner", "player_info_sets", "player_rank"),
-    FormMorphism: (),
+    FormMorphism: ("_ids",),
     Game: ("ranges", "_ids"),
-    GameMorphism: (),
+    GameMorphism: ("_ids",),
 }
 # the views computed on first use: a tree's, a preform's and a game's
-# label-keyed structure, over the core kept in ``_ids`` (equality reads
-# those named in ``DEFINING``), and a morphism's lower layers
+# label-keyed structure and a morphism's maps by label, over the core
+# kept in ``_ids`` (equality reads those named in ``DEFINING``), and a
+# morphism's lower layers
 VIEWS = [
     (Tree, "pred"),
     (Tree, "rank"),
@@ -126,6 +127,11 @@ VIEWS = [
     (Preform, "feas"),
     (Preform, "prev_choice"),
     (Game, "utilities"),
+    (TreeMorphism, "tau"),
+    (PreformMorphism, "tau"),
+    (FormMorphism, "tau"),
+    (GameMorphism, "tau"),
+    (GameMorphism, "beta"),
     (TreeMorphism, "play_images"),
     (PreformMorphism, "tree_morphism"),
     (FormMorphism, "preform_morphism"),
@@ -169,6 +175,15 @@ def rebuilt(name):
     return build_game(make_classroom_form(), utilities)
 
 
+def remapped(m, name):
+    """The morphism ``m`` with the map ``name`` of its id core changed and
+    the others kept: every node sent to node id 0, or one player's
+    utility map dropped."""
+    ids = dict(vars(m._ids))
+    ids[name] = [0] * len(ids["tau"]) if name == "tau" else altered(ids[name])
+    return dataclasses.replace(m, _ids=SimpleNamespace(**ids))
+
+
 def altered(value):
     """A value of the same shape that differs from ``value``."""
     if type(value) in DEFINING:
@@ -181,6 +196,7 @@ def altered(value):
 
 
 CLASSES = list(DEFINING)
+MORPHISMS = (TreeMorphism, PreformMorphism, FormMorphism, GameMorphism)
 UNCONSULTED_VIEWS = [(cls, name) for cls, name in VIEWS if name not in DEFINING[cls]]
 
 
@@ -206,7 +222,11 @@ class TestEqualityAndHash:
     )
     def test_changing_a_defining_field_breaks_equality(self, cls, name):
         value = build(cls)
-        if (cls, name) in VIEWS:
+        if cls in MORPHISMS and (cls, name) in VIEWS:
+            changed = remapped(value, name)
+            for other in DEFINING[cls]:
+                assert (getattr(changed, other) == getattr(value, other)) == (other != name)
+        elif (cls, name) in VIEWS:
             changed = rebuilt(name)
             for other in DEFINING[cls]:
                 assert (getattr(changed, other) == getattr(value, other)) == (other != name)
@@ -330,15 +350,18 @@ class TestEqualityAndHash:
     def test_views_follow_a_replaced_map(self):
         m = identity_morphism(make_classroom_game())
         assert m.theta.tau == m.tau
-        tau = {t: a(0) for t in m.tau}
-        changed = dataclasses.replace(m, tau=tau)
-        assert changed.theta.tau is tau
-        assert changed.form_morphism.tau is tau
-        assert changed.form_morphism.preform_morphism.tree_morphism.tau is tau
-        # every node goes to the root, so no play keeps its end
+        # every node goes to the root
+        root = m.source.tree._ids.walk[0]
+        ids = SimpleNamespace(**{**vars(m._ids), "tau": [root] * len(m._ids.tau)})
+        changed = dataclasses.replace(m, _ids=ids)
+        assert changed.tau == {t: a(0) for t in m.tau}
+        assert changed.theta.tau is changed.tau
+        assert changed.form_morphism.tau is changed.tau
+        assert changed.form_morphism.preform_morphism.tree_morphism.tau is changed.tau
+        # so no play keeps its end
         assert m.theta.play_images and m.end_preserved
         assert not changed.theta.play_images and not changed.end_preserved
-        assert not dataclasses.replace(m.theta, tau=tau).play_images
+        assert not dataclasses.replace(m.theta, _ids=ids).play_images
 
     @pytest.mark.parametrize(
         "route", ["validated", "identity", "composite", "search", "inverse"]

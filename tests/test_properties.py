@@ -41,6 +41,7 @@ from conftest import make_absentminded_game
 from random_games import (
     pooled_chain_game,
     random_game,
+    random_iso_witness,
     random_strict_map,
     random_tree,
     random_tree_morphism,
@@ -277,22 +278,6 @@ def test_profile_bijection_on_random_forms():
     for _ in range(60):
         game = random_game(rng)
         property_checks.check_profile_bijection(game.form)
-
-
-def random_iso_witness(rng, game):
-    """A disguised copy: relabeled everything plus a random strictly
-    increasing utility rescale, composed into one witness."""
-    relabeled, w1 = relabel_game(
-        game,
-        node_map={t: Atom(f"x{t.token}") for t in game.tree.nodes},
-        choice_map={c: f"{c}'" for c in game.preform.choices},
-        player_map={i: f"{i}'" for i in game.players},
-    )
-    maps = {i: random_strict_map(rng, relabeled.ranges[i]) for i in relabeled.players}
-    _transformed, w2 = apply_utility_transform(relabeled, maps)
-    witness = is_isomorphism(compose(w2.morphism, w1.morphism))
-    assert witness is not None
-    return witness
 
 
 def test_isomorphism_consequences_on_random_games():

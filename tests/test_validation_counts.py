@@ -10,15 +10,20 @@ and a utility row that spells its play is matched by its text and reads
 no spec.  Parsing hashes no play and each distinct utility once, and solving and
 checking equilibria hash no label, since they read utilities by play
 position; these counts do not depend on the hash seed.  Canonicalizing
-hashes no play, and the iso search's node classes no utility.  Reading a
-witness decodes each of its games once, and writing one calls the
-generic encoder as often at any size."""
+hashes no play, and the iso search's node classes no utility.  Finding
+and writing an isomorphism hashes no label, play or utility, and
+checking a witness no more than parsing its games, under any hash seed.
+Reading a witness decodes each of its games once, and writing one calls
+the generic encoder as often at any size."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,24 +435,81 @@ def test_node_classes_hash_no_fraction(doc):
     assert counts["fraction"] == counts["play"] == 0
 
 
-def test_hash_counts_do_not_depend_on_the_hash_seed():
+def output_under_hash_seed(script: str, seed: str) -> str:
+    """The standard output of ``script`` run by a fresh interpreter with
+    ``PYTHONHASHSEED`` set to ``seed``, the tests importable."""
     package_root = str(Path(ncgames.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = os.pathsep.join(
         [package_root, str(Path(__file__).parent)] + ([inherited] if inherited else [])
     )
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", script],  # writing no bytecode
+        env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
+        capture_output=True,
+        text=True,
+    )
+    assert not result.stderr, result.stderr
+    return result.stdout
+
+
+def test_hash_counts_do_not_depend_on_the_hash_seed():
     script = (
         "import json, test_validation_counts as t; "
         "print(json.dumps([t.stage_pooled_counts(d) for d in (8, 9)]))"
     )
-    results = set()
-    for seed in ("0", "1", "2", "3", "4"):
-        result = subprocess.run(
-            [sys.executable, "-B", "-c", script],  # writing no bytecode
-            env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
-            capture_output=True,
-            text=True,
-        )
-        assert not result.stderr, result.stderr
-        results.add(result.stdout)
+    results = {output_under_hash_seed(script, seed) for seed in ("0", "1", "2", "3", "4")}
     assert len(results) == 1
+
+
+def morphism_counts() -> dict:
+    """The hashes of finding an isomorphism of two 120-stage centipedes
+    and writing its witness, with the label-keyed views that built, and
+    the hashes of ``ncg iso-check`` of a 60-stage centipede's canonical
+    witness, with those of parsing the witness's two games."""
+    g1, g2 = (
+        parse_game(json.dumps(random_games.centipede_document(random.Random(120), 120, prefix)))
+        for prefix in ("", "b")
+    )
+    found = []
+    finding = hash_calls(lambda: found.append(find_isomorphism(g1, g2)) or serialize_witness(found[0]))
+    views = [
+        view for g in (g1, g2) for view in ((g.tree, "rank"), (g.tree, "play_by_end"), (g, "utilities"))
+    ]
+    # a morphism's views, its lower layers among them, are built on first read
+    views += [(m, "theta") for m in (found[0].morphism, found[0].inverse)]
+    witness = canonical_centipede_witness(60)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "centipede.witness"
+        path.write_text(serialize_witness(witness))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            checking = hash_calls(lambda: cli_dispatch(["iso-check", str(path)]))
+    games = [serialize_game(g) for g in (witness.morphism.source, witness.morphism.target)]
+    return {
+        "finding": finding,
+        "views": [name for value, name in views if name in vars(value)],
+        "checking": checking,
+        "report": out.getvalue(),
+        "parsing": hash_calls(lambda: [parse_game(text) for text in games]),
+    }
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_morphisms_are_found_checked_and_written_over_ids(seed):
+    """The search hands its node ids and utility ranks to the validator,
+    which inverts and writes them as they are: no play, no fraction and
+    no label is hashed, and no label-keyed view is built.  ``iso-check``
+    reads ``tau`` pairs as node ids and ``beta`` pairs by lowest terms,
+    so it hashes what parsing its two games hashes and no more.  Over the
+    label-keyed maps, the search and the writing hashed 6,389 labels,
+    1,331 plays and 1,222 fractions, and ``iso-check`` 3,208 labels, 671
+    plays and 888 fractions, where parsing its games hashes 362, 0 and 108."""
+    script = (
+        "import json, test_validation_counts as t; print(json.dumps(t.morphism_counts()))"
+    )
+    counts = json.loads(output_under_hash_seed(script, seed))
+    assert counts["finding"] == {"label": 0, "play": 0, "fraction": 0}
+    assert counts["views"] == []
+    assert counts["report"] == "valid isomorphism witness\n"
+    assert counts["checking"] == counts["parsing"]
+    assert counts["parsing"]["play"] == 0 and counts["parsing"]["fraction"] > 0

@@ -24,6 +24,7 @@ from .game import (
     _as_fraction,
     _identity_ranks,
     _priced,
+    _utility_ranks,
     identity_morphism,
     is_isomorphism,
 )
@@ -183,7 +184,7 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
                     player=i,
                 )
             bmap[u] = supplied.get(u, u)
-        ordered = sorted(bmap)
+        ordered = _utility_ranks(g, i)[0]
         for u1, u2 in zip(ordered, ordered[1:]):
             if bmap[u1] >= bmap[u2]:
                 raise TransformError(

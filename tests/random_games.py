@@ -3,12 +3,20 @@
 Pooling decision nodes of equal branching into shared information sets
 occasionally produces absentminded games, which is intentional: the
 predicates and conversions must cope with them.
+
+The scalable families (centipedes, wide trees, stage-pooled trees) are
+not generated here: ``families`` is ``bench/families.py``, the
+benchmark's own generator, and a test's document is
+``families.to_document(families.centipede(rng, n))`` or the like.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from ncgames import (
     GameError,
@@ -23,6 +31,21 @@ from ncgames import (
 )
 from ncgames.labels import Atom, label_key
 from ncgames.transforms import apply_utility_transform, relabel_game
+
+_path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+_spec = importlib.util.spec_from_file_location("ncg_bench_families", _path)
+families = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # read by ``dataclass``
+_spec.loader.exec_module(families)
+
+
+def prefixed(raw, prefix: str):
+    """``raw`` with every player, choice and node token led by ``prefix``: a relabelling."""
+    p = prefix.__add__
+    return families.RawGame(
+        [p(i) for i in raw.players], p(raw.root), [tuple(map(p, edge)) for edge in raw.edges],
+        {p(c): p(i) for c, i in raw.owner.items()},
+        {p(z): {p(i): u for i, u in row.items()} for z, row in raw.utilities.items()},
+    )
 
 
 def random_tree(rng: random.Random, max_nodes: int = 9, min_nodes: int = 2):
@@ -242,94 +265,3 @@ def perturbed_maps(rng: random.Random, source, target, maps, edits: int) -> tupl
             u = rng.choice(keys)
             bmap[u] = float(bmap[u])
     return iota, tau, delta, beta
-
-
-def centipede_document(rng: random.Random, stages: int, prefix: str = "") -> dict:
-    """The ``ncg/1`` document of a two-player centipede with ``stages``
-    take-or-pass nodes and seeded utilities.
-
-    Every token starts with ``prefix``, so two documents drawn from
-    equally seeded generators under different prefixes are relabellings
-    of one game.
-    """
-    players = [f"{prefix}P1", f"{prefix}P2"]
-    ownership = {i: [] for i in players}
-    edges, plays, path = [], [], [{"atom": f"{prefix}d0"}]
-    for k in range(stages):
-        ownership[players[k % 2]] += [f"{prefix}x{k}", f"{prefix}g{k}"]
-        leaf = {"atom": f"{prefix}e{k}"}
-        nxt = {"atom": f"{prefix}d{k + 1}" if k + 1 < stages else f"{prefix}end"}
-        edges += [[path[-1], f"{prefix}x{k}", leaf], [path[-1], f"{prefix}g{k}", nxt]]
-        plays.append(path + [leaf])
-        path = path + [nxt]
-    plays.append(path)
-    return {
-        "format_version": "ncg/1",
-        "players": players,
-        "nodes": [edges[0][0]] + [edge[2] for edge in edges],
-        "edges": edges,
-        "ownership": ownership,
-        "utilities": [
-            {
-                "play": play,
-                "values": {i: str(rng.randint(0, stages // 2)) for i in players},
-            }
-            for play in plays
-        ],
-    }
-
-
-def wide_document(rng: random.Random, width: int) -> dict:
-    """The ``ncg/1`` document of a root at which P1 picks one of
-    ``width`` leaves, all priced alike except one seeded deciding leaf.
-    P2 owns no choice, so it is a vacuous player.
-    """
-    deciding = rng.randrange(width)
-    root, leaves = {"atom": "r"}, [{"atom": f"w{k}"} for k in range(width)]
-    return {
-        "format_version": "ncg/1",
-        "players": ["P1", "P2"],
-        "nodes": [root] + leaves,
-        "edges": [[root, f"c{k}", leaf] for k, leaf in enumerate(leaves)],
-        "ownership": {"P1": [f"c{k}" for k in range(width)], "P2": []},
-        "utilities": [
-            {
-                "play": [root, leaf],
-                "values": {"P1": str(int(k == deciding)), "P2": str(-int(k == deciding))},
-            }
-            for k, leaf in enumerate(leaves)
-        ],
-    }
-
-
-def stage_pooled_document(rng: random.Random, depth: int, player_count: int) -> dict:
-    """The ``ncg/1`` document of a complete binary tree of ``depth``
-    stages whose stage ``k`` is one information set with the two choices
-    ``a<k>`` and ``b<k>``, owned by player ``k`` modulo ``player_count``,
-    with seeded utilities.
-    """
-    players = [f"P{k + 1}" for k in range(player_count)]
-    ownership = {i: [] for i in players}
-    edges, frontier, serial = [], [[{"atom": "r"}]], 0
-    for stage in range(depth):
-        pair = [f"a{stage}", f"b{stage}"]
-        ownership[players[stage % player_count]] += pair
-        grown = []
-        for path in frontier:
-            for choice in pair:
-                serial += 1
-                child = {"atom": f"t{serial}"}
-                edges.append([path[-1], choice, child])
-                grown.append(path + [child])
-        frontier = grown
-    return {
-        "format_version": "ncg/1",
-        "players": players,
-        "nodes": [edges[0][0]] + [edge[2] for edge in edges],
-        "edges": edges,
-        "ownership": ownership,
-        "utilities": [
-            {"play": path, "values": {i: str(rng.randint(-3, 3)) for i in players}}
-            for path in frontier
-        ],
-    }

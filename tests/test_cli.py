@@ -18,7 +18,7 @@ from ncgames import (
 )
 from ncgames.cli import cli_dispatch, main
 
-from random_games import centipede_document, stage_pooled_document
+from random_games import families, prefixed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -146,7 +146,7 @@ class TestDerive:
     def test_refuses_over_the_cap_before_printing(self, tmp_path, capsys):
         # 2**20 strategies per player, 2**40 grand strategies
         game = tmp_path / "centipede.game"
-        game.write_text(json.dumps(centipede_document(random.Random(40), 40)))
+        game.write_text(json.dumps(families.to_document(families.centipede(random.Random(40), 40))))
         code, out = run(capsys, "--strategy-cap", "4096", "derive", game)
         assert code == 1
         assert out == (
@@ -352,7 +352,7 @@ class TestRejectionsAcrossHashSeeds:
     def test_first_player_over_the_strategy_cap(self, workdir):
         # P1 and P2 own three information sets (8 strategies), P3 two (4);
         # P1 is the first player in token order
-        doc = stage_pooled_document(random.Random(1), depth=8, player_count=3)
+        doc = families.to_document(families.stage_pooled_binary(random.Random(1), depth=8, player_count=3))
         (workdir / "pooled.game").write_text(json.dumps(doc))
         argv = ("--strategy-cap", "3", "nash", "pooled.game")
         assert run_under_hash_seeds(workdir, *argv) == {
@@ -566,7 +566,7 @@ class TestIso:
     def test_deep_centipedes(self, tmp_path, capsys):
         # 1,201 nodes: deeper than the interpreter's recursion limit
         for prefix in ("a", "b"):
-            doc = centipede_document(random.Random(600), 600, prefix)
+            doc = families.to_document(prefixed(families.centipede(random.Random(600), 600), prefix))
             (tmp_path / f"{prefix}.game").write_text(json.dumps(doc))
         witness_path = tmp_path / "ab.witness"
         code, out = run(

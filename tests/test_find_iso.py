@@ -24,7 +24,7 @@ from ncgames.transforms import apply_utility_transform, relabel_game
 import oracles
 import property_checks
 from conftest import a, make_classroom_game, nodes_of
-from random_games import random_strict_map, stage_pooled_document, wide_document
+from random_games import families, random_strict_map
 
 
 def disguised_classroom():
@@ -261,7 +261,7 @@ class TestStagePooled:
 
     def pooled_pair(self, seed):
         rng = random.Random(seed)
-        doc = stage_pooled_document(rng, depth=5, player_count=3)
+        doc = families.to_document(families.stage_pooled_binary(rng, depth=5, player_count=3))
         game = parse_game(json.dumps(doc))
         return game, shuffled_copy(rng, game)
 
@@ -283,7 +283,7 @@ class TestWide:
 
     def wide_pair(self, seed):
         rng = random.Random(seed)
-        game = parse_game(json.dumps(wide_document(rng, width=8)))
+        game = parse_game(json.dumps(families.to_document(families.wide_symmetric(rng, width=8))))
         return game, shuffled_copy(rng, game)
 
     def test_relabelled_pair_found_within_twenty_expansions(self):

@@ -30,7 +30,7 @@ from ncgames import (
 from ncgames.transforms import apply_utility_transform, relabel_game
 
 import property_checks
-import random_games
+from random_games import families
 from conftest import (
     CLASSROOM_UTILITIES,
     UNREADABLE,
@@ -620,11 +620,11 @@ class TestNashOutcomeTable:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: random_games.stage_pooled_document(random.Random(3), 3, 2),
-            lambda: random_games.stage_pooled_document(random.Random(4), 3, 3),
-            lambda: random_games.wide_document(random.Random(5), 5),
+            lambda: families.to_document(families.stage_pooled_binary(random.Random(3), 3, 2)),
+            lambda: families.to_document(families.stage_pooled_binary(random.Random(4), 3, 3)),
+            lambda: families.to_document(families.wide_symmetric(random.Random(5), 5)),
             lambda: flat_document(
-                random_games.stage_pooled_document(random.Random(6), 3, 3), "P2"
+                families.to_document(families.stage_pooled_binary(random.Random(6), 3, 3)), "P2"
             ),
         ],
         ids=["pooled-3x2", "pooled-3x3", "wide", "one-player-flat"],
@@ -638,7 +638,7 @@ class TestNashOutcomeTable:
         assert nash_equilibria(game) == nash_by_deviation_scan(game) == {frozenset({"a"})}
 
     def test_flat_player_rules_out_nothing(self):
-        doc = random_games.stage_pooled_document(random.Random(6), 2, 1)
+        doc = families.to_document(families.stage_pooled_binary(random.Random(6), 2, 1))
         game = parse_game(json.dumps(flat_document(doc, "P1")))
         assert nash_equilibria(game) == nash_by_deviation_scan(game)
         assert len(nash_equilibria(game)) == 4
@@ -697,7 +697,7 @@ class TestUtilityOrder:
 
         width = 3000
         primes = [p for p in range(2, 30000) if all(p % d for d in range(2, int(p**0.5) + 1))]
-        doc = random_games.wide_document(random.Random(9), width)
+        doc = families.to_document(families.wide_symmetric(random.Random(9), width))
         for k, row in enumerate(doc["utilities"]):
             row["values"]["P1"] = f"{k - width // 2}/{primes[k]}"
         g = parse_game(json.dumps(doc))
@@ -719,7 +719,7 @@ class TestUtilityOrder:
         from ncgames.game import _utility_ranks
 
         values = [1 + Fraction(k, 10**30) for k in (3, -2, 0, 1)] + [Fraction(-1, 3)] + extra
-        doc = random_games.wide_document(random.Random(1), len(values))
+        doc = families.to_document(families.wide_symmetric(random.Random(1), len(values)))
         for row, u in zip(doc["utilities"], values):
             row["values"]["P1"] = str(u)
         assert _utility_ranks(parse_game(json.dumps(doc)), "P1")[0] == sorted(values)
@@ -727,7 +727,7 @@ class TestUtilityOrder:
     def test_ranks_order_each_players_range(self, classroom_game):
         from ncgames.game import _utility_ranks
 
-        doc = random_games.stage_pooled_document(random.Random(8), 3, 2)
+        doc = families.to_document(families.stage_pooled_binary(random.Random(8), 3, 2))
         values = self.values()
         for k, row in enumerate(doc["utilities"]):
             row["values"] = {i: str(values[2 * k + n]) for n, i in enumerate(row["values"])}

@@ -25,7 +25,7 @@ from ncgames import NcgError, parse_game, serialize_game
 from ncgames.cli import cli_dispatch
 from ncgames.transforms import canonicalize, to_choice_sequence
 
-from random_games import centipede_document
+from random_games import families
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,7 +74,7 @@ def outputs(work: Path) -> dict:
     """Run every command in ``work``; the digest of each stdout and file."""
     shutil.copy(FIXTURES / "classroom.game", work / "classroom.game")
     shutil.copy(FIXTURES / "absentminded.game", work / "absentminded.game")
-    doc = centipede_document(random.Random(40), 40)
+    doc = families.to_document(families.centipede(random.Random(40), 40))
     (work / "centipede.game").write_text(json.dumps(doc))
     digests = {}
     here = os.getcwd()

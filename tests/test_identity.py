@@ -52,6 +52,7 @@ from ncgames import (
     nash_equilibria,
     parse_game,
     serialize_game,
+    serialize_morphism,
     subgame_at,
     subtree_at,
     validate_form_morphism,
@@ -67,12 +68,13 @@ from ncgames.transforms import (
     StyleReport,
     apply_utility_transform,
     canonicalize,
+    relabel_game,
     style_report,
     to_choice_sequence,
     to_choice_set,
 )
 
-import random_games
+from random_games import families
 
 from conftest import (
     CLASSROOM_CHOICES,
@@ -338,7 +340,7 @@ class TestEqualityAndHash:
     def test_derived_games_build_no_label_keyed_view_of_their_input(self, sequences, action):
         # conversions and restrictions are built on the id core of their
         # input; a parsed game has built none of its views
-        g = parse_game(json.dumps(random_games.centipede_document(random.Random(40), 40)))
+        g = parse_game(json.dumps(families.to_document(families.centipede(random.Random(40), 40))))
         if sequences:
             g = parse_game(serialize_game(to_choice_sequence(g)[0]))
         assert action(g)
@@ -566,3 +568,45 @@ def test_composing_morphisms_that_do_not_meet(compose_at, identity_at):
         "TargetSourceMismatch: first morphism's target differs from "
         "second morphism's source",
     )
+
+
+def test_composites_meeting_at_one_game_numbered_two_ways(tmp_path, capsys):
+    """One game read from two documents whose node lists run in opposite
+    orders numbers its nodes two ways.  Morphisms that meet there compose,
+    at every layer and through ``ncg compose``, to the composite over one
+    shared middle game: the first's node ids are renumbered into the
+    second's numbering."""
+    doc = json.loads(serialize_game(make_classroom_game()))
+    reversed_text = json.dumps(dict(doc, nodes=doc["nodes"][::-1]))
+    g, g_reversed = parse_game(json.dumps(doc)), parse_game(reversed_text)
+    assert g == g_reversed and g.tree._ids.labels != g_reversed.tree._ids.labels
+
+    first = relabel_game(g, node_map={t: Atom(f"x{t.token}") for t in g.tree.nodes})[1].inverse
+
+    def doubled(h):
+        maps = {i: {u: 2 * u for u in h.ranges[i]} for i in h.players}
+        return apply_utility_transform(h, maps)[1].morphism
+
+    apart, shared = doubled(g_reversed), doubled(g)
+    for compose_at, layer in [
+        (compose_tree_morphisms, lambda m: m.theta),
+        (compose_preform_morphisms, lambda m: m.form_morphism.preform_morphism),
+        (compose_form_morphisms, lambda m: m.form_morphism),
+        (compose, lambda m: m),
+    ]:
+        composite = compose_at(layer(apart), layer(first))
+        expected = compose_at(layer(shared), layer(first))
+        assert composite == expected and dict(composite.tau) == dict(expected.tau)
+    composite, expected = compose(apart, first), compose(shared, first)
+    assert composite.beta == expected.beta
+    assert serialize_morphism(composite) == serialize_morphism(expected)
+
+    (tmp_path / "reversed.game").write_text(reversed_text)
+    (tmp_path / "first.morphism").write_text(serialize_morphism(first))
+    second = dict(json.loads(serialize_morphism(apart)), source="reversed.game")
+    (tmp_path / "second.morphism").write_text(json.dumps(second))
+    out = tmp_path / "composite.morphism"
+    argv = ["compose", str(tmp_path / "first.morphism"), str(tmp_path / "second.morphism")]
+    assert cli_dispatch(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote: {out}\n"
+    assert out.read_text() == serialize_morphism(expected)

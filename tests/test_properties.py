@@ -39,13 +39,13 @@ import oracles
 import property_checks
 from conftest import make_absentminded_game
 from random_games import (
+    families,
     pooled_chain_game,
     random_game,
     random_iso_witness,
     random_strict_map,
     random_tree,
     random_tree_morphism,
-    wide_document,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -259,7 +259,7 @@ def test_strategy_tests_match_the_oracles_on_near_misses():
     games = [random_game(rng) for _ in range(40)]
     games += [pooled_chain_game(n, pooled) for n, pooled in ((3, {0, 2}), (5, {0, 1, 4}))]
     games += [with_vacuous_player(g) for g in games[::4]]
-    games.append(parse_game(json.dumps(wide_document(rng, 4))))
+    games.append(parse_game(json.dumps(families.to_document(families.wide_symmetric(rng, 4)))))
     for game in games:
         property_checks.check_strategy_tests(game, rng)
     assert any(not choices for g in games for choices in g.form.assignment.values())

@@ -21,7 +21,7 @@ from ncgames import DocumentSyntaxError, NcgError, parse_game, serialize_game
 from ncgames.documents import _game_from_document
 from ncgames.transforms import canonicalize, to_choice_sequence
 
-import random_games
+from random_games import families
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -80,8 +80,8 @@ def _games() -> dict:
         "classroom": json.loads(serialize_game(classroom)),
         "choice sets": json.loads(serialize_game(canonicalize(classroom).game)),
         "choice sequences": json.loads(serialize_game(to_choice_sequence(absentminded)[0])),
-        "centipede": random_games.centipede_document(random.Random(3), 12),
-        "stage-pooled": random_games.stage_pooled_document(random.Random(3), 4, 3),
+        "centipede": families.to_document(families.centipede(random.Random(3), 12)),
+        "stage-pooled": families.to_document(families.stage_pooled_binary(random.Random(3), 4, 3)),
         "odd tokens": _relabelled(
             json.loads(serialize_game(classroom)), lambda t: odd[int(t) % len(odd)] + t
         ),
@@ -209,9 +209,10 @@ def test_a_key_between_play_and_values_in_every_row(layout):
         rows = [{"play": r["play"], "note": 0, "values": r["values"]} for r in doc["utilities"]]
         return dict(doc, utilities=rows)
 
-    centipede = noted(random_games.centipede_document(random.Random(4), 120))
+    centipede = noted(families.to_document(families.centipede(random.Random(4), 120)))
     assert assert_reads_as_strict(json.dumps(centipede, **LAYOUTS[layout])).startswith("{")
-    text = json.dumps(noted(random_games.wide_document(random.Random(4), 8000)), **LAYOUTS[layout])
+    wide = noted(families.to_document(families.wide_symmetric(random.Random(4), 8000)))
+    text = json.dumps(wide, **LAYOUTS[layout])
     assert assert_reads_as_strict(text).startswith("{")
     own = _best_time(parse_game, text)
     assert own < 3 * _best_time(lambda t: _game_from_document(json.loads(t)), text)

@@ -22,7 +22,7 @@ import ncgames
 SCRIPT = """
 import gc, json, random
 from ncgames import parse_game
-import random_games
+from random_games import families
 
 def kept(doc):
     text = json.dumps(doc)
@@ -33,10 +33,10 @@ def kept(doc):
     gc.collect()
     return len(game.tree.nodes), len(gc.get_objects()) - before
 
-kept(random_games.centipede_document(random.Random(1), 3))  # lazy set-up first
+kept(families.to_document(families.centipede(random.Random(1), 3)))  # lazy set-up first
 print(json.dumps([
-    [kept(random_games.stage_pooled_document(random.Random(1), d, 3)) for d in (8, 9)],
-    [kept(random_games.centipede_document(random.Random(1), n)) for n in (80, 160)],
+    [kept(families.to_document(families.stage_pooled_binary(random.Random(1), d, 3))) for d in (8, 9)],
+    [kept(families.to_document(families.centipede(random.Random(1), n))) for n in (80, 160)],
 ]))
 """
 

@@ -179,6 +179,16 @@ class TestApplyUtilityTransform:
             )
         assert err.value.code == "NotStrictlyIncreasing"
 
+    def test_out_of_order_transform_names_its_least_pair(self, classroom_game):
+        # -1 -> 5, 0 -> 3, 1 -> 1: both pairs are out of order, the least is named
+        maps = {"P1": {Fraction(-1): 5, Fraction(0): 3, Fraction(1): 1}}
+        with pytest.raises(TransformError) as err:
+            apply_utility_transform(classroom_game, maps)
+        assert (str(err.value), err.value.details["player"]) == (
+            "NotStrictlyIncreasing: transform for P1 sends -1 and 0 out of order",
+            "P1",
+        )
+
     def test_utility_named_twice_rejected(self, classroom_game):
         # Fraction(-1) and "-1" name one utility; neither spelling may win
         maps = {"P1": {Fraction(-1): -1001, "-1": -1, "0": 0, "1": 1}}

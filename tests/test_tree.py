@@ -29,7 +29,7 @@ from ncgames import parse_game, serialize_game
 from ncgames.labels import render_label
 from oracles import image_play, strict_predecessors, tree_by_walk_up, up_sets_by_pred
 from property_checks import check_view_orders
-from random_games import centipede_document, random_game
+from random_games import families, random_game
 
 
 def members(play):
@@ -165,7 +165,7 @@ class TestPlayIdentity:
             assert vars(play).keys() == {"end", "path"}
 
     def test_deep_centipede_equals_itself_reparsed(self):
-        text = json.dumps(centipede_document(random.Random(300), 300))
+        text = json.dumps(families.to_document(families.centipede(random.Random(300), 300)))
         g, again = parse_game(text), parse_game(text)
         assert g == again
         assert hash(g.tree) == hash(again.tree)
@@ -402,4 +402,5 @@ class TestUpSets:
             self.check(tree)
 
     def test_deep_centipede(self):
-        self.check(parse_game(json.dumps(centipede_document(random.Random(3), 300))).tree)
+        doc = families.to_document(families.centipede(random.Random(3), 300))
+        self.check(parse_game(json.dumps(doc)).tree)

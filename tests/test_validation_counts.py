@@ -61,7 +61,7 @@ from ncgames.cli import cli_dispatch
 from ncgames.game import _node_classes
 from ncgames.transforms import apply_utility_transform, canonicalize, to_choice_sequence
 
-import random_games
+from random_games import families, prefixed
 from conftest import a, make_absentminded_game, make_classroom_game
 
 
@@ -168,7 +168,7 @@ def test_iso_check_of_a_witness_validates_once(
 
 
 def canonical_centipede_witness(stages: int):
-    doc = random_games.centipede_document(random.Random(stages), stages)
+    doc = families.to_document(families.centipede(random.Random(stages), stages))
     return canonicalize(parse_game(json.dumps(doc))).witness
 
 
@@ -247,8 +247,8 @@ class Stopped(Exception):
 @pytest.mark.parametrize(
     "doc",
     [
-        random_games.stage_pooled_document(random.Random(1), 9, 3),
-        random_games.centipede_document(random.Random(1), 80),
+        families.to_document(families.stage_pooled_binary(random.Random(1), 9, 3)),
+        families.to_document(families.centipede(random.Random(1), 80)),
         json.loads(serialize_game(canonicalize(make_classroom_game()).game)),
         json.loads(serialize_game(to_choice_sequence(make_absentminded_game())[0])),
     ],
@@ -278,13 +278,25 @@ def test_reading_the_node_list_hashes_each_declared_label_once(doc, monkeypatch)
 
 
 def test_parsing_hashes_labels_in_proportion_to_the_nodes():
-    """A centipede's plays have lengths up to its stage count, so a
-    reader that hashed each row's path would grow with its square."""
-    short, long = (
-        parsing_hashes(random_games.centipede_document(random.Random(1), n))["label"]
-        for n in (80, 160)
-    )
-    assert 0 < long <= 2.1 * short
+    """Each benchmark family, parsed at about n and 2n nodes, hashes
+    about twice the labels.  A centipede's plays have lengths up to its
+    stage count, so a reader that hashed each row's path would grow with
+    its square.  Seed 1: 241 and 481 labels for the centipede and the
+    absentminded chain, 766 and 1,534 for either binary tree, 162 and
+    322 for the wide tree."""
+    for generate, *sizes in [
+        (families.centipede, (80,), (160,)),
+        (families.stage_pooled_binary, (8, 3), (9, 3)),
+        (families.perfect_info_binary, (8, 3), (9, 3)),
+        (families.wide_symmetric, (160,), (320,)),
+        (families.absentminded_chain, (80,), (160,)),
+    ]:
+        docs = [families.to_document(generate(random.Random(1), *size)) for size in sizes]
+        family = generate.__name__
+        small_nodes, large_nodes = (len(doc["nodes"]) for doc in docs)
+        short, long = (parsing_hashes(doc)["label"] for doc in docs)
+        assert large_nodes >= 2 * small_nodes - 1, family
+        assert 0 < long <= 2.1 * short, family
 
 
 def spec_reads(monkeypatch, text: str) -> int:
@@ -324,7 +336,7 @@ def test_rows_that_spell_their_plays_decode_no_spec(layout, monkeypatch):
     last spec is read to find its play.  When every row was decoded, a
     120-stage centipede's rows held 7,501 of its 8,222 specs."""
     for stages in (40, 80):
-        doc = random_games.centipede_document(random.Random(stages), stages)
+        doc = families.to_document(families.centipede(random.Random(stages), stages))
         text = json.dumps(doc, **layout)
         decoded = len(doc["utilities"]) if layout.get("separators") else 0
         assert spec_reads(monkeypatch, text) == 2 * len(doc["edges"]) + decoded
@@ -334,7 +346,7 @@ def stage_pooled_counts(depth: int) -> dict:
     """The hashes of parsing a three-player stage-pooled game of ``depth``
     stages, of solving it, of finding the play of every grand strategy
     and of checking every equilibrium, with the sizes they are bounded by."""
-    doc = random_games.stage_pooled_document(random.Random(1), depth, 3)
+    doc = families.to_document(families.stage_pooled_binary(random.Random(1), depth, 3))
     parsing = parsing_hashes(doc)
     game = parse_game(json.dumps(doc))
     solving = hash_calls(lambda: nash_equilibria(game))
@@ -404,7 +416,7 @@ def test_is_nash_hashes_at_most_one_label_per_walk(depth):
 
 
 def parsed_centipede(stages: int):
-    return parse_game(json.dumps(random_games.centipede_document(random.Random(stages), stages)))
+    return parse_game(json.dumps(families.to_document(families.centipede(random.Random(stages), stages))))
 
 
 def test_canonicalize_hashes_no_play_and_labels_in_proportion_to_the_nodes():
@@ -421,8 +433,8 @@ def test_canonicalize_hashes_no_play_and_labels_in_proportion_to_the_nodes():
 @pytest.mark.parametrize(
     "doc",
     [
-        random_games.centipede_document(random.Random(40), 40),
-        random_games.stage_pooled_document(random.Random(1), 6, 3),
+        families.to_document(families.centipede(random.Random(40), 40)),
+        families.to_document(families.stage_pooled_binary(random.Random(1), 6, 3)),
     ],
     ids=["centipede", "stage-pooled"],
 )
@@ -467,8 +479,9 @@ def morphism_counts() -> dict:
     and writing its witness, with the label-keyed views that built, and
     the hashes of ``ncg iso-check`` of a 60-stage centipede's canonical
     witness, with those of parsing the witness's two games."""
+    centipede = families.centipede(random.Random(120), 120)
     g1, g2 = (
-        parse_game(json.dumps(random_games.centipede_document(random.Random(120), 120, prefix)))
+        parse_game(json.dumps(families.to_document(prefixed(centipede, prefix))))
         for prefix in ("", "b")
     )
     found = []

@@ -15,14 +15,14 @@ import sys
 from pathlib import Path
 
 from .documents import (
-    _loads,
+    _document_by_text,
+    _morphism_from_text,
     _morphism_parts,
     _node_from_spec,
     _read,
     _validated,
     _witness_from_document,
     load_game,
-    parse_morphism,
     write_game,
     write_morphism,
     write_witness,
@@ -149,13 +149,13 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_iso_check(args) -> int:
-    doc = _loads(_read(args.file))
-    base_dir = Path(args.file).parent
+    base_dir, built = Path(args.file).parent, []
+    doc = _document_by_text(_read(args.file), base_dir, built)
     if isinstance(doc, dict) and "morphism" in doc:
         _witness_from_document(doc, base_dir)
         print("valid isomorphism witness")
         return 0
-    morphism = _validated(_morphism_parts(doc, base_dir, []))
+    morphism = _validated(_morphism_parts(doc, base_dir, built))
     if is_isomorphism(morphism) is None:
         print("not an isomorphism")
         return 1
@@ -174,8 +174,11 @@ def _cmd_subgame(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    first = parse_morphism(_read(args.first), base_dir=Path(args.first).parent)
-    second = parse_morphism(_read(args.second), base_dir=Path(args.second).parent)
+    built: list = []  # a game both documents name by one file is read once
+    first, second = (
+        _morphism_from_text(_read(path), Path(path).parent, built)
+        for path in (args.first, args.second)
+    )
     composite = compose(second, first)
     pair = f"{Path(args.first).with_suffix('')}__{Path(args.second).stem}"
     out = Path(args.output or f"{pair}.morphism")

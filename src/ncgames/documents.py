@@ -8,16 +8,21 @@ a document and serializing the result reproduces the canonical text,
 and any structural violation is reported through the name of the first
 broken rule.
 
-A game document is read without decoding most of its text: its utility
-rows, when they are its last member, are matched against the texts of
-the tree's plays (``_rows_by_text``), and only a row that matches none
-is decoded.  A document that route does not read is decoded whole and
-read as before, so every verdict and message is the same.
+Documents are read without decoding most of their text.  A game's
+utility rows are matched against the texts of its plays
+(``_rows_by_text``), and a morphism's ``tau`` pairs against the texts
+of its games' node specs (``_tau_by_text``), at any depth of ``ncg``'s
+layout or on one line; only a row or a pair that matches none is
+decoded.  A game embedded in a morphism or a witness is read the same
+way over its own span of the text, once however often its text
+repeats.  A document that route does not read is decoded whole and read
+as before, so every verdict and message is the same.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -25,7 +30,7 @@ from json.decoder import WHITESPACE
 from json.encoder import encode_basestring as _encode_str
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Dict
+from typing import Callable, Dict, NamedTuple
 
 from .errors import (
     AxiomViolation,
@@ -178,10 +183,7 @@ def _loads(text: str):
     object's whole text decodes to that object.  Any failure falls back
     to ``json.loads``, whose error is the one reported."""
     try:
-        start = _space(text).end()
-        if not text.startswith("{", start):
-            raise ValueError("not an object")
-        doc, end = _object(text, start, 2, [])
+        doc, end = _object(text, _space(text).end(), 2, [])
         if _space(text, end).end() != len(text):
             raise ValueError("extra data")
         return doc
@@ -199,16 +201,22 @@ def _loads(text: str):
         raise DocumentSyntaxError("document nests too deeply") from exc
 
 
-def _object(text: str, at: int, levels: int, decoded: list, stop=None) -> tuple:
+def _object(
+    text: str, at: int, levels: int, decoded: list, stop=None, members=None
+) -> tuple:
     """The object whose text starts at ``at`` and the index past it.
     Its members are read here; a member value that is an object is one
     of ``decoded``, the (start, end, value) of each object decoded so
     far, when its text repeats that one's, and is otherwise walked the
     same way while ``levels`` remain, else decoded in one scanner call.
     With ``stop``, the walk ends at the first member of that name, which
-    maps to the index of its value, undecoded.
+    maps to the index of its value, undecoded.  ``members`` maps a name
+    to the reader of its value: given the value's index and the members
+    read so far, it returns the value and the index past it.
     Raises on any text this walk does not read as ``json.loads`` does."""
     doc = {}
+    if text[at] != "{":
+        raise ValueError("expected an object")
     at = _space(text, at + 1).end()
     if text[at] == "}":
         return doc, at + 1
@@ -223,7 +231,9 @@ def _object(text: str, at: int, levels: int, decoded: list, stop=None) -> tuple:
         if key == stop:
             doc[key] = at
             return doc, at
-        if text[at] != "{":
+        if members and key in members:
+            value, at = members[key](at, doc)
+        elif text[at] != "{":
             value, at = _scan(text, at)
         else:
             repeat = _repeated(text, at, decoded)
@@ -306,53 +316,46 @@ def _read_rows(rows, players, read, labels, rational, plays, paths, node_specs) 
     return utilities
 
 
-def _rows_by_text(text: str, at: int, paths: list, node_specs: list):
-    """The utility rows of the list whose text starts at ``at``, the last
-    member of the document ``text``, each as ``json.loads`` reads it.
+def _spec_texts(specs: list, pad: str) -> list:
+    """The text of each node spec, a decoded one of a ``nodes`` list, as
+    ``json.dumps`` writes it on one line when ``pad`` is empty, else
+    indented by two from ``pad``, a newline and the spec's own indent.
+    A sequence's or a set's tokens are spelled in their own order, so
+    each text decodes to its spec."""
+    inner = pad and pad + "  "
+    try:
+        head, tail = "{" + inner + '"atom": ', pad + "}"
+        return [head + _encode_str(spec["atom"]) + tail for spec in specs]
+    except KeyError:  # a sequence or set spec
+        pass
+    deep, comma = (inner + "  ", ",") if pad else ("", ", ")
+    texts = []
+    for spec in specs:
+        (kind, value), = spec.items()
+        if kind == "atom":
+            value = _encode_str(value)
+        else:
+            tokens = (comma + deep).join(map(_encode_str, value))
+            value = "[" + deep + tokens + inner + "]" if tokens else "[]"
+        texts.append("{" + inner + '"' + kind + '": ' + value + pad + "}")
+    return texts
 
-    Rows on one line as ``json.dumps`` writes them by default, or
-    indented as ``ncg`` writes them (``indent=2``), are matched by their
-    text when every node spec is an atom: a row whose ``play`` has
-    exactly the text of the node specs along one play's id path in
-    ``paths`` is yielded as that play's position and its decoded
-    ``values``, and none of its specs is decoded.  The plays' texts are
-    joined once, in the layout of the first row.  Every other row is
-    decoded whole by the C scanner.  Raises if the text does not close
-    the list and then the document."""
-    if text[at] != "[":
-        raise ValueError("the utilities are no list")
-    start, at = at, _space(text, at + 1).end()
-    lead = text[start + 1:at]  # none before a one-line row, else two indents
-    index: dict = {}
-    if lead in ("", "\n    ") and paths and all("atom" in spec for spec in node_specs):
-        pad = [lead[:1] + "  " * depth * bool(lead) for depth in range(6)]  # by depth
-        comma = "," if lead else ", "
-        head = "{" + pad[3] + '"play": [' + pad[4]
-        tail = pad[3] + "]" + comma + pad[3] + '"values": '
-        close, between = pad[2] + "}", comma + pad[2]
-        n_head, n_tail, n_close, n_between = map(len, (head, tail, close, between))
-        atom, closing = "{" + pad[5] + '"atom": ', pad[4] + "}"
-        spelled = [atom + _encode_str(spec["atom"]) + closing for spec in node_specs]
-        index = {
-            (comma + pad[4]).join(map(spelled.__getitem__, path)): p
-            for p, path in enumerate(paths)
-        }
-        # a row's play text is searched no further than the longest play's
-        reach = n_head + max(map(len, index)) + n_tail
+
+def _list_by_text(text: str, at: int, match, between: str) -> tuple:
+    """The items of the list whose first item (or closing bracket) is at
+    ``at``, and the index past the list.  ``match(at)`` returns an item
+    whose text starts at ``at`` and the index past it, or ``None``, and
+    then the item is decoded by the C scanner.  When exactly ``between``
+    follows an item, its last character starts the next one; any other
+    text between items is read as ``json.loads`` reads it.  Raises on a
+    list ``json.loads`` refuses."""
+    items, step = [], len(between) - 1
     while text[at] != "]":
-        row = None
-        if index and text.startswith(head, at):
-            end = text.find(tail, at + n_head, at + reach)
-            p = index.get(text[at + n_head:end]) if end >= 0 else None
-            if p is not None:
-                values, after = _scan(text, end + n_tail)
-                if text.startswith(close, after) and type(values) is dict:
-                    row, at = (p, values), after + n_close
-        if row is None:
-            row, at = _scan(text, at)
-        yield row
-        if index and text.startswith(between, at) and text.startswith("{", at + n_between):
-            at += n_between  # the next row, in the first row's layout
+        found = match(at)
+        item, at = _scan(text, at) if found is None else found
+        items.append(item)
+        if text.startswith(between, at):
+            at += step
             continue
         at = _space(text, at).end()
         if text[at] == ",":
@@ -361,22 +364,76 @@ def _rows_by_text(text: str, at: int, paths: list, node_specs: list):
                 raise ValueError("expected a value")
         elif text[at] != "]":
             raise ValueError("expected a comma")
-    at = _space(text, at + 1).end()
-    if text[at] != "}" or _space(text, at + 1).end() != len(text):
-        raise ValueError("the utilities are not the document's last member")
+    return items, at + 1
+
+
+def _layout(text: str, at: int) -> tuple:
+    """The index of the first item of the list whose text starts at
+    ``at``, and the text before each item when the list is laid out as
+    ``json.dumps`` lays one out on one line or indented by two (none, or
+    a newline and the item's indent), else ``None``."""
+    if text[at] != "[":
+        raise ValueError("expected a list")
+    start, at = at, _space(text, at + 1).end()
+    lead = text[start + 1:at]
+    return at, lead if lead in ("", "\n" + " " * (len(lead) - 1)) else None
+
+
+def _rows_by_text(text: str, at: int, paths: list, node_specs: list) -> tuple:
+    """The utility rows of the list whose text starts at ``at``, each as
+    ``json.loads`` reads it, and the index past the game's object, which
+    the list must close.
+
+    In ``_layout``'s layouts, a row whose ``play`` has exactly the text
+    of the node specs along one play's id path in ``paths`` (each spec
+    spelled by ``_spec_texts``) is read as that play's position and its
+    decoded ``values``, and none of its specs is decoded.  The plays'
+    texts are joined once, in the layout of the first row, and a row's
+    ``play`` is searched no further than the longest of them.  Every
+    other row is decoded whole by the C scanner."""
+    at, lead = _layout(text, at)
+    match, comma = (lambda _at: None), "," if lead else ", "
+    if paths and lead is not None:
+        indent = lead and lead + "  "  # each member of a row
+        pad = indent and indent + "  "  # each spec of its play
+        head = "{" + indent + '"play": [' + pad
+        tail = indent + "]" + comma + indent + '"values": '
+        close = lead + "}"
+        n_head, n_tail, n_close = len(head), len(tail), len(close)
+        spelled = _spec_texts(node_specs, pad)
+        join = (comma + pad).join
+        index = {join(map(spelled.__getitem__, path)): p for p, path in enumerate(paths)}
+        reach = n_head + max(map(len, index)) + n_tail
+
+        def match(at):
+            if text.startswith(head, at):
+                end = text.find(tail, at + n_head, at + reach)
+                p = index.get(text[at + n_head:end]) if end >= 0 else None
+                if p is not None:
+                    values, after = _scan(text, end + n_tail)
+                    if text.startswith(close, after) and type(values) is dict:
+                        return (p, values), after + n_close
+            return None
+
+    rows, at = _list_by_text(text, at, match, comma + (lead or "") + "{")
+    at = _space(text, at).end()
+    if text[at] != "}":
+        raise ValueError("the utilities are not the game's last member")
+    return rows, at + 1
 
 
 def _game_from_document(doc, rows_at=None) -> tuple:
-    """The game a document describes and a reader of node specs that
-    returns the game's node id of each, numbering a spec of no node of
-    the game past its nodes.
+    """The game a document describes as a ``_Read``, whose reader of node
+    specs returns the game's node id of each, numbering a spec of no node
+    of the game past its nodes, and ``None``.
 
     Nodes are read as their positions in the ``nodes`` list, and edges
     as triples of them.  Utility rows are read after the preform and
     form are built, so a row can be read by its end; a fault in a row
     is still reported before a fault of the tree.  Given ``rows_at``, a
     document's text and the index of its ``utilities`` list, which
-    ``doc`` lacks, the rows are read from that text by ``_rows_by_text``."""
+    ``doc`` lacks, the rows are read from that text by ``_rows_by_text``,
+    and the index past the game's object there comes in place of ``None``."""
     _check_version(doc, "game document")
     players = _require(doc, "players", list, "game document")
     if not all(isinstance(i, str) for i in players):
@@ -415,8 +472,9 @@ def _game_from_document(doc, rows_at=None) -> tuple:
         fault = exc
     else:
         plays, paths = preform.tree._ids.plays, preform.tree._ids.paths
+    end = None
     if rows_at is not None:
-        rows = _rows_by_text(*rows_at, paths, node_specs)
+        rows, end = _rows_by_text(*rows_at, paths, node_specs)
     utilities = _read_rows(
         rows, players, read, labels, _rational_reader(), plays, paths, node_specs
     )
@@ -426,7 +484,41 @@ def _game_from_document(doc, rows_at=None) -> tuple:
         game = _priced(form, {i: row.items() for i, row in utilities.items()})
     except NcgError as exc:
         raise AxiomViolation(exc) from exc
-    return game, read
+    return _Read(game, read, node_specs, {}), end
+
+
+class _Read(NamedTuple):
+    """A game read from a document, the reader of its node specs, and
+    the specs of its ``nodes`` list as decoded; ``texts`` keeps, for
+    each layout ``spec_ids`` was asked for, each node's id by the text
+    of its spec."""
+
+    game: Game
+    read: Callable
+    specs: list
+    texts: dict
+
+    def spec_ids(self, pad: str) -> dict:
+        """Each node's id by its spec's text in ``_spec_texts``'s layout ``pad``."""
+        ids = self.texts.get(pad)
+        if ids is None:
+            texts = _spec_texts(self.specs, pad)
+            ids = self.texts[pad] = dict(zip(texts, range(len(texts))))
+        return ids
+
+
+def _game_at(text: str, at: int) -> tuple:
+    """The game whose document's text starts at ``at``, as a ``_Read``,
+    and the index past it.  The members before ``utilities`` are
+    decoded, and the rows are read from the text by ``_rows_by_text``
+    once the preform is built.  Raises on any fault, and on text this
+    route does not read."""
+    doc, _at = _object(text, at, 2, [], "utilities")
+    return _game_from_document(doc, (text, doc.pop("utilities")))
+
+
+# what a text can make a text route raise; each sends the text to the strict route
+_FAULTS = (NcgError, ValueError, LookupError, TypeError, StopIteration, RuntimeError)
 
 
 def _open(path, mode: str = "r"):
@@ -451,26 +543,24 @@ def _read_game(path) -> str:
     return _read(path, "UnreadableGame", "game")
 
 
-def _game_from_text(text: str) -> tuple:
-    """``_game_from_document(_loads(text))``.  When ``utilities`` is the
-    document's last member, the members before it are decoded and the
-    rows are read from the text once the preform is built; any failure
-    of that route that a text can cause (a broken rule, or text it does
-    not read) leaves the document to the strict one, so every error and
+def _game_from_text(text: str) -> _Read:
+    """The game of the document ``text``, as ``_game_from_document(
+    _loads(text))`` reads it, read by ``_game_at`` when the document is
+    one game object whose last member is ``utilities``.  Any failure of
+    that route leaves the document to the strict one, so every error and
     its message are the same."""
     try:
-        start = _space(text).end()
-        if not text.startswith("{", start):
-            raise ValueError("not an object")
-        doc, _end = _object(text, start, 2, [], "utilities")
-        return _game_from_document(doc, (text, doc.pop("utilities")))
-    except (NcgError, ValueError, LookupError, TypeError, StopIteration, RuntimeError):
-        return _game_from_document(_loads(text))
+        game, end = _game_at(text, _space(text).end())
+        if _space(text, end).end() != len(text):
+            raise ValueError("extra data")
+        return game
+    except _FAULTS:
+        return _game_from_document(_loads(text))[0]
 
 
 def parse_game(text: str) -> Game:
     """Read a game document, reporting the first violated rule by name."""
-    return _game_from_text(text)[0]
+    return _game_from_text(text).game
 
 
 def load_game(path) -> Game:
@@ -639,19 +729,24 @@ def write_game(g: Game, path) -> None:
 
 def _pairs(entries, parse_left, parse_right, what, key=None) -> tuple:
     """The left and the right values of a list of pairs, in order; a
-    left value is refused when ``key`` of it, or it, repeats."""
+    left value is refused when ``key`` of it, or it, repeats.  A tuple
+    among ``entries`` is a pair already read, as ``_tau_by_text`` reads
+    one."""
     if not isinstance(entries, list):
         raise DocumentSyntaxError(f"{what} must be a list of pairs")
     lefts, rights, seen = [], [], set()
     for entry in entries:
-        if not isinstance(entry, list) or len(entry) != 2:
+        if type(entry) is tuple:
+            left, right = entry
+        elif not isinstance(entry, list) or len(entry) != 2:
             raise DocumentSyntaxError(f"{what} entry {entry!r} must be a pair")
-        left = parse_left(entry[0])
+        else:
+            left, right = parse_left(entry[0]), None
         seen.add(left if key is None else key(left))
         if len(seen) == len(lefts):
             raise DocumentSyntaxError(f"{what} maps {entry[0]!r} twice")
         lefts.append(left)
-        rights.append(parse_right(entry[1]))
+        rights.append(parse_right(entry[1]) if right is None else right)
     return lefts, rights
 
 
@@ -661,37 +756,43 @@ def _token(value):
     return value
 
 
-def _game_from_ref(ref, base_dir, built: list) -> tuple:
-    """The game a path or inline document names, with its reader of node
-    specs; ``built`` lists the (reference, game, reader) triples read so
-    far, and an equal reference reuses its game."""
-    for seen, game, read in built:
-        if seen == ref:
-            return game, read
-    if isinstance(ref, str):
-        game, read = _game_from_text(_read_game(Path(base_dir) / ref))
+def _game_from_ref(ref, base_dir, built: list) -> _Read:
+    """The game a path or inline document names, as a ``_Read``, or
+    ``ref`` itself when it is one; ``built`` lists the (key, game) pairs
+    read so far, a path keyed by the real path of the file it names and
+    an inline document by itself, and an equal key reuses its game."""
+    if type(ref) is _Read:
+        return ref
+    path = Path(base_dir) / ref if isinstance(ref, str) else None
+    key = ref if path is None else os.path.realpath(path)
+    for seen, game in built:
+        if seen == key:
+            return game
+    if path is not None:
+        game = _game_from_text(_read_game(path))
     else:
-        game, read = _game_from_document(ref)
-    built.append((ref, game, read))
-    return game, read
+        game, _end = _game_from_document(ref)
+    built.append((key, game))
+    return game
 
 
 def _morphism_parts(doc, base_dir, built: list) -> tuple:
     """The games and maps of a morphism document, not yet validated.
 
     ``tau`` is an ``_IdMap`` over the games' node ids, read by their
-    readers, and each utility map one over its pairs' rationals, in
-    document order, so the validator reads the first as ids and the
-    second as ranks, found by lowest terms."""
+    readers (or already read by ``_document_by_text``), and each utility
+    map one over its pairs' rationals, in document order, so the
+    validator reads the first as ids and the second as ranks, found by
+    lowest terms."""
     _check_version(doc, "morphism document")
-    source, source_read = _game_from_ref(
-        _require(doc, "source", (str, dict), "morphism document"), base_dir, built
-    )
-    target, target_read = _game_from_ref(
-        _require(doc, "target", (str, dict), "morphism document"), base_dir, built
+    source, target = (
+        _game_from_ref(_require(doc, key, (str, dict, _Read), "morphism document"), base_dir, built)
+        for key in ("source", "target")
     )
     iota = dict(zip(*_pairs(doc.get("iota", []), _token, _token, "iota")))
-    keys, values = _pairs(doc.get("tau", []), source_read, target_read, "tau")
+    tau = doc.get("tau", [])
+    keys, values = tau if type(tau) is tuple else _pairs(tau, source.read, target.read, "tau")
+    source, target = source.game, target.game
     tau = _IdMap(keys, values, source.tree._ids.labels, target.tree._ids.labels)
     delta = dict(zip(*_pairs(doc.get("delta", []), _token, _token, "delta")))
     beta_doc = _require(doc, "beta", dict, "morphism document")
@@ -701,6 +802,107 @@ def _morphism_parts(doc, base_dir, built: list) -> tuple:
         keys, values = _pairs(entries, rational, rational, "beta", lambda u: u.as_integer_ratio())
         beta[player] = _IdMap(range(len(keys)), range(len(values)), keys, values)
     return source, target, iota, tau, delta, beta
+
+
+def _tau_by_text(text: str, at: int, source: _Read, target: _Read) -> tuple:
+    """The pairs of the ``tau`` list whose text starts at ``at``, and the
+    index past the list.
+
+    In ``_layout``'s layouts, a pair whose text is ``[s, t]``, with ``s``
+    the text of a spec of the source's node list and ``t`` one of the
+    target's (spelled by ``_spec_texts`` in the layout of the first
+    pair), is read as the tuple of their node ids, and none of its specs
+    is decoded; a spec's end is searched no further than the longest
+    spec text of its game.  Every other pair is decoded by the C
+    scanner."""
+    at, lead = _layout(text, at)
+    match, comma = (lambda _at: None), "," if lead else ", "
+    if lead is not None:
+        pad = lead and lead + "  "  # each spec of a pair
+        opening, middle, closing = "[" + pad, comma + pad, lead + "]"
+        lefts, rights = source.spec_ids(pad), target.spec_ids(pad)
+        left_ends = "}" + middle + "{", max(map(len, lefts))
+        right_ends = "}" + closing, max(map(len, rights))
+
+        def spec(at: int, ids: dict, ends: tuple):
+            """The id of the spec whose text starts at ``at`` and is
+            followed by the rest of ``ends[0]``, and the index past it."""
+            mark, reach = ends
+            stop = at + reach + len(mark)
+            end = text.find(mark, at, stop)
+            while end >= 0:
+                k = ids.get(text[at:end + 1])
+                if k is not None:
+                    return k, end + 1
+                end = text.find(mark, end + 1, stop)
+            return None, at
+
+        def match(at):
+            if text.startswith(opening, at):
+                k, at = spec(at + len(opening), lefts, left_ends)
+                if k is not None:
+                    m, at = spec(at + len(middle), rights, right_ends)
+                    if m is not None:
+                        return (k, m), at + len(closing)
+            return None
+
+    return _list_by_text(text, at, match, comma + (lead or "") + "[")
+
+
+def _document_by_text(text: str, base_dir, built: list):
+    """The morphism or witness document ``text`` as ``_loads`` decodes
+    it, save that each morphism's games and ``tau`` come already read.
+
+    A morphism is the document, or its ``morphism`` or ``inverse``
+    member.  Its ``source`` and ``target`` are ``_Read``s: an inline game
+    read by ``_game_at`` over its span of the text, or the game its text
+    repeats, and a path's game through ``_game_from_ref`` and ``built``.
+    Its ``tau``, which must follow both, is the pair of lists ``_pairs``
+    reads from ``_tau_by_text``.  The readers of documents read the rest
+    as they read a decoded document, so they give the same verdicts and
+    messages; any failure of this route, or text it does not read,
+    leaves the text to ``_loads``."""
+    games: list = []  # the (start, end, game) of each inline game read
+
+    def game(at: int, doc: dict) -> tuple:
+        if "tau" in doc:
+            raise ValueError("a game after tau")
+        if text[at] != "{":
+            ref, at = _scan(text, at)
+            return (_game_from_ref(ref, base_dir, built) if type(ref) is str else ref), at
+        found = _repeated(text, at, games)
+        if found is None:
+            found = _game_at(text, at)
+            games.append((at, found[1], found[0]))
+        return found
+
+    def tau(at: int, doc: dict) -> tuple:
+        source, target = doc["source"], doc["target"]
+        if type(source) is not _Read or type(target) is not _Read:
+            raise ValueError("tau before its games")
+        pairs, at = _tau_by_text(text, at, source, target)
+        return _pairs(pairs, source.read, target.read, "tau"), at
+
+    def morphism(at: int, _doc: dict) -> tuple:
+        if text[at] != "{":
+            return _scan(text, at)
+        return _object(text, at, 1, [], members=inner)
+
+    inner = {"source": game, "target": game, "tau": tau}
+    outer = dict(inner, morphism=morphism, inverse=morphism)
+    try:
+        doc, end = _object(text, _space(text).end(), 1, [], members=outer)
+        if _space(text, end).end() != len(text):
+            raise ValueError("extra data")
+        return doc
+    except _FAULTS:
+        return _loads(text)
+
+
+def _morphism_from_text(text: str, base_dir, built: list) -> GameMorphism:
+    """The validated morphism of the document ``text``; ``built`` is
+    ``_game_from_ref``'s."""
+    return _validated(_morphism_parts(_document_by_text(text, base_dir, built), base_dir, built))
 
 
 def _validated(parts: tuple) -> GameMorphism:
@@ -715,7 +917,7 @@ def parse_morphism(text: str, base_dir=".") -> GameMorphism:
 
     Game references given as paths are resolved against ``base_dir``.
     """
-    return _validated(_morphism_parts(_loads(text), base_dir, []))
+    return _morphism_from_text(text, base_dir, [])
 
 
 def _morphism_pieces(m: GameMorphism, level: int, built: dict):
@@ -787,7 +989,7 @@ def parse_witness(text: str, base_dir=".") -> IsoWitness:
     The morphism must be an isomorphism and the embedded inverse must
     equal its component-wise inverse; one that differs is validated first.
     """
-    return _witness_from_document(_loads(text), base_dir)
+    return _witness_from_document(_document_by_text(text, base_dir, []), base_dir)
 
 
 def _is_inverse(claimed: tuple, m: GameMorphism) -> bool:

@@ -175,7 +175,8 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
                 player=i,
             )
         bmap = {}
-        for u in g.ranges[i]:
+        ordered = _utility_ranks(g, i)[0]
+        for u in ordered:  # so the least undefined utility is named
             if i in maps and u not in supplied:
                 raise TransformError(
                     "NotStrictlyIncreasing",
@@ -184,7 +185,6 @@ def apply_utility_transform(g: Game, maps: Mapping) -> Tuple[Game, IsoWitness]:
                     player=i,
                 )
             bmap[u] = supplied.get(u, u)
-        ordered = _utility_ranks(g, i)[0]
         for u1, u2 in zip(ordered, ordered[1:]):
             if bmap[u1] >= bmap[u2]:
                 raise TransformError(

@@ -526,24 +526,21 @@ class TestIso:
         morphism_path.write_text(
             serialize_morphism(identity_morphism(load_game(workdir / "classroom.game")))
         )
-        # one decode per command, through ``documents._loads``; a valid
-        # document never reaches ``json.loads``
-        decodes, fallbacks = [], []
-        loads, json_loads = documents._loads, json.loads
-        counted = lambda text: decodes.append(1) or loads(text)  # noqa: E731
-        monkeypatch.setattr(documents, "_loads", counted)
-        monkeypatch.setattr(cli, "_loads", counted)
-        monkeypatch.setattr(
-            json, "loads", lambda *a, **k: fallbacks.append(1) or json_loads(*a, **k)
-        )
+        # each command reads its file once and walks its text: a valid
+        # document reaches neither ``documents._loads`` nor ``json.loads``
+        reads, decodes = [], []
+        read = cli._read
+        monkeypatch.setattr(cli, "_read", lambda path: reads.append(path) or read(path))
+        monkeypatch.setattr(documents, "_loads", lambda text: decodes.append("_loads"))
+        monkeypatch.setattr(json, "loads", lambda *a, **k: decodes.append("json.loads"))
         for path, expected in (
             (witness_path, "valid isomorphism witness\n"),
             (morphism_path, "valid isomorphism\n"),
         ):
-            decodes.clear()
+            reads.clear()
             assert run(capsys, "iso-check", path) == (0, expected)
-            assert len(decodes) == 1, path
-        assert not fallbacks
+            assert reads == [str(path)]
+        assert decodes == []
 
     def test_iso_check_malformed_text(self, workdir, capsys):
         path = workdir / "bad.witness"

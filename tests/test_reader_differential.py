@@ -1,14 +1,17 @@
-"""The game reader against the strict route: every document gives the
-same serialized game, or the same error text, as
-``_game_from_document(json.loads(text))``.
+"""The document readers against the strict route: every document gives
+the same serialized game, morphism or witness, or the same error text,
+as ``_game_from_document(json.loads(text))``, or as
+``_witness_from_document`` and ``_morphism_parts`` of ``json.loads(text)``.
 
-``parse_game`` reads the rows of a document whose last member is
-``utilities`` from its text, and accepts a row written on one line as
-``json.dumps`` writes by default, or indented by two as ``ncg`` writes,
-whose ``play`` spells a play as the node list does, without decoding
-its specs; rows in any other layout are decoded.  So these documents
-vary how rows are written, what their tokens hold, and where a fault or
-a syntax error sits."""
+The readers walk the text.  A game's rows, and a morphism's ``tau``
+pairs, written on one line as ``json.dumps`` writes by default, or
+indented by two as ``ncg`` writes at any depth, are accepted without
+decoding their specs when they spell them as the node lists do; games
+embedded in a morphism or witness are read over their own span of the
+text, once per distinct text; anything else is decoded.  So these
+documents vary how rows and pairs are written, what their tokens hold,
+where a fault or a syntax error sits, and how the copies of a game in
+one witness differ."""
 
 import json
 import random
@@ -17,11 +20,29 @@ from pathlib import Path
 
 import pytest
 
-from ncgames import DocumentSyntaxError, NcgError, parse_game, serialize_game
-from ncgames.documents import _game_from_document
-from ncgames.transforms import canonicalize, to_choice_sequence
+from ncgames import (
+    Atom,
+    DocumentSyntaxError,
+    NcgError,
+    find_isomorphism,
+    identity_morphism,
+    parse_game,
+    parse_morphism,
+    parse_witness,
+    serialize_game,
+    serialize_morphism,
+    serialize_witness,
+)
+from ncgames import documents
+from ncgames.documents import (
+    _game_from_document,
+    _morphism_parts,
+    _validated,
+    _witness_from_document,
+)
+from ncgames.transforms import canonicalize, relabel_game, to_choice_sequence
 
-from random_games import families
+from random_games import families, random_game, random_iso_witness
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,7 +61,7 @@ def strict(text: str) -> str:
     except json.JSONDecodeError as exc:
         return str(DocumentSyntaxError(exc.msg, line=exc.lineno, column=exc.colno))
     try:
-        return serialize_game(_game_from_document(doc)[0])
+        return serialize_game(_game_from_document(doc)[0].game)
     except NcgError as exc:
         return str(exc)
 
@@ -236,3 +257,281 @@ def test_mutated_texts(layout):
             else:
                 text = text[:k] + rng.choice('[]{},:" \\1x') + text[k:]
         assert_reads_as_strict(text)
+
+
+# Morphism and witness documents: ``parse_morphism`` and ``parse_witness``
+# walk the text, read each embedded game over its span (a repeated copy
+# once) and match ``tau`` pairs against the games' spec texts; each must
+# give what the strict route gives on ``json.loads(text)``.
+
+
+def strict_document(kind: str, text: str) -> str:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(DocumentSyntaxError(exc.msg, line=exc.lineno, column=exc.colno))
+    try:
+        if kind == "witness":
+            return serialize_witness(_witness_from_document(doc, FIXTURES))
+        return serialize_morphism(_validated(_morphism_parts(doc, FIXTURES, [])))
+    except NcgError as exc:
+        return str(exc)
+
+
+def read_document(kind: str, text: str) -> str:
+    try:
+        if kind == "witness":
+            return serialize_witness(parse_witness(text, FIXTURES))
+        return serialize_morphism(parse_morphism(text, FIXTURES))
+    except NcgError as exc:
+        return str(exc)
+
+
+def assert_document_reads_as_strict(kind: str, text: str) -> str:
+    expected = strict_document(kind, text)
+    assert read_document(kind, text) == expected
+    return expected
+
+
+def _witnesses() -> dict:
+    """Witnesses of the conversions and of the iso search on random
+    games, and of the classroom game's conversion with tokens that hold
+    the texts the pair and row walks look for."""
+    out = {}
+    for seed in range(4):
+        rng = random.Random(seed)
+        g = random_game(rng)
+        out[f"canonical {seed}"] = canonicalize(g).witness
+        out[f"choice sequences {seed}"] = to_choice_sequence(g)[1]
+        out[f"found {seed}"] = find_isomorphism(g, random_iso_witness(rng, g).morphism.target)
+    odd = ["a]b", "c}, {d", '"}, {"atom": "', "}]", "g\\h", "über", " ", '], "values": ']
+    classroom = parse_game((FIXTURES / "classroom.game").read_text())
+    renamed, _ = relabel_game(
+        classroom,
+        node_map={t: Atom(odd[int(t.token) % len(odd)] + t.token) for t in classroom.tree.nodes},
+        choice_map={c: odd[k % len(odd)] + c for k, c in enumerate(sorted(classroom.preform.choices))},
+    )
+    out["odd tokens"] = canonicalize(renamed).witness
+    return out
+
+
+WITNESSES = {name: json.loads(serialize_witness(w)) for name, w in _witnesses().items()}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("name", WITNESSES)
+def test_witness_and_morphism_layouts(name, layout):
+    doc = WITNESSES[name]
+    verdict = assert_document_reads_as_strict("witness", json.dumps(doc, **LAYOUTS[layout]))
+    assert verdict.startswith("{")
+    for part in ("morphism", "inverse"):
+        text = json.dumps(doc[part], **LAYOUTS[layout])
+        assert assert_document_reads_as_strict("morphism", text).startswith("{")
+
+
+def _spec_reads(monkeypatch) -> list:
+    """The specs the node readers read from here on; the strict route
+    may not run."""
+    reads = []
+    reader = documents._node_reader
+
+    def counting_reader(node_specs):
+        read, labels, nodes = reader(node_specs)
+        return (lambda spec: reads.append(spec) or read(spec)), labels, nodes
+
+    def strict(_text):
+        raise AssertionError("the document was read by the strict route")
+
+    monkeypatch.setattr(documents, "_node_reader", counting_reader)
+    monkeypatch.setattr(documents, "_loads", strict)
+    return reads
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_every_layout_is_walked_and_rows_and_pairs_match_in_two(layout, monkeypatch):
+    """No layout sends a witness to the strict route.  On one line, or
+    indented by two, the node readers read only the specs of the edges
+    of each distinct game: every row and ``tau`` pair is matched by its
+    text, sequence and set specs included, unless a token is escaped
+    where ``ncg`` writes it as is (``json.dumps``'s default escapes
+    non-ASCII)."""
+    reads = _spec_reads(monkeypatch)
+    for name, doc in WITNESSES.items():
+        reads.clear()
+        text = json.dumps(doc, **LAYOUTS[layout])
+        witness = parse_witness(text)
+        games = {id(g): g for g in (witness.morphism.source, witness.morphism.target)}
+        edges = sum(len(g.tree.nodes) - 1 for g in games.values())
+        as_is = json.dumps(doc, **dict(LAYOUTS[layout], ensure_ascii=False)) == text
+        if layout in ("compact", "indented", "indented, non-ASCII as is") and as_is:
+            assert len(reads) == 2 * edges, name
+        else:
+            assert len(reads) > 2 * edges, name
+
+
+def _set_pair(doc: dict) -> int:
+    """The index of the first ``tau`` pair of the morphism whose image is
+    a set of two tokens or more, else 0."""
+    sets = (k for k, (_s, t) in enumerate(doc["morphism"]["tau"]) if len(t.get("set", ())) > 1)
+    return next(sets, 0)
+
+
+def _respelled(doc: dict, path: tuple, layout: dict, spelling: dict) -> str:
+    """``doc`` in ``layout``, save that the value at ``path`` is written
+    in ``spelling``."""
+    doc = json.loads(json.dumps(doc))
+    *inner, last = path
+    container = doc
+    for key in inner:
+        container = container[key]
+    value, container[last] = container[last], "\0"
+    return json.dumps(doc, **layout).replace('"\\u0000"', json.dumps(value, **spelling), 1)
+
+
+def _edited(doc: dict, edit) -> dict:
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+def _in_the_inverse(text: str, part: str) -> int:
+    """The index of the first ``"values"`` of the inverse's copy of a
+    game in ``text``; ``part`` is its ``source`` or ``target``."""
+    return text.index('"values"', text.index(f'"{part}"', text.index('"inverse"')))
+
+
+def _one_space_longer(text: str) -> str:
+    """``text`` with a space before the first row's values of the
+    inverse's source, which decodes as ``text`` does."""
+    at = _in_the_inverse(text, "source")
+    return text[:at] + " " + text[at:]
+
+
+def _one_digit_apart(text: str) -> str:
+    """``text`` with the first digit of a utility of the inverse's
+    target changed; the first colon past its ``"values"`` follows the
+    first player's key."""
+    at = _in_the_inverse(text, "target")
+    k = next(k for k in range(text.index(":", at + len('"values":')), len(text)) if text[k].isdigit())
+    return text[:k] + "19"[text[k] == "1"] + text[k + 1:]
+
+
+def _values_error(doc: dict, part: str) -> dict:
+    """``doc`` with a value of the first row of the ``part`` game of the
+    morphism that is no rational."""
+    def edit(d):
+        values = d["morphism"][part]["utilities"][0]["values"]
+        values[next(iter(values))] = "x"
+
+    return _edited(doc, edit)
+
+
+DOCUMENT_EDITS = {
+    "set tokens reordered in a pair": lambda doc, layout: json.dumps(_edited(
+        doc, lambda d: d["morphism"]["tau"][_set_pair(d)][1]["set"].reverse()
+    ), **layout),
+    "set tokens reordered in a row": lambda doc, layout: json.dumps(_edited(
+        doc, lambda d: d["morphism"]["target"]["utilities"][-1]["play"][-1]["set"].reverse()
+    ), **layout),
+    "set tokens reordered in the node list": lambda doc, layout: json.dumps(_edited(
+        doc, lambda d: d["morphism"]["target"]["nodes"][_set_pair(d)]["set"].reverse()
+    ), **layout),
+    "a pair spelled tight": lambda doc, layout: _respelled(
+        doc, ("morphism", "tau", _set_pair(doc)), layout, LAYOUTS["tight"]
+    ),
+    "a pair spelled indented by four": lambda doc, layout: _respelled(
+        doc, ("inverse", "tau", 0), layout, {"indent": 4}
+    ),
+    "a row spelled tight": lambda doc, layout: _respelled(
+        doc, ("morphism", "target", "utilities", 0), layout, LAYOUTS["tight"]
+    ),
+    "a pair with its specs swapped": lambda doc, layout: json.dumps(_edited(
+        doc, lambda d: d["morphism"]["tau"][0].reverse()
+    ), **layout),
+    "a pair repeated": lambda doc, layout: json.dumps(_edited(
+        doc, lambda d: d["inverse"]["tau"].append(d["inverse"]["tau"][0])
+    ), **layout),
+    "a pair of an undeclared node": lambda doc, layout: json.dumps(_edited(
+        doc, lambda d: d["morphism"]["tau"][0].__setitem__(0, {"atom": "undeclared"})
+    ), **layout),
+    "a fault in a row, then a syntax error": lambda doc, layout: (
+        lambda text: text[: text.rindex("}")] + "x}"
+    )(json.dumps(_values_error(doc, "source"), **layout)),
+    "a fault in a row of the image, then a syntax error": lambda doc, layout: (
+        lambda text: text[: text.rindex("]")] + ",]" + text[text.rindex("]") + 1:]
+    )(json.dumps(_values_error(doc, "target"), **layout)),
+    "a fault in a row": lambda doc, layout: json.dumps(_values_error(doc, "target"), **layout),
+    "the inverse's copy one space longer": lambda doc, layout: _one_space_longer(
+        json.dumps(doc, **layout)
+    ),
+    "the inverse's copy one digit apart": lambda doc, layout: _one_digit_apart(
+        json.dumps(doc, **layout)
+    ),
+    "tau before its games": lambda doc, layout: json.dumps(
+        {"format_version": doc["format_version"], "inverse": doc["inverse"], "morphism": dict(
+            tau=doc["morphism"]["tau"], **{k: v for k, v in doc["morphism"].items() if k != "tau"}
+        )}, **layout
+    ),
+    "a game after tau": lambda doc, layout: json.dumps(_edited(
+        doc, lambda d: d["morphism"].__setitem__("source", d["morphism"].pop("source"))
+    ), **layout),
+    "the game named twice": lambda doc, layout: (
+        lambda text: text.replace('"target"', '"target": "absent.game", "target"', 1)
+    )(json.dumps(doc, **layout)),
+    "games by path": lambda doc, layout: json.dumps({
+        "format_version": doc["format_version"],
+        **{part: dict(doc[part], source="classroom.game", target="classroom.game")
+           for part in ("morphism", "inverse")},
+    }, **layout),
+    "a game by a missing path": lambda doc, layout: json.dumps(_edited(
+        doc, lambda d: d["inverse"].__setitem__("target", "missing.game")
+    ), **layout),
+}
+
+
+@pytest.mark.parametrize("layout", ["compact", "tight", "indented"])
+@pytest.mark.parametrize("name, edit", [
+    (name, edit)
+    for name in ("canonical 1", "choice sequences 2", "found 2", "odd tokens")
+    for edit in DOCUMENT_EDITS
+    # only the choice-set games have set specs
+    if name in ("canonical 1", "odd tokens") or not edit.startswith("set tokens")
+])
+def test_witness_and_morphism_edits(name, edit, layout):
+    doc = WITNESSES[name]
+    text = DOCUMENT_EDITS[edit](doc, LAYOUTS[layout])
+    verdict = assert_document_reads_as_strict("witness", text)
+    if edit.endswith("syntax error"):
+        assert verdict.startswith("SyntaxError: Expecting"), verdict
+    if edit == "a fault in a row":
+        assert verdict == "SyntaxError: utility 'x' is not rational text"
+    morphism = json.loads(text)["morphism"] if "syntax" not in edit else None
+    if morphism is not None:
+        assert_document_reads_as_strict("morphism", json.dumps(morphism, **LAYOUTS[layout]))
+
+
+def test_the_classroom_identity_by_path():
+    """A morphism naming both its games by one path reads the file once."""
+    text = serialize_morphism(identity_morphism(parse_game((FIXTURES / "classroom.game").read_text())))
+    doc = dict(json.loads(text), source="classroom.game", target="./classroom.game")
+    for layout in ("compact", "indented"):
+        assert assert_document_reads_as_strict("morphism", json.dumps(doc, **LAYOUTS[layout])) == text
+
+
+@pytest.mark.parametrize("layout", ["compact", "indented"])
+def test_mutated_witness_texts(layout):
+    """Characters deleted, repeated or inserted at random anywhere in a witness."""
+    rng = random.Random(layout)
+    base = json.dumps(WITNESSES["odd tokens"], **LAYOUTS[layout])
+    for _ in range(150):
+        text = base
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(text))
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:k] + text[k + 1:]
+            elif edit == 1:
+                text = text[:k] + text[k] + text[k:]
+            else:
+                text = text[:k] + rng.choice('[]{},:" \\1x') + text[k:]
+        assert_document_reads_as_strict("witness", text)

@@ -1,5 +1,7 @@
 """Style predicates and the canonical node-style conversions."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from ncgames import (
     TransformError,
     is_isomorphism,
     nash_equilibria,
+    parse_game,
     validate_game_morphism,
 )
 from ncgames.labels import Seq, SetLabel
@@ -22,6 +25,7 @@ from ncgames.transforms import (
 )
 
 from conftest import UNREADABLE, a, nodes_of
+from random_games import families
 
 
 class TestStyleReport:
@@ -186,6 +190,20 @@ class TestApplyUtilityTransform:
             apply_utility_transform(classroom_game, maps)
         assert (str(err.value), err.value.details["player"]) == (
             "NotStrictlyIncreasing: transform for P1 sends -1 and 0 out of order",
+            "P1",
+        )
+
+    def test_an_undefined_transform_names_its_least_utility(self):
+        # P1's range, a frozenset, iterates as 0, 2, 3, -1, -2; the least is named
+        g = parse_game(json.dumps(
+            families.to_document(families.stage_pooled_binary(random.Random(1), 3, 2))
+        ))
+        assert sorted(g.ranges["P1"]) == [-2, -1, 0, 2, 3]
+        with pytest.raises(TransformError) as err:
+            apply_utility_transform(g, {"P1": {Fraction(3): Fraction(3)}})
+        assert (str(err.value), err.value.details["player"]) == (
+            "NotStrictlyIncreasing: transform for P1 is undefined at -2, so it is "
+            "not strictly increasing on the full utility range",
             "P1",
         )
 

@@ -13,8 +13,10 @@ position; these counts do not depend on the hash seed.  Canonicalizing
 hashes no play, and the iso search's node classes no utility.  Finding
 and writing an isomorphism hashes no label, play or utility, and
 checking a witness no more than parsing its games, under any hash seed.
-Reading a witness decodes each of its games once, and writing one calls
-the generic encoder as often at any size."""
+Reading a witness decodes each of its games once, and checking one
+reads no row or ``tau`` pair spec by spec; ``ncg compose`` reads a game
+both its documents name by one file once.  Writing a witness calls the
+generic encoder as often at any size."""
 
 import contextlib
 import io
@@ -179,6 +181,66 @@ def test_a_witness_decodes_each_of_its_games_once():
     assert doc["morphism"]["source"] is doc["inverse"]["target"]
 
 
+def test_iso_check_reads_no_matched_row_or_pair(monkeypatch, tmp_path, capsys):
+    """``ncg iso-check`` of a 60-stage centipede's canonical witness walks
+    its text: each distinct game's node list goes through
+    ``_node_from_spec`` once, and the node readers read the specs of the
+    games' edges alone, since every row and ``tau`` pair spells its
+    specs as the node lists do.  When the witness was decoded whole,
+    checking it took 1,086 reads, a read for each spec of a ``tau`` pair
+    and for the last spec of each row among them."""
+    witness = canonical_centipede_witness(60)
+    path = tmp_path / "centipede.witness"
+    path.write_text(serialize_witness(witness))
+    labels = count_calls(monkeypatch, [ncgames.documents], "_node_from_spec")
+    reads = spec_reads(monkeypatch, lambda: cli_dispatch(["iso-check", str(path)]))
+    assert capsys.readouterr().out == "valid isomorphism witness\n"
+    games = witness.morphism.source, witness.morphism.target
+    assert len(labels) == sum(len(g.tree.nodes) for g in games) == 242
+    assert reads == 2 * sum(len(g.tree.nodes) - 1 for g in games) == 480
+
+
+def test_compose_reads_a_game_both_documents_name_once(monkeypatch, tmp_path, capsys):
+    """``ncg compose`` reads the game that both morphisms name by one
+    file once, so the composability check meets one object and hashes
+    nothing; a copy under another name is read apart and compared by
+    value.  When each document read its own copy, that check hashed 426
+    labels and 124 plays for a 30-stage centipede."""
+    rng = random.Random(30)
+    g = families.centipede(rng, 30)
+    b, first = families.relabel(rng, g)
+    c, second = families.relabel(rng, b)
+    for name, game in zip("abc", (g, b, c)):
+        (tmp_path / f"{name}.game").write_text(json.dumps(families.to_document(game)))
+    (tmp_path / "copy.game").write_text((tmp_path / "b.game").read_text())
+    (tmp_path / "f.morphism").write_text(
+        json.dumps(families.morphism_document("a.game", "b.game", g, first, b))
+    )
+    outputs, check = [], ncgames.game.check_composable
+    for middle in ("b.game", "./copy.game"):
+        (tmp_path / "g.morphism").write_text(
+            json.dumps(families.morphism_document(middle, "c.game", b, second, c))
+        )
+        reads = count_calls(monkeypatch, [ncgames.documents], "_read_game")
+        checks = []
+
+        def counted(second, first):
+            hashes = hash_calls(lambda: check(second, first))
+            checks.append((first.target is second.source, hashes["label"], hashes["play"]))
+
+        monkeypatch.setattr(ncgames.game, "check_composable", counted)
+        out = tmp_path / "fg.morphism"
+        argv = ["compose", str(tmp_path / "f.morphism"), str(tmp_path / "g.morphism"), "-o", str(out)]
+        assert cli_dispatch(argv) == 0
+        assert capsys.readouterr().out == f"wrote: {out}\n"
+        outputs.append(out.read_text())
+        if middle == "b.game":
+            assert (len(reads), checks) == (3, [(True, 0, 0)])
+        else:
+            assert len(reads) == 4 and checks[0][:2] == (False, 426)
+    assert outputs[0] == outputs[1]
+
+
 def test_writing_a_witness_encodes_as_many_values_at_any_size(monkeypatch):
     # specs, edges, rows and tau pairs come from templates; the encoder
     # formats only the small maps, which have one entry per player
@@ -299,9 +361,9 @@ def test_parsing_hashes_labels_in_proportion_to_the_nodes():
         assert 0 < long <= 2.1 * short, family
 
 
-def spec_reads(monkeypatch, text: str) -> int:
-    """The node specs ``parse_game`` reads through ``_node_reader``'s
-    reader while reading ``text``, which must not leave the text route."""
+def spec_reads(monkeypatch, action) -> int:
+    """The node specs read through ``_node_reader``'s readers while
+    ``action()`` runs, which must not leave the text route."""
     reads = []
     reader = ncgames.documents._node_reader
 
@@ -319,7 +381,7 @@ def spec_reads(monkeypatch, text: str) -> int:
 
     monkeypatch.setattr(ncgames.documents, "_node_reader", counting_reader)
     monkeypatch.setattr(ncgames.documents, "_loads", strict)
-    parse_game(text)
+    action()
     return len(reads)
 
 
@@ -339,7 +401,7 @@ def test_rows_that_spell_their_plays_decode_no_spec(layout, monkeypatch):
         doc = families.to_document(families.centipede(random.Random(stages), stages))
         text = json.dumps(doc, **layout)
         decoded = len(doc["utilities"]) if layout.get("separators") else 0
-        assert spec_reads(monkeypatch, text) == 2 * len(doc["edges"]) + decoded
+        assert spec_reads(monkeypatch, lambda: parse_game(text)) == 2 * len(doc["edges"]) + decoded
 
 
 def stage_pooled_counts(depth: int) -> dict:

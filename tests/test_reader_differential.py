@@ -306,12 +306,13 @@ def _witnesses() -> dict:
         out[f"found {seed}"] = find_isomorphism(g, random_iso_witness(rng, g).morphism.target)
     odd = ["a]b", "c}, {d", '"}, {"atom": "', "}]", "g\\h", "über", " ", '], "values": ']
     classroom = parse_game((FIXTURES / "classroom.game").read_text())
-    renamed, _ = relabel_game(
-        classroom,
-        node_map={t: Atom(odd[int(t.token) % len(odd)] + t.token) for t in classroom.tree.nodes},
-        choice_map={c: odd[k % len(odd)] + c for k, c in enumerate(sorted(classroom.preform.choices))},
-    )
-    out["odd tokens"] = canonicalize(renamed).witness
+    for name, tokens in (("odd tokens", odd), ("odd ASCII tokens", odd[:5] + ["x"] + odd[6:])):
+        renamed, _ = relabel_game(
+            classroom,
+            node_map={t: Atom(tokens[int(t.token) % 8] + t.token) for t in classroom.tree.nodes},
+            choice_map={c: tokens[k % 8] + c for k, c in enumerate(sorted(classroom.preform.choices))},
+        )
+        out[name] = canonicalize(renamed).witness
     return out
 
 

@@ -8,15 +8,19 @@ a document and serializing the result reproduces the canonical text,
 and any structural violation is reported through the name of the first
 broken rule.
 
-Documents are read without decoding most of their text.  A game's
-utility rows are matched against the texts of its plays
-(``_rows_by_text``), and a morphism's ``tau`` pairs against the texts
-of its games' node specs (``_tau_by_text``), at any depth of ``ncg``'s
-layout or on one line; only a row or a pair that matches none is
-decoded.  A game embedded in a morphism or a witness is read the same
-way over its own span of the text, once however often its text
-repeats.  A document that route does not read is decoded whole and read
-as before, so every verdict and message is the same.
+Documents are read without decoding most of their text.  A game's node
+list and edges are decoded in one scanner call each; atoms become labels
+straight from their tokens, and edges between atoms are looked up by
+those tokens a list at a time (``_nodes_from_specs``, ``_edge_ids``).
+Its utility rows, at any depth of ``ncg``'s layout or on one line, are
+split into plays and values, each play matched against the texts of
+the game's plays (``_split_rows``), and a morphism's ``tau`` pairs are
+matched against the texts of its games' node specs (``_tau_by_text``).
+Only a list or an item that matches none is decoded.  A game embedded
+in a morphism or a witness is read the same way over its own span of
+the text, once however often its text repeats.  A document that route
+does not read is decoded whole and read as before, so every verdict and
+message is the same.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring as _encode_str
 from json.scanner import make_scanner
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple
 
@@ -101,19 +107,12 @@ def _spec_key(spec):
     return None
 
 
-def _node_reader(node_specs: list):
-    """A reader of node specs that returns each node's integer id, with
-    the list of labels it indexes and the set of declared nodes.
-
-    Each spec of the ``nodes`` list goes through ``_node_from_spec``, in
-    order, and its ``_spec_key`` maps to its position there.  Only a spec
-    read later whose key misses (a set spelled in another order, or an
-    undeclared node, which gets the next free id) is looked up by label."""
-    labels = list(map(_node_from_spec, node_specs))
-    nodes = frozenset(labels)
-    if len(nodes) != len(labels):
-        raise DocumentSyntaxError("duplicate node entry")
-    by_key = {_spec_key(spec): k for k, spec in enumerate(node_specs)}
+def _node_reader(labels: list, by_key: dict) -> Callable:
+    """A reader of node specs that returns each node's integer id, its
+    position in ``labels``; ``by_key`` maps each declared spec's
+    ``_spec_key`` to its id.  Only a spec whose key misses (a set spelled
+    in another order, or an undeclared node, which gets the next free id)
+    is looked up by label, and its key kept."""
     by_label = None  # built on the first key that misses
 
     def read(spec) -> int:
@@ -129,7 +128,62 @@ def _node_reader(node_specs: list):
             k = by_key[key] = by_label[_node_from_spec(spec)]
         return k
 
-    return read, labels, nodes
+    return read
+
+
+class _Nodes:
+    """The nodes a game's ``nodes`` list declares: their labels by id,
+    the set of them, the list's specs as decoded, each node's id by the
+    ``_spec_key`` of its spec, a reader of node specs (``_node_reader``),
+    and the texts of their specs in each layout asked for
+    (``spec_texts``)."""
+
+    def __init__(self, labels: list, by_key: dict, specs: list):
+        self.labels = labels
+        self.nodes = frozenset(labels)
+        if len(self.nodes) != len(labels):
+            raise DocumentSyntaxError("duplicate node entry")
+        self.by_key = by_key
+        self.read = _node_reader(labels, by_key)
+        self.specs = specs
+        self.texts: dict = {}
+
+    def spec_texts(self, pad: str) -> list:
+        """The text of each node's spec by id, in ``_spec_texts``'s layout
+        ``pad``.  An indented layout is re-indented from another one
+        spelled before: each newline of a spec's text is followed by its
+        pad."""
+        texts = self.texts.get(pad)
+        if texts is None:
+            known = next(filter(None, self.texts), None) if pad else None
+            if known is None:
+                texts = _spec_texts(self.specs, pad)
+            else:
+                texts = "\0".join(self.texts[known]).replace(known, pad).split("\0")
+            self.texts[pad] = texts
+        return texts
+
+    def spec_ids(self, pad: str) -> dict:
+        """Each node's id by its spec's text in the layout ``pad``."""
+        texts = self.spec_texts(pad)
+        return dict(zip(texts, range(len(texts))))
+
+
+def _nodes_from_specs(specs: list) -> _Nodes:
+    """The nodes of a decoded ``nodes`` list.  When each spec is an
+    atom's, ``{"atom": token}`` with a text token, the labels are built
+    from the tokens a list at a time; else each spec is read by
+    ``_node_from_spec``, in order, so the first malformed one is the one
+    reported."""
+    try:
+        tokens = list(map(itemgetter("atom"), specs))
+    except (KeyError, TypeError):  # a spec of another kind, or no object
+        tokens = None
+    if tokens is not None and set(map(len, specs)) == {1} and set(map(type, tokens)) == {str}:
+        return _Nodes(list(map(Atom, tokens)), dict(zip(tokens, range(len(tokens)))), specs)
+    labels = list(map(_node_from_spec, specs))
+    by_key = {_spec_key(spec): k for k, spec in enumerate(specs)}
+    return _Nodes(labels, by_key, specs)
 
 
 def _rational_reader():
@@ -278,21 +332,28 @@ def _check_version(doc, where):
         )
 
 
-def _read_rows(rows, players, read, labels, rational, plays, paths, node_specs) -> dict:
+def _read_rows(rows, players, nodes: _Nodes, rational, plays, paths) -> dict:
     """Each player's utility row, mapping each slot that ``_priced``
     reads to its value; each row is read once, in document order, so the
     first broken rule is the one reported.
 
     A row that ``_rows_by_text`` matched by its text comes as the
-    position of its play and its ``values``.  A decoded row is looked up
-    by the id of its last spec in ``plays`` (a tree's plays by end id)
-    and priced at that play's position when it lists exactly the specs
-    of ``node_specs`` at the play's id path in ``paths``.  Any other row
-    is read spec by spec and priced at the position of the play with its
-    set of node ids, or keyed by its set of nodes when that is no play,
-    as every row is when ``plays`` is empty (the preform or form did not
-    build)."""
+    position of its play and its ``values``; when all did, they come as
+    the pair of lists, read a player at a time where ``_by_player``
+    reads them.  A decoded row is looked up by the id of its last spec
+    in ``plays`` (a tree's plays by end id) and priced at that play's
+    position when it lists exactly the specs of ``nodes`` at the play's
+    id path in ``paths``.  Any other row is read spec by spec and priced
+    at the position of the play with its set of node ids, or keyed by
+    its set of nodes when that is no play, as every row is when
+    ``plays`` is empty (the preform or form did not build)."""
+    if type(rows) is tuple:  # the positions and the values of rows that all matched
+        utilities = _by_player(*rows, players, rational)
+        if utilities is not None:
+            return utilities
+        rows = zip(*rows)
     utilities: Dict[str, dict] = {i: {} for i in players}
+    read, labels = nodes.read, nodes.labels
     for entry in rows:
         if type(entry) is tuple:
             slot, values = entry
@@ -303,7 +364,7 @@ def _read_rows(rows, players, read, labels, rational, plays, paths, node_specs) 
                 ids = paths[slot]
             except (NcgError, LookupError):  # no spec, a malformed one, or no end
                 ids = None
-            if ids is None or play_specs != list(map(node_specs.__getitem__, ids)):
+            if ids is None or play_specs != list(map(nodes.specs.__getitem__, ids)):
                 found = frozenset(map(read, play_specs))
                 end = _play_with_ids(plays, paths, found)
                 slot = frozenset(map(labels.__getitem__, found)) if end is None else plays[end]
@@ -316,6 +377,31 @@ def _read_rows(rows, players, read, labels, rational, plays, paths, node_specs) 
     return utilities
 
 
+def _by_player(slots, values: list, players, rational):
+    """The utilities of rows at the distinct positions ``slots`` whose
+    ``values`` name the same players, each by text, read as
+    ``_read_rows`` reads them, a player at a time and each distinct text
+    once; ``None`` for any other rows, and when a text is no rational, so
+    that they are read row by row and the first broken rule is the one
+    reported."""
+    try:
+        texts = set(chain.from_iterable(map(dict.values, values)))
+    except TypeError:  # a list or an object
+        return None
+    names = set(map(tuple, values))
+    if len(names) != 1 or set(map(type, texts)) != {str} or len(set(slots)) != len(slots):
+        return None
+    try:
+        number = dict(zip(texts, map(rational, texts)))
+    except DocumentSyntaxError:
+        return None
+    utilities: Dict[str, dict] = {i: {} for i in players}
+    for player in names.pop():
+        row = map(number.__getitem__, map(itemgetter(player), values))
+        utilities.setdefault(player, {}).update(zip(slots, row))
+    return utilities
+
+
 def _spec_texts(specs: list, pad: str) -> list:
     """The text of each node spec, a decoded one of a ``nodes`` list, as
     ``json.dumps`` writes it on one line when ``pad`` is empty, else
@@ -323,9 +409,10 @@ def _spec_texts(specs: list, pad: str) -> list:
     A sequence's or a set's tokens are spelled in their own order, so
     each text decodes to its spec."""
     inner = pad and pad + "  "
-    try:
-        head, tail = "{" + inner + '"atom": ', pad + "}"
-        return [head + _encode_str(spec["atom"]) + tail for spec in specs]
+    head, tail = "{" + inner + '"atom": ', pad + "}"
+    try:  # an atom's spec, spelled from its token in one join: no text holds a NUL
+        tokens = (tail + "\0" + head).join(map(_encode_str, map(itemgetter("atom"), specs)))
+        return (head + tokens + tail).split("\0") if specs else []
     except KeyError:  # a sequence or set spec
         pass
     deep, comma = (inner + "  ", ",") if pad else ("", ", ")
@@ -379,47 +466,130 @@ def _layout(text: str, at: int) -> tuple:
     return at, lead if lead in ("", "\n" + " " * (len(lead) - 1)) else None
 
 
-def _rows_by_text(text: str, at: int, paths: list, node_specs: list) -> tuple:
+def _one(text: str):
+    """The value whose text is ``text``; raises on any other text."""
+    value, end = _scan(text, 0)
+    if end != len(text):
+        raise ValueError("not one value")
+    return value
+
+
+# the rows of a game of fewer plays are decoded: splitting them costs
+# more (the crossover is at nine to twelve rows on the families of
+# ``bench/families.py``; six rows took a quarter longer split)
+_FEW = 12
+
+
+def _rows_by_text(text: str, at: int, tree, nodes: _Nodes) -> tuple:
     """The utility rows of the list whose text starts at ``at``, each as
     ``json.loads`` reads it, and the index past the game's object, which
-    the list must close.
-
-    In ``_layout``'s layouts, a row whose ``play`` has exactly the text
-    of the node specs along one play's id path in ``paths`` (each spec
-    spelled by ``_spec_texts``) is read as that play's position and its
-    decoded ``values``, and none of its specs is decoded.  The plays'
-    texts are joined once, in the layout of the first row, and a row's
-    ``play`` is searched no further than the longest of them.  Every
-    other row is decoded whole by the C scanner."""
-    at, lead = _layout(text, at)
-    match, comma = (lambda _at: None), "," if lead else ", "
-    if paths and lead is not None:
-        indent = lead and lead + "  "  # each member of a row
-        pad = indent and indent + "  "  # each spec of its play
-        head = "{" + indent + '"play": [' + pad
-        tail = indent + "]" + comma + indent + '"values": '
-        close = lead + "}"
-        n_head, n_tail, n_close = len(head), len(tail), len(close)
-        spelled = _spec_texts(node_specs, pad)
-        join = (comma + pad).join
-        index = {join(map(spelled.__getitem__, path)): p for p, path in enumerate(paths)}
-        reach = n_head + max(map(len, index)) + n_tail
-
-        def match(at):
-            if text.startswith(head, at):
-                end = text.find(tail, at + n_head, at + reach)
-                p = index.get(text[at + n_head:end]) if end >= 0 else None
-                if p is not None:
-                    values, after = _scan(text, end + n_tail)
-                    if text.startswith(close, after) and type(values) is dict:
-                        return (p, values), after + n_close
-            return None
-
-    rows, at = _list_by_text(text, at, match, comma + (lead or "") + "{")
+    the list must close.  Given the id core of the game's tree, the rows
+    of a game of ``_FEW`` plays or more, laid out as ``_layout`` reads,
+    are read by ``_split_rows``; any others are decoded whole."""
+    first, lead = _layout(text, at)
+    found = None
+    if tree is not None and len(tree.paths) >= _FEW and lead is not None:
+        found = _split_rows(text, first, lead, tree, nodes)
+    rows, at = found or _scan(text, at)
     at = _space(text, at).end()
     if text[at] != "}":
         raise ValueError("the utilities are not the game's last member")
     return rows, at + 1
+
+
+def _split_rows(text: str, first: int, lead: str, tree, nodes: _Nodes):
+    """The rows of the list whose first row starts at ``first``, with
+    ``lead`` before each, and the index past the list, or ``None``;
+    ``tree`` is the id core of the game's tree.
+
+    The list is split, in one pass, at the text between two rows.  When
+    the rows start with the texts of the plays in their order, as
+    ``ncg`` writes them (each spec's text by ``_Nodes.spec_texts``), and
+    each text is followed by the text before the row's ``values``, each
+    row is read as its play's position.  Else each row is split at the
+    last text before its ``values``, and a ``play`` with exactly the text
+    of a play is read as that play's position; any other is decoded.
+    Either way no matched play's spec is decoded.  The ``values`` are
+    decoded in one scanner call, each between its braces, joined by a
+    newline, which no text of a string holds; ``_read_rows`` refuses a
+    value that is a list or an object, so each object read is one row's."""
+    indent = lead and lead + "  "  # each member of a row
+    pad = indent and indent + "  "  # each spec of its play
+    comma = "," if lead else ", "
+    head = "{" + indent + '"play": [' + pad
+    if not text.startswith(head, first):
+        return None
+    middle = indent + "]" + comma + indent + '"values": {'
+    close = "}" + lead + "}"  # the values' and the row's
+    between = close + comma + lead + head
+    texts = nodes.spec_texts(pad)
+    prefix, parent, sep = list(texts), tree.parent, comma + pad
+    for k in tree.walk[1:]:  # each node's play so far, parents first
+        prefix[k] = prefix[parent[k]] + sep + texts[k]
+    keys = list(map(prefix.__getitem__, map(itemgetter(-1), tree.paths)))  # by position
+    marks, prefix = list(map(len, keys)), None
+    # a row for each play holds its text, so the list closes past them all
+    n, first = len(keys), first + len(head)
+    least = sum(marks) + n * len(middle) + (n - 1) * len(between)
+    end = text.find(close + lead[:-2] + "]", first + least)
+    if end < 0:
+        return None
+    rows = text[first:end].split(between)
+    # ``ncg`` writes the rows in the order of the plays; then each is told
+    # by its start, and no play's text is copied or hashed
+    if len(rows) == n and all(map(str.startswith, rows, keys)) and all(
+        map(str.startswith, rows, repeat(middle), marks)
+    ):
+        slots, plays = range(n), keys
+        tails = map(str.__getitem__, rows, map(slice, map(len(middle).__add__, marks), repeat(None)))
+    else:
+        parts, rows = list(map(str.rpartition, rows, repeat(middle))), None
+        if set(map(itemgetter(1), parts)) != {middle}:
+            return None
+        plays, tails = list(map(itemgetter(0), parts)), map(itemgetter(2), parts)
+        slots = list(map(dict(zip(keys, range(n))).get, plays))
+    joined = "[{" + "},\n{".join(tails) + "}]"
+    try:
+        values, at = _scan(joined, 0)
+    except (ValueError, StopIteration):
+        return None
+    if at != len(joined) or len(values) != len(plays) or set(map(type, values)) != {dict}:
+        return None
+    if None in slots:
+        rows = [
+            (p, v) if p is not None else {"play": _one("[" + play + "]"), "values": v}
+            for p, play, v in zip(slots, plays, values)
+        ]
+    else:
+        rows = slots, values
+    return rows, end + len(close) + len(lead[:-2]) + 1
+
+
+def _edge_ids(edges: list, nodes: _Nodes) -> list:
+    """The (node, choice, node) id triples of a decoded ``edges`` list.
+    When each edge lists two atoms that ``nodes`` declares and a text
+    choice, the ids are looked up by the atoms' tokens a list at a time;
+    else each edge is read in turn by ``nodes.read``, so the first
+    malformed one is the one reported."""
+    try:  # an edge of fewer than three items fails the unpacking
+        sources, choices, targets = zip(*edges)
+        heads = list(map(nodes.by_key.get, map(itemgetter("atom"), sources)))
+        tails = list(map(nodes.by_key.get, map(itemgetter("atom"), targets)))
+        n = len(edges)
+        if (
+            None not in heads and None not in tails and sum(map(len, edges)) == 3 * n
+            and sum(map(len, sources)) == sum(map(len, targets)) == n
+            and set(map(type, choices)) == {str}
+        ):
+            return list(zip(heads, choices, tails))
+    except (KeyError, TypeError, ValueError):  # a spec of another kind, or no edge
+        pass
+    triples, read = [], nodes.read
+    for entry in edges:
+        if not isinstance(entry, list) or len(entry) != 3 or not isinstance(entry[1], str):
+            raise DocumentSyntaxError(f"edge {entry!r} must be [node, choice, node]")
+        triples.append((read(entry[0]), entry[1], read(entry[2])))
+    return triples
 
 
 def _game_from_document(doc, rows_at=None) -> tuple:
@@ -441,14 +611,8 @@ def _game_from_document(doc, rows_at=None) -> tuple:
     if len(set(players)) != len(players):
         raise DocumentSyntaxError("duplicate player entry")
 
-    node_specs = _require(doc, "nodes", list, "game document")
-    read, labels, nodes = _node_reader(node_specs)
-
-    triples = []
-    for entry in _require(doc, "edges", list, "game document"):
-        if not isinstance(entry, list) or len(entry) != 3 or not isinstance(entry[1], str):
-            raise DocumentSyntaxError(f"edge {entry!r} must be [node, choice, node]")
-        triples.append((read(entry[0]), entry[1], read(entry[2])))
+    nodes = _nodes_from_specs(_require(doc, "nodes", list, "game document"))
+    triples = _edge_ids(_require(doc, "edges", list, "game document"), nodes)
 
     ownership = _require(doc, "ownership", dict, "game document")
     assignment: Dict[str, frozenset] = {}
@@ -459,52 +623,37 @@ def _game_from_document(doc, rows_at=None) -> tuple:
 
     if rows_at is None:
         rows = _require(doc, "utilities", list, "game document")
-    choices = frozenset(c for _t, c, _n in triples) | frozenset(
-        c for cs in assignment.values() for c in cs
-    )
-    fault = None
+    choices = frozenset(map(itemgetter(1), triples)).union(*assignment.values())
+    fault = tree = None
     plays: dict = {}
     paths: list = []
     try:
-        preform = _preform_from_ids(nodes, labels, choices, triples)
+        preform = _preform_from_ids(nodes.nodes, nodes.labels, choices, triples)
         form = build_form(preform, players, assignment)
     except NcgError as exc:
         fault = exc
     else:
-        plays, paths = preform.tree._ids.plays, preform.tree._ids.paths
+        tree = preform.tree._ids
+        plays, paths = tree.plays, tree.paths
     end = None
     if rows_at is not None:
-        rows, end = _rows_by_text(*rows_at, paths, node_specs)
-    utilities = _read_rows(
-        rows, players, read, labels, _rational_reader(), plays, paths, node_specs
-    )
+        rows, end = _rows_by_text(*rows_at, tree, nodes)
+    utilities = _read_rows(rows, players, nodes, _rational_reader(), plays, paths)
     try:
         if fault is not None:
             raise fault
         game = _priced(form, {i: row.items() for i, row in utilities.items()})
     except NcgError as exc:
         raise AxiomViolation(exc) from exc
-    return _Read(game, read, node_specs, {}), end
+    return _Read(game, nodes), end
 
 
 class _Read(NamedTuple):
-    """A game read from a document, the reader of its node specs, and
-    the specs of its ``nodes`` list as decoded; ``texts`` keeps, for
-    each layout ``spec_ids`` was asked for, each node's id by the text
-    of its spec."""
+    """A game read from a document, and the nodes its ``nodes`` list
+    declares, with their reader and their specs' texts."""
 
     game: Game
-    read: Callable
-    specs: list
-    texts: dict
-
-    def spec_ids(self, pad: str) -> dict:
-        """Each node's id by its spec's text in ``_spec_texts``'s layout ``pad``."""
-        ids = self.texts.get(pad)
-        if ids is None:
-            texts = _spec_texts(self.specs, pad)
-            ids = self.texts[pad] = dict(zip(texts, range(len(texts))))
-        return ids
+    nodes: _Nodes
 
 
 def _game_at(text: str, at: int) -> tuple:
@@ -528,11 +677,12 @@ def _open(path, mode: str = "r"):
 
 def _read(path, code: str = "UnreadableDocument", kind: str = "document") -> str:
     """The text of the document at ``path``, refused as ``code`` when it
-    cannot be read as UTF-8 text."""
+    cannot be read as UTF-8 text, or names no file (a ``ValueError``:
+    the path holds a NUL character)."""
     try:
         with _open(path) as file:
             return file.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
         raise DocumentError(
             code, f"cannot read the {kind} at {path} ({type(exc).__name__})", path=str(path)
         ) from exc
@@ -764,7 +914,10 @@ def _game_from_ref(ref, base_dir, built: list) -> _Read:
     if type(ref) is _Read:
         return ref
     path = Path(base_dir) / ref if isinstance(ref, str) else None
-    key = ref if path is None else os.path.realpath(path)
+    try:
+        key = ref if path is None else os.path.realpath(path)
+    except ValueError:  # a NUL in the path, which ``_read_game`` refuses
+        key = path
     for seen, game in built:
         if seen == key:
             return game
@@ -791,7 +944,9 @@ def _morphism_parts(doc, base_dir, built: list) -> tuple:
     )
     iota = dict(zip(*_pairs(doc.get("iota", []), _token, _token, "iota")))
     tau = doc.get("tau", [])
-    keys, values = tau if type(tau) is tuple else _pairs(tau, source.read, target.read, "tau")
+    keys, values = tau if type(tau) is tuple else _pairs(
+        tau, source.nodes.read, target.nodes.read, "tau"
+    )
     source, target = source.game, target.game
     tau = _IdMap(keys, values, source.tree._ids.labels, target.tree._ids.labels)
     delta = dict(zip(*_pairs(doc.get("delta", []), _token, _token, "delta")))
@@ -810,8 +965,8 @@ def _tau_by_text(text: str, at: int, source: _Read, target: _Read) -> tuple:
 
     In ``_layout``'s layouts, a pair whose text is ``[s, t]``, with ``s``
     the text of a spec of the source's node list and ``t`` one of the
-    target's (spelled by ``_spec_texts`` in the layout of the first
-    pair), is read as the tuple of their node ids, and none of its specs
+    target's (``_Nodes.spec_ids`` in the layout of the first pair), is
+    read as the tuple of their node ids, and none of its specs
     is decoded; a spec's end is searched no further than the longest
     spec text of its game.  Every other pair is decoded by the C
     scanner."""
@@ -820,7 +975,7 @@ def _tau_by_text(text: str, at: int, source: _Read, target: _Read) -> tuple:
     if lead is not None:
         pad = lead and lead + "  "  # each spec of a pair
         opening, middle, closing = "[" + pad, comma + pad, lead + "]"
-        lefts, rights = source.spec_ids(pad), target.spec_ids(pad)
+        lefts, rights = source.nodes.spec_ids(pad), target.nodes.spec_ids(pad)
         left_ends = "}" + middle + "{", max(map(len, lefts))
         right_ends = "}" + closing, max(map(len, rights))
 
@@ -881,7 +1036,7 @@ def _document_by_text(text: str, base_dir, built: list):
         if type(source) is not _Read or type(target) is not _Read:
             raise ValueError("tau before its games")
         pairs, at = _tau_by_text(text, at, source, target)
-        return _pairs(pairs, source.read, target.read, "tau"), at
+        return _pairs(pairs, source.nodes.read, target.nodes.read, "tau"), at
 
     def morphism(at: int, _doc: dict) -> tuple:
         if text[at] != "{":

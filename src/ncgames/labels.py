@@ -46,14 +46,19 @@ class Atom:
     token: Any
 
     def __init__(self, token: Any):
-        object.__setattr__(self, "token", token)
-        object.__setattr__(self, "_hash", hash((token,)))
+        _set_token(self, token)
+        _set_atom_hash(self, hash((token,)))
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         return Atom, (self.token,)
+
+
+# the slots' own setters, past the frozen ``__setattr__``: a document's
+# node list builds an atom per node
+_set_token, _set_atom_hash = Atom.token.__set__, Atom._hash.__set__
 
 
 @dataclass(frozen=True, init=False)

@@ -642,6 +642,25 @@ class TestCompose:
         assert run(capsys, "compose", m_path, m_path) == (1, expected)
         assert run(capsys, "iso-check", m_path) == (1, expected)
 
+    def test_a_path_that_holds_a_nul_character(self, workdir, capsys):
+        from ncgames import identity_morphism, load_game, serialize_morphism
+
+        game = load_game(workdir / "classroom.game")
+        doc = json.loads(serialize_morphism(identity_morphism(game)))
+        doc["source"] = "a\0b.game"
+        m_path = workdir / "nul.morphism"
+        m_path.write_text(json.dumps(doc))
+        expected = (
+            f"error: UnreadableGame: cannot read the game at {workdir / 'a'}\0b.game "
+            "(ValueError)\n"
+        )
+        assert run(capsys, "iso-check", m_path) == (1, expected)
+        assert run(capsys, "compose", m_path, m_path) == (1, expected)
+        path = workdir / "a\0b.morphism"
+        assert run(capsys, "iso-check", path) == (
+            1, f"error: UnreadableDocument: cannot read the document at {path} (ValueError)\n"
+        )
+
 
 UNREADABLE = {
     # (how the path is made, the error reading it raises)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,7 @@ from ncgames.transforms import (
 
 import test_golden_outputs as golden
 from conftest import assert_reads_as_json_loads
+from random_games import families
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -581,30 +583,38 @@ class TestPlayRows:
             parse_game(_classroom_rows_doc(classroom_text, mutate))
         assert str(err.value) == message
 
-    def test_each_row_is_read_once(self, classroom_text, monkeypatch):
+    @pytest.mark.parametrize("stages", [None, 20], ids=["classroom", "centipede"])
+    def test_each_row_is_read_once(self, classroom_text, monkeypatch, stages):
         reads = []
         reader = documents._node_reader
 
-        def counting_reader(node_specs):
-            read, labels, nodes = reader(node_specs)
+        def counting_reader(labels, by_key):
+            read = reader(labels, by_key)
 
             def counted(spec):
                 reads.append(spec)
                 return read(spec)
 
-            return counted, labels, nodes
+            return counted
 
         monkeypatch.setattr(documents, "_node_reader", counting_reader)
-        text = _classroom_rows_doc(
-            classroom_text, lambda rows: rows[2]["play"].insert(0, rows[2]["play"].pop(1))
-        )
-        doc = json.loads(text)
-        parse_game(text)
-        # the node list is read into the reader, not through it: two reads
-        # per edge; the rows that spell their plays are matched by their
-        # text, and the swapped row is decoded, so one read of its last
-        # spec, then its 4 specs
-        assert len(reads) - 2 * len(doc["edges"]) == 1 + 4
+        if stages is None:
+            doc = json.loads(classroom_text)
+        else:
+            doc = families.to_document(families.centipede(random.Random(stages), stages))
+        rows = doc["utilities"]
+        rows[2]["play"].insert(0, rows[2]["play"].pop(1))
+        parse_game(json.dumps(doc))
+        # the edges join atoms and are looked up by their tokens; the
+        # swapped row is decoded, so one read of its last spec, then its
+        # specs; a game of fewer than ``_FEW`` plays has every row decoded,
+        # each read its last spec once, and a larger one has the rows that
+        # spell their plays matched by their text
+        swapped = 1 + len(rows[2]["play"])
+        if len(rows) < documents._FEW:
+            assert len(reads) == len(rows) - 1 + swapped == 9
+        else:
+            assert len(reads) == swapped
 
     def test_row_fault_is_reported_before_a_cycle(self, classroom_text):
         doc = json.loads(classroom_text)
@@ -631,7 +641,7 @@ class TestGameReferences:
         doc["source"] = ref
         return json.dumps(doc)
 
-    @pytest.mark.parametrize("ref", ["missing.game", "subdir", "."])
+    @pytest.mark.parametrize("ref", ["missing.game", "subdir", ".", "a\0b.game"])
     def test_unreadable_game_is_a_document_error(self, classroom_text, tmp_path, ref):
         (tmp_path / "subdir").mkdir()
         with pytest.raises(DocumentError) as err:
@@ -660,6 +670,7 @@ class TestGameReferences:
         ("missing.game", "FileNotFoundError"),
         ("subdir", "IsADirectoryError"),
         ("latin1.game", "UnicodeDecodeError"),
+        ("a\0b.game", "ValueError"),  # no file's path holds a NUL character
     ])
     def test_load_game_refuses_an_unreadable_file(self, tmp_path, name, error):
         (tmp_path / "subdir").mkdir()

@@ -3,15 +3,18 @@ the same serialized game, morphism or witness, or the same error text,
 as ``_game_from_document(json.loads(text))``, or as
 ``_witness_from_document`` and ``_morphism_parts`` of ``json.loads(text)``.
 
-The readers walk the text.  A game's rows, and a morphism's ``tau``
-pairs, written on one line as ``json.dumps`` writes by default, or
-indented by two as ``ncg`` writes at any depth, are accepted without
-decoding their specs when they spell them as the node lists do; games
-embedded in a morphism or witness are read over their own span of the
-text, once per distinct text; anything else is decoded.  So these
-documents vary how rows and pairs are written, what their tokens hold,
-where a fault or a syntax error sits, and how the copies of a game in
-one witness differ."""
+The readers walk the text.  A game's node list is decoded, its atoms
+built from their tokens.  Its edges written on one line as
+``json.dumps`` writes by default, and its rows and a morphism's ``tau``
+pairs written so or indented by two as ``ncg`` writes at any depth, are
+split and accepted without decoding their specs when they spell them as
+the node lists do; games embedded in a morphism or witness are read
+over their own span of the text, once per distinct text; anything else
+is decoded.  So these documents vary how node lists, edges, rows and
+pairs are written, what their tokens hold (the texts the splits split
+at among them), where a fault or a syntax error sits, and how the
+copies of a game in one witness differ.  Lists of any length are read
+by text here."""
 
 import json
 import random
@@ -55,6 +58,13 @@ LAYOUTS = {
 }
 
 
+@pytest.fixture(autouse=True)
+def every_list_by_text(monkeypatch):
+    """Lists of any length are read by text here, so that every edit of
+    a small game meets the text routes."""
+    monkeypatch.setattr(documents, "_FEW", 0)
+
+
 def strict(text: str) -> str:
     try:
         doc = json.loads(text)
@@ -92,11 +102,23 @@ def _relabelled(doc: dict, rename) -> dict:
     )
 
 
+def _rechosen(doc: dict, rename) -> dict:
+    """``doc`` with each choice ``c`` renamed ``rename(c)``."""
+    return dict(
+        doc,
+        edges=[[t, rename(c), u] for t, c, u in doc["edges"]],
+        ownership={i: [rename(c) for c in cs] for i, cs in doc["ownership"].items()},
+    )
+
+
 def _games() -> dict:
     classroom = parse_game((FIXTURES / "classroom.game").read_text())
     absentminded = parse_game((FIXTURES / "absentminded.game").read_text())
     # tokens that hold the characters the row walk looks for, and escapes
     odd = ["a]b", "c}d", 'e"f', "g\\h", "über", " ", '], "values": ', '{"play": [']
+    # tokens that hold the texts a split of the node list, the edges or
+    # the rows would split at, or that do with their closing quote
+    splits = ['"}, {"atom": "', "], [", ", ", "}, ", "}], [{", '"}}, {"play": [', '], "values": {']
     return {
         "classroom": json.loads(serialize_game(classroom)),
         "choice sets": json.loads(serialize_game(canonicalize(classroom).game)),
@@ -105,6 +127,12 @@ def _games() -> dict:
         "stage-pooled": families.to_document(families.stage_pooled_binary(random.Random(3), 4, 3)),
         "odd tokens": _relabelled(
             json.loads(serialize_game(classroom)), lambda t: odd[int(t) % len(odd)] + t
+        ),
+        "split tokens": _relabelled(
+            json.loads(serialize_game(classroom)), lambda t: t + splits[int(t) % len(splits)]
+        ),
+        "split choices": _rechosen(
+            json.loads(serialize_game(classroom)), lambda c: c + '", {"atom": ' + c + "}, "
         ),
     }
 
@@ -153,6 +181,67 @@ ROW_EDITS = {
 @pytest.mark.parametrize("name", ["classroom", "choice sets", "odd tokens"])
 def test_rows(name, edit, layout):
     assert_reads_as_strict(json.dumps(_rows(name, ROW_EDITS[edit]), **LAYOUTS[layout]))
+
+
+def _respelled_member(doc: dict, key: str, layout: dict, spelling: dict) -> str:
+    """``doc`` in ``layout``, save that its ``key`` member is written in
+    ``spelling``."""
+    marked = json.dumps(dict(doc, **{key: "\0"}), **layout)
+    return marked.replace('"\\u0000"', json.dumps(doc[key], **spelling), 1)
+
+
+def _edited_game(name: str, edit) -> dict:
+    doc = json.loads(json.dumps(GAMES[name]))
+    edit(doc)
+    return doc
+
+
+NODE_EDITS = {
+    "a duplicate node": lambda name, layout: json.dumps(_edited_game(
+        name, lambda d: d["nodes"].append(d["nodes"][-1])
+    ), **layout),
+    "an edge naming an undeclared node": lambda name, layout: json.dumps(_edited_game(
+        name, lambda d: d["edges"][-1].__setitem__(2, {"atom": "undeclared"})
+    ), **layout),
+    "an edge naming a node of another kind": lambda name, layout: json.dumps(_edited_game(
+        name, lambda d: d["edges"][0].__setitem__(0, {"seq": ["x"]})
+    ), **layout),
+    "a choice that is no text": lambda name, layout: json.dumps(_edited_game(
+        name, lambda d: d["edges"][-1].__setitem__(1, 7)
+    ), **layout),
+    "the node list tight": lambda name, layout: _respelled_member(
+        GAMES[name], "nodes", layout, LAYOUTS["tight"]
+    ),
+    "the node list with tabs": lambda name, layout: _respelled_member(
+        GAMES[name], "nodes", layout, LAYOUTS["tabs"]
+    ),
+    "the edges tight": lambda name, layout: _respelled_member(
+        GAMES[name], "edges", layout, LAYOUTS["tight"]
+    ),
+    "the edges before the nodes": lambda name, layout: json.dumps(
+        {"edges": GAMES[name]["edges"], **GAMES[name]}, **layout
+    ),
+    "the node list twice": lambda name, layout: (
+        lambda text: text.replace('"edges"', '"nodes": [], "edges"', 1)
+    )(json.dumps(GAMES[name], **layout)),
+}
+
+
+@pytest.mark.parametrize("layout", ["compact", "tight", "indented"])
+@pytest.mark.parametrize("edit", NODE_EDITS)
+@pytest.mark.parametrize("name", ["classroom", "centipede", "choice sets", "split tokens"])
+def test_node_and_edge_edits(name, edit, layout):
+    assert_reads_as_strict(NODE_EDITS[edit](name, LAYOUTS[layout]))
+
+
+@pytest.mark.parametrize("layout", ["compact", "indented"])
+def test_a_set_spelled_in_another_order_in_an_edge(layout):
+    def reorder(doc):
+        edge = next(e for e in doc["edges"] if len(e[2].get("set", ())) > 1)
+        edge[2]["set"].reverse()
+
+    text = json.dumps(_edited_game("choice sets", reorder), **LAYOUTS[layout])
+    assert assert_reads_as_strict(text) == serialize_game(parse_game(json.dumps(GAMES["choice sets"])))
 
 
 @pytest.mark.parametrize("layout", ["compact", "tight", "indented"])
@@ -240,11 +329,13 @@ def test_a_key_between_play_and_values_in_every_row(layout):
 
 
 @pytest.mark.parametrize("layout", ["compact", "tight", "indented"])
-def test_mutated_texts(layout):
-    """Characters deleted, repeated or inserted at random in the rows."""
-    rng = random.Random(layout)
+@pytest.mark.parametrize("member", ["utilities", "nodes"])
+def test_mutated_texts(layout, member):
+    """Characters deleted, repeated or inserted at random in the rows,
+    or anywhere from the node list on."""
+    rng = random.Random(layout if member == "utilities" else member + layout)
     base = json.dumps(GAMES["odd tokens"], **LAYOUTS[layout])
-    start = base.index('"utilities"')
+    start = base.index(f'"{member}"')
     for _ in range(300):
         text = base
         for _ in range(rng.randint(1, 2)):
@@ -336,9 +427,9 @@ def _spec_reads(monkeypatch) -> list:
     reads = []
     reader = documents._node_reader
 
-    def counting_reader(node_specs):
-        read, labels, nodes = reader(node_specs)
-        return (lambda spec: reads.append(spec) or read(spec)), labels, nodes
+    def counting_reader(labels, by_key):
+        read = reader(labels, by_key)
+        return lambda spec: reads.append(spec) or read(spec)
 
     def strict(_text):
         raise AssertionError("the document was read by the strict route")
@@ -351,23 +442,29 @@ def _spec_reads(monkeypatch) -> list:
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_every_layout_is_walked_and_rows_and_pairs_match_in_two(layout, monkeypatch):
     """No layout sends a witness to the strict route.  On one line, or
-    indented by two, the node readers read only the specs of the edges
-    of each distinct game: every row and ``tau`` pair is matched by its
-    text, sequence and set specs included, unless a token is escaped
-    where ``ncg`` writes it as is (``json.dumps``'s default escapes
-    non-ASCII)."""
+    indented by two, every row and ``tau`` pair is matched by its text,
+    sequence and set specs included, unless a token is escaped where
+    ``ncg`` writes it as is (``json.dumps``'s default escapes
+    non-ASCII); edges between atoms are looked up by the atoms' tokens,
+    so the node readers read the specs of the other games' edges alone,
+    both of each.  When every edge was read spec by spec, the readers
+    read both specs of each edge of each game."""
     reads = _spec_reads(monkeypatch)
     for name, doc in WITNESSES.items():
         reads.clear()
         text = json.dumps(doc, **LAYOUTS[layout])
         witness = parse_witness(text)
         games = {id(g): g for g in (witness.morphism.source, witness.morphism.target)}
-        edges = sum(len(g.tree.nodes) - 1 for g in games.values())
+        decoded = sum(
+            len(g.tree.nodes) - 1
+            for g in games.values()
+            if not all(isinstance(t, Atom) for t in g.tree.nodes)
+        )
         as_is = json.dumps(doc, **dict(LAYOUTS[layout], ensure_ascii=False)) == text
         if layout in ("compact", "indented", "indented, non-ASCII as is") and as_is:
-            assert len(reads) == 2 * edges, name
+            assert len(reads) == 2 * decoded, name
         else:
-            assert len(reads) > 2 * edges, name
+            assert len(reads) > 2 * decoded, name
 
 
 def _set_pair(doc: dict) -> int:

@@ -183,12 +183,16 @@ def test_a_witness_decodes_each_of_its_games_once():
 
 def test_iso_check_reads_no_matched_row_or_pair(monkeypatch, tmp_path, capsys):
     """``ncg iso-check`` of a 60-stage centipede's canonical witness walks
-    its text: each distinct game's node list goes through
-    ``_node_from_spec`` once, and the node readers read the specs of the
-    games' edges alone, since every row and ``tau`` pair spells its
-    specs as the node lists do.  When the witness was decoded whole,
-    checking it took 1,086 reads, a read for each spec of a ``tau`` pair
-    and for the last spec of each row among them."""
+    its text: the atoms of the centipede's node list are built from
+    their tokens, and the canonical game's set specs go through
+    ``_node_from_spec`` once.  Every row and ``tau`` pair spells its
+    specs as the node lists do, and the centipede's edges are looked up
+    by their atoms' tokens, so the node readers read the specs of the
+    canonical game's edges alone, which join sets.  When each edge was
+    read spec by spec, both node lists went through ``_node_from_spec``
+    (242 calls) and the readers read 480 specs; when the witness was
+    decoded whole, checking it took 1,086 reads, a read for each spec of
+    a ``tau`` pair and for the last spec of each row among them."""
     witness = canonical_centipede_witness(60)
     path = tmp_path / "centipede.witness"
     path.write_text(serialize_witness(witness))
@@ -196,8 +200,8 @@ def test_iso_check_reads_no_matched_row_or_pair(monkeypatch, tmp_path, capsys):
     reads = spec_reads(monkeypatch, lambda: cli_dispatch(["iso-check", str(path)]))
     assert capsys.readouterr().out == "valid isomorphism witness\n"
     games = witness.morphism.source, witness.morphism.target
-    assert len(labels) == sum(len(g.tree.nodes) for g in games) == 242
-    assert reads == 2 * sum(len(g.tree.nodes) - 1 for g in games) == 480
+    assert len(labels) == len(witness.morphism.target.tree.nodes) == 121
+    assert reads == 2 * (len(witness.morphism.target.tree.nodes) - 1) == 240
 
 
 def test_compose_reads_a_game_both_documents_name_once(monkeypatch, tmp_path, capsys):
@@ -367,14 +371,14 @@ def spec_reads(monkeypatch, action) -> int:
     reads = []
     reader = ncgames.documents._node_reader
 
-    def counting_reader(node_specs):
-        read, labels, nodes = reader(node_specs)
+    def counting_reader(labels, by_key):
+        read = reader(labels, by_key)
 
         def counted(spec):
             reads.append(spec)
             return read(spec)
 
-        return counted, labels, nodes
+        return counted
 
     def strict(_text):
         raise AssertionError("the document was read by the strict route")
@@ -393,15 +397,36 @@ def spec_reads(monkeypatch, action) -> int:
 def test_rows_that_spell_their_plays_decode_no_spec(layout, monkeypatch):
     """Each row of a centipede spells its play as the node list spells
     its nodes, so on one line or indented by two it is matched by its
-    text and none of its specs is read: the reader reads the two specs
-    of each edge alone.  A row in another layout is decoded, and its
-    last spec is read to find its play.  When every row was decoded, a
-    120-stage centipede's rows held 7,501 of its 8,222 specs."""
+    text and none of its specs is read; its edges join atoms, so they
+    are looked up by their tokens in any layout.  A row in another
+    layout is decoded, and its last spec is read to find its play.
+    When every row was decoded, a 120-stage centipede's rows held 7,501
+    of its 8,222 specs; when each edge was read spec by spec, the reader
+    read the two specs of each edge in every layout."""
     for stages in (40, 80):
         doc = families.to_document(families.centipede(random.Random(stages), stages))
         text = json.dumps(doc, **layout)
         decoded = len(doc["utilities"]) if layout.get("separators") else 0
-        assert spec_reads(monkeypatch, lambda: parse_game(text)) == 2 * len(doc["edges"]) + decoded
+        assert spec_reads(monkeypatch, lambda: parse_game(text)) == decoded
+
+
+@pytest.mark.parametrize("layout", [{}, {"indent": 2}], ids=["compact", "indented"])
+@pytest.mark.parametrize("generate, size", [
+    (families.centipede, (30,)),
+    (families.stage_pooled_binary, (5, 3)),
+    (families.perfect_info_binary, (5, 2)),
+    (families.wide_symmetric, (16,)),
+    (families.absentminded_chain, (30,)),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_the_families_decode_no_spec(generate, size, layout, monkeypatch):
+    """Each benchmark family's document, on one line or indented by two,
+    builds its atoms from their tokens: ``_node_from_spec`` is not
+    called, and the reader reads no spec.  When the node list was read
+    spec by spec, each of its specs went through ``_node_from_spec``."""
+    text = json.dumps(families.to_document(generate(random.Random(1), *size)), **layout)
+    labels = count_calls(monkeypatch, [ncgames.documents], "_node_from_spec")
+    assert spec_reads(monkeypatch, lambda: parse_game(text)) == 0
+    assert labels == []
 
 
 def stage_pooled_counts(depth: int) -> dict:

@@ -16,7 +16,8 @@ Its utility rows, at any depth of ``ncg``'s layout or on one line, are
 split into plays and values, each play matched against the texts of
 the game's plays (``_split_rows``), and a morphism's ``tau`` pairs are
 matched against the texts of its games' node specs (``_tau_by_text``).
-Only a list or an item that matches none is decoded.  A game embedded
+A row list with a row that matches no play is decoded whole, and so is
+a pair that matches none.  A game embedded
 in a morphism or a witness is read the same way over its own span of
 the text, once however often its text repeats.  A document that route
 does not read is decoded whole and read as before, so every verdict and
@@ -30,7 +31,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring as _encode_str
 from json.scanner import make_scanner
@@ -150,17 +151,10 @@ class _Nodes:
 
     def spec_texts(self, pad: str) -> list:
         """The text of each node's spec by id, in ``_spec_texts``'s layout
-        ``pad``.  An indented layout is re-indented from another one
-        spelled before: each newline of a spec's text is followed by its
-        pad."""
+        ``pad``, spelled once per layout."""
         texts = self.texts.get(pad)
         if texts is None:
-            known = next(filter(None, self.texts), None) if pad else None
-            if known is None:
-                texts = _spec_texts(self.specs, pad)
-            else:
-                texts = "\0".join(self.texts[known]).replace(known, pad).split("\0")
-            self.texts[pad] = texts
+            texts = self.texts[pad] = _spec_texts(self.specs, pad)
         return texts
 
     def spec_ids(self, pad: str) -> dict:
@@ -337,68 +331,37 @@ def _read_rows(rows, players, nodes: _Nodes, rational, plays, paths) -> dict:
     reads to its value; each row is read once, in document order, so the
     first broken rule is the one reported.
 
-    A row that ``_rows_by_text`` matched by its text comes as the
-    position of its play and its ``values``; when all did, they come as
-    the pair of lists, read a player at a time where ``_by_player``
-    reads them.  A decoded row is looked up by the id of its last spec
-    in ``plays`` (a tree's plays by end id) and priced at that play's
-    position when it lists exactly the specs of ``nodes`` at the play's
-    id path in ``paths``.  Any other row is read spec by spec and priced
-    at the position of the play with its set of node ids, or keyed by
-    its set of nodes when that is no play, as every row is when
-    ``plays`` is empty (the preform or form did not build)."""
-    if type(rows) is tuple:  # the positions and the values of rows that all matched
-        utilities = _by_player(*rows, players, rational)
-        if utilities is not None:
-            return utilities
-        rows = zip(*rows)
-    utilities: Dict[str, dict] = {i: {} for i in players}
+    Rows that ``_rows_by_text`` matched by their text come as the pair
+    of lists of their plays' positions and their ``values``.  A decoded
+    row is looked up by the id of its last spec in ``plays`` (a tree's
+    plays by end id) and priced at that play's position when it lists
+    exactly the specs of ``nodes`` at the play's id path in ``paths``.
+    Any other row is read spec by spec and priced at the position of the
+    play with its set of node ids, or keyed by its set of nodes when
+    that is no play, as every row is when ``plays`` is empty (the
+    preform or form did not build)."""
     read, labels = nodes.read, nodes.labels
-    for entry in rows:
-        if type(entry) is tuple:
-            slot, values = entry
-        else:
-            play_specs = _require(entry, "play", list, "utility entry")
-            try:
-                slot = plays[read(play_specs[-1])]
-                ids = paths[slot]
-            except (NcgError, LookupError):  # no spec, a malformed one, or no end
-                ids = None
-            if ids is None or play_specs != list(map(nodes.specs.__getitem__, ids)):
-                found = frozenset(map(read, play_specs))
-                end = _play_with_ids(plays, paths, found)
-                slot = frozenset(map(labels.__getitem__, found)) if end is None else plays[end]
-            values = _require(entry, "values", dict, "utility entry")
+
+    def decoded(entry) -> tuple:
+        play_specs = _require(entry, "play", list, "utility entry")
+        try:
+            slot = plays[read(play_specs[-1])]
+            ids = paths[slot]
+        except (NcgError, LookupError):  # no spec, a malformed one, or no end
+            ids = None
+        if ids is None or play_specs != list(map(nodes.specs.__getitem__, ids)):
+            found = frozenset(map(read, play_specs))
+            end = _play_with_ids(plays, paths, found)
+            slot = frozenset(map(labels.__getitem__, found)) if end is None else plays[end]
+        return slot, _require(entry, "values", dict, "utility entry")
+
+    utilities: Dict[str, dict] = {i: {} for i in players}
+    for slot, values in zip(*rows) if type(rows) is tuple else map(decoded, rows):
         for player, value in values.items():
             row = utilities.setdefault(player, {})
             if slot in row:
                 raise DocumentSyntaxError("duplicate utility entry for one play")
             row[slot] = rational(value)
-    return utilities
-
-
-def _by_player(slots, values: list, players, rational):
-    """The utilities of rows at the distinct positions ``slots`` whose
-    ``values`` name the same players, each by text, read as
-    ``_read_rows`` reads them, a player at a time and each distinct text
-    once; ``None`` for any other rows, and when a text is no rational, so
-    that they are read row by row and the first broken rule is the one
-    reported."""
-    try:
-        texts = set(chain.from_iterable(map(dict.values, values)))
-    except TypeError:  # a list or an object
-        return None
-    names = set(map(tuple, values))
-    if len(names) != 1 or set(map(type, texts)) != {str} or len(set(slots)) != len(slots):
-        return None
-    try:
-        number = dict(zip(texts, map(rational, texts)))
-    except DocumentSyntaxError:
-        return None
-    utilities: Dict[str, dict] = {i: {} for i in players}
-    for player in names.pop():
-        row = map(number.__getitem__, map(itemgetter(player), values))
-        utilities.setdefault(player, {}).update(zip(slots, row))
     return utilities
 
 
@@ -409,10 +372,9 @@ def _spec_texts(specs: list, pad: str) -> list:
     A sequence's or a set's tokens are spelled in their own order, so
     each text decodes to its spec."""
     inner = pad and pad + "  "
-    head, tail = "{" + inner + '"atom": ', pad + "}"
-    try:  # an atom's spec, spelled from its token in one join: no text holds a NUL
-        tokens = (tail + "\0" + head).join(map(_encode_str, map(itemgetter("atom"), specs)))
-        return (head + tokens + tail).split("\0") if specs else []
+    try:
+        head, tail = "{" + inner + '"atom": ', pad + "}"
+        return [head + _encode_str(spec["atom"]) + tail for spec in specs]
     except KeyError:  # a sequence or set spec
         pass
     deep, comma = (inner + "  ", ",") if pad else ("", ", ")
@@ -466,14 +428,6 @@ def _layout(text: str, at: int) -> tuple:
     return at, lead if lead in ("", "\n" + " " * (len(lead) - 1)) else None
 
 
-def _one(text: str):
-    """The value whose text is ``text``; raises on any other text."""
-    value, end = _scan(text, 0)
-    if end != len(text):
-        raise ValueError("not one value")
-    return value
-
-
 # the rows of a game of fewer plays are decoded: splitting them costs
 # more (the crossover is at nine to twelve rows on the families of
 # ``bench/families.py``; six rows took a quarter longer split)
@@ -499,20 +453,17 @@ def _rows_by_text(text: str, at: int, tree, nodes: _Nodes) -> tuple:
 
 def _split_rows(text: str, first: int, lead: str, tree, nodes: _Nodes):
     """The rows of the list whose first row starts at ``first``, with
-    ``lead`` before each, and the index past the list, or ``None``;
-    ``tree`` is the id core of the game's tree.
+    ``lead`` before each, as the positions of their plays and their
+    ``values``, and the index past the list; ``None`` unless each row's
+    ``play`` has exactly the text of a play, each spec's text by
+    ``_Nodes.spec_texts``.  ``tree`` is the id core of the game's tree.
 
-    The list is split, in one pass, at the text between two rows.  When
-    the rows start with the texts of the plays in their order, as
-    ``ncg`` writes them (each spec's text by ``_Nodes.spec_texts``), and
-    each text is followed by the text before the row's ``values``, each
-    row is read as its play's position.  Else each row is split at the
-    last text before its ``values``, and a ``play`` with exactly the text
-    of a play is read as that play's position; any other is decoded.
-    Either way no matched play's spec is decoded.  The ``values`` are
-    decoded in one scanner call, each between its braces, joined by a
-    newline, which no text of a string holds; ``_read_rows`` refuses a
-    value that is a list or an object, so each object read is one row's."""
+    The list is split, in one pass, at the text between two rows, and
+    each row at the last text before its ``values``; no play's spec is
+    decoded.  The ``values`` are decoded in one scanner call, each
+    between its braces, joined by a newline, which no text of a string
+    holds; ``_read_rows`` refuses a value that is a list or an object,
+    so each object read is one row's."""
     indent = lead and lead + "  "  # each member of a row
     pad = indent and indent + "  "  # each spec of its play
     comma = "," if lead else ", "
@@ -527,42 +478,25 @@ def _split_rows(text: str, first: int, lead: str, tree, nodes: _Nodes):
     for k in tree.walk[1:]:  # each node's play so far, parents first
         prefix[k] = prefix[parent[k]] + sep + texts[k]
     keys = list(map(prefix.__getitem__, map(itemgetter(-1), tree.paths)))  # by position
-    marks, prefix = list(map(len, keys)), None
+    del prefix  # the texts of inner nodes, freed before the rows are split
     # a row for each play holds its text, so the list closes past them all
     n, first = len(keys), first + len(head)
-    least = sum(marks) + n * len(middle) + (n - 1) * len(between)
+    least = sum(map(len, keys)) + n * len(middle) + (n - 1) * len(between)
     end = text.find(close + lead[:-2] + "]", first + least)
     if end < 0:
         return None
-    rows = text[first:end].split(between)
-    # ``ncg`` writes the rows in the order of the plays; then each is told
-    # by its start, and no play's text is copied or hashed
-    if len(rows) == n and all(map(str.startswith, rows, keys)) and all(
-        map(str.startswith, rows, repeat(middle), marks)
-    ):
-        slots, plays = range(n), keys
-        tails = map(str.__getitem__, rows, map(slice, map(len(middle).__add__, marks), repeat(None)))
-    else:
-        parts, rows = list(map(str.rpartition, rows, repeat(middle))), None
-        if set(map(itemgetter(1), parts)) != {middle}:
-            return None
-        plays, tails = list(map(itemgetter(0), parts)), map(itemgetter(2), parts)
-        slots = list(map(dict(zip(keys, range(n))).get, plays))
-    joined = "[{" + "},\n{".join(tails) + "}]"
+    parts = list(map(str.rpartition, text[first:end].split(between), repeat(middle)))
+    slots = list(map(dict(zip(keys, range(n))).get, map(itemgetter(0), parts)))
+    if None in slots or set(map(itemgetter(1), parts)) != {middle}:
+        return None
+    joined = "[{" + "},\n{".join(map(itemgetter(2), parts)) + "}]"
     try:
         values, at = _scan(joined, 0)
     except (ValueError, StopIteration):
         return None
-    if at != len(joined) or len(values) != len(plays) or set(map(type, values)) != {dict}:
+    if at != len(joined) or len(values) != len(slots) or set(map(type, values)) != {dict}:
         return None
-    if None in slots:
-        rows = [
-            (p, v) if p is not None else {"play": _one("[" + play + "]"), "values": v}
-            for p, play, v in zip(slots, plays, values)
-        ]
-    else:
-        rows = slots, values
-    return rows, end + len(close) + len(lead[:-2]) + 1
+    return (slots, values), end + len(close) + len(lead[:-2]) + 1
 
 
 def _edge_ids(edges: list, nodes: _Nodes) -> list:

@@ -605,16 +605,12 @@ class TestPlayRows:
         rows = doc["utilities"]
         rows[2]["play"].insert(0, rows[2]["play"].pop(1))
         parse_game(json.dumps(doc))
-        # the edges join atoms and are looked up by their tokens; the
-        # swapped row is decoded, so one read of its last spec, then its
-        # specs; a game of fewer than ``_FEW`` plays has every row decoded,
-        # each read its last spec once, and a larger one has the rows that
-        # spell their plays matched by their text
+        # the edges join atoms and are looked up by their tokens; a row
+        # list with a row that spells no play is decoded, each row read
+        # its last spec once, and the swapped row then its specs, as is
+        # the row list of a game of fewer than ``_FEW`` plays
         swapped = 1 + len(rows[2]["play"])
-        if len(rows) < documents._FEW:
-            assert len(reads) == len(rows) - 1 + swapped == 9
-        else:
-            assert len(reads) == swapped
+        assert len(reads) == len(rows) - 1 + swapped == (9 if stages is None else 25)
 
     def test_row_fault_is_reported_before_a_cycle(self, classroom_text):
         doc = json.loads(classroom_text)

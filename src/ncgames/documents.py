@@ -221,22 +221,8 @@ _space = WHITESPACE.match  # the whitespace ``json.loads`` skips
 
 
 def _loads(text: str):
-    """``json.loads(text)``, an object value that repeats the text of an
-    object decoded earlier in the document decoded once and shared.
-
-    The top two object levels are walked here and each deeper value is
-    decoded in one scanner call, so a witness decodes each game once.
-    An object's text ends at its own closing brace and decoding is
-    deterministic, so a value whose text starts with an earlier
-    object's whole text decodes to that object.  Any failure falls back
-    to ``json.loads``, whose error is the one reported."""
-    try:
-        doc, end = _object(text, _space(text).end(), 2, [])
-        if _space(text, end).end() != len(text):
-            raise ValueError("extra data")
-        return doc
-    except (ValueError, TypeError, IndexError, StopIteration, RecursionError):
-        pass
+    """``json.loads(text)``, its failure raised as a ``DocumentSyntaxError``:
+    the strict route, which the text routes fall back to."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -249,19 +235,15 @@ def _loads(text: str):
         raise DocumentSyntaxError("document nests too deeply") from exc
 
 
-def _object(
-    text: str, at: int, levels: int, decoded: list, stop=None, members=None
-) -> tuple:
+def _object(text: str, at: int, stop=None, members=None) -> tuple:
     """The object whose text starts at ``at`` and the index past it.
-    Its members are read here; a member value that is an object is one
-    of ``decoded``, the (start, end, value) of each object decoded so
-    far, when its text repeats that one's, and is otherwise walked the
-    same way while ``levels`` remain, else decoded in one scanner call.
-    With ``stop``, the walk ends at the first member of that name, which
-    maps to the index of its value, undecoded.  ``members`` maps a name
-    to the reader of its value: given the value's index and the members
-    read so far, it returns the value and the index past it.
-    Raises on any text this walk does not read as ``json.loads`` does."""
+    Its members are read here, each value that ``members`` has no reader
+    for decoded in one scanner call.  With ``stop``, the walk ends at the
+    first member of that name, which maps to the index of its value,
+    undecoded.  ``members`` maps a name to the reader of its value: given
+    the value's index and the members read so far, it returns the value
+    and the index past it.  Raises on any text this walk does not read as
+    ``json.loads`` does."""
     doc = {}
     if text[at] != "{":
         raise ValueError("expected an object")
@@ -280,21 +262,9 @@ def _object(
             doc[key] = at
             return doc, at
         if members and key in members:
-            value, at = members[key](at, doc)
-        elif text[at] != "{":
-            value, at = _scan(text, at)
+            doc[key], at = members[key](at, doc)
         else:
-            repeat = _repeated(text, at, decoded)
-            if repeat is not None:
-                value, at = repeat
-            else:
-                start = at
-                if levels > 1:
-                    value, at = _object(text, at, levels - 1, decoded)
-                else:
-                    value, at = _scan(text, at)
-                decoded.append((start, at, value))
-        doc[key] = value
+            doc[key], at = _scan(text, at)
         at = _space(text, at).end()
         if text[at] == "}":
             return doc, at + 1
@@ -304,10 +274,10 @@ def _object(
 
 
 def _repeated(text: str, at: int, decoded: list):
-    """The value and end of the first object of ``decoded`` whose whole
-    text the text at ``at`` starts with, or ``None``; the last
-    characters are compared first, so that only a likely repeat is
-    compared whole."""
+    """The value and end of the first object of ``decoded``, the (start,
+    end, value) of each object read so far, whose whole text the text at
+    ``at`` starts with, or ``None``; the last characters are compared
+    first, so that only a likely repeat is compared whole."""
     for first, last, value in decoded:
         n = last - first
         tail = min(n, 64)
@@ -596,7 +566,7 @@ def _game_at(text: str, at: int) -> tuple:
     decoded, and the rows are read from the text by ``_rows_by_text``
     once the preform is built.  Raises on any fault, and on text this
     route does not read."""
-    doc, _at = _object(text, at, 2, [], "utilities")
+    doc, _at = _object(text, at, "utilities")
     return _game_from_document(doc, (text, doc.pop("utilities")))
 
 
@@ -975,12 +945,12 @@ def _document_by_text(text: str, base_dir, built: list):
     def morphism(at: int, _doc: dict) -> tuple:
         if text[at] != "{":
             return _scan(text, at)
-        return _object(text, at, 1, [], members=inner)
+        return _object(text, at, members=inner)
 
     inner = {"source": game, "target": game, "tau": tau}
     outer = dict(inner, morphism=morphism, inverse=morphism)
     try:
-        doc, end = _object(text, _space(text).end(), 1, [], members=outer)
+        doc, end = _object(text, _space(text).end(), members=outer)
         if _space(text, end).end() != len(text):
             raise ValueError("extra data")
         return doc

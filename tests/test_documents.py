@@ -696,8 +696,10 @@ class TestGameReferences:
 
 
 class TestLoads:
-    """The reader decodes what ``json.loads`` decodes, and an embedded
-    game whose text repeats an earlier one is decoded once and shared."""
+    """The reader's walk of an object decodes what ``json.loads``
+    decodes, or leaves the text to the strict route, one ``json.loads``
+    call; and an embedded game whose text repeats an earlier one is read
+    from the text once and shared."""
 
     def test_every_written_document_reads_as_json_loads(self, tmp_path):
         golden.outputs(tmp_path)
@@ -723,13 +725,6 @@ class TestLoads:
     def _canonical(classroom_text):
         return canonicalize(parse_game(classroom_text))
 
-    def test_a_repeated_game_is_decoded_once(self, classroom_text):
-        text = serialize_witness(self._canonical(classroom_text).witness)
-        doc = documents._loads(text)
-        assert doc == json.loads(text)
-        assert doc["morphism"]["target"] is doc["inverse"]["source"]
-        assert doc["morphism"]["source"] is doc["inverse"]["target"]
-
     def _witness(self, classroom_text, first: str, second: str) -> str:
         """The canonical witness of the classroom game, its canonical game
         written as ``first`` in the morphism and ``second`` in the inverse."""
@@ -738,14 +733,31 @@ class TestLoads:
         text = json.dumps(doc, indent=2)
         return text.replace('"@first"', first).replace('"@second"', second)
 
+    def test_a_repeated_game_is_decoded_once(self, classroom_text):
+        # the text route shares the read game; the strict route, reached
+        # by a morphism listing tau first, decodes both copies and builds
+        # the game once
+        text = serialize_witness(self._canonical(classroom_text).witness)
+        doc = documents._document_by_text(text, ".", [])
+        assert doc["morphism"]["target"] is doc["inverse"]["source"]
+        assert doc["morphism"]["source"] is doc["inverse"]["target"]
+        tau_first = json.loads(text)
+        for key in ("morphism", "inverse"):
+            tau_first[key] = {"tau": tau_first[key].pop("tau"), **tau_first[key]}
+        tau_first = json.dumps(tau_first, indent=2)
+        doc = documents._document_by_text(tau_first, ".", [])
+        assert doc == json.loads(tau_first)
+        assert doc["morphism"]["target"] is not doc["inverse"]["source"]
+        w = parse_witness(tau_first)
+        assert w.morphism.target is w.inverse.source
+        assert w.morphism.source is w.inverse.target
+        assert serialize_witness(w) == text
+
     def test_copies_that_differ_in_whitespace_are_equal_and_unshared(self, classroom_text):
         game = json.loads(serialize_game(self._canonical(classroom_text).game))
         text = self._witness(classroom_text, json.dumps(game, indent=2), json.dumps(game))
         doc = documents._loads(text)
         assert doc == json.loads(text)
-        target, source = doc["morphism"]["target"], doc["inverse"]["source"]
-        assert target == source and target is not source
-        assert doc["morphism"]["source"] is doc["inverse"]["target"]
         assert serialize_witness(parse_witness(text)) == serialize_witness(
             self._canonical(classroom_text).witness
         )
@@ -753,21 +765,32 @@ class TestLoads:
     @pytest.mark.parametrize("where", ["head", "tail"])
     def test_copies_that_differ_in_one_token_are_not_shared(self, classroom_text, where):
         game = json.dumps(json.loads(serialize_game(self._canonical(classroom_text).game)))
-        # one character of the first or of the last text token, changed
-        k = game.index('"ncg/1"') + 5 if where == "head" else game.rindex('"') - 1
+        # the first utility, or the last, changed; past the last 64
+        # characters, or among them
+        head = '"values": {"P1": "'
+        k = game.index(head) + len(head) if where == "head" else game.rindex('"') - 1
         other = game[:k] + ("8" if game[k] == "9" else "9") + game[k + 1:]
         text = self._witness(classroom_text, game, other)
-        doc = documents._loads(text)
-        assert doc == json.loads(text)
-        assert doc["morphism"]["target"] != doc["inverse"]["source"]
+        doc = documents._document_by_text(text, ".", [])
+        target, source = doc["morphism"]["target"], doc["inverse"]["source"]
+        assert type(target) is type(source) is documents._Read
+        assert serialize_game(source.game) == serialize_game(parse_game(other))
+        assert serialize_game(target.game) == serialize_game(parse_game(game))
+        assert serialize_game(source.game) != serialize_game(target.game)
 
-    def test_a_decoded_document_is_freed_by_reference_count(self, classroom_text):
-        # the decoder keeps no reference cycle, so a collection finds nothing
-        text = serialize_witness(self._canonical(classroom_text).witness)
+    def test_a_read_document_is_freed_by_reference_count(self, classroom_text):
+        # the text route keeps no reference cycle, so a collection finds nothing
+        canonical = self._canonical(classroom_text)
+        game, witness = serialize_game(canonical.game), serialize_witness(canonical.witness)
         gc.collect()
         gc.disable()
         try:
-            documents._loads(text)
-            assert gc.collect() == 0
+            for read in (
+                lambda: parse_game(game),
+                lambda: parse_witness(witness),
+                lambda: documents._document_by_text(witness, ".", []),
+            ):
+                read()
+                assert gc.collect() == 0
         finally:
             gc.enable()

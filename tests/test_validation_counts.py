@@ -13,7 +13,7 @@ position; these counts do not depend on the hash seed.  Canonicalizing
 hashes no play, and the iso search's node classes no utility.  Finding
 and writing an isomorphism hashes no label, play or utility, and
 checking a witness no more than parsing its games, under any hash seed.
-Reading a witness decodes each of its games once, and checking one
+Reading a witness builds each of its games once, and checking one
 reads no row or ``tau`` pair spec by spec; ``ncg compose`` reads a game
 both its documents name by one file once.  Writing a witness calls the
 generic encoder as often at any size."""
@@ -174,11 +174,14 @@ def canonical_centipede_witness(stages: int):
     return canonicalize(parse_game(json.dumps(doc))).witness
 
 
-def test_a_witness_decodes_each_of_its_games_once():
-    # each game of a witness is written twice, and read once
-    doc = ncgames.documents._loads(serialize_witness(canonical_centipede_witness(60)))
-    assert doc["morphism"]["target"] is doc["inverse"]["source"]
-    assert doc["morphism"]["source"] is doc["inverse"]["target"]
+def test_a_witness_builds_each_of_its_games_once(monkeypatch):
+    # each game of a witness is written twice, and read from its text once
+    text = serialize_witness(canonical_centipede_witness(60))
+    reads = count_calls(monkeypatch, [ncgames.documents], "_game_at")
+    w = parse_witness(text)
+    assert len(reads) == 2
+    assert w.morphism.target is w.inverse.source
+    assert w.morphism.source is w.inverse.target
 
 
 def test_iso_check_reads_no_matched_row_or_pair(monkeypatch, tmp_path, capsys):

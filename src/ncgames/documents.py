@@ -12,12 +12,12 @@ Documents are read without decoding most of their text.  A game's node
 list and edges are decoded in one scanner call each; atoms become labels
 straight from their tokens, and edges between atoms are looked up by
 those tokens a list at a time (``_nodes_from_specs``, ``_edge_ids``).
-Its utility rows, at any depth of ``ncg``'s layout or on one line, are
-split into plays and values, each play matched against the texts of
-the game's plays (``_split_rows``), and a morphism's ``tau`` pairs are
-matched against the texts of its games' node specs (``_tau_by_text``).
-A row list with a row that matches no play is decoded whole, and so is
-a pair that matches none.  A game embedded
+Its utility rows and a morphism's ``tau`` pairs, in ``ncg``'s layout
+or on one line, are split by one splitter (``_split``), and each row's
+play and each pair's specs matched against the texts of the game's
+plays (``_split_rows``) and node specs (``_tau_by_text``), spelled by
+``_spec_texts`` as the writer spells them.  A list with a row or a pair
+that matches nothing is decoded whole.  A game embedded
 in a morphism or a witness is read the same way over its own span of
 the text, once however often its text repeats.  A document that route
 does not read is decoded whole and read as before, so every verdict and
@@ -336,11 +336,11 @@ def _read_rows(rows, players, nodes: _Nodes, rational, plays, paths) -> dict:
 
 
 def _spec_texts(specs: list, pad: str) -> list:
-    """The text of each node spec, a decoded one of a ``nodes`` list, as
-    ``json.dumps`` writes it on one line when ``pad`` is empty, else
-    indented by two from ``pad``, a newline and the spec's own indent.
-    A sequence's or a set's tokens are spelled in their own order, so
-    each text decodes to its spec."""
+    """The text of each node spec, decoded from a ``nodes`` list or built
+    by ``_spec``, as ``json.dumps`` writes it on one line when ``pad`` is
+    empty, else indented by two from ``pad``, a newline and the spec's
+    own indent.  A sequence's or a set's tokens are spelled in their own
+    order, so each text decodes to its spec."""
     inner = pad and pad + "  "
     try:
         head, tail = "{" + inner + '"atom": ', pad + "}"
@@ -360,30 +360,23 @@ def _spec_texts(specs: list, pad: str) -> list:
     return texts
 
 
-def _list_by_text(text: str, at: int, match, between: str) -> tuple:
-    """The items of the list whose first item (or closing bracket) is at
-    ``at``, and the index past the list.  ``match(at)`` returns an item
-    whose text starts at ``at`` and the index past it, or ``None``, and
-    then the item is decoded by the C scanner.  When exactly ``between``
-    follows an item, its last character starts the next one; any other
-    text between items is read as ``json.loads`` reads it.  Raises on a
-    list ``json.loads`` refuses."""
-    items, step = [], len(between) - 1
-    while text[at] != "]":
-        found = match(at)
-        item, at = _scan(text, at) if found is None else found
-        items.append(item)
-        if text.startswith(between, at):
-            at += step
-            continue
-        at = _space(text, at).end()
-        if text[at] == ",":
-            at = _space(text, at + 1).end()
-            if text[at] == "]":
-                raise ValueError("expected a value")
-        elif text[at] != "]":
-            raise ValueError("expected a comma")
-    return items, at + 1
+def _split(text: str, first: int, lead: str, head: str, close: str, least: int = 0):
+    """The texts of the items of the list whose first item starts at
+    ``first``, with ``lead`` before each, each between an item's ``head``
+    and ``close``, and the index past the list, or ``None``.  The list's
+    end is searched for past ``least``, a lower bound on the length of
+    its items' texts, and the list is split at the text between two
+    items in one pass; the caller checks each text, which a token that
+    holds that text, or the list's end, splits wrongly."""
+    if not text.startswith(head, first):
+        return None
+    first += len(head)
+    ending = close + lead[:-2] + "]"
+    end = text.find(ending, first + least)
+    if end < 0:
+        return None
+    between = close + ("," if lead else ", ") + lead + head
+    return text[first:end].split(between), end + len(ending)
 
 
 def _layout(text: str, at: int) -> tuple:
@@ -428,21 +421,15 @@ def _split_rows(text: str, first: int, lead: str, tree, nodes: _Nodes):
     ``play`` has exactly the text of a play, each spec's text by
     ``_Nodes.spec_texts``.  ``tree`` is the id core of the game's tree.
 
-    The list is split, in one pass, at the text between two rows, and
-    each row at the last text before its ``values``; no play's spec is
-    decoded.  The ``values`` are decoded in one scanner call, each
-    between its braces, joined by a newline, which no text of a string
-    holds; ``_read_rows`` refuses a value that is a list or an object,
-    so each object read is one row's."""
+    The list is split by ``_split``, and each row at the last text
+    before its ``values``; no play's spec is decoded.  The ``values``
+    are decoded in one scanner call, each between its braces, joined by
+    a newline, which no text of a string holds; ``_read_rows`` refuses a
+    value that is a list or an object, so each object read is one row's."""
     indent = lead and lead + "  "  # each member of a row
     pad = indent and indent + "  "  # each spec of its play
     comma = "," if lead else ", "
-    head = "{" + indent + '"play": [' + pad
-    if not text.startswith(head, first):
-        return None
     middle = indent + "]" + comma + indent + '"values": {'
-    close = "}" + lead + "}"  # the values' and the row's
-    between = close + comma + lead + head
     texts = nodes.spec_texts(pad)
     prefix, parent, sep = list(texts), tree.parent, comma + pad
     for k in tree.walk[1:]:  # each node's play so far, parents first
@@ -450,12 +437,12 @@ def _split_rows(text: str, first: int, lead: str, tree, nodes: _Nodes):
     keys = list(map(prefix.__getitem__, map(itemgetter(-1), tree.paths)))  # by position
     del prefix  # the texts of inner nodes, freed before the rows are split
     # a row for each play holds its text, so the list closes past them all
-    n, first = len(keys), first + len(head)
-    least = sum(map(len, keys)) + n * len(middle) + (n - 1) * len(between)
-    end = text.find(close + lead[:-2] + "]", first + least)
-    if end < 0:
+    n, head = len(keys), "{" + indent + '"play": [' + pad
+    found = _split(text, first, lead, head, "}" + lead + "}", sum(map(len, keys)) + n * len(middle))
+    if found is None:
         return None
-    parts = list(map(str.rpartition, text[first:end].split(between), repeat(middle)))
+    rows, end = found
+    parts = list(map(str.rpartition, rows, repeat(middle)))
     slots = list(map(dict(zip(keys, range(n))).get, map(itemgetter(0), parts)))
     if None in slots or set(map(itemgetter(1), parts)) != {middle}:
         return None
@@ -466,7 +453,7 @@ def _split_rows(text: str, first: int, lead: str, tree, nodes: _Nodes):
         return None
     if at != len(joined) or len(values) != len(slots) or set(map(type, values)) != {dict}:
         return None
-    return (slots, values), end + len(close) + len(lead[:-2]) + 1
+    return (slots, values), end
 
 
 def _edge_ids(edges: list, nodes: _Nodes) -> list:
@@ -675,29 +662,25 @@ def _indent(texts: list, levels: int) -> list:
     return [text.replace("\n", pad) for text in texts]
 
 
-def _spec_text(label: NodeLabel, level: int) -> str:
-    """The text of ``label``'s node spec at indent ``level``: ``{"atom":
-    token}``, ``{"seq": [token, ...]}`` or ``{"set": [token, ...]}``,
-    the set's tokens sorted, each formatted from one template."""
-    outer = "\n" + "  " * level
-    inner = outer + "  "
+def _spec(label: NodeLabel) -> dict:
+    """``label``'s node spec: ``{"atom": token}``, ``{"seq": [token,
+    ...]}`` or ``{"set": [token, ...]}``, the set's tokens sorted."""
     if isinstance(label, Atom):
-        return "{" + inner + '"atom": ' + _encode_str(str(label.token)) + outer + "}"
+        return {"atom": str(label.token)}
     if isinstance(label, Seq):
-        kind, tokens = '"seq": ', map(str, label.choices)
-    elif isinstance(label, SetLabel):
-        kind, tokens = '"set": ', sorted(map(str, label.choices))
-    else:
-        raise DocumentError("UnknownLabel", f"cannot serialize node label {label!r}")
-    return "{" + inner + kind + _list(map(_encode_str, tokens), level + 1) + outer + "}"
+        return {"seq": list(map(str, label.choices))}
+    if isinstance(label, SetLabel):
+        return {"set": sorted(map(str, label.choices))}
+    raise DocumentError("UnknownLabel", f"cannot serialize node label {label!r}")
 
 
 def _node_texts(g: Game, level: int) -> list:
-    """Each node's spec text at indent ``level``, by node id.
+    """Each node's spec text at indent ``level``, by node id, spelled by
+    ``_spec_texts`` as the reader spells it.
 
     Two distinct labels with one text raise ``AtomCollision`` here,
     before any piece of a document is produced."""
-    texts = [_spec_text(t, level) for t in g.tree._ids.labels]
+    texts = _spec_texts(list(map(_spec, g.tree._ids.labels)), "\n" + "  " * level)
     if len(set(texts)) != len(texts):
         raise DocumentError(
             "AtomCollision",
@@ -783,24 +766,19 @@ def write_game(g: Game, path) -> None:
 
 def _pairs(entries, parse_left, parse_right, what, key=None) -> tuple:
     """The left and the right values of a list of pairs, in order; a
-    left value is refused when ``key`` of it, or it, repeats.  A tuple
-    among ``entries`` is a pair already read, as ``_tau_by_text`` reads
-    one."""
+    left value is refused when ``key`` of it, or it, repeats."""
     if not isinstance(entries, list):
         raise DocumentSyntaxError(f"{what} must be a list of pairs")
     lefts, rights, seen = [], [], set()
     for entry in entries:
-        if type(entry) is tuple:
-            left, right = entry
-        elif not isinstance(entry, list) or len(entry) != 2:
+        if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentSyntaxError(f"{what} entry {entry!r} must be a pair")
-        else:
-            left, right = parse_left(entry[0]), None
+        left = parse_left(entry[0])
         seen.add(left if key is None else key(left))
         if len(seen) == len(lefts):
             raise DocumentSyntaxError(f"{what} maps {entry[0]!r} twice")
         lefts.append(left)
-        rights.append(parse_right(entry[1]) if right is None else right)
+        rights.append(parse_right(entry[1]))
     return lefts, rights
 
 
@@ -863,49 +841,37 @@ def _morphism_parts(doc, base_dir, built: list) -> tuple:
     return source, target, iota, tau, delta, beta
 
 
-def _tau_by_text(text: str, at: int, source: _Read, target: _Read) -> tuple:
-    """The pairs of the ``tau`` list whose text starts at ``at``, and the
-    index past the list.
-
-    In ``_layout``'s layouts, a pair whose text is ``[s, t]``, with ``s``
-    the text of a spec of the source's node list and ``t`` one of the
-    target's (``_Nodes.spec_ids`` in the layout of the first pair), is
-    read as the tuple of their node ids, and none of its specs
-    is decoded; a spec's end is searched no further than the longest
-    spec text of its game.  Every other pair is decoded by the C
-    scanner."""
-    at, lead = _layout(text, at)
-    match, comma = (lambda _at: None), "," if lead else ", "
-    if lead is not None:
-        pad = lead and lead + "  "  # each spec of a pair
-        opening, middle, closing = "[" + pad, comma + pad, lead + "]"
-        lefts, rights = source.nodes.spec_ids(pad), target.nodes.spec_ids(pad)
-        left_ends = "}" + middle + "{", max(map(len, lefts))
-        right_ends = "}" + closing, max(map(len, rights))
-
-        def spec(at: int, ids: dict, ends: tuple):
-            """The id of the spec whose text starts at ``at`` and is
-            followed by the rest of ``ends[0]``, and the index past it."""
-            mark, reach = ends
-            stop = at + reach + len(mark)
-            end = text.find(mark, at, stop)
-            while end >= 0:
-                k = ids.get(text[at:end + 1])
-                if k is not None:
-                    return k, end + 1
-                end = text.find(mark, end + 1, stop)
-            return None, at
-
-        def match(at):
-            if text.startswith(opening, at):
-                k, at = spec(at + len(opening), lefts, left_ends)
-                if k is not None:
-                    m, at = spec(at + len(middle), rights, right_ends)
-                    if m is not None:
-                        return (k, m), at + len(closing)
+def _tau_by_text(text: str, at: int, source: _Read, target: _Read):
+    """The source's and the target's node ids of the pairs of the ``tau``
+    list whose text starts at ``at``, as ``_pairs`` reads them, and the
+    index past the list; ``None`` unless, in ``_layout``'s layouts, each
+    pair is ``[s, t]`` with ``s`` a spec text of a source node and ``t``
+    one of the target's (``_Nodes.spec_ids``), and no source node repeats.
+    No spec is decoded: ``_split`` splits the list, and each pair is cut
+    at the first text between two specs whose left is a source spec.  A
+    list whose tokens hold the text between two pairs (``], [`` on one
+    line) is decoded whole, as a row list is."""
+    first, lead = _layout(text, at)
+    if lead is None:
+        return None
+    pad = lead and lead + "  "  # each spec of a pair
+    found = _split(text, first, lead, "[" + pad, lead + "]")
+    if found is None:
+        return None
+    pairs, end = found
+    mark = "}" + ("," if lead else ", ") + pad + "{"
+    lefts, rights = source.nodes.spec_ids(pad), target.nodes.spec_ids(pad)
+    keys, values = [], []
+    for pair in pairs:
+        cut = pair.find(mark)
+        while cut >= 0 and pair[:cut + 1] not in lefts:
+            cut = pair.find(mark, cut + 1)
+        m = rights.get(pair[cut + len(mark) - 1:]) if cut >= 0 else None
+        if m is None:
             return None
-
-    return _list_by_text(text, at, match, comma + (lead or "") + "[")
+        keys.append(lefts[pair[:cut + 1]])
+        values.append(m)
+    return ((keys, values), end) if len(set(keys)) == len(keys) else None
 
 
 def _document_by_text(text: str, base_dir, built: list):
@@ -916,8 +882,9 @@ def _document_by_text(text: str, base_dir, built: list):
     member.  Its ``source`` and ``target`` are ``_Read``s: an inline game
     read by ``_game_at`` over its span of the text, or the game its text
     repeats, and a path's game through ``_game_from_ref`` and ``built``.
-    Its ``tau``, which must follow both, is the pair of lists ``_pairs``
-    reads from ``_tau_by_text``.  The readers of documents read the rest
+    Its ``tau``, which must follow both, is the pair of lists of node ids
+    that ``_tau_by_text`` reads, or else that ``_pairs`` reads from the
+    list decoded whole.  The readers of documents read the rest
     as they read a decoded document, so they give the same verdicts and
     messages; any failure of this route, or text it does not read,
     leaves the text to ``_loads``."""
@@ -939,7 +906,10 @@ def _document_by_text(text: str, base_dir, built: list):
         source, target = doc["source"], doc["target"]
         if type(source) is not _Read or type(target) is not _Read:
             raise ValueError("tau before its games")
-        pairs, at = _tau_by_text(text, at, source, target)
+        found = _tau_by_text(text, at, source, target)
+        if found is not None:
+            return found
+        pairs, at = _scan(text, at)
         return _pairs(pairs, source.nodes.read, target.nodes.read, "tau"), at
 
     def morphism(at: int, _doc: dict) -> tuple:

@@ -3,18 +3,19 @@ the same serialized game, morphism or witness, or the same error text,
 as ``_game_from_document(json.loads(text))``, or as
 ``_witness_from_document`` and ``_morphism_parts`` of ``json.loads(text)``.
 
-The readers walk the text.  A game's node list is decoded, its atoms
-built from their tokens.  Its edges written on one line as
-``json.dumps`` writes by default, and its rows and a morphism's ``tau``
-pairs written so or indented by two as ``ncg`` writes at any depth, are
-split and accepted without decoding their specs when they spell them as
-the node lists do; games embedded in a morphism or witness are read
-over their own span of the text, once per distinct text; anything else
-is decoded.  So these documents vary how node lists, edges, rows and
-pairs are written, what their tokens hold (the texts the splits split
-at among them), where a fault or a syntax error sits, and how the
-copies of a game in one witness differ.  Lists of any length are read
-by text here."""
+The readers walk the text.  A game's node list and edges are decoded,
+its atoms built from their tokens.  Its rows and a morphism's ``tau``
+pairs, written on one line as ``json.dumps`` writes by default or
+indented by two as ``ncg`` writes at any depth, are split by one
+splitter and accepted without decoding their specs when they spell them
+as the node lists do; a list with an item that matches nothing is
+decoded whole.  Games embedded in a morphism or witness are read over
+their own span of the text, once per distinct text; anything else is
+decoded.  So these documents vary how node lists, edges, rows and pairs
+are written, what their tokens hold (the texts the splits split at among
+them), where a fault or a syntax error sits, and how the copies of a
+game in one witness differ.  The rows of games of any size are split
+here."""
 
 import json
 import random
@@ -59,9 +60,9 @@ LAYOUTS = {
 
 
 @pytest.fixture(autouse=True)
-def every_list_by_text(monkeypatch):
-    """Lists of any length are read by text here, so that every edit of
-    a small game meets the text routes."""
+def split_the_rows_of_every_game(monkeypatch):
+    """The rows of a game of any number of plays are split here, so that
+    every edit of a small game meets the row split."""
     monkeypatch.setattr(documents, "_FEW", 0)
 
 
@@ -410,6 +411,24 @@ def _witnesses() -> dict:
 WITNESSES = {name: json.loads(serialize_witness(w)) for name, w in _witnesses().items()}
 
 
+def _split_token_witness() -> dict:
+    """The classroom game's canonical witness, its atoms' tokens holding
+    the texts a ``tau`` list on one line is split at: the text between
+    two pairs and the list's end, and the text between a pair's two
+    specs, bare and with its quotes.  Its lists on one line are decoded
+    whole, so it is kept apart from ``WITNESSES``, whose pairs all match."""
+    tokens = ["], [", "]]", "}, {", '"}, {"atom": "']
+    classroom = parse_game((FIXTURES / "classroom.game").read_text())
+    renamed, _ = relabel_game(
+        classroom,
+        node_map={t: Atom(tokens[int(t.token) % 4] + t.token) for t in classroom.tree.nodes},
+    )
+    return json.loads(serialize_witness(canonicalize(renamed).witness))
+
+
+SPLIT_TOKENS = {"split tokens": _split_token_witness()}
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("name", WITNESSES)
 def test_witness_and_morphism_layouts(name, layout):
@@ -419,6 +438,25 @@ def test_witness_and_morphism_layouts(name, layout):
     for part in ("morphism", "inverse"):
         text = json.dumps(doc[part], **LAYOUTS[layout])
         assert assert_document_reads_as_strict("morphism", text).startswith("{")
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tokens_that_hold_the_pair_splits(layout, monkeypatch):
+    """On one line, tight or not, the tokens split the ``tau`` lists
+    wrongly, and each list is decoded whole, as a list indented by tabs
+    is; indented by two, a text no token holds, each list is matched."""
+    found, tau_by_text = [], documents._tau_by_text
+    monkeypatch.setattr(
+        documents, "_tau_by_text", lambda *args: found.append(tau_by_text(*args)) or found[-1]
+    )
+    doc = SPLIT_TOKENS["split tokens"]
+    text = json.dumps(doc, **LAYOUTS[layout])
+    assert assert_document_reads_as_strict("witness", text).startswith("{")
+    for part in ("morphism", "inverse"):
+        text = json.dumps(doc[part], **LAYOUTS[layout])
+        assert assert_document_reads_as_strict("morphism", text).startswith("{")
+    matched = {result is not None for result in found}
+    assert matched == {layout.startswith("indented")}
 
 
 def _spec_reads(monkeypatch) -> list:
@@ -606,6 +644,15 @@ def test_witness_and_morphism_edits(name, edit, layout):
     morphism = json.loads(text)["morphism"] if "syntax" not in edit else None
     if morphism is not None:
         assert_document_reads_as_strict("morphism", json.dumps(morphism, **LAYOUTS[layout]))
+
+
+@pytest.mark.parametrize("layout", ["compact", "tight", "indented"])
+@pytest.mark.parametrize("edit", DOCUMENT_EDITS)
+def test_edits_of_tokens_that_hold_the_pair_splits(edit, layout):
+    text = DOCUMENT_EDITS[edit](SPLIT_TOKENS["split tokens"], LAYOUTS[layout])
+    verdict = assert_document_reads_as_strict("witness", text)
+    if edit.endswith("syntax error"):
+        assert verdict.startswith("SyntaxError: Expecting"), verdict
 
 
 def test_the_classroom_identity_by_path():

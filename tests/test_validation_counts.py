@@ -13,9 +13,10 @@ position; these counts do not depend on the hash seed.  Canonicalizing
 hashes no play, and the iso search's node classes no utility.  Finding
 and writing an isomorphism hashes no label, play or utility, and
 checking a witness no more than parsing its games, under any hash seed.
-Reading a witness builds each of its games once, and checking one
-reads no row or ``tau`` pair spec by spec; ``ncg compose`` reads a game
-both its documents name by one file once.  Writing a witness calls the
+Reading a witness builds each of its games once, and checking one, or
+reading a morphism ``ncg compose`` is given, reads no row or ``tau``
+pair spec by spec; ``ncg compose`` reads a game both its documents name
+by one file once.  Writing a witness calls the
 generic encoder as often at any size."""
 
 import contextlib
@@ -246,6 +247,28 @@ def test_compose_reads_a_game_both_documents_name_once(monkeypatch, tmp_path, ca
         else:
             assert len(reads) == 4 and checks[0][:2] == (False, 426)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("layout", [{}, {"indent": 2}], ids=["compact", "indented"])
+def test_a_compose_input_reads_no_spec(layout, monkeypatch, tmp_path):
+    """A relabelling morphism of a 30-stage centipede as ``ncg compose``
+    reads it, its games named by path: the games' atoms are built from
+    their tokens and their rows split, and each of the 61 ``tau`` pairs
+    is read as two node ids from its text, so the node readers read no
+    spec and the strict route never runs."""
+    rng = random.Random(30)
+    g = families.centipede(rng, 30)
+    b, renaming = families.relabel(rng, g)
+    for name, game in (("a.game", g), ("b.game", b)):
+        (tmp_path / name).write_text(json.dumps(families.to_document(game)))
+    text = json.dumps(families.morphism_document("a.game", "b.game", g, renaming, b), **layout)
+    found, tau_by_text = [], ncgames.documents._tau_by_text
+    monkeypatch.setattr(
+        ncgames.documents, "_tau_by_text", lambda *args: found.append(tau_by_text(*args)) or found[-1]
+    )
+    assert spec_reads(monkeypatch, lambda: ncgames.documents.parse_morphism(text, tmp_path)) == 0
+    ((keys, values), _end), = found
+    assert len(keys) == len(values) == len(g.nodes()) == 61
 
 
 def test_writing_a_witness_encodes_as_many_values_at_any_size(monkeypatch):

@@ -20,6 +20,7 @@ from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
     PreformMorphism,
+    compose_preform_morphisms,
     identity_preform_morphism,
     is_grand_strategy,
     is_subpreform,
@@ -28,7 +29,7 @@ from .preform import (
     strategies_over,
     validate_preform_morphism,
 )
-from .tree import Structural, _then, check_composable, check_map
+from .tree import Structural, check_composable, check_map
 
 __all__ = [
     "Form",
@@ -234,12 +235,9 @@ def identity_form_morphism(form: Form) -> FormMorphism:
 def compose_form_morphisms(second: FormMorphism, first: FormMorphism) -> FormMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
+    below = compose_preform_morphisms(second.preform_morphism, first.preform_morphism)
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
-    delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}
-    tau = _then(
-        first._ids.tau, second._ids.tau, first.target.preform.tree, second.source.preform.tree
-    )
-    return FormMorphism(first.source, second.target, iota, delta, SimpleNamespace(tau=tau))
+    return FormMorphism(first.source, second.target, iota, below.delta, below._ids)
 
 
 def is_subform(inner: Form, outer: Form) -> bool:

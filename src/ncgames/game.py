@@ -31,6 +31,7 @@ from .form import (
     Form,
     FormMorphism,
     build_form,
+    compose_form_morphisms,
     identity_form_morphism,
     is_subform,
     player_strategies,
@@ -55,7 +56,6 @@ from .tree import (
     _inverse,
     _play_images,
     _play_with_ids,
-    _then,
     _up_set,
     check_composable,
 )
@@ -422,17 +422,15 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
     target are those of ``second``'s source.
     """
     check_composable(second, first)
-    iota = {i: second.iota[first.iota[i]] for i in first.source.players}
-    delta = {c: second.delta[first.delta[c]] for c in first.source.preform.choices}
-    tau = _then(first._ids.tau, second._ids.tau, first.target.tree, second.source.tree)
-    images = _play_images(first.source.tree, second.target.tree, tau)
+    below = compose_form_morphisms(second.form_morphism, first.form_morphism)
+    images = _play_images(first.source.tree, second.target.tree, below._ids.tau)
     beta: Dict[Token, Dict[int, int]] = {}
     for i in first.source.form.player_rank:
         b1, b2 = first._ids.beta[i], second._ids.beta[first.iota[i]]
         ranks = _utility_ranks(first.source, i)[1]
         beta[i] = {r: b2[b1[r]] for r in sorted({ranks[p] for p, _q in images})}
-    ids = SimpleNamespace(tau=tau, beta=beta)
-    return GameMorphism(first.source, second.target, iota, delta, ids)
+    ids = SimpleNamespace(tau=below._ids.tau, beta=beta)
+    return GameMorphism(first.source, second.target, below.iota, below.delta, ids)
 
 
 def is_isomorphism(m: GameMorphism) -> Optional[IsoWitness]:

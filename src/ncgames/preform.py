@@ -34,10 +34,10 @@ from .tree import (
     TreeMorphism,
     _NodeIds,
     _node_ids,
-    _then,
     _tree_from_ids,
     check_composable,
     check_map,
+    compose_tree_morphisms,
     identity_tree_morphism,
 )
 
@@ -132,14 +132,17 @@ def build_preform(
 def _preform_from_ids(
     nodes: frozenset, labels: list, choice_set: frozenset, triples: Iterable[tuple]
 ) -> Preform:
-    """[P1]–[P3] over integer node ids, numbered as ``_tree_from_ids``
-    numbers them, with the tree derived there; ``triples`` are ``(node,
-    choice, successor)``, read lazily.  The preform keeps the operator
-    and information sets over ids, and its label-keyed information sets
-    are built once, at the end."""
+    """[P1]–[P3] over integer node ids; ``triples`` are ``(node, choice,
+    successor)``, read lazily, in one pass that checks [P1] and fills
+    the operator, each node's parent and producing choice, and both
+    feasibility maps.  [P1] makes the parents a function, so the tree
+    core derives the tree from them.  Label-keyed information sets are
+    built once, at the end."""
     n = len(nodes)
     op: dict = {}  # (node, choice) ids to the successor, in first-triple order
-    hit_by: list = [None] * n
+    parent, prev = [-1] * n, [None] * n  # each node's parent and producing choice
+    feas: dict = {}
+    ftop: dict = {}
     for t, c, t_next in triples:
         if t >= n or t_next >= n:
             raise PreformError(
@@ -163,28 +166,29 @@ def _preform_from_ids(
                 f"{render_label(labels[known])} and {render_label(labels[t_next])}",
                 axiom="[P1]",
             )
-        if hit_by[t_next] is not None:
-            t0, c0 = hit_by[t_next]
+        t0 = parent[t_next]
+        if t0 >= 0:
             raise PreformError(
                 "OperatorNotInjective",
                 f"node {render_label(labels[t_next])} is reached by both "
-                f"({render_label(labels[t0])}, {render_token(c0)}) and "
+                f"({render_label(labels[t0])}, {render_token(prev[t_next])}) and "
                 f"({render_label(labels[t])}, {render_token(c)})",
                 axiom="[P1]",
             )
         op[key] = t_next
-        hit_by[t_next] = key
+        parent[t_next], prev[t_next] = t, c
+        feas.setdefault(t, []).append(c)
+        ftop.setdefault(c, []).append(t)
 
-    if n and None not in hit_by:
+    if n and len(op) == n:  # each node is reached at most once, so all are
         raise PreformError(
             "OperatorHitsRoot",
             "every declared node is reached by a choice, so the operator hits the root",
             axiom="[P1]",
         )
 
-    pairs = ((t_next, t) for (t, _c), t_next in op.items())
     try:
-        tree = _tree_from_ids(nodes, labels, pairs)
+        tree = _tree_from_ids(nodes, labels, parent, list(op.values()))
     except TreeError as exc:
         if exc.code == "TooSmall":
             raise
@@ -194,11 +198,6 @@ def _preform_from_ids(
             axiom="[P2]",
         ) from exc
 
-    feas: dict = {}
-    ftop: dict = {}
-    for t, c in op:
-        feas.setdefault(t, []).append(c)
-        ftop.setdefault(c, []).append(t)
     orphans = choice_set - ftop.keys()
     if orphans:
         raise PreformError(
@@ -231,7 +230,6 @@ def _preform_from_ids(
     sets = sorted(one_of, key=lambda h: min(map(rank.__getitem__, h)))
     at = {t: k for k, h in enumerate(sets) for t in h}
     set_at = [at.get(t, -1) for t in range(n)]
-    prev = [None if key is None else key[1] for key in hit_by]
     return Preform(
         tree=tree,
         choices=choice_set,
@@ -361,9 +359,9 @@ def compose_preform_morphisms(
 ) -> PreformMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
-    tau = _then(first._ids.tau, second._ids.tau, first.target.tree, second.source.tree)
+    below = compose_tree_morphisms(second.tree_morphism, first.tree_morphism)
     delta = {c: second.delta[first.delta[c]] for c in first.source.choices}
-    return PreformMorphism(first.source, second.target, delta, SimpleNamespace(tau=tau))
+    return PreformMorphism(first.source, second.target, delta, below._ids)
 
 
 def is_subpreform(inner: Preform, outer: Preform) -> bool:

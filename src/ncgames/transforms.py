@@ -215,20 +215,21 @@ def relabel_game(
     labels = [(node_map or {}).get(t, t) for t in g.tree._ids.labels]
     delta = {c: (choice_map or {}).get(c, c) for c in g.preform.choices}
     iota = {i: (player_map or {}).get(i, i) for i in g.players}
-    for name, images in (("node", labels), ("choice", delta.values()), ("player", iota.values())):
-        if len(set(images)) != len(images):
+    # through sets, so nodes and choices iterate as ``build_preform``'s
+    # would; a map is injective when its set of images is as large as it
+    images = frozenset(set(labels)), frozenset(set(delta.values())), set(iota.values())
+    for name, domain, image in zip(("node", "choice", "player"), (labels, delta, iota), images):
+        if len(image) != len(domain):
             raise TransformError(
                 "NotInjective", f"{name} relabeling identifies two distinct {name}s"
             )
+    nodes, choices, players = images
     triples = ((t, delta[c], u) for (t, c), u in g.preform._ids.op.items())
-    # through sets, so nodes and choices iterate as ``build_preform``'s would
-    preform = _preform_from_ids(
-        frozenset(set(labels)), labels, frozenset(set(delta.values())), triples
-    )
+    preform = _preform_from_ids(nodes, labels, choices, triples)
     assignment = {
         iota[i]: frozenset(delta[c] for c in g.form.assignment[i]) for i in g.players
     }
-    form = build_form(preform, set(iota.values()), assignment)
+    form = build_form(preform, players, assignment)
     plays = preform.tree._ids.plays
     moved = [plays[end] for end in g.tree._ids.plays]  # each play's position there
     converted = _priced(form, {iota[i]: zip(moved, v) for i, v in g._ids.values.items()})

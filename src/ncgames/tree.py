@@ -4,11 +4,12 @@ A tree fixes everything later stages build on: the root, the decision
 nodes (nodes that precede something), each node's stage (distance from
 the root), the precedence order, and the plays (maximal chains, one per
 terminal node, each held as its end and its path from the root).  The
-builder derives all of that over integer node ids and keeps those ids
-and the root.  The predecessor map, ranks, plays by end, decision
-nodes, stages, play set, children and stage order are views over the
-kept ids, built on first read and cached.  No attribute can be rebound
-afterwards, and the mappings are plain dicts not to be mutated.
+core derives all of that over integer node ids from each node's parent,
+read by ``build_tree`` from pairs or by a preform from its triples, and
+keeps those ids and the root.  The predecessor map, ranks, plays by end,
+decision nodes, stages, play set, children and stage order are views
+over the kept ids, built on first read and cached.  No attribute can be
+rebound afterwards, and the mappings are plain dicts not to be mutated.
 
 Only finite trees are accepted, so every play is finite and the
 collection of infinite plays is always empty.
@@ -254,30 +255,12 @@ def build_tree(nodes: Iterable[NodeLabel], pred_pairs: Iterable[tuple]) -> Tree:
     """
     node_set = frozenset(nodes)
     ids = _NodeIds(list(node_set))
-    pairs = ((ids[child], ids[parent]) for child, parent in pred_pairs)
-    return _tree_from_ids(node_set, ids.labels, pairs)
-
-
-def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tree:
-    """[T1]–[T2] over integer node ids, and the tree they derive.
-
-    ``labels[k]`` is the label of id ``k``: the first ``len(nodes)`` are
-    the nodes, and any later one is undeclared.  ``pairs`` are ``(child,
-    parent)`` ids, read lazily, so each pair is checked as it comes.
-    Parents, children by rank, stages and play paths are derived over
-    lists, which the tree keeps as the core of its label-keyed views.
-    """
-    n = len(nodes)
-    if n < 2:
-        raise TreeError(
-            "TooSmall",
-            f"a tree needs at least two nodes, got {n}",
-            axiom="[T1]",
-        )
-
+    labels, n = ids.labels, len(node_set)
     parent = [-1] * n
     edges: list = []  # each child once, in the order of its first pair
-    for child, up in pairs:
+    # fewer than two nodes are refused by the core before any pair is read
+    for child, up in pred_pairs if n > 1 else ():
+        child, up = ids[child], ids[up]
         if child >= n or up >= n:
             raise TreeError(
                 "UnknownNode",
@@ -295,6 +278,25 @@ def _tree_from_ids(nodes: frozenset, labels: list, pairs: Iterable[tuple]) -> Tr
                 f"{render_label(labels[known])} and {render_label(labels[up])}",
                 axiom="[T1]",
             )
+    return _tree_from_ids(node_set, labels, parent, edges)
+
+
+def _tree_from_ids(nodes: frozenset, labels: list, parent: list, edges: list) -> Tree:
+    """[T1]–[T2] over integer node ids, and the tree they derive.
+
+    ``labels[k]`` is the label of id ``k``.  ``parent`` gives each id its
+    parent's, -1 if none, and ``edges`` lists each id that has one, once,
+    in the caller's order; the caller has checked that the pairs it read
+    make ``parent`` a function.  Children by rank, stages and play paths
+    are derived over lists, kept as the core of the tree's views.
+    """
+    n = len(nodes)
+    if n < 2:
+        raise TreeError(
+            "TooSmall",
+            f"a tree needs at least two nodes, got {n}",
+            axiom="[T1]",
+        )
 
     if not edges:
         raise TreeError(
@@ -412,9 +414,10 @@ def subtree_at(tree: Tree, t_star: NodeLabel) -> Tree:
     its node ids number the up-set in walk order."""
     ids, up = tree._ids, _up_set(tree, t_star)
     labels = list(map(ids.labels.__getitem__, up))
-    # each node of the up-set but its root, at position 0, with its parent
-    pairs = ((up[k], up[ids.parent[k]]) for k in ids.edges if up.get(k, 0))
-    return _tree_from_ids(frozenset(labels), labels, pairs)
+    # the parent of the up-set's root, at position 0, lies outside it
+    parent = [up.get(ids.parent[k], -1) for k in up]
+    edges = [up[k] for k in ids.edges if up.get(k, 0)]
+    return _tree_from_ids(frozenset(labels), labels, parent, edges)
 
 
 class _IdMap(Mapping):
@@ -489,16 +492,6 @@ def _play_images(source: Tree, target: Tree, tau: list) -> list:
     return [(p, plays[tau[end]]) for end, p in source._ids.plays.items() if tau[end] in plays]
 
 
-def _then(first: list, second: list, middle: Tree, same: Tree) -> list:
-    """The node ids ``first`` and then ``second``, meeting at the equal
-    trees ``middle`` and ``same``, renumbered when those number apart."""
-    labels = middle._ids.labels
-    if middle is not same and labels != same._ids.labels:
-        at = dict(zip(same._ids.labels, range(len(same.nodes))))
-        first = [at[labels[k]] for k in first]
-    return list(map(second.__getitem__, first))
-
-
 def _inverse(tau: list, n: int) -> Optional[list]:
     """The inverse of the node ids ``tau`` if they biject onto ``n`` ids."""
     inverse = [-1] * n
@@ -561,7 +554,11 @@ def identity_tree_morphism(tree: Tree) -> TreeMorphism:
 def compose_tree_morphisms(second: TreeMorphism, first: TreeMorphism) -> TreeMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
-    tau = _then(first._ids.tau, second._ids.tau, first.target, second.source)
+    tau, middle, same = first._ids.tau, first.target._ids.labels, second.source._ids.labels
+    if middle is not same and middle != same:  # equal trees, their ids numbered apart
+        at = dict(zip(same, range(len(second.source.nodes))))
+        tau = [at[middle[k]] for k in tau]
+    tau = list(map(second._ids.tau.__getitem__, tau))
     return TreeMorphism(first.source, second.target, SimpleNamespace(tau=tau))
 
 

@@ -57,7 +57,9 @@ class TestBuildPreform:
         triples = [(a(0), "c", a(1)), (a(0), "d", a(1))]
         with pytest.raises(PreformError) as err:
             build_preform(nodes_of(0, 1), {"c", "d"}, triples)
-        assert err.value.code == "OperatorNotInjective"
+        assert str(err.value) == (
+            "OperatorNotInjective [P1]: node 1 is reached by both (0, c) and (0, d)"
+        )
 
     def test_operator_not_functional(self):
         triples = [(a(0), "c", a(1)), (a(0), "c", a(2))]
@@ -75,7 +77,10 @@ class TestBuildPreform:
         triples = [(a(0), "c", a(1))]
         with pytest.raises(PreformError) as err:
             build_preform(nodes_of(0, 1, 2), {"c"}, triples)
-        assert err.value.code == "NodeUnreachable"
+        assert str(err.value) == (
+            "NodeUnreachable [P2]: derived predecessor structure is not a tree "
+            "(MultipleRoots [T2]: nodes without predecessors: 0, 2)"
+        )
 
     def test_triple_with_an_undeclared_choice(self):
         triples = CLASSROOM_TRIPLES + ((a(0), "zz", a(1)),)

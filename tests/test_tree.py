@@ -87,6 +87,39 @@ class TestBuildTree:
             build_tree(nodes_of(0, 1), {(a(1), a(0)), (a(2), a(0))})
         assert err.value.code == "UnknownNode"
 
+    @pytest.mark.parametrize(
+        "nodes, pairs, message",
+        [
+            # fewer than two nodes are refused before any pair is read
+            (nodes_of(0), [(a(1), a(9))], "TooSmall [T1]: a tree needs at least two nodes, got 1"),
+            (
+                nodes_of(0, 1, 2),
+                [(a(2), a(0)), (a(2), a(1))],
+                "DuplicatePredecessor [T1]: node 2 has two parents, 0 and 1",
+            ),
+            (
+                nodes_of(0, 1),
+                [(a(1), a(0)), (a(2), a(0))],
+                "UnknownNode: predecessor pair mentions undeclared node 2",
+            ),
+            (
+                nodes_of(0, 1),
+                [(a(1), a(9))],
+                "UnknownNode: predecessor pair mentions undeclared node 9",
+            ),
+        ],
+        ids=["too-small-first", "two-parents", "undeclared-child", "undeclared-parent"],
+    )
+    def test_pair_errors_name_their_nodes(self, nodes, pairs, message):
+        with pytest.raises(TreeError) as err:
+            build_tree(nodes, pairs)
+        assert str(err.value) == message
+
+    def test_pred_follows_the_first_pair_of_each_child(self):
+        pairs = [(a(3), a(0)), (a(1), a(0)), (a(3), a(0)), (a(2), a(1))]
+        tree = build_tree(nodes_of(0, 1, 2, 3), pairs)
+        assert list(tree.pred) == [a(3), a(1), a(2)]
+
     def test_structural_equality(self, classroom_tree):
         again = build_tree(CLASSROOM_NODES, CLASSROOM_PRED_PAIRS)
         assert classroom_tree == again

@@ -534,13 +534,18 @@ def parsed_centipede(stages: int):
 
 def test_canonicalize_hashes_no_play_and_labels_in_proportion_to_the_nodes():
     """The converted game is built on the input's node ids and priced by
-    play position: 688 labels at 40 stages, 1,368 at 80.  Relabelling
-    through the label-keyed builders hashed 2,020 labels and 287 plays at
-    40 stages, and 4,020 and 567 at 80."""
+    play position, and each new label is hashed once to build the node
+    set, whose size checks the relabelling is injective: 283 labels at 40
+    stages (81 nodes), 563 at 80 (161 nodes).  Checking injectivity by a
+    set of its own hashed 364 and 724, 4.5 per node.  Relabelling through
+    the label-keyed builders hashed 2,020 labels and 287 plays at 40
+    stages, and 4,020 and 567 at 80."""
     games = [parsed_centipede(stages) for stages in (40, 80)]
     short, long = (hash_calls(lambda: canonicalize(g)) for g in games)
     assert short["play"] == long["play"] == 0
     assert 0 < long["label"] <= 2.1 * short["label"]
+    for g, counts in zip(games, (short, long)):
+        assert counts["label"] <= 3.5 * len(g.tree.nodes)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,14 @@ that matches nothing is decoded whole.  A game embedded
 in a morphism or a witness is read the same way over its own span of
 the text, once however often its text repeats.  A document that route
 does not read is decoded whole and read as before, so every verdict and
-message is the same.
+message is the same.  A token that decodes to a surrogate, which UTF-8
+cannot encode, is refused on either route (``_encodable``).
+
+Documents are written straight from the id cores: each node's spec text
+is spelled once, and each edge triple, play row and map pair is one
+join of its template's parts.  The pieces are chained, without a frame
+per nesting level, and written in chunks of about ``_CHUNK`` characters,
+each joined, encoded and written by one call (``_write``).
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring as _encode_str
 from json.scanner import make_scanner
@@ -79,6 +86,29 @@ FORMAT_VERSION = "ncg/1"
 # a utility's text: its numerator, then its denominator if it has one
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(0*[1-9]\d*))?")
 
+# a surrogate code point, which no UTF-8 text holds: JSON decodes a lone
+# \ud800 escape to one, and a pair of escapes to the character they spell
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _unencodable(texts: list):
+    """The first of ``texts`` that holds a surrogate, or ``None``.  An
+    ASCII text is passed at the cost of ``str.isascii``, which reads a
+    flag of the string, not its characters."""
+    if all(map(str.isascii, texts)):
+        return None
+    return next(filter(_SURROGATE.search, texts), None)
+
+
+def _encodable(tokens: list) -> None:
+    """Refuse a token that holds a surrogate: no document that holds one
+    can be written back or printed, as UTF-8 cannot encode it."""
+    bad = _unencodable(tokens)
+    if bad is not None:
+        raise DocumentSyntaxError(
+            f"token {bad!r} holds a lone surrogate, which UTF-8 cannot encode"
+        )
+
 
 def _node_from_spec(spec) -> NodeLabel:
     if not isinstance(spec, dict) or len(spec) != 1:
@@ -87,10 +117,12 @@ def _node_from_spec(spec) -> NodeLabel:
     if kind == "atom":
         if not isinstance(value, str):
             raise DocumentSyntaxError(f"atom token {value!r} must be text")
+        _encodable([value])
         return Atom(value)
     if kind in ("seq", "set"):
         if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
             raise DocumentSyntaxError(f"{kind} node {value!r} must list choice tokens")
+        _encodable(value)
         return Seq(tuple(value)) if kind == "seq" else SetLabel(frozenset(value))
     raise DocumentSyntaxError(f"unknown node kind {kind!r}")
 
@@ -174,6 +206,7 @@ def _nodes_from_specs(specs: list) -> _Nodes:
     except (KeyError, TypeError):  # a spec of another kind, or no object
         tokens = None
     if tokens is not None and set(map(len, specs)) == {1} and set(map(type, tokens)) == {str}:
+        _encodable(tokens)
         return _Nodes(list(map(Atom, tokens)), dict(zip(tokens, range(len(tokens)))), specs)
     labels = list(map(_node_from_spec, specs))
     by_key = {_spec_key(spec): k for k, spec in enumerate(specs)}
@@ -515,6 +548,7 @@ def _game_from_document(doc, rows_at=None) -> tuple:
     if rows_at is None:
         rows = _require(doc, "utilities", list, "game document")
     choices = frozenset(map(itemgetter(1), triples)).union(*assignment.values())
+    _encodable([*players, *assignment, *choices])
     fault = tree = None
     plays: dict = {}
     paths: list = []
@@ -530,6 +564,7 @@ def _game_from_document(doc, rows_at=None) -> tuple:
     if rows_at is not None:
         rows, end = _rows_by_text(*rows_at, tree, nodes)
     utilities = _read_rows(rows, players, nodes, _rational_reader(), plays, paths)
+    _encodable(list(utilities))  # the players the rows name
     try:
         if fault is not None:
             raise fault
@@ -561,17 +596,12 @@ def _game_at(text: str, at: int) -> tuple:
 _FAULTS = (NcgError, ValueError, LookupError, TypeError, StopIteration, RuntimeError)
 
 
-def _open(path, mode: str = "r"):
-    """A document file, read or written as UTF-8 whatever the locale."""
-    return Path(path).open(mode, encoding="utf-8")
-
-
 def _read(path, code: str = "UnreadableDocument", kind: str = "document") -> str:
     """The text of the document at ``path``, refused as ``code`` when it
     cannot be read as UTF-8 text, or names no file (a ``ValueError``:
     the path holds a NUL character)."""
     try:
-        with _open(path) as file:
+        with Path(path).open(encoding="utf-8") as file:  # whatever the locale
             return file.read()
     except (OSError, UnicodeDecodeError, ValueError) as exc:
         raise DocumentError(
@@ -608,52 +638,54 @@ def load_game(path) -> Game:
     return parse_game(_read_game(path))
 
 
-def _items(texts, level: int):
+def _items(rows, level: int):
     """A list at indent ``level`` in the layout of ``json.dumps(...,
-    indent=2)``, one piece per item; ``texts`` are the items' texts,
-    already indented for ``level + 1``."""
-    inner = "\n" + "  " * (level + 1)
-    opening = prefix = "[" + inner
-    for text in texts:
-        yield prefix + text
-        prefix = "," + inner
-    yield "[]" if prefix is opening else "\n" + "  " * level + "]"
+    indent=2)``, in pieces, one per item.  ``rows`` is an iterator over
+    the items' texts, already indented for ``level + 1``, each after the
+    text between two items: a comma, a newline and that indent.  The
+    first item's comma becomes the list's opening bracket."""
+    first = next(rows, None)
+    if first is None:
+        return ("[]",)
+    return chain(("[" + first[1:],), rows, ("\n" + "  " * level + "]",))
 
 
 def _members(members, level: int):
-    """A dict at indent ``level`` in the same layout; ``members`` are
-    (key, pieces) pairs, each value's pieces already indented for it."""
+    """A dict at indent ``level`` in the same layout, in pieces; ``members``
+    are (key, pieces) pairs, each value's pieces already indented for it.
+    The pieces are chained, so no frame runs per piece."""
     inner = "\n" + "  " * (level + 1)
-    opening = prefix = "{" + inner
+    parts, prefix = [], "{" + inner
     for key, pieces in members:
-        yield prefix + _encode_str(key) + ": "
-        yield from pieces
+        parts += (prefix + _encode_str(key) + ": ",), pieces
         prefix = "," + inner
-    yield "{}" if prefix is opening else "\n" + "  " * level + "}"
+    parts.append(("\n" + "  " * level + "}",) if parts else ("{}",))
+    return chain.from_iterable(parts)
 
 
-def _list(texts, level: int) -> str:
-    """``"".join(_items(texts, level))`` from one template: ``texts``
-    are the items' texts, none of them empty."""
-    inner = "\n" + "  " * (level + 1)
-    body = ("," + inner).join(texts)
-    return "[" + inner + body + inner[:-2] + "]" if body else "[]"
+def _pair_items(pairs, level: int):
+    """A list of pairs at indent ``level`` in the same layout, in pieces:
+    ``pairs`` are the (left, right) texts of its items, already indented
+    for ``level + 2``, and each item is one join."""
+    inner = "\n" + "  " * (level + 2)
+    opening = ",\n" + "  " * (level + 1) + "[" + inner
+    separator, closing = "," + inner, inner[:-2] + "]"
+    return _items(
+        ("".join((opening, left, separator, right, closing)) for left, right in pairs), level
+    )
 
 
 def _encode(value, level: int) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` at indent
-    ``level``, for text, lists of text or of lists of text, and dicts of
-    those.  A list is formatted from templates, so only a dict's values
-    are encoded by a further call."""
-    if isinstance(value, str):
-        return _encode_str(value)
+    ``level``, for a list of text or a dict of lists of text.  A list is
+    formatted from one template, so only a dict's values are encoded by
+    a further call."""
     if isinstance(value, dict):
         members = ((k, [_encode(v, level + 1)]) for k, v in value.items())
         return "".join(_members(members, level))
-    return _list([
-        _encode_str(v) if isinstance(v, str) else _list(map(_encode_str, v), level + 1)
-        for v in value
-    ], level)
+    inner = "\n" + "  " * (level + 1)
+    body = ("," + inner).join(map(_encode_str, value))
+    return "[" + inner + body + inner[:-2] + "]" if body else "[]"
 
 
 def _indent(texts: list, levels: int) -> list:
@@ -678,13 +710,20 @@ def _node_texts(g: Game, level: int) -> list:
     """Each node's spec text at indent ``level``, by node id, spelled by
     ``_spec_texts`` as the reader spells it.
 
-    Two distinct labels with one text raise ``AtomCollision`` here,
-    before any piece of a document is produced."""
+    Two distinct labels with one text raise ``AtomCollision`` here, and
+    a node, player or choice whose text holds a surrogate, which UTF-8
+    cannot encode, raises ``UnencodableText``: both before any piece of
+    a document is produced, so no file is opened."""
     texts = _spec_texts(list(map(_spec, g.tree._ids.labels)), "\n" + "  " * level)
     if len(set(texts)) != len(texts):
         raise DocumentError(
             "AtomCollision",
             "two distinct node labels serialize to the same text",
+        )
+    bad = _unencodable([*texts, *map(str, g.players), *map(str, g.preform.choices)])
+    if bad is not None:
+        raise DocumentError(
+            "UnencodableText", f"{bad!r} holds a surrogate, which UTF-8 cannot encode"
         )
     return texts
 
@@ -697,7 +736,9 @@ def _game_pieces(g: Game, level: int, nodes: list):
     Nodes, edges and plays are listed in the tree's order (``Tree.rank``
     and ``Tree.play_by_end``), read from the id cores of the tree, the
     preform and the game.  Each edge triple and play row is one join of
-    a template's pieces."""
+    its template's parts: a play's specs are taken with the text before
+    each, and each player's utility texts are spelled once per value, by
+    rank (``_utility_ranks``)."""
     players = sorted(g.players, key=str)
     tree = g.tree._ids
     rank = tree.rank
@@ -705,29 +746,40 @@ def _game_pieces(g: Game, level: int, nodes: list):
         g.preform._ids.op.items(),
         key=lambda e: (rank[e[0][0]], str(e[0][1]), rank[e[1]]),
     )
-    edge_specs, play_specs = _indent(nodes, 1), _indent(nodes, 2)
-    # each play row, {"play": [spec, ...], "values": {player: value, ...}}, is one join
-    pad = "\n" + "  " * (level + 3)
-    opening, separator = "{" + pad + '"play": [' + pad + "  ", "," + pad + "  "
-    values, closing = pad + "]," + pad + '"values": ', "\n" + "  " * (level + 2) + "}"
-    keys = [pad + "  " + _encode_str(str(i)) + ": " for i in players]
-    tables = [g._ids.values[i] for i in players]
+    item = ",\n" + "  " * (level + 2)  # before each item of the game's lists
+    # an edge, [spec, choice, spec]
+    inner = "\n" + "  " * (level + 3)
+    opening, comma, closing = item + "[" + inner, "," + inner, inner[:-2] + "]"
+    edge_specs = _indent(nodes, 1)
+    # a play row, {"play": [spec, ...], "values": {player: value, ...}}; each
+    # spec but the root's, which starts every play, comes after a comma
+    play_specs = _indent(nodes, 2)
+    specs = [comma + "  " + text for text in play_specs]
+    specs[tree.walk[0]] = play_specs[tree.walk[0]]
+    head = item + "{" + inner + '"play": [' + inner + "  "
+    values, end = inner + "]," + inner + '"values": {', "}\n" + "  " * (level + 2) + "}"
+    tail = inner + end if players else values + end
+    columns = []  # each player's utility text by play position
+    for j, i in enumerate(players):
+        ordered, ranks, _rank = _utility_ranks(g, i)
+        key = (values if j == 0 else ",") + inner + "  " + _encode_str(str(i)) + ": "
+        texts = [key + _encode_str(str(u)) for u in ordered]
+        columns.append(list(map(texts.__getitem__, ranks)))
     ownership = {str(i): sorted(str(c) for c in g.form.assignment[i]) for i in players}
     return _members((
         ("format_version", [_encode_str(FORMAT_VERSION)]),
         ("players", [_encode([str(i) for i in players], level + 1)]),
-        ("nodes", _items(map(nodes.__getitem__, tree.order), level + 1)),
+        ("nodes", _items(map(item.__add__, map(nodes.__getitem__, tree.order)), level + 1)),
         ("edges", _items((
-            _list((edge_specs[t], _encode_str(str(c)), edge_specs[u]), level + 2)
+            "".join((
+                opening, edge_specs[t], comma, _encode_str(str(c)), comma, edge_specs[u], closing
+            ))
             for (t, c), u in edges
         ), level + 1)),
         ("ownership", [_encode(ownership, level + 1)]),
         ("utilities", _items((
-            opening + separator.join(map(play_specs.__getitem__, path)) + values
-            + ("{" + ",".join([k + _encode_str(str(v[p])) for k, v in zip(keys, tables)])
-               + pad + "}" if players else "{}")
-            + closing
-            for p, path in enumerate(tree.paths)
+            "".join((head, *map(specs.__getitem__, path), *cells, tail))
+            for path, *cells in zip(tree.paths, *columns)
         ), level + 1)),
     ), level)
 
@@ -748,11 +800,29 @@ def _embedded(games, level: int) -> dict:
     return built
 
 
+# the characters of pieces joined, encoded and written by one call: one
+# call for the whole text is slower, as its buffers fault their pages in
+_CHUNK = 1 << 16
+
+
 def _write(pieces, path) -> None:
-    """Write the document's pieces, then its final newline, to ``path``."""
-    with _open(path, "w") as out:
-        out.writelines(pieces)
-        out.write("\n")
+    """Write the document's pieces, then its final newline, to ``path``
+    as UTF-8, in chunks of about ``_CHUNK`` characters, each joined,
+    encoded and written in one call, so no more than a chunk of the text
+    is held at once.  The file is binary: lines end with ``\\n`` on every
+    platform, as in the text ``serialize_*`` returns."""
+    chunk: list = []
+    size = 0
+    with Path(path).open("wb") as out:
+        for piece in pieces:
+            chunk.append(piece)
+            size += len(piece)
+            if size >= _CHUNK:
+                out.write("".join(chunk).encode())
+                chunk.clear()
+                size = 0
+        chunk.append("\n")
+        out.write("".join(chunk).encode())
 
 
 def serialize_game(g: Game) -> str:
@@ -785,6 +855,7 @@ def _pairs(entries, parse_left, parse_right, what, key=None) -> tuple:
 def _token(value):
     if not isinstance(value, str):
         raise DocumentSyntaxError(f"token {value!r} must be text")
+    _encodable([value])
     return value
 
 
@@ -795,7 +866,10 @@ def _game_from_ref(ref, base_dir, built: list) -> _Read:
     an inline document by itself, and an equal key reuses its game."""
     if type(ref) is _Read:
         return ref
-    path = Path(base_dir) / ref if isinstance(ref, str) else None
+    path = None
+    if isinstance(ref, str):
+        _encodable([ref])  # a path, refused before it is opened
+        path = Path(base_dir) / ref
     try:
         key = ref if path is None else os.path.realpath(path)
     except ValueError:  # a NUL in the path, which ``_read_game`` refuses
@@ -833,6 +907,7 @@ def _morphism_parts(doc, base_dir, built: list) -> tuple:
     tau = _IdMap(keys, values, source.tree._ids.labels, target.tree._ids.labels)
     delta = dict(zip(*_pairs(doc.get("delta", []), _token, _token, "delta")))
     beta_doc = _require(doc, "beta", dict, "morphism document")
+    _encodable(list(beta_doc))
     rational = _rational_reader()
     beta = {}
     for player, entries in beta_doc.items():
@@ -957,27 +1032,31 @@ def _morphism_pieces(m: GameMorphism, level: int, built: dict):
     by rank, in the order of the source's ranks."""
     source_nodes, source = built[id(m.source)]
     target_nodes, target = built[id(m.target)]
-    tau, pad = m._ids.tau, "\n" + "  " * (level + 3)
-    # each pair, ``[source spec, target spec]``, is one join of ``_list``'s layout
-    opening, separator, closing = "[" + pad, "," + pad, pad[:-2] + "]"
-    iota = [[str(i), str(m.iota[i])] for i in sorted(m.iota, key=str)]
-    delta = [[str(c), str(m.delta[c])] for c in sorted(m.delta, key=str)]
-    beta = {}
+    order, tau = m.source.tree._ids.order, m._ids.tau
+    images = map(target_nodes.__getitem__, map(tau.__getitem__, order))
+
+    def tokens(mapping) -> list:
+        return [
+            (_encode_str(str(x)), _encode_str(str(mapping[x])))
+            for x in sorted(mapping, key=str)
+        ]
+
+    beta = []
     for i in sorted(m._ids.beta, key=str):
         range1, range2 = _utility_ranks(m.source, i)[0], _utility_ranks(m.target, m.iota[i])[0]
-        ranks = sorted(m._ids.beta[i].items())
-        beta[str(i)] = [[str(range1[r]), str(range2[s])] for r, s in ranks]
+        pairs = [
+            (_encode_str(str(range1[r])), _encode_str(str(range2[s])))
+            for r, s in sorted(m._ids.beta[i].items())
+        ]
+        beta.append((str(i), _pair_items(pairs, level + 2)))
     return _members((
         ("format_version", [_encode_str(FORMAT_VERSION)]),
         ("source", source),
         ("target", target),
-        ("iota", [_encode(iota, level + 1)]),
-        ("tau", _items((
-            opening + source_nodes[k] + separator + target_nodes[tau[k]] + closing
-            for k in m.source.tree._ids.order
-        ), level + 1)),
-        ("delta", [_encode(delta, level + 1)]),
-        ("beta", [_encode(beta, level + 1)]),
+        ("iota", _pair_items(tokens(m.iota), level + 1)),
+        ("tau", _pair_items(zip(map(source_nodes.__getitem__, order), images), level + 1)),
+        ("delta", _pair_items(tokens(m.delta), level + 1)),
+        ("beta", _members(beta, level + 1)),
     ), level)
 
 

@@ -20,7 +20,7 @@ from .preform import (
     DEFAULT_STRATEGY_CAP,
     Preform,
     PreformMorphism,
-    compose_preform_morphisms,
+    _compose_preform_morphisms,
     identity_preform_morphism,
     is_grand_strategy,
     is_subpreform,
@@ -235,7 +235,13 @@ def identity_form_morphism(form: Form) -> FormMorphism:
 def compose_form_morphisms(second: FormMorphism, first: FormMorphism) -> FormMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
-    below = compose_preform_morphisms(second.preform_morphism, first.preform_morphism)
+    return _compose_form_morphisms(second, first)
+
+
+def _compose_form_morphisms(second: FormMorphism, first: FormMorphism) -> FormMorphism:
+    """``compose_form_morphisms`` of two morphisms the caller has checked
+    compose: their preforms' morphisms compose too."""
+    below = _compose_preform_morphisms(second.preform_morphism, first.preform_morphism)
     iota = {i: second.iota[first.iota[i]] for i in first.source.players}
     return FormMorphism(first.source, second.target, iota, below.delta, below._ids)
 

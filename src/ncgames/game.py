@@ -30,8 +30,8 @@ from .errors import GameError, MorphismError, SearchBudgetExceeded
 from .form import (
     Form,
     FormMorphism,
+    _compose_form_morphisms,
     build_form,
-    compose_form_morphisms,
     identity_form_morphism,
     is_subform,
     player_strategies,
@@ -421,8 +421,8 @@ def compose(second: GameMorphism, first: GameMorphism) -> GameMorphism:
     Equal games order their utilities alike, so the ranks of ``first``'s
     target are those of ``second``'s source.
     """
-    check_composable(second, first)
-    below = compose_form_morphisms(second.form_morphism, first.form_morphism)
+    check_composable(second, first)  # once: the layers below compose unchecked
+    below = _compose_form_morphisms(second.form_morphism, first.form_morphism)
     images = _play_images(first.source.tree, second.target.tree, below._ids.tau)
     beta: Dict[Token, Dict[int, int]] = {}
     for i in first.source.form.player_rank:

@@ -33,11 +33,11 @@ from .tree import (
     Tree,
     TreeMorphism,
     _NodeIds,
+    _compose_tree_morphisms,
     _node_ids,
     _tree_from_ids,
     check_composable,
     check_map,
-    compose_tree_morphisms,
     identity_tree_morphism,
 )
 
@@ -359,7 +359,15 @@ def compose_preform_morphisms(
 ) -> PreformMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
-    below = compose_tree_morphisms(second.tree_morphism, first.tree_morphism)
+    return _compose_preform_morphisms(second, first)
+
+
+def _compose_preform_morphisms(
+    second: PreformMorphism, first: PreformMorphism
+) -> PreformMorphism:
+    """``compose_preform_morphisms`` of two morphisms the caller has checked
+    compose: their trees' morphisms compose too."""
+    below = _compose_tree_morphisms(second.tree_morphism, first.tree_morphism)
     delta = {c: second.delta[first.delta[c]] for c in first.source.choices}
     return PreformMorphism(first.source, second.target, delta, below._ids)
 

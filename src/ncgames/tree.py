@@ -554,6 +554,11 @@ def identity_tree_morphism(tree: Tree) -> TreeMorphism:
 def compose_tree_morphisms(second: TreeMorphism, first: TreeMorphism) -> TreeMorphism:
     """``first`` and then ``second``, unvalidated: a morphism by theorem."""
     check_composable(second, first)
+    return _compose_tree_morphisms(second, first)
+
+
+def _compose_tree_morphisms(second: TreeMorphism, first: TreeMorphism) -> TreeMorphism:
+    """``compose_tree_morphisms`` of two morphisms the caller has checked compose."""
     tau, middle, same = first._ids.tau, first.target._ids.labels, second.source._ids.labels
     if middle is not same and middle != same:  # equal trees, their ids numbered apart
         at = dict(zip(same, range(len(second.source.nodes))))

@@ -378,6 +378,32 @@ class TestRejectionsAcrossHashSeeds:
         }
 
 
+class TestLoneSurrogate:
+    """A game whose atom decodes to a lone surrogate, which UTF-8 cannot
+    encode, is refused as it is read: one error line, exit 1, no
+    traceback, and no file written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "lone.game"],
+        ["nash", "lone.game"],
+        ["derive", "lone.game"],
+        ["convert", "--to", "canonical", "lone.game", "-o", "out.game", "-w", "out.witness"],
+        ["iso", "lone.game", "lone.game", "-w", "out.witness"],
+    ])
+    def test_refused_with_one_error_line(self, workdir, capsys, monkeypatch, argv):
+        monkeypatch.chdir(workdir)
+        text = (workdir / "classroom.game").read_text().replace('"atom": "4"', '"atom": "\\ud800"')
+        (workdir / "lone.game").write_text(text)
+        expected = (
+            "error: SyntaxError: token '\\ud800' holds a lone surrogate, "
+            "which UTF-8 cannot encode\n"
+        )
+        assert run(capsys, *argv) == (1, expected)
+        result = fresh_process(workdir, argv)
+        assert (result.returncode, result.stdout, result.stderr) == (1, expected, "")
+        assert not (workdir / "out.game").exists() and not (workdir / "out.witness").exists()
+
+
 class TestConvert:
     def test_csq_writes_game_and_witness(self, workdir, capsys):
         out_game = workdir / "out.game"

@@ -695,6 +695,98 @@ class TestGameReferences:
         )
 
 
+LONE = "\ud800"  # a surrogate that pairs with no other
+
+
+def _one_edge_doc(where: str, token: str = LONE) -> dict:
+    """A game of one edge with ``token`` in the place ``where`` names."""
+    root, leaf, player, choice = {"atom": "r"}, {"atom": "x"}, "P", "c"
+    if where == "atom":
+        leaf = {"atom": "x" + token}
+    elif where == "seq":
+        leaf = {"seq": ["c", token]}
+    elif where == "player":
+        player = token
+    elif where == "choice":
+        choice = token
+    values = {player: "1"}
+    if where == "row player":
+        values[token] = "1"
+    ownership = {player: [choice]}
+    if where == "owner":
+        ownership[token] = []
+    return {
+        "format_version": "ncg/1",
+        "players": [player],
+        "nodes": [root, leaf],
+        "edges": [[root, choice, leaf]],
+        "ownership": ownership,
+        "utilities": [{"play": [root, leaf], "values": values}],
+    }
+
+
+class TestLoneSurrogates:
+    """UTF-8 encodes no surrogate, so a token that decodes to one could be
+    neither written back nor printed: each reader route refuses it as a
+    syntax error.  A pair of escapes decodes to the character it spells."""
+
+    WHERE = ["atom", "seq", "player", "choice", "row player", "owner"]
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("layout", [{}, {"indent": 2}, {"ensure_ascii": False}])
+    def test_a_game_is_refused_on_both_routes(self, where, layout):
+        # escaped, as json.dumps writes it, or the surrogate itself in the text
+        text = json.dumps(_one_edge_doc(where), **layout)
+        routes = {
+            "text": lambda: documents._game_at(text, 0),
+            "strict": lambda: documents._game_from_document(documents._loads(text)),
+            "parse_game": lambda: parse_game(text),
+        }
+        for route, read in routes.items():
+            with pytest.raises(DocumentSyntaxError) as err:
+                read()
+            assert "holds a lone surrogate, which UTF-8 cannot encode" in str(err.value), route
+
+    def test_a_late_spec_in_a_row_is_refused(self):
+        doc = _one_edge_doc("none")
+        doc["utilities"][0]["play"].append({"atom": LONE})
+        with pytest.raises(DocumentSyntaxError, match="lone surrogate"):
+            parse_game(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", WHERE)
+    def test_a_surrogate_pair_reads_and_writes_back(self, where, tmp_path):
+        doc = _one_edge_doc(where, "\U0001f600")
+        text = json.dumps(doc)
+        assert "\\ud83d\\ude00" in text
+        if where in ("row player", "owner"):  # a player the document does not declare
+            with pytest.raises(AxiomViolation):
+                parse_game(text)
+            return
+        game = parse_game(text)
+        documents.write_game(game, tmp_path / "g.game")
+        written = (tmp_path / "g.game").read_text(encoding="utf-8")
+        assert written == serialize_game(game)
+        assert "\U0001f600" in written and json.loads(written) == doc
+
+    @pytest.mark.parametrize("place", ["iota", "delta", "beta", "source"])
+    def test_a_morphism_is_refused_on_both_routes(self, classroom_text, place, tmp_path):
+        doc = _morphism_doc(identity_morphism(parse_game(classroom_text)))
+        if place == "beta":
+            doc["beta"][LONE] = doc["beta"].pop("P1")
+        elif place == "source":
+            doc["source"] = LONE + ".game"  # a path, refused before it is opened
+        else:
+            doc[place][0][1] = LONE
+        text = json.dumps(doc)
+        for read in (
+            lambda: parse_morphism(text, base_dir=tmp_path),
+            lambda: documents._morphism_parts(documents._loads(text), tmp_path, []),
+            lambda: parse_witness(json.dumps(_witness_doc(doc, doc)), base_dir=tmp_path),
+        ):
+            with pytest.raises(DocumentSyntaxError, match="lone surrogate"):
+                read()
+
+
 class TestLoads:
     """The reader's walk of an object decodes what ``json.loads``
     decodes, or leaves the text to the strict route, one ``json.loads``

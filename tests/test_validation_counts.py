@@ -17,7 +17,8 @@ Reading a witness builds each of its games once, and checking one, or
 reading a morphism ``ncg compose`` is given, reads no row or ``tau``
 pair spec by spec; ``ncg compose`` reads a game both its documents name
 by one file once.  Writing a witness calls the
-generic encoder as often at any size."""
+generic encoder as often at any size.  Composing compares a middle game
+given as two equal objects once, at the game layer."""
 
 import contextlib
 import io
@@ -51,6 +52,7 @@ from ncgames import (
     is_nash,
     nash_equilibria,
     parse_game,
+    parse_morphism,
     parse_witness,
     play_of,
     player_strategies,
@@ -116,6 +118,27 @@ def test_compose_validates_nothing(classroom_game, game_validations, tree_valida
     assert compose(m, m) == m
     assert game_validations == []
     assert tree_validations == []
+
+
+def test_compose_compares_the_middle_game_once(monkeypatch):
+    # the morphisms meet at two equal games, read apart: the game layer's
+    # check compares their forms, preforms and trees, so the layers below
+    # compose without comparing them again
+    witness = canonical_centipede_witness(15)
+    first, second = witness.morphism, parse_morphism(serialize_morphism(witness.inverse))
+    assert first.target is not second.source
+    compared = []
+    original = ncgames.tree.Structural.__eq__
+
+    def counted(self, other):
+        compared.append(type(self).__name__)
+        return original(self, other)
+
+    monkeypatch.setattr(ncgames.tree.Structural, "__eq__", counted)
+    composite = compose(second, first)
+    assert sorted(compared) == ["Form", "Game", "Preform", "Tree"]
+    monkeypatch.undo()
+    assert composite == identity_morphism(first.source)
 
 
 def test_canonicalize_validates_nothing(classroom_game, game_validations):

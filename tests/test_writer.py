@@ -1,9 +1,12 @@
 """The document writer: canonical text in the layout of
 ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, written to
-files piece by piece."""
+files in chunks, byte for byte the ``serialize_*`` text encoded as
+UTF-8, at any chunk size and at the sizes of the benchmark's largest
+documents."""
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncgames.documents
 from ncgames import (
     DocumentError,
     build_form,
@@ -35,13 +39,14 @@ from ncgames.documents import write_game, write_witness
 from ncgames.labels import Atom, Seq, SetLabel
 from ncgames.transforms import relabel_game
 
-from random_games import random_game
+from random_games import families, random_game
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 AWKWARD = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", " ", "é", "日", "\U0001f600"]
 
-tokens = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters()), max_size=4)
+# every character UTF-8 encodes: a surrogate is refused as ``UnencodableText``
+tokens = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters(codec="utf-8")), max_size=4)
 
 
 @st.composite
@@ -83,21 +88,31 @@ def test_text_is_json_dumps_of_itself_and_parses_back(renamed):
         assert parse(text) == value
 
 
-def test_atom_collision_is_refused_before_a_file_is_opened(tmp_path):
+@pytest.mark.parametrize("root, leaf, player, choice, code", [
     # Atom(1) and Atom("1") are distinct labels with one spec text
-    one, text_one = Atom(1), Atom("1")
-    preform = build_preform({one, text_one}, {"c"}, [(one, "c", text_one)])
-    form = build_form(preform, {"P"}, {"P": {"c"}})
-    game = build_game(form, {"P": {frozenset({one, text_one}): Fraction(0)}})
+    (Atom(1), Atom("1"), "P", "c", "AtomCollision"),
+    # UTF-8 encodes no surrogate, in a node's, a player's or a choice's text
+    (Atom("\ud800"), Atom("x"), "P", "c", "UnencodableText"),
+    (Seq(("a", "\udfff")), Atom("x"), "P", "c", "UnencodableText"),
+    (Atom("r"), Atom("x"), "P\udc80", "c", "UnencodableText"),
+    (Atom("r"), Atom("x"), "P", "\ud83d", "UnencodableText"),
+])
+def test_unwritable_text_is_refused_before_a_file_is_opened(
+    tmp_path, root, leaf, player, choice, code
+):
+    preform = build_preform({root, leaf}, {choice}, [(root, choice, leaf)])
+    form = build_form(preform, {player}, {player: {choice}})
+    game = build_game(form, {player: {frozenset({root, leaf}): Fraction(0)}})
     witness = is_isomorphism(identity_morphism(game))
-    with pytest.raises(DocumentError) as refused:
-        serialize_game(game)
-    assert refused.value.code == "AtomCollision"
+    for serialize, value in ((serialize_game, game), (serialize_witness, witness)):
+        with pytest.raises(DocumentError) as refused:
+            serialize(value)
+        assert refused.value.code == code
     for write, value in ((write_game, game), (write_witness, witness)):
         path = tmp_path / f"{write.__name__}.out"
         with pytest.raises(DocumentError) as refused:
             write(value, path)
-        assert refused.value.code == "AtomCollision"
+        assert refused.value.code == code
         assert not path.exists()
 
 
@@ -220,3 +235,61 @@ class TestWrittenFilesEqualSerializedText:
             parse_morphism(second.read_text()), parse_morphism(first.read_text())
         )
         assert out.read_text() == serialize_morphism(composite)
+
+
+def centipede(stages: int, seed: int):
+    doc = families.to_document(families.centipede(random.Random(seed), stages))
+    return parse_game(json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
+def large_documents() -> dict:
+    """The largest documents the benchmark writes: the canonical game and
+    witness of a 60-stage centipede (about 1.0 and 3.0 MB) and the
+    witness of two 120-stage centipedes that ``ncg iso`` finds (2.3 MB)."""
+    converted = canonicalize(centipede(60, 60))
+    rng = random.Random(120)
+    g = families.centipede(rng, 120)
+    left, right = (
+        parse_game(json.dumps(families.to_document(families.relabel(rng, g)[0]))) for _ in "ab"
+    )
+    return {
+        "canonical game": (write_game, converted.game, serialize_game),
+        "canonical witness": (write_witness, converted.witness, serialize_witness),
+        "iso witness": (write_witness, find_isomorphism(left, right), serialize_witness),
+    }
+
+
+@pytest.mark.parametrize("name", ["canonical game", "canonical witness", "iso witness"])
+def test_large_documents_are_written_as_their_text_at_any_chunk_size(
+    large_documents, name, tmp_path, monkeypatch
+):
+    write, value, serialize = large_documents[name]
+    serialized = serialize(value)
+    text = serialized.encode("utf-8")
+    assert len(text) > 10**6
+    path = tmp_path / "out"
+    write(value, path)
+    assert path.read_bytes() == text
+    # a chunk per piece, chunks of a few pieces, every piece in one chunk
+    # and the final newline in the next, and the whole text in one chunk
+    for size in (1, 7, len(serialized) - 1, len(serialized)):
+        monkeypatch.setattr(ncgames.documents, "_CHUNK", size)
+        write(value, path)
+        assert path.read_bytes() == text, size
+
+
+def test_writing_a_large_witness_holds_a_chunk_not_its_text(large_documents, tmp_path):
+    # the 3.0 MB canonical witness: its two games' pieces, each written
+    # twice, and one chunk are held; a writer that joins the whole text
+    # holds more than the gate
+    write, value, _serialize = large_documents["canonical witness"]
+    write(value, tmp_path / "warm")  # ranks each game's utilities once
+    tracemalloc.start()
+    try:
+        write(value, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out").stat().st_size > 3 * 10**6
+    assert peak < 2.0 * 10**6

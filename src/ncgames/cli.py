@@ -39,6 +39,11 @@ from .transforms import canonicalize, to_choice_sequence, to_choice_set
 __all__ = ["main", "cli_dispatch"]
 
 
+# the zeta lines ``ncg derive`` prints at once, so that at the strategy
+# cap it holds a batch of them, not the table
+_BATCH = 4096
+
+
 def _strategy_tuple(ordered, s):
     """The strategy's choices listed in ``Preform.info_set_order``."""
     return tuple(c for _h, choices in ordered for c in choices if c in s)
@@ -97,8 +102,13 @@ def _cmd_derive(args) -> int:
         print(f"{render_token(i)}: " + " ".join(map(listing, own)))
     print("zeta:")
     text_of = dict(zip(game.tree.play_by_end.values(), texts))
-    for s in itertools.product(*pools):
-        print(f"{listing(s)} -> {text_of[play_of(pf, s)]}")
+    rendered = [list(map(token.__getitem__, pool)) for pool in pools]
+    lines = (
+        "{" + ",".join(r) + "} -> " + text_of[play_of(pf, s)]
+        for s, r in zip(itertools.product(*pools), itertools.product(*rendered))
+    )
+    while batch := list(itertools.islice(lines, _BATCH)):
+        print(*batch, sep="\n")
     return 0
 
 

@@ -17,7 +17,10 @@ or on one line, are split by one splitter (``_split``), and each row's
 play and each pair's specs matched against the texts of the game's
 plays (``_split_rows``) and node specs (``_tau_by_text``), spelled by
 ``_spec_texts`` as the writer spells them.  A list with a row or a pair
-that matches nothing is decoded whole.  A game embedded
+that matches nothing is decoded whole.  Matched rows that price each
+play once with a text for each declared player are priced a player's
+column at a time (``_by_column``), each distinct text read once; any
+other rows are read cell by cell (``_read_rows``).  A game embedded
 in a morphism or a witness is read the same way over its own span of
 the text, once however often its text repeats.  A document that route
 does not read is decoded whole and read as before, so every verdict and
@@ -44,6 +47,7 @@ from json.encoder import encode_basestring as _encode_str
 from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, NamedTuple
 
 from .errors import (
@@ -368,6 +372,37 @@ def _read_rows(rows, players, nodes: _Nodes, rational, plays, paths) -> dict:
     return utilities
 
 
+def _by_column(form, slots: list, values: list, rational) -> Game | None:
+    """The game whose rows ``_split_rows`` matched, their plays' positions
+    and their ``values``, priced a player's column at a time; ``None``,
+    which leaves the rows to ``_read_rows``, unless the rows price each
+    play once, each names exactly the declared players and every value
+    is rational text.  Each distinct text of a column is read once, and
+    its number placed at each of its plays' positions by C-level maps;
+    the range is the column's distinct numbers, so no cell is checked,
+    hashed or keyed one at a time."""
+    players, n = form.player_rank, len(slots)
+    if n != len(form.preform.tree._ids.paths) or len(set(slots)) != n:
+        return None
+    rows = list(map(values.__getitem__, sorted(range(n), key=slots.__getitem__)))  # by play
+    try:
+        columns = [list(map(itemgetter(i), rows)) for i in players]
+    except KeyError:  # a row omits a player
+        return None
+    if set(map(len, rows)) != {len(players)} or set(map(type, chain(*columns))) != {str}:
+        return None
+    try:  # a text that is no rational is reported row by row, as ``_read_rows`` reads
+        numbers = [dict(zip(texts, map(rational, texts))) for texts in map(dict.fromkeys, columns)]
+    except NcgError:
+        return None
+    ids = SimpleNamespace(values={}, rows=dict.fromkeys(players, slots), ranks={})
+    ranges = {}
+    for i, column, number in zip(players, columns, numbers):
+        ids.values[i] = list(map(number.__getitem__, column))
+        ranges[i] = frozenset(number.values())
+    return Game(form=form, ranges=ranges, _ids=ids)
+
+
 def _spec_texts(specs: list, pad: str) -> list:
     """The text of each node spec, decoded from a ``nodes`` list or built
     by ``_spec``, as ``json.dumps`` writes it on one line when ``pad`` is
@@ -563,14 +598,17 @@ def _game_from_document(doc, rows_at=None) -> tuple:
     end = None
     if rows_at is not None:
         rows, end = _rows_by_text(*rows_at, tree, nodes)
-    utilities = _read_rows(rows, players, nodes, _rational_reader(), plays, paths)
-    _encodable(list(utilities))  # the players the rows name
-    try:
-        if fault is not None:
-            raise fault
-        game = _priced(form, {i: row.items() for i, row in utilities.items()})
-    except NcgError as exc:
-        raise AxiomViolation(exc) from exc
+    rational = _rational_reader()
+    game = _by_column(form, *rows, rational) if type(rows) is tuple else None
+    if game is None:
+        utilities = _read_rows(rows, players, nodes, rational, plays, paths)
+        _encodable(list(utilities))  # the players the rows name
+        try:
+            if fault is not None:
+                raise fault
+            game = _priced(form, {i: row.items() for i, row in utilities.items()})
+        except NcgError as exc:
+            raise AxiomViolation(exc) from exc
     return _Read(game, nodes), end
 
 

@@ -43,8 +43,8 @@ from .preform import (
     Preform,
     _pools,
     _preform_from_ids,
+    _picked,
     _walk,
-    is_grand_strategy,
     render_strategy,
 )
 from .tree import (
@@ -180,7 +180,10 @@ def _priced(form: Form, rows: Mapping) -> Game:
     it comes, so the first broken rule is the one reported, and each
     player's values are listed by position once, in row order.  A range
     holds a row's distinct value objects, so values that share one
-    object (as a document's equal texts do) are hashed once per row."""
+    object (as a document's equal texts do) are hashed once per row.
+    The reader skips this loop for rows that price each play once with
+    a text for each player, and prices those a column at a time
+    (``documents._by_column``)."""
     tree = form.preform.tree
     labels, ends = tree._ids.labels, list(tree._ids.plays)
     for i in rows:
@@ -514,20 +517,23 @@ def subgame_at(g: Game, t_star: NodeLabel) -> Game:
 
 def is_nash(g: Game, s: Iterable[Token], cap: int = DEFAULT_STRATEGY_CAP) -> bool:
     """Whether no player gains by replacing their component of ``s``."""
-    s = frozenset(s)
-    if not is_grand_strategy(g.preform, s):
+    s, pf = frozenset(s), g.preform
+    picked = _picked(pf, s)
+    if picked is None:
         raise GameError(
             "NotAStrategy",
             f"{render_strategy(s)} is not a grand strategy of this game",
         )
-    plays = g.tree._ids.plays
-    on_path = plays[_walk(g.preform, s)]
+    plays, pos = g.tree._ids.plays, pf._ids.pos.__getitem__
+    on_path = plays[_walk(pf, picked)]
     # in token order, so the first player over the cap is the same in every run
     for i in g.form.player_rank:
-        values, rest = g._ids.values[i], s - g.form.assignment[i]
+        values = g._ids.values[i]
         best = values[on_path]
         for d in player_strategies(g.form, i, cap=cap):
-            if values[plays[_walk(g.preform, rest | d)]] > best:
+            deviation = dict(picked)
+            deviation.update(zip(map(pos, d), d))  # ``d`` in place of i's choices
+            if values[plays[_walk(pf, deviation)]] > best:
                 return False
     return True
 
@@ -643,7 +649,11 @@ def _utility_ranks(g: Game, i: Token) -> tuple:
     terms, which equal fractions share and which hash faster than a
     ``Fraction``.  The range is sorted by each value's nearest float,
     which never orders two values wrongly, and by the value only where
-    two floats tie, so few comparisons run ``Fraction``'s Python code."""
+    two floats tie, so few comparisons run ``Fraction``'s Python code.
+    Each play's value is looked up by its own lowest terms: a game read
+    by column shares one object per distinct text, but ranking those
+    objects once and mapping the plays by ``id`` costs more than it
+    saves on games of a few dozen plays."""
     ranked = g._ids.ranks.get(i)
     if ranked is None:
         try:

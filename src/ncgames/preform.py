@@ -77,8 +77,9 @@ class Preform(Structural):
     ranks; strategies, reports and refusals all list sets in it.
     ``_ids`` keeps, over the tree's integer node ids, the operator
     ``op``, the sets in that order, ``sets``, each node's set by its
-    position there, -1 at a leaf, ``set_at``, and the choice that
-    produced each node, ``None`` at the root, ``prev``.  ``op``, ``feas``,
+    position there, -1 at a leaf, ``set_at``, each choice's set by its
+    position, ``pos``, and the choice that produced each node, ``None``
+    at the root, ``prev``.  ``op``, ``feas``,
     each decision node's feasible choices, and ``prev_choice``, ``prev``
     by label, are views over ``_ids`` built on first read; equality and
     hashing read ``tree``, ``choices`` and ``op``.
@@ -230,16 +231,19 @@ def _preform_from_ids(
     sets = sorted(one_of, key=lambda h: min(map(rank.__getitem__, h)))
     at = {t: k for k, h in enumerate(sets) for t in h}
     set_at = [at.get(t, -1) for t in range(n)]
+    order = tuple(
+        (node_sets[id(h)], tuple(sorted(feas[next(iter(h))], key=token_key))) for h in sets
+    )
     return Preform(
         tree=tree,
         choices=choice_set,
         info_sets=frozenset(node_sets.values()),
         info_set_of=info_set_of,
-        info_set_order=tuple(
-            (node_sets[id(h)], tuple(sorted(feas[next(iter(h))], key=token_key)))
-            for h in sets
+        info_set_order=order,
+        _ids=SimpleNamespace(
+            op=op, sets=sets, set_at=set_at, prev=prev,
+            pos={c: k for k, (_h, cs) in enumerate(order) for c in cs},
         ),
-        _ids=SimpleNamespace(op=op, sets=sets, set_at=set_at, prev=prev),
     )
 
 
@@ -262,7 +266,7 @@ def strategies_over(pf: Preform, info_sets, cap: int) -> frozenset:
 def selects_one_each(pf: Preform, s: frozenset, info_sets) -> bool:
     """Whether ``s``, holding only choices of sets in ``info_sets``, holds
     one choice of each: as many choices as sets, each in a set of its own."""
-    return len(s) == len(info_sets) == len({pf.info_set_of[c] for c in s})
+    return len(s) == len(info_sets) == len(set(map(pf._ids.pos.__getitem__, s)))
 
 
 def count_grand_strategies(pf: Preform) -> int:
@@ -274,33 +278,44 @@ def grand_strategies(pf: Preform, cap: int = DEFAULT_STRATEGY_CAP) -> frozenset:
     return strategies_over(pf, pf.info_sets, cap)
 
 
+def _picked(pf: Preform, s: frozenset):
+    """The choices of ``s`` by the position of their sets in
+    ``info_set_order`` when ``s`` holds one choice of each set and
+    nothing else, else ``None``."""
+    try:
+        picked = dict(zip(map(pf._ids.pos.__getitem__, s), s))
+    except KeyError:  # a choice of no set
+        return None
+    return picked if len(picked) == len(s) == len(pf._ids.sets) else None
+
+
 def is_grand_strategy(pf: Preform, s: Iterable[Token]) -> bool:
-    s = frozenset(s)
-    return s <= pf.choices and selects_one_each(pf, s, pf.info_sets)
+    return _picked(pf, frozenset(s)) is not None
 
 
 def play_of(pf: Preform, s: Iterable[Token]) -> Play:
-    """The unique play whose every non-root node was produced by ``s``,
-    the one ending where :func:`_walk` ends once ``s`` is checked."""
+    """The unique play whose every non-root node was produced by ``s``.
+    ``s`` is checked by one map from set positions to its choices, which
+    :func:`_walk` then follows down from the root."""
     s = frozenset(s)
-    if not is_grand_strategy(pf, s):
+    picked = _picked(pf, s)
+    if picked is None:
         raise PreformError(
             "NotAStrategy",
             f"{render_strategy(s)} does not select exactly one feasible choice "
             "per information set",
         )
-    return pf.tree.play_by_end[pf.tree._ids.labels[_walk(pf, s)]]
+    return pf.tree.play_by_end[pf.tree._ids.labels[_walk(pf, picked)]]
 
 
-def _walk(pf: Preform, s: frozenset) -> int:
-    """The end id of the play of ``s``, known to be a grand strategy: the
-    walk down the node ids from the root that takes at each node the one
-    choice of ``s`` in its set, the same one at each visit to a set."""
-    set_at, op, order = pf._ids.set_at, pf._ids.op, pf.info_set_order
+def _walk(pf: Preform, picked) -> int:
+    """The end id of the play of the grand strategy ``picked``, its choice
+    by set position as ``_picked`` maps it: the walk down the node ids
+    from the root that takes at each node the choice of its set."""
+    set_at, op = pf._ids.set_at, pf._ids.op
     t = pf.tree._ids.walk[0]
     while set_at[t] >= 0:
-        (c,) = s.intersection(order[set_at[t]][1])
-        t = op[t, c]
+        t = op[t, picked[set_at[t]]]
     return t
 
 

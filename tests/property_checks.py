@@ -39,7 +39,7 @@ from ncgames import (
     validate_preform_morphism,
     validate_tree_morphism,
 )
-from ncgames.errors import FormError, NcgError
+from ncgames.errors import FormError, NcgError, PreformError
 from ncgames.game import _node_classes
 from ncgames.labels import token_key
 from ncgames.transforms import style_report
@@ -192,15 +192,57 @@ def _near_misses(rng, choices, members, draws):
         yield frozenset(s)
 
 
+def _foreign_and_doubled(rng, pf, members, draws):
+    """Members of ``members`` with a token of no set added or swapped in
+    for one of their choices, and with a second choice of one set added
+    or swapped in for another set's choice."""
+    members = sorted(members, key=sorted)
+    wide = [choices for _h, choices in pf.info_set_order if len(choices) > 1]
+    for _ in range(draws if members else 0):
+        s = set(rng.choice(members))
+        edit = rng.randrange(4)
+        if s and edit in (1, 3):
+            s.discard(rng.choice(sorted(s)))
+        if edit < 2:
+            s.add("\0foreign")
+        elif wide:
+            s.update(rng.choice(wide))
+        yield frozenset(s)
+
+
+def check_play_of(pf, s, grand):
+    """``play_of`` gives the oracle's play of a grand strategy, and refuses
+    any other choice set as ``NotAStrategy``, naming its sorted choices."""
+    if s in grand:
+        assert play_of(pf, s) == oracles.zeta_by_scan(pf, s)
+        return
+    try:
+        play_of(pf, s)
+    except PreformError as exc:
+        listing = ",".join(sorted(map(str, s)))
+        assert exc.code == "NotAStrategy" and exc.axiom is None
+        assert str(exc) == (
+            f"NotAStrategy: {{{listing}}} does not select exactly one feasible choice "
+            "per information set"
+        )
+    else:
+        raise AssertionError(f"play_of accepted {sorted(s)}")
+
+
 def check_strategy_tests(game, rng, draws=40):
     """``is_grand_strategy`` is membership in the oracle's enumeration,
-    and ``profile_to_grand`` merges exactly the profiles whose every
+    and ``play_of`` the oracle's play of a member, refusing any other
+    draw; ``profile_to_grand`` merges exactly the profiles whose every
     component the oracle lists for its player; otherwise it names the
     first player, in ``player_rank`` order, whose component is not listed."""
     pf, form = game.preform, game.form
     grand = oracles.strategies_by_scan(pf)
-    for s in _near_misses(rng, pf.choices, grand, draws):
+    for s in itertools.chain(
+        _near_misses(rng, pf.choices, grand, draws),
+        _foreign_and_doubled(rng, pf, grand, draws // 4),
+    ):
         assert is_grand_strategy(pf, s) is (s in grand)
+        check_play_of(pf, s, grand)
     own = {i: oracles.strategies_by_scan(pf, form.assignment[i]) for i in form.players}
     for _ in range(draws):
         profile = {}

@@ -351,6 +351,105 @@ def test_mutated_texts(layout, member):
         assert_reads_as_strict(text)
 
 
+# Rows priced a player's column at a time: when the rows match their
+# plays, price each play once, name exactly the declared players and hold
+# only text, the game is built from each player's column; any other rows
+# are read cell by cell.  Either way the game or the error is the strict
+# route's.
+
+COLUMN_FAMILIES = {  # each of 12 plays or more
+    "centipede": (families.centipede, (12,)),
+    "stage-pooled": (families.stage_pooled_binary, (4, 3)),
+    "perfect-info": (families.perfect_info_binary, (4, 2)),
+    "wide": (families.wide_symmetric, (12,)),
+    "absentminded": (families.absentminded_chain, (12,)),
+}
+
+NCG_AND_ONE_LINE = {"ncg": {"indent": 2, "ensure_ascii": False}, "one line": {}}
+
+
+def _family_document(name: str) -> dict:
+    generate, size = COLUMN_FAMILIES[name]
+    return families.to_document(generate(random.Random(5), *size))
+
+
+def _outcome(read, text: str) -> tuple:
+    """The error's class, code and message, or the game's values by play
+    position, priced positions, ranges and utilities."""
+    try:
+        g = read(text)
+    except NcgError as exc:
+        return type(exc), exc.code, str(exc)
+    return g._ids.values, g._ids.rows, g.ranges, g.utilities
+
+
+def _routes(text: str, monkeypatch) -> tuple:
+    """The outcomes of ``parse_game`` and of the strict route, and whether
+    ``parse_game`` built its game by columns."""
+    built = []
+    by_column = documents._by_column
+
+    def recorded(*args):
+        built.append(by_column(*args))
+        return built[-1]
+
+    monkeypatch.setattr(documents, "_by_column", recorded)
+    own = _outcome(parse_game, text)
+    strict = _outcome(lambda t: _game_from_document(documents._loads(t))[0].game, text)
+    return own, strict, any(g is not None for g in built)
+
+
+@pytest.mark.parametrize("layout", NCG_AND_ONE_LINE)
+@pytest.mark.parametrize("name", COLUMN_FAMILIES)
+def test_the_families_are_priced_by_column_as_the_strict_route_prices_them(
+    name, layout, monkeypatch
+):
+    doc = _family_document(name)
+    assert len(doc["utilities"]) >= 12
+    own, strict, by_column = _routes(json.dumps(doc, **NCG_AND_ONE_LINE[layout]), monkeypatch)
+    assert by_column and own == strict and len(own) == 4
+
+
+def _swapped_player(doc: dict) -> None:
+    values = doc["utilities"][3]["values"]
+    values["Q"] = values.pop(doc["players"][0])
+
+
+def _longest_play_twice(doc: dict) -> None:
+    """The row of a shortest play replaced by a copy of a longest play's,
+    so the rows are as many as the plays and their text no shorter."""
+    rows = doc["utilities"]
+    rows.sort(key=lambda row: len(row["play"]))
+    rows[0] = json.loads(json.dumps(rows[-1]))
+
+
+COLUMN_FALLBACKS = {
+    "a row omits a player": lambda doc: doc["utilities"][3]["values"].pop(doc["players"][-1]),
+    "an undeclared player": lambda doc: doc["utilities"][3]["values"].update(Q="1"),
+    "a player swapped for an undeclared one": _swapped_player,
+    "a JSON-number value": lambda doc: doc["utilities"][3]["values"].update(P1=2),
+    "a bad text in the last row": lambda doc: doc["utilities"][-1]["values"].update(P2="1/0"),
+    "two rows for one play": lambda doc: doc["utilities"].append(
+        json.loads(json.dumps(doc["utilities"][0]))
+    ),
+    "one play priced twice and one not": _longest_play_twice,
+    "an unpriced play": lambda doc: doc["utilities"].pop(5),
+}
+
+
+@pytest.mark.parametrize("layout", NCG_AND_ONE_LINE)
+@pytest.mark.parametrize("edit", COLUMN_FALLBACKS)
+@pytest.mark.parametrize("name", COLUMN_FAMILIES)
+def test_rows_the_columns_do_not_price_read_as_the_strict_route_reads_them(
+    name, edit, layout, monkeypatch
+):
+    doc = _family_document(name)
+    COLUMN_FALLBACKS[edit](doc)
+    own, strict, by_column = _routes(json.dumps(doc, **NCG_AND_ONE_LINE[layout]), monkeypatch)
+    assert not by_column and own == strict
+    assert len(own) == (4 if edit == "a JSON-number value" else 3), own
+
+
 # Morphism and witness documents: ``parse_morphism`` and ``parse_witness``
 # walk the text, read each embedded game over its span (a repeated copy
 # once) and match ``tau`` pairs against the games' spec texts; each must

@@ -7,7 +7,9 @@ subgame's tree is built once, and parsing hashes labels a number of
 times that grows with the nodes, not with the length of their plays:
 reading the node list and the edges hashes each declared label once,
 and a utility row that spells its play is matched by its text and reads
-no spec.  Parsing hashes no play and each distinct utility once, and solving and
+no spec.  The rows of the benchmark families are priced a player's
+column at a time, each distinct text read once, and no cell is checked
+on its own.  Parsing hashes no play and each distinct utility once, and solving and
 checking equilibria hash no label, since they read utilities by play
 position; these counts do not depend on the hash seed.  Canonicalizing
 hashes no play, and the iso search's node classes no utility.  Finding
@@ -459,14 +461,18 @@ def test_rows_that_spell_their_plays_decode_no_spec(layout, monkeypatch):
         assert spec_reads(monkeypatch, lambda: parse_game(text)) == decoded
 
 
-@pytest.mark.parametrize("layout", [{}, {"indent": 2}], ids=["compact", "indented"])
-@pytest.mark.parametrize("generate, size", [
+# each benchmark family at a size of a dozen plays or more
+FAMILY_SIZES = [
     (families.centipede, (30,)),
     (families.stage_pooled_binary, (5, 3)),
     (families.perfect_info_binary, (5, 2)),
     (families.wide_symmetric, (16,)),
     (families.absentminded_chain, (30,)),
-], ids=lambda v: getattr(v, "__name__", ""))
+]
+
+
+@pytest.mark.parametrize("layout", [{}, {"indent": 2}], ids=["compact", "indented"])
+@pytest.mark.parametrize("generate, size", FAMILY_SIZES, ids=lambda v: getattr(v, "__name__", ""))
 def test_the_families_decode_no_spec(generate, size, layout, monkeypatch):
     """Each benchmark family's document, on one line or indented by two,
     builds its atoms from their tokens: ``_node_from_spec`` is not
@@ -476,6 +482,46 @@ def test_the_families_decode_no_spec(generate, size, layout, monkeypatch):
     labels = count_calls(monkeypatch, [ncgames.documents], "_node_from_spec")
     assert spec_reads(monkeypatch, lambda: parse_game(text)) == 0
     assert labels == []
+
+
+@pytest.mark.parametrize("layout", [{}, {"indent": 2}], ids=["compact", "indented"])
+@pytest.mark.parametrize("generate, size", FAMILY_SIZES, ids=lambda v: getattr(v, "__name__", ""))
+def test_the_families_are_priced_a_column_at_a_time(generate, size, layout, monkeypatch):
+    """No row is read cell by cell and no utility is checked one at a
+    time: ``_read_rows`` and ``_as_fraction`` are not called, and each
+    distinct text of a player's column is read once.  When every game was
+    priced cell by cell, both ran, ``_as_fraction`` once per cell, and
+    the reader was called once per cell."""
+    doc = families.to_document(generate(random.Random(1), *size))
+    reads = []
+    reader = ncgames.documents._rational_reader
+
+    def counting_reader():
+        read = reader()
+
+        def counted(value):
+            reads.append(value)
+            return read(value)
+
+        return counted
+
+    monkeypatch.setattr(ncgames.documents, "_rational_reader", counting_reader)
+    rows = count_calls(monkeypatch, [ncgames.documents], "_read_rows")
+    cells = count_calls(monkeypatch, [ncgames.game], "_as_fraction")
+    parse_game(json.dumps(doc, **layout))
+    assert rows == [] and cells == []
+    columns = [{row["values"][i] for row in doc["utilities"]} for i in doc["players"]]
+    assert sorted(reads) == sorted(text for texts in columns for text in texts)
+
+
+def test_decoded_rows_are_priced_a_cell_at_a_time(monkeypatch):
+    """The classroom game has fewer plays than the reader splits rows
+    for, so its decoded rows are read and priced cell by cell."""
+    text = (Path(__file__).parent / "fixtures" / "classroom.game").read_text()
+    rows = count_calls(monkeypatch, [ncgames.documents], "_read_rows")
+    cells = count_calls(monkeypatch, [ncgames.game], "_as_fraction")
+    game = parse_game(text)
+    assert len(rows) == 1 and len(cells) == len(game.players) * len(game.plays)
 
 
 def stage_pooled_counts(depth: int) -> dict:
